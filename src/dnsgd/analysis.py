@@ -40,19 +40,6 @@ class MetricsRow:
     comm_rounds: int
 
 
-METRICS_FIELDS = (
-    "t",
-    "f_mean",
-    "grad_norm_mean",
-    "grad_norm_agent_max",
-    "cons_x",
-    "cons_v",
-    "phi",
-    "samples_per_agent",
-    "comm_rounds",
-)
-
-
 @dataclass
 class Trajectory:
     """Everything a run records.

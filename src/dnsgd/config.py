@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .hyperparams import HyperParams
+from .optimizers import ALGORITHMS
 from .problems import (
     FAMILIES,
     ProblemInstance,
@@ -28,7 +29,6 @@ from .problems import (
 )
 from .topology import KINDS, Graph, MixingMatrix, build_topology, metropolis_mixing
 
-ALGORITHM_NAMES = ("dnsgd", "dsgd", "dsgt", "dnasa")
 K_MODES = ("formula", "guard")
 
 
@@ -86,7 +86,6 @@ class RunConfig:
     num_seeds: int = 1
     snapshot_every: int = 10
     out_dir: str = "out"
-    dnasa_literal_schedule: bool = False
 
 
 @dataclass(frozen=True)
@@ -149,12 +148,6 @@ def _as_str(value, path: str, choices: tuple[str, ...] | None = None) -> str:
         raise ConfigError(path, f"expected a string, got {value!r}")
     if choices is not None and value not in choices:
         raise ConfigError(path, f"must be one of {', '.join(choices)}; got {value!r}")
-    return value
-
-
-def _as_bool(value, path: str) -> bool:
-    if not isinstance(value, bool):
-        raise ConfigError(path, f"expected true/false, got {value!r}")
     return value
 
 
@@ -265,7 +258,7 @@ def _parse_x0(value, path: str = "x0") -> float | tuple[float, ...]:
 
 _RUN_KEYS = {
     "problem", "topology", "algorithm", "x0", "master_seed", "hyperparams",
-    "auto", "num_seeds", "snapshot_every", "out_dir", "dnasa_literal_schedule",
+    "auto", "num_seeds", "snapshot_every", "out_dir",
 }
 
 
@@ -281,7 +274,7 @@ def parse_run_config(d: dict) -> RunConfig:
     return RunConfig(
         problem=parse_problem(_get(d, "problem", "")),
         topology=parse_topology(_get(d, "topology", "")),
-        algorithm=_as_str(_get(d, "algorithm", ""), "algorithm", choices=ALGORITHM_NAMES),
+        algorithm=_as_str(_get(d, "algorithm", ""), "algorithm", choices=ALGORITHMS),
         x0=_parse_x0(_get(d, "x0", "")),
         master_seed=_as_int(_get(d, "master_seed", ""), "master_seed", minimum=0),
         hyperparams=hp,
@@ -291,10 +284,6 @@ def parse_run_config(d: dict) -> RunConfig:
             _get(d, "snapshot_every", "", required=False, default=10), "snapshot_every", minimum=0
         ),
         out_dir=_as_str(_get(d, "out_dir", "", required=False, default="out"), "out_dir"),
-        dnasa_literal_schedule=_as_bool(
-            _get(d, "dnasa_literal_schedule", "", required=False, default=False),
-            "dnasa_literal_schedule",
-        ),
     )
 
 
@@ -324,7 +313,7 @@ def parse_sweep_config(d: dict) -> SweepConfig:
         ),
         algorithm=_as_str(
             _get(d, "algorithm", "", required=False, default="dnsgd"),
-            "algorithm", choices=ALGORITHM_NAMES,
+            "algorithm", choices=ALGORITHMS,
         ),
         num_seeds=_as_int(_get(d, "num_seeds", "", required=False, default=1), "num_seeds", minimum=1),
         out_dir=_as_str(_get(d, "out_dir", "", required=False, default="out"), "out_dir"),

@@ -33,7 +33,7 @@ from .hyperparams import (
     rho_guard,
     theoretical_hyperparams,
 )
-from .optimizers import TRACKED, run
+from .optimizers import METHODS, run
 from .problems import ProblemInstance, f_global, grad_local, lf_effective
 from .streams import fanout_seed
 from .topology import Graph, MixingMatrix
@@ -125,9 +125,7 @@ def _run_seeds(
 
     def one(seed: int) -> Trajectory:
         return run(
-            cfg.algorithm, p, hp, mixing, x0, seed,
-            snapshot_every=cfg.snapshot_every,
-            dnasa_literal_schedule=cfg.dnasa_literal_schedule,
+            cfg.algorithm, p, hp, mixing, x0, seed, snapshot_every=cfg.snapshot_every
         )
 
     if threads <= 1 or cfg.num_seeds == 1:
@@ -146,7 +144,7 @@ def _run_checks(
     trajectories: list[Trajectory],
 ) -> list[CheckResult]:
     checks: list[CheckResult] = []
-    if cfg.algorithm in TRACKED:
+    if METHODS[cfg.algorithm].tracked:
         drift = max(traj.tracker_drift_max for traj in trajectories)
         checks.append(
             CheckResult(
@@ -353,30 +351,20 @@ def sweep_speedup(
     mean-iterate gradient norm reaches target_epsilon is recorded. Points
     where no seed reaches the target produce nan rows rather than errors.
     """
-    x0_spec = cfg.x0
     points: list[SweepPoint] = []
     for m_index, m in enumerate(cfg.m_list):
         p = build_problem(cfg.problem, m=m)
         _, mixing = build_mixing(cfg.topology, m)
-        x0 = resolve_x0(x0_spec, p.d)
-        delta_f = cfg.auto.delta_f
-        if delta_f is None:
-            delta_f = max(f_global(p, x0) - p.f_star, 0.0)
-        theory = theoretical_hyperparams(
-            epsilon=cfg.auto.epsilon, l0=p.l0, l1=p.l1, zeta=p.zeta, sigma=p.sigma,
-            m=m, gamma=mixing.gamma, delta_f_estimate=delta_f,
-            g0_norm_sq=_initial_gradient_energy(p, x0),
-            c_k=cfg.auto.c_k, c_k_hat=cfg.auto.c_k_hat, t_cap=cfg.auto.t_cap,
-            k_mode=cfg.auto.k_mode, rho_max=cfg.auto.rho_max,
-        )
+        x0 = resolve_x0(cfg.x0, p.d)
         run_cfg = RunConfig(
             problem=cfg.problem, topology=cfg.topology, algorithm=cfg.algorithm,
-            x0=cfg.x0, master_seed=cfg.master_seed, hyperparams=theory.hp,
+            x0=cfg.x0, master_seed=cfg.master_seed, auto=cfg.auto,
             num_seeds=cfg.num_seeds, snapshot_every=cfg.snapshot_every,
             out_dir=cfg.out_dir,
         )
+        hp, theory = resolve_hyperparams(run_cfg, p, mixing, x0)
         _, trajectories = _run_seeds(
-            run_cfg, p, theory.hp, mixing, x0, threads,
+            run_cfg, p, hp, mixing, x0, threads,
             seed_offset=m_index * cfg.num_seeds,
         )
         hits = [_first_hit(traj, cfg.target_epsilon) for traj in trajectories]
@@ -389,7 +377,7 @@ def sweep_speedup(
             mean_comm = math.nan
         points.append(
             SweepPoint(
-                m=m, hp=theory.hp, theory=theory,
+                m=m, hp=hp, theory=theory,
                 lambda2=mixing.lambda2, gamma=mixing.gamma,
                 seeds_reached=len(reached), num_seeds=cfg.num_seeds,
                 mean_samples_per_agent=mean_samples, mean_comm_rounds=mean_comm,

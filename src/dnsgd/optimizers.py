@@ -1,26 +1,30 @@
 """Decentralized optimizer updates and the trajectory runner.
 
-The primary method combines per-agent normalized steps with gradient
-tracking and accelerated gossip:
+All four algorithms run one update rule. Each agent keeps a row of the
+iterate matrix X, a tracker row V and its last minibatch gradient row G:
 
-    init:  X = 1 x0^T,  G = minibatch gradients at x0,  V = acc_gossip(G, k_init)
-    step:  U = normalize_rows(V)
-           X <- acc_gossip(X - eta U, k_inner)
+    init:  X = 1 x0^T,  G = minibatch gradients at x0,  V = mix0(G)
+    step:  X <- mix(X - eta_t dir(V))
            G' = minibatch gradients at the new local iterates
-           V <- acc_gossip(V + G' - G, k_inner)
+           V <- tracker update from V, G and G'
 
-Baselines share the sampling and bookkeeping but mix with a single plain
-gossip round per matrix update:
+and differs only in the settings of its METHODS entry:
 
-    dsgd   X <- W (X - eta G)
-    dsgt   X <- W (X - eta V),            V <- W V + G' - G
-    dnasa  X <- W (X - eta_t normalize_rows(V)), V <- W V + G' - G
+    accelerated  mix = acc_gossip(., k_inner), mix0 = acc_gossip(., k_init);
+                 otherwise mix = one plain gossip round W, mix0 = identity
+    normalized   dir(V) = normalize_rows(V); otherwise dir(V) = V
+    tracked      V <- acc_gossip(V + G' - G) if accelerated, else W V + G' - G;
+                 otherwise V <- G' (no tracker)
+    scheduled    eta_t = min(eta, m^(1/4) / t^(3/4)) with t >= 1; otherwise eta
 
-dnasa uses the schedule eta_t = min(eta, m^(1/4) / t^(3/4)) with t >= 1 by
-default; the literal growing schedule eta_t = m^(1/4) t^(3/4) is available
-behind a switch. Communication counters advance by the gossip depth
-parameter per accelerated call and by one round per plain W-multiplication;
-sample counters advance by the batch size per agent per iteration.
+    dnsgd  accelerated, normalized, tracked   (the paper's method)
+    dsgd   plain diffusion: X <- W (X - eta G)
+    dsgt   tracked
+    dnasa  normalized, tracked, scheduled
+
+Communication counters advance by the gossip depth per accelerated call and
+by one round per plain W-multiplication; sample counters advance by the
+batch size per agent per iteration.
 """
 
 from __future__ import annotations
@@ -36,11 +40,27 @@ from .problems import ProblemInstance, sample_grad
 from .streams import RunStreams
 from .topology import MixingMatrix
 
-ALGORITHMS = ("dnsgd", "dsgd", "dsgt", "dnasa")
 
-# Algorithms that maintain a gradient tracker with the mean-preservation
-# identity mean(V) = mean(G).
-TRACKED = ("dnsgd", "dsgt", "dnasa")
+@dataclass(frozen=True)
+class Method:
+    """The settings that turn the shared update rule into one algorithm.
+
+    tracked methods keep the mean-preservation identity mean(V) = mean(G).
+    """
+
+    accelerated: bool
+    normalized: bool
+    tracked: bool
+    scheduled: bool
+
+
+METHODS = {
+    "dnsgd": Method(accelerated=True, normalized=True, tracked=True, scheduled=False),
+    "dsgd": Method(accelerated=False, normalized=False, tracked=False, scheduled=False),
+    "dsgt": Method(accelerated=False, normalized=False, tracked=True, scheduled=False),
+    "dnasa": Method(accelerated=False, normalized=True, tracked=True, scheduled=True),
+}
+ALGORITHMS = tuple(METHODS)
 
 
 class NonFiniteStateError(RuntimeError):
@@ -85,7 +105,7 @@ def _sample_batch(
 ) -> np.ndarray:
     g = np.empty((p.m, p.d))
     for i in range(p.m):
-        g[i] = sample_grad(p, i, x_rows[i], b, streams.oracle(i, iteration)).grad
+        g[i] = sample_grad(p, i, x_rows[i], b, streams.oracle(i, iteration))
     return g
 
 
@@ -98,115 +118,57 @@ def _as_start_point(p: ProblemInstance, x0: np.ndarray) -> np.ndarray:
     return x0
 
 
-def dnsgd_init(
-    p: ProblemInstance, x0: np.ndarray, hp: HyperParams, w: MixingMatrix, streams: RunStreams
-) -> OptimizerState:
-    """Consensus start: every agent at x0, tracker gossiped from fresh gradients."""
-    x0 = _as_start_point(p, x0)
-    x = np.tile(x0, (p.m, 1))
-    g = _sample_batch(p, x, hp.b, streams, iteration=0)
-    _ensure_finite(g, "gradient batch", 0)
-    v = acc_gossip(g, w, hp.k_init)
-    return OptimizerState(
-        x=x, v=v, g_prev=g, t=0, samples_per_agent=hp.b, comm_rounds=hp.k_init
-    )
-
-
-def dnsgd_step(
-    s: OptimizerState, p: ProblemInstance, hp: HyperParams, w: MixingMatrix, streams: RunStreams
-) -> OptimizerState:
-    t_next = s.t + 1
-    u = normalize_rows(s.v)
-    x_next = acc_gossip(s.x - hp.eta * u, w, hp.k_inner)
-    _ensure_finite(x_next, "iterate matrix", t_next)
-    g_next = _sample_batch(p, x_next, hp.b, streams, iteration=t_next)
-    _ensure_finite(g_next, "gradient batch", t_next)
-    v_next = acc_gossip(s.v + g_next - s.g_prev, w, hp.k_inner)
-    _ensure_finite(v_next, "tracker matrix", t_next)
-    return OptimizerState(
-        x=x_next, v=v_next, g_prev=g_next, t=t_next,
-        samples_per_agent=s.samples_per_agent + hp.b,
-        comm_rounds=s.comm_rounds + 2 * hp.k_inner,
-    )
-
-
-def baseline_init(
-    p: ProblemInstance, x0: np.ndarray, hp: HyperParams, w: MixingMatrix, streams: RunStreams
-) -> OptimizerState:
-    """Shared start for the plain-gossip baselines: V starts at the sampled G."""
-    x0 = _as_start_point(p, x0)
-    x = np.tile(x0, (p.m, 1))
-    g = _sample_batch(p, x, hp.b, streams, iteration=0)
-    _ensure_finite(g, "gradient batch", 0)
-    return OptimizerState(
-        x=x, v=g.copy(), g_prev=g, t=0, samples_per_agent=hp.b, comm_rounds=0
-    )
-
-
-def dsgd_step(
-    s: OptimizerState, p: ProblemInstance, hp: HyperParams, w: MixingMatrix, streams: RunStreams
-) -> OptimizerState:
-    t_next = s.t + 1
-    x_next = plain_gossip(s.x - hp.eta * s.g_prev, w, 1)
-    _ensure_finite(x_next, "iterate matrix", t_next)
-    g_next = _sample_batch(p, x_next, hp.b, streams, iteration=t_next)
-    _ensure_finite(g_next, "gradient batch", t_next)
-    return OptimizerState(
-        x=x_next, v=g_next, g_prev=g_next, t=t_next,
-        samples_per_agent=s.samples_per_agent + hp.b,
-        comm_rounds=s.comm_rounds + 1,
-    )
-
-
-def _tracked_baseline_step(
-    s: OptimizerState,
-    p: ProblemInstance,
-    hp: HyperParams,
-    w: MixingMatrix,
-    streams: RunStreams,
-    step_size: float,
-    normalized: bool,
-) -> OptimizerState:
-    t_next = s.t + 1
-    direction = normalize_rows(s.v) if normalized else s.v
-    x_next = plain_gossip(s.x - step_size * direction, w, 1)
-    _ensure_finite(x_next, "iterate matrix", t_next)
-    g_next = _sample_batch(p, x_next, hp.b, streams, iteration=t_next)
-    _ensure_finite(g_next, "gradient batch", t_next)
-    v_next = plain_gossip(s.v, w, 1) + g_next - s.g_prev
-    _ensure_finite(v_next, "tracker matrix", t_next)
-    return OptimizerState(
-        x=x_next, v=v_next, g_prev=g_next, t=t_next,
-        samples_per_agent=s.samples_per_agent + hp.b,
-        comm_rounds=s.comm_rounds + 2,
-    )
-
-
-def dsgt_step(
-    s: OptimizerState, p: ProblemInstance, hp: HyperParams, w: MixingMatrix, streams: RunStreams
-) -> OptimizerState:
-    return _tracked_baseline_step(s, p, hp, w, streams, hp.eta, normalized=False)
-
-
-def dnasa_schedule(eta_max: float, m: int, t: int, literal: bool = False) -> float:
+def dnasa_schedule(eta_max: float, m: int, t: int) -> float:
     """Step size at iteration t >= 1 for the normalized tracking baseline."""
     if t < 1:
         raise ValueError("schedule index starts at 1")
-    if literal:
-        return m**0.25 * t**0.75
     return min(eta_max, m**0.25 / t**0.75)
 
 
-def dnasa_step(
-    s: OptimizerState,
-    p: ProblemInstance,
-    hp: HyperParams,
-    w: MixingMatrix,
+def init_state(
+    method: Method, p: ProblemInstance, x0: np.ndarray, hp: HyperParams, w: MixingMatrix,
     streams: RunStreams,
-    literal_schedule: bool = False,
 ) -> OptimizerState:
-    step = dnasa_schedule(hp.eta, p.m, s.t + 1, literal=literal_schedule)
-    return _tracked_baseline_step(s, p, hp, w, streams, step, normalized=True)
+    """Consensus start at x0; V is the sampled G, gossiped k_init times if accelerated."""
+    x0 = _as_start_point(p, x0)
+    x = np.tile(x0, (p.m, 1))
+    g = _sample_batch(p, x, hp.b, streams, iteration=0)
+    _ensure_finite(g, "gradient batch", 0)
+    if method.accelerated:
+        v, rounds = acc_gossip(g, w, hp.k_init), hp.k_init
+    else:
+        v, rounds = g.copy(), 0
+    return OptimizerState(
+        x=x, v=v, g_prev=g, t=0, samples_per_agent=hp.b, comm_rounds=rounds
+    )
+
+
+def step(
+    s: OptimizerState, method: Method, p: ProblemInstance, hp: HyperParams, w: MixingMatrix,
+    streams: RunStreams,
+) -> OptimizerState:
+    """One iteration of the shared rule: mix X - step * direction, resample, track."""
+    t_next = s.t + 1
+    eta = dnasa_schedule(hp.eta, p.m, t_next) if method.scheduled else hp.eta
+    direction = normalize_rows(s.v) if method.normalized else s.v
+    # looked up per call, so a wrapper installed on this module's names is used
+    mix, rounds = (acc_gossip, hp.k_inner) if method.accelerated else (plain_gossip, 1)
+    x_next = mix(s.x - eta * direction, w, rounds)
+    _ensure_finite(x_next, "iterate matrix", t_next)
+    g_next = _sample_batch(p, x_next, hp.b, streams, iteration=t_next)
+    _ensure_finite(g_next, "gradient batch", t_next)
+    v_next = g_next
+    if method.tracked:
+        if method.accelerated:  # correct the tracker, then mix it
+            v_next = mix(s.v + g_next - s.g_prev, w, rounds)
+        else:  # mix the old tracker, then correct it
+            v_next = mix(s.v, w, rounds) + g_next - s.g_prev
+        _ensure_finite(v_next, "tracker matrix", t_next)
+    return OptimizerState(
+        x=x_next, v=v_next, g_prev=g_next, t=t_next,
+        samples_per_agent=s.samples_per_agent + hp.b,
+        comm_rounds=s.comm_rounds + rounds * (2 if method.tracked else 1),
+    )
 
 
 def _tracker_drift(s: OptimizerState) -> float:
@@ -224,7 +186,6 @@ def run(
     x0: np.ndarray,
     master_seed: int,
     snapshot_every: int = 10,
-    dnasa_literal_schedule: bool = False,
 ) -> Trajectory:
     """Run an algorithm for hp.big_t iterations and record its trajectory.
 
@@ -240,12 +201,9 @@ def run(
         raise ValueError(f"mixing matrix couples {w.m} agents but the problem has {p.m}")
     if snapshot_every < 0:
         raise ValueError("snapshot_every must be non-negative")
+    method = METHODS[algorithm]
     streams = RunStreams(master_seed)
-
-    if algorithm == "dnsgd":
-        state = dnsgd_init(p, x0, hp, w, streams)
-    else:
-        state = baseline_init(p, x0, hp, w, streams)
+    state = init_state(method, p, x0, hp, w, streams)
 
     rows: list[MetricsRow] = []
     drifts: list[float] = []
@@ -276,14 +234,7 @@ def run(
 
     record(state)
     for _ in range(hp.big_t):
-        if algorithm == "dnsgd":
-            state = dnsgd_step(state, p, hp, w, streams)
-        elif algorithm == "dsgd":
-            state = dsgd_step(state, p, hp, w, streams)
-        elif algorithm == "dsgt":
-            state = dsgt_step(state, p, hp, w, streams)
-        else:
-            state = dnasa_step(state, p, hp, w, streams, literal_schedule=dnasa_literal_schedule)
+        state = step(state, method, p, hp, w, streams)
         record(state)
     if snapshot_every and state.t not in snapshots:
         snapshots[state.t] = (state.x.copy(), state.v.copy())

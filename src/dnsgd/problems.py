@@ -55,12 +55,6 @@ class ProblemInstance:
     box_radius: float
 
 
-@dataclass(frozen=True)
-class OracleSample:
-    grad: np.ndarray
-    samples_used: int
-
-
 def _check_point(p: ProblemInstance, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (p.d,):
@@ -130,13 +124,13 @@ def grad_global(p: ProblemInstance, x: np.ndarray) -> np.ndarray:
 
 def sample_grad(
     p: ProblemInstance, i: int, x: np.ndarray, b: int, rng: np.random.Generator
-) -> OracleSample:
+) -> np.ndarray:
     """Minibatch stochastic gradient for agent i at x.
 
     Each underlying draw is the exact gradient plus spherical Gaussian noise
     with total variance sigma^2. The b-draw average is itself Gaussian with
     per-coordinate variance sigma^2 / (b d), so it is drawn directly at that
-    scale; the sample counter still advances by b.
+    scale; the caller's sample counter still advances by b.
 
     Verification tolerances: over n independent calls the empirical mean must
     match grad_local to within 5 sigma / sqrt(b d n) per coordinate, and the
@@ -148,7 +142,7 @@ def sample_grad(
     g = grad_local(p, i, x)
     if p.sigma > 0.0:
         g = g + rng.standard_normal(p.d) * (p.sigma / math.sqrt(b * p.d))
-    return OracleSample(grad=g, samples_used=int(b))
+    return g
 
 
 def lf_effective(l0: float, l1: float, zeta: float) -> float:

@@ -273,7 +273,7 @@ def test_criterion_8_oracle_correctness():
     streams = RunStreams(909)
     draws = np.empty((n, p.d))
     for t in range(n):
-        draws[t] = sample_grad(p, 0, x, b, streams.oracle(0, t)).grad
+        draws[t] = sample_grad(p, 0, x, b, streams.oracle(0, t))
     mean_err = float(np.abs(draws.mean(axis=0) - exact).max())
     mean_tol = 5.0 * p.sigma / math.sqrt(b * p.d * n)
     sq = float(np.mean(np.sum((draws - exact) ** 2, axis=1)))

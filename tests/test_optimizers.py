@@ -126,9 +126,6 @@ def test_divergence_raises_non_finite():
 def test_dnasa_schedule_frozen():
     assert dnasa_schedule(0.5, 16, 1) == 0.5
     assert dnasa_schedule(0.5, 16, 10000) == pytest.approx(0.002, rel=1e-15)
-    assert dnasa_schedule(0.5, 16, 2, literal=True) == pytest.approx(
-        2.0 * 2.0**0.75, rel=1e-15
-    )
     with pytest.raises(ValueError, match="starts at 1"):
         dnasa_schedule(0.5, 16, 0)
 

@@ -107,9 +107,7 @@ def test_sample_grad_mean_and_variance():
     streams = RunStreams(555)
     draws = np.empty((n, p.d))
     for t in range(n):
-        out = sample_grad(p, 0, x, b, streams.oracle(0, t))
-        assert out.samples_used == b
-        draws[t] = out.grad
+        draws[t] = sample_grad(p, 0, x, b, streams.oracle(0, t))
     mean_tol = 5.0 * p.sigma / math.sqrt(b * p.d * n)
     assert np.all(np.abs(draws.mean(axis=0) - exact) <= mean_tol)
     sq = float(np.mean(np.sum((draws - exact) ** 2, axis=1)))
@@ -122,16 +120,16 @@ def test_sample_grad_noiseless_is_exact_and_deterministic():
     x = np.array([0.3, -1.1, 0.7])
     streams = RunStreams(1)
     out = sample_grad(p, 0, x, 10, streams.oracle(0, 0))
-    assert np.array_equal(out.grad, grad_local(p, 0, x))
+    assert np.array_equal(out, grad_local(p, 0, x))
 
 
 def test_sample_grad_same_stream_key_replays():
     p = make_quadratic(d=2, curvature=1.0, m=1, zeta=0.0, sigma=1.0, seed=0)
     x = np.zeros(2)
-    a = sample_grad(p, 0, x, 3, RunStreams(9).oracle(0, 5)).grad
-    b = sample_grad(p, 0, x, 3, RunStreams(9).oracle(0, 5)).grad
+    a = sample_grad(p, 0, x, 3, RunStreams(9).oracle(0, 5))
+    b = sample_grad(p, 0, x, 3, RunStreams(9).oracle(0, 5))
     assert np.array_equal(a, b)
-    c = sample_grad(p, 0, x, 3, RunStreams(9).oracle(0, 6)).grad
+    c = sample_grad(p, 0, x, 3, RunStreams(9).oracle(0, 6))
     assert not np.array_equal(a, c)
 
 
