@@ -29,7 +29,6 @@ def main() -> int:
     ap.add_argument("--seeds", type=int, default=3, help="independent runs per method")
     ap.add_argument("--t-cap", type=int, default=3000, help="iteration cap")
     ap.add_argument("--seed", type=int, default=2024, help="master seed")
-    ap.add_argument("--threads", type=int, default=4)
     ap.add_argument("--out-dir", default=None, help="write per-method CSVs here")
     args = ap.parse_args()
 
@@ -53,10 +52,7 @@ def main() -> int:
         out_dir = None
         if args.out_dir is not None:
             out_dir = Path(args.out_dir) / alg
-        result = run_experiment(
-            cfg, threads=args.threads, out_dir=out_dir,
-            write_outputs=out_dir is not None,
-        )
+        result = run_experiment(cfg, out_dir=out_dir, write_outputs=out_dir is not None)
         avg = np.mean([s.avg_grad_mean for s in result.per_seed_stationarity])
         best = np.mean([s.min_grad_mean for s in result.per_seed_stationarity])
         final = np.mean([traj.rows[-1].cons_x for traj in result.trajectories])

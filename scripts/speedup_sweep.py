@@ -24,7 +24,6 @@ def main() -> int:
     ap.add_argument("--seeds", type=int, default=10)
     ap.add_argument("--t-cap", type=int, default=200)
     ap.add_argument("--seed", type=int, default=77, help="master seed")
-    ap.add_argument("--threads", type=int, default=4)
     ap.add_argument("--out-dir", default=None, help="write speedup.csv here")
     args = ap.parse_args()
 
@@ -42,10 +41,7 @@ def main() -> int:
         num_seeds=args.seeds,
         snapshot_every=0,
     )
-    result = sweep_speedup(
-        cfg, threads=args.threads, out_dir=args.out_dir,
-        write_outputs=args.out_dir is not None,
-    )
+    result = sweep_speedup(cfg, out_dir=args.out_dir, write_outputs=args.out_dir is not None)
 
     print(f"{'m':>4s} {'b':>8s} {'k_inner':>8s} {'reached':>8s} "
           f"{'samples/agent':>14s} {'comm rounds':>12s}")

@@ -71,21 +71,7 @@ class Trajectory:
 
 def lyapunov_phi(x: np.ndarray, v: np.ndarray, p: ProblemInstance, eta: float) -> float:
     """Potential value for iterate matrix x and tracker matrix v."""
-    if eta <= 0:
-        raise ValueError("eta must be positive")
-    x = np.asarray(x, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if x.shape != (p.m, p.d) or v.shape != (p.m, p.d):
-        raise ValueError(f"state matrices must have shape ({p.m}, {p.d})")
-    m0, m1 = lyapunov_constants(p.l0, p.l1, p.zeta)
-    xbar = x.mean(axis=0)
-    grad_norm = float(np.linalg.norm(grad_global(p, xbar)))
-    sqm = math.sqrt(p.m)
-    return (
-        f_global(p, xbar)
-        + (3.0 * eta / sqm) * (m0 + m1 * grad_norm) * consensus_error(x)
-        + (2.0 * eta / sqm) * consensus_error(v)
-    )
+    return state_metrics(x, v, p, eta).phi
 
 
 @dataclass(frozen=True)
@@ -99,18 +85,28 @@ class StateMetrics:
 
 
 def state_metrics(x: np.ndarray, v: np.ndarray, p: ProblemInstance, eta: float) -> StateMetrics:
-    """Metrics of one state, shared by the runner and the tests."""
+    """Metrics of one state, each computed once; the runner records these per row.
+
+    Agent norms use one row-matrix gradient; row-wise vecdot matches np.linalg.norm bit for bit.
+    """
+    if eta <= 0:
+        raise ValueError("eta must be positive")
+    x = np.asarray(x, dtype=np.float64)
+    v = np.asarray(v, dtype=np.float64)
+    if x.shape != (p.m, p.d) or v.shape != (p.m, p.d):
+        raise ValueError(f"state matrices must have shape ({p.m}, {p.d})")
+    m0, m1 = lyapunov_constants(p.l0, p.l1, p.zeta)
     xbar = x.mean(axis=0)
-    agent_norms = np.array(
-        [float(np.linalg.norm(grad_global(p, x[i]))) for i in range(p.m)]
-    )
+    f_mean = f_global(p, xbar)
+    grad_norm = float(np.linalg.norm(grad_global(p, xbar)))
+    g = grad_global(p, x)
+    cons_x = consensus_error(x)
+    cons_v = consensus_error(v)
+    sqm = math.sqrt(p.m)
+    phi = f_mean + (3.0 * eta / sqm) * (m0 + m1 * grad_norm) * cons_x + (2.0 * eta / sqm) * cons_v
     return StateMetrics(
-        f_mean=f_global(p, xbar),
-        grad_norm_mean=float(np.linalg.norm(grad_global(p, xbar))),
-        agent_grad_norms=agent_norms,
-        cons_x=consensus_error(x),
-        cons_v=consensus_error(v),
-        phi=lyapunov_phi(x, v, p, eta),
+        f_mean=f_mean, grad_norm_mean=grad_norm, agent_grad_norms=np.sqrt(np.vecdot(g, g)),
+        cons_x=cons_x, cons_v=cons_v, phi=phi,
     )
 
 

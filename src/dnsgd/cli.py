@@ -8,14 +8,14 @@ Subcommands:
     check-smoothness   sample the relaxed smoothness certificate
     params             print the theory-driven hyperparameters for a config
 
-Every subcommand accepts --seed, --out-dir, and --threads. Exit codes:
+Every subcommand accepts --seed and --out-dir. For run, sweep and params,
+--seed replaces master_seed before the config is validated. Exit codes:
 0 success, 1 a check or validation failed, 2 bad usage or config.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
@@ -28,9 +28,9 @@ from .config import (
     build_mixing,
     build_problem,
     load_json,
-    load_run_config,
-    load_sweep_config,
     parse_problem,
+    parse_run_config,
+    parse_sweep_config,
     resolve_x0,
 )
 from .harness import resolve_hyperparams, run_experiment, sweep_speedup
@@ -54,21 +54,25 @@ def _emit(lines: list[str], out_dir: str | None, name: str) -> None:
         (path / name).write_text(text + "\n")
 
 
+def _load_config(args: argparse.Namespace, parse):
+    """Parse the JSON config with --seed put in first, so the override is validated too."""
+    spec = load_json(args.config)
+    if args.seed is not None and isinstance(spec, dict):
+        spec = {**spec, "master_seed": args.seed}
+    return parse(spec)
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
-    cfg = load_run_config(args.config)
-    if args.seed is not None:
-        cfg = dataclasses.replace(cfg, master_seed=args.seed)
-    result = run_experiment(cfg, threads=args.threads, out_dir=args.out_dir)
+    cfg = _load_config(args, parse_run_config)
+    result = run_experiment(cfg, out_dir=args.out_dir)
     summary_path = result.out_dir / "summary.txt"
     print(summary_path.read_text(), end="")
     return 0 if result.all_checks_passed else 1
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    cfg = load_sweep_config(args.config)
-    if args.seed is not None:
-        cfg = dataclasses.replace(cfg, master_seed=args.seed)
-    result = sweep_speedup(cfg, threads=args.threads, out_dir=args.out_dir)
+    cfg = _load_config(args, parse_sweep_config)
+    result = sweep_speedup(cfg, out_dir=args.out_dir)
     print((result.out_dir / "summary.txt").read_text(), end="")
     return 0
 
@@ -164,9 +168,7 @@ def _cmd_check_smoothness(args: argparse.Namespace) -> int:
 
 
 def _cmd_params(args: argparse.Namespace) -> int:
-    cfg = load_run_config(args.config)
-    if args.seed is not None:
-        cfg = dataclasses.replace(cfg, master_seed=args.seed)
+    cfg = _load_config(args, parse_run_config)
     if cfg.auto is None:
         raise ConfigError("auto", "params requires an auto block")
     p = build_problem(cfg.problem)
@@ -209,8 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="override the master seed from the config")
     common.add_argument("--out-dir", default=None,
                         help="directory for output files")
-    common.add_argument("--threads", type=int, default=1,
-                        help="worker threads across seeds")
 
     parser = argparse.ArgumentParser(
         prog="dnsgd",

@@ -123,12 +123,19 @@ def _get(d: dict, key: str, path: str, required: bool = True, default=None):
     return d[key]
 
 
-def _as_int(value, path: str, minimum: int | None = None) -> int:
+def _as_int(value, path: str, minimum: int | None = None, maximum: int | None = None) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(path, f"expected an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise ConfigError(path, f"must be >= {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        raise ConfigError(path, f"must be <= {maximum}, got {value}")
     return value
+
+
+def _as_master_seed(d: dict) -> int:
+    # Streams use the seed modulo 2**64, so a larger seed would alias a smaller one.
+    return _as_int(_get(d, "master_seed", ""), "master_seed", minimum=0, maximum=2**64 - 1)
 
 
 def _as_float(value, path: str, minimum: float | None = None, strict: bool = False) -> float:
@@ -276,7 +283,7 @@ def parse_run_config(d: dict) -> RunConfig:
         topology=parse_topology(_get(d, "topology", "")),
         algorithm=_as_str(_get(d, "algorithm", ""), "algorithm", choices=ALGORITHMS),
         x0=_parse_x0(_get(d, "x0", "")),
-        master_seed=_as_int(_get(d, "master_seed", ""), "master_seed", minimum=0),
+        master_seed=_as_master_seed(d),
         hyperparams=hp,
         auto=auto,
         num_seeds=_as_int(_get(d, "num_seeds", "", required=False, default=1), "num_seeds", minimum=1),
@@ -304,7 +311,7 @@ def parse_sweep_config(d: dict) -> SweepConfig:
         problem=parse_problem(_get(d, "problem", "")),
         topology=parse_topology(_get(d, "topology", "")),
         x0=_parse_x0(_get(d, "x0", "")),
-        master_seed=_as_int(_get(d, "master_seed", ""), "master_seed", minimum=0),
+        master_seed=_as_master_seed(d),
         auto=parse_auto(_get(d, "auto", "")),
         m_list=m_list,
         target_epsilon=_as_float(

@@ -2,9 +2,7 @@
 
 Outputs are byte-deterministic for a fixed config: no timestamps, float
 fields formatted with repr-faithful %.17g, seeds fanned out from the master
-seed, and rows written in seed order regardless of thread scheduling. The
-worker pool only parallelizes across seeds; a single trajectory is always
-computed on one thread.
+seed and run one after another, and rows written in seed order.
 """
 
 from __future__ import annotations
@@ -12,7 +10,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -34,7 +31,7 @@ from .hyperparams import (
     theoretical_hyperparams,
 )
 from .optimizers import METHODS, run
-from .problems import ProblemInstance, f_global, grad_local, lf_effective
+from .problems import ProblemInstance, f_global, grad_base, lf_effective
 from .streams import fanout_seed
 from .topology import Graph, MixingMatrix
 
@@ -87,7 +84,10 @@ class RunResult:
 
 
 def _initial_gradient_energy(p: ProblemInstance, x0: np.ndarray) -> float:
-    return float(sum(np.linalg.norm(grad_local(p, i, x0)) ** 2 for i in range(p.m)))
+    """sum_i ||grad f_i(x0)||^2: each norm squared by scalar pow, added left to right."""
+    g = grad_base(p, x0) + p.offsets
+    # array ** 2 multiplies x * x, which rounds differently from pow about once in a thousand
+    return float(sum(norm**2 for norm in np.sqrt(np.vecdot(g, g)).tolist()))
 
 
 def resolve_hyperparams(
@@ -116,23 +116,15 @@ def _run_seeds(
     hp: HyperParams,
     mixing: MixingMatrix,
     x0: np.ndarray,
-    threads: int,
     seed_offset: int = 0,
 ) -> tuple[tuple[int, ...], list[Trajectory]]:
     seeds = tuple(
         fanout_seed(cfg.master_seed, seed_offset + idx) for idx in range(cfg.num_seeds)
     )
-
-    def one(seed: int) -> Trajectory:
-        return run(
-            cfg.algorithm, p, hp, mixing, x0, seed, snapshot_every=cfg.snapshot_every
-        )
-
-    if threads <= 1 or cfg.num_seeds == 1:
-        trajectories = [one(s) for s in seeds]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            trajectories = list(pool.map(one, seeds))
+    trajectories = [
+        run(cfg.algorithm, p, hp, mixing, x0, seed, snapshot_every=cfg.snapshot_every)
+        for seed in seeds
+    ]
     return seeds, trajectories
 
 
@@ -282,7 +274,6 @@ def _write_run_outputs(result: RunResult, run_id: str) -> None:
 
 def run_experiment(
     cfg: RunConfig,
-    threads: int = 1,
     out_dir: str | Path | None = None,
     write_outputs: bool = True,
 ) -> RunResult:
@@ -295,7 +286,7 @@ def run_experiment(
     graph, mixing = build_mixing(cfg.topology, p.m)
     x0 = resolve_x0(cfg.x0, p.d)
     hp, theory = resolve_hyperparams(cfg, p, mixing, x0)
-    seeds, trajectories = _run_seeds(cfg, p, hp, mixing, x0, threads)
+    seeds, trajectories = _run_seeds(cfg, p, hp, mixing, x0)
     checks = _run_checks(cfg, p, hp, mixing, trajectories)
     per_seed = [stationarity_summary(traj) for traj in trajectories]
     out = Path(out_dir) if out_dir is not None else Path(cfg.out_dir)
@@ -340,7 +331,6 @@ def _first_hit(traj: Trajectory, target: float) -> tuple[int, int] | None:
 
 def sweep_speedup(
     cfg: SweepConfig,
-    threads: int = 1,
     out_dir: str | Path | None = None,
     write_outputs: bool = True,
 ) -> SweepResult:
@@ -364,8 +354,7 @@ def sweep_speedup(
         )
         hp, theory = resolve_hyperparams(run_cfg, p, mixing, x0)
         _, trajectories = _run_seeds(
-            run_cfg, p, hp, mixing, x0, threads,
-            seed_offset=m_index * cfg.num_seeds,
+            run_cfg, p, hp, mixing, x0, seed_offset=m_index * cfg.num_seeds
         )
         hits = [_first_hit(traj, cfg.target_epsilon) for traj in trajectories]
         reached = [h for h in hits if h is not None]

@@ -55,10 +55,11 @@ class ProblemInstance:
     box_radius: float
 
 
-def _check_point(p: ProblemInstance, x: np.ndarray) -> np.ndarray:
+def _check_point(p: ProblemInstance, x: np.ndarray, rows: bool = False) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
-    if x.shape != (p.d,):
-        raise ValueError(f"point must have shape ({p.d},), got {x.shape}")
+    if x.ndim not in ((1, 2) if rows else (1,)) or x.shape[-1] != p.d:
+        allowed = f"({p.d},) or (n, {p.d})" if rows else f"({p.d},)"
+        raise ValueError(f"point must have shape {allowed}, got {x.shape}")
     return x
 
 
@@ -85,7 +86,8 @@ def f_base(p: ProblemInstance, x: np.ndarray) -> float:
 
 
 def grad_base(p: ProblemInstance, x: np.ndarray) -> np.ndarray:
-    x = _check_point(p, x)
+    """Gradient at a point (d,), or row by row at a row matrix (n, d)."""
+    x = _check_point(p, x, rows=True)
     if p.family == "exp_pair":
         r = p.family_params["rate"]
         _exp_guard(r, x)
@@ -465,8 +467,7 @@ def dissimilarity_measured(p: ProblemInstance, trials: int = 32, seed: int = 0) 
     gen = derive_stream(StreamKey(seed, "dissimilarity", 0, 0))
     worst = 0.0
     for _ in range(trials):
-        x = gen.uniform(-p.box_radius, p.box_radius, size=p.d)
-        g = grad_global(p, x)
-        for i in range(p.m):
-            worst = max(worst, float(np.linalg.norm(grad_local(p, i, x) - g)))
+        g = grad_global(p, gen.uniform(-p.box_radius, p.box_radius, size=p.d))
+        gap = (g + p.offsets) - g  # grad f_i(x) - grad f(x), one row per agent
+        worst = max(worst, float(np.sqrt(np.vecdot(gap, gap)).max()))
     return worst

@@ -56,7 +56,7 @@ def crit3():
         snapshot_every=0,
     )
     t0 = time.perf_counter()
-    result = run_experiment(cfg, threads=4, write_outputs=False)
+    result = run_experiment(cfg, write_outputs=False)
     return result, time.perf_counter() - t0
 
 
@@ -96,7 +96,7 @@ def crit5():
         snapshot_every=0,
     )
     t0 = time.perf_counter()
-    result = sweep_speedup(cfg, threads=4, write_outputs=False)
+    result = sweep_speedup(cfg, write_outputs=False)
     return result, time.perf_counter() - t0
 
 
@@ -327,11 +327,10 @@ def test_criterion_10_determinism_golden(tmp_path):
     path = tmp_path / "pinned.json"
     path.write_text(json.dumps(cfg))
     outs = {}
-    for threads in (1, 4, 1):
-        key = f"{threads}-{len(outs)}"
+    for key in range(3):
         out = tmp_path / f"out-{key}"
         code = cli_main([
-            "run", "--config", str(path), "--threads", str(threads),
+            "run", "--config", str(path),
             "--out-dir", str(out),
         ])
         assert code == 0

@@ -92,11 +92,11 @@ def test_state_metrics_fields_consistent():
     )
     assert sm.cons_x == pytest.approx(consensus_error(x), rel=1e-14)
     assert sm.cons_v == pytest.approx(consensus_error(v), rel=1e-14)
-    assert sm.phi == pytest.approx(lyapunov_phi(x, v, QUAD, 0.05), rel=1e-14)
+    assert lyapunov_phi(x, v, QUAD, 0.05) == sm.phi
     assert sm.agent_grad_norms.shape == (QUAD.m,)
-    assert sm.agent_grad_norms[1] == pytest.approx(
-        np.linalg.norm(grad_global(QUAD, x[1])), rel=1e-14
-    )
+    # the metrics CSV digests depend on these norms matching the per-row norm exactly
+    per_row = [np.linalg.norm(grad_global(QUAD, x[i])) for i in range(QUAD.m)]
+    assert np.array_equal(sm.agent_grad_norms, per_row)
 
 
 def test_deterministic_descent_on_guarded_run():

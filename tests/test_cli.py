@@ -153,6 +153,11 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     assert main(["check-smoothness", "--config", spec]) == 2
     capsys.readouterr()
 
+    # --seed is validated like master_seed: streams would alias seeds modulo 2**64
+    for seed in ("-1", str(2**64)):
+        assert main(["run", "--config", no_auto, "--seed", seed]) == 2
+        assert "master_seed" in capsys.readouterr().err
+
 
 def _child_env():
     """Environment in which a child interpreter imports the ``dnsgd`` under test.
@@ -174,3 +179,19 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert "overall: PASS" in proc.stdout, proc.stderr
+
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+@pytest.mark.parametrize("script,args", [
+    ("speedup_sweep.py", ["--seeds", "1", "--t-cap", "3", "--m-list", "2", "4"]),
+    ("compare_optimizers.py", ["--seeds", "1", "--t-cap", "3"]),
+])
+def test_scripts_run(tmp_path, script, args):
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / script), *args],
+        capture_output=True, text=True, cwd=str(tmp_path), env=_child_env(), timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "samples/agent" in proc.stdout.splitlines()[0], proc.stdout

@@ -95,20 +95,6 @@ def test_rerun_is_byte_identical(tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
 
 
-def test_thread_count_does_not_change_bytes(tmp_path):
-    cfg = _quad_cfg(
-        problem=ProblemConfig(
-            family="exp_pair", d=4, m=4, zeta=0.2, sigma=0.4, seed=3, rate=1.0
-        ),
-        num_seeds=4,
-    )
-    run_experiment(cfg, threads=1, out_dir=tmp_path / "t1")
-    run_experiment(cfg, threads=4, out_dir=tmp_path / "t4")
-    for idx in range(4):
-        name = f"metrics_seed{idx:03d}.csv"
-        assert (tmp_path / "t1" / name).read_bytes() == (tmp_path / "t4" / name).read_bytes()
-
-
 def test_degenerate_horizon_csv(tmp_path):
     cfg = _quad_cfg(
         hyperparams=HyperParams(eta=0.03, b=1, big_t=0, k_inner=1, k_init=1, epsilon=0.1),

@@ -12,6 +12,7 @@ from dnsgd.problems import (
     dissimilarity_measured,
     f_global,
     f_local,
+    grad_base,
     grad_global,
     grad_local,
     lf_effective,
@@ -95,6 +96,20 @@ def test_gradients_match_central_differences():
         g = grad_global(p, x)
         fd = _fd_grad(lambda y: f_global(p, y), x)
         assert np.linalg.norm(g - fd) <= 1e-6 * max(1.0, np.linalg.norm(g))
+
+
+@pytest.mark.parametrize("p", INSTANCES, ids=lambda p: p.family)
+def test_row_matrix_gradient_matches_rows_exactly(p):
+    x = np.random.default_rng(11).uniform(-2.0, 2.0, size=(5, p.d))
+    stacked = np.stack([grad_global(p, row) for row in x])
+    assert np.array_equal(grad_global(p, x), stacked)
+    with pytest.raises(ValueError, match="shape"):
+        grad_base(p, np.zeros((5, p.d + 1)))
+    with pytest.raises(ValueError, match="shape"):
+        grad_base(p, np.zeros((2, 5, p.d)))
+    # objectives stay point-only: a row matrix would collapse to one scalar
+    with pytest.raises(ValueError, match="shape"):
+        f_global(p, x)
 
 
 # --- stochastic oracle vs its documented tolerances ----------------------------
