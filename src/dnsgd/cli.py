@@ -8,8 +8,8 @@ Subcommands:
     check-smoothness   sample the relaxed smoothness certificate
     params             print the theory-driven hyperparameters for a config
 
-Every subcommand accepts --seed and --out-dir. For run, sweep and params,
---seed replaces master_seed before the config is validated. Exit codes:
+Every subcommand accepts --seed, in [0, 2**64), and --out-dir. For run, sweep
+and params, --seed replaces master_seed before the config is validated. Exit codes:
 0 success, 1 a check or validation failed, 2 bad usage or config.
 """
 
@@ -30,6 +30,7 @@ from .config import (
     load_json,
     parse_problem,
     parse_run_config,
+    parse_seed,
     parse_sweep_config,
     resolve_x0,
 )
@@ -78,8 +79,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate_topology(args: argparse.Namespace) -> int:
+    seed = parse_seed(args.seed or 0, "seed")
     try:
-        graph = build_topology(args.kind, args.m, p=args.p, seed=args.seed or 0)
+        graph = build_topology(args.kind, args.m, p=args.p, seed=seed)
     except DisconnectedTopologyError as e:
         print(f"validation FAIL: {e}")
         return 1
@@ -96,7 +98,7 @@ def _cmd_validate_topology(args: argparse.Namespace) -> int:
     return 0 if report.passed else 1
 
 
-def _counterexample_check(spec: dict, seed_override: int | None):
+def _counterexample_check(spec: dict, seed: int):
     rate = float(spec.get("rate", 1.0))
     if rate <= 0:
         raise ConfigError("rate", "must be positive")
@@ -104,7 +106,6 @@ def _counterexample_check(spec: dict, seed_override: int | None):
     if target not in ("single", "average"):
         raise ConfigError("target", f"must be 'single' or 'average', got {target!r}")
     trials = int(spec.get("trials", 500))
-    seed = seed_override if seed_override is not None else int(spec.get("seed", 0))
     box = float(spec.get("box_radius", 2.0))
     region = min(box, (EXP_ARG_MAX - 100.0) / rate)
     l1 = rate / math.log(2.0)
@@ -131,12 +132,11 @@ def _counterexample_check(spec: dict, seed_override: int | None):
     return report, lines
 
 
-def _problem_check(spec: dict, seed_override: int | None):
+def _problem_check(spec: dict, seed: int):
     if "problem" not in spec:
         raise ConfigError("problem", "missing required field")
     pcfg = parse_problem(spec["problem"])
     trials = int(spec.get("trials", 1000))
-    seed = seed_override if seed_override is not None else int(spec.get("seed", 0))
     p = build_problem(pcfg)
     report = check_relaxed_smooth(
         lambda x: grad_global(p, x), dim=p.d, l0=p.l0, l1=p.l1,
@@ -157,10 +157,11 @@ def _cmd_check_smoothness(args: argparse.Namespace) -> int:
     if not isinstance(spec, dict):
         raise ConfigError("config", "expected a JSON object")
     mode = spec.get("mode", "problem")
+    seed = parse_seed(spec.get("seed", 0) if args.seed is None else args.seed, "seed")
     if mode == "counterexample":
-        report, lines = _counterexample_check(spec, args.seed)
+        report, lines = _counterexample_check(spec, seed)
     elif mode == "problem":
-        report, lines = _problem_check(spec, args.seed)
+        report, lines = _problem_check(spec, seed)
     else:
         raise ConfigError("mode", f"must be 'problem' or 'counterexample', got {mode!r}")
     _emit(lines, args.out_dir, "smoothness_report.txt")

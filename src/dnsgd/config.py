@@ -133,9 +133,9 @@ def _as_int(value, path: str, minimum: int | None = None, maximum: int | None = 
     return value
 
 
-def _as_master_seed(d: dict) -> int:
+def parse_seed(value, path: str) -> int:
     # Streams use the seed modulo 2**64, so a larger seed would alias a smaller one.
-    return _as_int(_get(d, "master_seed", ""), "master_seed", minimum=0, maximum=2**64 - 1)
+    return _as_int(value, path, minimum=0, maximum=2**64 - 1)
 
 
 def _as_float(value, path: str, minimum: float | None = None, strict: bool = False) -> float:
@@ -174,7 +174,7 @@ def parse_problem(d: dict, path: str = "problem") -> ProblemConfig:
         m=_as_int(_get(d, "m", path), f"{path}.m", minimum=1),
         zeta=_as_float(_get(d, "zeta", path), f"{path}.zeta", minimum=0.0),
         sigma=_as_float(_get(d, "sigma", path), f"{path}.sigma", minimum=0.0),
-        seed=_as_int(_get(d, "seed", path, required=False, default=0), f"{path}.seed", minimum=0),
+        seed=parse_seed(_get(d, "seed", path, required=False, default=0), f"{path}.seed"),
         box_radius=_as_float(
             _get(d, "box_radius", path, required=False, default=5.0),
             f"{path}.box_radius", minimum=0.0, strict=True,
@@ -205,7 +205,7 @@ def parse_topology(d: dict, path: str = "topology") -> TopologyConfig:
         raise ConfigError(f"{path}.p", "required for erdos_renyi")
     if kind != "erdos_renyi" and p is not None:
         raise ConfigError(f"{path}.p", f"only valid for erdos_renyi, not {kind!r}")
-    seed = _as_int(_get(d, "seed", path, required=False, default=0), f"{path}.seed", minimum=0)
+    seed = parse_seed(_get(d, "seed", path, required=False, default=0), f"{path}.seed")
     return TopologyConfig(kind=kind, p=p, seed=seed)
 
 
@@ -283,7 +283,7 @@ def parse_run_config(d: dict) -> RunConfig:
         topology=parse_topology(_get(d, "topology", "")),
         algorithm=_as_str(_get(d, "algorithm", ""), "algorithm", choices=ALGORITHMS),
         x0=_parse_x0(_get(d, "x0", "")),
-        master_seed=_as_master_seed(d),
+        master_seed=parse_seed(_get(d, "master_seed", ""), "master_seed"),
         hyperparams=hp,
         auto=auto,
         num_seeds=_as_int(_get(d, "num_seeds", "", required=False, default=1), "num_seeds", minimum=1),
@@ -311,7 +311,7 @@ def parse_sweep_config(d: dict) -> SweepConfig:
         problem=parse_problem(_get(d, "problem", "")),
         topology=parse_topology(_get(d, "topology", "")),
         x0=_parse_x0(_get(d, "x0", "")),
-        master_seed=_as_master_seed(d),
+        master_seed=parse_seed(_get(d, "master_seed", ""), "master_seed"),
         auto=parse_auto(_get(d, "auto", "")),
         m_list=m_list,
         target_epsilon=_as_float(

@@ -100,15 +100,6 @@ def _ensure_finite(mat: np.ndarray, what: str, t: int) -> None:
         )
 
 
-def _sample_batch(
-    p: ProblemInstance, x_rows: np.ndarray, b: int, streams: RunStreams, iteration: int
-) -> np.ndarray:
-    g = np.empty((p.m, p.d))
-    for i in range(p.m):
-        g[i] = sample_grad(p, i, x_rows[i], b, streams.oracle(i, iteration))
-    return g
-
-
 def _as_start_point(p: ProblemInstance, x0: np.ndarray) -> np.ndarray:
     x0 = np.asarray(x0, dtype=np.float64)
     if x0.shape != (p.d,):
@@ -132,7 +123,7 @@ def init_state(
     """Consensus start at x0; V is the sampled G, gossiped k_init times if accelerated."""
     x0 = _as_start_point(p, x0)
     x = np.tile(x0, (p.m, 1))
-    g = _sample_batch(p, x, hp.b, streams, iteration=0)
+    g = sample_grad(p, x, hp.b, streams.oracle(0))
     _ensure_finite(g, "gradient batch", 0)
     if method.accelerated:
         v, rounds = acc_gossip(g, w, hp.k_init), hp.k_init
@@ -155,7 +146,7 @@ def step(
     mix, rounds = (acc_gossip, hp.k_inner) if method.accelerated else (plain_gossip, 1)
     x_next = mix(s.x - eta * direction, w, rounds)
     _ensure_finite(x_next, "iterate matrix", t_next)
-    g_next = _sample_batch(p, x_next, hp.b, streams, iteration=t_next)
+    g_next = sample_grad(p, x_next, hp.b, streams.oracle(t_next))
     _ensure_finite(g_next, "gradient batch", t_next)
     v_next = g_next
     if method.tracked:
@@ -189,9 +180,11 @@ def run(
 ) -> Trajectory:
     """Run an algorithm for hp.big_t iterations and record its trajectory.
 
-    All randomness derives from master_seed: oracle streams are keyed per
-    (agent, iteration) and the final uniform output draw uses a dedicated
-    stream, so a repeated call reproduces every byte of the trajectory.
+    All randomness derives from master_seed: each iteration draws the oracle
+    noise of all agents as one (m, d) block from the stream keyed by
+    (master_seed, iteration), and the final uniform output draw uses a
+    dedicated stream, so a repeated call reproduces every byte of the
+    trajectory.
     big_t = 0 records only the initial state. Box exits (any |x_ij| beyond
     the problem's certification box) are counted, not clamped.
     """

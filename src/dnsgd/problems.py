@@ -125,25 +125,28 @@ def grad_global(p: ProblemInstance, x: np.ndarray) -> np.ndarray:
 
 
 def sample_grad(
-    p: ProblemInstance, i: int, x: np.ndarray, b: int, rng: np.random.Generator
+    p: ProblemInstance, x_rows: np.ndarray, b: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Minibatch stochastic gradient for agent i at x.
+    """Minibatch stochastic gradients of all m agents, row i at x_rows[i].
 
     Each underlying draw is the exact gradient plus spherical Gaussian noise
     with total variance sigma^2. The b-draw average is itself Gaussian with
     per-coordinate variance sigma^2 / (b d), so it is drawn directly at that
-    scale; the caller's sample counter still advances by b.
+    scale; the caller's sample counter still advances by b. The noise is one
+    (m, d) block drawn from rng, row i for agent i; none when sigma = 0.
 
-    Verification tolerances: over n independent calls the empirical mean must
-    match grad_local to within 5 sigma / sqrt(b d n) per coordinate, and the
-    empirical mean of ||g - grad_local||^2 must match sigma^2 / b to within
-    5 sqrt(2 / (n d)) relative (both are 5-standard-error bands).
+    Verification tolerances: over n independent calls the empirical mean of a
+    row must match grad_local to within 5 sigma / sqrt(b d n) per coordinate,
+    and the empirical mean of ||g_i - grad_local||^2 must match sigma^2 / b to
+    within 5 sqrt(2 / (n d)) relative (both are 5-standard-error bands).
     """
     if not isinstance(b, (int, np.integer)) or b < 1:
         raise ValueError(f"batch size must be a positive integer, got {b!r}")
-    g = grad_local(p, i, x)
+    if np.shape(x_rows) != (p.m, p.d):
+        raise ValueError(f"agent matrix must have shape ({p.m}, {p.d}), got {np.shape(x_rows)}")
+    g = grad_base(p, x_rows) + p.offsets
     if p.sigma > 0.0:
-        g = g + rng.standard_normal(p.d) * (p.sigma / math.sqrt(b * p.d))
+        g = g + rng.standard_normal((p.m, p.d)) * (p.sigma / math.sqrt(b * p.d))
     return g
 
 

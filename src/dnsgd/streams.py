@@ -4,7 +4,8 @@ Every random draw in the library comes from a stream keyed by
 (master_seed, purpose, agent, iteration). Keys are hashed through
 numpy's SeedSequence into a Philox counter generator, so distinct keys
 give statistically independent streams and the same key always replays
-the same draws, independent of call order or thread count.
+the same draws, independent of call order. Oracle noise is one (m, d)
+block per (master_seed, iteration), keyed with agent 0.
 """
 
 from __future__ import annotations
@@ -67,8 +68,9 @@ class RunStreams:
 
     master_seed: int
 
-    def oracle(self, agent: int, iteration: int) -> np.random.Generator:
-        return derive_stream(StreamKey(self.master_seed, "oracle", agent, iteration))
+    def oracle(self, iteration: int) -> np.random.Generator:
+        """The one stream of an iteration's (m, d) oracle noise block."""
+        return derive_stream(StreamKey(self.master_seed, "oracle", 0, iteration))
 
     def output_draw(self) -> np.random.Generator:
         return derive_stream(StreamKey(self.master_seed, "output_draw", 0, 0))

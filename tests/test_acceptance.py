@@ -271,9 +271,10 @@ def test_criterion_8_oracle_correctness():
     exact = grad_local(p, 0, x)
     b, n = 4, 20_000
     streams = RunStreams(909)
+    x_rows = np.tile(x, (p.m, 1))
     draws = np.empty((n, p.d))
     for t in range(n):
-        draws[t] = sample_grad(p, 0, x, b, streams.oracle(0, t))
+        draws[t] = sample_grad(p, x_rows, b, streams.oracle(t))[0]
     mean_err = float(np.abs(draws.mean(axis=0) - exact).max())
     mean_tol = 5.0 * p.sigma / math.sqrt(b * p.d * n)
     sq = float(np.mean(np.sum((draws - exact) ** 2, axis=1)))

@@ -157,6 +157,15 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     for seed in ("-1", str(2**64)):
         assert main(["run", "--config", no_auto, "--seed", seed]) == 2
         assert "master_seed" in capsys.readouterr().err
+        topo = ["validate-topology", "--kind", "erdos_renyi", "--m", "8", "--p", "0.5"]
+        assert main([*topo, "--seed", seed]) == 2
+        assert "seed" in capsys.readouterr().err
+        smooth = _write(tmp_path / "smooth.json", {"mode": "counterexample", "trials": 5})
+        assert main(["check-smoothness", "--config", smooth, "--seed", seed]) == 2
+        assert "seed" in capsys.readouterr().err
+        smooth = _write(tmp_path / "smooth.json", {"mode": "counterexample", "seed": int(seed)})
+        assert main(["check-smoothness", "--config", smooth]) == 2
+        assert "seed" in capsys.readouterr().err
 
 
 def _child_env():

@@ -41,18 +41,18 @@ FAMILY_PARAMS = {
 }
 
 RUN_DIGESTS = {
-    ("exp_pair", "dnsgd"): "dbad01ba9aa8a2a18f7fd4f60205ee980bec05aeae979a29df944a1a315fa4a6",
-    ("exp_pair", "dsgd"): "c482b1773fd0bf566f1a1c4b223f39980a2c3416c6f237ab87b05abd9f8976c7",
-    ("exp_pair", "dsgt"): "0cdf14967bc5323189b1089db246149bb4d449ee4d7a7e0e6b4ca53557c998b5",
-    ("exp_pair", "dnasa"): "0846ea3e28e7cf050fb37846ecba3ed07675278b305137ea4bf990659d105894",
-    ("poly_even", "dnsgd"): "b2d4065ac295f8b1942381c229648eedb9cd1b9b297e5538e97e943a7e4eb829",
-    ("poly_even", "dsgd"): "bc28be6c260ac8a4db4d28f8bdb68e29485ea03976edf97768d3aefbef4782f8",
-    ("poly_even", "dsgt"): "97b812084996361efc4a164dea133eb859fa6f9373a0a368ea659fefe53e58c5",
-    ("poly_even", "dnasa"): "b59116379fd6448136e2c040332dd291996f40dc982a82c34b88c7381da3e6d8",
-    ("quadratic", "dnsgd"): "5e3d23b7daa2676ef5f40085c4d69cdc60f1fe52ae0dd1e7bf858dbc0b0b1d2a",
-    ("quadratic", "dsgd"): "7c41d974450f46a3f8f04c4842a596153f361c0e743420c1cf4dffbb05e62ddb",
-    ("quadratic", "dsgt"): "2b9ed5f77e7d9d38e7e15337bf14fbb0ddcdc546d32766ea2304f1f98b2257f4",
-    ("quadratic", "dnasa"): "101febc0a8c88ec991a14aa1dcc09f41ad1aa81596b577a4e0406ac6917a4c29",
+    ("exp_pair", "dnsgd"): "8f1ec03e3d6916af9287fa9ec1d35f1b134f40b576af3577089539c435865ceb",
+    ("exp_pair", "dsgd"): "cab24adf2a8f1fb4dc0a45d09b078e0c952b0ac431af199ab5785f4c1477cc5e",
+    ("exp_pair", "dsgt"): "6d586aadaa904c3d0d8a9e70d663e41cc0c5bde326eed6c1c00abbd281cd9440",
+    ("exp_pair", "dnasa"): "08315bd51a4eaf83005d59b53c962d4b3abcbfec7e6394302e8b5d1a191c1fb7",
+    ("poly_even", "dnsgd"): "df58bf74ffc00365378dcc6ed25a229fc6311043527d1630269418484e828422",
+    ("poly_even", "dsgd"): "271bc9aa77dfda9b107d93b7381c97774c78379768c6a9030d83e38bafbe0c72",
+    ("poly_even", "dsgt"): "0803a526a85be1e27596b8f64a88f6b7bdb2d9f4f940b84e59cefec2aaa78666",
+    ("poly_even", "dnasa"): "d5901111371f56a04b5e547423fc67967d8c5471483efdaabbbe623c87c567bb",
+    ("quadratic", "dnsgd"): "a3bbe223d27277bbb3a765d90ba0ad9be33a7fef8f17b00fdebddd2450b336f2",
+    ("quadratic", "dsgd"): "0b7c23a8fd9261c949990045f69e4bb56ca2bd4cc03b3c5c9b416be2150ee072",
+    ("quadratic", "dsgt"): "2ffc40e052f9d4adbe87c14449da56f00230a650602228c57104d9c4b65410c5",
+    ("quadratic", "dnasa"): "2e9c28f932957fe7b2fde1a18211ed92d1d249116f8ff585fa5c0cdd8dbd2432",
 }
 
 # A small calculator-driven sweep: per-m hyperparameters, delta_f estimated.

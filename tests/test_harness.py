@@ -185,6 +185,14 @@ def test_parse_errors_carry_field_paths():
     with pytest.raises(ConfigError):
         parse_run_config(raw)
 
+    # streams use seeds modulo 2**64, so every seed field is bounded to [0, 2**64)
+    for block in ("problem", "topology"):
+        raw = _raw_run_dict()
+        raw[block]["seed"] = 2**64
+        with pytest.raises(ConfigError) as exc:
+            parse_run_config(raw)
+        assert exc.value.field == f"{block}.seed"
+
 
 def test_resolve_x0_length_mismatch():
     assert resolve_x0(0.5, 3).tolist() == [0.5, 0.5, 0.5]

@@ -1,6 +1,7 @@
 """Objective families: frozen values, finite-difference and Monte-Carlo oracles."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -120,9 +121,10 @@ def test_sample_grad_mean_and_variance():
     exact = grad_local(p, 0, x)
     b, n = 4, 20_000
     streams = RunStreams(555)
+    x_rows = np.tile(x, (p.m, 1))
     draws = np.empty((n, p.d))
     for t in range(n):
-        draws[t] = sample_grad(p, 0, x, b, streams.oracle(0, t))
+        draws[t] = sample_grad(p, x_rows, b, streams.oracle(t))[0]
     mean_tol = 5.0 * p.sigma / math.sqrt(b * p.d * n)
     assert np.all(np.abs(draws.mean(axis=0) - exact) <= mean_tol)
     sq = float(np.mean(np.sum((draws - exact) ** 2, axis=1)))
@@ -134,24 +136,50 @@ def test_sample_grad_noiseless_is_exact_and_deterministic():
     p = make_quadratic(d=3, curvature=1.0, m=2, zeta=0.4, sigma=0.0, seed=7)
     x = np.array([0.3, -1.1, 0.7])
     streams = RunStreams(1)
-    out = sample_grad(p, 0, x, 10, streams.oracle(0, 0))
-    assert np.array_equal(out, grad_local(p, 0, x))
+    out = sample_grad(p, np.tile(x, (p.m, 1)), 10, streams.oracle(0))
+    assert np.array_equal(out[0], grad_local(p, 0, x))
 
 
 def test_sample_grad_same_stream_key_replays():
     p = make_quadratic(d=2, curvature=1.0, m=1, zeta=0.0, sigma=1.0, seed=0)
-    x = np.zeros(2)
-    a = sample_grad(p, 0, x, 3, RunStreams(9).oracle(0, 5))
-    b = sample_grad(p, 0, x, 3, RunStreams(9).oracle(0, 5))
+    x = np.zeros((1, 2))
+    a = sample_grad(p, x, 3, RunStreams(9).oracle(5))
+    b = sample_grad(p, x, 3, RunStreams(9).oracle(5))
     assert np.array_equal(a, b)
-    c = sample_grad(p, 0, x, 3, RunStreams(9).oracle(0, 6))
+    c = sample_grad(p, x, 3, RunStreams(9).oracle(6))
     assert not np.array_equal(a, c)
 
 
 def test_sample_grad_rejects_bad_batch():
     p = make_quadratic(d=2, curvature=1.0, m=1, zeta=0.0, sigma=1.0, seed=0)
     with pytest.raises(ValueError, match="batch size"):
-        sample_grad(p, 0, np.zeros(2), 0, RunStreams(0).oracle(0, 0))
+        sample_grad(p, np.zeros((1, 2)), 0, RunStreams(0).oracle(0))
+
+
+@pytest.mark.parametrize("p", INSTANCES, ids=lambda p: p.family)
+def test_sample_grad_matrix_oracle(p):
+    """One call gives every agent's row: exact without noise, one block per iteration."""
+    x_rows = np.linspace(-1.5, 1.5, p.m * p.d).reshape(p.m, p.d)
+    rng = RunStreams(3).oracle(0)
+    noiseless = sample_grad(p, x_rows, 4, rng)
+    # sigma = 0 draws nothing: the stream still starts where a fresh one does
+    assert np.array_equal(rng.standard_normal(4), RunStreams(3).oracle(0).standard_normal(4))
+    for i in range(p.m):
+        assert np.array_equal(noiseless[i], grad_local(p, i, x_rows[i]))
+
+    noisy = replace(p, sigma=0.5)
+    a = sample_grad(noisy, x_rows, 4, RunStreams(3).oracle(7))
+    assert np.array_equal(a, sample_grad(noisy, x_rows, 4, RunStreams(3).oracle(7)))
+    noise = RunStreams(3).oracle(7).standard_normal((p.m, p.d))  # row i is agent i's
+    for i in range(p.m):
+        expect = grad_local(p, i, x_rows[i]) + noise[i] * (0.5 / math.sqrt(4 * p.d))
+        assert np.array_equal(a[i], expect)
+    later = sample_grad(noisy, x_rows, 4, RunStreams(3).oracle(8))
+    assert not np.any(a == later)
+
+    for bad in (np.zeros((p.m + 1, p.d)), np.zeros(p.d), np.zeros((1, p.m, p.d))):
+        with pytest.raises(ValueError, match="agent matrix"):
+            sample_grad(p, bad, 4, RunStreams(3).oracle(0))
 
 
 # --- offsets and heterogeneity ---------------------------------------------------

@@ -28,10 +28,8 @@ def test_distinct_key_components_give_distinct_streams():
 
 def test_cross_agent_streams_uncorrelated():
     n = 10_000
-    streams = RunStreams(99)
-    a = streams.oracle(0, 0).standard_normal(n)
-    b = streams.oracle(1, 0).standard_normal(n)
-    corr = float(np.corrcoef(a, b)[0, 1])
+    block = RunStreams(99).oracle(0).standard_normal((2, n))  # rows of agents 0 and 1
+    corr = float(np.corrcoef(block[0], block[1])[0, 1])
     assert abs(corr) < 0.05
 
 
