@@ -12,6 +12,7 @@ import json
 import pytest
 
 from dnsgd.cli import main as cli_main
+from dnsgd.config import build_problem, parse_problem
 from dnsgd.optimizers import ALGORITHMS
 
 # The criterion-10 run config; only "algorithm" and the problem family vary
@@ -72,9 +73,32 @@ SWEEP_CONFIG = {
 
 SWEEP_DIGEST = "5605a47f766238d9070df02cf99ae57c9224a9a44619c88ef82a1970affe16ee"
 
+# float.hex() of the certified (l0, l1, f_star) of the problems that the
+# pinned configs build. The digests fix l0 only through phi.
+RUN_CONSTANTS = {
+    "exp_pair": ("0x1.0287ec6d1a77bp-1", "0x1.71547652b82fep+0", "0x1.0000000000000p+0"),
+    "poly_even": ("0x1.0cccccccccc46p+1", "0x1.8000000000000p+1", "0x0.0p+0"),
+    "quadratic": ("0x1.0000000000000p+0", "0x0.0p+0", "0x0.0p+0"),
+}
+
+SWEEP_CONSTANTS = {
+    m: ("0x1.ac6c3755b6cf6p-2", "0x1.71547652b82fep+0", "0x1.0000000000000p+0")
+    for m in (2, 4, 8)
+}
+
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def _constants(p) -> tuple[str, str, str]:
+    return p.l0.hex(), p.l1.hex(), p.f_star.hex()
+
+
+def _run_problem(family: str) -> dict:
+    problem = {k: v for k, v in RUN_CONFIG["problem"].items() if k != "rate"}
+    problem.update(family=family, **FAMILY_PARAMS[family])
+    return problem
 
 
 def _case_id(family: str, algorithm: str) -> str:
@@ -87,10 +111,9 @@ def _case_id(family: str, algorithm: str) -> str:
     [pytest.param(f, a, id=_case_id(f, a)) for f in FAMILY_PARAMS for a in ALGORITHMS],
 )
 def test_run_metrics_digest(tmp_path, family, algorithm):
-    problem = {k: v for k, v in RUN_CONFIG["problem"].items() if k != "rate"}
-    problem.update(family=family, **FAMILY_PARAMS[family])
     path = tmp_path / "run.json"
-    path.write_text(json.dumps({**RUN_CONFIG, "algorithm": algorithm, "problem": problem}))
+    run = {**RUN_CONFIG, "algorithm": algorithm, "problem": _run_problem(family)}
+    path.write_text(json.dumps(run))
     out = tmp_path / "out"
     assert cli_main(["run", "--config", str(path), "--out-dir", str(out)]) == 0
     data = b"".join((out / f"metrics_seed{i:03d}.csv").read_bytes() for i in range(4))
@@ -103,3 +126,15 @@ def test_sweep_speedup_digest(tmp_path):
     out = tmp_path / "out"
     assert cli_main(["sweep", "--config", str(path), "--out-dir", str(out)]) == 0
     assert _sha256((out / "speedup.csv").read_bytes()) == SWEEP_DIGEST
+
+
+@pytest.mark.parametrize("family", FAMILY_PARAMS)
+def test_run_problem_constants(family):
+    p = build_problem(parse_problem(_run_problem(family)))
+    assert _constants(p) == RUN_CONSTANTS[family]
+
+
+def test_sweep_problem_constants():
+    cfg = parse_problem(SWEEP_CONFIG["problem"])
+    got = {m: _constants(build_problem(cfg, m=m)) for m in SWEEP_CONFIG["m_list"]}
+    assert got == SWEEP_CONSTANTS
