@@ -11,162 +11,8 @@ norm. The main pieces:
 - hyperparams: theory-driven parameter calculator and step-size guard
 - analysis: potential function, consensus/descent checks, output summaries
 - harness / cli / config: reproducible multi-seed experiments
+
+Import from the submodules; the package root holds only __version__.
 """
 
-from .analysis import (
-    ConsensusBoundReport,
-    DescentReport,
-    MetricsRow,
-    StationaritySummary,
-    Trajectory,
-    lyapunov_phi,
-    state_metrics,
-    stationarity_summary,
-    verify_consensus_bound,
-    verify_descent,
-)
-from .config import (
-    AutoHyperConfig,
-    ConfigError,
-    ProblemConfig,
-    RunConfig,
-    SweepConfig,
-    TopologyConfig,
-    build_mixing,
-    build_problem,
-    load_run_config,
-    load_sweep_config,
-    resolve_x0,
-)
-from .gossip import (
-    acc_gossip,
-    chebyshev_weight,
-    consensus_error,
-    contraction_rho,
-    min_rounds_for_rho,
-    plain_gossip,
-)
-from .harness import (
-    CSV_HEADER,
-    CheckResult,
-    RunResult,
-    SweepResult,
-    run_experiment,
-    sweep_speedup,
-)
-from .hyperparams import (
-    HyperParams,
-    RhoGuard,
-    TheoreticalParams,
-    choose_k_for_guard,
-    lyapunov_constants,
-    rho_guard,
-    theoretical_hyperparams,
-)
-from .optimizers import (
-    ALGORITHMS,
-    NonFiniteStateError,
-    OptimizerState,
-    normalize_rows,
-    run,
-)
-from .problems import (
-    ProblemInstance,
-    SmoothnessReport,
-    check_relaxed_smooth,
-    dissimilarity_measured,
-    f_global,
-    f_local,
-    grad_global,
-    grad_local,
-    lf_effective,
-    make_exp_pair,
-    make_poly_even,
-    make_quadratic,
-    sample_grad,
-)
-from .streams import PURPOSE_CODES, RunStreams, StreamKey, derive_stream, fanout_seed
-from .topology import (
-    DisconnectedTopologyError,
-    Graph,
-    MixingMatrix,
-    ValidationReport,
-    build_topology,
-    metropolis_mixing,
-    validate_mixing,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "ALGORITHMS",
-    "AutoHyperConfig",
-    "CSV_HEADER",
-    "CheckResult",
-    "ConfigError",
-    "ConsensusBoundReport",
-    "DescentReport",
-    "DisconnectedTopologyError",
-    "Graph",
-    "HyperParams",
-    "MetricsRow",
-    "MixingMatrix",
-    "NonFiniteStateError",
-    "OptimizerState",
-    "ProblemConfig",
-    "ProblemInstance",
-    "PURPOSE_CODES",
-    "RhoGuard",
-    "RunConfig",
-    "RunResult",
-    "RunStreams",
-    "SmoothnessReport",
-    "StationaritySummary",
-    "StreamKey",
-    "SweepConfig",
-    "SweepResult",
-    "TheoreticalParams",
-    "TopologyConfig",
-    "Trajectory",
-    "ValidationReport",
-    "acc_gossip",
-    "build_mixing",
-    "build_problem",
-    "build_topology",
-    "check_relaxed_smooth",
-    "chebyshev_weight",
-    "choose_k_for_guard",
-    "consensus_error",
-    "contraction_rho",
-    "dissimilarity_measured",
-    "derive_stream",
-    "f_global",
-    "f_local",
-    "fanout_seed",
-    "grad_global",
-    "grad_local",
-    "lf_effective",
-    "load_run_config",
-    "load_sweep_config",
-    "lyapunov_constants",
-    "lyapunov_phi",
-    "make_exp_pair",
-    "make_poly_even",
-    "make_quadratic",
-    "metropolis_mixing",
-    "min_rounds_for_rho",
-    "normalize_rows",
-    "plain_gossip",
-    "resolve_x0",
-    "rho_guard",
-    "run",
-    "run_experiment",
-    "sample_grad",
-    "state_metrics",
-    "stationarity_summary",
-    "sweep_speedup",
-    "theoretical_hyperparams",
-    "validate_mixing",
-    "verify_consensus_bound",
-    "verify_descent",
-]

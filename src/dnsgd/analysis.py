@@ -22,7 +22,7 @@ import numpy as np
 
 from .gossip import consensus_error
 from .hyperparams import lyapunov_constants
-from .problems import ProblemInstance, f_global, grad_global
+from .problems import ProblemInstance, f_base, grad_base
 
 
 @dataclass(frozen=True)
@@ -97,9 +97,9 @@ def state_metrics(x: np.ndarray, v: np.ndarray, p: ProblemInstance, eta: float) 
         raise ValueError(f"state matrices must have shape ({p.m}, {p.d})")
     m0, m1 = lyapunov_constants(p.l0, p.l1, p.zeta)
     xbar = x.mean(axis=0)
-    f_mean = f_global(p, xbar)
-    grad_norm = float(np.linalg.norm(grad_global(p, xbar)))
-    g = grad_global(p, x)
+    f_mean = f_base(p, xbar)
+    grad_norm = float(np.linalg.norm(grad_base(p, xbar)))
+    g = grad_base(p, x)
     cons_x = consensus_error(x)
     cons_v = consensus_error(v)
     sqm = math.sqrt(p.m)

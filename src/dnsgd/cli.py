@@ -16,7 +16,6 @@ and params, --seed replaces master_seed before the config is validated. Exit cod
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from pathlib import Path
@@ -25,6 +24,11 @@ import numpy as np
 
 from .config import (
     ConfigError,
+    _as_float,
+    _as_int,
+    _as_str,
+    _get,
+    _reject_unknown,
     build_mixing,
     build_problem,
     load_json,
@@ -36,7 +40,7 @@ from .config import (
 )
 from .harness import resolve_hyperparams, run_experiment, sweep_speedup
 from .hyperparams import rho_guard
-from .problems import EXP_ARG_MAX, check_relaxed_smooth, grad_global
+from .problems import EXP_ARG_MAX, check_relaxed_smooth, grad_base
 from .topology import (
     KINDS,
     DisconnectedTopologyError,
@@ -98,15 +102,18 @@ def _cmd_validate_topology(args: argparse.Namespace) -> int:
     return 0 if report.passed else 1
 
 
+# The fields a check-smoothness spec may set, per mode.
+_SPEC_KEYS = {
+    "problem": {"mode", "problem", "trials", "seed"},
+    "counterexample": {"mode", "target", "rate", "trials", "box_radius", "seed"},
+}
+
+
 def _counterexample_check(spec: dict, seed: int):
-    rate = float(spec.get("rate", 1.0))
-    if rate <= 0:
-        raise ConfigError("rate", "must be positive")
-    target = spec.get("target", "average")
-    if target not in ("single", "average"):
-        raise ConfigError("target", f"must be 'single' or 'average', got {target!r}")
-    trials = int(spec.get("trials", 500))
-    box = float(spec.get("box_radius", 2.0))
+    rate = _as_float(spec.get("rate", 1.0), "rate", 0.0, strict=True)
+    target = _as_str(spec.get("target", "average"), "target", choices=("single", "average"))
+    trials = _as_int(spec.get("trials", 500), "trials", minimum=1)
+    box = _as_float(spec.get("box_radius", 2.0), "box_radius", 0.0, strict=True)
     region = min(box, (EXP_ARG_MAX - 100.0) / rate)
     l1 = rate / math.log(2.0)
 
@@ -133,13 +140,10 @@ def _counterexample_check(spec: dict, seed: int):
 
 
 def _problem_check(spec: dict, seed: int):
-    if "problem" not in spec:
-        raise ConfigError("problem", "missing required field")
-    pcfg = parse_problem(spec["problem"])
-    trials = int(spec.get("trials", 1000))
-    p = build_problem(pcfg)
+    trials = _as_int(spec.get("trials", 1000), "trials", minimum=1)
+    p = build_problem(parse_problem(_get(spec, "problem", "")))
     report = check_relaxed_smooth(
-        lambda x: grad_global(p, x), dim=p.d, l0=p.l0, l1=p.l1,
+        lambda x: grad_base(p, x), dim=p.d, l0=p.l0, l1=p.l1,
         region=p.box_radius, trials=trials, seed=seed,
     )
     lines = [
@@ -156,14 +160,11 @@ def _cmd_check_smoothness(args: argparse.Namespace) -> int:
     spec = load_json(args.config)
     if not isinstance(spec, dict):
         raise ConfigError("config", "expected a JSON object")
-    mode = spec.get("mode", "problem")
+    mode = _as_str(spec.get("mode", "problem"), "mode", choices=tuple(_SPEC_KEYS))
+    _reject_unknown(spec, _SPEC_KEYS[mode], "")
     seed = parse_seed(spec.get("seed", 0) if args.seed is None else args.seed, "seed")
-    if mode == "counterexample":
-        report, lines = _counterexample_check(spec, seed)
-    elif mode == "problem":
-        report, lines = _problem_check(spec, seed)
-    else:
-        raise ConfigError("mode", f"must be 'problem' or 'counterexample', got {mode!r}")
+    check = _problem_check if mode == "problem" else _counterexample_check
+    report, lines = check(spec, seed)
     _emit(lines, args.out_dir, "smoothness_report.txt")
     return 0 if report.passed else 1
 

@@ -13,20 +13,16 @@ bare KeyError.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from . import problems
 from .hyperparams import HyperParams
 from .optimizers import ALGORITHMS
-from .problems import (
-    FAMILIES,
-    ProblemInstance,
-    make_exp_pair,
-    make_poly_even,
-    make_quadratic,
-)
+from .problems import FAMILIES, FAMILY_PARAMS, ProblemInstance
 from .topology import KINDS, Graph, MixingMatrix, build_topology, metropolis_mixing
 
 K_MODES = ("formula", "guard")
@@ -141,7 +137,12 @@ def parse_seed(value, path: str) -> int:
 def _as_float(value, path: str, minimum: float | None = None, strict: bool = False) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(path, f"expected a number, got {value!r}")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:  # an integer beyond the float range
+        value = math.inf
+    if not math.isfinite(value):
+        raise ConfigError(path, f"expected a finite number, got {value}")
     if minimum is not None:
         if strict and value <= minimum:
             raise ConfigError(path, f"must be > {minimum}, got {value}")
@@ -158,17 +159,26 @@ def _as_str(value, path: str, choices: tuple[str, ...] | None = None) -> str:
     return value
 
 
-_PROBLEM_KEYS = {
-    "family", "d", "m", "zeta", "sigma", "seed", "box_radius",
-    "rate", "power", "scale", "curvature",
-}
+_FAMILY_KEYS = {name for names in FAMILY_PARAMS.values() for name in names}
+_PROBLEM_KEYS = {"family", "d", "m", "zeta", "sigma", "seed", "box_radius"} | _FAMILY_KEYS
+
+
+def _parse_family_param(d: dict, name: str, family: str, path: str):
+    if name not in d:
+        raise ConfigError(f"{path}.{name}", f"required for family {family!r}")
+    if name == "power":
+        return _as_int(d[name], f"{path}.{name}", minimum=4)
+    return _as_float(d[name], f"{path}.{name}", 0.0, strict=True)
 
 
 def parse_problem(d: dict, path: str = "problem") -> ProblemConfig:
     d = _expect_dict(d, path)
     _reject_unknown(d, _PROBLEM_KEYS, path)
     family = _as_str(_get(d, "family", path), f"{path}.family", choices=FAMILIES)
-    cfg = ProblemConfig(
+    foreign = sorted((set(d) & _FAMILY_KEYS) - set(FAMILY_PARAMS[family]))
+    if foreign:
+        raise ConfigError(f"{path}.{foreign[0]}", f"not a parameter of family {family!r}")
+    return ProblemConfig(
         family=family,
         d=_as_int(_get(d, "d", path), f"{path}.d", minimum=1),
         m=_as_int(_get(d, "m", path), f"{path}.m", minimum=1),
@@ -179,17 +189,8 @@ def parse_problem(d: dict, path: str = "problem") -> ProblemConfig:
             _get(d, "box_radius", path, required=False, default=5.0),
             f"{path}.box_radius", minimum=0.0, strict=True,
         ),
-        rate=None if "rate" not in d else _as_float(d["rate"], f"{path}.rate", 0.0, strict=True),
-        power=None if "power" not in d else _as_int(d["power"], f"{path}.power", minimum=4),
-        scale=None if "scale" not in d else _as_float(d["scale"], f"{path}.scale", 0.0, strict=True),
-        curvature=None if "curvature" not in d
-        else _as_float(d["curvature"], f"{path}.curvature", 0.0, strict=True),
+        **{name: _parse_family_param(d, name, family, path) for name in FAMILY_PARAMS[family]},
     )
-    needed = {"exp_pair": ("rate",), "poly_even": ("power", "scale"), "quadratic": ("curvature",)}
-    for name in needed[family]:
-        if getattr(cfg, name) is None:
-            raise ConfigError(f"{path}.{name}", f"required for family {family!r}")
-    return cfg
 
 
 def parse_topology(d: dict, path: str = "topology") -> TopologyConfig:
@@ -257,7 +258,7 @@ def _parse_x0(value, path: str = "x0") -> float | tuple[float, ...]:
     if isinstance(value, bool):
         raise ConfigError(path, "expected a number or list of numbers")
     if isinstance(value, (int, float)):
-        return float(value)
+        return _as_float(value, path)
     if isinstance(value, list):
         return tuple(_as_float(v, f"{path}[{i}]") for i, v in enumerate(value))
     raise ConfigError(path, f"expected a number or list of numbers, got {type(value).__name__}")
@@ -341,30 +342,15 @@ def load_json(path: str | Path) -> dict:
         raise ConfigError("config", f"invalid JSON in {path}: {e}") from e
 
 
-def load_run_config(path: str | Path) -> RunConfig:
-    return parse_run_config(load_json(path))
-
-
-def load_sweep_config(path: str | Path) -> SweepConfig:
-    return parse_sweep_config(load_json(path))
-
-
 def build_problem(cfg: ProblemConfig, m: int | None = None) -> ProblemInstance:
     """Instantiate the configured problem, optionally overriding the agent count."""
-    m = cfg.m if m is None else m
-    if cfg.family == "exp_pair":
-        return make_exp_pair(
-            d=cfg.d, rate=cfg.rate, m=m, zeta=cfg.zeta, sigma=cfg.sigma,
-            seed=cfg.seed, box_radius=cfg.box_radius,
-        )
-    if cfg.family == "poly_even":
-        return make_poly_even(
-            d=cfg.d, power=cfg.power, scale=cfg.scale, m=m, zeta=cfg.zeta,
-            sigma=cfg.sigma, seed=cfg.seed, box_radius=cfg.box_radius,
-        )
-    return make_quadratic(
-        d=cfg.d, curvature=cfg.curvature, m=m, zeta=cfg.zeta, sigma=cfg.sigma,
-        seed=cfg.seed, box_radius=cfg.box_radius,
+    # The maker is read from the module at call time, so a wrapper installed
+    # on problems.make_<family> is the one called.
+    maker = getattr(problems, f"make_{cfg.family}")
+    params = {name: getattr(cfg, name) for name in FAMILY_PARAMS[cfg.family]}
+    return maker(
+        d=cfg.d, m=cfg.m if m is None else m, zeta=cfg.zeta, sigma=cfg.sigma, seed=cfg.seed,
+        box_radius=cfg.box_radius, **params,
     )
 
 

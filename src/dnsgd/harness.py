@@ -31,7 +31,7 @@ from .hyperparams import (
     theoretical_hyperparams,
 )
 from .optimizers import METHODS, run
-from .problems import ProblemInstance, f_global, grad_base, lf_effective
+from .problems import ProblemInstance, f_base, grad_base, lf_effective
 from .streams import fanout_seed
 from .topology import Graph, MixingMatrix
 
@@ -99,7 +99,7 @@ def resolve_hyperparams(
     auto = cfg.auto
     delta_f = auto.delta_f
     if delta_f is None:
-        delta_f = max(f_global(p, x0) - p.f_star, 0.0)
+        delta_f = max(f_base(p, x0) - p.f_star, 0.0)
     theory = theoretical_hyperparams(
         epsilon=auto.epsilon, l0=p.l0, l1=p.l1, zeta=p.zeta, sigma=p.sigma,
         m=p.m, gamma=mixing.gamma, delta_f_estimate=delta_f,

@@ -17,6 +17,9 @@ from dataclasses import dataclass
 
 from .gossip import contraction_rho, min_rounds_for_rho
 
+# Deepest gossip depth choose_k_for_guard tries.
+K_MAX = 5000
+
 
 @dataclass(frozen=True)
 class HyperParams:
@@ -154,7 +157,6 @@ def choose_k_for_guard(
     sigma: float,
     b: int,
     m: int,
-    k_max: int = 5000,
 ) -> int:
     """Smallest gossip depth whose worst-case rho passes rho_guard."""
     l_f = l0 + l1 * zeta
@@ -163,10 +165,10 @@ def choose_k_for_guard(
             "noise floor condition cannot hold for any gossip depth: "
             "batch size too small for this sigma, eta, and l_f"
         )
-    for k in range(1, k_max + 1):
+    for k in range(1, K_MAX + 1):
         if rho_guard(contraction_rho(lambda2, k), eta, l0, l1, zeta, sigma, b, m).ok:
             return k
-    raise ValueError(f"no gossip depth up to {k_max} passes the guard")
+    raise ValueError(f"no gossip depth up to {K_MAX} passes the guard")
 
 
 @dataclass(frozen=True)

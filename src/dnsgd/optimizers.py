@@ -62,6 +62,9 @@ METHODS = {
 }
 ALGORITHMS = tuple(METHODS)
 
+# Rows with a smaller norm normalize to zero.
+EPS_NORM = 1e-12
+
 
 class NonFiniteStateError(RuntimeError):
     """Raised when an optimizer state stops being finite."""
@@ -79,14 +82,14 @@ class OptimizerState:
     comm_rounds: int
 
 
-def normalize_rows(v: np.ndarray, eps_norm: float = 1e-12) -> np.ndarray:
-    """Scale each row to unit Euclidean norm; rows below eps_norm become zero."""
+def normalize_rows(v: np.ndarray) -> np.ndarray:
+    """Scale each row to unit Euclidean norm; rows below EPS_NORM become zero."""
     v = np.asarray(v, dtype=np.float64)
     if not np.all(np.isfinite(v)):
         raise ValueError("normalize_rows requires finite input")
     norms = np.linalg.norm(v, axis=1, keepdims=True)
     out = np.zeros_like(v)
-    keep = norms[:, 0] > eps_norm
+    keep = norms[:, 0] > EPS_NORM
     out[keep] = v[keep] / norms[keep]
     return out
 

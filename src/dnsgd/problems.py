@@ -32,12 +32,24 @@ import numpy as np
 
 from .streams import StreamKey, derive_stream
 
-FAMILIES = ("exp_pair", "poly_even", "quadratic")
+# The parameters each family takes, in its maker's argument order.
+FAMILY_PARAMS = {
+    "exp_pair": ("rate",),
+    "poly_even": ("power", "scale"),
+    "quadratic": ("curvature",),
+}
+FAMILIES = tuple(FAMILY_PARAMS)
 
 # exp(x) overflows float64 near 709.8; reject arguments beyond this bound.
 EXP_ARG_MAX = 700.0
 
 _OFFSET_HAIRCUT = 1.0 - 1e-13
+
+# Sampled pairs per certification pass of a numerically certified family.
+CERTIFY_TRIALS = 1500
+
+# Relative slack on the bound before a sampled pair counts as a violation.
+RATIO_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -110,18 +122,9 @@ def f_local(p: ProblemInstance, i: int, x: np.ndarray) -> float:
     return f_base(p, x) + float(np.dot(p.offsets[i], np.asarray(x, dtype=np.float64)))
 
 
-def f_global(p: ProblemInstance, x: np.ndarray) -> float:
-    # Offsets sum to zero, so the average objective is the base objective.
-    return f_base(p, x)
-
-
 def grad_local(p: ProblemInstance, i: int, x: np.ndarray) -> np.ndarray:
     _check_agent(p, i)
     return grad_base(p, x) + p.offsets[i]
-
-
-def grad_global(p: ProblemInstance, x: np.ndarray) -> np.ndarray:
-    return grad_base(p, x)
 
 
 def sample_grad(
@@ -210,7 +213,6 @@ def check_relaxed_smooth(
     trials: int = 1000,
     seed: int = 0,
     extra_pairs: Sequence[tuple[np.ndarray, np.ndarray]] = (),
-    ratio_tol: float = 1e-9,
 ) -> SmoothnessReport:
     """Sample the relaxed smoothness condition for a gradient map.
 
@@ -220,7 +222,7 @@ def check_relaxed_smooth(
 
         gap = ||grad(x) - grad(y)||  vs  bound = (l0 + l1 ||grad(x)||) ||x - y||.
 
-    A pair violates when gap > bound * (1 + ratio_tol) + 1e-12. Pairs are
+    A pair violates when gap > bound * (1 + RATIO_TOL) + 1e-12. Pairs are
     ranked by (ratio, gap); the worst one is reported as the witness.
     """
     if trials < 1:
@@ -271,7 +273,7 @@ def check_relaxed_smooth(
         gy = np.asarray(grad(y), dtype=np.float64)
         gap = float(np.linalg.norm(gx - gy))
         bound = (l0 + l1 * float(np.linalg.norm(gx))) * dist
-        if gap > bound * (1.0 + ratio_tol) + 1e-12:
+        if gap > bound * (1.0 + RATIO_TOL) + 1e-12:
             violations += 1
         if bound > 0.0:
             ratio = gap / bound
@@ -311,18 +313,14 @@ def _make_offsets(d: int, m: int, zeta: float, seed: int) -> np.ndarray:
     return raw * (zeta / top * _OFFSET_HAIRCUT)
 
 
-def _certify_l0(
-    grad: Callable[[np.ndarray], np.ndarray],
-    dim: int,
-    l0_start: float,
-    l1: float,
-    region: float,
-    trials: int,
-    seed: int,
-) -> float:
+def _certify_l0(stub: ProblemInstance, l0_start: float, seed: int) -> float:
+    """Raise l0_start until the sampled check passes for stub's base objective."""
     l0 = l0_start
     for _ in range(6):
-        report = check_relaxed_smooth(grad, dim, l0, l1, region=region, trials=trials, seed=seed)
+        report = check_relaxed_smooth(
+            lambda x: grad_base(stub, x), stub.d, l0, stub.l1, region=stub.box_radius,
+            trials=CERTIFY_TRIALS, seed=seed,
+        )
         if report.passed:
             return l0
         l0 = max(l0 * 1.05, report.implied_l0 * 1.2)
@@ -332,7 +330,7 @@ def _certify_l0(
     )
 
 
-def _validate_common(d: int, m: int, zeta: float, sigma: float) -> None:
+def _validate_common(d: int, m: int, zeta: float, sigma: float, box_radius: float) -> None:
     if not isinstance(d, (int, np.integer)) or d < 1:
         raise ValueError(f"dimension must be a positive integer, got {d!r}")
     if not isinstance(m, (int, np.integer)) or m < 1:
@@ -341,17 +339,50 @@ def _validate_common(d: int, m: int, zeta: float, sigma: float) -> None:
         raise ValueError("zeta must be non-negative")
     if sigma < 0:
         raise ValueError("sigma must be non-negative")
+    if box_radius <= 0:
+        raise ValueError("box_radius must be positive")
 
 
-def make_exp_pair(
+def _make_family(
+    family: str,
+    params: dict[str, float],
     d: int,
-    rate: float,
     m: int,
     zeta: float,
     sigma: float,
     seed: int,
-    box_radius: float = 5.0,
-    certify_trials: int = 1500,
+    box_radius: float,
+    *,
+    l0_start: float,
+    l1: float,
+    f_star: float,
+) -> ProblemInstance:
+    """Instance with seeded offsets and l0 covering every agent's objective.
+
+    l0_start is raised by numeric certification of the base objective over
+    the box, except for the quadratic, whose l0_start is exact; then
+    l1 * max_i ||b_i|| is added to cover the offset objectives.
+    """
+    offsets = _make_offsets(d, m, zeta, seed)
+    l0 = l0_start
+    if family != "quadratic":
+        stub = ProblemInstance(
+            family=family, d=d, m=1, l0=0.0, l1=l1, zeta=0.0, sigma=0.0,
+            offsets=np.zeros((1, d)), family_params=params, f_star=f_star, box_radius=box_radius,
+        )
+        l0 = _certify_l0(stub, l0_start, seed)
+    max_off = float(np.linalg.norm(offsets, axis=1).max(initial=0.0))
+    inst = ProblemInstance(
+        family=family, d=d, m=m, l0=l0 + l1 * max_off, l1=l1, zeta=float(zeta),
+        sigma=float(sigma), offsets=offsets, family_params=params, f_star=f_star,
+        box_radius=float(box_radius),
+    )
+    inst.offsets.setflags(write=False)
+    return inst
+
+
+def make_exp_pair(
+    d: int, rate: float, m: int, zeta: float, sigma: float, seed: int, box_radius: float = 5.0
 ) -> ProblemInstance:
     """Averaged symmetric exponential family with growth rate ``rate``.
 
@@ -359,105 +390,45 @@ def make_exp_pair(
     raised by numeric certification over the box, then adjusted by
     l1 * max_i ||b_i|| to cover the offset objectives.
     """
-    _validate_common(d, m, zeta, sigma)
+    _validate_common(d, m, zeta, sigma, box_radius)
     if rate <= 0:
         raise ValueError("rate must be positive")
-    if box_radius <= 0:
-        raise ValueError("box_radius must be positive")
-    offsets = _make_offsets(d, m, zeta, seed)
-    l1 = rate / math.log(2.0)
-    params = {"rate": float(rate)}
-    stub = ProblemInstance(
-        family="exp_pair", d=d, m=1, l0=0.0, l1=l1, zeta=0.0, sigma=0.0,
-        offsets=np.zeros((1, d)), family_params=params, f_star=1.0, box_radius=box_radius,
+    return _make_family(
+        "exp_pair", {"rate": float(rate)}, d, m, zeta, sigma, seed, box_radius,
+        l0_start=rate * rate / d, l1=rate / math.log(2.0), f_star=1.0,
     )
-    l0_base = _certify_l0(
-        lambda x: grad_base(stub, x), d, rate * rate / d, l1, box_radius, certify_trials, seed
-    )
-    max_off = float(np.linalg.norm(offsets, axis=1).max(initial=0.0))
-    inst = ProblemInstance(
-        family="exp_pair", d=d, m=m, l0=l0_base + l1 * max_off, l1=l1, zeta=float(zeta),
-        sigma=float(sigma), offsets=offsets, family_params=params, f_star=1.0,
-        box_radius=float(box_radius),
-    )
-    inst.offsets.setflags(write=False)
-    return inst
 
 
 def make_poly_even(
-    d: int,
-    power: int,
-    scale: float,
-    m: int,
-    zeta: float,
-    sigma: float,
-    seed: int,
+    d: int, power: int, scale: float, m: int, zeta: float, sigma: float, seed: int,
     box_radius: float = 5.0,
-    certify_trials: int = 1500,
 ) -> ProblemInstance:
     """Even-power monomial family f_base(x) = (scale / power) sum_j x_j^power."""
-    _validate_common(d, m, zeta, sigma)
+    _validate_common(d, m, zeta, sigma, box_radius)
     if not isinstance(power, (int, np.integer)) or power < 4 or power % 2 != 0:
         raise ValueError(f"power must be an even integer >= 4, got {power!r}")
     if scale <= 0:
         raise ValueError("scale must be positive")
-    if box_radius <= 0:
-        raise ValueError("box_radius must be positive")
-    offsets = _make_offsets(d, m, zeta, seed)
     # Curvature/gradient ratio is (power - 1)/|x_j|; splitting at |x_j| = 1
     # gives the candidate pair (scale * (power - 1), power - 1).
-    l1 = float(power - 1)
-    params = {"power": float(power), "scale": float(scale)}
-    stub = ProblemInstance(
-        family="poly_even", d=d, m=1, l0=0.0, l1=l1, zeta=0.0, sigma=0.0,
-        offsets=np.zeros((1, d)), family_params=params, f_star=0.0, box_radius=box_radius,
+    return _make_family(
+        "poly_even", {"power": float(power), "scale": float(scale)}, d, m, zeta, sigma, seed,
+        box_radius, l0_start=scale * (power - 1), l1=float(power - 1), f_star=0.0,
     )
-    l0_base = _certify_l0(
-        lambda x: grad_base(stub, x), d, scale * (power - 1), l1, box_radius, certify_trials, seed
-    )
-    max_off = float(np.linalg.norm(offsets, axis=1).max(initial=0.0))
-    inst = ProblemInstance(
-        family="poly_even", d=d, m=m, l0=l0_base + l1 * max_off, l1=l1, zeta=float(zeta),
-        sigma=float(sigma), offsets=offsets, family_params=params, f_star=0.0,
-        box_radius=float(box_radius),
-    )
-    inst.offsets.setflags(write=False)
-    return inst
 
 
 def make_quadratic(
-    d: int,
-    curvature: float,
-    m: int,
-    zeta: float,
-    sigma: float,
-    seed: int,
+    d: int, curvature: float, m: int, zeta: float, sigma: float, seed: int,
     box_radius: float = 5.0,
 ) -> ProblemInstance:
     """Quadratic family with exact constants l0 = curvature, l1 = 0."""
-    _validate_common(d, m, zeta, sigma)
+    _validate_common(d, m, zeta, sigma, box_radius)
     if curvature <= 0:
         raise ValueError("curvature must be positive")
-    if box_radius <= 0:
-        raise ValueError("box_radius must be positive")
-    offsets = _make_offsets(d, m, zeta, seed)
-    inst = ProblemInstance(
-        family="quadratic", d=d, m=m, l0=float(curvature), l1=0.0, zeta=float(zeta),
-        sigma=float(sigma), offsets=offsets, family_params={"curvature": float(curvature)},
-        f_star=0.0, box_radius=float(box_radius),
+    return _make_family(
+        "quadratic", {"curvature": float(curvature)}, d, m, zeta, sigma, seed, box_radius,
+        l0_start=float(curvature), l1=0.0, f_star=0.0,
     )
-    inst.offsets.setflags(write=False)
-    return inst
-
-
-def quadratic_local_minimum(p: ProblemInstance, i: int) -> tuple[np.ndarray, float]:
-    """Closed-form minimizer and value of agent i's quadratic objective."""
-    if p.family != "quadratic":
-        raise ValueError("local minimum in closed form is only available for quadratic")
-    _check_agent(p, i)
-    c = p.family_params["curvature"]
-    x_min = -p.offsets[i] / c
-    return x_min, -float(np.dot(p.offsets[i], p.offsets[i])) / (2.0 * c)
 
 
 def dissimilarity_measured(p: ProblemInstance, trials: int = 32, seed: int = 0) -> float:
@@ -470,7 +441,7 @@ def dissimilarity_measured(p: ProblemInstance, trials: int = 32, seed: int = 0) 
     gen = derive_stream(StreamKey(seed, "dissimilarity", 0, 0))
     worst = 0.0
     for _ in range(trials):
-        g = grad_global(p, gen.uniform(-p.box_radius, p.box_radius, size=p.d))
+        g = grad_base(p, gen.uniform(-p.box_radius, p.box_radius, size=p.d))
         gap = (g + p.offsets) - g  # grad f_i(x) - grad f(x), one row per agent
         worst = max(worst, float(np.sqrt(np.vecdot(gap, gap)).max()))
     return worst

@@ -24,7 +24,6 @@ PURPOSE_CODES = {
     "seed_fanout": 5,
     "smoothness": 6,
     "dissimilarity": 7,
-    "probe": 8,
 }
 
 

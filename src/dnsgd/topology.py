@@ -16,6 +16,9 @@ from .streams import StreamKey, derive_stream
 
 KINDS = ("ring", "path", "complete", "erdos_renyi")
 
+# Erdos-Renyi draws tried before a disconnected topology is reported.
+MAX_RETRIES = 100
+
 # Eigenvalues within this distance of 1.0 count as the consensus eigenvalue
 # when checking that null(I - W) is one-dimensional.
 _NULLSPACE_TOL = 1e-8
@@ -88,7 +91,6 @@ def build_topology(
     m: int,
     p: float | None = None,
     seed: int = 0,
-    max_retries: int = 100,
 ) -> Graph:
     """Build a connected graph of the requested kind.
 
@@ -97,7 +99,6 @@ def build_topology(
         m: number of agents, >= 1.
         p: edge probability, required exactly for erdos_renyi, in (0, 1].
         seed: master seed for the topology stream (erdos_renyi only).
-        max_retries: resampling budget before giving up on connectivity.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown topology kind {kind!r} (known: {', '.join(KINDS)})")
@@ -118,14 +119,14 @@ def build_topology(
 
     gen = derive_stream(StreamKey(seed, "topology", 0, 0))
     pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
-    for _ in range(max_retries):
+    for _ in range(MAX_RETRIES):
         draws = gen.random(len(pairs))
         edges = frozenset(pair for pair, u in zip(pairs, draws) if u < p)
         if is_connected(m, edges):
             return Graph(m, edges, kind, p)
     raise DisconnectedTopologyError(
         f"disconnected topology: no connected Erdos-Renyi(m={m}, p={p}) draw "
-        f"within {max_retries} retries (seed {seed})"
+        f"within {MAX_RETRIES} retries (seed {seed})"
     )
 
 

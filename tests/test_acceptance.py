@@ -29,8 +29,8 @@ from dnsgd.hyperparams import HyperParams
 from dnsgd.optimizers import run
 from dnsgd.problems import (
     check_relaxed_smooth,
-    f_global,
-    grad_global,
+    f_base,
+    grad_base,
     grad_local,
     make_exp_pair,
     make_poly_even,
@@ -258,9 +258,9 @@ def test_criterion_8_oracle_correctness():
     for p in instances:
         for _ in range(100):
             x = rng.uniform(-2.0, 2.0, size=p.d)
-            g = grad_global(p, x)
+            g = grad_base(p, x)
             fd = np.array([
-                (f_global(p, x + h) - f_global(p, x - h)) / 2e-6
+                (f_base(p, x + h) - f_base(p, x - h)) / 2e-6
                 for h in np.eye(p.d) * 1e-6
             ])
             if np.linalg.norm(g - fd) > 1e-6 * max(1.0, np.linalg.norm(g)):

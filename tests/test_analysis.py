@@ -16,7 +16,7 @@ from dnsgd.analysis import (
 from dnsgd.gossip import consensus_error, contraction_rho
 from dnsgd.hyperparams import lyapunov_constants, theoretical_hyperparams
 from dnsgd.optimizers import run
-from dnsgd.problems import f_global, grad_global, grad_local, make_exp_pair, make_quadratic
+from dnsgd.problems import f_base, grad_base, grad_local, make_exp_pair, make_quadratic
 from dnsgd.topology import build_topology, metropolis_mixing
 
 QUAD = make_quadratic(d=5, curvature=1.0, m=4, zeta=0.5, sigma=0.0, seed=3)
@@ -31,7 +31,7 @@ def _guard_mode_params(t_override=None):
     )
     th = theoretical_hyperparams(
         epsilon=0.12, l0=QUAD.l0, l1=QUAD.l1, zeta=QUAD.zeta, sigma=0.0,
-        m=QUAD.m, gamma=RING4.gamma, delta_f_estimate=f_global(QUAD, x0),
+        m=QUAD.m, gamma=RING4.gamma, delta_f_estimate=f_base(QUAD, x0),
         g0_norm_sq=g0, k_mode="guard",
     )
     hp = th.hp
@@ -45,7 +45,7 @@ def test_phi_of_consensus_state_is_objective_value():
     x = np.tile(xbar, (QUAD.m, 1))
     v = np.tile(np.ones(QUAD.d), (QUAD.m, 1))
     phi = lyapunov_phi(x, v, QUAD, eta=0.05)
-    assert phi == pytest.approx(f_global(QUAD, xbar), abs=1e-12)
+    assert phi == pytest.approx(f_base(QUAD, xbar), abs=1e-12)
 
 
 def test_phi_matches_hand_formula():
@@ -56,8 +56,8 @@ def test_phi_matches_hand_formula():
     m0, m1 = lyapunov_constants(QUAD.l0, QUAD.l1, QUAD.zeta)
     xbar = x.mean(axis=0)
     expected = (
-        f_global(QUAD, xbar)
-        + (3.0 * eta / 2.0) * (m0 + m1 * np.linalg.norm(grad_global(QUAD, xbar)))
+        f_base(QUAD, xbar)
+        + (3.0 * eta / 2.0) * (m0 + m1 * np.linalg.norm(grad_base(QUAD, xbar)))
         * consensus_error(x)
         + (2.0 * eta / 2.0) * consensus_error(v)
     )
@@ -86,16 +86,16 @@ def test_state_metrics_fields_consistent():
     v = rng.normal(size=(QUAD.m, QUAD.d))
     sm = state_metrics(x, v, QUAD, 0.05)
     xbar = x.mean(axis=0)
-    assert sm.f_mean == pytest.approx(f_global(QUAD, xbar), rel=1e-14)
+    assert sm.f_mean == pytest.approx(f_base(QUAD, xbar), rel=1e-14)
     assert sm.grad_norm_mean == pytest.approx(
-        np.linalg.norm(grad_global(QUAD, xbar)), rel=1e-14
+        np.linalg.norm(grad_base(QUAD, xbar)), rel=1e-14
     )
     assert sm.cons_x == pytest.approx(consensus_error(x), rel=1e-14)
     assert sm.cons_v == pytest.approx(consensus_error(v), rel=1e-14)
     assert lyapunov_phi(x, v, QUAD, 0.05) == sm.phi
     assert sm.agent_grad_norms.shape == (QUAD.m,)
     # the metrics CSV digests depend on these norms matching the per-row norm exactly
-    per_row = [np.linalg.norm(grad_global(QUAD, x[i])) for i in range(QUAD.m)]
+    per_row = [np.linalg.norm(grad_base(QUAD, x[i])) for i in range(QUAD.m)]
     assert np.array_equal(sm.agent_grad_norms, per_row)
 
 

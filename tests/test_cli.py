@@ -153,6 +153,28 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     assert main(["check-smoothness", "--config", spec]) == 2
     capsys.readouterr()
 
+    # check-smoothness spec fields are validated like run config fields
+    problem = {"family": "quadratic", "d": 2, "m": 1, "zeta": 0.0, "sigma": 0.0, "curvature": 1.0}
+    for field, bad in [
+        ("trials", {"mode": "counterexample", "trials": 7.9}),
+        ("trials", {"mode": "counterexample", "trials": 0}),
+        ("rate", {"mode": "counterexample", "rate": True}),
+        ("rate", {"mode": "counterexample", "rate": -1.0}),
+        ("rate", {"mode": "counterexample", "rate": float("nan")}),
+        ("rate", {"mode": "counterexample", "rate": 10**400}),
+        ("box_radius", {"mode": "counterexample", "box_radius": "2"}),
+        ("target", {"mode": "counterexample", "target": "both"}),
+        ("trails", {"mode": "counterexample", "trails": 3}),
+        ("problem", {"mode": "counterexample", "problem": problem}),
+        ("trials", {"mode": "problem", "problem": problem, "trials": "9"}),
+        ("rate", {"mode": "problem", "problem": problem, "rate": 1.0}),
+        ("problem", {"mode": "problem"}),
+        ("mode", {"mode": 1}),
+    ]:
+        spec = _write(tmp_path / "spec.json", bad)
+        assert main(["check-smoothness", "--config", spec]) == 2, bad
+        assert field in capsys.readouterr().err, bad
+
     # --seed is validated like master_seed: streams would alias seeds modulo 2**64
     for seed in ("-1", str(2**64)):
         assert main(["run", "--config", no_auto, "--seed", seed]) == 2

@@ -22,7 +22,7 @@ from dnsgd.harness import (
     sweep_speedup,
 )
 from dnsgd.hyperparams import HyperParams
-from dnsgd.problems import f_global
+from dnsgd.problems import f_base
 from dnsgd.topology import build_topology, metropolis_mixing
 
 
@@ -127,7 +127,7 @@ def test_auto_delta_f_defaults_to_initial_gap():
     _, theory = resolve_hyperparams(cfg, p, mixing, x0)
     assert theory is not None
     assert theory.delta_phi == pytest.approx(
-        2.0 * (f_global(p, x0) - p.f_star), rel=1e-12
+        2.0 * (f_base(p, x0) - p.f_star), rel=1e-12
     )
 
 
@@ -184,6 +184,25 @@ def test_parse_errors_carry_field_paths():
     raw["problem"]["d"] = True
     with pytest.raises(ConfigError):
         parse_run_config(raw)
+
+    # JSON's NaN and Infinity are not accepted as numbers
+    raw = _raw_run_dict()
+    raw["problem"]["sigma"] = float("inf")
+    with pytest.raises(ConfigError) as exc:
+        parse_run_config(raw)
+    assert exc.value.field == "problem.sigma"
+    raw = _raw_run_dict()
+    raw["x0"] = float("nan")
+    with pytest.raises(ConfigError) as exc:
+        parse_run_config(raw)
+    assert exc.value.field == "x0"
+
+    # a parameter of another family is rejected, not ignored
+    raw = _raw_run_dict()
+    raw["problem"]["rate"] = 1.0
+    with pytest.raises(ConfigError) as exc:
+        parse_run_config(raw)
+    assert exc.value.field == "problem.rate"
 
     # streams use seeds modulo 2**64, so every seed field is bounded to [0, 2**64)
     for block in ("problem", "topology"):

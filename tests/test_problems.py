@@ -11,16 +11,14 @@ from hypothesis import strategies as st
 from dnsgd.problems import (
     check_relaxed_smooth,
     dissimilarity_measured,
-    f_global,
+    f_base,
     f_local,
     grad_base,
-    grad_global,
     grad_local,
     lf_effective,
     make_exp_pair,
     make_poly_even,
     make_quadratic,
-    quadratic_local_minimum,
     sample_grad,
 )
 from dnsgd.streams import RunStreams
@@ -41,18 +39,18 @@ INSTANCES = (
 
 def test_exp_pair_frozen_values():
     p = make_exp_pair(d=1, rate=1.0, m=1, zeta=0.0, sigma=0.0, seed=0)
-    assert f_global(p, np.zeros(1)) == pytest.approx(1.0, abs=1e-15)
+    assert f_base(p, np.zeros(1)) == pytest.approx(1.0, abs=1e-15)
     assert p.f_star == 1.0
     # cosh(log 2) = (2 + 1/2)/2 and sinh(log 2) = (2 - 1/2)/2
-    assert f_global(p, np.array([LOG2])) == pytest.approx(1.25, abs=1e-15)
-    assert grad_global(p, np.array([LOG2]))[0] == pytest.approx(0.75, abs=1e-15)
+    assert f_base(p, np.array([LOG2])) == pytest.approx(1.25, abs=1e-15)
+    assert grad_base(p, np.array([LOG2]))[0] == pytest.approx(0.75, abs=1e-15)
     assert p.l1 == pytest.approx(1.0 / LOG2, abs=1e-15)
 
 
 def test_poly_even_frozen_values():
     p = make_poly_even(d=1, power=4, scale=1.0, m=1, zeta=0.0, sigma=0.0, seed=0)
-    assert f_global(p, np.array([2.0])) == pytest.approx(4.0, abs=1e-12)
-    assert grad_global(p, np.array([2.0]))[0] == pytest.approx(8.0, abs=1e-12)
+    assert f_base(p, np.array([2.0])) == pytest.approx(4.0, abs=1e-12)
+    assert grad_base(p, np.array([2.0]))[0] == pytest.approx(8.0, abs=1e-12)
     assert p.l1 == 3.0
     assert p.f_star == 0.0
 
@@ -60,8 +58,8 @@ def test_poly_even_frozen_values():
 def test_quadratic_frozen_values():
     p = make_quadratic(d=2, curvature=2.0, m=1, zeta=0.0, sigma=0.0, seed=0)
     x = np.array([1.0, 2.0])
-    assert f_global(p, x) == pytest.approx(5.0, abs=1e-14)
-    assert np.allclose(grad_global(p, x), [2.0, 4.0], atol=1e-14)
+    assert f_base(p, x) == pytest.approx(5.0, abs=1e-14)
+    assert np.allclose(grad_base(p, x), [2.0, 4.0], atol=1e-14)
     assert p.l0 == 2.0 and p.l1 == 0.0
 
 
@@ -94,23 +92,23 @@ def test_gradients_match_central_differences():
             fd = _fd_grad(lambda y: f_local(p, i, y), x)
             assert np.linalg.norm(g - fd) <= 1e-6 * max(1.0, np.linalg.norm(g))
         x = rng.uniform(-2.0, 2.0, size=p.d)
-        g = grad_global(p, x)
-        fd = _fd_grad(lambda y: f_global(p, y), x)
+        g = grad_base(p, x)
+        fd = _fd_grad(lambda y: f_base(p, y), x)
         assert np.linalg.norm(g - fd) <= 1e-6 * max(1.0, np.linalg.norm(g))
 
 
 @pytest.mark.parametrize("p", INSTANCES, ids=lambda p: p.family)
 def test_row_matrix_gradient_matches_rows_exactly(p):
     x = np.random.default_rng(11).uniform(-2.0, 2.0, size=(5, p.d))
-    stacked = np.stack([grad_global(p, row) for row in x])
-    assert np.array_equal(grad_global(p, x), stacked)
+    stacked = np.stack([grad_base(p, row) for row in x])
+    assert np.array_equal(grad_base(p, x), stacked)
     with pytest.raises(ValueError, match="shape"):
         grad_base(p, np.zeros((5, p.d + 1)))
     with pytest.raises(ValueError, match="shape"):
         grad_base(p, np.zeros((2, 5, p.d)))
     # objectives stay point-only: a row matrix would collapse to one scalar
     with pytest.raises(ValueError, match="shape"):
-        f_global(p, x)
+        f_base(p, x)
 
 
 # --- stochastic oracle vs its documented tolerances ----------------------------
@@ -220,11 +218,17 @@ def test_global_objective_ignores_offsets():
     rng = np.random.default_rng(0)
     for _ in range(10):
         x = rng.uniform(-2, 2, size=4)
-        assert f_global(p, x) == pytest.approx(f_global(q, x), rel=1e-12)
-        assert np.allclose(grad_global(p, x), grad_global(q, x), atol=1e-12)
+        assert f_base(p, x) == pytest.approx(f_base(q, x), rel=1e-12)
+        assert np.allclose(grad_base(p, x), grad_base(q, x), atol=1e-12)
 
 
 # --- quadratic local minimum vs a gradient-descent oracle -------------------------
+
+def quadratic_local_minimum(p, i):
+    """Closed-form minimizer and value of agent i's quadratic objective."""
+    c = p.family_params["curvature"]
+    return -p.offsets[i] / c, -float(np.dot(p.offsets[i], p.offsets[i])) / (2.0 * c)
+
 
 def test_quadratic_local_minimum_matches_descent_oracle():
     p = make_quadratic(d=4, curvature=2.0, m=3, zeta=1.0, sigma=0.0, seed=11)
@@ -237,8 +241,6 @@ def test_quadratic_local_minimum_matches_descent_oracle():
         assert f_local(p, i, x_star) == pytest.approx(f_min, abs=1e-12)
         # first-order optimality
         assert np.linalg.norm(grad_local(p, i, x_star)) <= 1e-12
-    with pytest.raises(ValueError, match="quadratic"):
-        quadratic_local_minimum(INSTANCES[0], 0)
 
 
 # --- smoothness certification ----------------------------------------------------
@@ -246,7 +248,7 @@ def test_quadratic_local_minimum_matches_descent_oracle():
 def test_built_instances_pass_their_own_certificate():
     for p in INSTANCES:
         report = check_relaxed_smooth(
-            lambda x: grad_global(p, x), p.d, p.l0, p.l1,
+            lambda x: grad_base(p, x), p.d, p.l0, p.l1,
             region=p.box_radius, trials=400, seed=5,
         )
         assert report.passed, f"{p.family}: ratio {report.worst_ratio}"
@@ -287,11 +289,11 @@ def test_exp_overflow_guard():
     # evaluation outside the certification box is allowed (box exits are the
     # runner's concern) until the exponent would overflow a double
     p = make_exp_pair(d=2, rate=1.0, m=1, zeta=0.0, sigma=0.0, seed=0)
-    assert math.isfinite(f_global(p, np.array([699.0, 0.0])))
+    assert math.isfinite(f_base(p, np.array([699.0, 0.0])))
     with pytest.raises(ValueError, match="safe range"):
-        f_global(p, np.array([701.0, 0.0]))
+        f_base(p, np.array([701.0, 0.0]))
     with pytest.raises(ValueError, match="safe range"):
-        grad_global(p, np.array([0.0, -701.0]))
+        grad_base(p, np.array([0.0, -701.0]))
 
 
 def test_factory_validation():
@@ -303,6 +305,8 @@ def test_factory_validation():
         make_poly_even(d=2, power=2, scale=1.0, m=1, zeta=0.0, sigma=0.0, seed=0)
     with pytest.raises(ValueError, match="curvature"):
         make_quadratic(d=2, curvature=-1.0, m=1, zeta=0.0, sigma=0.0, seed=0)
+    with pytest.raises(ValueError, match="box_radius"):
+        make_poly_even(d=2, power=4, scale=1.0, m=1, zeta=0.0, sigma=0.0, seed=0, box_radius=0.0)
     with pytest.raises(ValueError, match="positive integer"):
         make_quadratic(d=0, curvature=1.0, m=1, zeta=0.0, sigma=0.0, seed=0)
     with pytest.raises(ValueError, match="agent"):
@@ -317,9 +321,9 @@ def test_global_is_mean_of_locals(coords):
     x = np.array(coords)
     for p in INSTANCES:
         f_mean = np.mean([f_local(p, i, x) for i in range(p.m)])
-        assert f_global(p, x) == pytest.approx(float(f_mean), rel=1e-9, abs=1e-9)
+        assert f_base(p, x) == pytest.approx(float(f_mean), rel=1e-9, abs=1e-9)
         g_mean = np.mean([grad_local(p, i, x) for i in range(p.m)], axis=0)
-        assert np.allclose(grad_global(p, x), g_mean, atol=1e-9)
+        assert np.allclose(grad_base(p, x), g_mean, atol=1e-9)
 
 
 @settings(max_examples=50, deadline=None)
@@ -327,4 +331,4 @@ def test_global_is_mean_of_locals(coords):
 def test_global_objective_dominates_infimum(coords):
     x = np.array(coords)
     for p in INSTANCES:
-        assert f_global(p, x) >= p.f_star - 1e-12
+        assert f_base(p, x) >= p.f_star - 1e-12
