@@ -1,14 +1,21 @@
 """Gossip averaging primitives.
 
-acc_gossip runs the Chebyshev-accelerated consensus recursion
+acc_gossip(Y, W, K) is defined by the Chebyshev-accelerated consensus
+recursion
 
     Y(k+1) = (1 + eta_w) * W @ Y(k) - eta_w * Y(k-1),   Y(-1) = Y(0),
 
-with eta_w = (1 - sqrt(1 - lambda2^2)) / (1 + sqrt(1 - lambda2^2)). The loop
-runs for k = 0..K inclusive, so a call with parameter K multiplies by W
-K + 1 times; the contraction bound below is stated for exponent K and the
-returned matrix can only be tighter. Column means are preserved exactly in
-exact arithmetic because W is doubly stochastic.
+with eta_w = (1 - sqrt(1 - lambda2^2)) / (1 + sqrt(1 - lambda2^2)), run for
+k = 0..K inclusive: K + 1 mixing rounds, which the communication counters
+charge. The result is the fixed polynomial p_K(W) applied to Y. W is
+symmetric, W = Q diag(lam) Q^T, so the implementation evaluates it
+spectrally as Q (p_K(lam) * (Q^T Y)): the same recursion runs once on the
+eigenvalue vector to give the gains p_K(lam), and each call costs two
+products with Q instead of K + 1 with W. The eigendecomposition and the
+gains for each K are computed once per mixing matrix. The contraction bound
+below is stated for exponent K and the returned matrix can only be tighter.
+Column means are preserved in exact arithmetic because W is doubly
+stochastic.
 
 plain_gossip is the unaccelerated W^k map used by the baseline optimizers.
 """
@@ -54,19 +61,26 @@ def chebyshev_weight(lambda2: float) -> float:
     return (1.0 - s) / (1.0 + s)
 
 
+def _acc_gains(mix: MixingMatrix, k: int) -> np.ndarray:
+    """p_k on the eigenvalues of W: the recursion of acc_gossip run on scalars."""
+    gains = mix.acc_gains.get(k)
+    if gains is None:
+        lam, _ = mix.spectrum
+        eta_w = chebyshev_weight(mix.lambda2)
+        prev = cur = np.ones_like(lam)
+        for _ in range(k + 1):
+            prev, cur = cur, (1.0 + eta_w) * (lam * cur) - eta_w * prev
+        gains = mix.acc_gains[k] = cur
+    return gains
+
+
 def acc_gossip(y0: np.ndarray, mix: MixingMatrix, k: int) -> np.ndarray:
-    """Accelerated gossip: k + 1 mixing rounds of the Chebyshev recursion."""
+    """Accelerated gossip: the map of k + 1 Chebyshev rounds, applied spectrally."""
     _check_rounds(k)
     y0 = _check_agent_matrix(y0, mix)
-    eta_w = chebyshev_weight(mix.lambda2)
-    w = mix.w
-    y_prev = y0
-    y = y0
-    for _ in range(k + 1):
-        y_next = (1.0 + eta_w) * (w @ y) - eta_w * y_prev
-        y_prev = y
-        y = y_next
-    return y
+    gains = _acc_gains(mix, k)
+    _, q = mix.spectrum
+    return q @ (gains[:, None] * (q.T @ y0))
 
 
 def plain_gossip(y0: np.ndarray, mix: MixingMatrix, k: int) -> np.ndarray:

@@ -9,6 +9,7 @@ positive semidefinite on any connected graph.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -22,6 +23,9 @@ MAX_RETRIES = 100
 # Eigenvalues within this distance of 1.0 count as the consensus eigenvalue
 # when checking that null(I - W) is one-dimensional.
 _NULLSPACE_TOL = 1e-8
+
+# Largest |w_ij - w_ji| that still counts as a symmetric matrix.
+_SYMMETRY_TOL = 1e-12
 
 
 class DisconnectedTopologyError(ValueError):
@@ -143,17 +147,37 @@ class MixingMatrix:
     lambda2: float
     gamma: float
     graph: Graph | None = field(default=None, compare=False)
+    # gossip.acc_gossip's gain vectors p_k(eigenvalues), keyed by the depth k
+    acc_gains: dict[int, np.ndarray] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @property
     def m(self) -> int:
         return self.w.shape[0]
+
+    @cached_property
+    def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        """Eigenvalues and orthonormal eigenvectors of w, from one eigh.
+
+        eigh reads one triangle only, so a non-symmetric w is rejected
+        rather than diagonalised wrongly.
+        """
+        asym = float(np.abs(self.w - self.w.T).max())
+        if asym > _SYMMETRY_TOL:
+            raise ValueError(
+                f"spectral gossip needs a symmetric mixing matrix, "
+                f"got max |w_ij - w_ji| = {asym:.3g}"
+            )
+        return np.linalg.eigh(self.w)
 
     @classmethod
     def from_matrix(cls, w: np.ndarray, graph: Graph | None = None) -> "MixingMatrix":
         """Wrap an externally supplied matrix, computing its spectrum.
 
         The matrix is taken as-is; use validate_mixing to test whether it
-        actually satisfies the mixing assumptions.
+        actually satisfies the mixing assumptions. Accelerated gossip reads
+        the spectrum, so it raises ValueError on a non-symmetric matrix.
         """
         w = np.asarray(w, dtype=np.float64)
         if w.ndim != 2 or w.shape[0] != w.shape[1]:
@@ -163,6 +187,8 @@ class MixingMatrix:
 
 
 def _second_eigenvalue(w: np.ndarray) -> float:
+    # Kept apart from MixingMatrix.spectrum: eigh's eigenvalues differ from
+    # eigvalsh's in the last bits, and lambda2 feeds the calculator.
     if w.shape[0] == 1:
         return 0.0
     eigs = np.linalg.eigvalsh((w + w.T) / 2.0)
@@ -222,7 +248,7 @@ def validate_mixing(mix: MixingMatrix) -> ValidationReport:
     clauses: dict[str, ClauseResult] = {}
 
     asym = float(np.abs(w - w.T).max()) if m > 1 else 0.0
-    clauses["symmetry"] = ClauseResult(asym <= 1e-12, asym)
+    clauses["symmetry"] = ClauseResult(asym <= _SYMMETRY_TOL, asym)
 
     neg = float(max(0.0, -w.min()))
     clauses["nonnegative"] = ClauseResult(neg <= 1e-12, neg)

@@ -42,15 +42,15 @@ FAMILY_PARAMS = {
 }
 
 RUN_DIGESTS = {
-    ("exp_pair", "dnsgd"): "8f1ec03e3d6916af9287fa9ec1d35f1b134f40b576af3577089539c435865ceb",
+    ("exp_pair", "dnsgd"): "6b80022f4090161fffb7252d7e1bcbe97802d4a6243236b94c8e29a41e4e288a",
     ("exp_pair", "dsgd"): "cab24adf2a8f1fb4dc0a45d09b078e0c952b0ac431af199ab5785f4c1477cc5e",
     ("exp_pair", "dsgt"): "6d586aadaa904c3d0d8a9e70d663e41cc0c5bde326eed6c1c00abbd281cd9440",
     ("exp_pair", "dnasa"): "08315bd51a4eaf83005d59b53c962d4b3abcbfec7e6394302e8b5d1a191c1fb7",
-    ("poly_even", "dnsgd"): "df58bf74ffc00365378dcc6ed25a229fc6311043527d1630269418484e828422",
+    ("poly_even", "dnsgd"): "c5d3ff3f97defbe9b119b4e5f34deca47f673ffc431eed784bfb1872e06e5e9a",
     ("poly_even", "dsgd"): "271bc9aa77dfda9b107d93b7381c97774c78379768c6a9030d83e38bafbe0c72",
     ("poly_even", "dsgt"): "0803a526a85be1e27596b8f64a88f6b7bdb2d9f4f940b84e59cefec2aaa78666",
     ("poly_even", "dnasa"): "d5901111371f56a04b5e547423fc67967d8c5471483efdaabbbe623c87c567bb",
-    ("quadratic", "dnsgd"): "a3bbe223d27277bbb3a765d90ba0ad9be33a7fef8f17b00fdebddd2450b336f2",
+    ("quadratic", "dnsgd"): "ff5eccff73359aaef16056173f541fbd81e7975535f7c933bb10ce0bc8ac80aa",
     ("quadratic", "dsgd"): "0b7c23a8fd9261c949990045f69e4bb56ca2bd4cc03b3c5c9b416be2150ee072",
     ("quadratic", "dsgt"): "2ffc40e052f9d4adbe87c14449da56f00230a650602228c57104d9c4b65410c5",
     ("quadratic", "dnasa"): "2e9c28f932957fe7b2fde1a18211ed92d1d249116f8ff585fa5c0cdd8dbd2432",

@@ -16,10 +16,40 @@ from dnsgd.gossip import (
     min_rounds_for_rho,
     plain_gossip,
 )
-from dnsgd.topology import build_topology, metropolis_mixing
+from dnsgd.topology import MixingMatrix, build_topology, metropolis_mixing
 
 RING4 = metropolis_mixing(build_topology("ring", 4))
 RING8 = metropolis_mixing(build_topology("ring", 8))
+
+
+def reference_acc_gossip(y0, mix, k):
+    """The defining recursion of acc_gossip: k + 1 products with W."""
+    eta_w = chebyshev_weight(mix.lambda2)
+    y_prev = y = np.asarray(y0, dtype=np.float64)
+    for _ in range(k + 1):
+        y_prev, y = y, (1.0 + eta_w) * (mix.w @ y) - eta_w * y_prev
+    return y
+
+
+@pytest.mark.parametrize("kind", ["ring", "path", "complete", "erdos_renyi"])
+@pytest.mark.parametrize("m", [1, 2, 8, 16, 64])
+def test_acc_gossip_matches_recursion(kind, m):
+    p = 0.5 if kind == "erdos_renyi" else None
+    mix = metropolis_mixing(build_topology(kind, m, p=p, seed=m))
+    rng = np.random.default_rng(m)
+    y0 = rng.standard_normal((m, 5))
+    for k in (0, 1, 21, 200):
+        err = np.linalg.norm(acc_gossip(y0, mix, k) - reference_acc_gossip(y0, mix, k))
+        assert err <= 1e-12 * np.linalg.norm(y0), (kind, m, k, err)
+
+
+def test_acc_gossip_rejects_nonsymmetric_mixing():
+    # half identity, half cyclic shift: doubly stochastic but not symmetric
+    w = 0.5 * np.eye(4) + 0.5 * np.roll(np.eye(4), 1, axis=1)
+    mix = MixingMatrix.from_matrix(w)
+    assert np.allclose(w.sum(axis=0), 1.0) and np.allclose(w.sum(axis=1), 1.0)
+    with pytest.raises(ValueError, match="symmetric"):
+        acc_gossip(np.ones((4, 2)), mix, 3)
 
 
 def test_chebyshev_weight_frozen_value():

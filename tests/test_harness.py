@@ -17,6 +17,7 @@ from dnsgd.config import (
 )
 from dnsgd.harness import (
     CSV_HEADER,
+    TRACKER_DRIFT_TOL,
     resolve_hyperparams,
     run_experiment,
     sweep_speedup,
@@ -276,3 +277,17 @@ def test_sweep_unreachable_target_yields_nan_row(tmp_path):
     assert np.isnan(result.points[0].mean_samples_per_agent)
     row = (tmp_path / "speedup.csv").read_text().strip().splitlines()[1]
     assert row.split(",")[3] == "nan"
+
+
+def test_long_ring_m256_run_keeps_tracker_identity():
+    # the m = 256 ring run of the benchmark, stretched to 300 iterations: each
+    # of its 601 spectral gossip calls moves the column means by rounding only
+    cfg = parse_run_config({
+        "problem": {"family": "exp_pair", "d": 10, "m": 256, "zeta": 0.2, "sigma": 0.1,
+                    "seed": 1, "rate": 1.0},
+        "topology": {"kind": "ring"}, "algorithm": "dnsgd", "x0": 1.5, "master_seed": 1,
+        "auto": {"epsilon": 0.2, "t_cap": 300}, "num_seeds": 1, "snapshot_every": 0,
+    })
+    res = run_experiment(cfg, write_outputs=False)
+    assert (res.hp.big_t, res.hp.k_inner) == (300, 1107)
+    assert res.trajectories[0].tracker_drift_max <= TRACKER_DRIFT_TOL
