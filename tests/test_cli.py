@@ -104,6 +104,20 @@ def test_check_smoothness_average_counterexample(tmp_path, capsys):
     assert "worst pair" in out
 
 
+def test_check_smoothness_counterexample_config_report(capsys):
+    config = Path(__file__).resolve().parents[1] / "configs" / "smoothness_counterexample.json"
+    code = main(["check-smoothness", "--config", str(config)])
+    assert code == 1
+    assert capsys.readouterr().out == (
+        "counterexample mode: target=average rate=1 certificate (l0=0, l1=1.4427)\n"
+        "trials: 10013  violations: 4795\n"
+        "worst ratio: inf\n"
+        "worst pair: x=[0.0] y=[0.6931471805599453] gap=0.75 bound=0\n"
+        "implied l0 at this l1: 1.08202\n"
+        "result: certificate violated\n"
+    )
+
+
 def test_check_smoothness_single_holds(tmp_path, capsys):
     spec = _write(tmp_path / "single.json", {
         "mode": "counterexample", "target": "single", "rate": 1.0, "trials": 200,

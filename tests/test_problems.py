@@ -8,7 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dnsgd import problems
 from dnsgd.problems import (
+    CERTIFY_TRIALS,
+    RATIO_TOL,
     check_relaxed_smooth,
     dissimilarity_measured,
     f_base,
@@ -21,7 +24,7 @@ from dnsgd.problems import (
     make_quadratic,
     sample_grad,
 )
-from dnsgd.streams import RunStreams
+from dnsgd.streams import RunStreams, StreamKey, derive_stream
 
 LOG2 = math.log(2.0)
 
@@ -211,6 +214,25 @@ def test_dissimilarity_equals_max_offset_norm():
         assert expect <= p.zeta
 
 
+def reference_dissimilarity_measured(p, trials=32, seed=0):
+    """The defining loop of dissimilarity_measured: one sampled point per step."""
+    gen = derive_stream(StreamKey(seed, "dissimilarity", 0, 0))
+    worst = 0.0
+    for _ in range(trials):
+        g = grad_base(p, gen.uniform(-p.box_radius, p.box_radius, size=p.d))
+        gap = (g + p.offsets) - g
+        worst = max(worst, float(np.sqrt(np.vecdot(gap, gap)).max()))
+    return worst
+
+
+@pytest.mark.parametrize("seed", [0, 4, 9])
+def test_dissimilarity_matches_reference_loop(seed):
+    for p in INSTANCES:
+        for trials in (1, 32):
+            expect = reference_dissimilarity_measured(p, trials=trials, seed=seed)
+            assert dissimilarity_measured(p, trials=trials, seed=seed) == expect, p.family
+
+
 def test_global_objective_ignores_offsets():
     # offsets sum to zero, so the average objective equals the base objective
     p = make_exp_pair(d=4, rate=1.0, m=5, zeta=0.6, sigma=0.0, seed=8)
@@ -283,6 +305,184 @@ def test_check_relaxed_smooth_flags_undersized_l0():
     assert np.array_equal(report.witness_y, witness[1])
     # 3/(4 log 2), the l0 actually needed at this l1
     assert report.implied_l0 >= 0.75 / LOG2 * (1.0 - 1e-9)
+
+
+def reference_smoothness_probe_pairs(dim, l1, region):
+    """The axis probes of check_relaxed_smooth, built one pair at a time."""
+    step = min(1.0 / l1, region) if l1 > 0 else region / 3.0
+    pairs = []
+    base_points = np.linspace(0.0, max(region - step, 0.0), num=6)
+    for j in range(min(dim, 8)):
+        for u in base_points:
+            for sign in (1.0, -1.0):
+                x = np.zeros(dim)
+                y = np.zeros(dim)
+                x[j] = sign * u
+                y[j] = sign * (u + step)
+                pairs.append((x, y))
+    return pairs
+
+
+def reference_check_relaxed_smooth(
+    grad, dim, l0, l1, region=5.0, trials=1000, seed=0, extra_pairs=()
+):
+    """The defining per-pair loop of check_relaxed_smooth: grad at one point per call."""
+    # looked up on the module, so a stream patched in there reaches both versions
+    gen = problems.derive_stream(StreamKey(seed, "smoothness", 0, 0))
+    rmax = min(1.0 / l1, 2.0 * region * math.sqrt(dim)) if l1 > 0 else None
+
+    pairs = []
+    for t in range(trials):
+        x = gen.uniform(-region, region, size=dim)
+        if rmax is None:
+            y = gen.uniform(-region, region, size=dim)
+        else:
+            direction = gen.standard_normal(dim)
+            norm = np.linalg.norm(direction)
+            if norm == 0.0:
+                direction = np.zeros(dim)
+                direction[0] = 1.0
+                norm = 1.0
+            direction /= norm
+            dist = rmax if t % 10 == 0 else gen.uniform(0.0, rmax)
+            y = x + dist * direction
+            for _ in range(32):
+                if np.abs(y).max() <= region:
+                    break
+                dist *= 0.5
+                y = x + dist * direction
+            else:
+                y = x
+        pairs.append((x, y))
+
+    pairs.extend(reference_smoothness_probe_pairs(dim, l1, region))
+    for x, y in extra_pairs:
+        pairs.append((np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)))
+
+    worst_key = (-math.inf, -math.inf)
+    worst = (np.zeros(dim), np.zeros(dim), 0.0, 0.0)
+    violations = 0
+    implied = -math.inf
+    for x, y in pairs:
+        dist = float(np.linalg.norm(x - y))
+        if dist == 0.0:
+            continue
+        gx = np.asarray(grad(x), dtype=np.float64)
+        gy = np.asarray(grad(y), dtype=np.float64)
+        gap = float(np.linalg.norm(gx - gy))
+        bound = (l0 + l1 * float(np.linalg.norm(gx))) * dist
+        if gap > bound * (1.0 + RATIO_TOL) + 1e-12:
+            violations += 1
+        if bound > 0.0:
+            ratio = gap / bound
+        else:
+            ratio = math.inf if gap > 0.0 else 0.0
+        implied = max(implied, gap / dist - l1 * float(np.linalg.norm(gx)))
+        if (ratio, gap) > worst_key:
+            worst_key = (ratio, gap)
+            worst = (x, y, gap, bound)
+    if not math.isfinite(implied):
+        implied = 0.0 if implied == -math.inf else implied
+    return {
+        "passed": violations == 0,
+        "worst_ratio": worst_key[0] if worst_key[0] != -math.inf else 0.0,
+        "witness_x": worst[0],
+        "witness_y": worst[1],
+        "worst_gap": worst[2],
+        "worst_bound": worst[3],
+        "violations": violations,
+        "trials": len(pairs),
+        "implied_l0": implied,
+    }
+
+
+def _family_stub(family, d):
+    make = {
+        "exp_pair": lambda: make_exp_pair(d=d, rate=1.0, m=1, zeta=0.0, sigma=0.0, seed=0),
+        "poly_even": lambda: make_poly_even(
+            d=d, power=4, scale=0.5, m=1, zeta=0.0, sigma=0.0, seed=0
+        ),
+        "quadratic": lambda: make_quadratic(d=d, curvature=1.5, m=1, zeta=0.0, sigma=0.0, seed=0),
+    }
+    return make[family]()
+
+
+SINH_WITNESS = (np.zeros(1), np.array([LOG2]))
+
+# (grad factory, dim, l0, l1, keyword arguments) per case
+REFERENCE_CASES = {
+    "one-trial": (lambda: np.sinh, 3, 0.5, 1.0, {"region": 2.0, "trials": 1, "seed": 2}),
+    "uniform-y": (lambda: np.sinh, 4, 1.0, 0.0, {"region": 1.5, "trials": 1500, "seed": 3}),
+    "sinh-witness": (
+        lambda: np.sinh, 1, 0.0, 1.0 / LOG2,
+        {"region": 2.0, "trials": 1500, "seed": 0, "extra_pairs": [SINH_WITNESS]},
+    ),
+    "equal-extra-pair": (
+        lambda: np.sinh, 3, 0.2, 1.0,
+        {"region": 2.0, "trials": 50, "seed": 1, "extra_pairs": [(np.ones(3), np.ones(3))]},
+    ),
+    # rmax = 2 region sqrt(10) is about six times the box: most pairs halve
+    "halvings": (lambda: np.sinh, 10, 0.1, 0.1, {"region": 0.05, "trials": 1500, "seed": 4}),
+}
+
+
+def _assert_same_report(report, expect):
+    for name, value in expect.items():
+        got = getattr(report, name)
+        if name.startswith("witness"):
+            assert np.array_equal(got, value), name
+        else:
+            assert got == value, (name, got, value)
+
+
+@pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+def test_check_relaxed_smooth_matches_reference_loop(case):
+    grad_factory, dim, l0, l1, kwargs = REFERENCE_CASES[case]
+    grad = grad_factory()
+    report = check_relaxed_smooth(grad, dim, l0, l1, **kwargs)
+    _assert_same_report(report, reference_check_relaxed_smooth(grad, dim, l0, l1, **kwargs))
+
+
+class _BoxFaceStream:
+    """A smoothness stream whose points have their first coordinate on the box face.
+
+    A pair whose direction points out through that face stays outside the box
+    however often its distance is halved, so it uses up all 32 halvings and
+    falls back to y = x; the other pairs stop halving early.
+    """
+
+    def __init__(self, gen):
+        self._gen = gen
+
+    def uniform(self, low, high, size=None):
+        out = self._gen.uniform(low, high, size)
+        if size is not None:
+            out[0] = math.copysign(high, out[0])
+        return out
+
+    def standard_normal(self, size):
+        return self._gen.standard_normal(size)
+
+
+def test_check_relaxed_smooth_exhausted_halvings_match_reference_loop(monkeypatch):
+    monkeypatch.setattr(problems, "derive_stream", lambda key: _BoxFaceStream(derive_stream(key)))
+    args = (np.sinh, 3, 0.1, 1.0)
+    kwargs = {"region": 1.0, "trials": 200, "seed": 5}
+    report = check_relaxed_smooth(*args, **kwargs)
+    _assert_same_report(report, reference_check_relaxed_smooth(*args, **kwargs))
+
+
+@pytest.mark.parametrize("d", [1, 10])
+@pytest.mark.parametrize("family", ["exp_pair", "poly_even", "quadratic"])
+def test_certification_matches_reference_loop(family, d):
+    """Each family's certification stub, at its certified l0 and below it."""
+    p = _family_stub(family, d)
+    grad = lambda x: grad_base(p, x)  # noqa: E731
+    for l0 in (p.l0, 0.5 * p.l0):
+        args = (grad, d, l0, p.l1)
+        kwargs = {"region": p.box_radius, "trials": CERTIFY_TRIALS, "seed": 0}
+        report = check_relaxed_smooth(*args, **kwargs)
+        _assert_same_report(report, reference_check_relaxed_smooth(*args, **kwargs))
 
 
 def test_exp_overflow_guard():
