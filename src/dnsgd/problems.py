@@ -181,27 +181,30 @@ class SmoothnessReport:
     implied_l0: float
 
 
-def _smoothness_probe_pairs(
-    dim: int, l1: float, region: float
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Deterministic axis-aligned probe pairs, including steps from zero.
+def _smoothness_probe_pairs(dim: int, l1: float, region: float) -> tuple[np.ndarray, np.ndarray]:
+    """Deterministic axis-aligned probe pairs (x rows, y rows), including steps from zero.
 
     For symmetric separable objectives the binding pairs sit on coordinate
     axes at full admissible step length; probing them directly makes the
-    sampled certificate reproducible across seeds.
+    sampled certificate reproducible across seeds. The pairs run over axis j,
+    then base point u, then sign s, with x = s u e_j and y = s (u + step) e_j.
     """
     step = min(1.0 / l1, region) if l1 > 0 else region / 3.0
-    pairs: list[tuple[np.ndarray, np.ndarray]] = []
     base_points = np.linspace(0.0, max(region - step, 0.0), num=6)
-    for j in range(min(dim, 8)):
-        for u in base_points:
-            for sign in (1.0, -1.0):
-                x = np.zeros(dim)
-                y = np.zeros(dim)
-                x[j] = sign * u
-                y[j] = sign * (u + step)
-                pairs.append((x, y))
-    return pairs
+    axes = min(dim, 8)
+    axis = np.repeat(np.arange(axes), 12)
+    u = np.tile(np.repeat(base_points, 2), axes)
+    sign = np.tile([1.0, -1.0], 6 * axes)
+    x = np.zeros((axis.size, dim))
+    y = np.zeros((axis.size, dim))
+    rows = np.arange(axis.size)
+    x[rows, axis] = sign * u
+    y[rows, axis] = sign * (u + step)
+    return x, y
+
+
+def _row_norms(a: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.vecdot(a, a))
 
 
 def check_relaxed_smooth(
@@ -222,8 +225,10 @@ def check_relaxed_smooth(
 
         gap = ||grad(x) - grad(y)||  vs  bound = (l0 + l1 ||grad(x)||) ||x - y||.
 
-    A pair violates when gap > bound * (1 + RATIO_TOL) + 1e-12. Pairs are
-    ranked by (ratio, gap); the worst one is reported as the witness.
+    grad maps an (n, dim) row matrix to its (n, dim) row gradients; it is
+    called once on all x rows and once on all y rows, skipping pairs with
+    x == y. A pair violates when gap > bound * (1 + RATIO_TOL) + 1e-12. Pairs
+    are ranked by (ratio, gap); the first worst one is reported as the witness.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -232,69 +237,78 @@ def check_relaxed_smooth(
     gen = derive_stream(StreamKey(seed, "smoothness", 0, 0))
     rmax = min(1.0 / l1, 2.0 * region * math.sqrt(dim)) if l1 > 0 else None
 
-    pairs: list[tuple[np.ndarray, np.ndarray]] = []
-    for t in range(trials):
-        x = gen.uniform(-region, region, size=dim)
-        if rmax is None:
-            y = gen.uniform(-region, region, size=dim)
+    xs = np.empty((trials, dim))
+    ys = np.empty((trials, dim))
+    if rmax is None:
+        for t in range(trials):
+            xs[t] = gen.uniform(-region, region, size=dim)
+            ys[t] = gen.uniform(-region, region, size=dim)
+    else:
+        directions = np.empty((trials, dim))
+        # Every tenth pair uses the full admissible distance.
+        dist = np.full(trials, rmax)
+        for t in range(trials):
+            xs[t] = gen.uniform(-region, region, size=dim)
+            directions[t] = gen.standard_normal(dim)
+            if t % 10 != 0:
+                dist[t] = gen.uniform(0.0, rmax)
+        norms = _row_norms(directions)
+        zero = norms == 0.0
+        directions[zero] = 0.0
+        directions[zero, 0] = 1.0
+        norms[zero] = 1.0
+        directions /= norms[:, None]
+        ys = xs + dist[:, None] * directions
+        # Halve the distance of the pairs still outside the box, up to 32
+        # times; a pair that never gets inside falls back to y = x.
+        outside = np.arange(trials)
+        for _ in range(32):
+            outside = outside[~(np.abs(ys[outside]).max(axis=1) <= region)]
+            if outside.size == 0:
+                break
+            dist[outside] *= 0.5
+            ys[outside] = xs[outside] + dist[outside, None] * directions[outside]
         else:
-            direction = gen.standard_normal(dim)
-            norm = np.linalg.norm(direction)
-            if norm == 0.0:
-                direction = np.zeros(dim)
-                direction[0] = 1.0
-                norm = 1.0
-            direction /= norm
-            # Every tenth pair uses the full admissible distance.
-            dist = rmax if t % 10 == 0 else gen.uniform(0.0, rmax)
-            y = x + dist * direction
-            for _ in range(32):
-                if np.abs(y).max() <= region:
-                    break
-                dist *= 0.5
-                y = x + dist * direction
-            else:
-                y = x
-        pairs.append((x, y))
+            ys[outside] = xs[outside]
 
-    pairs.extend(_smoothness_probe_pairs(dim, l1, region))
-    for x, y in extra_pairs:
-        pairs.append((np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)))
+    probe_x, probe_y = _smoothness_probe_pairs(dim, l1, region)
+    extra = np.asarray(extra_pairs, dtype=np.float64).reshape(-1, 2, dim)
+    x_rows = np.concatenate([xs, probe_x, extra[:, 0]])
+    y_rows = np.concatenate([ys, probe_y, extra[:, 1]])
 
-    worst_key = (-math.inf, -math.inf)
-    worst = (np.zeros(dim), np.zeros(dim), 0.0, 0.0)
-    violations = 0
-    implied = -math.inf
-    for x, y in pairs:
-        dist = float(np.linalg.norm(x - y))
-        if dist == 0.0:
-            continue
-        gx = np.asarray(grad(x), dtype=np.float64)
-        gy = np.asarray(grad(y), dtype=np.float64)
-        gap = float(np.linalg.norm(gx - gy))
-        bound = (l0 + l1 * float(np.linalg.norm(gx))) * dist
-        if gap > bound * (1.0 + RATIO_TOL) + 1e-12:
-            violations += 1
-        if bound > 0.0:
-            ratio = gap / bound
-        else:
-            ratio = math.inf if gap > 0.0 else 0.0
-        implied = max(implied, gap / dist - l1 * float(np.linalg.norm(gx)))
-        if (ratio, gap) > worst_key:
-            worst_key = (ratio, gap)
-            worst = (x, y, gap, bound)
-    if not math.isfinite(implied):
-        implied = 0.0 if implied == -math.inf else implied
+    dist = _row_norms(x_rows - y_rows)
+    moved = dist != 0.0
+    x_rows, y_rows, dist = x_rows[moved], y_rows[moved], dist[moved]
+    gx = np.asarray(grad(x_rows), dtype=np.float64)
+    gy = np.asarray(grad(y_rows), dtype=np.float64)
+    gap = _row_norms(gx - gy)
+    gx_norm = _row_norms(gx)
+    bound = (l0 + l1 * gx_norm) * dist
+    violations = int(np.count_nonzero(gap > bound * (1.0 + RATIO_TOL) + 1e-12))
+    ratio = np.divide(gap, bound, out=np.where(gap > 0.0, math.inf, 0.0), where=bound > 0.0)
+    implied = float((gap / dist - l1 * gx_norm).max(initial=-math.inf))
+    if implied == -math.inf:
+        implied = 0.0
 
+    if gap.size:
+        top = np.flatnonzero(ratio == ratio.max())
+        worst = int(top[np.argmax(gap[top])])
+        witness = (x_rows[worst].copy(), y_rows[worst].copy())
+        worst_ratio, worst_gap, worst_bound = (
+            float(ratio[worst]), float(gap[worst]), float(bound[worst])
+        )
+    else:
+        witness = (np.zeros(dim), np.zeros(dim))
+        worst_ratio = worst_gap = worst_bound = 0.0
     return SmoothnessReport(
         passed=violations == 0,
-        worst_ratio=worst_key[0] if worst_key[0] != -math.inf else 0.0,
-        witness_x=worst[0],
-        witness_y=worst[1],
-        worst_gap=worst[2],
-        worst_bound=worst[3],
+        worst_ratio=worst_ratio,
+        witness_x=witness[0],
+        witness_y=witness[1],
+        worst_gap=worst_gap,
+        worst_bound=worst_bound,
         violations=violations,
-        trials=len(pairs),
+        trials=len(moved),
         implied_l0=implied,
     )
 

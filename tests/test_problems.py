@@ -472,6 +472,21 @@ def test_check_relaxed_smooth_exhausted_halvings_match_reference_loop(monkeypatc
     _assert_same_report(report, reference_check_relaxed_smooth(*args, **kwargs))
 
 
+@pytest.mark.parametrize("l1", [0.0, 1.0])
+def test_check_relaxed_smooth_calls_grad_once_per_side(l1):
+    shapes = []
+
+    def grad(x):
+        shapes.append(np.shape(x))
+        return np.sinh(x)
+
+    report = check_relaxed_smooth(grad, 3, 0.5, l1, region=2.0, trials=100, seed=0)
+    assert len(shapes) == 2
+    assert shapes[0] == shapes[1]
+    assert len(shapes[0]) == 2 and shapes[0][1] == 3
+    assert shapes[0][0] <= report.trials
+
+
 @pytest.mark.parametrize("d", [1, 10])
 @pytest.mark.parametrize("family", ["exp_pair", "poly_even", "quadratic"])
 def test_certification_matches_reference_loop(family, d):
