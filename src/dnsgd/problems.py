@@ -453,9 +453,6 @@ def dissimilarity_measured(p: ProblemInstance, trials: int = 32, seed: int = 0) 
     if trials < 1:
         raise ValueError("trials must be >= 1")
     gen = derive_stream(StreamKey(seed, "dissimilarity", 0, 0))
-    worst = 0.0
-    for _ in range(trials):
-        g = grad_base(p, gen.uniform(-p.box_radius, p.box_radius, size=p.d))
-        gap = (g + p.offsets) - g  # grad f_i(x) - grad f(x), one row per agent
-        worst = max(worst, float(np.sqrt(np.vecdot(gap, gap)).max()))
-    return worst
+    g = grad_base(p, gen.uniform(-p.box_radius, p.box_radius, size=(trials, p.d)))[:, None]
+    gap = (g + p.offsets) - g  # grad f_i(x) - grad f(x): (trials, m, d)
+    return float(np.sqrt(np.vecdot(gap, gap)).max(initial=0.0))
