@@ -10,7 +10,8 @@ Subcommands:
 
 Every subcommand accepts --seed, in [0, 2**64), and --out-dir. For run, sweep
 and params, --seed replaces master_seed before the config is validated. Exit codes:
-0 success, 1 a check or validation failed, 2 bad usage or config.
+0 success, 1 a check or validation failed or a run diverged to non-finite
+values, 2 bad usage or config.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .config import (
 )
 from .harness import resolve_hyperparams, run_experiment, sweep_speedup
 from .hyperparams import rho_guard
+from .optimizers import NonFiniteStateError
 from .problems import EXP_ARG_MAX, check_relaxed_smooth, grad_base
 from .topology import (
     KINDS,
@@ -266,6 +268,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except NonFiniteStateError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 1
 
 
 def entry() -> None:

@@ -147,7 +147,11 @@ def step(
     direction = normalize_rows(s.v) if method.normalized else s.v
     # looked up per call, so a wrapper installed on this module's names is used
     mix, rounds = (acc_gossip, hp.k_inner) if method.accelerated else (plain_gossip, 1)
-    x_next = mix(s.x - eta * direction, w, rounds)
+    # checked before mixing, so a diverging step is reported as such and not
+    # as a gossip input error
+    x_half = s.x - eta * direction
+    _ensure_finite(x_half, "iterate matrix", t_next)
+    x_next = mix(x_half, w, rounds)
     _ensure_finite(x_next, "iterate matrix", t_next)
     g_next = sample_grad(p, x_next, hp.b, streams.oracle(t_next))
     _ensure_finite(g_next, "gradient batch", t_next)

@@ -226,6 +226,44 @@ def test_module_entry_point(tmp_path):
     assert "overall: PASS" in proc.stdout, proc.stderr
 
 
+DIVERGING_RUNS = {
+    # X - eta G overflows before gossip sees it
+    "dsgd-quadratic-eta50": (
+        {"family": "quadratic", "curvature": 1.0},
+        {"eta": 50.0, "big_t": 400},
+        "non-finite iterate matrix at iteration 183, agent 0",
+    ),
+    # the gradient of a huge iterate overflows
+    "dsgd-poly_even-eta1e6": (
+        {"family": "poly_even", "power": 4, "scale": 1.0},
+        {"eta": 1e6, "big_t": 20},
+        "non-finite gradient batch at iteration 4, agent 0",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DIVERGING_RUNS))
+def test_diverging_run_exits_one_without_traceback(tmp_path, case):
+    family, hyper, message = DIVERGING_RUNS[case]
+    cfg = _write(tmp_path / "diverge.json", {
+        "problem": {"d": 4, "m": 4, "zeta": 0.5, "sigma": 0.0, "seed": 3, **family},
+        "topology": {"kind": "ring"},
+        "algorithm": "dsgd",
+        "x0": 0.6,
+        "master_seed": 7,
+        "hyperparams": {"b": 1, "k_inner": 1, "k_init": 1, "epsilon": 0.1, **hyper},
+        "snapshot_every": 0,
+    })
+    proc = subprocess.run(
+        [sys.executable, "-m", "dnsgd.cli", "run", "--config", cfg, "--out-dir", "out"],
+        capture_output=True, text=True, cwd=str(tmp_path), env=_child_env(), timeout=60,
+    )
+    assert proc.returncode == 1, proc.stderr
+    errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+    assert errors == [f"error: {message}"], proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
