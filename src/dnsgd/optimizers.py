@@ -95,9 +95,9 @@ def normalize_rows(v: np.ndarray) -> np.ndarray:
 
 
 def _ensure_finite(mat: np.ndarray, what: str, t: int) -> None:
-    bad = ~np.isfinite(mat)
-    if bad.any():
-        agent = int(np.argwhere(bad.any(axis=1))[0, 0])
+    finite = np.isfinite(mat)
+    if not finite.all():
+        agent = int(np.flatnonzero(~finite.all(axis=1))[0])
         raise NonFiniteStateError(
             f"non-finite {what} at iteration {t}, agent {agent}"
         )

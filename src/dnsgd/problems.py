@@ -455,4 +455,4 @@ def dissimilarity_measured(p: ProblemInstance, trials: int = 32, seed: int = 0) 
     gen = derive_stream(StreamKey(seed, "dissimilarity", 0, 0))
     g = grad_base(p, gen.uniform(-p.box_radius, p.box_radius, size=(trials, p.d)))[:, None]
     gap = (g + p.offsets) - g  # grad f_i(x) - grad f(x): (trials, m, d)
-    return float(np.sqrt(np.vecdot(gap, gap)).max(initial=0.0))
+    return float(_row_norms(gap).max(initial=0.0))
