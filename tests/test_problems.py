@@ -396,33 +396,31 @@ def reference_check_relaxed_smooth(
     }
 
 
-def _family_stub(family, d):
-    make = {
-        "exp_pair": lambda: make_exp_pair(d=d, rate=1.0, m=1, zeta=0.0, sigma=0.0, seed=0),
-        "poly_even": lambda: make_poly_even(
-            d=d, power=4, scale=0.5, m=1, zeta=0.0, sigma=0.0, seed=0
-        ),
-        "quadratic": lambda: make_quadratic(d=d, curvature=1.5, m=1, zeta=0.0, sigma=0.0, seed=0),
-    }
-    return make[family]()
-
+# each family's m = 1 certification stub at dimension d
+STUB_MAKERS = {
+    "exp_pair": lambda d: make_exp_pair(d=d, rate=1.0, m=1, zeta=0.0, sigma=0.0, seed=0),
+    "poly_even": lambda d: make_poly_even(d=d, power=4, scale=0.5, m=1, zeta=0.0, sigma=0.0, seed=0),
+    "quadratic": lambda d: make_quadratic(d=d, curvature=1.5, m=1, zeta=0.0, sigma=0.0, seed=0),
+}
 
 SINH_WITNESS = (np.zeros(1), np.array([LOG2]))
 
-# (grad factory, dim, l0, l1, keyword arguments) per case
+# (grad, dim, l0, l1, keyword arguments) per case
 REFERENCE_CASES = {
-    "one-trial": (lambda: np.sinh, 3, 0.5, 1.0, {"region": 2.0, "trials": 1, "seed": 2}),
-    "uniform-y": (lambda: np.sinh, 4, 1.0, 0.0, {"region": 1.5, "trials": 1500, "seed": 3}),
+    "one-trial": (np.sinh, 3, 0.5, 1.0, {"region": 2.0, "trials": 1, "seed": 2}),
+    "uniform-y": (np.sinh, 4, 1.0, 0.0, {"region": 1.5, "trials": 1500, "seed": 3}),
     "sinh-witness": (
-        lambda: np.sinh, 1, 0.0, 1.0 / LOG2,
+        np.sinh, 1, 0.0, 1.0 / LOG2,
         {"region": 2.0, "trials": 1500, "seed": 0, "extra_pairs": [SINH_WITNESS]},
     ),
     "equal-extra-pair": (
-        lambda: np.sinh, 3, 0.2, 1.0,
+        np.sinh, 3, 0.2, 1.0,
         {"region": 2.0, "trials": 50, "seed": 1, "extra_pairs": [(np.ones(3), np.ones(3))]},
     ),
     # rmax = 2 region sqrt(10) is about six times the box: most pairs halve
-    "halvings": (lambda: np.sinh, 10, 0.1, 0.1, {"region": 0.05, "trials": 1500, "seed": 4}),
+    "halvings": (np.sinh, 10, 0.1, 0.1, {"region": 0.05, "trials": 1500, "seed": 4}),
+    # l1 covers every pair on its own, so the largest implied l0 is negative
+    "negative-implied-l0": (np.exp, 3, 0.0, 2.0, {"region": 2.0, "trials": 300, "seed": 3}),
 }
 
 
@@ -437,10 +435,9 @@ def _assert_same_report(report, expect):
 
 @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
 def test_check_relaxed_smooth_matches_reference_loop(case):
-    grad_factory, dim, l0, l1, kwargs = REFERENCE_CASES[case]
-    grad = grad_factory()
-    report = check_relaxed_smooth(grad, dim, l0, l1, **kwargs)
-    _assert_same_report(report, reference_check_relaxed_smooth(grad, dim, l0, l1, **kwargs))
+    args, kwargs = REFERENCE_CASES[case][:-1], REFERENCE_CASES[case][-1]
+    report = check_relaxed_smooth(*args, **kwargs)
+    _assert_same_report(report, reference_check_relaxed_smooth(*args, **kwargs))
 
 
 class _BoxFaceStream:
@@ -488,10 +485,10 @@ def test_check_relaxed_smooth_calls_grad_once_per_side(l1):
 
 
 @pytest.mark.parametrize("d", [1, 10])
-@pytest.mark.parametrize("family", ["exp_pair", "poly_even", "quadratic"])
+@pytest.mark.parametrize("family", sorted(STUB_MAKERS))
 def test_certification_matches_reference_loop(family, d):
     """Each family's certification stub, at its certified l0 and below it."""
-    p = _family_stub(family, d)
+    p = STUB_MAKERS[family](d)
     grad = lambda x: grad_base(p, x)  # noqa: E731
     for l0 in (p.l0, 0.5 * p.l0):
         args = (grad, d, l0, p.l1)
