@@ -1,17 +1,25 @@
 """Update rules: hand-simulated trajectories, counters, and failure modes."""
 
+import math
+
 import numpy as np
 import pytest
 
-from dnsgd.hyperparams import HyperParams
+from dnsgd.analysis import MetricsRow
+from dnsgd.gossip import consensus_error
+from dnsgd.hyperparams import HyperParams, lyapunov_constants
 from dnsgd.optimizers import (
     ALGORITHMS,
+    METHODS,
     NonFiniteStateError,
     dnasa_schedule,
+    init_state,
     normalize_rows,
     run,
+    step,
 )
-from dnsgd.problems import make_exp_pair, make_poly_even, make_quadratic
+from dnsgd.problems import f_base, grad_base, make_exp_pair, make_poly_even, make_quadratic
+from dnsgd.streams import RunStreams
 from dnsgd.topology import build_topology, metropolis_mixing
 
 RING4 = metropolis_mixing(build_topology("ring", 4))
@@ -191,3 +199,145 @@ def test_run_argument_validation():
         run("dnsgd", p, hp, RING4, np.zeros(3), master_seed=1)
     with pytest.raises(ValueError, match="finite"):
         run("dnsgd", p, hp, RING4, np.array([np.nan, 0.0]), master_seed=1)
+
+
+# --- the recorded trajectory against a per-iteration reference ------------------
+
+# Floats per stacked (n, m, d) array in one metrics block of run.
+METRICS_BLOCK_FLOATS = 2**16
+
+
+def _block_len(p):
+    return max(1, METRICS_BLOCK_FLOATS // (p.m * p.d))
+
+
+def reference_state_metrics(x, v, p, eta):
+    """One state's metrics, computed point by point."""
+    m0, m1 = lyapunov_constants(p.l0, p.l1, p.zeta)
+    xbar = x.mean(axis=0)
+    f_mean = f_base(p, xbar)
+    grad_norm = float(np.linalg.norm(grad_base(p, xbar)))
+    g = grad_base(p, x)
+    cons_x = consensus_error(x)
+    cons_v = consensus_error(v)
+    sqm = math.sqrt(p.m)
+    phi = f_mean + (3.0 * eta / sqm) * (m0 + m1 * grad_norm) * cons_x + (2.0 * eta / sqm) * cons_v
+    return f_mean, grad_norm, np.sqrt(np.vecdot(g, g)), cons_x, cons_v, phi
+
+
+def reference_run(algorithm, p, hp, w, x0, master_seed, snapshot_every=10):
+    """run, with every state's metrics recorded right after its step."""
+    method = METHODS[algorithm]
+    streams = RunStreams(master_seed)
+    state = init_state(method, p, x0, hp, w, streams)
+    rows, drifts, agent_norms, snapshots = [], [], [], {}
+    box_exits = 0
+    first_exit = None
+
+    def record(s):
+        nonlocal box_exits, first_exit
+        f_mean, grad_norm, agent, cons_x, cons_v, phi = reference_state_metrics(
+            s.x, s.v, p, hp.eta
+        )
+        rows.append(
+            MetricsRow(
+                t=s.t, f_mean=f_mean, grad_norm_mean=grad_norm,
+                grad_norm_agent_max=float(agent.max()), cons_x=cons_x, cons_v=cons_v, phi=phi,
+                samples_per_agent=s.samples_per_agent, comm_rounds=s.comm_rounds,
+            )
+        )
+        agent_norms.append(agent)
+        vbar = s.v.mean(axis=0)
+        gbar = s.g_prev.mean(axis=0)
+        scale = max(1.0, float(np.linalg.norm(gbar)))
+        drifts.append(float(np.linalg.norm(vbar - gbar)) / scale)
+        if np.abs(s.x).max() > p.box_radius:
+            box_exits += 1
+            if first_exit is None:
+                first_exit = s.t
+        if snapshot_every and s.t % snapshot_every == 0:
+            snapshots[s.t] = (s.x.copy(), s.v.copy())
+
+    record(state)
+    for _ in range(hp.big_t):
+        state = step(state, method, p, hp, w, streams)
+        record(state)
+    if snapshot_every and state.t not in snapshots:
+        snapshots[state.t] = (state.x.copy(), state.v.copy())
+    output_indices = (
+        streams.output_draw().integers(0, hp.big_t, size=p.m) if hp.big_t > 0 else None
+    )
+    return rows, np.array(agent_norms), np.array(drifts), output_indices, snapshots, box_exits, \
+        first_exit
+
+
+def _assert_matches_reference(algorithm, p, hp, w, x0, seed, snapshot_every=10):
+    traj = run(algorithm, p, hp, w, x0, seed, snapshot_every=snapshot_every)
+    rows, agent_norms, drifts, output_indices, snapshots, box_exits, first_exit = reference_run(
+        algorithm, p, hp, w, x0, seed, snapshot_every=snapshot_every
+    )
+    assert traj.rows == rows
+    assert np.array_equal(traj.agent_grad_norms, agent_norms)
+    assert traj.agent_grad_norms.shape == agent_norms.shape
+    assert np.array_equal(traj.tracker_drifts, drifts)
+    assert traj.tracker_drifts.shape == drifts.shape
+    if output_indices is None:
+        assert traj.output_indices is None
+    else:
+        assert np.array_equal(traj.output_indices, output_indices)
+    assert traj.snapshots.keys() == snapshots.keys()
+    for t, (x, v) in snapshots.items():
+        assert np.array_equal(traj.snapshots[t][0], x)
+        assert np.array_equal(traj.snapshots[t][1], v)
+    assert traj.box_exits == box_exits
+    assert traj.first_box_exit_t == first_exit
+    return traj
+
+
+D_WIDE = 256  # with m = 4, a metrics block holds 64 states
+
+WIDE_PROBLEMS = {
+    "exp_pair": lambda: make_exp_pair(d=D_WIDE, rate=1.0, m=4, zeta=0.3, sigma=0.5, seed=5),
+    "poly_even": lambda: make_poly_even(
+        d=D_WIDE, power=4, scale=0.5, m=4, zeta=0.3, sigma=0.5, seed=5
+    ),
+    "quadratic": lambda: make_quadratic(d=D_WIDE, curvature=1.0, m=4, zeta=0.3, sigma=0.5, seed=5),
+}
+
+
+@pytest.mark.parametrize("family", sorted(WIDE_PROBLEMS))
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_run_matches_per_iteration_reference(algorithm, family):
+    p = WIDE_PROBLEMS[family]()
+    block = _block_len(p)
+    hp = _hp(eta=0.02, b=2, big_t=2 * block + 3, k_inner=3, k_init=2)
+    _assert_matches_reference(algorithm, p, hp, RING4, np.full(D_WIDE, 0.5), 11, snapshot_every=7)
+
+
+@pytest.mark.parametrize("horizon", ["0", "1", "B-1", "B", "2B+3"])
+def test_run_matches_reference_at_block_edges(horizon):
+    p = WIDE_PROBLEMS["exp_pair"]()
+    block = _block_len(p)
+    big_t = {"0": 0, "1": 1, "B-1": block - 1, "B": block, "2B+3": 2 * block + 3}[horizon]
+    hp = _hp(eta=0.02, b=2, big_t=big_t, k_inner=3, k_init=2)
+    _assert_matches_reference("dnsgd", p, hp, RING4, np.full(D_WIDE, 0.5), 3)
+
+
+def test_run_matches_reference_with_first_box_exit_in_second_block():
+    # a near-flat quadratic with large noise: the iterates random-walk out of the box
+    p = make_quadratic(d=D_WIDE, curvature=1e-3, m=4, zeta=0.0, sigma=16.0, seed=3, box_radius=1.45)
+    block = _block_len(p)
+    hp = _hp(eta=0.1, big_t=2 * block + 3)
+    traj = _assert_matches_reference("dsgd", p, hp, RING4, np.zeros(D_WIDE), 5)
+    assert block < traj.first_box_exit_t < 2 * block
+    assert traj.box_exits > 1
+
+
+@pytest.mark.parametrize("algorithm", ["dnsgd", "dsgd"])
+def test_run_matches_reference_on_large_ring(algorithm):
+    p = make_exp_pair(d=10, rate=1.0, m=256, zeta=0.2, sigma=0.5, seed=2)
+    mix = metropolis_mixing(build_topology("ring", 256))
+    block = _block_len(p)
+    assert block == 25
+    hp = _hp(eta=0.02, b=1, big_t=2 * block + 3, k_inner=40, k_init=5)
+    _assert_matches_reference(algorithm, p, hp, mix, np.full(10, 0.5), 8)
