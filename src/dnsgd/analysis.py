@@ -6,7 +6,9 @@ consensus penalties:
     phi = f(xbar) + (3 eta / sqrt(m)) (m0 + m1 ||grad f(xbar)||) ||X - 1 xbar||
         + (2 eta / sqrt(m)) ||V - 1 vbar||
 
-with (m0, m1) = lyapunov_constants(l0, l1, zeta). verify_descent checks the
+with (m0, m1) = lyapunov_constants(l0, l1, zeta). state_metrics computes it
+with the other recorded metrics for one state or for a stack of states; the
+runner calls it once per block of iterations. verify_descent checks the
 one-step decrease inequality implied by the theory, either per iteration on
 noiseless runs or in seed-averaged form; verify_consensus_bound checks the
 steady-state consensus radius rho * m * eta / (1 - rho).
@@ -20,9 +22,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .gossip import consensus_error
 from .hyperparams import lyapunov_constants
-from .problems import ProblemInstance, f_base, grad_base
+from .problems import ProblemInstance, _row_norms, f_base, grad_base
 
 
 @dataclass(frozen=True)
@@ -76,36 +77,51 @@ def lyapunov_phi(x: np.ndarray, v: np.ndarray, p: ProblemInstance, eta: float) -
 
 @dataclass(frozen=True)
 class StateMetrics:
-    f_mean: float
-    grad_norm_mean: float
+    """Metrics of one state (floats, agent norms (m,)) or of n states ((n,) arrays, (n, m))."""
+
+    f_mean: float | np.ndarray
+    grad_norm_mean: float | np.ndarray
     agent_grad_norms: np.ndarray
-    cons_x: float
-    cons_v: float
-    phi: float
+    cons_x: float | np.ndarray
+    cons_v: float | np.ndarray
+    phi: float | np.ndarray
 
 
 def state_metrics(x: np.ndarray, v: np.ndarray, p: ProblemInstance, eta: float) -> StateMetrics:
-    """Metrics of one state, each computed once; the runner records these per row.
+    """Metrics of one state (m, d), or of a stack of states (n, m, d) along the first axis.
 
-    Agent norms use one row-matrix gradient; row-wise vecdot matches np.linalg.norm bit for bit.
+    Each metric is computed once for the whole stack; a single state goes
+    through the same path as a stack of one. Norms are sqrt(vecdot) over
+    flattened rows, which matches np.linalg.norm bit for bit, so a stacked
+    call equals the per-state calls exactly.
     """
     if eta <= 0:
         raise ValueError("eta must be positive")
     x = np.asarray(x, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
-    if x.shape != (p.m, p.d) or v.shape != (p.m, p.d):
-        raise ValueError(f"state matrices must have shape ({p.m}, {p.d})")
+    single = x.ndim == 2
+    if single:
+        x, v = x[None], v[None]
+    if x.ndim != 3 or x.shape[1:] != (p.m, p.d) or v.shape != x.shape:
+        raise ValueError(f"state matrices must have shape ({p.m}, {p.d}) or (n, {p.m}, {p.d})")
+    n = x.shape[0]
     m0, m1 = lyapunov_constants(p.l0, p.l1, p.zeta)
-    xbar = x.mean(axis=0)
+    xbar = x.mean(axis=1)
     f_mean = f_base(p, xbar)
-    grad_norm = float(np.linalg.norm(grad_base(p, xbar)))
-    g = grad_base(p, x)
-    cons_x = consensus_error(x)
-    cons_v = consensus_error(v)
+    grad_norm = _row_norms(grad_base(p, xbar))
+    agent = _row_norms(grad_base(p, x.reshape(n * p.m, p.d))).reshape(n, p.m)
+    cons_x = _row_norms((x - xbar[:, None]).reshape(n, -1))
+    cons_v = _row_norms((v - v.mean(axis=1, keepdims=True)).reshape(n, -1))
     sqm = math.sqrt(p.m)
     phi = f_mean + (3.0 * eta / sqm) * (m0 + m1 * grad_norm) * cons_x + (2.0 * eta / sqm) * cons_v
+    if single:
+        return StateMetrics(
+            f_mean=float(f_mean[0]), grad_norm_mean=float(grad_norm[0]),
+            agent_grad_norms=agent[0], cons_x=float(cons_x[0]), cons_v=float(cons_v[0]),
+            phi=float(phi[0]),
+        )
     return StateMetrics(
-        f_mean=f_mean, grad_norm_mean=grad_norm, agent_grad_norms=np.sqrt(np.vecdot(g, g)),
+        f_mean=f_mean, grad_norm_mean=grad_norm, agent_grad_norms=agent,
         cons_x=cons_x, cons_v=cons_v, phi=phi,
     )
 

@@ -24,6 +24,7 @@ for ||x - y|| <= 1/l1 (unrestricted when l1 = 0), sampled over the box
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -67,39 +68,51 @@ class ProblemInstance:
     box_radius: float
 
 
-def _check_point(p: ProblemInstance, x: np.ndarray, rows: bool = False) -> np.ndarray:
+def _check_point(p: ProblemInstance, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim not in ((1, 2) if rows else (1,)) or x.shape[-1] != p.d:
-        allowed = f"({p.d},) or (n, {p.d})" if rows else f"({p.d},)"
-        raise ValueError(f"point must have shape {allowed}, got {x.shape}")
+    if x.ndim not in (1, 2) or x.shape[-1] != p.d:
+        raise ValueError(f"point must have shape ({p.d},) or (n, {p.d}), got {x.shape}")
     return x
 
 
-def _exp_guard(rate: float, x: np.ndarray) -> None:
-    if np.abs(rate * x).max(initial=0.0) > EXP_ARG_MAX:
-        raise ValueError(
+class ExpRangeError(ValueError):
+    """An exp_pair argument left the safe range; row is the first row of x out of it."""
+
+    def __init__(self, row: int):
+        super().__init__(
             "argument out of safe range for the exponential family "
             f"(|rate * x_j| exceeds {EXP_ARG_MAX})"
         )
+        self.row = row
 
 
-def f_base(p: ProblemInstance, x: np.ndarray) -> float:
+def _exp_guard(rate: float, x: np.ndarray) -> None:
+    scaled = np.abs(rate * x)
+    if scaled.max(initial=0.0) > EXP_ARG_MAX:
+        rows = scaled.reshape(-1, x.shape[-1]).max(axis=1) > EXP_ARG_MAX
+        raise ExpRangeError(int(np.argmax(rows)))
+
+
+def f_base(p: ProblemInstance, x: np.ndarray) -> float | np.ndarray:
+    """Objective at a point (d,), or row by row at a row matrix (n, d) as an (n,) array."""
     x = _check_point(p, x)
     if p.family == "exp_pair":
         r = p.family_params["rate"]
         _exp_guard(r, x)
-        return float(np.cosh(r * x).mean())
-    if p.family == "poly_even":
+        f = np.cosh(r * x).mean(axis=-1)
+    elif p.family == "poly_even":
         a = p.family_params["scale"]
         power = p.family_params["power"]
-        return float((a / power) * np.sum(x**power))
-    c = p.family_params["curvature"]
-    return float(0.5 * c * np.dot(x, x))
+        f = (a / power) * np.sum(x**power, axis=-1)
+    else:
+        c = p.family_params["curvature"]
+        f = 0.5 * c * np.vecdot(x, x)
+    return float(f) if x.ndim == 1 else f
 
 
 def grad_base(p: ProblemInstance, x: np.ndarray) -> np.ndarray:
     """Gradient at a point (d,), or row by row at a row matrix (n, d)."""
-    x = _check_point(p, x, rows=True)
+    x = _check_point(p, x)
     if p.family == "exp_pair":
         r = p.family_params["rate"]
         _exp_guard(r, x)
@@ -327,8 +340,21 @@ def _make_offsets(d: int, m: int, zeta: float, seed: int) -> np.ndarray:
     return raw * (zeta / top * _OFFSET_HAIRCUT)
 
 
-def _certify_l0(stub: ProblemInstance, l0_start: float, seed: int) -> float:
-    """Raise l0_start until the sampled check passes for stub's base objective."""
+@functools.cache
+def _certified_l0(
+    family: str, params: tuple[tuple[str, float], ...], d: int, l1: float, l0_start: float,
+    box_radius: float, seed: int,
+) -> float:
+    """Raise l0_start until the sampled check passes for the family's base objective.
+
+    Memoized on these scalar inputs, so rebuilding a problem for another agent
+    count (as a sweep does) reuses the certificate of the same m = 1 stub.
+    """
+    # the stub only feeds grad_base, which reads family, d and family_params
+    stub = ProblemInstance(
+        family=family, d=d, m=1, l0=0.0, l1=l1, zeta=0.0, sigma=0.0, offsets=np.zeros((1, d)),
+        family_params=dict(params), f_star=0.0, box_radius=box_radius,
+    )
     l0 = l0_start
     for _ in range(6):
         report = check_relaxed_smooth(
@@ -380,11 +406,7 @@ def _make_family(
     offsets = _make_offsets(d, m, zeta, seed)
     l0 = l0_start
     if family != "quadratic":
-        stub = ProblemInstance(
-            family=family, d=d, m=1, l0=0.0, l1=l1, zeta=0.0, sigma=0.0,
-            offsets=np.zeros((1, d)), family_params=params, f_star=f_star, box_radius=box_radius,
-        )
-        l0 = _certify_l0(stub, l0_start, seed)
+        l0 = _certified_l0(family, tuple(params.items()), d, l1, l0_start, box_radius, seed)
     max_off = float(np.linalg.norm(offsets, axis=1).max(initial=0.0))
     inst = ProblemInstance(
         family=family, d=d, m=m, l0=l0 + l1 * max_off, l1=l1, zeta=float(zeta),

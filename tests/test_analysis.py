@@ -16,7 +16,14 @@ from dnsgd.analysis import (
 from dnsgd.gossip import consensus_error, contraction_rho
 from dnsgd.hyperparams import lyapunov_constants, theoretical_hyperparams
 from dnsgd.optimizers import run
-from dnsgd.problems import f_base, grad_base, grad_local, make_exp_pair, make_quadratic
+from dnsgd.problems import (
+    f_base,
+    grad_base,
+    grad_local,
+    make_exp_pair,
+    make_poly_even,
+    make_quadratic,
+)
 from dnsgd.topology import build_topology, metropolis_mixing
 
 QUAD = make_quadratic(d=5, curvature=1.0, m=4, zeta=0.5, sigma=0.0, seed=3)
@@ -78,6 +85,31 @@ def test_phi_validation():
         lyapunov_phi(x, x, QUAD, 0.0)
     with pytest.raises(ValueError, match="shape"):
         lyapunov_phi(np.zeros((2, QUAD.d)), x, QUAD, 0.1)
+
+
+STACK_PROBLEMS = [
+    QUAD,
+    make_exp_pair(d=3, rate=1.0, m=4, zeta=0.4, sigma=0.0, seed=1),
+    make_poly_even(d=10, power=4, scale=0.5, m=256, zeta=0.3, sigma=0.0, seed=2),
+]
+
+
+@pytest.mark.parametrize("p", STACK_PROBLEMS, ids=lambda p: f"{p.family}-m{p.m}")
+def test_stacked_state_metrics_equal_per_state_calls(p):
+    rng = np.random.default_rng(21)
+    x = rng.uniform(-1.5, 1.5, size=(7, p.m, p.d))
+    v = rng.normal(size=(7, p.m, p.d))
+    stacked = state_metrics(x, v, p, 0.03)
+    singles = [state_metrics(x[i], v[i], p, 0.03) for i in range(len(x))]
+    for name in ("f_mean", "grad_norm_mean", "cons_x", "cons_v", "phi"):
+        assert getattr(stacked, name).shape == (7,)
+        assert getattr(stacked, name).tolist() == [getattr(sm, name) for sm in singles], name
+        assert all(type(getattr(sm, name)) is float for sm in singles)
+    assert np.array_equal(stacked.agent_grad_norms, [sm.agent_grad_norms for sm in singles])
+    with pytest.raises(ValueError, match="shape"):
+        state_metrics(x, v[:6], p, 0.03)
+    with pytest.raises(ValueError, match="shape"):
+        state_metrics(x[None], v[None], p, 0.03)
 
 
 def test_state_metrics_fields_consistent():

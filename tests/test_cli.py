@@ -10,6 +10,7 @@ import pytest
 
 import dnsgd
 from dnsgd.cli import main
+from dnsgd.problems import EXP_ARG_MAX
 
 
 def _write(path, obj):
@@ -239,6 +240,13 @@ DIVERGING_RUNS = {
         {"eta": 1e6, "big_t": 20},
         "non-finite gradient batch at iteration 4, agent 0",
     ),
+    # the iterates leave the exponential family's safe range
+    "dsgd-exp_pair-eta50": (
+        {"family": "exp_pair", "rate": 1.0},
+        {"eta": 50.0, "big_t": 400},
+        f"argument out of safe range for the exponential family (|rate * x_j| exceeds "
+        f"{EXP_ARG_MAX}) at iteration 2, agent 0",
+    ),
 }
 
 
@@ -259,8 +267,8 @@ def test_diverging_run_exits_one_without_traceback(tmp_path, case):
         capture_output=True, text=True, cwd=str(tmp_path), env=_child_env(), timeout=60,
     )
     assert proc.returncode == 1, proc.stderr
-    errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
-    assert errors == [f"error: {message}"], proc.stderr
+    # no numpy warnings before it: the error line is all of stderr
+    assert proc.stderr.splitlines() == [f"error: {message}"], proc.stderr
     assert "Traceback" not in proc.stderr
 
 

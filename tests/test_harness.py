@@ -1,10 +1,12 @@
 """Experiment harness: config parsing, file outputs, reproducibility."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from dnsgd import problems
 from dnsgd.config import (
     AutoHyperConfig,
     ConfigError,
@@ -12,7 +14,9 @@ from dnsgd.config import (
     RunConfig,
     SweepConfig,
     TopologyConfig,
+    load_json,
     parse_run_config,
+    parse_sweep_config,
     resolve_x0,
 )
 from dnsgd.harness import (
@@ -25,6 +29,8 @@ from dnsgd.harness import (
 from dnsgd.hyperparams import HyperParams
 from dnsgd.problems import f_base
 from dnsgd.topology import build_topology, metropolis_mixing
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def _quad_cfg(**kw):
@@ -257,6 +263,25 @@ def test_sweep_outputs_and_determinism(tmp_path):
     assert lines[1] == lines[2]
     assert result.points[0].seeds_reached == 2
     assert result.points[0].mean_samples_per_agent == result.points[1].mean_samples_per_agent
+
+
+def test_sweep_certifies_the_stub_once(monkeypatch):
+    # every m of the sweep has the same m = 1 stub: one certification (two
+    # check passes, the first raising l0) serves all four problem builds
+    passes = []
+
+    def counted(*args, **kwargs):
+        report = check_relaxed_smooth(*args, **kwargs)
+        passes.append(report.passed)
+        return report
+
+    check_relaxed_smooth = problems.check_relaxed_smooth
+    monkeypatch.setattr(problems, "check_relaxed_smooth", counted)
+    problems._certified_l0.cache_clear()
+    cfg = parse_sweep_config(load_json(CONFIGS / "sweep_speedup.json"))
+    result = sweep_speedup(cfg, write_outputs=False)
+    assert passes == [False, True]
+    assert [pt.m for pt in result.points] == [2, 4, 8, 16]
 
 
 def test_sweep_unreachable_target_yields_nan_row(tmp_path):

@@ -11,6 +11,7 @@ from dnsgd.hyperparams import HyperParams, lyapunov_constants
 from dnsgd.optimizers import (
     ALGORITHMS,
     METHODS,
+    METRICS_BLOCK_FLOATS,
     NonFiniteStateError,
     dnasa_schedule,
     init_state,
@@ -131,6 +132,16 @@ def test_divergence_raises_non_finite():
             run("dsgd", p, hp, mix, np.full(2, 1.0), master_seed=3)
 
 
+def test_exp_range_exit_is_a_divergence():
+    p = make_exp_pair(d=4, rate=1.0, m=4, zeta=0.5, sigma=0.0, seed=3)
+    hp = _hp(eta=50.0, big_t=400, k_inner=1, k_init=1)
+    with pytest.raises(NonFiniteStateError, match=r"safe range .* at iteration 2, agent 0$"):
+        run("dsgd", p, hp, RING4, np.full(4, 0.6), master_seed=7)
+    # a start point out of range is bad input, not a divergence
+    with pytest.raises(ValueError, match="safe range"):
+        run("dsgd", p, hp, RING4, np.full(4, 701.0), master_seed=7)
+
+
 def test_dnasa_schedule_frozen():
     assert dnasa_schedule(0.5, 16, 1) == 0.5
     assert dnasa_schedule(0.5, 16, 10000) == pytest.approx(0.002, rel=1e-15)
@@ -202,10 +213,6 @@ def test_run_argument_validation():
 
 
 # --- the recorded trajectory against a per-iteration reference ------------------
-
-# Floats per stacked (n, m, d) array in one metrics block of run.
-METRICS_BLOCK_FLOATS = 2**16
-
 
 def _block_len(p):
     return max(1, METRICS_BLOCK_FLOATS // (p.m * p.d))

@@ -12,6 +12,7 @@ from dnsgd import problems
 from dnsgd.problems import (
     CERTIFY_TRIALS,
     RATIO_TOL,
+    ExpRangeError,
     check_relaxed_smooth,
     dissimilarity_measured,
     f_base,
@@ -109,9 +110,10 @@ def test_row_matrix_gradient_matches_rows_exactly(p):
         grad_base(p, np.zeros((5, p.d + 1)))
     with pytest.raises(ValueError, match="shape"):
         grad_base(p, np.zeros((2, 5, p.d)))
-    # objectives stay point-only: a row matrix would collapse to one scalar
+    # objectives evaluate row by row too, one value per row
+    assert f_base(p, x).tolist() == [f_base(p, row) for row in x]
     with pytest.raises(ValueError, match="shape"):
-        f_base(p, x)
+        f_base(p, np.zeros((2, 5, p.d)))
 
 
 # --- stochastic oracle vs its documented tolerances ----------------------------
@@ -506,6 +508,13 @@ def test_exp_overflow_guard():
         f_base(p, np.array([701.0, 0.0]))
     with pytest.raises(ValueError, match="safe range"):
         grad_base(p, np.array([0.0, -701.0]))
+    # the error names the first row out of range
+    rows = np.zeros((4, 2))
+    rows[2, 1] = 701.0
+    rows[3, 0] = -800.0
+    with pytest.raises(ExpRangeError, match="safe range") as err:
+        f_base(p, rows)
+    assert err.value.row == 2
 
 
 def test_factory_validation():
