@@ -22,6 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .gossip import consensus_error
 from .hyperparams import lyapunov_constants
 from .problems import ProblemInstance, _row_norms, f_base, grad_base
 
@@ -110,8 +111,8 @@ def state_metrics(x: np.ndarray, v: np.ndarray, p: ProblemInstance, eta: float) 
     f_mean = f_base(p, xbar)
     grad_norm = _row_norms(grad_base(p, xbar))
     agent = _row_norms(grad_base(p, x.reshape(n * p.m, p.d))).reshape(n, p.m)
-    cons_x = _row_norms((x - xbar[:, None]).reshape(n, -1))
-    cons_v = _row_norms((v - v.mean(axis=1, keepdims=True)).reshape(n, -1))
+    cons_x = consensus_error(x)
+    cons_v = consensus_error(v)
     sqm = math.sqrt(p.m)
     phi = f_mean + (3.0 * eta / sqm) * (m0 + m1 * grad_norm) * cons_x + (2.0 * eta / sqm) * cons_v
     if single:

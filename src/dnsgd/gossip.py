@@ -115,7 +115,14 @@ def min_rounds_for_rho(lambda2: float, rho_target: float) -> int:
     return k
 
 
-def consensus_error(y: np.ndarray) -> float:
-    """Frobenius distance of an agent matrix from its row average."""
+def consensus_error(y: np.ndarray) -> float | np.ndarray:
+    """Frobenius distance of an agent matrix (m, d) from its row average.
+
+    A stack (n, m, d) gives the (n,) distances of its matrices. The norm is
+    sqrt(vecdot) of the flattened deviation, which equals np.linalg.norm bit
+    for bit.
+    """
     y = np.asarray(y, dtype=np.float64)
-    return float(np.linalg.norm(y - y.mean(axis=0, keepdims=True)))
+    dev = (y - y.mean(axis=-2, keepdims=True)).reshape(*y.shape[:-2], -1)
+    err = np.sqrt(np.vecdot(dev, dev))
+    return float(err) if y.ndim == 2 else err

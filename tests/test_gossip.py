@@ -101,6 +101,14 @@ def test_consensus_is_fixed_point():
     assert consensus_error(y0) == 0.0
 
 
+@pytest.mark.parametrize("shape", [(4, 6), (256, 10)])
+def test_consensus_error_of_a_stack_equals_per_matrix_norms(shape):
+    y = np.random.default_rng(8).standard_normal((5, *shape))
+    per_matrix = [float(np.linalg.norm(yi - yi.mean(axis=0, keepdims=True))) for yi in y]
+    assert [consensus_error(yi) for yi in y] == per_matrix
+    assert consensus_error(y).tolist() == per_matrix
+
+
 def test_acc_gossip_contraction_bound_ring4():
     rng = np.random.default_rng(42)
     for trial in range(20):
