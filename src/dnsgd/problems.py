@@ -130,9 +130,11 @@ def _check_agent(p: ProblemInstance, i: int) -> None:
         raise ValueError(f"agent index {i} out of range for m = {p.m}")
 
 
-def f_local(p: ProblemInstance, i: int, x: np.ndarray) -> float:
+def f_local(p: ProblemInstance, i: int, x: np.ndarray) -> float | np.ndarray:
     _check_agent(p, i)
-    return f_base(p, x) + float(np.dot(p.offsets[i], np.asarray(x, dtype=np.float64)))
+    x = _check_point(p, x)
+    f = f_base(p, x) + x @ p.offsets[i]
+    return float(f) if x.ndim == 1 else f
 
 
 def grad_local(p: ProblemInstance, i: int, x: np.ndarray) -> np.ndarray:

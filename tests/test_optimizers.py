@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from dnsgd.analysis import MetricsRow
-from dnsgd.gossip import consensus_error
 from dnsgd.hyperparams import HyperParams, lyapunov_constants
 from dnsgd.optimizers import (
     ALGORITHMS,
@@ -225,8 +224,8 @@ def reference_state_metrics(x, v, p, eta):
     f_mean = f_base(p, xbar)
     grad_norm = float(np.linalg.norm(grad_base(p, xbar)))
     g = grad_base(p, x)
-    cons_x = consensus_error(x)
-    cons_v = consensus_error(v)
+    cons_x = float(np.linalg.norm(x - x.mean(axis=0, keepdims=True)))
+    cons_v = float(np.linalg.norm(v - v.mean(axis=0, keepdims=True)))
     sqm = math.sqrt(p.m)
     phi = f_mean + (3.0 * eta / sqm) * (m0 + m1 * grad_norm) * cons_x + (2.0 * eta / sqm) * cons_v
     return f_mean, grad_norm, np.sqrt(np.vecdot(g, g)), cons_x, cons_v, phi

@@ -112,6 +112,7 @@ def test_row_matrix_gradient_matches_rows_exactly(p):
         grad_base(p, np.zeros((2, 5, p.d)))
     # objectives evaluate row by row too, one value per row
     assert f_base(p, x).tolist() == [f_base(p, row) for row in x]
+    assert f_local(p, 0, x).tolist() == [f_local(p, 0, row) for row in x]
     with pytest.raises(ValueError, match="shape"):
         f_base(p, np.zeros((2, 5, p.d)))
 
