@@ -72,7 +72,7 @@ ALGORITHMS = tuple(METHODS)
 EPS_NORM = 1e-12
 
 # Floats per stacked (n, m, d) array when run computes the recorded metrics of
-# a block of states at once: 819 states at m = 8, d = 10, and 25 at m = 256.
+# a block of states at once: 819 states at m = 8, d = 10, and 25 at m = 256, d = 10.
 METRICS_BLOCK_FLOATS = 2**16
 
 
