@@ -1,9 +1,9 @@
-"""Golden sha256 digests of the CSV outputs of pinned configs.
+"""Golden sha256 digests of the outputs of pinned configs.
 
 Criterion 10 compares runs with each other; these digests compare them with
-recorded bytes, so a change to the oracle streams, the update rules or the
-calculator shows up here. A change that alters the bytes on purpose updates
-the digests and says why in CHANGES.md.
+recorded bytes, so a change to the oracle streams, the update rules, the
+calculator, the checks or the output writers shows up here. A change that
+alters the bytes on purpose updates the digests and says why in CHANGES.md.
 """
 
 import hashlib
@@ -87,6 +87,75 @@ SWEEP_CONSTANTS = {
 }
 
 
+# Guard-mode calculator runs whose outputs together emit all four built-in
+# checks; every file they write is pinned. The first also has a list x0.
+OUTPUT_CONFIGS = {
+    "stochastic": {
+        "problem": {
+            "family": "exp_pair", "d": 4, "m": 4, "zeta": 0.2, "sigma": 0.5,
+            "seed": 5, "rate": 1.0,
+        },
+        "topology": {"kind": "ring"},
+        "algorithm": "dnsgd",
+        "x0": [1.2, 1.0, 0.8, 1.1],
+        "master_seed": 31,
+        "auto": {"epsilon": 0.3, "t_cap": 20, "k_mode": "guard"},
+        "num_seeds": 10,
+        "snapshot_every": 0,
+    },
+    "deterministic": {
+        "problem": {
+            "family": "quadratic", "d": 5, "m": 5, "zeta": 0.5, "sigma": 0.0,
+            "seed": 3, "curvature": 1.0,
+        },
+        "topology": {"kind": "path"},
+        "algorithm": "dnsgd",
+        "x0": 0.6,
+        "master_seed": 7,
+        "auto": {"epsilon": 0.12, "t_cap": 30, "k_mode": "guard"},
+        "num_seeds": 1,
+        "snapshot_every": 0,
+    },
+}
+
+OUTPUT_CHECKS = {
+    "stochastic": ["tracker_identity", "consensus_bound", "descent_stochastic"],
+    "deterministic": ["tracker_identity", "consensus_bound", "descent_deterministic"],
+}
+
+OUTPUT_DIGESTS = {
+    "stochastic": {
+        "checks.csv": "a4fce51f60b4e682797ba3dc8c552d94411657e68b2d5cea7ccaa6b6368e28b5",
+        "config_echo.json": "ccd1fee54390429dfa6028c65357bb95e1fa902dd528b0b739bc3fcf5cb03b32",
+        "metrics_seed000.csv": "e0bba0c46ff98e2a1cedc16b44fb0858fb95b0f5fac8f7e3e5abad1fce8d80ea",
+        "metrics_seed001.csv": "1843d17ee1c0651d565afdc17da37a93b64603e1751b693f5d4f5a14787511de",
+        "metrics_seed002.csv": "01e684f8209e6d410106dcb9e8c11ab35a8c1a83ce92ad27a54b3da2338bfb26",
+        "metrics_seed003.csv": "847836bb2861cb5620297a2c4396f70a9c1754f47a8e188eafe0443ea722204d",
+        "metrics_seed004.csv": "49107ddb69ecf750c68f94f926a860f60a312dcd1d54fa4bf4c901d72ec326ef",
+        "metrics_seed005.csv": "97136aea51a7d0d4c64863e11add0068b07a67f2718a8ff23eb0c7633f7a59c3",
+        "metrics_seed006.csv": "6c6c163afa3e62f627686f77da32452858fdf8cea58343ea660d047531432626",
+        "metrics_seed007.csv": "138cd61f4d0a20e9afbc2aed3fcac7943cb08b3ae2bb034a9f75f0d05851070e",
+        "metrics_seed008.csv": "87645b047236d35181d4c0f923191857f5a599f305271ba68c62974e2ff1ef49",
+        "metrics_seed009.csv": "54daf095c45253e856c9b96caf13d7566fa5630603ace23fe18d6b26d055ce70",
+        "params_report.txt": "95294000a5f6ce6f416dce9b9e6d349cea0fa1a6a26829968504937e847a7c2f",
+        "summary.txt": "0a7a9b3dd7fc2feb4e1a9bd22e6e73a05e6ba12d0269d71a9a6d870d07b0920c",
+    },
+    "deterministic": {
+        "checks.csv": "12d6a3d8b7036d902244ff50d55fbcd3acdb8d6aa06849ae114e7c20caf4984f",
+        "config_echo.json": "cfe4f8f4b1d2bcf78ed9a6accc060a13a85f6605ae91c8f618f854f767c6d9a1",
+        "metrics_seed000.csv": "1d193c6d81daaef1692d91f7316244dcbf9c3fe2cb5c6de4004c98e36f6bc764",
+        "params_report.txt": "311ca991d3f4e9723f12aa3564c76874f1381437e1d54e0b38a3cfe5de99144f",
+        "summary.txt": "d76ba4bb35db8a31d88f898920e3c3a758a4fa4bb99a790c1da83264a9e6952a",
+    },
+}
+
+# The other files of the pinned sweep; speedup.csv is SWEEP_DIGEST.
+SWEEP_OUTPUT_DIGESTS = {
+    "config_echo.json": "8b987e8fb4123971fd231d583ba147d5dabce7736bbed6bdd866f15d4a92451a",
+    "summary.txt": "049fd0c1d6b6befba787eada8b92a3a08fb4807c82821e9a73c767e1f7d7af08",
+}
+
+
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -126,6 +195,31 @@ def test_sweep_speedup_digest(tmp_path):
     out = tmp_path / "out"
     assert cli_main(["sweep", "--config", str(path), "--out-dir", str(out)]) == 0
     assert _sha256((out / "speedup.csv").read_bytes()) == SWEEP_DIGEST
+
+
+def _file_digests(out) -> dict[str, str]:
+    return {path.name: _sha256(path.read_bytes()) for path in sorted(out.iterdir())}
+
+
+@pytest.mark.parametrize("case", OUTPUT_CONFIGS)
+def test_run_output_digests(tmp_path, case):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(OUTPUT_CONFIGS[case]))
+    out = tmp_path / "out"
+    assert cli_main(["run", "--config", str(path), "--out-dir", str(out)]) == 0
+    checks = (out / "checks.csv").read_text().splitlines()[1:]
+    assert [line.split(",")[0] for line in checks] == OUTPUT_CHECKS[case]
+    assert all(line.split(",")[1] == "True" for line in checks)
+    assert cli_main(["params", "--config", str(path), "--out-dir", str(out)]) == 0
+    assert _file_digests(out) == OUTPUT_DIGESTS[case]
+
+
+def test_sweep_output_digests(tmp_path):
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(SWEEP_CONFIG))
+    out = tmp_path / "out"
+    assert cli_main(["sweep", "--config", str(path), "--out-dir", str(out)]) == 0
+    assert _file_digests(out) == {"speedup.csv": SWEEP_DIGEST, **SWEEP_OUTPUT_DIGESTS}
 
 
 @pytest.mark.parametrize("family", FAMILY_PARAMS)
