@@ -8,10 +8,12 @@ consensus penalties:
 
 with (m0, m1) = lyapunov_constants(l0, l1, zeta). state_metrics computes it
 with the other recorded metrics for one state or for a stack of states; the
-runner calls it once per block of iterations. verify_descent checks the
-one-step decrease inequality implied by the theory, either per iteration on
-noiseless runs or in seed-averaged form; verify_consensus_bound checks the
-steady-state consensus radius rho * m * eta / (1 - rho).
+runner calls it once per block of iterations and stores the stacked result
+as the trajectory's metric columns. The checks are reductions over those
+columns: verify_descent checks the one-step decrease inequality implied by
+the theory, either per iteration on noiseless runs or in seed-averaged form;
+verify_consensus_bound checks the steady-state consensus radius
+rho * m * eta / (1 - rho).
 """
 
 from __future__ import annotations
@@ -27,35 +29,22 @@ from .hyperparams import lyapunov_constants
 from .problems import ProblemInstance, _row_norms, f_base, grad_base
 
 
-@dataclass(frozen=True)
-class MetricsRow:
-    """One recorded iteration of a run."""
-
-    t: int
-    f_mean: float
-    grad_norm_mean: float
-    grad_norm_agent_max: float
-    cons_x: float
-    cons_v: float
-    phi: float
-    samples_per_agent: int
-    comm_rounds: int
-
-
 @dataclass
 class Trajectory:
-    """Everything a run records.
+    """Everything a run records, as columns over the states t = 0..big_t.
 
-    rows has big_t + 1 entries (initial state plus one per iteration).
-    agent_grad_norms[t, i] is ||grad f(x_i^t)|| with the global objective.
-    snapshots maps iteration index to copies of (X, V) kept every
-    snapshot_every iterations. output_indices holds each agent's uniform
-    draw over {0, ..., big_t - 1}, or None when big_t = 0.
+    metrics stacks the StateMetrics of all big_t + 1 states, so
+    metrics.agent_grad_norms[t, i] is ||grad f(x_i^t)|| with the global
+    objective. samples_per_agent and comm_rounds are the int counters at each
+    state. snapshots maps iteration index to copies of (X, V) kept every
+    snapshot_every iterations. output_indices holds each agent's uniform draw
+    over {0, ..., big_t - 1}, or None when big_t = 0.
     """
 
     algorithm: str
-    rows: list[MetricsRow]
-    agent_grad_norms: np.ndarray
+    metrics: StateMetrics
+    samples_per_agent: np.ndarray
+    comm_rounds: np.ndarray
     tracker_drifts: np.ndarray
     output_indices: np.ndarray | None
     snapshots: dict[int, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
@@ -64,7 +53,7 @@ class Trajectory:
 
     @property
     def big_t(self) -> int:
-        return len(self.rows) - 1
+        return len(self.metrics.phi) - 1
 
     @property
     def tracker_drift_max(self) -> float:
@@ -143,26 +132,18 @@ class StationaritySummary:
 
 
 def stationarity_summary(traj: Trajectory) -> StationaritySummary:
-    if traj.big_t == 0:
-        row = traj.rows[0]
-        return StationaritySummary(
-            min_grad_mean=row.grad_norm_mean,
-            avg_grad_mean=row.grad_norm_mean,
-            agent_max_at_output=float(traj.agent_grad_norms[0].max()),
-        )
-    eligible = [row.grad_norm_mean for row in traj.rows[: traj.big_t]]
+    """A big_t = 0 run has only its initial state to summarize."""
+    m = traj.metrics
+    eligible = m.grad_norm_mean[: max(traj.big_t, 1)]
     if traj.output_indices is None:
-        agent_max = float(traj.agent_grad_norms[0].max())
+        agent_max = m.agent_grad_norms[0].max()
     else:
-        per_agent = [
-            float(traj.agent_grad_norms[t_i, i])
-            for i, t_i in enumerate(traj.output_indices)
-        ]
-        agent_max = max(per_agent)
+        draws = traj.output_indices
+        agent_max = m.agent_grad_norms[draws, np.arange(draws.size)].max()
     return StationaritySummary(
-        min_grad_mean=min(eligible),
+        min_grad_mean=float(eligible.min()),
         avg_grad_mean=float(np.mean(eligible)),
-        agent_max_at_output=agent_max,
+        agent_max_at_output=float(agent_max),
     )
 
 
@@ -186,17 +167,12 @@ def verify_consensus_bound(traj: Trajectory, rho: float, m: int, eta: float) -> 
     if not 0.0 <= rho < 1.0:
         raise ValueError(f"the consensus bound needs rho in [0, 1), got {rho}")
     bound = rho * m * eta / (1.0 - rho)
-    worst_cons = -math.inf
-    worst_t = 0
-    checked = 0
-    for row in traj.rows[1:]:
-        checked += 1
-        if row.cons_x > worst_cons:
-            worst_cons = row.cons_x
-            worst_t = row.t
-    if checked == 0:
+    cons = traj.metrics.cons_x[1:]
+    if cons.size == 0:
         return ConsensusBoundReport(True, bound, 0.0, 0, 0)
-    return ConsensusBoundReport(worst_cons <= bound, bound, worst_cons, worst_t, checked)
+    worst = int(np.argmax(cons))  # the first of tied maxima
+    worst_cons = float(cons[worst])
+    return ConsensusBoundReport(worst_cons <= bound, bound, worst_cons, worst + 1, cons.size)
 
 
 @dataclass(frozen=True)
@@ -220,7 +196,7 @@ def verify_descent(
 ) -> DescentReport:
     """Check the one-step decrease property of the potential.
 
-    deterministic mode (noiseless runs): for every consecutive pair of rows,
+    deterministic mode (noiseless runs): for every consecutive pair of states,
 
         phi[t+1] <= phi[t] - (5 eta / 8) ||grad f(xbar^t)|| + (3/4) eta^2 l_f + tol.
 
@@ -240,14 +216,15 @@ def verify_descent(
         worst_t = 0
         worst_traj = 0
         for idx, traj in enumerate(trajs):
-            for row, nxt in zip(traj.rows, traj.rows[1:]):
-                allowed = row.phi - (5.0 * eta / 8.0) * row.grad_norm_mean
-                allowed += 0.75 * eta * eta * l_f
-                margin = nxt.phi - allowed
-                if margin > worst:
-                    worst = margin
-                    worst_t = row.t
-                    worst_traj = idx
+            phi, grad = traj.metrics.phi, traj.metrics.grad_norm_mean
+            allowed = phi[:-1] - (5.0 * eta / 8.0) * grad[:-1]
+            allowed += 0.75 * eta * eta * l_f
+            margin = phi[1:] - allowed
+            margin[np.isnan(margin)] = -math.inf  # skipped, as by a loop of > comparisons
+            if margin.size and margin.max() > worst:  # strict, so the first worst stays
+                worst_t = int(np.argmax(margin))
+                worst = float(margin[worst_t])
+                worst_traj = idx
         if worst == -math.inf:
             worst = 0.0
         return DescentReport(
@@ -260,13 +237,9 @@ def verify_descent(
             raise ValueError("stochastic descent check needs big_t >= 1")
         if any(traj.big_t != big_t for traj in trajs):
             raise ValueError("all trajectories must share the same length")
-        delta_phi = float(np.mean([traj.rows[0].phi for traj in trajs])) - p.f_star
+        delta_phi = float(np.mean([traj.metrics.phi[0] for traj in trajs])) - p.f_star
         bound = 8.0 * delta_phi / (5.0 * eta * big_t) + 1.2 * eta * l_f
-        observed = float(
-            np.mean(
-                [np.mean([row.grad_norm_mean for row in traj.rows[:big_t]]) for traj in trajs]
-            )
-        )
+        observed = float(np.mean([np.mean(traj.metrics.grad_norm_mean[:big_t]) for traj in trajs]))
         return DescentReport(
             passed=observed <= bound, mode=mode, bound=bound, observed=observed,
             worst_t=-1, worst_traj=-1, n_seeds=len(trajs),

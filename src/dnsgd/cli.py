@@ -40,7 +40,6 @@ from .config import (
     resolve_x0,
 )
 from .harness import resolve_hyperparams, run_experiment, sweep_speedup
-from .hyperparams import rho_guard
 from .optimizers import NonFiniteStateError
 from .problems import EXP_ARG_MAX, check_relaxed_smooth, grad_base
 from .topology import (
@@ -179,10 +178,7 @@ def _cmd_params(args: argparse.Namespace) -> int:
     _, mixing = build_mixing(cfg.topology, p.m)
     x0 = resolve_x0(cfg.x0, p.d)
     _, theory = resolve_hyperparams(cfg, p, mixing, x0)
-    hp = theory.hp
-    guard = rho_guard(
-        theory.rho_actual, hp.eta, p.l0, p.l1, p.zeta, p.sigma, hp.b, p.m
-    )
+    hp, guard = theory.hp, theory.guard
     lines = [
         f"problem: {p.family} d={p.d} m={p.m} l0={p.l0:.12g} l1={p.l1:.12g} "
         f"zeta={p.zeta:g} sigma={p.sigma:g}",
@@ -198,7 +194,7 @@ def _cmd_params(args: argparse.Namespace) -> int:
         f"big_t = {hp.big_t} (uncapped {theory.t_uncapped})",
         f"k_inner = {hp.k_inner}",
         f"k_init = {hp.k_init}",
-        f"rho = {theory.rho_actual:.12g} (required <= {theory.rho_required:g})",
+        f"rho = {theory.rho_actual:.12g} (required <= {guard.min_threshold:g})",
         f"samples per agent = {hp.b * (hp.big_t + 1)}",
         f"comm rounds = {hp.k_init + 2 * hp.k_inner * hp.big_t}",
         f"guard: {'PASS' if guard.ok else 'FAIL'}",

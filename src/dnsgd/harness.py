@@ -2,7 +2,10 @@
 
 Outputs are byte-deterministic for a fixed config: no timestamps, float
 fields formatted with repr-faithful %.17g, seeds fanned out from the master
-seed and run one after another, and rows written in seed order.
+seed and run one after another, and rows written in seed order. A metrics
+CSV is formatted from its trajectory's metric columns, one line per state,
+and the sweep finds each seed's first hit of the target by a search over the
+grad_norm_mean column.
 """
 
 from __future__ import annotations
@@ -184,28 +187,20 @@ def _run_checks(
     return checks
 
 
-def _csv_row(run_id: str, seed_index: int, row) -> str:
-    return ",".join(
-        (
-            run_id, str(seed_index), str(row.t), _fmt(row.f_mean),
-            _fmt(row.grad_norm_mean), _fmt(row.grad_norm_agent_max),
-            _fmt(row.cons_x), _fmt(row.cons_v), _fmt(row.phi),
-            str(row.samples_per_agent), str(row.comm_rounds),
-        )
-    )
-
-
 def _write_metrics_csv(path: Path, run_id: str, seed_index: int, traj: Trajectory) -> None:
+    m = traj.metrics
+    columns = (
+        range(traj.big_t + 1), m.f_mean.tolist(), m.grad_norm_mean.tolist(),
+        m.agent_grad_norms.max(axis=1).tolist(), m.cons_x.tolist(), m.cons_v.tolist(),
+        m.phi.tolist(), traj.samples_per_agent.tolist(), traj.comm_rounds.tolist(),
+    )
     lines = [CSV_HEADER]
-    lines.extend(_csv_row(run_id, seed_index, row) for row in traj.rows)
+    lines.extend(
+        f"{run_id},{seed_index},{t},{f:.17g},{g:.17g},{g_max:.17g},{cx:.17g},{cv:.17g},"
+        f"{phi:.17g},{samples},{comms}"
+        for t, f, g, g_max, cx, cv, phi, samples, comms in zip(*columns)
+    )
     path.write_text("\n".join(lines) + "\n")
-
-
-def _config_echo(cfg) -> dict:
-    echo = dataclasses.asdict(cfg)
-    if isinstance(echo.get("x0"), tuple):
-        echo["x0"] = list(echo["x0"])
-    return echo
 
 
 def _write_run_outputs(result: RunResult, run_id: str) -> None:
@@ -222,7 +217,7 @@ def _write_run_outputs(result: RunResult, run_id: str) -> None:
     (out / "checks.csv").write_text("\n".join(check_lines) + "\n")
 
     echo = {
-        "config": _config_echo(result.config),
+        "config": dataclasses.asdict(result.config),
         "resolved": {
             "eta": result.hp.eta, "b": result.hp.b, "big_t": result.hp.big_t,
             "k_inner": result.hp.k_inner, "k_init": result.hp.k_init,
@@ -254,7 +249,7 @@ def _write_run_outputs(result: RunResult, run_id: str) -> None:
         th = result.theory
         lines.append(
             f"calculator: l_f={_fmt(th.l_f)} delta_phi={_fmt(th.delta_phi)} "
-            f"rho={_fmt(th.rho_actual)} guard_ok={th.guard_ok} t_uncapped={th.t_uncapped}"
+            f"rho={_fmt(th.rho_actual)} guard_ok={th.guard.ok} t_uncapped={th.t_uncapped}"
         )
     lines.append(f"seeds: {result.config.num_seeds}")
     mins = [s.min_grad_mean for s in result.per_seed_stationarity]
@@ -323,10 +318,11 @@ class SweepResult:
 
 
 def _first_hit(traj: Trajectory, target: float) -> tuple[int, int] | None:
-    for row in traj.rows:
-        if row.grad_norm_mean <= target:
-            return row.samples_per_agent, row.comm_rounds
-    return None
+    """(samples_per_agent, comm_rounds) at the first state whose grad_norm_mean reaches target."""
+    hits = np.flatnonzero(traj.metrics.grad_norm_mean <= target)
+    if hits.size == 0:
+        return None
+    return int(traj.samples_per_agent[hits[0]]), int(traj.comm_rounds[hits[0]])
 
 
 def sweep_speedup(
@@ -386,7 +382,7 @@ def sweep_speedup(
             )
         (out / "speedup.csv").write_text("\n".join(lines) + "\n")
         (out / "config_echo.json").write_text(
-            json.dumps({"config": _config_echo(cfg)}, indent=2, sort_keys=True) + "\n"
+            json.dumps({"config": dataclasses.asdict(cfg)}, indent=2, sort_keys=True) + "\n"
         )
         slines = [f"sweep: {cfg.algorithm} target_epsilon={_fmt(cfg.target_epsilon)}"]
         for pt in points:

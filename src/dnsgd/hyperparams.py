@@ -173,7 +173,10 @@ def choose_k_for_guard(
 
 @dataclass(frozen=True)
 class TheoreticalParams:
-    """Calculator output: the HyperParams bundle plus its intermediates."""
+    """Calculator output: the HyperParams bundle plus its intermediates.
+
+    guard is rho_guard evaluated at rho_actual and the chosen hyperparameters.
+    """
 
     hp: HyperParams
     l_f: float
@@ -182,8 +185,7 @@ class TheoreticalParams:
     delta_f: float
     delta_phi: float
     rho_actual: float
-    rho_required: float
-    guard_ok: bool
+    guard: RhoGuard
     t_uncapped: int
 
 
@@ -284,9 +286,8 @@ def theoretical_hyperparams(
         epsilon=float(epsilon),
     )
     rho_actual = contraction_rho(lambda2, k_inner)
-    guard = rho_guard(rho_actual, eta, l0, l1, zeta, sigma, b, m)
     return TheoreticalParams(
         hp=hp, l_f=l_f, m0=m0, m1=m1, delta_f=float(delta_f_estimate),
-        delta_phi=delta_phi, rho_actual=rho_actual, rho_required=guard.min_threshold,
-        guard_ok=guard.ok, t_uncapped=int(t_uncapped),
+        delta_phi=delta_phi, rho_actual=rho_actual,
+        guard=rho_guard(rho_actual, eta, l0, l1, zeta, sigma, b, m), t_uncapped=int(t_uncapped),
     )

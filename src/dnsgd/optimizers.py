@@ -26,20 +26,22 @@ Communication counters advance by the gossip depth per accelerated call and
 by one round per plain W-multiplication; sample counters advance by the
 batch size per agent per iteration.
 
-The runner records one metrics row per state, but computes the rows a block
-of states at a time: it copies X, V and G into (n, m, d) blocks of at most
-METRICS_BLOCK_FLOATS floats each and makes one state_metrics call per block.
+The runner records the metrics of every state as columns: arrays of
+big_t + 1 entries, sized once. It fills them a block of states at a time: it
+copies X, V and G into (n, m, d) blocks of at most METRICS_BLOCK_FLOATS floats
+each, makes one state_metrics call per block and writes the results into the
+block's slice of each column.
 A state that turns non-finite, or whose iterates leave the exponential
 family's safe range, raises NonFiniteStateError with its iteration and agent.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .analysis import MetricsRow, Trajectory, state_metrics
+from .analysis import StateMetrics, Trajectory, state_metrics
 from .gossip import acc_gossip, plain_gossip
 from .hyperparams import HyperParams
 from .problems import ExpRangeError, ProblemInstance, _row_norms, sample_grad
@@ -210,42 +212,33 @@ def run(
     method = METHODS[algorithm]
     streams = RunStreams(master_seed)
 
-    rows: list[MetricsRow] = []
-    drifts: list[np.ndarray] = []
-    agent_norms: list[np.ndarray] = []
-    exit_ts: list[int] = []
     snapshots: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    # States are copied into these (n, m, d) blocks and their metrics computed
-    # once per full block, and once at the end, from whole-array reductions.
-    block_len = min(max(1, METRICS_BLOCK_FLOATS // (p.m * p.d)), hp.big_t + 1)
+    n_states = hp.big_t + 1
+    cols = {f.name: np.empty(n_states) for f in fields(StateMetrics)}
+    cols["agent_grad_norms"] = np.empty((n_states, p.m))
+    samples, comms = np.empty(n_states, dtype=np.int64), np.empty(n_states, dtype=np.int64)
+    drifts, exits = np.empty(n_states), np.empty(n_states, dtype=bool)
+    # States are copied into these (n, m, d) blocks. Each full block, and the
+    # last one, gets one state_metrics call and fills its slice of every column.
+    block_len = min(max(1, METRICS_BLOCK_FLOATS // (p.m * p.d)), n_states)
     xs, vs, gs = (np.empty((block_len, p.m, p.d)) for _ in range(3))
-    pending: list[tuple[int, int, int]] = []  # (t, samples_per_agent, comm_rounds)
 
     def record(s: OptimizerState) -> None:
-        i = len(pending)
+        i = s.t % block_len
         xs[i], vs[i], gs[i] = s.x, s.v, s.g_prev
-        pending.append((s.t, s.samples_per_agent, s.comm_rounds))
+        samples[s.t], comms[s.t] = s.samples_per_agent, s.comm_rounds
         if snapshot_every and s.t % snapshot_every == 0:
             snapshots[s.t] = (s.x.copy(), s.v.copy())
-        if len(pending) == block_len:
-            flush()
-
-    def flush() -> None:
-        n = len(pending)
-        x, v, g = xs[:n], vs[:n], gs[:n]
+        if i + 1 < block_len and s.t < hp.big_t:
+            return
+        x, v, g = xs[: i + 1], vs[: i + 1], gs[: i + 1]
+        block = slice(s.t - i, s.t + 1)
         sm = state_metrics(x, v, p, hp.eta)
+        for name, col in cols.items():
+            col[block] = getattr(sm, name)
         gbar = g.mean(axis=1)
-        drifts.append(_row_norms(v.mean(axis=1) - gbar) / np.maximum(1.0, _row_norms(gbar)))
-        agent_norms.append(sm.agent_grad_norms)
-        ts, samples, comms = zip(*pending)
-        exits = np.abs(x).max(axis=(1, 2)) > p.box_radius
-        exit_ts.extend(np.asarray(ts)[exits].tolist())
-        rows.extend(map(
-            MetricsRow, ts, sm.f_mean.tolist(), sm.grad_norm_mean.tolist(),
-            sm.agent_grad_norms.max(axis=1).tolist(), sm.cons_x.tolist(), sm.cons_v.tolist(),
-            sm.phi.tolist(), samples, comms,
-        ))
-        pending.clear()
+        drifts[block] = _row_norms(v.mean(axis=1) - gbar) / np.maximum(1.0, _row_norms(gbar))
+        exits[block] = np.abs(x).max(axis=(1, 2)) > p.box_radius
 
     # overflow on the way to a non-finite state is reported once, by the
     # finiteness checks, not also as numpy warnings
@@ -255,8 +248,6 @@ def run(
         for _ in range(hp.big_t):
             state = step(state, method, p, hp, w, streams)
             record(state)
-        if pending:
-            flush()
     if snapshot_every and state.t not in snapshots:
         snapshots[state.t] = (state.x.copy(), state.v.copy())
 
@@ -264,13 +255,15 @@ def run(
         output_indices = streams.output_draw().integers(0, hp.big_t, size=p.m)
     else:
         output_indices = None
+    exit_ts = np.flatnonzero(exits)
     return Trajectory(
         algorithm=algorithm,
-        rows=rows,
-        agent_grad_norms=np.concatenate(agent_norms),
-        tracker_drifts=np.concatenate(drifts),
+        metrics=StateMetrics(**cols),
+        samples_per_agent=samples,
+        comm_rounds=comms,
+        tracker_drifts=drifts,
         output_indices=output_indices,
         snapshots=snapshots,
-        box_exits=len(exit_ts),
-        first_box_exit_t=exit_ts[0] if exit_ts else None,
+        box_exits=int(exit_ts.size),
+        first_box_exit_t=int(exit_ts[0]) if exit_ts.size else None,
     )

@@ -165,7 +165,7 @@ def test_criterion_3_stationarity(crit3):
 
 def test_criterion_4_deterministic_descent(crit4):
     result, elapsed = crit4
-    assert result.theory is not None and result.theory.guard_ok
+    assert result.theory is not None and result.theory.guard.ok
     report = verify_descent(
         result.trajectories, result.problem, result.hp.eta, result.theory.l_f,
         mode="deterministic", tol=1e-9,

@@ -133,7 +133,7 @@ def test_state_metrics_fields_consistent():
 
 def test_deterministic_descent_on_guarded_run():
     hp, th, x0 = _guard_mode_params(t_override=300)
-    assert th.guard_ok
+    assert th.guard.ok
     traj = run("dnsgd", QUAD, hp, RING4, x0, master_seed=7, snapshot_every=0)
     report = verify_descent([traj], QUAD, hp.eta, th.l_f, mode="deterministic")
     assert report.passed
@@ -184,7 +184,7 @@ def test_stochastic_descent_seed_average():
     assert report.n_seeds == 10
     assert report.observed <= report.bound
     # the bound is the telescoped potential drop plus the smoothness floor
-    delta_phi = np.mean([t.rows[0].phi for t in trajs]) - p.f_star
+    delta_phi = np.mean([t.metrics.phi[0] for t in trajs]) - p.f_star
     expected = 8.0 * delta_phi / (5.0 * th.hp.eta * 300) + 1.2 * th.hp.eta * th.l_f
     assert report.bound == pytest.approx(expected, rel=1e-12)
 
@@ -208,12 +208,12 @@ def test_stationarity_summary_identities():
     hp, _, x0 = _guard_mode_params(t_override=50)
     traj = run("dnsgd", QUAD, hp, RING4, x0, master_seed=21, snapshot_every=0)
     summ = stationarity_summary(traj)
-    eligible = [row.grad_norm_mean for row in traj.rows[:50]]
+    eligible = traj.metrics.grad_norm_mean[:50].tolist()
     assert summ.avg_grad_mean == pytest.approx(np.mean(eligible), rel=1e-14)
     assert summ.min_grad_mean == min(eligible)
     assert summ.min_grad_mean <= summ.avg_grad_mean
     expected_max = max(
-        traj.agent_grad_norms[t_i, i] for i, t_i in enumerate(traj.output_indices)
+        traj.metrics.agent_grad_norms[t_i, i] for i, t_i in enumerate(traj.output_indices)
     )
     assert summ.agent_max_at_output == pytest.approx(expected_max, rel=1e-14)
     assert (traj.output_indices >= 0).all()
@@ -226,9 +226,9 @@ def test_stationarity_summary_degenerate_run():
     assert traj.big_t == 0
     assert traj.output_indices is None
     summ = stationarity_summary(traj)
-    assert summ.min_grad_mean == summ.avg_grad_mean == traj.rows[0].grad_norm_mean
+    assert summ.min_grad_mean == summ.avg_grad_mean == traj.metrics.grad_norm_mean[0]
     assert summ.agent_max_at_output == pytest.approx(
-        traj.agent_grad_norms[0].max(), rel=1e-14
+        traj.metrics.agent_grad_norms[0].max(), rel=1e-14
     )
 
 
@@ -245,8 +245,8 @@ def test_phi_recorded_rows_match_recomputation():
     hp, _, x0 = _guard_mode_params(t_override=20)
     traj = run("dnsgd", QUAD, hp, RING4, x0, master_seed=13, snapshot_every=1)
     for t, (x, v) in traj.snapshots.items():
-        assert traj.rows[t].phi == pytest.approx(
+        assert traj.metrics.phi[t] == pytest.approx(
             lyapunov_phi(x, v, QUAD, hp.eta), rel=1e-14
         )
-        assert traj.rows[t].cons_x == pytest.approx(consensus_error(x), rel=1e-14)
-    assert math.isfinite(traj.rows[-1].phi)
+        assert traj.metrics.cons_x[t] == pytest.approx(consensus_error(x), rel=1e-14)
+    assert math.isfinite(traj.metrics.phi[-1])

@@ -76,8 +76,10 @@ def test_quadratic_guard_mode_frozen():
     assert th.hp.eta == pytest.approx(0.024, abs=1e-15)
     assert th.hp.big_t == 5000
     assert th.hp.k_inner == 29
-    assert th.guard_ok
-    assert th.rho_actual <= th.rho_required
+    assert th.guard.ok
+    assert th.rho_actual <= th.guard.min_threshold
+    # the recorded guard is rho_guard at the chosen hyperparameters
+    assert th.guard == rho_guard(th.rho_actual, th.hp.eta, 1.0, 0.0, 0.5, 0.0, th.hp.b, 4)
 
 
 def test_k_inner_floor_keeps_rho_below_half():

@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from dnsgd.analysis import MetricsRow
 from dnsgd.hyperparams import HyperParams, lyapunov_constants
 from dnsgd.optimizers import (
     ALGORITHMS,
@@ -50,12 +49,12 @@ def test_dnsgd_single_agent_hand_simulation():
     mix = metropolis_mixing(build_topology("ring", 1))
     hp = _hp(eta=0.5, big_t=5, k_inner=1, k_init=1)
     traj = run("dnsgd", p, hp, mix, np.array([2.0]), master_seed=1)
-    assert [row.f_mean for row in traj.rows] == [2.0, 1.125, 0.5, 0.125, 0.0, 0.0]
-    assert [row.grad_norm_mean for row in traj.rows] == [2.0, 1.5, 1.0, 0.5, 0.0, 0.0]
+    assert traj.metrics.f_mean.tolist() == [2.0, 1.125, 0.5, 0.125, 0.0, 0.0]
+    assert traj.metrics.grad_norm_mean.tolist() == [2.0, 1.5, 1.0, 0.5, 0.0, 0.0]
     # a single agent is always at consensus, so phi collapses to f
-    assert [row.phi for row in traj.rows] == [row.f_mean for row in traj.rows]
-    assert [row.samples_per_agent for row in traj.rows] == [1, 2, 3, 4, 5, 6]
-    assert [row.comm_rounds for row in traj.rows] == [1, 3, 5, 7, 9, 11]
+    assert np.array_equal(traj.metrics.phi, traj.metrics.f_mean)
+    assert traj.samples_per_agent.tolist() == [1, 2, 3, 4, 5, 6]
+    assert traj.comm_rounds.tolist() == [1, 3, 5, 7, 9, 11]
 
 
 def test_dsgd_single_agent_geometric_decay():
@@ -64,10 +63,10 @@ def test_dsgd_single_agent_geometric_decay():
     hp = _hp(eta=0.1, big_t=3)
     traj = run("dsgd", p, hp, mix, np.array([1.0]), master_seed=1)
     x = 1.0
-    for row in traj.rows:
-        assert row.grad_norm_mean == pytest.approx(x, rel=1e-14)
+    for grad_norm in traj.metrics.grad_norm_mean:
+        assert grad_norm == pytest.approx(x, rel=1e-14)
         x = x - 0.1 * x
-    assert [row.comm_rounds for row in traj.rows] == [0, 1, 2, 3]
+    assert traj.comm_rounds.tolist() == [0, 1, 2, 3]
 
 
 def test_dnsgd_mean_update_identity():
@@ -100,11 +99,13 @@ def test_run_is_deterministic_per_seed():
     x0 = np.full(3, 0.8)
     a = run("dnsgd", p, hp, RING4, x0, master_seed=42)
     b = run("dnsgd", p, hp, RING4, x0, master_seed=42)
-    assert a.rows == b.rows
-    assert np.array_equal(a.agent_grad_norms, b.agent_grad_norms)
+    cols_a, cols_b = recorded_columns(a), recorded_columns(b)
+    for name in COLUMNS:
+        assert np.array_equal(cols_a[name], cols_b[name]), name
+    assert np.array_equal(a.metrics.agent_grad_norms, b.metrics.agent_grad_norms)
     assert np.array_equal(a.output_indices, b.output_indices)
     c = run("dnsgd", p, hp, RING4, x0, master_seed=43)
-    assert a.rows[1:] != c.rows[1:]
+    assert not np.array_equal(a.metrics.phi[1:], c.metrics.phi[1:])
 
 
 def test_dsgt_removes_heterogeneity_floor():
@@ -116,10 +117,10 @@ def test_dsgt_removes_heterogeneity_floor():
     x0 = np.full(3, 1.0)
     dsgd = run("dsgd", p, hp, RING4, x0, master_seed=5, snapshot_every=0)
     dsgt = run("dsgt", p, hp, RING4, x0, master_seed=5, snapshot_every=0)
-    assert dsgd.rows[-1].grad_norm_agent_max > 0.01
-    assert dsgd.rows[-1].cons_x > 0.01
-    assert dsgt.rows[-1].grad_norm_agent_max < 1e-6
-    assert dsgt.rows[-1].cons_x < 1e-12
+    assert dsgd.metrics.agent_grad_norms[-1].max() > 0.01
+    assert dsgd.metrics.cons_x[-1] > 0.01
+    assert dsgt.metrics.agent_grad_norms[-1].max() < 1e-6
+    assert dsgt.metrics.cons_x[-1] < 1e-12
 
 
 def test_divergence_raises_non_finite():
@@ -164,7 +165,7 @@ def test_degenerate_horizon_records_initial_state_only():
     hp = _hp(big_t=0)
     for alg in ALGORITHMS:
         traj = run(alg, p, hp, RING4, np.zeros(2), master_seed=1)
-        assert len(traj.rows) == 1
+        assert traj.metrics.phi.shape == traj.comm_rounds.shape == (1,)
         assert traj.big_t == 0
         assert traj.output_indices is None
 
@@ -180,9 +181,9 @@ def test_counters_per_algorithm():
     }
     for alg in ALGORITHMS:
         traj = run(alg, p, hp, RING4, np.zeros(2), master_seed=1)
-        for t, row in enumerate(traj.rows):
-            assert row.samples_per_agent == 7 * (t + 1)
-            assert row.comm_rounds == expected_comm[alg](t), alg
+        t = np.arange(hp.big_t + 1)
+        assert np.array_equal(traj.samples_per_agent, 7 * (t + 1))
+        assert np.array_equal(traj.comm_rounds, expected_comm[alg](t)), alg
 
 
 def test_box_exit_counting():
@@ -231,12 +232,20 @@ def reference_state_metrics(x, v, p, eta):
     return f_mean, grad_norm, np.sqrt(np.vecdot(g, g)), cons_x, cons_v, phi
 
 
+# the columns a run records per state, in metrics CSV order
+COLUMNS = (
+    "t", "f_mean", "grad_norm_mean", "grad_norm_agent_max", "cons_x", "cons_v", "phi",
+    "samples_per_agent", "comm_rounds",
+)
+
+
 def reference_run(algorithm, p, hp, w, x0, master_seed, snapshot_every=10):
     """run, with every state's metrics recorded right after its step."""
     method = METHODS[algorithm]
     streams = RunStreams(master_seed)
     state = init_state(method, p, x0, hp, w, streams)
-    rows, drifts, agent_norms, snapshots = [], [], [], {}
+    cols = {name: [] for name in COLUMNS}
+    drifts, agent_norms, snapshots = [], [], {}
     box_exits = 0
     first_exit = None
 
@@ -245,13 +254,12 @@ def reference_run(algorithm, p, hp, w, x0, master_seed, snapshot_every=10):
         f_mean, grad_norm, agent, cons_x, cons_v, phi = reference_state_metrics(
             s.x, s.v, p, hp.eta
         )
-        rows.append(
-            MetricsRow(
-                t=s.t, f_mean=f_mean, grad_norm_mean=grad_norm,
-                grad_norm_agent_max=float(agent.max()), cons_x=cons_x, cons_v=cons_v, phi=phi,
-                samples_per_agent=s.samples_per_agent, comm_rounds=s.comm_rounds,
-            )
+        values = (
+            s.t, f_mean, grad_norm, float(agent.max()), cons_x, cons_v, phi,
+            s.samples_per_agent, s.comm_rounds,
         )
+        for name, value in zip(COLUMNS, values):
+            cols[name].append(value)
         agent_norms.append(agent)
         vbar = s.v.mean(axis=0)
         gbar = s.g_prev.mean(axis=0)
@@ -273,18 +281,32 @@ def reference_run(algorithm, p, hp, w, x0, master_seed, snapshot_every=10):
     output_indices = (
         streams.output_draw().integers(0, hp.big_t, size=p.m) if hp.big_t > 0 else None
     )
-    return rows, np.array(agent_norms), np.array(drifts), output_indices, snapshots, box_exits, \
-        first_exit
+    return {name: np.array(col) for name, col in cols.items()}, np.array(agent_norms), \
+        np.array(drifts), output_indices, snapshots, box_exits, first_exit
+
+
+def recorded_columns(traj):
+    """The columns of COLUMNS as run recorded them."""
+    m = traj.metrics
+    return {
+        "t": np.arange(traj.big_t + 1), "f_mean": m.f_mean, "grad_norm_mean": m.grad_norm_mean,
+        "grad_norm_agent_max": m.agent_grad_norms.max(axis=1), "cons_x": m.cons_x,
+        "cons_v": m.cons_v, "phi": m.phi, "samples_per_agent": traj.samples_per_agent,
+        "comm_rounds": traj.comm_rounds,
+    }
 
 
 def _assert_matches_reference(algorithm, p, hp, w, x0, seed, snapshot_every=10):
     traj = run(algorithm, p, hp, w, x0, seed, snapshot_every=snapshot_every)
-    rows, agent_norms, drifts, output_indices, snapshots, box_exits, first_exit = reference_run(
+    cols, agent_norms, drifts, output_indices, snapshots, box_exits, first_exit = reference_run(
         algorithm, p, hp, w, x0, seed, snapshot_every=snapshot_every
     )
-    assert traj.rows == rows
-    assert np.array_equal(traj.agent_grad_norms, agent_norms)
-    assert traj.agent_grad_norms.shape == agent_norms.shape
+    for name, col in recorded_columns(traj).items():
+        assert col.shape == cols[name].shape, name
+        assert col.dtype.kind == cols[name].dtype.kind, name
+        assert np.array_equal(col, cols[name]), name
+    assert np.array_equal(traj.metrics.agent_grad_norms, agent_norms)
+    assert traj.metrics.agent_grad_norms.shape == agent_norms.shape
     assert np.array_equal(traj.tracker_drifts, drifts)
     assert traj.tracker_drifts.shape == drifts.shape
     if output_indices is None:

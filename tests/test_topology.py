@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from dnsgd.topology import (
+    ClauseResult,
     DisconnectedTopologyError,
     Graph,
     MixingMatrix,
@@ -130,6 +131,22 @@ def test_sparsity_clause_catches_offpattern_entry():
     w[0, 0] = w[2, 2] = 1 / 2
     report = validate_mixing(MixingMatrix.from_matrix(w, graph=g))
     assert not report.clauses["sparsity_pattern"].passed
+    assert report.clauses["sparsity_pattern"].violation == 1 / 6
+
+
+def test_sparsity_clause_with_missing_and_stray_weights():
+    g = build_topology("ring", 4)
+    w = RING4_W.copy()
+    w[0, 1] = w[1, 0] = 0.0  # the edge (0, 1) carries no weight
+    w[1, 3] = w[3, 1] = 0.25  # the non-edge (1, 3) does
+    sparsity = validate_mixing(MixingMatrix.from_matrix(w, graph=g)).clauses["sparsity_pattern"]
+    assert not sparsity.passed
+    assert sparsity.violation == 1.0  # a missing weight counts as 1.0
+    w[1, 3] = w[3, 1] = 1.5  # a stray entry above 1.0 sets the violation
+    sparsity = validate_mixing(MixingMatrix.from_matrix(w, graph=g)).clauses["sparsity_pattern"]
+    assert (sparsity.passed, sparsity.violation) == (False, 1.5)
+    clean = validate_mixing(MixingMatrix.from_matrix(RING4_W, graph=g))
+    assert clean.clauses["sparsity_pattern"] == ClauseResult(True, 0.0)
 
 
 def test_metropolis_requires_connected_graph():
