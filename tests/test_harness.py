@@ -220,6 +220,51 @@ def test_parse_errors_carry_field_paths():
         assert exc.value.field == f"{block}.seed"
 
 
+@pytest.mark.parametrize(
+    "path", sorted(CONFIGS.glob("run_*.json")) + sorted(CONFIGS.glob("sweep_*.json")),
+    ids=lambda path: path.name,
+)
+def test_shipped_configs_parse(path):
+    raw = load_json(path)
+    if path.name.startswith("run_"):
+        cfg = parse_run_config(raw)
+        assert cfg.algorithm == raw["algorithm"]
+        assert cfg.problem.family == raw["problem"]["family"]
+        assert (cfg.master_seed, cfg.num_seeds) == (raw["master_seed"], raw["num_seeds"])
+        assert cfg.auto.epsilon == raw["auto"]["epsilon"]
+    else:
+        cfg = parse_sweep_config(raw)
+        assert cfg.m_list == tuple(raw["m_list"])
+        assert cfg.target_epsilon == raw["target_epsilon"]
+
+
+_DROP = object()
+
+
+def test_sweep_parse_errors_carry_field_paths():
+    hyperparams = {"eta": 0.1, "b": 1, "big_t": 5, "k_inner": 1, "k_init": 1, "epsilon": 0.1}
+    for changes, field in [
+        ({"auto": _DROP}, "auto"),
+        ({"hyperparams": hyperparams}, "hyperparams"),
+        ({"m_list": []}, "m_list"),
+        ({"m_list": 4}, "m_list"),
+        ({"m_list": [2, 0]}, "m_list[1]"),
+        ({"m_list": [2, True]}, "m_list[1]"),
+        ({"target_epsilon": 0}, "target_epsilon"),
+        ({"algorithm": "adam"}, "algorithm"),
+        ({"master_seed": 2**64}, "master_seed"),
+        ({"m_lists": [2, 4]}, "m_lists"),
+    ]:
+        raw = load_json(CONFIGS / "sweep_speedup.json")
+        raw.update(changes)
+        raw = {key: value for key, value in raw.items() if value is not _DROP}
+        with pytest.raises(ConfigError) as exc:
+            parse_sweep_config(raw)
+        assert exc.value.field == field, changes
+        if field in ("hyperparams", "m_lists"):
+            assert str(exc.value) == f"{field}: unknown field"
+
+
 def test_resolve_x0_length_mismatch():
     assert resolve_x0(0.5, 3).tolist() == [0.5, 0.5, 0.5]
     assert resolve_x0((1.0, 2.0), 2).tolist() == [1.0, 2.0]
