@@ -13,11 +13,12 @@ Example:
 
 import argparse
 import dataclasses
+import sys
 from pathlib import Path
 
 import numpy as np
 
-from dnsgd.config import AutoHyperConfig, ProblemConfig, RunConfig, TopologyConfig
+from dnsgd.config import ConfigError, parse_run_config
 from dnsgd.harness import run_experiment
 from dnsgd.optimizers import ALGORITHMS
 
@@ -32,18 +33,22 @@ def main() -> int:
     ap.add_argument("--out-dir", default=None, help="write per-method CSVs here")
     args = ap.parse_args()
 
-    base = RunConfig(
-        problem=ProblemConfig(
-            family="exp_pair", d=10, m=8, zeta=0.2, sigma=args.sigma, seed=1, rate=1.0
-        ),
-        topology=TopologyConfig(kind="ring"),
-        algorithm="dnsgd",
-        x0=1.5,
-        master_seed=args.seed,
-        auto=AutoHyperConfig(epsilon=args.epsilon, t_cap=args.t_cap),
-        num_seeds=args.seeds,
-        snapshot_every=0,
-    )
+    try:  # validated like a run config, so a bad option exits 2 with its field
+        base = parse_run_config({
+            "problem": {
+                "family": "exp_pair", "d": 10, "m": 8, "zeta": 0.2, "sigma": args.sigma,
+                "seed": 1, "rate": 1.0,
+            },
+            "topology": {"kind": "ring"},
+            "algorithm": "dnsgd",
+            "x0": 1.5,
+            "master_seed": args.seed,
+            "auto": {"epsilon": args.epsilon, "t_cap": args.t_cap},
+            "num_seeds": args.seeds,
+        })
+    except ConfigError as e:
+        print(f"config error: {e}", file=sys.stderr)
+        return 2
 
     print(f"{'method':8s} {'avg ||grad||':>14s} {'min ||grad||':>14s} "
           f"{'cons_x (final)':>15s} {'samples/agent':>14s} {'comm rounds':>12s}")

@@ -9,9 +9,11 @@ consensus penalties:
 with (m0, m1) = lyapunov_constants(l0, l1, zeta). state_metrics computes it
 with the other recorded metrics for one state or for a stack of states; the
 runner calls it once per block of iterations and stores the stacked result
-as the trajectory's metric columns. The checks are reductions over those
-columns: verify_descent checks the one-step decrease inequality implied by
-the theory, either per iteration on noiseless runs or in seed-averaged form;
+as the trajectory's metric columns. A Trajectory holds those columns and the
+run's counters, not the states; the potential of a given state (X, V) is
+state_metrics(X, V, p, eta).phi. The checks are reductions over the columns:
+verify_descent checks the one-step decrease inequality implied by the theory,
+either per iteration on noiseless runs or in seed-averaged form;
 verify_consensus_bound checks the steady-state consensus radius
 rho * m * eta / (1 - rho).
 """
@@ -19,7 +21,7 @@ rho * m * eta / (1 - rho).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -36,9 +38,8 @@ class Trajectory:
     metrics stacks the StateMetrics of all big_t + 1 states, so
     metrics.agent_grad_norms[t, i] is ||grad f(x_i^t)|| with the global
     objective. samples_per_agent and comm_rounds are the int counters at each
-    state. snapshots maps iteration index to copies of (X, V) kept every
-    snapshot_every iterations. output_indices holds each agent's uniform draw
-    over {0, ..., big_t - 1}, or None when big_t = 0.
+    state. output_indices holds each agent's uniform draw over
+    {0, ..., big_t - 1}, or None when big_t = 0.
     """
 
     algorithm: str
@@ -47,7 +48,6 @@ class Trajectory:
     comm_rounds: np.ndarray
     tracker_drifts: np.ndarray
     output_indices: np.ndarray | None
-    snapshots: dict[int, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
     box_exits: int = 0
     first_box_exit_t: int | None = None
 
@@ -58,11 +58,6 @@ class Trajectory:
     @property
     def tracker_drift_max(self) -> float:
         return float(self.tracker_drifts.max()) if self.tracker_drifts.size else 0.0
-
-
-def lyapunov_phi(x: np.ndarray, v: np.ndarray, p: ProblemInstance, eta: float) -> float:
-    """Potential value for iterate matrix x and tracker matrix v."""
-    return state_metrics(x, v, p, eta).phi
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,8 @@
 A run config names a problem family, a topology, an algorithm, and either
 explicit hyperparameters or an ``auto`` block with a target accuracy from
 which the theory-driven calculator fills them in. A sweep config is a run
-config minus a fixed network size plus ``m_list`` and ``target_epsilon``.
+config without ``hyperparams`` (``auto`` is required) plus ``m_list`` and
+``target_epsilon``; its ``problem.m`` is replaced by each entry of ``m_list``.
 
 Errors raise ConfigError with the dotted path of the offending field so a
 typo in a nested block is reported as e.g. ``problem.sigma`` rather than a
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -80,23 +81,14 @@ class RunConfig:
     hyperparams: HyperParams | None = None
     auto: AutoHyperConfig | None = None
     num_seeds: int = 1
-    snapshot_every: int = 10
     out_dir: str = "out"
 
 
 @dataclass(frozen=True)
 class SweepConfig:
-    problem: ProblemConfig  # problem.m is overridden per sweep point
-    topology: TopologyConfig
-    x0: float | tuple[float, ...]
-    master_seed: int
-    auto: AutoHyperConfig
-    m_list: tuple[int, ...] = field(default=(2, 4, 8, 16))
-    target_epsilon: float = 0.3
-    algorithm: str = "dnsgd"
-    num_seeds: int = 1
-    out_dir: str = "out"
-    snapshot_every: int = 0
+    run: RunConfig  # run.problem.m is replaced by each entry of m_list
+    m_list: tuple[int, ...]
+    target_epsilon: float
 
 
 def _expect_dict(value, path: str) -> dict:
@@ -264,14 +256,30 @@ def _parse_x0(value, path: str = "x0") -> float | tuple[float, ...]:
     raise ConfigError(path, f"expected a number or list of numbers, got {type(value).__name__}")
 
 
+def _drop_retired(d: dict) -> dict:
+    """d without snapshot_every, which state snapshots used to read.
+
+    The key is still accepted as 0, the value that asked for no snapshots,
+    so that older configs keep parsing; any other value asks for what is gone.
+    """
+    if "snapshot_every" not in d:
+        return d
+    value = d["snapshot_every"]
+    if type(value) is not int or value != 0:
+        raise ConfigError(
+            "snapshot_every", f"state snapshots were removed; only 0 is accepted, got {value!r}"
+        )
+    return {key: v for key, v in d.items() if key != "snapshot_every"}
+
+
 _RUN_KEYS = {
     "problem", "topology", "algorithm", "x0", "master_seed", "hyperparams",
-    "auto", "num_seeds", "snapshot_every", "out_dir",
+    "auto", "num_seeds", "out_dir",
 }
 
 
 def parse_run_config(d: dict) -> RunConfig:
-    d = _expect_dict(d, "config")
+    d = _drop_retired(_expect_dict(d, "config"))
     _reject_unknown(d, _RUN_KEYS, "")
     hp = None if "hyperparams" not in d else parse_hyperparams(d["hyperparams"])
     auto = None if "auto" not in d else parse_auto(d["auto"])
@@ -288,46 +296,31 @@ def parse_run_config(d: dict) -> RunConfig:
         hyperparams=hp,
         auto=auto,
         num_seeds=_as_int(_get(d, "num_seeds", "", required=False, default=1), "num_seeds", minimum=1),
-        snapshot_every=_as_int(
-            _get(d, "snapshot_every", "", required=False, default=10), "snapshot_every", minimum=0
-        ),
         out_dir=_as_str(_get(d, "out_dir", "", required=False, default="out"), "out_dir"),
     )
 
 
-_SWEEP_KEYS = {
-    "problem", "topology", "x0", "master_seed", "auto", "m_list",
-    "target_epsilon", "algorithm", "num_seeds", "out_dir", "snapshot_every",
-}
+_SWEEP_KEYS = (_RUN_KEYS - {"hyperparams"}) | {"m_list", "target_epsilon"}
 
 
 def parse_sweep_config(d: dict) -> SweepConfig:
-    d = _expect_dict(d, "config")
+    """A run config without hyperparams, plus m_list and target_epsilon."""
+    d = _drop_retired(_expect_dict(d, "config"))
     _reject_unknown(d, _SWEEP_KEYS, "")
+    _get(d, "auto", "")  # the calculator reruns for every m
     raw_m = _get(d, "m_list", "", required=False, default=[2, 4, 8, 16])
     if not isinstance(raw_m, list) or not raw_m:
         raise ConfigError("m_list", "expected a non-empty list of integers")
     m_list = tuple(_as_int(v, f"m_list[{i}]", minimum=1) for i, v in enumerate(raw_m))
+    target_epsilon = _as_float(
+        _get(d, "target_epsilon", "", required=False, default=0.3),
+        "target_epsilon", 0.0, strict=True,
+    )
+    run = {key: v for key, v in d.items() if key not in ("m_list", "target_epsilon")}
     return SweepConfig(
-        problem=parse_problem(_get(d, "problem", "")),
-        topology=parse_topology(_get(d, "topology", "")),
-        x0=_parse_x0(_get(d, "x0", "")),
-        master_seed=parse_seed(_get(d, "master_seed", ""), "master_seed"),
-        auto=parse_auto(_get(d, "auto", "")),
+        run=parse_run_config({"algorithm": "dnsgd", **run}),
         m_list=m_list,
-        target_epsilon=_as_float(
-            _get(d, "target_epsilon", "", required=False, default=0.3),
-            "target_epsilon", 0.0, strict=True,
-        ),
-        algorithm=_as_str(
-            _get(d, "algorithm", "", required=False, default="dnsgd"),
-            "algorithm", choices=ALGORITHMS,
-        ),
-        num_seeds=_as_int(_get(d, "num_seeds", "", required=False, default=1), "num_seeds", minimum=1),
-        out_dir=_as_str(_get(d, "out_dir", "", required=False, default="out"), "out_dir"),
-        snapshot_every=_as_int(
-            _get(d, "snapshot_every", "", required=False, default=0), "snapshot_every", minimum=0
-        ),
+        target_epsilon=target_epsilon,
     )
 
 

@@ -124,10 +124,7 @@ def _run_seeds(
     seeds = tuple(
         fanout_seed(cfg.master_seed, seed_offset + idx) for idx in range(cfg.num_seeds)
     )
-    trajectories = [
-        run(cfg.algorithm, p, hp, mixing, x0, seed, snapshot_every=cfg.snapshot_every)
-        for seed in seeds
-    ]
+    trajectories = [run(cfg.algorithm, p, hp, mixing, x0, seed) for seed in seeds]
     return seeds, trajectories
 
 
@@ -300,7 +297,7 @@ def run_experiment(
 class SweepPoint:
     m: int
     hp: HyperParams
-    theory: TheoreticalParams
+    theory: TheoreticalParams | None
     lambda2: float
     gamma: float
     seeds_reached: int
@@ -330,27 +327,23 @@ def sweep_speedup(
     out_dir: str | Path | None = None,
     write_outputs: bool = True,
 ) -> SweepResult:
-    """Scaling sweep over network sizes at a fixed target accuracy.
+    """Run cfg.run once for each network size m in cfg.m_list.
 
     For each m the problem and mixing matrix are rebuilt, the calculator is
     rerun (so the batch size scales with 1/m), and the first iteration whose
-    mean-iterate gradient norm reaches target_epsilon is recorded. Points
-    where no seed reaches the target produce nan rows rather than errors.
+    mean-iterate gradient norm reaches target_epsilon is recorded. The m at
+    index i fans out its seeds from index i * num_seeds. Points where no seed
+    reaches the target produce nan rows rather than errors.
     """
+    run_cfg = cfg.run
     points: list[SweepPoint] = []
     for m_index, m in enumerate(cfg.m_list):
-        p = build_problem(cfg.problem, m=m)
-        _, mixing = build_mixing(cfg.topology, m)
-        x0 = resolve_x0(cfg.x0, p.d)
-        run_cfg = RunConfig(
-            problem=cfg.problem, topology=cfg.topology, algorithm=cfg.algorithm,
-            x0=cfg.x0, master_seed=cfg.master_seed, auto=cfg.auto,
-            num_seeds=cfg.num_seeds, snapshot_every=cfg.snapshot_every,
-            out_dir=cfg.out_dir,
-        )
+        p = build_problem(run_cfg.problem, m=m)
+        _, mixing = build_mixing(run_cfg.topology, m)
+        x0 = resolve_x0(run_cfg.x0, p.d)
         hp, theory = resolve_hyperparams(run_cfg, p, mixing, x0)
         _, trajectories = _run_seeds(
-            run_cfg, p, hp, mixing, x0, seed_offset=m_index * cfg.num_seeds
+            run_cfg, p, hp, mixing, x0, seed_offset=m_index * run_cfg.num_seeds
         )
         hits = [_first_hit(traj, cfg.target_epsilon) for traj in trajectories]
         reached = [h for h in hits if h is not None]
@@ -364,13 +357,13 @@ def sweep_speedup(
             SweepPoint(
                 m=m, hp=hp, theory=theory,
                 lambda2=mixing.lambda2, gamma=mixing.gamma,
-                seeds_reached=len(reached), num_seeds=cfg.num_seeds,
+                seeds_reached=len(reached), num_seeds=run_cfg.num_seeds,
                 mean_samples_per_agent=mean_samples, mean_comm_rounds=mean_comm,
                 trajectories=trajectories,
             )
         )
 
-    out = Path(out_dir) if out_dir is not None else Path(cfg.out_dir)
+    out = Path(out_dir) if out_dir is not None else Path(run_cfg.out_dir)
     result = SweepResult(config=cfg, points=points, out_dir=out if write_outputs else None)
     if write_outputs:
         out.mkdir(parents=True, exist_ok=True)
@@ -384,7 +377,7 @@ def sweep_speedup(
         (out / "config_echo.json").write_text(
             json.dumps({"config": dataclasses.asdict(cfg)}, indent=2, sort_keys=True) + "\n"
         )
-        slines = [f"sweep: {cfg.algorithm} target_epsilon={_fmt(cfg.target_epsilon)}"]
+        slines = [f"sweep: {run_cfg.algorithm} target_epsilon={_fmt(cfg.target_epsilon)}"]
         for pt in points:
             slines.append(
                 f"m={pt.m}: b={pt.hp.b} big_t={pt.hp.big_t} k_inner={pt.hp.k_inner} "

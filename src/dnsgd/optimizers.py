@@ -191,7 +191,6 @@ def run(
     w: MixingMatrix,
     x0: np.ndarray,
     master_seed: int,
-    snapshot_every: int = 10,
 ) -> Trajectory:
     """Run an algorithm for hp.big_t iterations and record its trajectory.
 
@@ -207,12 +206,9 @@ def run(
         raise ValueError(f"unknown algorithm {algorithm!r} (known: {', '.join(ALGORITHMS)})")
     if w.m != p.m:
         raise ValueError(f"mixing matrix couples {w.m} agents but the problem has {p.m}")
-    if snapshot_every < 0:
-        raise ValueError("snapshot_every must be non-negative")
     method = METHODS[algorithm]
     streams = RunStreams(master_seed)
 
-    snapshots: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     n_states = hp.big_t + 1
     cols = {f.name: np.empty(n_states) for f in fields(StateMetrics)}
     cols["agent_grad_norms"] = np.empty((n_states, p.m))
@@ -227,8 +223,6 @@ def run(
         i = s.t % block_len
         xs[i], vs[i], gs[i] = s.x, s.v, s.g_prev
         samples[s.t], comms[s.t] = s.samples_per_agent, s.comm_rounds
-        if snapshot_every and s.t % snapshot_every == 0:
-            snapshots[s.t] = (s.x.copy(), s.v.copy())
         if i + 1 < block_len and s.t < hp.big_t:
             return
         x, v, g = xs[: i + 1], vs[: i + 1], gs[: i + 1]
@@ -248,8 +242,6 @@ def run(
         for _ in range(hp.big_t):
             state = step(state, method, p, hp, w, streams)
             record(state)
-    if snapshot_every and state.t not in snapshots:
-        snapshots[state.t] = (state.x.copy(), state.v.copy())
 
     if hp.big_t > 0:
         output_indices = streams.output_draw().integers(0, hp.big_t, size=p.m)
@@ -263,7 +255,6 @@ def run(
         comm_rounds=comms,
         tracker_drifts=drifts,
         output_indices=output_indices,
-        snapshots=snapshots,
         box_exits=int(exit_ts.size),
         first_box_exit_t=int(exit_ts[0]) if exit_ts.size else None,
     )

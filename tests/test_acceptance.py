@@ -53,7 +53,6 @@ def crit3():
         master_seed=2024,
         auto=AutoHyperConfig(epsilon=0.2, t_cap=50_000),
         num_seeds=10,
-        snapshot_every=0,
     )
     t0 = time.perf_counter()
     result = run_experiment(cfg, write_outputs=False)
@@ -72,7 +71,6 @@ def crit4():
         master_seed=7,
         auto=AutoHyperConfig(epsilon=0.12, k_mode="guard"),
         num_seeds=1,
-        snapshot_every=0,
     )
     t0 = time.perf_counter()
     result = run_experiment(cfg, write_outputs=False)
@@ -81,20 +79,18 @@ def crit4():
 
 @pytest.fixture(scope="session")
 def crit5():
-    cfg = SweepConfig(
+    run = RunConfig(
         problem=ProblemConfig(
             family="exp_pair", d=10, m=2, zeta=0.2, sigma=1.0, seed=1, rate=1.0
         ),
         topology=TopologyConfig(kind="ring"),
+        algorithm="dnsgd",
         x0=1.0,
         master_seed=77,
         auto=AutoHyperConfig(epsilon=0.3, t_cap=200),
-        m_list=(2, 4, 8, 16),
-        target_epsilon=0.3,
-        algorithm="dnsgd",
         num_seeds=10,
-        snapshot_every=0,
     )
+    cfg = SweepConfig(run=run, m_list=(2, 4, 8, 16), target_epsilon=0.3)
     t0 = time.perf_counter()
     result = sweep_speedup(cfg, write_outputs=False)
     return result, time.perf_counter() - t0
@@ -323,7 +319,6 @@ def test_criterion_10_determinism_golden(tmp_path):
             "epsilon": 0.2,
         },
         "num_seeds": 4,
-        "snapshot_every": 0,
     }
     path = tmp_path / "pinned.json"
     path.write_text(json.dumps(cfg))

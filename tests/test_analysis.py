@@ -5,9 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from conftest import stepped_states
 
 from dnsgd.analysis import (
-    lyapunov_phi,
     state_metrics,
     stationarity_summary,
     verify_consensus_bound,
@@ -51,7 +51,7 @@ def test_phi_of_consensus_state_is_objective_value():
     xbar = np.array([0.3, -0.2, 0.0, 1.0, -0.5])
     x = np.tile(xbar, (QUAD.m, 1))
     v = np.tile(np.ones(QUAD.d), (QUAD.m, 1))
-    phi = lyapunov_phi(x, v, QUAD, eta=0.05)
+    phi = state_metrics(x, v, QUAD, eta=0.05).phi
     assert phi == pytest.approx(f_base(QUAD, xbar), abs=1e-12)
 
 
@@ -68,7 +68,7 @@ def test_phi_matches_hand_formula():
         * consensus_error(x)
         + (2.0 * eta / 2.0) * consensus_error(v)
     )
-    assert lyapunov_phi(x, v, QUAD, eta) == pytest.approx(expected, rel=1e-14)
+    assert state_metrics(x, v, QUAD, eta).phi == pytest.approx(expected, rel=1e-14)
 
 
 def test_phi_dominates_objective_infimum():
@@ -76,15 +76,15 @@ def test_phi_dominates_objective_infimum():
     for _ in range(20):
         x = rng.normal(size=(QUAD.m, QUAD.d))
         v = rng.normal(size=(QUAD.m, QUAD.d))
-        assert lyapunov_phi(x, v, QUAD, 0.02) >= QUAD.f_star
+        assert state_metrics(x, v, QUAD, 0.02).phi >= QUAD.f_star
 
 
 def test_phi_validation():
     x = np.zeros((QUAD.m, QUAD.d))
     with pytest.raises(ValueError, match="eta"):
-        lyapunov_phi(x, x, QUAD, 0.0)
+        state_metrics(x, x, QUAD, 0.0)
     with pytest.raises(ValueError, match="shape"):
-        lyapunov_phi(np.zeros((2, QUAD.d)), x, QUAD, 0.1)
+        state_metrics(np.zeros((2, QUAD.d)), x, QUAD, 0.1)
 
 
 STACK_PROBLEMS = [
@@ -124,7 +124,7 @@ def test_state_metrics_fields_consistent():
     )
     assert sm.cons_x == pytest.approx(consensus_error(x), rel=1e-14)
     assert sm.cons_v == pytest.approx(consensus_error(v), rel=1e-14)
-    assert lyapunov_phi(x, v, QUAD, 0.05) == sm.phi
+    assert state_metrics(x, v, QUAD, 0.05).phi == sm.phi
     assert sm.agent_grad_norms.shape == (QUAD.m,)
     # the metrics CSV digests depend on these norms matching the per-row norm exactly
     per_row = [np.linalg.norm(grad_base(QUAD, x[i])) for i in range(QUAD.m)]
@@ -134,7 +134,7 @@ def test_state_metrics_fields_consistent():
 def test_deterministic_descent_on_guarded_run():
     hp, th, x0 = _guard_mode_params(t_override=300)
     assert th.guard.ok
-    traj = run("dnsgd", QUAD, hp, RING4, x0, master_seed=7, snapshot_every=0)
+    traj = run("dnsgd", QUAD, hp, RING4, x0, master_seed=7)
     report = verify_descent([traj], QUAD, hp.eta, th.l_f, mode="deterministic")
     assert report.passed
     assert report.observed <= 1e-9
@@ -143,7 +143,7 @@ def test_deterministic_descent_on_guarded_run():
 
 def test_consensus_bound_on_guarded_run():
     hp, th, x0 = _guard_mode_params(t_override=200)
-    traj = run("dnsgd", QUAD, hp, RING4, x0, master_seed=7, snapshot_every=0)
+    traj = run("dnsgd", QUAD, hp, RING4, x0, master_seed=7)
     report = verify_consensus_bound(traj, th.rho_actual, QUAD.m, hp.eta)
     assert report.passed
     assert report.checked == 200
@@ -154,7 +154,7 @@ def test_consensus_bound_on_guarded_run():
     deep_hp = dataclasses.replace(hp, k_inner=hp.k_inner + 15)
     deep_rho = contraction_rho(1.0 - RING4.gamma, deep_hp.k_inner)
     assert deep_rho < th.rho_actual
-    deep = run("dnsgd", QUAD, deep_hp, RING4, x0, master_seed=7, snapshot_every=0)
+    deep = run("dnsgd", QUAD, deep_hp, RING4, x0, master_seed=7)
     deep_report = verify_consensus_bound(deep, deep_rho, QUAD.m, hp.eta)
     assert deep_report.passed
     assert deep_report.bound < report.bound
@@ -162,7 +162,7 @@ def test_consensus_bound_on_guarded_run():
 
 def test_consensus_bound_rejects_expanding_rho():
     hp, _, x0 = _guard_mode_params(t_override=1)
-    traj = run("dnsgd", QUAD, hp, RING4, x0, master_seed=7, snapshot_every=0)
+    traj = run("dnsgd", QUAD, hp, RING4, x0, master_seed=7)
     for rho in (1.0, 1.5, -0.1):
         with pytest.raises(ValueError, match="rho"):
             verify_consensus_bound(traj, rho, QUAD.m, hp.eta)
@@ -176,7 +176,7 @@ def test_stochastic_descent_seed_average():
     )
     x0 = np.full(p.d, 1.2)
     trajs = [
-        run("dnsgd", p, th.hp, RING4, x0, master_seed=100 + s, snapshot_every=0)
+        run("dnsgd", p, th.hp, RING4, x0, master_seed=100 + s)
         for s in range(10)
     ]
     report = verify_descent(trajs, p, th.hp.eta, th.l_f, mode="stochastic")
@@ -191,22 +191,19 @@ def test_stochastic_descent_seed_average():
 
 def test_descent_mode_validation():
     hp, th, x0 = _guard_mode_params(t_override=2)
-    traj = run("dnsgd", QUAD, hp, RING4, x0, master_seed=7, snapshot_every=0)
+    traj = run("dnsgd", QUAD, hp, RING4, x0, master_seed=7)
     with pytest.raises(ValueError, match="trajectory"):
         verify_descent([], QUAD, hp.eta, th.l_f)
     with pytest.raises(ValueError, match="mode"):
         verify_descent([traj], QUAD, hp.eta, th.l_f, mode="typo")
-    short = run(
-        "dnsgd", QUAD, dataclasses.replace(hp, big_t=1), RING4, x0,
-        master_seed=7, snapshot_every=0,
-    )
+    short = run("dnsgd", QUAD, dataclasses.replace(hp, big_t=1), RING4, x0, master_seed=7)
     with pytest.raises(ValueError, match="length"):
         verify_descent([traj, short], QUAD, hp.eta, th.l_f, mode="stochastic")
 
 
 def test_stationarity_summary_identities():
     hp, _, x0 = _guard_mode_params(t_override=50)
-    traj = run("dnsgd", QUAD, hp, RING4, x0, master_seed=21, snapshot_every=0)
+    traj = run("dnsgd", QUAD, hp, RING4, x0, master_seed=21)
     summ = stationarity_summary(traj)
     eligible = traj.metrics.grad_norm_mean[:50].tolist()
     assert summ.avg_grad_mean == pytest.approx(np.mean(eligible), rel=1e-14)
@@ -222,7 +219,7 @@ def test_stationarity_summary_identities():
 
 def test_stationarity_summary_degenerate_run():
     hp, _, x0 = _guard_mode_params(t_override=0)
-    traj = run("dnsgd", QUAD, hp, RING4, x0, master_seed=21, snapshot_every=0)
+    traj = run("dnsgd", QUAD, hp, RING4, x0, master_seed=21)
     assert traj.big_t == 0
     assert traj.output_indices is None
     summ = stationarity_summary(traj)
@@ -234,19 +231,21 @@ def test_stationarity_summary_degenerate_run():
 
 def test_consensus_bound_empty_tail():
     hp, th, x0 = _guard_mode_params(t_override=0)
-    traj = run("dnsgd", QUAD, hp, RING4, x0, master_seed=3, snapshot_every=0)
+    traj = run("dnsgd", QUAD, hp, RING4, x0, master_seed=3)
     report = verify_consensus_bound(traj, th.rho_actual, QUAD.m, hp.eta)
     assert report.passed
     assert report.checked == 0
 
 
 def test_phi_recorded_rows_match_recomputation():
-    # the runner's phi column must be reproducible from its snapshots
+    # the runner's phi column must be reproducible from every state it stepped through
     hp, _, x0 = _guard_mode_params(t_override=20)
-    traj = run("dnsgd", QUAD, hp, RING4, x0, master_seed=13, snapshot_every=1)
-    for t, (x, v) in traj.snapshots.items():
+    traj = run("dnsgd", QUAD, hp, RING4, x0, master_seed=13)
+    states = stepped_states("dnsgd", QUAD, hp, RING4, x0, 13)
+    assert [s.t for s in states] == list(range(hp.big_t + 1))
+    for t, s in enumerate(states):
         assert traj.metrics.phi[t] == pytest.approx(
-            lyapunov_phi(x, v, QUAD, hp.eta), rel=1e-14
+            state_metrics(s.x, s.v, QUAD, hp.eta).phi, rel=1e-14
         )
-        assert traj.metrics.cons_x[t] == pytest.approx(consensus_error(x), rel=1e-14)
+        assert traj.metrics.cons_x[t] == pytest.approx(consensus_error(s.x), rel=1e-14)
     assert math.isfinite(traj.metrics.phi[-1])

@@ -29,7 +29,6 @@ def _auto_quadratic(tmp_path, **extra):
         "x0": 0.6,
         "master_seed": 7,
         "auto": {"epsilon": 0.12, "k_mode": "guard"},
-        "snapshot_every": 0,
     }
     cfg.update(extra)
     return _write(tmp_path / "run.json", cfg)
@@ -49,7 +48,6 @@ def _noisy_run(tmp_path):
             "eta": 0.02, "b": 2, "big_t": 8, "k_inner": 3, "k_init": 1,
             "epsilon": 0.1,
         },
-        "snapshot_every": 0,
     })
 
 
@@ -205,6 +203,18 @@ def test_usage_errors_exit_two(tmp_path, capsys):
         assert "seed" in capsys.readouterr().err
 
 
+def test_retired_snapshot_key_exits_two(tmp_path, capsys):
+    # state snapshots were removed: the key parses only as 0, which asked for none
+    for value in (3, -1, True):
+        cfg = _auto_quadratic(tmp_path, snapshot_every=value)
+        assert main(["run", "--config", cfg, "--out-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: snapshot_every: state snapshots were removed; "
+            f"only 0 is accepted, got {value!r}\n"
+        )
+    assert not (tmp_path / "out").exists()
+
+
 def _child_env():
     """Environment in which a child interpreter imports the ``dnsgd`` under test.
 
@@ -260,7 +270,6 @@ def test_diverging_run_exits_one_without_traceback(tmp_path, case):
         "x0": 0.6,
         "master_seed": 7,
         "hyperparams": {"b": 1, "k_inner": 1, "k_init": 1, "epsilon": 0.1, **hyper},
-        "snapshot_every": 0,
     })
     proc = subprocess.run(
         [sys.executable, "-m", "dnsgd.cli", "run", "--config", cfg, "--out-dir", "out"],
@@ -272,17 +281,25 @@ def test_diverging_run_exits_one_without_traceback(tmp_path, case):
     assert "Traceback" not in proc.stderr
 
 
-SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+COMPARE_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "compare_optimizers.py"
 
 
-@pytest.mark.parametrize("script,args", [
-    ("speedup_sweep.py", ["--seeds", "1", "--t-cap", "3", "--m-list", "2", "4"]),
-    ("compare_optimizers.py", ["--seeds", "1", "--t-cap", "3"]),
-])
-def test_scripts_run(tmp_path, script, args):
-    proc = subprocess.run(
-        [sys.executable, str(SCRIPTS / script), *args],
-        capture_output=True, text=True, cwd=str(tmp_path), env=_child_env(), timeout=120,
-    )
+def test_scripts_run(tmp_path):
+    def compare(*args):
+        return subprocess.run(
+            [sys.executable, str(COMPARE_SCRIPT), *args],
+            capture_output=True, text=True, cwd=str(tmp_path), env=_child_env(), timeout=120,
+        )
+
+    proc = compare("--seeds", "1", "--t-cap", "3")
     assert proc.returncode == 0, proc.stderr
     assert "samples/agent" in proc.stdout.splitlines()[0], proc.stdout
+    # the script's options are validated as a run config: bad usage exits 2, without a traceback
+    for args, error in [
+        (["--seeds", "0"], "num_seeds: must be >= 1, got 0"),
+        (["--seed", "-5"], "master_seed: must be >= 0, got -5"),
+    ]:
+        proc = compare(*args)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr == f"config error: {error}\n"
+        assert proc.stdout == ""

@@ -31,7 +31,6 @@ RUN_CONFIG = {
         "epsilon": 0.2,
     },
     "num_seeds": 4,
-    "snapshot_every": 0,
 }
 
 # Family parameters that replace "rate" in the criterion-10 problem.
@@ -101,7 +100,6 @@ OUTPUT_CONFIGS = {
         "master_seed": 31,
         "auto": {"epsilon": 0.3, "t_cap": 20, "k_mode": "guard"},
         "num_seeds": 10,
-        "snapshot_every": 0,
     },
     "deterministic": {
         "problem": {
@@ -114,7 +112,6 @@ OUTPUT_CONFIGS = {
         "master_seed": 7,
         "auto": {"epsilon": 0.12, "t_cap": 30, "k_mode": "guard"},
         "num_seeds": 1,
-        "snapshot_every": 0,
     },
 }
 
@@ -123,10 +120,14 @@ OUTPUT_CHECKS = {
     "deterministic": ["tracker_identity", "consensus_bound", "descent_deterministic"],
 }
 
+# The config_echo.json pins here and in SWEEP_OUTPUT_DIGESTS were rebaselined
+# once when state snapshots were removed: snapshot_every left the echoed
+# config, and a sweep's echo nests its run config under "run". Every other
+# pinned file held.
 OUTPUT_DIGESTS = {
     "stochastic": {
         "checks.csv": "a4fce51f60b4e682797ba3dc8c552d94411657e68b2d5cea7ccaa6b6368e28b5",
-        "config_echo.json": "ccd1fee54390429dfa6028c65357bb95e1fa902dd528b0b739bc3fcf5cb03b32",
+        "config_echo.json": "58a53bedf50780f68573663324889abecbfeb17425c78e35fc702297ed865bb3",
         "metrics_seed000.csv": "e0bba0c46ff98e2a1cedc16b44fb0858fb95b0f5fac8f7e3e5abad1fce8d80ea",
         "metrics_seed001.csv": "1843d17ee1c0651d565afdc17da37a93b64603e1751b693f5d4f5a14787511de",
         "metrics_seed002.csv": "01e684f8209e6d410106dcb9e8c11ab35a8c1a83ce92ad27a54b3da2338bfb26",
@@ -142,7 +143,7 @@ OUTPUT_DIGESTS = {
     },
     "deterministic": {
         "checks.csv": "12d6a3d8b7036d902244ff50d55fbcd3acdb8d6aa06849ae114e7c20caf4984f",
-        "config_echo.json": "cfe4f8f4b1d2bcf78ed9a6accc060a13a85f6605ae91c8f618f854f767c6d9a1",
+        "config_echo.json": "01cfe4f07997eb16268454017a76062d4ffec0764e59a8f2eb5d30fefa18d1b9",
         "metrics_seed000.csv": "1d193c6d81daaef1692d91f7316244dcbf9c3fe2cb5c6de4004c98e36f6bc764",
         "params_report.txt": "311ca991d3f4e9723f12aa3564c76874f1381437e1d54e0b38a3cfe5de99144f",
         "summary.txt": "d76ba4bb35db8a31d88f898920e3c3a758a4fa4bb99a790c1da83264a9e6952a",
@@ -151,7 +152,7 @@ OUTPUT_DIGESTS = {
 
 # The other files of the pinned sweep; speedup.csv is SWEEP_DIGEST.
 SWEEP_OUTPUT_DIGESTS = {
-    "config_echo.json": "8b987e8fb4123971fd231d583ba147d5dabce7736bbed6bdd866f15d4a92451a",
+    "config_echo.json": "e75a9a5f6bc026453031817f63cc6069498b4598820d3abc095d278ffd779748",
     "summary.txt": "049fd0c1d6b6befba787eada8b92a3a08fb4807c82821e9a73c767e1f7d7af08",
 }
 

@@ -44,7 +44,6 @@ def _quad_cfg(**kw):
         master_seed=11,
         hyperparams=HyperParams(eta=0.03, b=1, big_t=40, k_inner=11, k_init=2, epsilon=0.12),
         num_seeds=2,
-        snapshot_every=0,
         out_dir="out",
     )
     base.update(kw)
@@ -236,6 +235,34 @@ def test_shipped_configs_parse(path):
         cfg = parse_sweep_config(raw)
         assert cfg.m_list == tuple(raw["m_list"])
         assert cfg.target_epsilon == raw["target_epsilon"]
+        assert cfg.run.algorithm == raw["algorithm"]
+        assert cfg.run.problem.family == raw["problem"]["family"]
+        assert (cfg.run.master_seed, cfg.run.num_seeds) == (raw["master_seed"], raw["num_seeds"])
+        assert cfg.run.auto.epsilon == raw["auto"]["epsilon"]
+
+
+def test_sweep_config_is_a_run_config_plus_its_m_axis():
+    raw = load_json(CONFIGS / "sweep_speedup.json")
+    cfg = parse_sweep_config(raw)
+    run = {key: v for key, v in raw.items() if key not in ("m_list", "target_epsilon")}
+    assert cfg.run == parse_run_config(run)
+    # algorithm defaults to dnsgd; m_list and target_epsilon have defaults too
+    del raw["algorithm"], raw["m_list"], raw["target_epsilon"]
+    cfg = parse_sweep_config(raw)
+    assert (cfg.run.algorithm, cfg.m_list, cfg.target_epsilon) == ("dnsgd", (2, 4, 8, 16), 0.3)
+
+
+def test_retired_snapshot_key_parses_only_as_zero():
+    # state snapshots were removed; 0 asked for none, so older configs keep parsing
+    run = {**_raw_run_dict(), "snapshot_every": 0}
+    assert parse_run_config(run) == parse_run_config(_raw_run_dict())
+    sweep = {**load_json(CONFIGS / "sweep_speedup.json"), "snapshot_every": 0}
+    assert parse_sweep_config(sweep) == parse_sweep_config(load_json(CONFIGS / "sweep_speedup.json"))
+    for value in (3, -1, True, 0.0, "0", None):
+        for parse, raw in ((parse_run_config, run), (parse_sweep_config, sweep)):
+            with pytest.raises(ConfigError, match="state snapshots were removed") as exc:
+                parse({**raw, "snapshot_every": value})
+            assert exc.value.field == "snapshot_every"
 
 
 _DROP = object()
@@ -286,19 +313,18 @@ def test_box_exits_reported(tmp_path):
     assert "box exits" in (tmp_path / "summary.txt").read_text()
 
 
-def test_sweep_outputs_and_determinism(tmp_path):
-    cfg = SweepConfig(
+def _quad_sweep(x0, auto, m_list, target_epsilon, num_seeds):
+    run = _quad_cfg(
         problem=ProblemConfig(
             family="quadratic", d=3, m=2, zeta=0.5, sigma=0.0, seed=2, curvature=1.0
         ),
-        topology=TopologyConfig(kind="ring"),
-        x0=1.0,
-        master_seed=11,
-        auto=AutoHyperConfig(epsilon=0.3, t_cap=200),
-        m_list=(4, 4, 8),
-        target_epsilon=0.3,
-        num_seeds=2,
+        x0=x0, hyperparams=None, auto=auto, num_seeds=num_seeds,
     )
+    return SweepConfig(run=run, m_list=m_list, target_epsilon=target_epsilon)
+
+
+def test_sweep_outputs_and_determinism(tmp_path):
+    cfg = _quad_sweep(1.0, AutoHyperConfig(epsilon=0.3, t_cap=200), (4, 4, 8), 0.3, 2)
     result = sweep_speedup(cfg, out_dir=tmp_path)
     text = (tmp_path / "speedup.csv").read_text()
     lines = text.strip().splitlines()
@@ -330,18 +356,7 @@ def test_sweep_certifies_the_stub_once(monkeypatch):
 
 
 def test_sweep_unreachable_target_yields_nan_row(tmp_path):
-    cfg = SweepConfig(
-        problem=ProblemConfig(
-            family="quadratic", d=3, m=2, zeta=0.5, sigma=0.0, seed=2, curvature=1.0
-        ),
-        topology=TopologyConfig(kind="ring"),
-        x0=4.0,
-        master_seed=11,
-        auto=AutoHyperConfig(epsilon=0.3, t_cap=2),
-        m_list=(4,),
-        target_epsilon=1e-9,
-        num_seeds=1,
-    )
+    cfg = _quad_sweep(4.0, AutoHyperConfig(epsilon=0.3, t_cap=2), (4,), 1e-9, 1)
     result = sweep_speedup(cfg, out_dir=tmp_path)
     assert result.points[0].seeds_reached == 0
     assert np.isnan(result.points[0].mean_samples_per_agent)
@@ -356,7 +371,7 @@ def test_long_ring_m256_run_keeps_tracker_identity():
         "problem": {"family": "exp_pair", "d": 10, "m": 256, "zeta": 0.2, "sigma": 0.1,
                     "seed": 1, "rate": 1.0},
         "topology": {"kind": "ring"}, "algorithm": "dnsgd", "x0": 1.5, "master_seed": 1,
-        "auto": {"epsilon": 0.2, "t_cap": 300}, "num_seeds": 1, "snapshot_every": 0,
+        "auto": {"epsilon": 0.2, "t_cap": 300}, "num_seeds": 1,
     })
     res = run_experiment(cfg, write_outputs=False)
     assert (res.hp.big_t, res.hp.k_inner) == (300, 1107)

@@ -4,18 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from conftest import stepped_states
 
 from dnsgd.hyperparams import HyperParams, lyapunov_constants
 from dnsgd.optimizers import (
     ALGORITHMS,
-    METHODS,
     METRICS_BLOCK_FLOATS,
     NonFiniteStateError,
     dnasa_schedule,
-    init_state,
     normalize_rows,
     run,
-    step,
 )
 from dnsgd.problems import f_base, grad_base, make_exp_pair, make_poly_even, make_quadratic
 from dnsgd.streams import RunStreams
@@ -74,10 +72,10 @@ def test_dnsgd_mean_update_identity():
     # xbar' = xbar - eta * mean(normalize_rows(V)) up to floating point
     p = make_quadratic(d=3, curvature=1.0, m=4, zeta=0.8, sigma=0.0, seed=2)
     hp = _hp(eta=0.04, big_t=25, k_inner=4, k_init=3)
-    traj = run("dnsgd", p, hp, RING4, np.full(3, 1.5), master_seed=9, snapshot_every=1)
+    states = stepped_states("dnsgd", p, hp, RING4, np.full(3, 1.5), 9)
     for t in range(hp.big_t):
-        x_t, v_t = traj.snapshots[t]
-        x_next, _ = traj.snapshots[t + 1]
+        x_t, v_t = states[t].x, states[t].v
+        x_next = states[t + 1].x
         predicted = x_t.mean(axis=0) - hp.eta * normalize_rows(v_t).mean(axis=0)
         assert np.allclose(x_next.mean(axis=0), predicted, atol=1e-10)
         # normalized directions bound the mean displacement by eta
@@ -115,8 +113,8 @@ def test_dsgt_removes_heterogeneity_floor():
     p = make_quadratic(d=3, curvature=1.0, m=4, zeta=1.0, sigma=0.0, seed=8)
     hp = _hp(eta=0.05, big_t=400)
     x0 = np.full(3, 1.0)
-    dsgd = run("dsgd", p, hp, RING4, x0, master_seed=5, snapshot_every=0)
-    dsgt = run("dsgt", p, hp, RING4, x0, master_seed=5, snapshot_every=0)
+    dsgd = run("dsgd", p, hp, RING4, x0, master_seed=5)
+    dsgt = run("dsgt", p, hp, RING4, x0, master_seed=5)
     assert dsgd.metrics.agent_grad_norms[-1].max() > 0.01
     assert dsgd.metrics.cons_x[-1] > 0.01
     assert dsgt.metrics.agent_grad_norms[-1].max() < 1e-6
@@ -152,10 +150,10 @@ def test_dnasa_schedule_frozen():
 def test_dnasa_step_respects_schedule():
     p = make_quadratic(d=3, curvature=1.0, m=4, zeta=0.5, sigma=0.0, seed=2)
     hp = _hp(eta=0.5, big_t=12)
-    traj = run("dnasa", p, hp, RING4, np.full(3, 2.0), master_seed=6, snapshot_every=1)
+    states = stepped_states("dnasa", p, hp, RING4, np.full(3, 2.0), 6)
     for t in range(hp.big_t):
-        x_t, _ = traj.snapshots[t]
-        x_next, _ = traj.snapshots[t + 1]
+        x_t = states[t].x
+        x_next = states[t + 1].x
         step = np.linalg.norm(x_next.mean(axis=0) - x_t.mean(axis=0))
         assert step <= dnasa_schedule(hp.eta, p.m, t + 1) * (1.0 + 1e-12)
 
@@ -204,8 +202,9 @@ def test_run_argument_validation():
     other = metropolis_mixing(build_topology("ring", 8))
     with pytest.raises(ValueError, match="couples"):
         run("dnsgd", p, hp, other, np.zeros(2), master_seed=1)
-    with pytest.raises(ValueError, match="snapshot_every"):
-        run("dnsgd", p, hp, RING4, np.zeros(2), master_seed=1, snapshot_every=-1)
+    # state snapshots were removed with their keyword
+    with pytest.raises(TypeError, match="snapshot_every"):
+        run("dnsgd", p, hp, RING4, np.zeros(2), master_seed=1, snapshot_every=1)
     with pytest.raises(ValueError, match="shape"):
         run("dnsgd", p, hp, RING4, np.zeros(3), master_seed=1)
     with pytest.raises(ValueError, match="finite"):
@@ -239,18 +238,13 @@ COLUMNS = (
 )
 
 
-def reference_run(algorithm, p, hp, w, x0, master_seed, snapshot_every=10):
-    """run, with every state's metrics recorded right after its step."""
-    method = METHODS[algorithm]
-    streams = RunStreams(master_seed)
-    state = init_state(method, p, x0, hp, w, streams)
+def reference_run(algorithm, p, hp, w, x0, master_seed):
+    """run, with every state's metrics recorded one state at a time."""
     cols = {name: [] for name in COLUMNS}
-    drifts, agent_norms, snapshots = [], [], {}
+    drifts, agent_norms = [], []
     box_exits = 0
     first_exit = None
-
-    def record(s):
-        nonlocal box_exits, first_exit
+    for s in stepped_states(algorithm, p, hp, w, x0, master_seed):
         f_mean, grad_norm, agent, cons_x, cons_v, phi = reference_state_metrics(
             s.x, s.v, p, hp.eta
         )
@@ -269,20 +263,12 @@ def reference_run(algorithm, p, hp, w, x0, master_seed, snapshot_every=10):
             box_exits += 1
             if first_exit is None:
                 first_exit = s.t
-        if snapshot_every and s.t % snapshot_every == 0:
-            snapshots[s.t] = (s.x.copy(), s.v.copy())
-
-    record(state)
-    for _ in range(hp.big_t):
-        state = step(state, method, p, hp, w, streams)
-        record(state)
-    if snapshot_every and state.t not in snapshots:
-        snapshots[state.t] = (state.x.copy(), state.v.copy())
     output_indices = (
-        streams.output_draw().integers(0, hp.big_t, size=p.m) if hp.big_t > 0 else None
+        RunStreams(master_seed).output_draw().integers(0, hp.big_t, size=p.m)
+        if hp.big_t > 0 else None
     )
     return {name: np.array(col) for name, col in cols.items()}, np.array(agent_norms), \
-        np.array(drifts), output_indices, snapshots, box_exits, first_exit
+        np.array(drifts), output_indices, box_exits, first_exit
 
 
 def recorded_columns(traj):
@@ -296,10 +282,10 @@ def recorded_columns(traj):
     }
 
 
-def _assert_matches_reference(algorithm, p, hp, w, x0, seed, snapshot_every=10):
-    traj = run(algorithm, p, hp, w, x0, seed, snapshot_every=snapshot_every)
-    cols, agent_norms, drifts, output_indices, snapshots, box_exits, first_exit = reference_run(
-        algorithm, p, hp, w, x0, seed, snapshot_every=snapshot_every
+def _assert_matches_reference(algorithm, p, hp, w, x0, seed):
+    traj = run(algorithm, p, hp, w, x0, seed)
+    cols, agent_norms, drifts, output_indices, box_exits, first_exit = reference_run(
+        algorithm, p, hp, w, x0, seed
     )
     for name, col in recorded_columns(traj).items():
         assert col.shape == cols[name].shape, name
@@ -313,10 +299,6 @@ def _assert_matches_reference(algorithm, p, hp, w, x0, seed, snapshot_every=10):
         assert traj.output_indices is None
     else:
         assert np.array_equal(traj.output_indices, output_indices)
-    assert traj.snapshots.keys() == snapshots.keys()
-    for t, (x, v) in snapshots.items():
-        assert np.array_equal(traj.snapshots[t][0], x)
-        assert np.array_equal(traj.snapshots[t][1], v)
     assert traj.box_exits == box_exits
     assert traj.first_box_exit_t == first_exit
     return traj
@@ -339,7 +321,7 @@ def test_run_matches_per_iteration_reference(algorithm, family):
     p = WIDE_PROBLEMS[family]()
     block = _block_len(p)
     hp = _hp(eta=0.02, b=2, big_t=2 * block + 3, k_inner=3, k_init=2)
-    _assert_matches_reference(algorithm, p, hp, RING4, np.full(D_WIDE, 0.5), 11, snapshot_every=7)
+    _assert_matches_reference(algorithm, p, hp, RING4, np.full(D_WIDE, 0.5), 11)
 
 
 @pytest.mark.parametrize("horizon", ["0", "1", "B-1", "B", "2B+3"])
