@@ -14,6 +14,8 @@ from dnsgd.config import (
     RunConfig,
     SweepConfig,
     TopologyConfig,
+    build_mixing,
+    build_problem,
     load_json,
     parse_run_config,
     parse_sweep_config,
@@ -27,7 +29,9 @@ from dnsgd.harness import (
     sweep_speedup,
 )
 from dnsgd.hyperparams import HyperParams
+from dnsgd.optimizers import run
 from dnsgd.problems import f_base
+from dnsgd.streams import fanout_seed
 from dnsgd.topology import build_topology, metropolis_mixing
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -125,8 +129,6 @@ def test_config_echo_resolved_block(tmp_path):
 
 def test_auto_delta_f_defaults_to_initial_gap():
     cfg = _quad_cfg(hyperparams=None, auto=AutoHyperConfig(epsilon=0.12))
-    from dnsgd.config import build_mixing, build_problem
-
     p = build_problem(cfg.problem)
     _, mixing = build_mixing(cfg.topology, p.m)
     x0 = resolve_x0(cfg.x0, p.d)
@@ -140,8 +142,6 @@ def test_auto_delta_f_defaults_to_initial_gap():
 def test_explicit_hyperparams_pass_through():
     cfg = _quad_cfg()
     mixing = metropolis_mixing(build_topology("ring", 4))
-    from dnsgd.config import build_problem
-
     p = build_problem(cfg.problem)
     hp, theory = resolve_hyperparams(cfg, p, mixing, np.zeros(3))
     assert hp is cfg.hyperparams
@@ -334,6 +334,20 @@ def test_sweep_outputs_and_determinism(tmp_path):
     assert lines[1] == lines[2]
     assert result.points[0].seeds_reached == 2
     assert result.points[0].mean_samples_per_agent == result.points[1].mean_samples_per_agent
+
+
+def test_sweep_seeds_follow_the_m_index():
+    # the m at index i runs the fanned-out seeds i * num_seeds onward; the
+    # runs are noiseless, so each seed shows in its output draw
+    cfg = _quad_sweep(1.0, AutoHyperConfig(epsilon=0.3, t_cap=50), (4, 4), 0.3, 2)
+    result = sweep_speedup(cfg, write_outputs=False)
+    for i, pt in enumerate(result.points):
+        p = build_problem(cfg.run.problem, m=pt.m)
+        _, mixing = build_mixing(cfg.run.topology, pt.m)
+        for j, traj in enumerate(pt.trajectories):
+            seed = fanout_seed(cfg.run.master_seed, 2 * i + j)
+            expected = run("dnsgd", p, pt.hp, mixing, np.full(3, 1.0), seed)
+            assert np.array_equal(traj.output_indices, expected.output_indices), (i, j)
 
 
 def test_sweep_certifies_the_stub_once(monkeypatch):
