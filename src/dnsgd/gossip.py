@@ -18,6 +18,10 @@ Column means are preserved in exact arithmetic because W is doubly
 stochastic.
 
 plain_gossip is the unaccelerated W^k map used by the baseline optimizers.
+
+Each public map checks its arguments and then runs its kernel (_acc_mix,
+_plain_mix), which does not check. The optimizers call the kernels on
+matrices they have already checked, so each array is checked once per step.
 """
 
 from __future__ import annotations
@@ -74,23 +78,30 @@ def _acc_gains(mix: MixingMatrix, k: int) -> np.ndarray:
     return gains
 
 
+def _acc_mix(y0: np.ndarray, mix: MixingMatrix, k: int) -> np.ndarray:
+    _, q = mix.spectrum
+    z = q.T @ y0
+    z *= _acc_gains(mix, k)[:, None]
+    return q @ z
+
+
+def _plain_mix(y0: np.ndarray, mix: MixingMatrix, k: int) -> np.ndarray:
+    y = y0.copy()
+    for _ in range(k):
+        y = mix.w @ y
+    return y
+
+
 def acc_gossip(y0: np.ndarray, mix: MixingMatrix, k: int) -> np.ndarray:
     """Accelerated gossip: the map of k + 1 Chebyshev rounds, applied spectrally."""
     _check_rounds(k)
-    y0 = _check_agent_matrix(y0, mix)
-    gains = _acc_gains(mix, k)
-    _, q = mix.spectrum
-    return q @ (gains[:, None] * (q.T @ y0))
+    return _acc_mix(_check_agent_matrix(y0, mix), mix, k)
 
 
 def plain_gossip(y0: np.ndarray, mix: MixingMatrix, k: int) -> np.ndarray:
     """Unaccelerated gossip: returns W^k @ y0 (k = 0 returns a copy of y0)."""
     _check_rounds(k)
-    y0 = _check_agent_matrix(y0, mix)
-    y = y0.copy()
-    for _ in range(k):
-        y = mix.w @ y
-    return y
+    return _plain_mix(_check_agent_matrix(y0, mix), mix, k)
 
 
 def contraction_rho(lambda2: float, k: int) -> float:

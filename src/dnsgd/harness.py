@@ -100,13 +100,17 @@ def resolve_hyperparams(
     if cfg.hyperparams is not None:
         return cfg.hyperparams, None
     auto = cfg.auto
-    delta_f = auto.delta_f
-    if delta_f is None:
-        delta_f = max(f_base(p, x0) - p.f_star, 0.0)
+    # a start point far enough out overflows both to inf, which the calculator
+    # rejects; that error is the one report, without numpy warnings before it
+    with np.errstate(over="ignore", invalid="ignore"):
+        delta_f = auto.delta_f
+        if delta_f is None:
+            delta_f = max(f_base(p, x0) - p.f_star, 0.0)
+        g0_norm_sq = _initial_gradient_energy(p, x0)
     theory = theoretical_hyperparams(
         epsilon=auto.epsilon, l0=p.l0, l1=p.l1, zeta=p.zeta, sigma=p.sigma,
         m=p.m, gamma=mixing.gamma, delta_f_estimate=delta_f,
-        g0_norm_sq=_initial_gradient_energy(p, x0),
+        g0_norm_sq=g0_norm_sq,
         c_k=auto.c_k, c_k_hat=auto.c_k_hat, t_cap=auto.t_cap,
         k_mode=auto.k_mode, rho_max=auto.rho_max,
     )

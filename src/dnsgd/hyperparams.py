@@ -235,6 +235,8 @@ def theoretical_hyperparams(
         raise ValueError("l0, l1, zeta, sigma must be non-negative")
     if delta_f_estimate <= 0:
         raise ValueError("delta_f_estimate must be positive")
+    if not math.isfinite(delta_f_estimate):
+        raise ValueError(f"delta_f_estimate must be finite, got {delta_f_estimate}")
     if k_mode not in ("formula", "guard"):
         raise ValueError(f"k_mode must be 'formula' or 'guard', got {k_mode!r}")
     if not 0.0 < rho_max < 1.0:
@@ -272,6 +274,8 @@ def theoretical_hyperparams(
     if g0_norm_sq is not None:
         if g0_norm_sq < 0:
             raise ValueError("g0_norm_sq must be non-negative")
+        if not math.isfinite(g0_norm_sq):
+            raise ValueError(f"g0_norm_sq must be finite, got {g0_norm_sq}")
         drive = math.sqrt(m * sigma * sigma / b + g0_norm_sq)
         if drive == 0.0:
             k_init = 1

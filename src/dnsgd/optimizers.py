@@ -33,6 +33,13 @@ each, makes one state_metrics call per block and writes the results into the
 block's slice of each column.
 A state that turns non-finite, or whose iterates leave the exponential
 family's safe range, raises NonFiniteStateError with its iteration and agent.
+
+The runner hands init_state and step one RunStreams for the whole run: it
+derives the oracle keys of iterations 0..big_t in one pass, and its one reused
+generator is valid until the next oracle call. step checks each array it makes
+once: X - eta dir(V), X', G', the corrected tracker V + G' - G before it is
+mixed, and V'; init_state checks G and the gossiped V. The gossip and
+normalization kernels step calls do not check again.
 """
 
 from __future__ import annotations
@@ -42,7 +49,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .analysis import StateMetrics, Trajectory, state_metrics
-from .gossip import acc_gossip, plain_gossip
+from .gossip import _acc_mix, _plain_mix, acc_gossip
 from .hyperparams import HyperParams
 from .problems import ExpRangeError, ProblemInstance, _row_norms, sample_grad
 from .streams import RunStreams
@@ -94,21 +101,24 @@ class OptimizerState:
     comm_rounds: int
 
 
+def _unit_rows(v: np.ndarray) -> np.ndarray:
+    # add.reduce of the squares is np.linalg.norm's own sum, so the norms
+    # equal np.linalg.norm(v, axis=1) bit for bit
+    norms = np.sqrt(np.add.reduce(v * v, axis=1, keepdims=True))
+    return np.divide(v, norms, out=np.zeros(v.shape), where=norms > EPS_NORM)
+
+
 def normalize_rows(v: np.ndarray) -> np.ndarray:
     """Scale each row to unit Euclidean norm; rows below EPS_NORM become zero."""
     v = np.asarray(v, dtype=np.float64)
     if not np.all(np.isfinite(v)):
         raise ValueError("normalize_rows requires finite input")
-    norms = np.linalg.norm(v, axis=1, keepdims=True)
-    out = np.zeros_like(v)
-    keep = norms[:, 0] > EPS_NORM
-    out[keep] = v[keep] / norms[keep]
-    return out
+    return _unit_rows(v)
 
 
 def _ensure_finite(mat: np.ndarray, what: str, t: int) -> None:
     finite = np.isfinite(mat)
-    if not finite.all():
+    if not np.logical_and.reduce(finite, axis=None):  # finite.all(), minus its Python wrapper
         agent = int(np.flatnonzero(~finite.all(axis=1))[0])
         raise NonFiniteStateError(
             f"non-finite {what} at iteration {t}, agent {agent}"
@@ -142,6 +152,7 @@ def init_state(
     _ensure_finite(g, "gradient batch", 0)
     if method.accelerated:
         v, rounds = acc_gossip(g, w, hp.k_init), hp.k_init
+        _ensure_finite(v, "tracker matrix", 0)
     else:
         v, rounds = g.copy(), 0
     return OptimizerState(
@@ -153,14 +164,17 @@ def step(
     s: OptimizerState, method: Method, p: ProblemInstance, hp: HyperParams, w: MixingMatrix,
     streams: RunStreams,
 ) -> OptimizerState:
-    """One iteration of the shared rule: mix X - step * direction, resample, track."""
+    """One iteration of the shared rule: mix X - step * direction, resample, track.
+
+    s must come from init_state or step with the same p, hp and w: its V was
+    checked when it was made, and the kernels called here do not check.
+    """
     t_next = s.t + 1
     eta = dnasa_schedule(hp.eta, p.m, t_next) if method.scheduled else hp.eta
-    direction = normalize_rows(s.v) if method.normalized else s.v
-    # looked up per call, so a wrapper installed on this module's names is used
-    mix, rounds = (acc_gossip, hp.k_inner) if method.accelerated else (plain_gossip, 1)
-    # checked before mixing, so a diverging step is reported as such and not
-    # as a gossip input error
+    direction = _unit_rows(s.v) if method.normalized else s.v
+    mix, rounds = (_acc_mix, hp.k_inner) if method.accelerated else (_plain_mix, 1)
+    # checked before mixing, so a diverging step is reported at the array
+    # that overflowed
     x_half = s.x - eta * direction
     _ensure_finite(x_half, "iterate matrix", t_next)
     x_next = mix(x_half, w, rounds)
@@ -173,7 +187,9 @@ def step(
     v_next = g_next
     if method.tracked:
         if method.accelerated:  # correct the tracker, then mix it
-            v_next = mix(s.v + g_next - s.g_prev, w, rounds)
+            corrected = s.v + g_next - s.g_prev
+            _ensure_finite(corrected, "tracker matrix", t_next)
+            v_next = mix(corrected, w, rounds)
         else:  # mix the old tracker, then correct it
             v_next = mix(s.v, w, rounds) + g_next - s.g_prev
         _ensure_finite(v_next, "tracker matrix", t_next)
@@ -207,7 +223,7 @@ def run(
     if w.m != p.m:
         raise ValueError(f"mixing matrix couples {w.m} agents but the problem has {p.m}")
     method = METHODS[algorithm]
-    streams = RunStreams(master_seed)
+    streams = RunStreams(master_seed, hp.big_t)
 
     n_states = hp.big_t + 1
     cols = {f.name: np.empty(n_states) for f in fields(StateMetrics)}

@@ -266,7 +266,7 @@ def test_criterion_8_oracle_correctness():
     x = np.array([0.3, -1.1, 0.7])
     exact = grad_local(p, 0, x)
     b, n = 4, 20_000
-    streams = RunStreams(909)
+    streams = RunStreams(909, n - 1)
     x_rows = np.tile(x, (p.m, 1))
     draws = np.empty((n, p.d))
     for t in range(n):

@@ -281,6 +281,39 @@ def test_diverging_run_exits_one_without_traceback(tmp_path, case):
     assert "Traceback" not in proc.stderr
 
 
+QUADRATIC_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "run_quadratic_descent.json"
+
+FAR_STARTS = {
+    # the start gossip of the tracker overflows: a divergence, not bad usage
+    "explicit": (
+        {"hyperparams": {"eta": 0.1, "b": 1, "big_t": 5, "k_inner": 3, "k_init": 1,
+                         "epsilon": 0.12}},
+        1,
+        "error: non-finite tracker matrix at iteration 0, agent 0",
+    ),
+    # the calculator's initial gap is infinite: its input is rejected
+    "auto": ({}, 2, "error: delta_f_estimate must be finite, got inf"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAR_STARTS))
+def test_far_start_exits_with_one_error_line(tmp_path, case):
+    extra, code, message = FAR_STARTS[case]
+    cfg = json.loads(QUADRATIC_CONFIG.read_text())
+    cfg["x0"] = 1e308
+    if "hyperparams" in extra:
+        del cfg["auto"]
+    cfg.update(extra)
+    proc = subprocess.run(
+        [sys.executable, "-m", "dnsgd.cli", "run", "--config", _write(tmp_path / "far.json", cfg),
+         "--out-dir", "out"],
+        capture_output=True, text=True, cwd=str(tmp_path), env=_child_env(), timeout=60,
+    )
+    assert proc.returncode == code, proc.stderr
+    # no numpy warnings and no traceback: the error line is all of stderr
+    assert proc.stderr == message + "\n"
+
+
 COMPARE_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "compare_optimizers.py"
 
 

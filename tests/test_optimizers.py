@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from conftest import stepped_states
 
+from dnsgd import streams
 from dnsgd.hyperparams import HyperParams, lyapunov_constants
 from dnsgd.optimizers import (
     ALGORITHMS,
@@ -351,3 +352,29 @@ def test_run_matches_reference_on_large_ring(algorithm):
     assert block == 25
     hp = _hp(eta=0.02, b=1, big_t=2 * block + 3, k_inner=40, k_init=5)
     _assert_matches_reference(algorithm, p, hp, mix, np.full(10, 0.5), 8)
+
+
+def test_stream_derivations_per_run_do_not_grow_with_big_t(monkeypatch):
+    """A run derives its oracle keys in one pass: derive_stream calls and
+    SeedSequence constructions are counted, not timed, at two run lengths."""
+    p = make_quadratic(d=3, curvature=1.0, m=4, zeta=0.3, sigma=0.5, seed=2)
+    counts = {"derive_stream": 0, "SeedSequence": 0}
+    derive, seed_sequence = streams.derive_stream, np.random.SeedSequence
+
+    def counting_derive(key):
+        counts["derive_stream"] += 1
+        return derive(key)
+
+    def counting_seed_sequence(*args, **kwargs):
+        counts["SeedSequence"] += 1
+        return seed_sequence(*args, **kwargs)
+
+    monkeypatch.setattr(streams, "derive_stream", counting_derive)
+    monkeypatch.setattr(np.random, "SeedSequence", counting_seed_sequence)
+    per_run = []
+    for big_t in (10, 1000):
+        counts.update(derive_stream=0, SeedSequence=0)
+        run("dnsgd", p, _hp(big_t=big_t), RING4, np.full(3, 0.5), master_seed=4)
+        per_run.append(dict(counts))
+    assert per_run[0] == per_run[1]
+    assert per_run[0]["derive_stream"] >= 1  # the output draw: the counters are live

@@ -124,7 +124,7 @@ def test_sample_grad_mean_and_variance():
     x = np.array([0.3, -1.1, 0.7])
     exact = grad_local(p, 0, x)
     b, n = 4, 20_000
-    streams = RunStreams(555)
+    streams = RunStreams(555, n - 1)
     x_rows = np.tile(x, (p.m, 1))
     draws = np.empty((n, p.d))
     for t in range(n):
@@ -147,10 +147,10 @@ def test_sample_grad_noiseless_is_exact_and_deterministic():
 def test_sample_grad_same_stream_key_replays():
     p = make_quadratic(d=2, curvature=1.0, m=1, zeta=0.0, sigma=1.0, seed=0)
     x = np.zeros((1, 2))
-    a = sample_grad(p, x, 3, RunStreams(9).oracle(5))
-    b = sample_grad(p, x, 3, RunStreams(9).oracle(5))
+    a = sample_grad(p, x, 3, RunStreams(9, 6).oracle(5))
+    b = sample_grad(p, x, 3, RunStreams(9, 6).oracle(5))
     assert np.array_equal(a, b)
-    c = sample_grad(p, x, 3, RunStreams(9).oracle(6))
+    c = sample_grad(p, x, 3, RunStreams(9, 6).oracle(6))
     assert not np.array_equal(a, c)
 
 
@@ -172,13 +172,13 @@ def test_sample_grad_matrix_oracle(p):
         assert np.array_equal(noiseless[i], grad_local(p, i, x_rows[i]))
 
     noisy = replace(p, sigma=0.5)
-    a = sample_grad(noisy, x_rows, 4, RunStreams(3).oracle(7))
-    assert np.array_equal(a, sample_grad(noisy, x_rows, 4, RunStreams(3).oracle(7)))
-    noise = RunStreams(3).oracle(7).standard_normal((p.m, p.d))  # row i is agent i's
+    a = sample_grad(noisy, x_rows, 4, RunStreams(3, 8).oracle(7))
+    assert np.array_equal(a, sample_grad(noisy, x_rows, 4, RunStreams(3, 8).oracle(7)))
+    noise = RunStreams(3, 8).oracle(7).standard_normal((p.m, p.d))  # row i is agent i's
     for i in range(p.m):
         expect = grad_local(p, i, x_rows[i]) + noise[i] * (0.5 / math.sqrt(4 * p.d))
         assert np.array_equal(a[i], expect)
-    later = sample_grad(noisy, x_rows, 4, RunStreams(3).oracle(8))
+    later = sample_grad(noisy, x_rows, 4, RunStreams(3, 8).oracle(8))
     assert not np.any(a == later)
 
     for bad in (np.zeros((p.m + 1, p.d)), np.zeros(p.d), np.zeros((1, p.m, p.d))):
