@@ -40,7 +40,7 @@ from .config import (
     resolve_x0,
 )
 from .harness import resolve_hyperparams, run_experiment, sweep_speedup
-from .optimizers import NonFiniteStateError
+from .optimizers import METHODS, NonFiniteStateError
 from .problems import EXP_ARG_MAX, check_relaxed_smooth, grad_base
 from .topology import (
     KINDS,
@@ -179,6 +179,7 @@ def _cmd_params(args: argparse.Namespace) -> int:
     x0 = resolve_x0(cfg.x0, p.d)
     _, theory = resolve_hyperparams(cfg, p, mixing, x0)
     hp, guard = theory.hp, theory.guard
+    samples, rounds = METHODS[cfg.algorithm].cost(hp, hp.big_t)
     lines = [
         f"problem: {p.family} d={p.d} m={p.m} l0={p.l0:.12g} l1={p.l1:.12g} "
         f"zeta={p.zeta:g} sigma={p.sigma:g}",
@@ -195,8 +196,8 @@ def _cmd_params(args: argparse.Namespace) -> int:
         f"k_inner = {hp.k_inner}",
         f"k_init = {hp.k_init}",
         f"rho = {theory.rho_actual:.12g} (required <= {guard.min_threshold:g})",
-        f"samples per agent = {hp.b * (hp.big_t + 1)}",
-        f"comm rounds = {hp.k_init + 2 * hp.k_inner * hp.big_t}",
+        f"samples per agent = {samples}",
+        f"comm rounds = {rounds}",
         f"guard: {'PASS' if guard.ok else 'FAIL'}",
     ]
     for name, ok in guard.conditions.items():

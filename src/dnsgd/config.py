@@ -63,12 +63,8 @@ class TopologyConfig:
 @dataclass(frozen=True)
 class AutoHyperConfig:
     epsilon: float
-    delta_f: float | None = None  # None: estimate as f(x0) - f_star
-    c_k: float = 2.0
-    c_k_hat: float = 1.0
     t_cap: int | None = None
     k_mode: str = "formula"
-    rho_max: float = 0.5
 
 
 @dataclass(frozen=True)
@@ -204,26 +200,15 @@ def parse_topology(d: dict, path: str = "topology") -> TopologyConfig:
 
 def parse_auto(d: dict, path: str = "auto") -> AutoHyperConfig:
     d = _expect_dict(d, path)
-    _reject_unknown(d, {"epsilon", "delta_f", "c_k", "c_k_hat", "t_cap", "k_mode", "rho_max"}, path)
+    _reject_unknown(d, {"epsilon", "t_cap", "k_mode"}, path)
     t_cap = d.get("t_cap")
     if t_cap is not None:
         t_cap = _as_int(t_cap, f"{path}.t_cap", minimum=1)
-    delta_f = d.get("delta_f")
-    if delta_f is not None:
-        delta_f = _as_float(delta_f, f"{path}.delta_f", minimum=0.0)
     return AutoHyperConfig(
         epsilon=_as_float(_get(d, "epsilon", path), f"{path}.epsilon", 0.0, strict=True),
-        delta_f=delta_f,
-        c_k=_as_float(_get(d, "c_k", path, required=False, default=2.0), f"{path}.c_k", 0.0, strict=True),
-        c_k_hat=_as_float(
-            _get(d, "c_k_hat", path, required=False, default=1.0), f"{path}.c_k_hat", 0.0, strict=True
-        ),
         t_cap=t_cap,
         k_mode=_as_str(
             _get(d, "k_mode", path, required=False, default="formula"), f"{path}.k_mode", choices=K_MODES
-        ),
-        rho_max=_as_float(
-            _get(d, "rho_max", path, required=False, default=0.5), f"{path}.rho_max", 0.0, strict=True
         ),
     )
 
@@ -335,14 +320,14 @@ def load_json(path: str | Path) -> dict:
         raise ConfigError("config", f"invalid JSON in {path}: {e}") from e
 
 
-def build_problem(cfg: ProblemConfig, m: int | None = None) -> ProblemInstance:
-    """Instantiate the configured problem, optionally overriding the agent count."""
+def build_problem(cfg: ProblemConfig) -> ProblemInstance:
+    """Instantiate the configured problem."""
     # The maker is read from the module at call time, so a wrapper installed
     # on problems.make_<family> is the one called.
     maker = getattr(problems, f"make_{cfg.family}")
     params = {name: getattr(cfg, name) for name in FAMILY_PARAMS[cfg.family]}
     return maker(
-        d=cfg.d, m=cfg.m if m is None else m, zeta=cfg.zeta, sigma=cfg.sigma, seed=cfg.seed,
+        d=cfg.d, m=cfg.m, zeta=cfg.zeta, sigma=cfg.sigma, seed=cfg.seed,
         box_radius=cfg.box_radius, **params,
     )
 

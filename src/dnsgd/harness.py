@@ -1,5 +1,10 @@
 """Experiment driver: multi-seed runs, CSV output, and built-in checks.
 
+run_experiment is the one path from a RunConfig to trajectories: it builds
+the problem, the mixing matrix and the hyperparameters, runs the seeds and
+evaluates the checks. A sweep cell is a run: sweep_speedup sets problem.m of
+the sweep's run config and hands the result to run_experiment.
+
 Outputs are byte-deterministic for a fixed config: no timestamps, float
 fields formatted with repr-faithful %.17g, seeds fanned out from the master
 seed and run one after another, and rows written in seed order. A metrics
@@ -103,33 +108,14 @@ def resolve_hyperparams(
     # a start point far enough out overflows both to inf, which the calculator
     # rejects; that error is the one report, without numpy warnings before it
     with np.errstate(over="ignore", invalid="ignore"):
-        delta_f = auto.delta_f
-        if delta_f is None:
-            delta_f = max(f_base(p, x0) - p.f_star, 0.0)
+        delta_f = max(f_base(p, x0) - p.f_star, 0.0)
         g0_norm_sq = _initial_gradient_energy(p, x0)
     theory = theoretical_hyperparams(
         epsilon=auto.epsilon, l0=p.l0, l1=p.l1, zeta=p.zeta, sigma=p.sigma,
         m=p.m, gamma=mixing.gamma, delta_f_estimate=delta_f,
-        g0_norm_sq=g0_norm_sq,
-        c_k=auto.c_k, c_k_hat=auto.c_k_hat, t_cap=auto.t_cap,
-        k_mode=auto.k_mode, rho_max=auto.rho_max,
+        g0_norm_sq=g0_norm_sq, t_cap=auto.t_cap, k_mode=auto.k_mode,
     )
     return theory.hp, theory
-
-
-def _run_seeds(
-    cfg: RunConfig,
-    p: ProblemInstance,
-    hp: HyperParams,
-    mixing: MixingMatrix,
-    x0: np.ndarray,
-    seed_offset: int = 0,
-) -> tuple[tuple[int, ...], list[Trajectory]]:
-    seeds = tuple(
-        fanout_seed(cfg.master_seed, seed_offset + idx) for idx in range(cfg.num_seeds)
-    )
-    trajectories = [run(cfg.algorithm, p, hp, mixing, x0, seed) for seed in seeds]
-    return seeds, trajectories
 
 
 def _run_checks(
@@ -272,17 +258,20 @@ def run_experiment(
     cfg: RunConfig,
     out_dir: str | Path | None = None,
     write_outputs: bool = True,
+    seed_offset: int = 0,
 ) -> RunResult:
     """Run cfg.num_seeds independent trajectories and evaluate the checks.
 
-    out_dir overrides cfg.out_dir; write_outputs=False keeps everything in
-    memory (the acceptance suite reuses trajectories this way).
+    Seed i of the run is fanned out from cfg.master_seed at index
+    seed_offset + i. out_dir overrides cfg.out_dir; write_outputs=False keeps
+    everything in memory (the sweep and the acceptance suite use it so).
     """
     p = build_problem(cfg.problem)
     graph, mixing = build_mixing(cfg.topology, p.m)
     x0 = resolve_x0(cfg.x0, p.d)
     hp, theory = resolve_hyperparams(cfg, p, mixing, x0)
-    seeds, trajectories = _run_seeds(cfg, p, hp, mixing, x0)
+    seeds = tuple(fanout_seed(cfg.master_seed, seed_offset + i) for i in range(cfg.num_seeds))
+    trajectories = [run(cfg.algorithm, p, hp, mixing, x0, seed) for seed in seeds]
     checks = _run_checks(cfg, p, hp, mixing, trajectories)
     per_seed = [stationarity_summary(traj) for traj in trajectories]
     out = Path(out_dir) if out_dir is not None else Path(cfg.out_dir)
@@ -300,15 +289,10 @@ def run_experiment(
 @dataclass
 class SweepPoint:
     m: int
-    hp: HyperParams
-    theory: TheoreticalParams | None
-    lambda2: float
-    gamma: float
+    run: RunResult
     seeds_reached: int
-    num_seeds: int
     mean_samples_per_agent: float
     mean_comm_rounds: float
-    trajectories: list[Trajectory]
 
 
 @dataclass
@@ -333,23 +317,20 @@ def sweep_speedup(
 ) -> SweepResult:
     """Run cfg.run once for each network size m in cfg.m_list.
 
-    For each m the problem and mixing matrix are rebuilt, the calculator is
-    rerun (so the batch size scales with 1/m), and the first iteration whose
-    mean-iterate gradient norm reaches target_epsilon is recorded. The m at
-    index i fans out its seeds from index i * num_seeds. Points where no seed
-    reaches the target produce nan rows rather than errors.
+    The cell for the m at index i is cfg.run with problem.m set to m, run by
+    run_experiment with its seeds fanned out from index i * num_seeds: the
+    problem, the mixing matrix and the calculator's hyperparameters (so the
+    batch size scales with 1/m) are its own, and so are its checks. Each
+    point records the first iteration whose mean-iterate gradient norm
+    reaches target_epsilon. Points where no seed reaches the target produce
+    nan rows rather than errors.
     """
     run_cfg = cfg.run
     points: list[SweepPoint] = []
-    for m_index, m in enumerate(cfg.m_list):
-        p = build_problem(run_cfg.problem, m=m)
-        _, mixing = build_mixing(run_cfg.topology, m)
-        x0 = resolve_x0(run_cfg.x0, p.d)
-        hp, theory = resolve_hyperparams(run_cfg, p, mixing, x0)
-        _, trajectories = _run_seeds(
-            run_cfg, p, hp, mixing, x0, seed_offset=m_index * run_cfg.num_seeds
-        )
-        hits = [_first_hit(traj, cfg.target_epsilon) for traj in trajectories]
+    for i, m in enumerate(cfg.m_list):
+        cell = dataclasses.replace(run_cfg, problem=dataclasses.replace(run_cfg.problem, m=m))
+        result = run_experiment(cell, write_outputs=False, seed_offset=i * run_cfg.num_seeds)
+        hits = [_first_hit(traj, cfg.target_epsilon) for traj in result.trajectories]
         reached = [h for h in hits if h is not None]
         if reached:
             mean_samples = float(np.mean([h[0] for h in reached]))
@@ -359,11 +340,8 @@ def sweep_speedup(
             mean_comm = math.nan
         points.append(
             SweepPoint(
-                m=m, hp=hp, theory=theory,
-                lambda2=mixing.lambda2, gamma=mixing.gamma,
-                seeds_reached=len(reached), num_seeds=run_cfg.num_seeds,
+                m=m, run=result, seeds_reached=len(reached),
                 mean_samples_per_agent=mean_samples, mean_comm_rounds=mean_comm,
-                trajectories=trajectories,
             )
         )
 
@@ -374,7 +352,7 @@ def sweep_speedup(
         lines = ["m,seeds_reached,num_seeds,mean_samples_per_agent,mean_comm_rounds"]
         for pt in points:
             lines.append(
-                f"{pt.m},{pt.seeds_reached},{pt.num_seeds},"
+                f"{pt.m},{pt.seeds_reached},{run_cfg.num_seeds},"
                 f"{_fmt(pt.mean_samples_per_agent)},{_fmt(pt.mean_comm_rounds)}"
             )
         (out / "speedup.csv").write_text("\n".join(lines) + "\n")
@@ -384,8 +362,8 @@ def sweep_speedup(
         slines = [f"sweep: {run_cfg.algorithm} target_epsilon={_fmt(cfg.target_epsilon)}"]
         for pt in points:
             slines.append(
-                f"m={pt.m}: b={pt.hp.b} big_t={pt.hp.big_t} k_inner={pt.hp.k_inner} "
-                f"reached {pt.seeds_reached}/{pt.num_seeds} "
+                f"m={pt.m}: b={pt.run.hp.b} big_t={pt.run.hp.big_t} "
+                f"k_inner={pt.run.hp.k_inner} reached {pt.seeds_reached}/{run_cfg.num_seeds} "
                 f"mean_samples={_fmt(pt.mean_samples_per_agent)} "
                 f"mean_comm={_fmt(pt.mean_comm_rounds)}"
             )

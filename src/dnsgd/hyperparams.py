@@ -6,7 +6,9 @@ gossip depths under which the method is guaranteed to reach an epsilon/2
 expected gradient norm. The guarantees assume a consensus contraction factor
 rho small enough to satisfy a list of explicit inequalities; rho_guard checks
 that list for a concrete rho and choose_k_for_guard finds the smallest gossip
-depth satisfying it.
+depth satisfying it. The calculator's constants are fixed: C_K scales the
+inner gossip depth, C_K_HAT the initial one, and RHO_MAX caps the worst-case
+contraction factor of the inner depth.
 """
 
 from __future__ import annotations
@@ -19,6 +21,13 @@ from .gossip import contraction_rho, min_rounds_for_rho
 
 # Deepest gossip depth choose_k_for_guard tries.
 K_MAX = 5000
+
+# k_inner >= C_K log(max(m, 2)) / sqrt(gamma); k_init scales by C_K_HAT.
+C_K = 2.0
+C_K_HAT = 1.0
+# Largest worst-case contraction factor of the inner depth: the descent
+# preconditions require rho <= 1/2 and the consensus bound needs rho < 1.
+RHO_MAX = 0.5
 
 
 @dataclass(frozen=True)
@@ -199,12 +208,9 @@ def theoretical_hyperparams(
     gamma: float,
     delta_f_estimate: float,
     *,
-    g0_norm_sq: float | None = None,
-    c_k: float = 2.0,
-    c_k_hat: float = 1.0,
+    g0_norm_sq: float,
     t_cap: int | None = None,
     k_mode: str = "formula",
-    rho_max: float = 0.5,
 ) -> TheoreticalParams:
     """Hyperparameters guaranteeing an epsilon/2 expected gradient norm.
 
@@ -212,12 +218,11 @@ def theoretical_hyperparams(
     sigma^2 / m; the iteration count with delta_phi / epsilon^2 where
     delta_phi budgets twice the initial objective gap (the init gossip depth
     k_init is chosen to make that budget valid). The inner gossip depth is
-    ceil(c_k * log(max(m, 2)) / sqrt(gamma)), floored so the worst-case
-    contraction factor is at most rho_max, since the descent preconditions
-    require rho <= 1/2 and the consensus bound needs rho < 1.
+    ceil(C_K * log(max(m, 2)) / sqrt(gamma)), floored so the worst-case
+    contraction factor is at most RHO_MAX.
 
-    g0_norm_sq, when given, is sum_i ||grad f_i(x0)||^2 measured at the start
-    point; it sharpens k_init. k_mode = "guard" additionally raises the inner
+    g0_norm_sq is sum_i ||grad f_i(x0)||^2 measured at the start point; with
+    the noise it sets k_init. k_mode = "guard" additionally raises the inner
     depth until rho_guard passes. t_cap truncates the iteration count (the
     uncapped value is recorded).
     """
@@ -239,8 +244,10 @@ def theoretical_hyperparams(
         raise ValueError(f"delta_f_estimate must be finite, got {delta_f_estimate}")
     if k_mode not in ("formula", "guard"):
         raise ValueError(f"k_mode must be 'formula' or 'guard', got {k_mode!r}")
-    if not 0.0 < rho_max < 1.0:
-        raise ValueError("rho_max must lie in (0, 1)")
+    if g0_norm_sq < 0:
+        raise ValueError("g0_norm_sq must be non-negative")
+    if not math.isfinite(g0_norm_sq):
+        raise ValueError(f"g0_norm_sq must be finite, got {g0_norm_sq}")
 
     l_f = l0 + l1 * zeta
     if l_f <= 0:
@@ -265,25 +272,17 @@ def theoretical_hyperparams(
     big_t = min(t_uncapped, t_cap) if t_cap is not None else t_uncapped
 
     lambda2 = 1.0 - gamma
-    sqrt_gamma = math.sqrt(gamma)
-    k_formula = math.ceil(c_k * math.log(max(m, 2)) / sqrt_gamma)
-    k_inner = max(1, k_formula, min_rounds_for_rho(lambda2, rho_max))
+    k_formula = math.ceil(C_K * math.log(max(m, 2)) / math.sqrt(gamma))
+    k_inner = max(1, k_formula, min_rounds_for_rho(lambda2, RHO_MAX))
     if k_mode == "guard":
         k_inner = max(k_inner, choose_k_for_guard(lambda2, eta, l0, l1, zeta, sigma, b, m))
 
-    if g0_norm_sq is not None:
-        if g0_norm_sq < 0:
-            raise ValueError("g0_norm_sq must be non-negative")
-        if not math.isfinite(g0_norm_sq):
-            raise ValueError(f"g0_norm_sq must be finite, got {g0_norm_sq}")
-        drive = math.sqrt(m * sigma * sigma / b + g0_norm_sq)
-        if drive == 0.0:
-            k_init = 1
-        else:
-            rho_target = math.sqrt(m) * delta_f_estimate / (2.0 * math.sqrt(2.0) * eta * drive)
-            k_init = max(1, math.ceil(c_k_hat * min_rounds_for_rho(lambda2, rho_target)))
+    drive = math.sqrt(m * sigma * sigma / b + g0_norm_sq)
+    if drive == 0.0:
+        k_init = 1
     else:
-        k_init = max(1, math.ceil(c_k_hat * math.log(max(m, 2)) / sqrt_gamma))
+        rho_target = math.sqrt(m) * delta_f_estimate / (2.0 * math.sqrt(2.0) * eta * drive)
+        k_init = max(1, math.ceil(C_K_HAT * min_rounds_for_rho(lambda2, rho_target)))
 
     hp = HyperParams(
         eta=eta, b=int(b), big_t=int(big_t), k_inner=int(k_inner), k_init=int(k_init),

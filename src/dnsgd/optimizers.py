@@ -22,9 +22,12 @@ and differs only in the settings of its METHODS entry:
     dsgt   tracked
     dnasa  normalized, tracked, scheduled
 
-Communication counters advance by the gossip depth per accelerated call and
-by one round per plain W-multiplication; sample counters advance by the
-batch size per agent per iteration.
+Method.cost is the one rule for what a run spends: after iteration t each
+agent has drawn b (t + 1) samples, and the network has spent
+start + t * depth * (2 if tracked else 1) communication rounds, where
+(start, depth) is (k_init, k_inner) for accelerated methods and (0, 1)
+otherwise. run records it as two int64 columns, and dnsgd params prints its
+totals at t = big_t.
 
 The runner records the metrics of every state as columns: arrays of
 big_t + 1 entries, sized once. It fills them a block of states at a time: it
@@ -68,6 +71,11 @@ class Method:
     tracked: bool
     scheduled: bool
 
+    def cost(self, hp: HyperParams, t):
+        """(samples per agent, communication rounds) spent by iteration t, an int or an array."""
+        start, depth = (hp.k_init, hp.k_inner) if self.accelerated else (0, 1)
+        return hp.b * (t + 1), start + t * depth * (2 if self.tracked else 1)
+
 
 METHODS = {
     "dnsgd": Method(accelerated=True, normalized=True, tracked=True, scheduled=False),
@@ -97,8 +105,6 @@ class OptimizerState:
     v: np.ndarray
     g_prev: np.ndarray
     t: int
-    samples_per_agent: int
-    comm_rounds: int
 
 
 def _unit_rows(v: np.ndarray) -> np.ndarray:
@@ -151,13 +157,11 @@ def init_state(
     g = sample_grad(p, x, hp.b, streams.oracle(0))
     _ensure_finite(g, "gradient batch", 0)
     if method.accelerated:
-        v, rounds = acc_gossip(g, w, hp.k_init), hp.k_init
+        v = acc_gossip(g, w, hp.k_init)
         _ensure_finite(v, "tracker matrix", 0)
     else:
-        v, rounds = g.copy(), 0
-    return OptimizerState(
-        x=x, v=v, g_prev=g, t=0, samples_per_agent=hp.b, comm_rounds=rounds
-    )
+        v = g.copy()
+    return OptimizerState(x=x, v=v, g_prev=g, t=0)
 
 
 def step(
@@ -193,11 +197,7 @@ def step(
         else:  # mix the old tracker, then correct it
             v_next = mix(s.v, w, rounds) + g_next - s.g_prev
         _ensure_finite(v_next, "tracker matrix", t_next)
-    return OptimizerState(
-        x=x_next, v=v_next, g_prev=g_next, t=t_next,
-        samples_per_agent=s.samples_per_agent + hp.b,
-        comm_rounds=s.comm_rounds + rounds * (2 if method.tracked else 1),
-    )
+    return OptimizerState(x=x_next, v=v_next, g_prev=g_next, t=t_next)
 
 
 def run(
@@ -228,7 +228,7 @@ def run(
     n_states = hp.big_t + 1
     cols = {f.name: np.empty(n_states) for f in fields(StateMetrics)}
     cols["agent_grad_norms"] = np.empty((n_states, p.m))
-    samples, comms = np.empty(n_states, dtype=np.int64), np.empty(n_states, dtype=np.int64)
+    samples, comms = method.cost(hp, np.arange(n_states, dtype=np.int64))
     drifts, exits = np.empty(n_states), np.empty(n_states, dtype=bool)
     # States are copied into these (n, m, d) blocks. Each full block, and the
     # last one, gets one state_metrics call and fills its slice of every column.
@@ -238,7 +238,6 @@ def run(
     def record(s: OptimizerState) -> None:
         i = s.t % block_len
         xs[i], vs[i], gs[i] = s.x, s.v, s.g_prev
-        samples[s.t], comms[s.t] = s.samples_per_agent, s.comm_rounds
         if i + 1 < block_len and s.t < hp.big_t:
             return
         x, v, g = xs[: i + 1], vs[: i + 1], gs[: i + 1]

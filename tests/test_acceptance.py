@@ -178,7 +178,7 @@ def test_criterion_4_deterministic_descent(crit4):
 def test_criterion_5_linear_speedup(crit5):
     result, elapsed = crit5
     means = [pt.mean_samples_per_agent for pt in result.points]
-    all_reached = all(pt.seeds_reached == pt.num_seeds for pt in result.points)
+    all_reached = all(pt.seeds_reached == pt.run.config.num_seeds for pt in result.points)
     non_increasing = all(a >= b for a, b in zip(means, means[1:]))
     ratio = means[0] / means[-1]
     passed = all_reached and non_increasing and ratio >= 4.0 and elapsed < 300.0
@@ -195,8 +195,8 @@ def test_criterion_6_consensus_bound(crit3, crit4, crit5):
         for traj in result.trajectories:
             runs.append((traj, result.theory.rho_actual, result.problem.m, result.hp.eta))
     for pt in crit5[0].points:
-        for traj in pt.trajectories:
-            runs.append((traj, pt.theory.rho_actual, pt.m, pt.hp.eta))
+        for traj in pt.run.trajectories:
+            runs.append((traj, pt.run.theory.rho_actual, pt.m, pt.run.hp.eta))
     reports = [verify_consensus_bound(t, rho, m, eta) for t, rho, m, eta in runs]
     worst = max(
         (r.worst_cons / r.bound if r.checked else 0.0) for r in reports
@@ -290,7 +290,7 @@ def test_criterion_8_oracle_correctness():
 def test_criterion_9_tracker_identity(crit3, crit4, crit5):
     trajs = list(crit3[0].trajectories) + list(crit4[0].trajectories)
     for pt in crit5[0].points:
-        trajs.extend(pt.trajectories)
+        trajs.extend(pt.run.trajectories)
     p = make_exp_pair(d=4, rate=1.0, m=4, zeta=0.2, sigma=0.5, seed=5)
     mix = metropolis_mixing(build_topology("ring", 4))
     hp = HyperParams(eta=0.02, b=2, big_t=50, k_inner=3, k_init=1, epsilon=0.1)

@@ -170,11 +170,12 @@ def test_consensus_bound_rejects_expanding_rho():
 
 def test_stochastic_descent_seed_average():
     p = make_exp_pair(d=4, rate=1.0, m=4, zeta=0.2, sigma=0.5, seed=5)
+    x0 = np.full(p.d, 1.2)
+    g0 = sum(float(np.dot(g, g)) for g in (grad_local(p, i, x0) for i in range(p.m)))
     th = theoretical_hyperparams(
         epsilon=0.3, l0=p.l0, l1=p.l1, zeta=p.zeta, sigma=p.sigma, m=p.m,
-        gamma=RING4.gamma, delta_f_estimate=1.0, t_cap=300,
+        gamma=RING4.gamma, delta_f_estimate=1.0, g0_norm_sq=g0, t_cap=300,
     )
-    x0 = np.full(p.d, 1.2)
     trajs = [
         run("dnsgd", p, th.hp, RING4, x0, master_seed=100 + s)
         for s in range(10)

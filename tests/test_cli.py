@@ -62,6 +62,39 @@ def test_params_reports_calculator_output(tmp_path, capsys):
     assert "condition noise_floor: PASS" in out
 
 
+EXP_PAIR_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "run_exp_pair.json"
+
+
+@pytest.mark.parametrize("algorithm", ["dnsgd", "dsgd", "dsgt", "dnasa"])
+def test_params_cost_matches_last_run_row(tmp_path, capsys, algorithm):
+    # params prints the totals of the same cost rule that fills run's counter columns
+    cfg = json.loads(EXP_PAIR_CONFIG.read_text())
+    cfg.update(algorithm=algorithm, num_seeds=1)
+    cfg["auto"]["t_cap"] = 50
+    path = _write(tmp_path / "run.json", cfg)
+    assert main(["params", "--config", path]) == 0
+    report = dict(
+        line.split(" = ", 1) for line in capsys.readouterr().out.splitlines() if " = " in line
+    )
+    assert main(["run", "--config", path, "--out-dir", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    header, *_, last = (tmp_path / "out" / "metrics_seed000.csv").read_text().splitlines()
+    row = dict(zip(header.split(","), last.split(",")))
+    assert row["t"] == report["big_t"].split()[0] == "50"
+    assert report["samples per agent"] == row["samples_per_agent"]
+    assert report["comm rounds"] == row["comm_rounds"]
+    if algorithm == "dsgd":  # one plain W round per iteration
+        assert report["comm rounds"] == "50"
+
+
+def test_removed_calculator_knobs_exit_two(tmp_path, capsys):
+    # the calculator's constants are fixed; their old auto keys are unknown fields
+    for key, value in (("c_k", 2.0), ("c_k_hat", 1.0), ("rho_max", 0.5), ("delta_f", 1.0)):
+        cfg = _auto_quadratic(tmp_path, auto={"epsilon": 0.12, key: value})
+        assert main(["params", "--config", cfg]) == 2
+        assert capsys.readouterr().err == f"config error: auto.{key}: unknown field\n"
+
+
 def test_run_writes_outputs_and_succeeds(tmp_path, capsys):
     cfg = _auto_quadratic(tmp_path, auto={"epsilon": 0.12, "k_mode": "guard", "t_cap": 60})
     code = main(["run", "--config", cfg, "--out-dir", str(tmp_path / "out")])

@@ -6,6 +6,7 @@ calculator, the checks or the output writers shows up here. A change that
 alters the bytes on purpose updates the digests and says why in CHANGES.md.
 """
 
+import dataclasses
 import hashlib
 import json
 
@@ -122,12 +123,14 @@ OUTPUT_CHECKS = {
 
 # The config_echo.json pins here and in SWEEP_OUTPUT_DIGESTS were rebaselined
 # once when state snapshots were removed: snapshot_every left the echoed
-# config, and a sweep's echo nests its run config under "run". Every other
-# pinned file held.
+# config, and a sweep's echo nests its run config under "run". They were
+# rebaselined once more when the calculator's delta_f, c_k, c_k_hat and
+# rho_max left the auto block and the echoed config. Every other pinned file
+# held both times.
 OUTPUT_DIGESTS = {
     "stochastic": {
         "checks.csv": "a4fce51f60b4e682797ba3dc8c552d94411657e68b2d5cea7ccaa6b6368e28b5",
-        "config_echo.json": "58a53bedf50780f68573663324889abecbfeb17425c78e35fc702297ed865bb3",
+        "config_echo.json": "3e8d3376828ef5c6b61eb19b85a36d85bd1cbfcbed9aa5b1cf0848690aab042d",
         "metrics_seed000.csv": "e0bba0c46ff98e2a1cedc16b44fb0858fb95b0f5fac8f7e3e5abad1fce8d80ea",
         "metrics_seed001.csv": "1843d17ee1c0651d565afdc17da37a93b64603e1751b693f5d4f5a14787511de",
         "metrics_seed002.csv": "01e684f8209e6d410106dcb9e8c11ab35a8c1a83ce92ad27a54b3da2338bfb26",
@@ -143,7 +146,7 @@ OUTPUT_DIGESTS = {
     },
     "deterministic": {
         "checks.csv": "12d6a3d8b7036d902244ff50d55fbcd3acdb8d6aa06849ae114e7c20caf4984f",
-        "config_echo.json": "01cfe4f07997eb16268454017a76062d4ffec0764e59a8f2eb5d30fefa18d1b9",
+        "config_echo.json": "142ae0be948b4f8b4c4138f336acaa1053f604fe6cbe134d11a8a503f51d069b",
         "metrics_seed000.csv": "1d193c6d81daaef1692d91f7316244dcbf9c3fe2cb5c6de4004c98e36f6bc764",
         "params_report.txt": "311ca991d3f4e9723f12aa3564c76874f1381437e1d54e0b38a3cfe5de99144f",
         "summary.txt": "d76ba4bb35db8a31d88f898920e3c3a758a4fa4bb99a790c1da83264a9e6952a",
@@ -152,7 +155,7 @@ OUTPUT_DIGESTS = {
 
 # The other files of the pinned sweep; speedup.csv is SWEEP_DIGEST.
 SWEEP_OUTPUT_DIGESTS = {
-    "config_echo.json": "e75a9a5f6bc026453031817f63cc6069498b4598820d3abc095d278ffd779748",
+    "config_echo.json": "be0d9a14f1313665538b15ebb632338954707fce8239d34beac88ea08ca7e6b5",
     "summary.txt": "049fd0c1d6b6befba787eada8b92a3a08fb4807c82821e9a73c767e1f7d7af08",
 }
 
@@ -231,5 +234,8 @@ def test_run_problem_constants(family):
 
 def test_sweep_problem_constants():
     cfg = parse_problem(SWEEP_CONFIG["problem"])
-    got = {m: _constants(build_problem(cfg, m=m)) for m in SWEEP_CONFIG["m_list"]}
+    got = {
+        m: _constants(build_problem(dataclasses.replace(cfg, m=m)))
+        for m in SWEEP_CONFIG["m_list"]
+    }
     assert got == SWEEP_CONSTANTS

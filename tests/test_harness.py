@@ -1,5 +1,6 @@
 """Experiment harness: config parsing, file outputs, reproducibility."""
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -342,11 +343,12 @@ def test_sweep_seeds_follow_the_m_index():
     cfg = _quad_sweep(1.0, AutoHyperConfig(epsilon=0.3, t_cap=50), (4, 4), 0.3, 2)
     result = sweep_speedup(cfg, write_outputs=False)
     for i, pt in enumerate(result.points):
-        p = build_problem(cfg.run.problem, m=pt.m)
+        p = build_problem(dataclasses.replace(cfg.run.problem, m=pt.m))
         _, mixing = build_mixing(cfg.run.topology, pt.m)
-        for j, traj in enumerate(pt.trajectories):
+        for j, traj in enumerate(pt.run.trajectories):
             seed = fanout_seed(cfg.run.master_seed, 2 * i + j)
-            expected = run("dnsgd", p, pt.hp, mixing, np.full(3, 1.0), seed)
+            assert pt.run.seeds[j] == seed
+            expected = run("dnsgd", p, pt.run.hp, mixing, np.full(3, 1.0), seed)
             assert np.array_equal(traj.output_indices, expected.output_indices), (i, j)
 
 
@@ -367,6 +369,17 @@ def test_sweep_certifies_the_stub_once(monkeypatch):
     result = sweep_speedup(cfg, write_outputs=False)
     assert passes == [False, True]
     assert [pt.m for pt in result.points] == [2, 4, 8, 16]
+
+
+def test_sweep_cells_pass_their_checks():
+    # a sweep cell is a run, so each point carries the run's built-in checks
+    cfg = parse_sweep_config(load_json(CONFIGS / "sweep_speedup.json"))
+    result = sweep_speedup(cfg, write_outputs=False)
+    for pt in result.points:
+        names = [c.name for c in pt.run.checks]
+        assert names[:2] == ["tracker_identity", "consensus_bound"], (pt.m, names)
+        assert pt.run.all_checks_passed, (pt.m, pt.run.checks)
+        assert pt.run.problem.m == pt.m and len(pt.run.trajectories) == cfg.run.num_seeds
 
 
 def test_sweep_unreachable_target_yields_nan_row(tmp_path):

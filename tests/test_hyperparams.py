@@ -30,7 +30,7 @@ def test_lyapunov_constants_frozen():
 def test_eta_frozen_smooth_case():
     th = theoretical_hyperparams(
         epsilon=0.1, l0=1.0, l1=1.0, zeta=0.0, sigma=0.0, m=4, gamma=0.5,
-        delta_f_estimate=1.0,
+        delta_f_estimate=1.0, g0_norm_sq=1.0,
     )
     # l_f = 1, so eta = min(0.1 / 5, 1 / 2) = 0.02
     assert th.hp.eta == pytest.approx(0.02, abs=1e-15)
@@ -42,7 +42,7 @@ def test_batch_and_horizon_frozen_noise_dominant():
     # l0 = 1, l1 = 0: only the first branch of each max is active
     th = theoretical_hyperparams(
         epsilon=0.5, l0=1.0, l1=0.0, zeta=0.0, sigma=1.0, m=4, gamma=0.5,
-        delta_f_estimate=2.0,
+        delta_f_estimate=2.0, g0_norm_sq=1.0,
     )
     # b = ceil(256 * 25 / (4 * 0.25)) = 6400
     assert th.hp.b == 6400
@@ -56,7 +56,7 @@ def test_batch_and_horizon_frozen_l1_dominant():
     # large epsilon flips both maxima to their l1 branches
     th = theoretical_hyperparams(
         epsilon=2.0, l0=0.0, l1=2.0, zeta=0.5, sigma=1.0, m=4, gamma=0.5,
-        delta_f_estimate=1.0,
+        delta_f_estimate=1.0, g0_norm_sq=1.0,
     )
     assert th.l_f == 1.0
     # b2 = 1024 * 4 * 1 / (4 * 1) = 1024 beats b1 = 256 * 25 / (4 * 4) = 400
@@ -83,11 +83,11 @@ def test_quadratic_guard_mode_frozen():
 
 
 def test_k_inner_floor_keeps_rho_below_half():
-    # the c_k log(m)/sqrt(gamma) formula alone would give k = 2 for m = 2,
+    # the C_K log(m)/sqrt(gamma) formula alone would give k = 2 for m = 2,
     # whose worst-case contraction factor exceeds 1; the floor raises it
     th = theoretical_hyperparams(
         epsilon=0.3, l0=1.0, l1=0.0, zeta=0.0, sigma=0.0, m=2, gamma=0.5,
-        delta_f_estimate=1.0,
+        delta_f_estimate=1.0, g0_norm_sq=1.0,
     )
     assert th.hp.k_inner == 9
     assert th.rho_actual <= 0.5
@@ -97,7 +97,7 @@ def test_k_inner_floor_keeps_rho_below_half():
 def test_t_cap_records_uncapped_value():
     th = theoretical_hyperparams(
         epsilon=0.05, l0=1.0, l1=0.0, zeta=0.0, sigma=0.0, m=4, gamma=0.5,
-        delta_f_estimate=5.0, t_cap=1000,
+        delta_f_estimate=5.0, g0_norm_sq=1.0, t_cap=1000,
     )
     assert th.hp.big_t == 1000
     assert th.t_uncapped > 1000
@@ -138,6 +138,7 @@ def test_calculator_invariants_random_sweep():
         th = theoretical_hyperparams(
             epsilon=epsilon, l0=l0, l1=l1, zeta=zeta, sigma=sigma, m=m,
             gamma=gamma, delta_f_estimate=delta_f,
+            g0_norm_sq=float(rng.uniform(0.0, 10.0)),
         )
         hp = th.hp
         l_f = l0 + l1 * zeta
@@ -161,7 +162,7 @@ def test_calculator_invariants_random_sweep():
 def test_calculator_validation():
     good = dict(
         epsilon=0.1, l0=1.0, l1=0.0, zeta=0.0, sigma=0.0, m=4, gamma=0.5,
-        delta_f_estimate=1.0,
+        delta_f_estimate=1.0, g0_norm_sq=1.0,
     )
     for bad in (
         dict(good, epsilon=0.0),
@@ -173,7 +174,8 @@ def test_calculator_validation():
         dict(good, delta_f_estimate=0.0),
         dict(good, l0=0.0),  # l_f = 0
         dict(good, k_mode="magic"),
-        dict(good, rho_max=1.0),
+        dict(good, g0_norm_sq=-1.0),
+        dict(good, g0_norm_sq=math.inf),
     ):
         with pytest.raises(ValueError):
             theoretical_hyperparams(**bad)

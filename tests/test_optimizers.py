@@ -169,20 +169,28 @@ def test_degenerate_horizon_records_initial_state_only():
         assert traj.output_indices is None
 
 
+# Communication rounds after iteration t, written out per algorithm: dnsgd
+# gossips the tracker k_init times at the start, then mixes the iterates and
+# the tracker k_inner times each per step; the others spend one plain W round
+# per mixed matrix.
+EXPECTED_COMM = {
+    "dnsgd": lambda hp, t: hp.k_init + 2 * hp.k_inner * t,
+    "dsgd": lambda hp, t: t,
+    "dsgt": lambda hp, t: 2 * t,
+    "dnasa": lambda hp, t: 2 * t,
+}
+
+
 def test_counters_per_algorithm():
     p = make_quadratic(d=2, curvature=1.0, m=4, zeta=0.3, sigma=0.0, seed=2)
     hp = _hp(b=7, big_t=4, k_inner=5, k_init=3)
-    expected_comm = {
-        "dnsgd": lambda t: 3 + 10 * t,
-        "dsgd": lambda t: t,
-        "dsgt": lambda t: 2 * t,
-        "dnasa": lambda t: 2 * t,
-    }
+    assert EXPECTED_COMM["dnsgd"](hp, np.arange(3)).tolist() == [3, 13, 23]
     for alg in ALGORITHMS:
         traj = run(alg, p, hp, RING4, np.zeros(2), master_seed=1)
         t = np.arange(hp.big_t + 1)
         assert np.array_equal(traj.samples_per_agent, 7 * (t + 1))
-        assert np.array_equal(traj.comm_rounds, expected_comm[alg](t)), alg
+        assert np.array_equal(traj.comm_rounds, EXPECTED_COMM[alg](hp, t)), alg
+        assert traj.samples_per_agent.dtype == traj.comm_rounds.dtype == np.int64
 
 
 def test_box_exit_counting():
@@ -251,7 +259,7 @@ def reference_run(algorithm, p, hp, w, x0, master_seed):
         )
         values = (
             s.t, f_mean, grad_norm, float(agent.max()), cons_x, cons_v, phi,
-            s.samples_per_agent, s.comm_rounds,
+            hp.b * (s.t + 1), EXPECTED_COMM[algorithm](hp, s.t),
         )
         for name, value in zip(COLUMNS, values):
             cols[name].append(value)
