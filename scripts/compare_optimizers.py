@@ -58,12 +58,12 @@ def main() -> int:
         if args.out_dir is not None:
             out_dir = Path(args.out_dir) / alg
         result = run_experiment(cfg, out_dir=out_dir, write_outputs=out_dir is not None)
-        avg = np.mean([s.avg_grad_mean for s in result.per_seed_stationarity])
-        best = np.mean([s.min_grad_mean for s in result.per_seed_stationarity])
-        final = np.mean([traj.metrics.cons_x[-1] for traj in result.trajectories])
-        first = result.trajectories[0]
+        traj, st = result.trajectory, result.stationarity
+        avg = np.mean(st.avg_grad_mean)
+        best = np.mean(st.min_grad_mean)
+        final = np.mean(traj.metrics.cons_x[:, -1])
         print(f"{alg:8s} {avg:14.5f} {best:14.5f} {final:15.3e} "
-              f"{int(first.samples_per_agent[-1]):14d} {int(first.comm_rounds[-1]):12d}")
+              f"{int(traj.samples_per_agent[-1]):14d} {int(traj.comm_rounds[-1]):12d}")
     hp = result.hp
     print(f"\ncalculator: eta={hp.eta:.5g} b={hp.b} big_t={hp.big_t} "
           f"k_inner={hp.k_inner} k_init={hp.k_init}")

@@ -9,20 +9,19 @@ consensus penalties:
 with (m0, m1) = lyapunov_constants(l0, l1, zeta). state_metrics computes it
 with the other recorded metrics for one state or for a stack of states; the
 runner calls it once per block of iterations and stores the stacked result
-as the trajectory's metric columns. A Trajectory holds those columns and the
-run's counters, not the states; the potential of a given state (X, V) is
-state_metrics(X, V, p, eta).phi. The checks are reductions over the columns:
-verify_descent checks the one-step decrease inequality implied by the theory,
-either per iteration on noiseless runs or in seed-averaged form;
-verify_consensus_bound checks the steady-state consensus radius
-rho * m * eta / (1 - rho).
+as the trajectory's metric columns, one row per seed of the run. A Trajectory
+holds those columns and the run's counters, not the states; the potential of
+a given state (X, V) is state_metrics(X, V, p, eta).phi. The checks reduce the
+columns over seeds and iterations at once: verify_descent checks the one-step
+decrease inequality implied by the theory, either per iteration on noiseless
+runs or in seed-averaged form; verify_consensus_bound checks the steady-state
+consensus radius rho * m * eta / (1 - rho) on every seed.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -33,31 +32,30 @@ from .problems import ProblemInstance, _row_norms, f_base, grad_base
 
 @dataclass
 class Trajectory:
-    """Everything a run records, as columns over the states t = 0..big_t.
+    """Everything a run records, as columns over its S seeds and states t = 0..big_t.
 
-    metrics stacks the StateMetrics of all big_t + 1 states, so
-    metrics.agent_grad_norms[t, i] is ||grad f(x_i^t)|| with the global
-    objective. samples_per_agent and comm_rounds are the int counters at each
-    state. output_indices holds each agent's uniform draw over
-    {0, ..., big_t - 1}, or None when big_t = 0.
+    Each metric column has shape (S, big_t + 1), and so has tracker_drifts;
+    metrics.agent_grad_norms[s, t, i] is ||grad f(x_i^t)|| with the global
+    objective on seed s. The int counters samples_per_agent and comm_rounds,
+    shape (big_t + 1,), are the same for every seed. output_indices holds each
+    seed's uniform draws over {0, ..., big_t - 1}, shape (S, m), or None when
+    big_t = 0. box_exits counts each seed's states outside the certification box.
     """
 
-    algorithm: str
     metrics: StateMetrics
     samples_per_agent: np.ndarray
     comm_rounds: np.ndarray
     tracker_drifts: np.ndarray
     output_indices: np.ndarray | None
-    box_exits: int = 0
-    first_box_exit_t: int | None = None
+    box_exits: np.ndarray
+
+    @property
+    def num_seeds(self) -> int:
+        return self.metrics.phi.shape[0]
 
     @property
     def big_t(self) -> int:
-        return len(self.metrics.phi) - 1
-
-    @property
-    def tracker_drift_max(self) -> float:
-        return float(self.tracker_drifts.max()) if self.tracker_drifts.size else 0.0
+        return self.metrics.phi.shape[1] - 1
 
 
 @dataclass(frozen=True)
@@ -113,7 +111,7 @@ def state_metrics(x: np.ndarray, v: np.ndarray, p: ProblemInstance, eta: float) 
 
 @dataclass(frozen=True)
 class StationaritySummary:
-    """Gradient-norm summary of one trajectory.
+    """Gradient-norm summary of a run, one (S,) array entry per seed.
 
     avg_grad_mean averages ||grad f(xbar^t)|| over the output-eligible
     iterations t = 0..big_t-1 and therefore equals the expected gradient
@@ -121,40 +119,41 @@ class StationaritySummary:
     each agent's own sampled output iterate.
     """
 
-    min_grad_mean: float
-    avg_grad_mean: float
-    agent_max_at_output: float
+    min_grad_mean: np.ndarray
+    avg_grad_mean: np.ndarray
+    agent_max_at_output: np.ndarray
 
 
 def stationarity_summary(traj: Trajectory) -> StationaritySummary:
     """A big_t = 0 run has only its initial state to summarize."""
     m = traj.metrics
-    eligible = m.grad_norm_mean[: max(traj.big_t, 1)]
+    eligible = m.grad_norm_mean[:, : max(traj.big_t, 1)]
     if traj.output_indices is None:
-        agent_max = m.agent_grad_norms[0].max()
+        agent = m.agent_grad_norms[:, 0]
     else:
-        draws = traj.output_indices
-        agent_max = m.agent_grad_norms[draws, np.arange(draws.size)].max()
+        seeds, agents = np.indices(traj.output_indices.shape)
+        agent = m.agent_grad_norms[seeds, traj.output_indices, agents]
     return StationaritySummary(
-        min_grad_mean=float(eligible.min()),
-        avg_grad_mean=float(np.mean(eligible)),
-        agent_max_at_output=float(agent_max),
+        min_grad_mean=eligible.min(axis=1),
+        avg_grad_mean=np.mean(eligible, axis=1),
+        agent_max_at_output=agent.max(axis=1),
     )
 
 
 @dataclass(frozen=True)
 class ConsensusBoundReport:
-    """Steady-state consensus radius check for normalized-step runs."""
+    """Steady-state consensus radius check for normalized-step runs, over all seeds."""
 
     passed: bool
     bound: float
     worst_cons: float
     worst_t: int
+    worst_seed: int
     checked: int
 
 
 def verify_consensus_bound(traj: Trajectory, rho: float, m: int, eta: float) -> ConsensusBoundReport:
-    """Check cons_x <= rho * m * eta / (1 - rho) for every t >= 1.
+    """Check cons_x <= rho * m * eta / (1 - rho) for every seed and every t >= 1.
 
     Requires rho < 1; the bound follows from the gossip contraction plus the
     fact that normalized steps move each row by at most eta.
@@ -162,12 +161,15 @@ def verify_consensus_bound(traj: Trajectory, rho: float, m: int, eta: float) -> 
     if not 0.0 <= rho < 1.0:
         raise ValueError(f"the consensus bound needs rho in [0, 1), got {rho}")
     bound = rho * m * eta / (1.0 - rho)
-    cons = traj.metrics.cons_x[1:]
+    cons = traj.metrics.cons_x[:, 1:]
     if cons.size == 0:
-        return ConsensusBoundReport(True, bound, 0.0, 0, 0)
-    worst = int(np.argmax(cons))  # the first of tied maxima
-    worst_cons = float(cons[worst])
-    return ConsensusBoundReport(worst_cons <= bound, bound, worst_cons, worst + 1, cons.size)
+        return ConsensusBoundReport(True, bound, 0.0, 0, 0, 0)
+    # the first of tied maxima, in seed order
+    seed, worst = np.unravel_index(np.argmax(cons), cons.shape)
+    worst_cons = float(cons[seed, worst])
+    return ConsensusBoundReport(
+        worst_cons <= bound, bound, worst_cons, int(worst) + 1, int(seed), cons.size
+    )
 
 
 @dataclass(frozen=True)
@@ -177,12 +179,12 @@ class DescentReport:
     bound: float
     observed: float
     worst_t: int
-    worst_traj: int
+    worst_seed: int
     n_seeds: int
 
 
 def verify_descent(
-    trajs: Sequence[Trajectory],
+    traj: Trajectory,
     p: ProblemInstance,
     eta: float,
     l_f: float,
@@ -191,12 +193,13 @@ def verify_descent(
 ) -> DescentReport:
     """Check the one-step decrease property of the potential.
 
-    deterministic mode (noiseless runs): for every consecutive pair of states,
+    deterministic mode (noiseless runs): for every seed and every consecutive
+    pair of states,
 
         phi[t+1] <= phi[t] - (5 eta / 8) ||grad f(xbar^t)|| + (3/4) eta^2 l_f + tol.
 
     observed reports the worst violation margin (positive means a violation
-    larger than tol).
+    larger than tol), at its first seed and iteration.
 
     stochastic mode: the seed average of the time-averaged gradient norm over
     t = 0..T-1 must not exceed 8 delta_phi / (5 eta T) + (6/5) eta l_f, where
@@ -204,39 +207,31 @@ def verify_descent(
     infimum. Meant for >= 10 seeds; valid when the run's contraction factor
     passes rho_guard.
     """
-    if not trajs:
-        raise ValueError("at least one trajectory required")
+    phi, grad = traj.metrics.phi, traj.metrics.grad_norm_mean
+    n_seeds = traj.num_seeds
     if mode == "deterministic":
-        worst = -math.inf
-        worst_t = 0
-        worst_traj = 0
-        for idx, traj in enumerate(trajs):
-            phi, grad = traj.metrics.phi, traj.metrics.grad_norm_mean
-            allowed = phi[:-1] - (5.0 * eta / 8.0) * grad[:-1]
-            allowed += 0.75 * eta * eta * l_f
-            margin = phi[1:] - allowed
-            margin[np.isnan(margin)] = -math.inf  # skipped, as by a loop of > comparisons
-            if margin.size and margin.max() > worst:  # strict, so the first worst stays
-                worst_t = int(np.argmax(margin))
-                worst = float(margin[worst_t])
-                worst_traj = idx
-        if worst == -math.inf:
-            worst = 0.0
+        allowed = phi[:, :-1] - (5.0 * eta / 8.0) * grad[:, :-1]
+        allowed += 0.75 * eta * eta * l_f
+        margin = phi[:, 1:] - allowed
+        margin[np.isnan(margin)] = -math.inf  # skipped, as by a loop of > comparisons
+        worst, worst_seed, worst_t = 0.0, 0, 0
+        if margin.size:
+            seed, t = np.unravel_index(np.argmax(margin), margin.shape)
+            if margin[seed, t] > -math.inf:
+                worst, worst_seed, worst_t = float(margin[seed, t]), int(seed), int(t)
         return DescentReport(
             passed=worst <= tol, mode=mode, bound=tol, observed=worst,
-            worst_t=worst_t, worst_traj=worst_traj, n_seeds=len(trajs),
+            worst_t=worst_t, worst_seed=worst_seed, n_seeds=n_seeds,
         )
     if mode == "stochastic":
-        big_t = trajs[0].big_t
+        big_t = traj.big_t
         if big_t < 1:
             raise ValueError("stochastic descent check needs big_t >= 1")
-        if any(traj.big_t != big_t for traj in trajs):
-            raise ValueError("all trajectories must share the same length")
-        delta_phi = float(np.mean([traj.metrics.phi[0] for traj in trajs])) - p.f_star
+        delta_phi = float(np.mean(phi[:, 0])) - p.f_star
         bound = 8.0 * delta_phi / (5.0 * eta * big_t) + 1.2 * eta * l_f
-        observed = float(np.mean([np.mean(traj.metrics.grad_norm_mean[:big_t]) for traj in trajs]))
+        observed = float(np.mean(np.mean(grad[:, :big_t], axis=1)))
         return DescentReport(
             passed=observed <= bound, mode=mode, bound=bound, observed=observed,
-            worst_t=-1, worst_traj=-1, n_seeds=len(trajs),
+            worst_t=-1, worst_seed=-1, n_seeds=n_seeds,
         )
     raise ValueError(f"mode must be 'deterministic' or 'stochastic', got {mode!r}")

@@ -11,7 +11,8 @@ Subcommands:
 Every subcommand accepts --seed, in [0, 2**64), and --out-dir. For run, sweep
 and params, --seed replaces master_seed before the config is validated. Exit codes:
 0 success, 1 a check or validation failed or a run diverged to non-finite
-values, 2 bad usage or config.
+values, 2 bad usage or config. A sweep fails when a check of any of its cells
+fails, and prints one line per failed check to stderr.
 """
 
 from __future__ import annotations
@@ -80,7 +81,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _load_config(args, parse_sweep_config)
     result = sweep_speedup(cfg, out_dir=args.out_dir)
     print((result.out_dir / "summary.txt").read_text(), end="")
-    return 0
+    failed = [(pt.m, c) for pt in result.points for c in pt.run.checks if not c.passed]
+    for m, c in failed:
+        print(f"m={m}: check {c.name}: FAIL (observed {c.observed:.17g}, "
+              f"threshold {c.threshold:.17g})", file=sys.stderr)
+    return 1 if failed else 0
 
 
 def _cmd_validate_topology(args: argparse.Namespace) -> int:

@@ -216,19 +216,15 @@ def parse_auto(d: dict, path: str = "auto") -> AutoHyperConfig:
 def parse_hyperparams(d: dict, path: str = "hyperparams") -> HyperParams:
     d = _expect_dict(d, path)
     _reject_unknown(d, {"eta", "b", "big_t", "k_inner", "k_init", "epsilon"}, path)
-    try:
-        return HyperParams(
-            eta=_as_float(_get(d, "eta", path), f"{path}.eta", 0.0, strict=True),
-            b=_as_int(_get(d, "b", path), f"{path}.b", minimum=1),
-            big_t=_as_int(_get(d, "big_t", path), f"{path}.big_t", minimum=0),
-            k_inner=_as_int(_get(d, "k_inner", path), f"{path}.k_inner", minimum=1),
-            k_init=_as_int(_get(d, "k_init", path), f"{path}.k_init", minimum=1),
-            epsilon=_as_float(_get(d, "epsilon", path), f"{path}.epsilon", 0.0, strict=True),
-        )
-    except ValueError as e:
-        if isinstance(e, ConfigError):
-            raise
-        raise ConfigError(path, str(e)) from e
+    # the field checks enforce every bound of HyperParams, so it cannot raise here
+    return HyperParams(
+        eta=_as_float(_get(d, "eta", path), f"{path}.eta", 0.0, strict=True),
+        b=_as_int(_get(d, "b", path), f"{path}.b", minimum=1),
+        big_t=_as_int(_get(d, "big_t", path), f"{path}.big_t", minimum=0),
+        k_inner=_as_int(_get(d, "k_inner", path), f"{path}.k_inner", minimum=1),
+        k_init=_as_int(_get(d, "k_init", path), f"{path}.k_init", minimum=1),
+        epsilon=_as_float(_get(d, "epsilon", path), f"{path}.epsilon", 0.0, strict=True),
+    )
 
 
 def _parse_x0(value, path: str = "x0") -> float | tuple[float, ...]:

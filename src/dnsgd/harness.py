@@ -1,16 +1,15 @@
 """Experiment driver: multi-seed runs, CSV output, and built-in checks.
 
-run_experiment is the one path from a RunConfig to trajectories: it builds
-the problem, the mixing matrix and the hyperparameters, runs the seeds and
-evaluates the checks. A sweep cell is a run: sweep_speedup sets problem.m of
-the sweep's run config and hands the result to run_experiment.
+run_experiment is the one path from a RunConfig to a trajectory: it builds
+the problem, the mixing matrix and the hyperparameters, runs all the seeds in
+one optimizers.run call and evaluates the checks. A sweep cell is a run:
+sweep_speedup sets problem.m of the sweep's run config and calls run_experiment.
 
 Outputs are byte-deterministic for a fixed config: no timestamps, float
 fields formatted with repr-faithful %.17g, seeds fanned out from the master
-seed and run one after another, and rows written in seed order. A metrics
-CSV is formatted from its trajectory's metric columns, one line per state,
-and the sweep finds each seed's first hit of the target by a search over the
-grad_norm_mean column.
+seed, and rows written in seed order. Checks and summaries reduce the
+trajectory's (S, big_t + 1) columns; each seed's metrics CSV is its row, one
+line per state, and the sweep finds every seed's first hit in one search.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from .analysis import (
     verify_consensus_bound,
     verify_descent,
 )
-from .config import RunConfig, SweepConfig, build_mixing, build_problem, resolve_x0
+from .config import ConfigError, RunConfig, SweepConfig, build_mixing, build_problem, resolve_x0
 from .gossip import contraction_rho
 from .hyperparams import (
     HyperParams,
@@ -77,18 +76,14 @@ class RunResult:
     theory: TheoreticalParams | None
     x0: np.ndarray
     seeds: tuple[int, ...]
-    trajectories: list[Trajectory]
+    trajectory: Trajectory
     checks: list[CheckResult]
-    per_seed_stationarity: list[StationaritySummary]
+    stationarity: StationaritySummary
     out_dir: Path | None
 
     @property
     def all_checks_passed(self) -> bool:
         return all(c.passed for c in self.checks)
-
-    @property
-    def box_exits_total(self) -> int:
-        return sum(traj.box_exits for traj in self.trajectories)
 
 
 def _initial_gradient_energy(p: ProblemInstance, x0: np.ndarray) -> float:
@@ -108,8 +103,11 @@ def resolve_hyperparams(
     # a start point far enough out overflows both to inf, which the calculator
     # rejects; that error is the one report, without numpy warnings before it
     with np.errstate(over="ignore", invalid="ignore"):
-        delta_f = max(f_base(p, x0) - p.f_star, 0.0)
+        delta_f = f_base(p, x0) - p.f_star
         g0_norm_sq = _initial_gradient_energy(p, x0)
+    if delta_f <= 0.0:
+        raise ConfigError("x0", f"f(x0) - f_star = {delta_f:.6g} leaves the calculator no "
+                          "objective gap (x0 is a minimizer); give hyperparams instead of auto")
     theory = theoretical_hyperparams(
         epsilon=auto.epsilon, l0=p.l0, l1=p.l1, zeta=p.zeta, sigma=p.sigma,
         m=p.m, gamma=mixing.gamma, delta_f_estimate=delta_f,
@@ -123,11 +121,11 @@ def _run_checks(
     p: ProblemInstance,
     hp: HyperParams,
     mixing: MixingMatrix,
-    trajectories: list[Trajectory],
+    traj: Trajectory,
 ) -> list[CheckResult]:
     checks: list[CheckResult] = []
     if METHODS[cfg.algorithm].tracked:
-        drift = max(traj.tracker_drift_max for traj in trajectories)
+        drift = float(traj.tracker_drifts.max())
         checks.append(
             CheckResult(
                 "tracker_identity", drift <= TRACKER_DRIFT_TOL, drift, TRACKER_DRIFT_TOL,
@@ -139,19 +137,17 @@ def _run_checks(
 
     rho = contraction_rho(mixing.lambda2, hp.k_inner)
     if rho < 1.0:
-        reports = [verify_consensus_bound(traj, rho, p.m, hp.eta) for traj in trajectories]
-        worst = max(reports, key=lambda r: r.worst_cons)
+        report = verify_consensus_bound(traj, rho, p.m, hp.eta)
         checks.append(
             CheckResult(
-                "consensus_bound", all(r.passed for r in reports),
-                worst.worst_cons, worst.bound,
+                "consensus_bound", report.passed, report.worst_cons, report.bound,
                 f"cons_x vs rho*m*eta/(1-rho) over t >= 1, rho={rho:.6g}",
             )
         )
     guard = rho_guard(rho, hp.eta, p.l0, p.l1, p.zeta, p.sigma, hp.b, p.m)
     l_f = lf_effective(p.l0, p.l1, p.zeta)
     if guard.ok and p.sigma == 0.0:
-        report = verify_descent([trajectories[0]], p, hp.eta, l_f, mode="deterministic")
+        report = verify_descent(traj, p, hp.eta, l_f, mode="deterministic")
         checks.append(
             CheckResult(
                 "descent_deterministic", report.passed, report.observed, report.bound,
@@ -161,10 +157,10 @@ def _run_checks(
     if (
         guard.ok
         and p.sigma > 0.0
-        and len(trajectories) >= MIN_SEEDS_FOR_STOCHASTIC_CHECK
+        and traj.num_seeds >= MIN_SEEDS_FOR_STOCHASTIC_CHECK
         and hp.big_t >= 1
     ):
-        report = verify_descent(trajectories, p, hp.eta, l_f, mode="stochastic")
+        report = verify_descent(traj, p, hp.eta, l_f, mode="stochastic")
         checks.append(
             CheckResult(
                 "descent_stochastic", report.passed, report.observed, report.bound,
@@ -174,27 +170,30 @@ def _run_checks(
     return checks
 
 
-def _write_metrics_csv(path: Path, run_id: str, seed_index: int, traj: Trajectory) -> None:
+def _write_metrics_csvs(out: Path, run_id: str, traj: Trajectory) -> None:
+    """One metrics_seed<s>.csv per seed s, from row s of the columns."""
     m = traj.metrics
-    columns = (
-        range(traj.big_t + 1), m.f_mean.tolist(), m.grad_norm_mean.tolist(),
-        m.agent_grad_norms.max(axis=1).tolist(), m.cons_x.tolist(), m.cons_v.tolist(),
-        m.phi.tolist(), traj.samples_per_agent.tolist(), traj.comm_rounds.tolist(),
-    )
-    lines = [CSV_HEADER]
-    lines.extend(
-        f"{run_id},{seed_index},{t},{f:.17g},{g:.17g},{g_max:.17g},{cx:.17g},{cv:.17g},"
-        f"{phi:.17g},{samples},{comms}"
-        for t, f, g, g_max, cx, cv, phi, samples, comms in zip(*columns)
-    )
-    path.write_text("\n".join(lines) + "\n")
+    agent_max = m.agent_grad_norms.max(axis=2)
+    counters = (traj.samples_per_agent.tolist(), traj.comm_rounds.tolist())
+    for s in range(traj.num_seeds):
+        columns = (
+            range(traj.big_t + 1), m.f_mean[s].tolist(), m.grad_norm_mean[s].tolist(),
+            agent_max[s].tolist(), m.cons_x[s].tolist(), m.cons_v[s].tolist(),
+            m.phi[s].tolist(), *counters,
+        )
+        lines = [CSV_HEADER]
+        lines.extend(
+            f"{run_id},{s},{t},{f:.17g},{g:.17g},{g_max:.17g},{cx:.17g},{cv:.17g},"
+            f"{phi:.17g},{samples},{comms}"
+            for t, f, g, g_max, cx, cv, phi, samples, comms in zip(*columns)
+        )
+        (out / f"metrics_seed{s:03d}.csv").write_text("\n".join(lines) + "\n")
 
 
 def _write_run_outputs(result: RunResult, run_id: str) -> None:
     out = result.out_dir
     out.mkdir(parents=True, exist_ok=True)
-    for idx, traj in enumerate(result.trajectories):
-        _write_metrics_csv(out / f"metrics_seed{idx:03d}.csv", run_id, idx, traj)
+    _write_metrics_csvs(out, run_id, result.trajectory)
 
     check_lines = ["check,passed,observed,threshold,detail"]
     for c in result.checks:
@@ -239,13 +238,11 @@ def _write_run_outputs(result: RunResult, run_id: str) -> None:
             f"rho={_fmt(th.rho_actual)} guard_ok={th.guard.ok} t_uncapped={th.t_uncapped}"
         )
     lines.append(f"seeds: {result.config.num_seeds}")
-    mins = [s.min_grad_mean for s in result.per_seed_stationarity]
-    avgs = [s.avg_grad_mean for s in result.per_seed_stationarity]
-    outs = [s.agent_max_at_output for s in result.per_seed_stationarity]
-    lines.append(f"min grad_norm_mean (seed mean): {_fmt(float(np.mean(mins)))}")
-    lines.append(f"avg grad_norm_mean (seed mean): {_fmt(float(np.mean(avgs)))}")
-    lines.append(f"agent max at output draw (worst seed): {_fmt(max(outs))}")
-    lines.append(f"box exits: {result.box_exits_total}")
+    st = result.stationarity
+    lines.append(f"min grad_norm_mean (seed mean): {_fmt(np.mean(st.min_grad_mean))}")
+    lines.append(f"avg grad_norm_mean (seed mean): {_fmt(np.mean(st.avg_grad_mean))}")
+    lines.append(f"agent max at output draw (worst seed): {_fmt(st.agent_max_at_output.max())}")
+    lines.append(f"box exits: {result.trajectory.box_exits.sum()}")
     for c in result.checks:
         status = "PASS" if c.passed else "FAIL"
         lines.append(
@@ -260,7 +257,7 @@ def run_experiment(
     write_outputs: bool = True,
     seed_offset: int = 0,
 ) -> RunResult:
-    """Run cfg.num_seeds independent trajectories and evaluate the checks.
+    """Run cfg.num_seeds independent seeds as one trajectory and evaluate the checks.
 
     Seed i of the run is fanned out from cfg.master_seed at index
     seed_offset + i. out_dir overrides cfg.out_dir; write_outputs=False keeps
@@ -271,14 +268,13 @@ def run_experiment(
     x0 = resolve_x0(cfg.x0, p.d)
     hp, theory = resolve_hyperparams(cfg, p, mixing, x0)
     seeds = tuple(fanout_seed(cfg.master_seed, seed_offset + i) for i in range(cfg.num_seeds))
-    trajectories = [run(cfg.algorithm, p, hp, mixing, x0, seed) for seed in seeds]
-    checks = _run_checks(cfg, p, hp, mixing, trajectories)
-    per_seed = [stationarity_summary(traj) for traj in trajectories]
+    traj = run(cfg.algorithm, p, hp, mixing, x0, seeds)
+    checks = _run_checks(cfg, p, hp, mixing, traj)
     out = Path(out_dir) if out_dir is not None else Path(cfg.out_dir)
     result = RunResult(
         config=cfg, problem=p, graph=graph, mixing=mixing, hp=hp, theory=theory,
-        x0=x0, seeds=seeds, trajectories=trajectories, checks=checks,
-        per_seed_stationarity=per_seed, out_dir=out if write_outputs else None,
+        x0=x0, seeds=seeds, trajectory=traj, checks=checks,
+        stationarity=stationarity_summary(traj), out_dir=out if write_outputs else None,
     )
     if write_outputs:
         run_id = f"{cfg.algorithm}-{cfg.problem.family}-m{p.m}-s{cfg.master_seed}"
@@ -302,12 +298,10 @@ class SweepResult:
     out_dir: Path | None
 
 
-def _first_hit(traj: Trajectory, target: float) -> tuple[int, int] | None:
-    """(samples_per_agent, comm_rounds) at the first state whose grad_norm_mean reaches target."""
-    hits = np.flatnonzero(traj.metrics.grad_norm_mean <= target)
-    if hits.size == 0:
-        return None
-    return int(traj.samples_per_agent[hits[0]]), int(traj.comm_rounds[hits[0]])
+def _first_hits(traj: Trajectory, target: float) -> np.ndarray:
+    """Each seed's first state with grad_norm_mean <= target; seeds never there are left out."""
+    hit = traj.metrics.grad_norm_mean <= target
+    return hit.argmax(axis=1)[hit.any(axis=1)]
 
 
 def sweep_speedup(
@@ -330,17 +324,15 @@ def sweep_speedup(
     for i, m in enumerate(cfg.m_list):
         cell = dataclasses.replace(run_cfg, problem=dataclasses.replace(run_cfg.problem, m=m))
         result = run_experiment(cell, write_outputs=False, seed_offset=i * run_cfg.num_seeds)
-        hits = [_first_hit(traj, cfg.target_epsilon) for traj in result.trajectories]
-        reached = [h for h in hits if h is not None]
-        if reached:
-            mean_samples = float(np.mean([h[0] for h in reached]))
-            mean_comm = float(np.mean([h[1] for h in reached]))
-        else:
-            mean_samples = math.nan
-            mean_comm = math.nan
+        traj = result.trajectory
+        first = _first_hits(traj, cfg.target_epsilon)
+        mean_samples = mean_comm = math.nan
+        if first.size:
+            mean_samples = float(np.mean(traj.samples_per_agent[first]))
+            mean_comm = float(np.mean(traj.comm_rounds[first]))
         points.append(
             SweepPoint(
-                m=m, run=result, seeds_reached=len(reached),
+                m=m, run=result, seeds_reached=first.size,
                 mean_samples_per_agent=mean_samples, mean_comm_rounds=mean_comm,
             )
         )

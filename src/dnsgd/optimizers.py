@@ -26,19 +26,20 @@ Method.cost is the one rule for what a run spends: after iteration t each
 agent has drawn b (t + 1) samples, and the network has spent
 start + t * depth * (2 if tracked else 1) communication rounds, where
 (start, depth) is (k_init, k_inner) for accelerated methods and (0, 1)
-otherwise. run records it as two int64 columns, and dnsgd params prints its
-totals at t = big_t.
+otherwise. run records it as two int64 columns shared by all seeds, and dnsgd
+params prints its totals at t = big_t.
 
-The runner records the metrics of every state as columns: arrays of
-big_t + 1 entries, sized once. It fills them a block of states at a time: it
+run takes all the seeds of a run and records the metrics of every state in
+one Trajectory: columns of shape (S, big_t + 1), sized once. The seeds run
+one after another, and each fills its row a block of states at a time: run
 copies X, V and G into (n, m, d) blocks of at most METRICS_BLOCK_FLOATS floats
 each, makes one state_metrics call per block and writes the results into the
-block's slice of each column.
+block's slice of the seed's row.
 A state that turns non-finite, or whose iterates leave the exponential
 family's safe range, raises NonFiniteStateError with its iteration and agent.
 
-The runner hands init_state and step one RunStreams for the whole run: it
-derives the oracle keys of iterations 0..big_t in one pass, and its one reused
+The runner hands init_state and step one RunStreams per seed: it derives
+the oracle keys of iterations 0..big_t in one pass, and its one reused
 generator is valid until the next oracle call. step checks each array it makes
 once: X - eta dir(V), X', G', the corrected tracker V + G' - G before it is
 mixed, and V'; init_state checks G and the gossiped V. The gossip and
@@ -48,6 +49,7 @@ normalization kernels step calls do not check again.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from typing import Sequence
 
 import numpy as np
 
@@ -206,15 +208,15 @@ def run(
     hp: HyperParams,
     w: MixingMatrix,
     x0: np.ndarray,
-    master_seed: int,
+    seeds: Sequence[int],
 ) -> Trajectory:
-    """Run an algorithm for hp.big_t iterations and record its trajectory.
+    """Run an algorithm for hp.big_t iterations on each seed; row s of the record is seeds[s].
 
-    All randomness derives from master_seed: each iteration draws the oracle
-    noise of all agents as one (m, d) block from the stream keyed by
-    (master_seed, iteration), and the final uniform output draw uses a
-    dedicated stream, so a repeated call reproduces every byte of the
-    trajectory.
+    All randomness of row s derives from seeds[s]: each iteration draws the
+    oracle noise of all agents as one (m, d) block from the stream keyed by
+    (seed, iteration), and the final uniform output draw uses a dedicated
+    stream, so a row does not depend on the other seeds, and a repeated call
+    reproduces every byte of the trajectory.
     big_t = 0 records only the initial state. Box exits (any |x_ij| beyond
     the problem's certification box) are counted, not clamped.
     """
@@ -223,25 +225,24 @@ def run(
     if w.m != p.m:
         raise ValueError(f"mixing matrix couples {w.m} agents but the problem has {p.m}")
     method = METHODS[algorithm]
-    streams = RunStreams(master_seed, hp.big_t)
 
-    n_states = hp.big_t + 1
-    cols = {f.name: np.empty(n_states) for f in fields(StateMetrics)}
-    cols["agent_grad_norms"] = np.empty((n_states, p.m))
+    n_seeds, n_states = len(seeds), hp.big_t + 1
+    cols = {f.name: np.empty((n_seeds, n_states)) for f in fields(StateMetrics)}
+    cols["agent_grad_norms"] = np.empty((n_seeds, n_states, p.m))
     samples, comms = method.cost(hp, np.arange(n_states, dtype=np.int64))
-    drifts, exits = np.empty(n_states), np.empty(n_states, dtype=bool)
+    drifts, exits = np.empty((n_seeds, n_states)), np.empty((n_seeds, n_states), dtype=bool)
     # States are copied into these (n, m, d) blocks. Each full block, and the
     # last one, gets one state_metrics call and fills its slice of every column.
     block_len = min(max(1, METRICS_BLOCK_FLOATS // (p.m * p.d)), n_states)
     xs, vs, gs = (np.empty((block_len, p.m, p.d)) for _ in range(3))
 
-    def record(s: OptimizerState) -> None:
+    def record(seed_row: int, s: OptimizerState) -> None:
         i = s.t % block_len
         xs[i], vs[i], gs[i] = s.x, s.v, s.g_prev
         if i + 1 < block_len and s.t < hp.big_t:
             return
         x, v, g = xs[: i + 1], vs[: i + 1], gs[: i + 1]
-        block = slice(s.t - i, s.t + 1)
+        block = (seed_row, slice(s.t - i, s.t + 1))
         sm = state_metrics(x, v, p, hp.eta)
         for name, col in cols.items():
             col[block] = getattr(sm, name)
@@ -249,27 +250,25 @@ def run(
         drifts[block] = _row_norms(v.mean(axis=1) - gbar) / np.maximum(1.0, _row_norms(gbar))
         exits[block] = np.abs(x).max(axis=(1, 2)) > p.box_radius
 
-    # overflow on the way to a non-finite state is reported once, by the
-    # finiteness checks, not also as numpy warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        state = init_state(method, p, x0, hp, w, streams)
-        record(state)
-        for _ in range(hp.big_t):
-            state = step(state, method, p, hp, w, streams)
-            record(state)
+    output_indices = np.empty((n_seeds, p.m), dtype=np.int64) if hp.big_t > 0 else None
+    for row, seed in enumerate(seeds):
+        streams = RunStreams(seed, hp.big_t)
+        # overflow on the way to a non-finite state is reported once, by the
+        # finiteness checks, not also as numpy warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            state = init_state(method, p, x0, hp, w, streams)
+            record(row, state)
+            for _ in range(hp.big_t):
+                state = step(state, method, p, hp, w, streams)
+                record(row, state)
+        if output_indices is not None:
+            output_indices[row] = streams.output_draw().integers(0, hp.big_t, size=p.m)
 
-    if hp.big_t > 0:
-        output_indices = streams.output_draw().integers(0, hp.big_t, size=p.m)
-    else:
-        output_indices = None
-    exit_ts = np.flatnonzero(exits)
     return Trajectory(
-        algorithm=algorithm,
         metrics=StateMetrics(**cols),
         samples_per_agent=samples,
         comm_rounds=comms,
         tracker_drifts=drifts,
         output_indices=output_indices,
-        box_exits=int(exit_ts.size),
-        first_box_exit_t=int(exit_ts[0]) if exit_ts.size else None,
+        box_exits=exits.sum(axis=1),
     )

@@ -23,7 +23,7 @@ def record_criterion(number: int, name: str, passed: bool, detail: str = "") -> 
 
 
 def stepped_states(algorithm, p, hp, w, x0, seed):
-    """The states t = 0..hp.big_t of run(algorithm, p, hp, w, x0, seed), in order."""
+    """The states t = 0..hp.big_t of run(algorithm, p, hp, w, x0, [seed]), in order."""
     method = METHODS[algorithm]
     streams = RunStreams(seed, hp.big_t)
     states = [init_state(method, p, x0, hp, w, streams)]

@@ -146,9 +146,9 @@ def test_criterion_2_mixing_validation():
 
 def test_criterion_3_stationarity(crit3):
     result, elapsed = crit3
-    summaries = [stationarity_summary(traj) for traj in result.trajectories]
-    seed_mean_avg = float(np.mean([s.avg_grad_mean for s in summaries]))
-    worst_min = max(s.min_grad_mean for s in summaries)
+    summary = stationarity_summary(result.trajectory)
+    seed_mean_avg = float(np.mean(summary.avg_grad_mean))
+    worst_min = float(summary.min_grad_mean.max())
     eps = result.hp.epsilon
     passed = seed_mean_avg <= eps and worst_min <= eps / 2 and elapsed < 120.0
     record_criterion(
@@ -163,7 +163,7 @@ def test_criterion_4_deterministic_descent(crit4):
     result, elapsed = crit4
     assert result.theory is not None and result.theory.guard.ok
     report = verify_descent(
-        result.trajectories, result.problem, result.hp.eta, result.theory.l_f,
+        result.trajectory, result.problem, result.hp.eta, result.theory.l_f,
         mode="deterministic", tol=1e-9,
     )
     passed = report.passed and elapsed < 10.0
@@ -190,21 +190,19 @@ def test_criterion_5_linear_speedup(crit5):
 
 
 def test_criterion_6_consensus_bound(crit3, crit4, crit5):
-    runs = []
-    for result, _ in (crit3, crit4):
-        for traj in result.trajectories:
-            runs.append((traj, result.theory.rho_actual, result.problem.m, result.hp.eta))
-    for pt in crit5[0].points:
-        for traj in pt.run.trajectories:
-            runs.append((traj, pt.run.theory.rho_actual, pt.m, pt.run.hp.eta))
-    reports = [verify_consensus_bound(t, rho, m, eta) for t, rho, m, eta in runs]
+    results = [crit3[0], crit4[0], *(pt.run for pt in crit5[0].points)]
+    reports = [
+        verify_consensus_bound(r.trajectory, r.theory.rho_actual, r.problem.m, r.hp.eta)
+        for r in results
+    ]
     worst = max(
         (r.worst_cons / r.bound if r.checked else 0.0) for r in reports
     )
     passed = all(r.passed for r in reports)
+    n_seeds = sum(r.trajectory.num_seeds for r in results)
     record_criterion(
         6, "consensus radius", passed,
-        f"{len(runs)} runs, worst cons/bound {worst:.2e}",
+        f"{n_seeds} runs, worst cons/bound {worst:.2e}",
     )
     assert passed
 
@@ -288,18 +286,18 @@ def test_criterion_8_oracle_correctness():
 
 
 def test_criterion_9_tracker_identity(crit3, crit4, crit5):
-    trajs = list(crit3[0].trajectories) + list(crit4[0].trajectories)
-    for pt in crit5[0].points:
-        trajs.extend(pt.run.trajectories)
+    trajs = [crit3[0].trajectory, crit4[0].trajectory]
+    trajs.extend(pt.run.trajectory for pt in crit5[0].points)
     p = make_exp_pair(d=4, rate=1.0, m=4, zeta=0.2, sigma=0.5, seed=5)
     mix = metropolis_mixing(build_topology("ring", 4))
     hp = HyperParams(eta=0.02, b=2, big_t=50, k_inner=3, k_init=1, epsilon=0.1)
-    trajs.append(run("dsgt", p, hp, mix, np.full(4, 0.8), master_seed=31))
-    worst = max(traj.tracker_drift_max for traj in trajs)
+    trajs.append(run("dsgt", p, hp, mix, np.full(4, 0.8), seeds=[31]))
+    worst = max(float(traj.tracker_drifts.max()) for traj in trajs)
     passed = worst <= 1e-8
+    n_seeds = sum(traj.num_seeds for traj in trajs)
     record_criterion(
         9, "tracker identity", passed,
-        f"{len(trajs)} runs, worst drift {worst:.2e}",
+        f"{n_seeds} runs, worst drift {worst:.2e}",
     )
     assert passed
 

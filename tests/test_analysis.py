@@ -134,8 +134,8 @@ def test_state_metrics_fields_consistent():
 def test_deterministic_descent_on_guarded_run():
     hp, th, x0 = _guard_mode_params(t_override=300)
     assert th.guard.ok
-    traj = run("dnsgd", QUAD, hp, RING4, x0, master_seed=7)
-    report = verify_descent([traj], QUAD, hp.eta, th.l_f, mode="deterministic")
+    traj = run("dnsgd", QUAD, hp, RING4, x0, seeds=[7])
+    report = verify_descent(traj, QUAD, hp.eta, th.l_f, mode="deterministic")
     assert report.passed
     assert report.observed <= 1e-9
     assert report.n_seeds == 1
@@ -143,7 +143,7 @@ def test_deterministic_descent_on_guarded_run():
 
 def test_consensus_bound_on_guarded_run():
     hp, th, x0 = _guard_mode_params(t_override=200)
-    traj = run("dnsgd", QUAD, hp, RING4, x0, master_seed=7)
+    traj = run("dnsgd", QUAD, hp, RING4, x0, seeds=[7])
     report = verify_consensus_bound(traj, th.rho_actual, QUAD.m, hp.eta)
     assert report.passed
     assert report.checked == 200
@@ -154,7 +154,7 @@ def test_consensus_bound_on_guarded_run():
     deep_hp = dataclasses.replace(hp, k_inner=hp.k_inner + 15)
     deep_rho = contraction_rho(1.0 - RING4.gamma, deep_hp.k_inner)
     assert deep_rho < th.rho_actual
-    deep = run("dnsgd", QUAD, deep_hp, RING4, x0, master_seed=7)
+    deep = run("dnsgd", QUAD, deep_hp, RING4, x0, seeds=[7])
     deep_report = verify_consensus_bound(deep, deep_rho, QUAD.m, hp.eta)
     assert deep_report.passed
     assert deep_report.bound < report.bound
@@ -162,7 +162,7 @@ def test_consensus_bound_on_guarded_run():
 
 def test_consensus_bound_rejects_expanding_rho():
     hp, _, x0 = _guard_mode_params(t_override=1)
-    traj = run("dnsgd", QUAD, hp, RING4, x0, master_seed=7)
+    traj = run("dnsgd", QUAD, hp, RING4, x0, seeds=[7])
     for rho in (1.0, 1.5, -0.1):
         with pytest.raises(ValueError, match="rho"):
             verify_consensus_bound(traj, rho, QUAD.m, hp.eta)
@@ -176,63 +176,63 @@ def test_stochastic_descent_seed_average():
         epsilon=0.3, l0=p.l0, l1=p.l1, zeta=p.zeta, sigma=p.sigma, m=p.m,
         gamma=RING4.gamma, delta_f_estimate=1.0, g0_norm_sq=g0, t_cap=300,
     )
-    trajs = [
-        run("dnsgd", p, th.hp, RING4, x0, master_seed=100 + s)
-        for s in range(10)
-    ]
-    report = verify_descent(trajs, p, th.hp.eta, th.l_f, mode="stochastic")
+    traj = run("dnsgd", p, th.hp, RING4, x0, seeds=range(100, 110))
+    report = verify_descent(traj, p, th.hp.eta, th.l_f, mode="stochastic")
     assert report.passed
     assert report.n_seeds == 10
     assert report.observed <= report.bound
     # the bound is the telescoped potential drop plus the smoothness floor
-    delta_phi = np.mean([t.metrics.phi[0] for t in trajs]) - p.f_star
+    delta_phi = np.mean(traj.metrics.phi[:, 0]) - p.f_star
     expected = 8.0 * delta_phi / (5.0 * th.hp.eta * 300) + 1.2 * th.hp.eta * th.l_f
     assert report.bound == pytest.approx(expected, rel=1e-12)
 
 
 def test_descent_mode_validation():
     hp, th, x0 = _guard_mode_params(t_override=2)
-    traj = run("dnsgd", QUAD, hp, RING4, x0, master_seed=7)
-    with pytest.raises(ValueError, match="trajectory"):
-        verify_descent([], QUAD, hp.eta, th.l_f)
+    traj = run("dnsgd", QUAD, hp, RING4, x0, seeds=[7])
     with pytest.raises(ValueError, match="mode"):
-        verify_descent([traj], QUAD, hp.eta, th.l_f, mode="typo")
-    short = run("dnsgd", QUAD, dataclasses.replace(hp, big_t=1), RING4, x0, master_seed=7)
-    with pytest.raises(ValueError, match="length"):
-        verify_descent([traj, short], QUAD, hp.eta, th.l_f, mode="stochastic")
+        verify_descent(traj, QUAD, hp.eta, th.l_f, mode="typo")
+    single = run("dnsgd", QUAD, dataclasses.replace(hp, big_t=0), RING4, x0, seeds=[7])
+    with pytest.raises(ValueError, match="big_t >= 1"):
+        verify_descent(single, QUAD, hp.eta, th.l_f, mode="stochastic")
 
 
 def test_stationarity_summary_identities():
     hp, _, x0 = _guard_mode_params(t_override=50)
-    traj = run("dnsgd", QUAD, hp, RING4, x0, master_seed=21)
+    traj = run("dnsgd", QUAD, hp, RING4, x0, seeds=[21, 22])
     summ = stationarity_summary(traj)
-    eligible = traj.metrics.grad_norm_mean[:50].tolist()
-    assert summ.avg_grad_mean == pytest.approx(np.mean(eligible), rel=1e-14)
-    assert summ.min_grad_mean == min(eligible)
-    assert summ.min_grad_mean <= summ.avg_grad_mean
-    expected_max = max(
-        traj.metrics.agent_grad_norms[t_i, i] for i, t_i in enumerate(traj.output_indices)
-    )
-    assert summ.agent_max_at_output == pytest.approx(expected_max, rel=1e-14)
+    assert summ.min_grad_mean.shape == summ.avg_grad_mean.shape == (2,)
+    assert summ.agent_max_at_output.shape == (2,)
+    for s in range(2):
+        eligible = traj.metrics.grad_norm_mean[s, :50].tolist()
+        assert summ.avg_grad_mean[s] == pytest.approx(np.mean(eligible), rel=1e-14)
+        assert summ.min_grad_mean[s] == min(eligible)
+        assert summ.min_grad_mean[s] <= summ.avg_grad_mean[s]
+        expected_max = max(
+            traj.metrics.agent_grad_norms[s, t_i, i]
+            for i, t_i in enumerate(traj.output_indices[s])
+        )
+        assert summ.agent_max_at_output[s] == pytest.approx(expected_max, rel=1e-14)
+    assert traj.output_indices.shape == (2, QUAD.m)
     assert (traj.output_indices >= 0).all()
     assert (traj.output_indices < 50).all()
 
 
 def test_stationarity_summary_degenerate_run():
     hp, _, x0 = _guard_mode_params(t_override=0)
-    traj = run("dnsgd", QUAD, hp, RING4, x0, master_seed=21)
+    traj = run("dnsgd", QUAD, hp, RING4, x0, seeds=[21])
     assert traj.big_t == 0
     assert traj.output_indices is None
     summ = stationarity_summary(traj)
     assert summ.min_grad_mean == summ.avg_grad_mean == traj.metrics.grad_norm_mean[0]
     assert summ.agent_max_at_output == pytest.approx(
-        traj.metrics.agent_grad_norms[0].max(), rel=1e-14
+        traj.metrics.agent_grad_norms[0, 0].max(), rel=1e-14
     )
 
 
 def test_consensus_bound_empty_tail():
     hp, th, x0 = _guard_mode_params(t_override=0)
-    traj = run("dnsgd", QUAD, hp, RING4, x0, master_seed=3)
+    traj = run("dnsgd", QUAD, hp, RING4, x0, seeds=[3])
     report = verify_consensus_bound(traj, th.rho_actual, QUAD.m, hp.eta)
     assert report.passed
     assert report.checked == 0
@@ -241,12 +241,12 @@ def test_consensus_bound_empty_tail():
 def test_phi_recorded_rows_match_recomputation():
     # the runner's phi column must be reproducible from every state it stepped through
     hp, _, x0 = _guard_mode_params(t_override=20)
-    traj = run("dnsgd", QUAD, hp, RING4, x0, master_seed=13)
+    traj = run("dnsgd", QUAD, hp, RING4, x0, seeds=[13])
     states = stepped_states("dnsgd", QUAD, hp, RING4, x0, 13)
     assert [s.t for s in states] == list(range(hp.big_t + 1))
     for t, s in enumerate(states):
-        assert traj.metrics.phi[t] == pytest.approx(
+        assert traj.metrics.phi[0, t] == pytest.approx(
             state_metrics(s.x, s.v, QUAD, hp.eta).phi, rel=1e-14
         )
-        assert traj.metrics.cons_x[t] == pytest.approx(consensus_error(s.x), rel=1e-14)
-    assert math.isfinite(traj.metrics.phi[-1])
+        assert traj.metrics.cons_x[0, t] == pytest.approx(consensus_error(s.x), rel=1e-14)
+    assert math.isfinite(traj.metrics.phi[0, -1])

@@ -1,17 +1,21 @@
-"""The benchmark's generated configs parse with the current config schema.
+"""The benchmark's generated configs parse, and its commands succeed.
 
 bench/run.py writes one JSON config per command and runs it through the
-dnsgd command line; a config the parsers reject exits 2 there, and every
-trajectory of the workload counts as failed. This test imports bench/run.py
-by path, as it is, and parses every config of both workloads.
+dnsgd command line; a config the parsers reject exits 2 there, and a command
+that exits non-zero (a built-in check failed, or a cell check of a sweep)
+counts every trajectory of it as failed. These tests import bench/run.py by
+path, as it is, parse every config of both workloads, and run every command
+of one repetition at full size.
 """
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
 import pytest
 
+from dnsgd.cli import main as cli_main
 from dnsgd.config import parse_run_config, parse_sweep_config
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -47,3 +51,12 @@ def test_benchmark_configs_parse(bench_run, tiny):
                 cfg = PARSERS[cmd.subcommand](cmd.config)
                 run_cfg = cfg.run if cmd.subcommand == "sweep" else cfg
                 assert run_cfg.master_seed == seed, (workload, cmd.subcommand)
+
+
+def test_benchmark_commands_succeed(bench_run, tmp_path):
+    for workload in bench_run.WORKLOADS:
+        for i, cmd in enumerate(bench_run.workload_commands(workload, 1)):
+            path = tmp_path / f"{workload}-{i}.json"
+            path.write_text(json.dumps(cmd.config))
+            argv = [cmd.subcommand, "--config", str(path), "--out-dir", str(tmp_path / path.stem)]
+            assert cli_main(argv) == 0, (workload, i, cmd.subcommand)

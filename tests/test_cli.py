@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import dnsgd
+from dnsgd import harness
 from dnsgd.cli import main
 from dnsgd.problems import EXP_ARG_MAX
 
@@ -345,6 +346,41 @@ def test_far_start_exits_with_one_error_line(tmp_path, case):
     assert proc.returncode == code, proc.stderr
     # no numpy warnings and no traceback: the error line is all of stderr
     assert proc.stderr == message + "\n"
+
+
+@pytest.mark.parametrize("command", ["params", "run"])
+def test_start_at_the_minimizer_is_a_config_error(tmp_path, capsys, command):
+    # f(x0) = f_star leaves the calculator no objective gap to size the run with
+    cfg = json.loads(QUADRATIC_CONFIG.read_text())
+    cfg["x0"] = 0.0
+    path = _write(tmp_path / "at_min.json", cfg)
+    code = main([command, "--config", path, "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: x0: f(x0) - f_star = 0 "), err
+    assert "give hyperparams instead of auto" in err
+    assert err.count("\n") == 1
+
+
+SWEEP_CONFIG = QUADRATIC_CONFIG.parent / "sweep_speedup.json"
+
+
+def test_sweep_exits_one_when_a_cell_check_fails(tmp_path, capsys, monkeypatch):
+    passing = tmp_path / "pass"
+    assert main(["sweep", "--config", str(SWEEP_CONFIG), "--out-dir", str(passing)]) == 0
+    assert capsys.readouterr().err == ""
+    # every tracked cell now fails its tracker identity check
+    monkeypatch.setattr(harness, "TRACKER_DRIFT_TOL", -1.0)
+    failing = tmp_path / "fail"
+    assert main(["sweep", "--config", str(SWEEP_CONFIG), "--out-dir", str(failing)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert [line.split(" (")[0] for line in lines] == [
+        f"m={m}: check tracker_identity: FAIL" for m in (2, 4, 8, 16)
+    ]
+    assert all(line.endswith(", threshold -1)") for line in lines), lines
+    # the report files do not list the checks, so they are the same either way
+    for name in ("summary.txt", "speedup.csv"):
+        assert (failing / name).read_bytes() == (passing / name).read_bytes(), name
 
 
 COMPARE_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "compare_optimizers.py"

@@ -310,7 +310,7 @@ def test_box_exits_reported(tmp_path):
         num_seeds=1,
     )
     result = run_experiment(cfg, out_dir=tmp_path)
-    assert result.box_exits_total >= 1
+    assert result.trajectory.box_exits.shape == (1,) and result.trajectory.box_exits[0] >= 1
     assert "box exits" in (tmp_path / "summary.txt").read_text()
 
 
@@ -345,11 +345,11 @@ def test_sweep_seeds_follow_the_m_index():
     for i, pt in enumerate(result.points):
         p = build_problem(dataclasses.replace(cfg.run.problem, m=pt.m))
         _, mixing = build_mixing(cfg.run.topology, pt.m)
-        for j, traj in enumerate(pt.run.trajectories):
+        for j, draws in enumerate(pt.run.trajectory.output_indices):
             seed = fanout_seed(cfg.run.master_seed, 2 * i + j)
             assert pt.run.seeds[j] == seed
-            expected = run("dnsgd", p, pt.run.hp, mixing, np.full(3, 1.0), seed)
-            assert np.array_equal(traj.output_indices, expected.output_indices), (i, j)
+            expected = run("dnsgd", p, pt.run.hp, mixing, np.full(3, 1.0), [seed])
+            assert np.array_equal(draws, expected.output_indices[0]), (i, j)
 
 
 def test_sweep_certifies_the_stub_once(monkeypatch):
@@ -379,7 +379,7 @@ def test_sweep_cells_pass_their_checks():
         names = [c.name for c in pt.run.checks]
         assert names[:2] == ["tracker_identity", "consensus_bound"], (pt.m, names)
         assert pt.run.all_checks_passed, (pt.m, pt.run.checks)
-        assert pt.run.problem.m == pt.m and len(pt.run.trajectories) == cfg.run.num_seeds
+        assert pt.run.problem.m == pt.m and pt.run.trajectory.num_seeds == cfg.run.num_seeds
 
 
 def test_sweep_unreachable_target_yields_nan_row(tmp_path):
@@ -402,4 +402,4 @@ def test_long_ring_m256_run_keeps_tracker_identity():
     })
     res = run_experiment(cfg, write_outputs=False)
     assert (res.hp.big_t, res.hp.k_inner) == (300, 1107)
-    assert res.trajectories[0].tracker_drift_max <= TRACKER_DRIFT_TOL
+    assert res.trajectory.tracker_drifts.max() <= TRACKER_DRIFT_TOL

@@ -1,5 +1,6 @@
 """Update rules: hand-simulated trajectories, counters, and failure modes."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -47,9 +48,9 @@ def test_dnsgd_single_agent_hand_simulation():
     p = make_quadratic(d=1, curvature=1.0, m=1, zeta=0.0, sigma=0.0, seed=0)
     mix = metropolis_mixing(build_topology("ring", 1))
     hp = _hp(eta=0.5, big_t=5, k_inner=1, k_init=1)
-    traj = run("dnsgd", p, hp, mix, np.array([2.0]), master_seed=1)
-    assert traj.metrics.f_mean.tolist() == [2.0, 1.125, 0.5, 0.125, 0.0, 0.0]
-    assert traj.metrics.grad_norm_mean.tolist() == [2.0, 1.5, 1.0, 0.5, 0.0, 0.0]
+    traj = run("dnsgd", p, hp, mix, np.array([2.0]), seeds=[1])
+    assert traj.metrics.f_mean.tolist() == [[2.0, 1.125, 0.5, 0.125, 0.0, 0.0]]
+    assert traj.metrics.grad_norm_mean.tolist() == [[2.0, 1.5, 1.0, 0.5, 0.0, 0.0]]
     # a single agent is always at consensus, so phi collapses to f
     assert np.array_equal(traj.metrics.phi, traj.metrics.f_mean)
     assert traj.samples_per_agent.tolist() == [1, 2, 3, 4, 5, 6]
@@ -60,9 +61,9 @@ def test_dsgd_single_agent_geometric_decay():
     p = make_quadratic(d=1, curvature=1.0, m=1, zeta=0.0, sigma=0.0, seed=0)
     mix = metropolis_mixing(build_topology("ring", 1))
     hp = _hp(eta=0.1, big_t=3)
-    traj = run("dsgd", p, hp, mix, np.array([1.0]), master_seed=1)
+    traj = run("dsgd", p, hp, mix, np.array([1.0]), seeds=[1])
     x = 1.0
-    for grad_norm in traj.metrics.grad_norm_mean:
+    for grad_norm in traj.metrics.grad_norm_mean[0]:
         assert grad_norm == pytest.approx(x, rel=1e-14)
         x = x - 0.1 * x
     assert traj.comm_rounds.tolist() == [0, 1, 2, 3]
@@ -88,23 +89,23 @@ def test_tracker_identity_all_tracked_algorithms():
     p = make_exp_pair(d=4, rate=1.0, m=4, zeta=0.2, sigma=0.5, seed=5)
     hp = _hp(eta=0.02, b=3, big_t=40)
     for alg in ("dnsgd", "dsgt", "dnasa"):
-        traj = run(alg, p, hp, RING4, np.full(4, 0.5), master_seed=17)
-        assert traj.tracker_drift_max <= 1e-8, alg
+        traj = run(alg, p, hp, RING4, np.full(4, 0.5), seeds=[17])
+        assert traj.tracker_drifts.max() <= 1e-8, alg
 
 
 def test_run_is_deterministic_per_seed():
     p = make_exp_pair(d=3, rate=1.0, m=4, zeta=0.2, sigma=0.7, seed=5)
     hp = _hp(big_t=10, b=2)
     x0 = np.full(3, 0.8)
-    a = run("dnsgd", p, hp, RING4, x0, master_seed=42)
-    b = run("dnsgd", p, hp, RING4, x0, master_seed=42)
+    a = run("dnsgd", p, hp, RING4, x0, seeds=[42])
+    b = run("dnsgd", p, hp, RING4, x0, seeds=[42])
     cols_a, cols_b = recorded_columns(a), recorded_columns(b)
     for name in COLUMNS:
         assert np.array_equal(cols_a[name], cols_b[name]), name
     assert np.array_equal(a.metrics.agent_grad_norms, b.metrics.agent_grad_norms)
     assert np.array_equal(a.output_indices, b.output_indices)
-    c = run("dnsgd", p, hp, RING4, x0, master_seed=43)
-    assert not np.array_equal(a.metrics.phi[1:], c.metrics.phi[1:])
+    c = run("dnsgd", p, hp, RING4, x0, seeds=[43])
+    assert not np.array_equal(a.metrics.phi[0, 1:], c.metrics.phi[0, 1:])
 
 
 def test_dsgt_removes_heterogeneity_floor():
@@ -114,12 +115,12 @@ def test_dsgt_removes_heterogeneity_floor():
     p = make_quadratic(d=3, curvature=1.0, m=4, zeta=1.0, sigma=0.0, seed=8)
     hp = _hp(eta=0.05, big_t=400)
     x0 = np.full(3, 1.0)
-    dsgd = run("dsgd", p, hp, RING4, x0, master_seed=5)
-    dsgt = run("dsgt", p, hp, RING4, x0, master_seed=5)
-    assert dsgd.metrics.agent_grad_norms[-1].max() > 0.01
-    assert dsgd.metrics.cons_x[-1] > 0.01
-    assert dsgt.metrics.agent_grad_norms[-1].max() < 1e-6
-    assert dsgt.metrics.cons_x[-1] < 1e-12
+    dsgd = run("dsgd", p, hp, RING4, x0, seeds=[5])
+    dsgt = run("dsgt", p, hp, RING4, x0, seeds=[5])
+    assert dsgd.metrics.agent_grad_norms[0, -1].max() > 0.01
+    assert dsgd.metrics.cons_x[0, -1] > 0.01
+    assert dsgt.metrics.agent_grad_norms[0, -1].max() < 1e-6
+    assert dsgt.metrics.cons_x[0, -1] < 1e-12
 
 
 def test_divergence_raises_non_finite():
@@ -128,17 +129,17 @@ def test_divergence_raises_non_finite():
     hp = _hp(eta=1e6, big_t=20)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NonFiniteStateError, match="non-finite"):
-            run("dsgd", p, hp, mix, np.full(2, 1.0), master_seed=3)
+            run("dsgd", p, hp, mix, np.full(2, 1.0), seeds=[3])
 
 
 def test_exp_range_exit_is_a_divergence():
     p = make_exp_pair(d=4, rate=1.0, m=4, zeta=0.5, sigma=0.0, seed=3)
     hp = _hp(eta=50.0, big_t=400, k_inner=1, k_init=1)
     with pytest.raises(NonFiniteStateError, match=r"safe range .* at iteration 2, agent 0$"):
-        run("dsgd", p, hp, RING4, np.full(4, 0.6), master_seed=7)
+        run("dsgd", p, hp, RING4, np.full(4, 0.6), seeds=[7])
     # a start point out of range is bad input, not a divergence
     with pytest.raises(ValueError, match="safe range"):
-        run("dsgd", p, hp, RING4, np.full(4, 701.0), master_seed=7)
+        run("dsgd", p, hp, RING4, np.full(4, 701.0), seeds=[7])
 
 
 def test_dnasa_schedule_frozen():
@@ -163,8 +164,8 @@ def test_degenerate_horizon_records_initial_state_only():
     p = make_quadratic(d=2, curvature=1.0, m=4, zeta=0.3, sigma=0.0, seed=2)
     hp = _hp(big_t=0)
     for alg in ALGORITHMS:
-        traj = run(alg, p, hp, RING4, np.zeros(2), master_seed=1)
-        assert traj.metrics.phi.shape == traj.comm_rounds.shape == (1,)
+        traj = run(alg, p, hp, RING4, np.zeros(2), seeds=[1])
+        assert traj.metrics.phi.shape == (1, 1) and traj.comm_rounds.shape == (1,)
         assert traj.big_t == 0
         assert traj.output_indices is None
 
@@ -186,7 +187,7 @@ def test_counters_per_algorithm():
     hp = _hp(b=7, big_t=4, k_inner=5, k_init=3)
     assert EXPECTED_COMM["dnsgd"](hp, np.arange(3)).tolist() == [3, 13, 23]
     for alg in ALGORITHMS:
-        traj = run(alg, p, hp, RING4, np.zeros(2), master_seed=1)
+        traj = run(alg, p, hp, RING4, np.zeros(2), seeds=[1])
         t = np.arange(hp.big_t + 1)
         assert np.array_equal(traj.samples_per_agent, 7 * (t + 1))
         assert np.array_equal(traj.comm_rounds, EXPECTED_COMM[alg](hp, t)), alg
@@ -198,26 +199,28 @@ def test_box_exit_counting():
         d=2, curvature=1.0, m=4, zeta=0.0, sigma=0.0, seed=2, box_radius=0.5
     )
     hp = _hp(eta=0.3, big_t=3)
-    traj = run("dnsgd", p, hp, RING4, np.full(2, 0.6), master_seed=1)
-    assert traj.box_exits >= 1
-    assert traj.first_box_exit_t == 0
+    traj = run("dnsgd", p, hp, RING4, np.full(2, 0.6), seeds=[1])
+    assert traj.box_exits.shape == (1,) and traj.box_exits[0] >= 1
+    # the start point is outside the box, so the initial state counts
+    start = run("dnsgd", p, _hp(eta=0.3, big_t=0), RING4, np.full(2, 0.6), seeds=[1])
+    assert start.box_exits.tolist() == [1]
 
 
 def test_run_argument_validation():
     p = make_quadratic(d=2, curvature=1.0, m=4, zeta=0.3, sigma=0.0, seed=2)
     hp = _hp()
     with pytest.raises(ValueError, match="unknown algorithm"):
-        run("adam", p, hp, RING4, np.zeros(2), master_seed=1)
+        run("adam", p, hp, RING4, np.zeros(2), seeds=[1])
     other = metropolis_mixing(build_topology("ring", 8))
     with pytest.raises(ValueError, match="couples"):
-        run("dnsgd", p, hp, other, np.zeros(2), master_seed=1)
+        run("dnsgd", p, hp, other, np.zeros(2), seeds=[1])
     # state snapshots were removed with their keyword
     with pytest.raises(TypeError, match="snapshot_every"):
-        run("dnsgd", p, hp, RING4, np.zeros(2), master_seed=1, snapshot_every=1)
+        run("dnsgd", p, hp, RING4, np.zeros(2), seeds=[1], snapshot_every=1)
     with pytest.raises(ValueError, match="shape"):
-        run("dnsgd", p, hp, RING4, np.zeros(3), master_seed=1)
+        run("dnsgd", p, hp, RING4, np.zeros(3), seeds=[1])
     with pytest.raises(ValueError, match="finite"):
-        run("dnsgd", p, hp, RING4, np.array([np.nan, 0.0]), master_seed=1)
+        run("dnsgd", p, hp, RING4, np.array([np.nan, 0.0]), seeds=[1])
 
 
 # --- the recorded trajectory against a per-iteration reference ------------------
@@ -280,19 +283,21 @@ def reference_run(algorithm, p, hp, w, x0, master_seed):
         np.array(drifts), output_indices, box_exits, first_exit
 
 
-def recorded_columns(traj):
-    """The columns of COLUMNS as run recorded them."""
+def recorded_columns(traj, s=0):
+    """The columns of COLUMNS as run recorded them for the seed in row s."""
     m = traj.metrics
     return {
-        "t": np.arange(traj.big_t + 1), "f_mean": m.f_mean, "grad_norm_mean": m.grad_norm_mean,
-        "grad_norm_agent_max": m.agent_grad_norms.max(axis=1), "cons_x": m.cons_x,
-        "cons_v": m.cons_v, "phi": m.phi, "samples_per_agent": traj.samples_per_agent,
+        "t": np.arange(traj.big_t + 1), "f_mean": m.f_mean[s],
+        "grad_norm_mean": m.grad_norm_mean[s],
+        "grad_norm_agent_max": m.agent_grad_norms[s].max(axis=1), "cons_x": m.cons_x[s],
+        "cons_v": m.cons_v[s], "phi": m.phi[s], "samples_per_agent": traj.samples_per_agent,
         "comm_rounds": traj.comm_rounds,
     }
 
 
 def _assert_matches_reference(algorithm, p, hp, w, x0, seed):
-    traj = run(algorithm, p, hp, w, x0, seed)
+    """run on [seed] equals the reference; returns the reference's first box exit."""
+    traj = run(algorithm, p, hp, w, x0, [seed])
     cols, agent_norms, drifts, output_indices, box_exits, first_exit = reference_run(
         algorithm, p, hp, w, x0, seed
     )
@@ -300,17 +305,16 @@ def _assert_matches_reference(algorithm, p, hp, w, x0, seed):
         assert col.shape == cols[name].shape, name
         assert col.dtype.kind == cols[name].dtype.kind, name
         assert np.array_equal(col, cols[name]), name
-    assert np.array_equal(traj.metrics.agent_grad_norms, agent_norms)
-    assert traj.metrics.agent_grad_norms.shape == agent_norms.shape
-    assert np.array_equal(traj.tracker_drifts, drifts)
-    assert traj.tracker_drifts.shape == drifts.shape
+    assert np.array_equal(traj.metrics.agent_grad_norms[0], agent_norms)
+    assert traj.metrics.agent_grad_norms.shape == (1, *agent_norms.shape)
+    assert np.array_equal(traj.tracker_drifts[0], drifts)
+    assert traj.tracker_drifts.shape == (1, *drifts.shape)
     if output_indices is None:
         assert traj.output_indices is None
     else:
-        assert np.array_equal(traj.output_indices, output_indices)
-    assert traj.box_exits == box_exits
-    assert traj.first_box_exit_t == first_exit
-    return traj
+        assert np.array_equal(traj.output_indices, output_indices[None])
+    assert traj.box_exits.tolist() == [box_exits]
+    return first_exit
 
 
 D_WIDE = 256  # with m = 4, a metrics block holds 64 states
@@ -347,9 +351,8 @@ def test_run_matches_reference_with_first_box_exit_in_second_block():
     p = make_quadratic(d=D_WIDE, curvature=1e-3, m=4, zeta=0.0, sigma=16.0, seed=3, box_radius=1.45)
     block = _block_len(p)
     hp = _hp(eta=0.1, big_t=2 * block + 3)
-    traj = _assert_matches_reference("dsgd", p, hp, RING4, np.zeros(D_WIDE), 5)
-    assert block < traj.first_box_exit_t < 2 * block
-    assert traj.box_exits > 1
+    first_exit = _assert_matches_reference("dsgd", p, hp, RING4, np.zeros(D_WIDE), 5)
+    assert block < first_exit < 2 * block
 
 
 @pytest.mark.parametrize("algorithm", ["dnsgd", "dsgd"])
@@ -360,6 +363,28 @@ def test_run_matches_reference_on_large_ring(algorithm):
     assert block == 25
     hp = _hp(eta=0.02, b=1, big_t=2 * block + 3, k_inner=40, k_init=5)
     _assert_matches_reference(algorithm, p, hp, mix, np.full(10, 0.5), 8)
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_rows_do_not_depend_on_the_batching_of_seeds(algorithm):
+    # each seed crosses a metrics block boundary and ends in a partial block
+    p = WIDE_PROBLEMS["exp_pair"]()
+    hp = _hp(eta=0.02, b=2, big_t=_block_len(p) + 5, k_inner=3, k_init=2)
+    x0 = np.full(D_WIDE, 0.5)
+    seeds = [11, 2**64 - 1, 0]
+    batch = run(algorithm, p, hp, RING4, x0, seeds)
+    assert batch.metrics.phi.shape == batch.tracker_drifts.shape == (3, hp.big_t + 1)
+    assert batch.output_indices.shape == (3, p.m) and batch.box_exits.shape == (3,)
+    for s, seed in enumerate(seeds):
+        alone = run(algorithm, p, hp, RING4, x0, [seed])
+        for f in dataclasses.fields(alone.metrics):
+            row, expected = getattr(batch.metrics, f.name)[s], getattr(alone.metrics, f.name)[0]
+            assert row.tobytes() == expected.tobytes(), (seed, f.name)
+        assert batch.tracker_drifts[s].tobytes() == alone.tracker_drifts[0].tobytes()
+        assert batch.output_indices[s].tobytes() == alone.output_indices[0].tobytes()
+        assert batch.box_exits[s] == alone.box_exits[0]
+        assert np.array_equal(batch.samples_per_agent, alone.samples_per_agent)
+        assert np.array_equal(batch.comm_rounds, alone.comm_rounds)
 
 
 def test_stream_derivations_per_run_do_not_grow_with_big_t(monkeypatch):
@@ -382,7 +407,7 @@ def test_stream_derivations_per_run_do_not_grow_with_big_t(monkeypatch):
     per_run = []
     for big_t in (10, 1000):
         counts.update(derive_stream=0, SeedSequence=0)
-        run("dnsgd", p, _hp(big_t=big_t), RING4, np.full(3, 0.5), master_seed=4)
+        run("dnsgd", p, _hp(big_t=big_t), RING4, np.full(3, 0.5), seeds=[4])
         per_run.append(dict(counts))
     assert per_run[0] == per_run[1]
     assert per_run[0]["derive_stream"] >= 1  # the output draw: the counters are live

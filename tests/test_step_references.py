@@ -95,7 +95,7 @@ def test_runner_noise_blocks_are_derive_stream_draws(monkeypatch, seed):
         return sample_grad(p, x_rows, b, rng)
 
     monkeypatch.setattr(optimizers, "sample_grad", replaying_sample_grad)
-    run("dnsgd", p, HP, RING5, np.full(p.d, 0.5), seed)
+    run("dnsgd", p, HP, RING5, np.full(p.d, 0.5), [seed])
     assert len(blocks) == HP.big_t + 1
     for t, block in enumerate(blocks):
         expected = derive_stream(StreamKey(seed, "oracle", 0, t)).standard_normal((p.m, p.d))
