@@ -148,7 +148,6 @@ class ConsensusBoundReport:
     bound: float
     worst_cons: float
     worst_t: int
-    worst_seed: int
     checked: int
 
 
@@ -163,13 +162,11 @@ def verify_consensus_bound(traj: Trajectory, rho: float, m: int, eta: float) -> 
     bound = rho * m * eta / (1.0 - rho)
     cons = traj.metrics.cons_x[:, 1:]
     if cons.size == 0:
-        return ConsensusBoundReport(True, bound, 0.0, 0, 0, 0)
+        return ConsensusBoundReport(True, bound, 0.0, 0, 0)
     # the first of tied maxima, in seed order
     seed, worst = np.unravel_index(np.argmax(cons), cons.shape)
     worst_cons = float(cons[seed, worst])
-    return ConsensusBoundReport(
-        worst_cons <= bound, bound, worst_cons, int(worst) + 1, int(seed), cons.size
-    )
+    return ConsensusBoundReport(worst_cons <= bound, bound, worst_cons, int(worst) + 1, cons.size)
 
 
 @dataclass(frozen=True)

@@ -65,19 +65,17 @@ def reference_stationarity_summary(traj):
 def reference_consensus_bound(traj, rho, m, eta):
     bound = rho * m * eta / (1.0 - rho)
     worst_cons = -math.inf
-    worst_t = worst_seed = 0
+    worst_t = 0
     checked = 0
     for s in range(traj.num_seeds):
         for row in _rows(traj, s)[1:]:
             checked += 1
             if row.cons_x > worst_cons:
                 worst_cons = row.cons_x
-                worst_t, worst_seed = row.t, s
+                worst_t = row.t
     if checked == 0:
-        return ConsensusBoundReport(True, bound, 0.0, 0, 0, 0)
-    return ConsensusBoundReport(
-        worst_cons <= bound, bound, worst_cons, worst_t, worst_seed, checked
-    )
+        return ConsensusBoundReport(True, bound, 0.0, 0, 0)
+    return ConsensusBoundReport(worst_cons <= bound, bound, worst_cons, worst_t, checked)
 
 
 def reference_descent(traj, p, eta, l_f, mode, tol=1e-9):
@@ -215,7 +213,7 @@ def test_tied_maxima_keep_the_first():
     det = verify_descent(traj, PROBLEM, ETA, L_F, "deterministic")
     assert (det.worst_seed, det.worst_t) == (0, 1)
     cons = verify_consensus_bound(traj, 0.5, 4, ETA)
-    assert (cons.worst_cons, cons.worst_seed, cons.worst_t, cons.checked) == (3.0, 0, 2, 18)
+    assert (cons.worst_cons, cons.worst_t, cons.checked) == (3.0, 2, 18)
     hits = _first_hits(traj, 0.2)
     assert hits.tolist() == [2, 2, 2]
     assert (traj.samples_per_agent[hits[0]], traj.comm_rounds[hits[0]]) == (9, 12)
@@ -230,7 +228,7 @@ def test_worst_trajectory_is_a_later_one():
     det = verify_descent(traj, PROBLEM, ETA, L_F, "deterministic")
     assert (det.worst_seed, det.worst_t, det.passed) == (2, 4, False)
     cons = verify_consensus_bound(traj, 0.5, 4, ETA)
-    assert (cons.worst_seed, cons.worst_t, cons.passed) == (3, 7, False)
+    assert (cons.worst_cons, cons.worst_t, cons.passed) == (1.0, 7, False)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered")

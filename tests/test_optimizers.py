@@ -296,7 +296,7 @@ def recorded_columns(traj, s=0):
 
 
 def _assert_matches_reference(algorithm, p, hp, w, x0, seed):
-    """run on [seed] equals the reference; returns the reference's first box exit."""
+    """run on [seed] equals the reference; returns the reference's first box exit and count."""
     traj = run(algorithm, p, hp, w, x0, [seed])
     cols, agent_norms, drifts, output_indices, box_exits, first_exit = reference_run(
         algorithm, p, hp, w, x0, seed
@@ -314,7 +314,7 @@ def _assert_matches_reference(algorithm, p, hp, w, x0, seed):
     else:
         assert np.array_equal(traj.output_indices, output_indices[None])
     assert traj.box_exits.tolist() == [box_exits]
-    return first_exit
+    return first_exit, box_exits
 
 
 D_WIDE = 256  # with m = 4, a metrics block holds 64 states
@@ -351,8 +351,9 @@ def test_run_matches_reference_with_first_box_exit_in_second_block():
     p = make_quadratic(d=D_WIDE, curvature=1e-3, m=4, zeta=0.0, sigma=16.0, seed=3, box_radius=1.45)
     block = _block_len(p)
     hp = _hp(eta=0.1, big_t=2 * block + 3)
-    first_exit = _assert_matches_reference("dsgd", p, hp, RING4, np.zeros(D_WIDE), 5)
+    first_exit, box_exits = _assert_matches_reference("dsgd", p, hp, RING4, np.zeros(D_WIDE), 5)
     assert block < first_exit < 2 * block
+    assert box_exits > 1
 
 
 @pytest.mark.parametrize("algorithm", ["dnsgd", "dsgd"])
