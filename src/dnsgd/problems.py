@@ -19,7 +19,8 @@ The relaxed smoothness condition certified at construction is
     ||grad f(x) - grad f(y)|| <= (l0 + l1 ||grad f(x)||) ||x - y||
 
 for ||x - y|| <= 1/l1 (unrestricted when l1 = 0), sampled over the box
-||x||_inf <= box_radius.
+||x||_inf <= box_radius. A certificate draws its pairs and evaluates their
+gradients once, then tests each candidate l0 on those arrays.
 """
 
 from __future__ import annotations
@@ -222,33 +223,11 @@ def _row_norms(a: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(a, a))
 
 
-def check_relaxed_smooth(
-    grad: Callable[[np.ndarray], np.ndarray],
-    dim: int,
-    l0: float,
-    l1: float,
-    region: float = 5.0,
-    trials: int = 1000,
-    seed: int = 0,
-    extra_pairs: Sequence[tuple[np.ndarray, np.ndarray]] = (),
-) -> SmoothnessReport:
-    """Sample the relaxed smoothness condition for a gradient map.
+def _sample_pairs(dim: int, l1: float, region: float, trials: int, seed: int, extra_pairs=()):
+    """The pairs check_relaxed_smooth tests, less those with x == y; they depend on l1, not l0.
 
-    Draws ``trials`` admissible pairs (x, y) with ||x - y|| <= 1/l1 inside the
-    box ||x||_inf <= region (unrestricted distances when l1 = 0), adds
-    deterministic axis probes and any caller-supplied pairs, and evaluates
-
-        gap = ||grad(x) - grad(y)||  vs  bound = (l0 + l1 ||grad(x)||) ||x - y||.
-
-    grad maps an (n, dim) row matrix to its (n, dim) row gradients; it is
-    called once on all x rows and once on all y rows, skipping pairs with
-    x == y. A pair violates when gap > bound * (1 + RATIO_TOL) + 1e-12. Pairs
-    are ranked by (ratio, gap); the first worst one is reported as the witness.
+    Returns x rows, y rows, their distances and the pair count before the drop.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if l0 < 0 or l1 < 0:
-        raise ValueError("l0 and l1 must be non-negative")
     gen = derive_stream(StreamKey(seed, "smoothness", 0, 0))
     rmax = min(1.0 / l1, 2.0 * region * math.sqrt(dim)) if l1 > 0 else None
 
@@ -290,20 +269,62 @@ def check_relaxed_smooth(
     extra = np.asarray(extra_pairs, dtype=np.float64).reshape(-1, 2, dim)
     x_rows = np.concatenate([xs, probe_x, extra[:, 0]])
     y_rows = np.concatenate([ys, probe_y, extra[:, 1]])
-
     dist = _row_norms(x_rows - y_rows)
     moved = dist != 0.0
-    x_rows, y_rows, dist = x_rows[moved], y_rows[moved], dist[moved]
-    gx = np.asarray(grad(x_rows), dtype=np.float64)
-    gy = np.asarray(grad(y_rows), dtype=np.float64)
-    gap = _row_norms(gx - gy)
-    gx_norm = _row_norms(gx)
+    return x_rows[moved], y_rows[moved], dist[moved], len(moved)
+
+
+def _gradient_gaps(grad: Callable[[np.ndarray], np.ndarray], x_rows, y_rows):
+    """||grad(x) - grad(y)|| and ||grad(x)|| per pair, from one grad call per side."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        gx = np.asarray(grad(x_rows), dtype=np.float64)
+        gy = np.asarray(grad(y_rows), dtype=np.float64)
+        gap = _row_norms(gx - gy)
+        gx_norm = _row_norms(gx)
+    if not (np.isfinite(gap).all() and np.isfinite(gx_norm).all()):
+        raise ValueError("gradient norms on the box overflow float64; shrink the box or the rate")
+    return gap, gx_norm
+
+
+def _violates(gap, gx_norm, dist, l0: float, l1: float) -> np.ndarray:
+    """Pairs whose gradient gap exceeds the relaxed smoothness bound beyond RATIO_TOL."""
+    return gap > (l0 + l1 * gx_norm) * dist * (1.0 + RATIO_TOL) + 1e-12
+
+
+def check_relaxed_smooth(
+    grad: Callable[[np.ndarray], np.ndarray],
+    dim: int,
+    l0: float,
+    l1: float,
+    region: float = 5.0,
+    trials: int = 1000,
+    seed: int = 0,
+    extra_pairs: Sequence[tuple[np.ndarray, np.ndarray]] = (),
+) -> SmoothnessReport:
+    """Sample the relaxed smoothness condition for a gradient map.
+
+    Draws ``trials`` admissible pairs (x, y) with ||x - y|| <= 1/l1 inside the
+    box ||x||_inf <= region (unrestricted distances when l1 = 0), adds
+    deterministic axis probes and any caller-supplied pairs, and evaluates
+
+        gap = ||grad(x) - grad(y)||  vs  bound = (l0 + l1 ||grad(x)||) ||x - y||.
+
+    The sample (_sample_pairs) does not depend on l0, and the gradients
+    (_gradient_gaps) are evaluated once: grad maps an (n, dim) row matrix to its
+    row gradients and is called once on all x rows and once on all y rows,
+    skipping pairs with x == y. It raises ValueError when a gradient norm
+    overflows float64. A pair violates when gap > bound * (1 + RATIO_TOL) +
+    1e-12. Pairs are ranked by (ratio, gap); the first worst one is the witness.
+    """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    if l0 < 0 or l1 < 0:
+        raise ValueError("l0 and l1 must be non-negative")
+    x_rows, y_rows, dist, count = _sample_pairs(dim, l1, region, trials, seed, extra_pairs)
+    gap, gx_norm = _gradient_gaps(grad, x_rows, y_rows)
     bound = (l0 + l1 * gx_norm) * dist
-    violations = int(np.count_nonzero(gap > bound * (1.0 + RATIO_TOL) + 1e-12))
+    violations = int(np.count_nonzero(_violates(gap, gx_norm, dist, l0, l1)))
     ratio = np.divide(gap, bound, out=np.where(gap > 0.0, math.inf, 0.0), where=bound > 0.0)
-    implied = float((gap / dist - l1 * gx_norm).max(initial=-math.inf))
-    if implied == -math.inf:
-        implied = 0.0
 
     if gap.size:
         top = np.flatnonzero(ratio == ratio.max())
@@ -312,19 +333,14 @@ def check_relaxed_smooth(
         worst_ratio, worst_gap, worst_bound = (
             float(ratio[worst]), float(gap[worst]), float(bound[worst])
         )
+        implied = float((gap / dist - l1 * gx_norm).max())
     else:
         witness = (np.zeros(dim), np.zeros(dim))
-        worst_ratio = worst_gap = worst_bound = 0.0
+        worst_ratio = worst_gap = worst_bound = implied = 0.0
     return SmoothnessReport(
-        passed=violations == 0,
-        worst_ratio=worst_ratio,
-        witness_x=witness[0],
-        witness_y=witness[1],
-        worst_gap=worst_gap,
-        worst_bound=worst_bound,
-        violations=violations,
-        trials=len(moved),
-        implied_l0=implied,
+        passed=violations == 0, worst_ratio=worst_ratio, witness_x=witness[0],
+        witness_y=witness[1], worst_gap=worst_gap, worst_bound=worst_bound,
+        violations=violations, trials=count, implied_l0=implied,
     )
 
 
@@ -349,6 +365,9 @@ def _certified_l0(
 ) -> float:
     """Raise l0_start until the sampled check passes for the family's base objective.
 
+    One sample and one gradient evaluation serve every candidate. A failing l0
+    is raised to 1.2 times the largest l0 that a violating pair implies (and by
+    at least 5%), so implied l0s that are rounding noise never inflate it.
     Memoized on these scalar inputs, so rebuilding a problem for another agent
     count (as a sweep does) reuses the certificate of the same m = 1 stub.
     """
@@ -357,15 +376,15 @@ def _certified_l0(
         family=family, d=d, m=1, l0=0.0, l1=l1, zeta=0.0, sigma=0.0, offsets=np.zeros((1, d)),
         family_params=dict(params), f_star=0.0, box_radius=box_radius,
     )
+    x_rows, y_rows, dist, _ = _sample_pairs(d, l1, box_radius, CERTIFY_TRIALS, seed)
+    gap, gx_norm = _gradient_gaps(lambda x: grad_base(stub, x), x_rows, y_rows)
+    implied = gap / dist - l1 * gx_norm
     l0 = l0_start
     for _ in range(6):
-        report = check_relaxed_smooth(
-            lambda x: grad_base(stub, x), stub.d, l0, stub.l1, region=stub.box_radius,
-            trials=CERTIFY_TRIALS, seed=seed,
-        )
-        if report.passed:
+        violating = _violates(gap, gx_norm, dist, l0, l1)
+        if not violating.any():
             return l0
-        l0 = max(l0 * 1.05, report.implied_l0 * 1.2)
+        l0 = max(l0 * 1.05, float(implied[violating].max()) * 1.2)
     raise RuntimeError(
         f"smoothness certification did not stabilize (last l0 = {l0}); "
         "the candidate constants are far from admissible on this box"

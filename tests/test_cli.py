@@ -348,6 +348,30 @@ def test_far_start_exits_with_one_error_line(tmp_path, case):
     assert proc.stderr == message + "\n"
 
 
+EXP_PAIR_CONFIG = QUADRATIC_CONFIG.parent / "run_exp_pair.json"
+OVERFLOW_ERROR = "error: gradient norms on the box overflow float64; shrink the box or the rate"
+
+
+@pytest.mark.parametrize("command", ["params", "run", "check-smoothness"])
+def test_certification_overflow_exits_with_one_error_line(tmp_path, command):
+    # ||grad||^2 on the box exceeds float64: exp_pair at rate 71 on the box of
+    # radius 5, and the counterexample's cosh at rate 1 on the box of radius 400
+    if command == "check-smoothness":
+        cfg = {"mode": "counterexample", "rate": 1.0, "box_radius": 400.0}
+    else:
+        cfg = json.loads(EXP_PAIR_CONFIG.read_text())
+        cfg["problem"]["rate"] = 71.0
+        cfg["x0"] = 0.01
+    proc = subprocess.run(
+        [sys.executable, "-m", "dnsgd.cli", command, "--config",
+         _write(tmp_path / "overflow.json", cfg), "--out-dir", "out"],
+        capture_output=True, text=True, cwd=str(tmp_path), env=_child_env(), timeout=60,
+    )
+    assert proc.returncode == 2, proc.stderr
+    # no numpy warnings and no traceback: the error line is all of stderr
+    assert proc.stderr == OVERFLOW_ERROR + "\n"
+
+
 @pytest.mark.parametrize("command", ["params", "run"])
 def test_start_at_the_minimizer_is_a_config_error(tmp_path, capsys, command):
     # f(x0) = f_star leaves the calculator no objective gap to size the run with

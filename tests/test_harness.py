@@ -353,21 +353,26 @@ def test_sweep_seeds_follow_the_m_index():
 
 
 def test_sweep_certifies_the_stub_once(monkeypatch):
-    # every m of the sweep has the same m = 1 stub: one certification (two
-    # check passes, the first raising l0) serves all four problem builds
-    passes = []
+    # every m of the sweep has the same m = 1 stub: one certification serves
+    # all four problem builds, and it draws its pairs and evaluates their
+    # gradients once for both of its l0 candidates
+    calls = []
 
-    def counted(*args, **kwargs):
-        report = check_relaxed_smooth(*args, **kwargs)
-        passes.append(report.passed)
-        return report
+    def counted(name):
+        inner = getattr(problems, name)
 
-    check_relaxed_smooth = problems.check_relaxed_smooth
-    monkeypatch.setattr(problems, "check_relaxed_smooth", counted)
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(problems, name, wrapper)
+
+    for name in ("_sample_pairs", "_gradient_gaps", "_violates", "check_relaxed_smooth"):
+        counted(name)
     problems._certified_l0.cache_clear()
     cfg = parse_sweep_config(load_json(CONFIGS / "sweep_speedup.json"))
     result = sweep_speedup(cfg, write_outputs=False)
-    assert passes == [False, True]
+    assert calls == ["_sample_pairs", "_gradient_gaps", "_violates", "_violates"]
     assert [pt.m for pt in result.points] == [2, 4, 8, 16]
 
 

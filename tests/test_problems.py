@@ -500,6 +500,60 @@ def test_certification_matches_reference_loop(family, d):
         _assert_same_report(report, reference_check_relaxed_smooth(*args, **kwargs))
 
 
+def reference_certified_l0(stub, l0_start, seed):
+    """The two-pass certification: one full check_relaxed_smooth per candidate l0.
+
+    Each pass draws the same seeded pairs and evaluates their gradients again;
+    a failing candidate is raised to 1.2 times the largest l0 over all pairs.
+    """
+    grad = lambda x: grad_base(stub, x)  # noqa: E731
+    l0 = l0_start
+    for _ in range(6):
+        report = check_relaxed_smooth(
+            grad, stub.d, l0, stub.l1, region=stub.box_radius, trials=CERTIFY_TRIALS,
+            seed=seed,
+        )
+        if report.passed:
+            return l0
+        l0 = max(l0 * 1.05, report.implied_l0 * 1.2)
+    raise RuntimeError("did not stabilize")
+
+
+@pytest.mark.parametrize("seed", [0, 1, 9])
+@pytest.mark.parametrize("d", [1, 10])
+@pytest.mark.parametrize(
+    "family, value",
+    [("exp_pair", rate) for rate in (0.25, 0.5, 1.0, 2.0, 5.0)]
+    + [("poly_even", power) for power in (4, 6, 8)],
+)
+def test_certified_l0_matches_two_pass_reference(family, value, d, seed):
+    # the pair that binds l0 violates at every earlier candidate here, so
+    # raising l0 by the violating pairs or by all pairs gives the same l0
+    if family == "exp_pair":
+        p = make_exp_pair(d=d, rate=value, m=1, zeta=0.0, sigma=0.0, seed=seed)
+        l0_start = value * value / d
+    else:
+        p = make_poly_even(d=d, power=value, scale=0.5, m=1, zeta=0.0, sigma=0.0, seed=seed)
+        l0_start = 0.5 * (value - 1)
+    assert p.l0 == reference_certified_l0(p, l0_start, seed)
+
+
+@pytest.mark.parametrize("rate", [0.25, 1.0, 10.0, 20.0, 60.0, 70.0])
+def test_exp_pair_l0_is_set_by_the_zero_probe(rate):
+    # the binding pair is x = 0, y = (log 2 / rate) e_j, which implies
+    # l0 = sinh(log 2) / log 2 * rate^2 / d; pairs at large |rate x| whose
+    # implied l0 is rounding noise within RATIO_TOL must not inflate it
+    p = make_exp_pair(d=10, rate=rate, m=1, zeta=0.0, sigma=0.0, seed=0)
+    expected = 1.2 * math.sinh(LOG2) / LOG2 * rate * rate / 10
+    assert p.l0 == pytest.approx(expected, rel=1e-9)
+
+
+def test_certification_overflow_is_a_value_error():
+    # at rate 71 on the box of radius 5, ||grad||^2 exceeds the float64 range
+    with pytest.raises(ValueError, match="overflow float64"):
+        make_exp_pair(d=10, rate=71.0, m=1, zeta=0.0, sigma=0.0, seed=0)
+
+
 def test_exp_overflow_guard():
     # evaluation outside the certification box is allowed (box exits are the
     # runner's concern) until the exponent would overflow a double
