@@ -180,6 +180,74 @@ def test_validate_topology_disconnected_fails(capsys):
     assert "validation FAIL" in capsys.readouterr().out
 
 
+_CLEAN_CLAUSES = (
+    "clause symmetry: PASS (violation 0)\n"
+    "clause nonnegative: PASS (violation 0)\n"
+    "clause sparsity_pattern: PASS (violation 0)\n"
+)
+
+# The whole report of validate-topology, byte for byte, with its exit code.
+VALIDATE_TOPOLOGY_PINS = {
+    "ring8": (["--kind", "ring", "--m", "8"], 0, (
+        "topology: ring m=8 edges=8\n" + _CLEAN_CLAUSES +
+        "clause doubly_stochastic: PASS (violation 0)\n"
+        "clause eigenvalue_range: PASS (violation 0)\n"
+        "clause nullspace_dimension: PASS (violation 0)\n"
+        "lambda2 = 0.902368927062\n"
+        "gamma = 0.0976310729378\n"
+        "overall: PASS\n"
+    )),
+    "path5": (["--kind", "path", "--m", "5"], 0, (
+        "topology: path m=5 edges=4\n" + _CLEAN_CLAUSES +
+        "clause doubly_stochastic: PASS (violation 0)\n"
+        "clause eigenvalue_range: PASS (violation 0)\n"
+        "clause nullspace_dimension: PASS (violation 0)\n"
+        "lambda2 = 0.936338998125\n"
+        "gamma = 0.063661001875\n"
+        "overall: PASS\n"
+    )),
+    "complete6": (["--kind", "complete", "--m", "6"], 0, (
+        "topology: complete m=6 edges=15\n" + _CLEAN_CLAUSES +
+        "clause doubly_stochastic: PASS (violation 2.22e-16)\n"
+        "clause eigenvalue_range: PASS (violation 4.44e-16)\n"
+        "clause nullspace_dimension: PASS (violation 0)\n"
+        "lambda2 = 0.5\n"
+        "gamma = 0.5\n"
+        "overall: PASS\n"
+    )),
+    "ring1": (["--kind", "ring", "--m", "1"], 0, (
+        "topology: ring m=1 edges=0\n" + _CLEAN_CLAUSES +
+        "clause doubly_stochastic: PASS (violation 0)\n"
+        "clause eigenvalue_range: PASS (violation 0)\n"
+        "clause nullspace_dimension: PASS (violation 0)\n"
+        "lambda2 = 0\n"
+        "gamma = 1\n"
+        "overall: PASS\n"
+    )),
+    "er16": (["--kind", "erdos_renyi", "--m", "16", "--p", "0.6", "--seed", "3"], 0, (
+        "topology: erdos_renyi m=16 edges=78\n" + _CLEAN_CLAUSES +
+        "clause doubly_stochastic: PASS (violation 2.22e-16)\n"
+        "clause eigenvalue_range: PASS (violation 0)\n"
+        "clause nullspace_dimension: PASS (violation 0)\n"
+        "lambda2 = 0.7288741401\n"
+        "gamma = 0.2711258599\n"
+        "overall: PASS\n"
+    )),
+    "er30_hopeless": (["--kind", "erdos_renyi", "--m", "30", "--p", "1e-6"], 1, (
+        "validation FAIL: disconnected topology: no connected Erdos-Renyi(m=30, p=1e-06) "
+        "draw within 100 retries (seed 0)\n"
+    )),
+}
+
+
+@pytest.mark.parametrize("case", sorted(VALIDATE_TOPOLOGY_PINS))
+def test_validate_topology_exact_output(case, capsys):
+    argv, code, out = VALIDATE_TOPOLOGY_PINS[case]
+    assert main(["validate-topology", *argv]) == code
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (out, "")
+
+
 def test_usage_errors_exit_two(tmp_path, capsys):
     for argv in ([], ["frobnicate"], ["run"]):
         with pytest.raises(SystemExit) as exc:
