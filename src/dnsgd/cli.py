@@ -97,7 +97,7 @@ def _cmd_validate_topology(args: argparse.Namespace) -> int:
         return 1
     mixing = metropolis_mixing(graph)
     report = validate_mixing(mixing)
-    lines = [f"topology: {graph.kind} m={graph.m} edges={len(graph.edges)}"]
+    lines = [f"topology: {graph.kind} m={graph.m} edges={graph.num_edges}"]
     for name, clause in report.clauses.items():
         status = "PASS" if clause.passed else "FAIL"
         lines.append(f"clause {name}: {status} (violation {clause.violation:.3g})")
@@ -180,7 +180,7 @@ def _cmd_params(args: argparse.Namespace) -> int:
     if cfg.auto is None:
         raise ConfigError("auto", "params requires an auto block")
     p = build_problem(cfg.problem)
-    _, mixing = build_mixing(cfg.topology, p.m)
+    mixing = build_mixing(cfg.topology, p.m)
     x0 = resolve_x0(cfg.x0, p.d)
     _, theory = resolve_hyperparams(cfg, p, mixing, x0)
     hp, guard = theory.hp, theory.guard

@@ -24,7 +24,7 @@ from . import problems
 from .hyperparams import HyperParams
 from .optimizers import ALGORITHMS
 from .problems import FAMILIES, FAMILY_PARAMS, ProblemInstance
-from .topology import KINDS, Graph, MixingMatrix, build_topology, metropolis_mixing
+from .topology import KINDS, MixingMatrix, build_topology, metropolis_mixing
 
 K_MODES = ("formula", "guard")
 
@@ -328,9 +328,9 @@ def build_problem(cfg: ProblemConfig) -> ProblemInstance:
     )
 
 
-def build_mixing(cfg: TopologyConfig, m: int) -> tuple[Graph, MixingMatrix]:
-    graph = build_topology(cfg.kind, m, p=cfg.p, seed=cfg.seed)
-    return graph, metropolis_mixing(graph)
+def build_mixing(cfg: TopologyConfig, m: int) -> MixingMatrix:
+    """The configured graph's Metropolis mixing matrix; the graph is its .graph."""
+    return metropolis_mixing(build_topology(cfg.kind, m, p=cfg.p, seed=cfg.seed))
 
 
 def resolve_x0(x0: float | tuple[float, ...], d: int) -> np.ndarray:

@@ -40,7 +40,7 @@ from .hyperparams import (
 from .optimizers import METHODS, run
 from .problems import ProblemInstance, f_base, grad_base, lf_effective
 from .streams import fanout_seed
-from .topology import Graph, MixingMatrix
+from .topology import MixingMatrix
 
 CSV_FIELDS = (
     "run_id", "seed_index", "t", "f_mean", "grad_norm_mean",
@@ -70,11 +70,9 @@ class CheckResult:
 class RunResult:
     config: RunConfig
     problem: ProblemInstance
-    graph: Graph
     mixing: MixingMatrix
     hp: HyperParams
     theory: TheoreticalParams | None
-    x0: np.ndarray
     seeds: tuple[int, ...]
     trajectory: Trajectory
     checks: list[CheckResult]
@@ -223,7 +221,7 @@ def _write_run_outputs(result: RunResult, run_id: str) -> None:
         f"zeta={_fmt(pr.zeta)} sigma={_fmt(pr.sigma)}"
     )
     lines.append(
-        f"topology: {result.graph.kind} lambda2={_fmt(result.mixing.lambda2)} "
+        f"topology: {result.mixing.graph.kind} lambda2={_fmt(result.mixing.lambda2)} "
         f"gamma={_fmt(result.mixing.gamma)}"
     )
     hp = result.hp
@@ -264,7 +262,7 @@ def run_experiment(
     everything in memory (the sweep and the acceptance suite use it so).
     """
     p = build_problem(cfg.problem)
-    graph, mixing = build_mixing(cfg.topology, p.m)
+    mixing = build_mixing(cfg.topology, p.m)
     x0 = resolve_x0(cfg.x0, p.d)
     hp, theory = resolve_hyperparams(cfg, p, mixing, x0)
     seeds = tuple(fanout_seed(cfg.master_seed, seed_offset + i) for i in range(cfg.num_seeds))
@@ -272,8 +270,8 @@ def run_experiment(
     checks = _run_checks(cfg, p, hp, mixing, traj)
     out = Path(out_dir) if out_dir is not None else Path(cfg.out_dir)
     result = RunResult(
-        config=cfg, problem=p, graph=graph, mixing=mixing, hp=hp, theory=theory,
-        x0=x0, seeds=seeds, trajectory=traj, checks=checks,
+        config=cfg, problem=p, mixing=mixing, hp=hp, theory=theory,
+        seeds=seeds, trajectory=traj, checks=checks,
         stationarity=stationarity_summary(traj), out_dir=out if write_outputs else None,
     )
     if write_outputs:

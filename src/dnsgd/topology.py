@@ -1,9 +1,12 @@
 """Communication graphs and doubly stochastic mixing matrices.
 
-Supported graph kinds: ring, path, complete, and connected Erdos-Renyi
+A graph is a symmetric boolean adjacency matrix with a zero diagonal.
+Supported kinds: ring, path, complete, and connected Erdos-Renyi
 (resampled until connected, bounded retries). Mixing matrices use lazy
 Metropolis weights, which are symmetric, doubly stochastic, and
-positive semidefinite on any connected graph.
+positive semidefinite on any connected graph. Graphs, connectivity and
+weights are built with array operations, and each mixing matrix takes
+one eigvalsh of its symmetric part, which lambda2 and validation share.
 """
 
 from __future__ import annotations
@@ -32,62 +35,35 @@ class DisconnectedTopologyError(ValueError):
     """Raised when a connected graph cannot be produced."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
-    """Undirected graph on agents 0..m-1 with edges stored as (i, j), i < j."""
+    """Undirected graph on agents 0..m-1: a symmetric boolean adjacency, zero diagonal.
 
-    m: int
-    edges: frozenset[tuple[int, int]]
+    Graphs compare by identity; compare adjacency matrices with np.array_equal.
+    """
+
+    adjacency: np.ndarray
     kind: str
     p: float | None = None
 
+    @property
+    def m(self) -> int:
+        return self.adjacency.shape[0]
 
-def degrees(g: Graph) -> np.ndarray:
-    deg = np.zeros(g.m, dtype=np.int64)
-    for i, j in g.edges:
-        deg[i] += 1
-        deg[j] += 1
-    return deg
+    @property
+    def num_edges(self) -> int:
+        return int(np.count_nonzero(self.adjacency)) // 2
 
 
-def is_connected(m: int, edges: frozenset[tuple[int, int]]) -> bool:
-    """Breadth-first connectivity check."""
-    if m <= 1:
-        return True
-    adj: list[list[int]] = [[] for _ in range(m)]
-    for i, j in edges:
-        adj[i].append(j)
-        adj[j].append(i)
-    seen = [False] * m
+def is_connected(adjacency: np.ndarray) -> bool:
+    """Breadth-first connectivity check from agent 0, one frontier at a time."""
+    seen = np.zeros(adjacency.shape[0], dtype=bool)
     seen[0] = True
-    frontier = [0]
-    count = 1
-    while frontier:
-        nxt: list[int] = []
-        for u in frontier:
-            for v in adj[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    count += 1
-                    nxt.append(v)
-        frontier = nxt
-    return count == m
-
-
-def _ring_edges(m: int) -> set[tuple[int, int]]:
-    if m == 1:
-        return set()
-    if m == 2:
-        return {(0, 1)}
-    return {(i, (i + 1) % m) if i + 1 < m else (0, m - 1) for i in range(m)}
-
-
-def _path_edges(m: int) -> set[tuple[int, int]]:
-    return {(i, i + 1) for i in range(m - 1)}
-
-
-def _complete_edges(m: int) -> set[tuple[int, int]]:
-    return {(i, j) for i in range(m) for j in range(i + 1, m)}
+    frontier = seen.copy()
+    while frontier.any():
+        frontier = adjacency[frontier].any(axis=0) & ~seen
+        seen |= frontier
+    return bool(seen.all())
 
 
 def build_topology(
@@ -114,20 +90,24 @@ def build_topology(
     elif p is not None:
         raise ValueError(f"edge probability p only applies to erdos_renyi, not {kind!r}")
 
-    if kind == "ring":
-        return Graph(m, frozenset(_ring_edges(m)), kind)
-    if kind == "path":
-        return Graph(m, frozenset(_path_edges(m)), kind)
     if kind == "complete":
-        return Graph(m, frozenset(_complete_edges(m)), kind)
+        return Graph(~np.eye(m, dtype=bool), kind)
+    if kind != "erdos_renyi":
+        # the path's links (i, i + 1); a ring of three or more closes (0, m - 1)
+        upper = np.eye(m, k=1, dtype=bool)
+        if kind == "ring" and m > 2:
+            upper[0, m - 1] = True
+        return Graph(upper | upper.T, kind)
 
+    # one uniform draw per pair i < j, in row-major order
     gen = derive_stream(StreamKey(seed, "topology", 0, 0))
-    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    pairs = np.triu_indices(m, k=1)
     for _ in range(MAX_RETRIES):
-        draws = gen.random(len(pairs))
-        edges = frozenset(pair for pair, u in zip(pairs, draws) if u < p)
-        if is_connected(m, edges):
-            return Graph(m, edges, kind, p)
+        adjacency = np.zeros((m, m), dtype=bool)
+        adjacency[pairs] = gen.random(pairs[0].size) < p
+        adjacency |= adjacency.T
+        if is_connected(adjacency):
+            return Graph(adjacency, kind, p)
     raise DisconnectedTopologyError(
         f"disconnected topology: no connected Erdos-Renyi(m={m}, p={p}) draw "
         f"within {MAX_RETRIES} retries (seed {seed})"
@@ -146,6 +126,8 @@ class MixingMatrix:
     w: np.ndarray
     lambda2: float
     gamma: float
+    # eigvalsh of the symmetric part (w + w^T) / 2, which lambda2 is read from
+    eigenvalues: np.ndarray = field(repr=False, compare=False)
     graph: Graph | None = field(default=None, compare=False)
     # gossip.acc_gossip's gain vectors p_k(eigenvalues), keyed by the depth k
     acc_gains: dict[int, np.ndarray] = field(
@@ -173,26 +155,21 @@ class MixingMatrix:
 
     @classmethod
     def from_matrix(cls, w: np.ndarray, graph: Graph | None = None) -> "MixingMatrix":
-        """Wrap an externally supplied matrix, computing its spectrum.
+        """Wrap a matrix with the eigenvalues of its symmetric part and lambda2.
 
         The matrix is taken as-is; use validate_mixing to test whether it
-        actually satisfies the mixing assumptions. Accelerated gossip reads
-        the spectrum, so it raises ValueError on a non-symmetric matrix.
+        actually satisfies the mixing assumptions. The eigh spectrum that
+        accelerated gossip reads is computed on first use, and raises
+        ValueError on a non-symmetric matrix.
         """
         w = np.asarray(w, dtype=np.float64)
         if w.ndim != 2 or w.shape[0] != w.shape[1]:
             raise ValueError(f"mixing matrix must be square, got shape {w.shape}")
-        lam2 = _second_eigenvalue(w)
-        return cls(w=w, lambda2=lam2, gamma=1.0 - lam2, graph=graph)
-
-
-def _second_eigenvalue(w: np.ndarray) -> float:
-    # Kept apart from MixingMatrix.spectrum: eigh's eigenvalues differ from
-    # eigvalsh's in the last bits, and lambda2 feeds the calculator.
-    if w.shape[0] == 1:
-        return 0.0
-    eigs = np.linalg.eigvalsh((w + w.T) / 2.0)
-    return float(np.sort(eigs)[-2])
+        # Kept apart from spectrum: eigh's eigenvalues differ from eigvalsh's
+        # in the last bits, and lambda2 feeds the calculator.
+        eigs = np.linalg.eigvalsh((w + w.T) / 2.0)
+        lam2 = 0.0 if w.shape[0] == 1 else float(np.sort(eigs)[-2])
+        return cls(w=w, lambda2=lam2, gamma=1.0 - lam2, eigenvalues=eigs, graph=graph)
 
 
 def metropolis_mixing(g: Graph) -> MixingMatrix:
@@ -202,18 +179,15 @@ def metropolis_mixing(g: Graph) -> MixingMatrix:
     the diagonal absorbs the remainder so rows sum to one. The lazy (I + W')/2
     step keeps all eigenvalues in [0, 1].
     """
-    if not is_connected(g.m, g.edges):
+    if not is_connected(g.adjacency):
         raise ValueError("metropolis_mixing requires a connected graph")
-    deg = degrees(g)
+    deg = g.adjacency.sum(axis=1)
+    i, j = np.nonzero(g.adjacency)
     base = np.zeros((g.m, g.m), dtype=np.float64)
-    for i, j in g.edges:
-        wij = 1.0 / (1.0 + max(deg[i], deg[j]))
-        base[i, j] = wij
-        base[j, i] = wij
+    base[i, j] = 1.0 / (1.0 + np.maximum(deg[i], deg[j]))
     np.fill_diagonal(base, 1.0 - base.sum(axis=1))
     w = (np.eye(g.m) + base) / 2.0
-    lam2 = _second_eigenvalue(w)
-    return MixingMatrix(w=w, lambda2=lam2, gamma=1.0 - lam2, graph=g)
+    return MixingMatrix.from_matrix(w, graph=g)
 
 
 @dataclass(frozen=True)
@@ -256,12 +230,10 @@ def validate_mixing(mix: MixingMatrix) -> ValidationReport:
     if mix.graph is not None:
         # over the pairs i < j: a missing edge weight counts as 1.0, a stray
         # off-edge entry as its magnitude
-        edges = np.array(list(mix.graph.edges), dtype=np.intp).reshape(-1, 2)
-        adjacent = np.zeros((m, m), dtype=bool)
-        adjacent[edges[:, 0], edges[:, 1]] = True
-        upper = np.triu(np.ones((m, m), dtype=bool), k=1)
-        missing = bool((w[upper & adjacent] == 0.0).any())
-        stray = np.abs(w[upper & ~adjacent])
+        pairs = np.triu_indices(m, k=1)
+        adjacent, weights = mix.graph.adjacency[pairs], w[pairs]
+        missing = bool((weights[adjacent] == 0.0).any())
+        stray = np.abs(weights[~adjacent])
         stray = stray[stray > 1e-15]
         worst = max(1.0 if missing else 0.0, float(stray.max()) if stray.size else 0.0)
         clauses["sparsity_pattern"] = ClauseResult(not missing and stray.size == 0, worst)
@@ -272,7 +244,7 @@ def validate_mixing(mix: MixingMatrix) -> ValidationReport:
     stoch = max(row_err, col_err)
     clauses["doubly_stochastic"] = ClauseResult(stoch <= 1e-12, stoch)
 
-    eigs = np.linalg.eigvalsh((w + w.T) / 2.0)
+    eigs = mix.eigenvalues
     low = float(max(0.0, -eigs.min()))
     high = float(max(0.0, eigs.max() - 1.0))
     range_err = max(low, high)

@@ -1,11 +1,13 @@
-"""The benchmark's generated configs parse, and its commands succeed.
+"""The benchmark's generated configs parse, its commands succeed, and the
+functions it traces exist.
 
 bench/run.py writes one JSON config per command and runs it through the
 dnsgd command line; a config the parsers reject exits 2 there, and a command
 that exits non-zero (a built-in check failed, or a cell check of a sweep)
 counts every trajectory of it as failed. These tests import bench/run.py by
 path, as it is, parse every config of both workloads, and run every command
-of one repetition at full size.
+of one repetition at full size. They import bench/spans.py the same way and
+check that every function the benchmark times by name is still defined.
 """
 
 import importlib.util
@@ -23,22 +25,31 @@ PARSERS = {"run": parse_run_config, "sweep": parse_sweep_config}
 
 
 @pytest.fixture
-def bench_run(monkeypatch):
-    """bench/run.py as a module; sys.modules and the environment are restored after."""
+def import_bench(monkeypatch):
+    """Imports a bench/ file by path; sys.modules and the environment are restored after."""
     # reference.py pins the BLAS thread count in os.environ when it is imported
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         monkeypatch.delenv(var, raising=False)
     monkeypatch.syspath_prepend(str(BENCH))
     before = set(sys.modules)
-    spec = importlib.util.spec_from_file_location("bench_run", BENCH / "run.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # its dataclasses look their module up there
-    try:
+
+    def load(filename):
+        spec = importlib.util.spec_from_file_location(f"bench_{filename[:-3]}", BENCH / filename)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = module  # its dataclasses look their module up there
         spec.loader.exec_module(module)
-        yield module
+        return module
+
+    try:
+        yield load
     finally:
         for name in set(sys.modules) - before:
             del sys.modules[name]
+
+
+@pytest.fixture
+def bench_run(import_bench):
+    return import_bench("run.py")
 
 
 @pytest.mark.parametrize("tiny", [False, True])
@@ -60,3 +71,20 @@ def test_benchmark_commands_succeed(bench_run, tmp_path):
             path.write_text(json.dumps(cmd.config))
             argv = [cmd.subcommand, "--config", str(path), "--out-dir", str(tmp_path / path.stem)]
             assert cli_main(argv) == 0, (workload, i, cmd.subcommand)
+
+
+def test_benchmark_traced_functions_exist(import_bench):
+    # spans.busy sums only the names it finds, so a renamed set-up function
+    # would drop out of setup_s; a per-layer metric of a renamed function
+    # would make a traced benchmark run fail on a missing key.
+    spans = import_bench("spans.py")
+    declared = json.loads((BENCH.parent / "BENCHMARK.json").read_text())
+    # "<layer>.<function>.<stat>"; analysis.checks is derived, not a function
+    functions = {
+        entry["name"].rsplit(".", 1)[0]
+        for entry in declared["per_layer"] if entry["name"].count(".") == 2
+    } - {"analysis.checks"}
+    defined = spans.public_functions()
+    missing = [name for name in (*spans.SETUP_FUNCTIONS, *sorted(functions))
+               if name not in defined]
+    assert missing == []

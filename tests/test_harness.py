@@ -131,7 +131,7 @@ def test_config_echo_resolved_block(tmp_path):
 def test_auto_delta_f_defaults_to_initial_gap():
     cfg = _quad_cfg(hyperparams=None, auto=AutoHyperConfig(epsilon=0.12))
     p = build_problem(cfg.problem)
-    _, mixing = build_mixing(cfg.topology, p.m)
+    mixing = build_mixing(cfg.topology, p.m)
     x0 = resolve_x0(cfg.x0, p.d)
     _, theory = resolve_hyperparams(cfg, p, mixing, x0)
     assert theory is not None
@@ -344,7 +344,7 @@ def test_sweep_seeds_follow_the_m_index():
     result = sweep_speedup(cfg, write_outputs=False)
     for i, pt in enumerate(result.points):
         p = build_problem(dataclasses.replace(cfg.run.problem, m=pt.m))
-        _, mixing = build_mixing(cfg.run.topology, pt.m)
+        mixing = build_mixing(cfg.run.topology, pt.m)
         for j, draws in enumerate(pt.run.trajectory.output_indices):
             seed = fanout_seed(cfg.run.master_seed, 2 * i + j)
             assert pt.run.seeds[j] == seed

@@ -1,21 +1,132 @@
-"""Graphs and Metropolis mixing matrices against hand-computed oracles."""
+"""Graphs and Metropolis mixing matrices against hand-computed oracles.
+
+The edge-set builders, the list breadth-first search and the per-edge
+Metropolis loop below are the earlier implementation of the topology
+module, kept as references: the array version must give the same graphs,
+the same Erdos-Renyi retries and bit-identical W and lambda2.
+"""
 
 import math
 
 import numpy as np
 import pytest
 
+from dnsgd.streams import StreamKey, derive_stream
 from dnsgd.topology import (
+    MAX_RETRIES,
     ClauseResult,
     DisconnectedTopologyError,
     Graph,
     MixingMatrix,
     build_topology,
-    degrees,
-    is_connected,
     metropolis_mixing,
     validate_mixing,
 )
+
+
+def reference_is_connected(m, edges):
+    """Breadth-first search over adjacency lists."""
+    if m <= 1:
+        return True
+    adj = [[] for _ in range(m)]
+    for i, j in edges:
+        adj[i].append(j)
+        adj[j].append(i)
+    seen = [False] * m
+    seen[0] = True
+    frontier = [0]
+    count = 1
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for v in adj[u]:
+                if not seen[v]:
+                    seen[v] = True
+                    count += 1
+                    nxt.append(v)
+        frontier = nxt
+    return count == m
+
+
+def reference_edges(kind, m, p=None, seed=0):
+    """The edge set {(i, j), i < j} of build_topology(kind, m, p, seed)."""
+    if kind == "ring":
+        if m == 1:
+            return set()
+        if m == 2:
+            return {(0, 1)}
+        return {(i, (i + 1) % m) if i + 1 < m else (0, m - 1) for i in range(m)}
+    if kind == "path":
+        return {(i, i + 1) for i in range(m - 1)}
+    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    if kind == "complete":
+        return set(pairs)
+    gen = derive_stream(StreamKey(seed, "topology", 0, 0))
+    for _ in range(MAX_RETRIES):
+        draws = gen.random(len(pairs))
+        edges = {pair for pair, u in zip(pairs, draws) if u < p}
+        if reference_is_connected(m, edges):
+            return edges
+    raise DisconnectedTopologyError(
+        f"disconnected topology: no connected Erdos-Renyi(m={m}, p={p}) draw "
+        f"within {MAX_RETRIES} retries (seed {seed})"
+    )
+
+
+def reference_metropolis(m, edges):
+    """Lazy Metropolis W, one edge at a time, and its lambda2."""
+    deg = np.zeros(m, dtype=np.int64)
+    for i, j in edges:
+        deg[i] += 1
+        deg[j] += 1
+    base = np.zeros((m, m), dtype=np.float64)
+    for i, j in edges:
+        wij = 1.0 / (1.0 + max(deg[i], deg[j]))
+        base[i, j] = wij
+        base[j, i] = wij
+    np.fill_diagonal(base, 1.0 - base.sum(axis=1))
+    w = (np.eye(m) + base) / 2.0
+    lam2 = 0.0 if m == 1 else float(np.sort(np.linalg.eigvalsh((w + w.T) / 2.0))[-2])
+    return w, lam2
+
+
+def graph_edges(g):
+    """The pairs i < j that g's adjacency marks, as the reference edge set."""
+    i, j = np.nonzero(np.triu(g.adjacency, k=1))
+    return set(zip(i.tolist(), j.tolist()))
+
+
+def assert_matches_reference(kind, m, p=None, seed=0):
+    try:
+        edges = reference_edges(kind, m, p, seed)
+    except DisconnectedTopologyError as expected:
+        with pytest.raises(DisconnectedTopologyError) as got:
+            build_topology(kind, m, p=p, seed=seed)
+        assert str(got.value) == str(expected)
+        return
+    g = build_topology(kind, m, p=p, seed=seed)
+    adj = g.adjacency
+    assert adj.dtype == bool and adj.shape == (m, m)
+    assert np.array_equal(adj, adj.T) and not adj.diagonal().any()
+    assert graph_edges(g) == edges and g.num_edges == len(edges)
+    mix = metropolis_mixing(g)
+    w, lam2 = reference_metropolis(m, edges)
+    assert mix.w.tobytes() == w.tobytes(), (kind, m, p, seed)
+    assert mix.lambda2 == lam2 and mix.gamma == 1.0 - lam2
+    assert mix.eigenvalues.tobytes() == np.linalg.eigvalsh((w + w.T) / 2.0).tobytes()
+
+
+@pytest.mark.parametrize("kind", ["ring", "path", "complete"])
+def test_deterministic_kinds_match_reference(kind):
+    for m in [*range(1, 41), 64, 256]:
+        assert_matches_reference(kind, m)
+
+
+@pytest.mark.parametrize("m", [2, 3, 5, 8, 12, 16, 30, 64])
+def test_erdos_renyi_matches_reference(m):
+    for p in (0.05, 0.2, 0.35, 0.6, 1.0):
+        for seed in range(12):
+            assert_matches_reference("erdos_renyi", m, p, seed)
 
 # Lazy Metropolis ring on 4 agents: every degree is 2, so the raw Metropolis
 # weight is 1/3 per edge and the lazy version W = (I + W')/2 has 2/3 on the
@@ -66,13 +177,14 @@ def test_ring_gap_strictly_decreasing_in_m():
 
 def test_path_edges_and_degrees():
     g = build_topology("path", 5)
-    assert g.edges == frozenset({(0, 1), (1, 2), (2, 3), (3, 4)})
-    assert degrees(g).tolist() == [1, 2, 2, 2, 1]
+    assert graph_edges(g) == {(0, 1), (1, 2), (2, 3), (3, 4)}
+    assert g.num_edges == 4
+    assert g.adjacency.sum(axis=1).tolist() == [1, 2, 2, 2, 1]
 
 
 def test_single_agent_degenerate():
     g = build_topology("ring", 1)
-    assert g.edges == frozenset()
+    assert g.adjacency.tolist() == [[False]] and g.num_edges == 0
     mix = metropolis_mixing(g)
     assert mix.w.shape == (1, 1)
     assert mix.w[0, 0] == 1.0
@@ -83,17 +195,17 @@ def test_single_agent_degenerate():
 def test_erdos_renyi_connected_by_independent_bfs():
     for seed in range(10):
         g = build_topology("erdos_renyi", 12, p=0.3, seed=seed)
-        assert is_connected(g.m, g.edges)
-        for i, j in g.edges:
-            assert 0 <= i < j < g.m
+        assert np.array_equal(g.adjacency, g.adjacency.T)
+        assert not g.adjacency.diagonal().any()
+        assert reference_is_connected(g.m, graph_edges(g))
 
 
 def test_erdos_renyi_deterministic_in_seed():
     a = build_topology("erdos_renyi", 10, p=0.4, seed=5)
     b = build_topology("erdos_renyi", 10, p=0.4, seed=5)
     c = build_topology("erdos_renyi", 10, p=0.4, seed=6)
-    assert a.edges == b.edges
-    assert a.edges != c.edges
+    assert np.array_equal(a.adjacency, b.adjacency)
+    assert not np.array_equal(a.adjacency, c.adjacency)
 
 
 def test_erdos_renyi_validation_sweep():
@@ -150,7 +262,9 @@ def test_sparsity_clause_with_missing_and_stray_weights():
 
 
 def test_metropolis_requires_connected_graph():
-    g = Graph(m=4, edges=frozenset({(0, 1)}), kind="path")
+    adjacency = np.zeros((4, 4), dtype=bool)
+    adjacency[0, 1] = adjacency[1, 0] = True
+    g = Graph(adjacency, kind="path")
     with pytest.raises(ValueError, match="connected"):
         metropolis_mixing(g)
 
