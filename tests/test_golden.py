@@ -56,6 +56,18 @@ RUN_DIGESTS = {
     ("quadratic", "dnasa"): "2e9c28f932957fe7b2fde1a18211ed92d1d249116f8ff585fa5c0cdd8dbd2432",
 }
 
+# Every file of the criterion-10 dnsgd run: the one pinned echo whose config
+# carries an explicit hyperparams block.
+RUN_OUTPUT_DIGESTS = {
+    "checks.csv": "55397ba2f7cf4e9a5767564be6576de0f11c055178440726c8127de8a45c1c36",
+    "config_echo.json": "63f5c5257599e5f1d338e61e2985842f664fd3969ddd51cc05744d19cccbce28",
+    "metrics_seed000.csv": "911b9100e365c5fb5bac48156e335f87bcac7eb76c13f325e741ffd3c88cc32b",
+    "metrics_seed001.csv": "c9c8d90ca52b6f368a2cf3dfe857a394d9cb2f70d259908a6388b73e2fecd823",
+    "metrics_seed002.csv": "183b334bb83d185b382cdc0a120ff3168f3253e3fb1fecb3bf6aa3562b646c79",
+    "metrics_seed003.csv": "c0f571927a34cfcc96d1b375a6070c052aa6ee5a2ff270e44207b1fb0d732958",
+    "summary.txt": "447064ad67ffaab90a638c59f160d61904a9a55f6038a05a1fe03576826eea47",
+}
+
 # A small calculator-driven sweep: per-m hyperparameters, delta_f estimated.
 SWEEP_CONFIG = {
     "problem": {
@@ -191,6 +203,8 @@ def test_run_metrics_digest(tmp_path, family, algorithm):
     assert cli_main(["run", "--config", str(path), "--out-dir", str(out)]) == 0
     data = b"".join((out / f"metrics_seed{i:03d}.csv").read_bytes() for i in range(4))
     assert _sha256(data) == RUN_DIGESTS[family, algorithm]
+    if (family, algorithm) == ("exp_pair", "dnsgd"):
+        assert _file_digests(out) == RUN_OUTPUT_DIGESTS
 
 
 def test_sweep_speedup_digest(tmp_path):
