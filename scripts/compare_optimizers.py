@@ -12,7 +12,6 @@ Example:
 """
 
 import argparse
-import dataclasses
 import sys
 from pathlib import Path
 
@@ -53,7 +52,7 @@ def main() -> int:
     print(f"{'method':8s} {'avg ||grad||':>14s} {'min ||grad||':>14s} "
           f"{'cons_x (final)':>15s} {'samples/agent':>14s} {'comm rounds':>12s}")
     for alg in ALGORITHMS:
-        cfg = dataclasses.replace(base, algorithm=alg)
+        cfg = base._replace(algorithm=alg)
         out_dir = None
         if args.out_dir is not None:
             out_dir = Path(args.out_dir) / alg

@@ -21,7 +21,7 @@ consensus radius rho * m * eta / (1 - rho) on every seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,8 +30,7 @@ from .hyperparams import lyapunov_constants
 from .problems import ProblemInstance, _row_norms, f_base, grad_base
 
 
-@dataclass
-class Trajectory:
+class Trajectory(NamedTuple):
     """Everything a run records, as columns over its S seeds and states t = 0..big_t.
 
     Each metric column has shape (S, big_t + 1), and so has tracker_drifts;
@@ -58,8 +57,7 @@ class Trajectory:
         return self.metrics.phi.shape[1] - 1
 
 
-@dataclass(frozen=True)
-class StateMetrics:
+class StateMetrics(NamedTuple):
     """Metrics of one state (floats, agent norms (m,)) or of n states ((n,) arrays, (n, m))."""
 
     f_mean: float | np.ndarray
@@ -109,8 +107,7 @@ def state_metrics(x: np.ndarray, v: np.ndarray, p: ProblemInstance, eta: float) 
     )
 
 
-@dataclass(frozen=True)
-class StationaritySummary:
+class StationaritySummary(NamedTuple):
     """Gradient-norm summary of a run, one (S,) array entry per seed.
 
     avg_grad_mean averages ||grad f(xbar^t)|| over the output-eligible
@@ -140,8 +137,7 @@ def stationarity_summary(traj: Trajectory) -> StationaritySummary:
     )
 
 
-@dataclass(frozen=True)
-class ConsensusBoundReport:
+class ConsensusBoundReport(NamedTuple):
     """Steady-state consensus radius check for normalized-step runs, over all seeds."""
 
     passed: bool
@@ -169,8 +165,7 @@ def verify_consensus_bound(traj: Trajectory, rho: float, m: int, eta: float) -> 
     return ConsensusBoundReport(worst_cons <= bound, bound, worst_cons, int(worst) + 1, cons.size)
 
 
-@dataclass(frozen=True)
-class DescentReport:
+class DescentReport(NamedTuple):
     passed: bool
     mode: str
     bound: float

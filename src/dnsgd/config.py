@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,8 +37,7 @@ class ConfigError(ValueError):
         super().__init__(f"{field_path}: {message}")
 
 
-@dataclass(frozen=True)
-class ProblemConfig:
+class ProblemConfig(NamedTuple):
     family: str
     d: int
     m: int
@@ -53,22 +52,19 @@ class ProblemConfig:
     curvature: float | None = None
 
 
-@dataclass(frozen=True)
-class TopologyConfig:
+class TopologyConfig(NamedTuple):
     kind: str
     p: float | None = None
     seed: int = 0
 
 
-@dataclass(frozen=True)
-class AutoHyperConfig:
+class AutoHyperConfig(NamedTuple):
     epsilon: float
     t_cap: int | None = None
     k_mode: str = "formula"
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     problem: ProblemConfig
     topology: TopologyConfig
     algorithm: str
@@ -80,8 +76,7 @@ class RunConfig:
     out_dir: str = "out"
 
 
-@dataclass(frozen=True)
-class SweepConfig:
+class SweepConfig(NamedTuple):
     run: RunConfig  # run.problem.m is replaced by each entry of m_list
     m_list: tuple[int, ...]
     target_epsilon: float

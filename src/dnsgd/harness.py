@@ -17,8 +17,8 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,8 +57,16 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-@dataclass(frozen=True)
-class CheckResult:
+def _echo(value):
+    """A config record as the nested dicts that config_echo.json holds."""
+    if isinstance(value, HyperParams):
+        return dataclasses.asdict(value)
+    if hasattr(value, "_asdict"):
+        return {name: _echo(v) for name, v in value._asdict().items()}
+    return value
+
+
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     observed: float
@@ -66,8 +74,7 @@ class CheckResult:
     detail: str = ""
 
 
-@dataclass
-class RunResult:
+class RunResult(NamedTuple):
     config: RunConfig
     problem: ProblemInstance
     mixing: MixingMatrix
@@ -201,7 +208,7 @@ def _write_run_outputs(result: RunResult, run_id: str) -> None:
     (out / "checks.csv").write_text("\n".join(check_lines) + "\n")
 
     echo = {
-        "config": dataclasses.asdict(result.config),
+        "config": _echo(result.config),
         "resolved": {
             "eta": result.hp.eta, "b": result.hp.b, "big_t": result.hp.big_t,
             "k_inner": result.hp.k_inner, "k_init": result.hp.k_init,
@@ -280,8 +287,7 @@ def run_experiment(
     return result
 
 
-@dataclass
-class SweepPoint:
+class SweepPoint(NamedTuple):
     m: int
     run: RunResult
     seeds_reached: int
@@ -289,8 +295,7 @@ class SweepPoint:
     mean_comm_rounds: float
 
 
-@dataclass
-class SweepResult:
+class SweepResult(NamedTuple):
     config: SweepConfig
     points: list[SweepPoint]
     out_dir: Path | None
@@ -320,7 +325,7 @@ def sweep_speedup(
     run_cfg = cfg.run
     points: list[SweepPoint] = []
     for i, m in enumerate(cfg.m_list):
-        cell = dataclasses.replace(run_cfg, problem=dataclasses.replace(run_cfg.problem, m=m))
+        cell = run_cfg._replace(problem=run_cfg.problem._replace(m=m))
         result = run_experiment(cell, write_outputs=False, seed_offset=i * run_cfg.num_seeds)
         traj = result.trajectory
         first = _first_hits(traj, cfg.target_epsilon)
@@ -347,7 +352,7 @@ def sweep_speedup(
             )
         (out / "speedup.csv").write_text("\n".join(lines) + "\n")
         (out / "config_echo.json").write_text(
-            json.dumps({"config": dataclasses.asdict(cfg)}, indent=2, sort_keys=True) + "\n"
+            json.dumps({"config": _echo(cfg)}, indent=2, sort_keys=True) + "\n"
         )
         slines = [f"sweep: {run_cfg.algorithm} target_epsilon={_fmt(cfg.target_epsilon)}"]
         for pt in points:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .gossip import contraction_rho, min_rounds_for_rho
 
@@ -69,8 +70,7 @@ def lyapunov_constants(l0: float, l1: float, zeta: float) -> tuple[float, float]
     return m0, m1
 
 
-@dataclass(frozen=True)
-class RhoGuard:
+class RhoGuard(NamedTuple):
     """Outcome of the contraction-smallness precondition check."""
 
     ok: bool
@@ -180,8 +180,7 @@ def choose_k_for_guard(
     raise ValueError(f"no gossip depth up to {K_MAX} passes the guard")
 
 
-@dataclass(frozen=True)
-class TheoreticalParams:
+class TheoreticalParams(NamedTuple):
     """Calculator output: the HyperParams bundle plus its intermediates.
 
     guard is rho_guard evaluated at rho_actual and the chosen hyperparameters.

@@ -48,8 +48,7 @@ normalization kernels step calls do not check again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -61,8 +60,7 @@ from .streams import RunStreams
 from .topology import MixingMatrix
 
 
-@dataclass(frozen=True)
-class Method:
+class Method(NamedTuple):
     """The settings that turn the shared update rule into one algorithm.
 
     tracked methods keep the mean-preservation identity mean(V) = mean(G).
@@ -99,8 +97,7 @@ class NonFiniteStateError(RuntimeError):
     """Raised when an optimizer state stops being finite or leaves the objective's safe range."""
 
 
-@dataclass(frozen=True)
-class OptimizerState:
+class OptimizerState(NamedTuple):
     """Row-stacked local iterates, tracker, and last sampled gradients."""
 
     x: np.ndarray
@@ -227,7 +224,7 @@ def run(
     method = METHODS[algorithm]
 
     n_seeds, n_states = len(seeds), hp.big_t + 1
-    cols = {f.name: np.empty((n_seeds, n_states)) for f in fields(StateMetrics)}
+    cols = {name: np.empty((n_seeds, n_states)) for name in StateMetrics._fields}
     cols["agent_grad_norms"] = np.empty((n_seeds, n_states, p.m))
     samples, comms = method.cost(hp, np.arange(n_states, dtype=np.int64))
     drifts, exits = np.empty((n_seeds, n_states)), np.empty((n_seeds, n_states), dtype=bool)

@@ -27,8 +27,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -54,8 +53,7 @@ CERTIFY_TRIALS = 1500
 RATIO_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class ProblemInstance:
+class ProblemInstance(NamedTuple):
     family: str
     d: int
     m: int
@@ -176,8 +174,7 @@ def lf_effective(l0: float, l1: float, zeta: float) -> float:
     return l0 + l1 * zeta
 
 
-@dataclass(frozen=True)
-class SmoothnessReport:
+class SmoothnessReport(NamedTuple):
     """Result of sampling the relaxed smoothness condition.
 
     worst_ratio is gap / bound at the worst pair (inf when the bound is zero

@@ -17,7 +17,7 @@ oracle call. The draws are bit for bit those of derive_stream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,8 +42,7 @@ PURPOSE_CODES = {
 }
 
 
-@dataclass(frozen=True)
-class StreamKey:
+class StreamKey(NamedTuple):
     """Address of one random stream."""
 
     master_seed: int

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -114,25 +115,24 @@ def build_topology(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MixingMatrix:
     """Symmetric doubly stochastic matrix with its spectral summary.
 
     lambda2 is the second largest eigenvalue and gamma = 1 - lambda2 the
     spectral gap. For m = 1 there is no second eigenvalue; lambda2 is 0
-    by convention (a single agent is always in consensus).
+    by convention (a single agent is always in consensus). Mixing matrices
+    compare by identity, as graphs do.
     """
 
     w: np.ndarray
     lambda2: float
     gamma: float
     # eigvalsh of the symmetric part (w + w^T) / 2, which lambda2 is read from
-    eigenvalues: np.ndarray = field(repr=False, compare=False)
-    graph: Graph | None = field(default=None, compare=False)
+    eigenvalues: np.ndarray = field(repr=False)
+    graph: Graph | None = None
     # gossip.acc_gossip's gain vectors p_k(eigenvalues), keyed by the depth k
-    acc_gains: dict[int, np.ndarray] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    acc_gains: dict[int, np.ndarray] = field(default_factory=dict, init=False, repr=False)
 
     @property
     def m(self) -> int:
@@ -190,14 +190,12 @@ def metropolis_mixing(g: Graph) -> MixingMatrix:
     return MixingMatrix.from_matrix(w, graph=g)
 
 
-@dataclass(frozen=True)
-class ClauseResult:
+class ClauseResult(NamedTuple):
     passed: bool
     violation: float
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     """Outcome of validate_mixing, one clause per mixing assumption."""
 
     clauses: dict[str, ClauseResult]

@@ -6,7 +6,6 @@ calculator, the checks or the output writers shows up here. A change that
 alters the bytes on purpose updates the digests and says why in CHANGES.md.
 """
 
-import dataclasses
 import hashlib
 import json
 
@@ -249,7 +248,7 @@ def test_run_problem_constants(family):
 def test_sweep_problem_constants():
     cfg = parse_problem(SWEEP_CONFIG["problem"])
     got = {
-        m: _constants(build_problem(dataclasses.replace(cfg, m=m)))
+        m: _constants(build_problem(cfg._replace(m=m)))
         for m in SWEEP_CONFIG["m_list"]
     }
     assert got == SWEEP_CONSTANTS

@@ -1,6 +1,5 @@
 """Experiment harness: config parsing, file outputs, reproducibility."""
 
-import dataclasses
 import json
 from pathlib import Path
 
@@ -343,7 +342,7 @@ def test_sweep_seeds_follow_the_m_index():
     cfg = _quad_sweep(1.0, AutoHyperConfig(epsilon=0.3, t_cap=50), (4, 4), 0.3, 2)
     result = sweep_speedup(cfg, write_outputs=False)
     for i, pt in enumerate(result.points):
-        p = build_problem(dataclasses.replace(cfg.run.problem, m=pt.m))
+        p = build_problem(cfg.run.problem._replace(m=pt.m))
         mixing = build_mixing(cfg.run.topology, pt.m)
         for j, draws in enumerate(pt.run.trajectory.output_indices):
             seed = fanout_seed(cfg.run.master_seed, 2 * i + j)

@@ -1,6 +1,5 @@
 """Update rules: hand-simulated trajectories, counters, and failure modes."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -378,9 +377,9 @@ def test_rows_do_not_depend_on_the_batching_of_seeds(algorithm):
     assert batch.output_indices.shape == (3, p.m) and batch.box_exits.shape == (3,)
     for s, seed in enumerate(seeds):
         alone = run(algorithm, p, hp, RING4, x0, [seed])
-        for f in dataclasses.fields(alone.metrics):
-            row, expected = getattr(batch.metrics, f.name)[s], getattr(alone.metrics, f.name)[0]
-            assert row.tobytes() == expected.tobytes(), (seed, f.name)
+        for name in alone.metrics._fields:
+            row, expected = getattr(batch.metrics, name)[s], getattr(alone.metrics, name)[0]
+            assert row.tobytes() == expected.tobytes(), (seed, name)
         assert batch.tracker_drifts[s].tobytes() == alone.tracker_drifts[0].tobytes()
         assert batch.output_indices[s].tobytes() == alone.output_indices[0].tobytes()
         assert batch.box_exits[s] == alone.box_exits[0]

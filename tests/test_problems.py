@@ -1,7 +1,6 @@
 """Objective families: frozen values, finite-difference and Monte-Carlo oracles."""
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -171,7 +170,7 @@ def test_sample_grad_matrix_oracle(p):
     for i in range(p.m):
         assert np.array_equal(noiseless[i], grad_local(p, i, x_rows[i]))
 
-    noisy = replace(p, sigma=0.5)
+    noisy = p._replace(sigma=0.5)
     a = sample_grad(noisy, x_rows, 4, RunStreams(3, 8).oracle(7))
     assert np.array_equal(a, sample_grad(noisy, x_rows, 4, RunStreams(3, 8).oracle(7)))
     noise = RunStreams(3, 8).oracle(7).standard_normal((p.m, p.d))  # row i is agent i's

@@ -162,6 +162,14 @@ def test_complete2_matrix_frozen():
     assert mix.lambda2 == pytest.approx(0.5, abs=1e-14)
 
 
+def test_mixing_matrices_compare_by_identity():
+    a = metropolis_mixing(build_topology("ring", 4))
+    b = metropolis_mixing(build_topology("ring", 4))
+    assert np.array_equal(a.w, b.w)
+    assert a != b and not a == b
+    assert a == a
+
+
 def test_ring_gap_closed_form():
     # gamma(ring m) = (1 - cos(2 pi / m)) / 3 for the lazy Metropolis ring
     for m in (4, 8, 16, 32):
