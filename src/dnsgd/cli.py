@@ -11,8 +11,10 @@ Subcommands:
 Every subcommand accepts --seed, in [0, 2**64), and --out-dir. For run, sweep
 and params, --seed replaces master_seed before the config is validated. Exit codes:
 0 success, 1 a check or validation failed or a run diverged to non-finite
-values, 2 bad usage or config. A sweep fails when a check of any of its cells
-fails, and prints one line per failed check to stderr.
+values, 2 bad usage or config, or an output that cannot be written. Outputs
+are written before the report is printed, so a failed write prints none. A
+sweep fails when a check of any of its cells fails, and prints one line per
+failed check to stderr.
 """
 
 from __future__ import annotations
@@ -53,12 +55,13 @@ from .topology import (
 
 
 def _emit(lines: list[str], out_dir: str | None, name: str) -> None:
+    """Write the report to out_dir/name, if asked, and then print it."""
     text = "\n".join(lines)
-    print(text)
     if out_dir is not None:
         path = Path(out_dir)
         path.mkdir(parents=True, exist_ok=True)
         (path / name).write_text(text + "\n")
+    print(text)
 
 
 def _load_config(args: argparse.Namespace, parse):
@@ -273,6 +276,9 @@ def main(argv: list[str] | None = None) -> int:
     except NonFiniteStateError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    except OSError as e:  # configs are read through load_json, so this is an output
+        print(f"error: cannot write {e.filename}: {e.strerror}", file=sys.stderr)
+        return 2
 
 
 def entry() -> None:

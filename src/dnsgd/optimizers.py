@@ -38,12 +38,12 @@ block's slice of the seed's row.
 A state that turns non-finite, or whose iterates leave the exponential
 family's safe range, raises NonFiniteStateError with its iteration and agent.
 
-The runner hands init_state and step one RunStreams per seed: it derives
-the oracle keys of iterations 0..big_t in one pass, and its one reused
-generator is valid until the next oracle call. step checks each array it makes
-once: X - eta dir(V), X', G', the corrected tracker V + G' - G before it is
-mixed, and V'; init_state checks G and the gossiped V. The gossip and
-normalization kernels step calls do not check again.
+A seed's oracle noise is one stream, derive_stream(StreamKey(seed, "oracle")),
+which the runner hands init_state and then every step in turn: each draws the
+next (m, d) block from it, so iteration t reads block t, counting from 0.
+step checks each array it makes once: X - eta dir(V), X', G', the corrected
+tracker V + G' - G before it is mixed, and V'; init_state checks G and the
+gossiped V. The gossip and normalization kernels step calls do not check again.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ from .analysis import StateMetrics, Trajectory, state_metrics
 from .gossip import _acc_mix, _plain_mix, acc_gossip
 from .hyperparams import HyperParams
 from .problems import ExpRangeError, ProblemInstance, _row_norms, sample_grad
-from .streams import RunStreams
+from .streams import StreamKey, derive_stream
 from .topology import MixingMatrix
 
 
@@ -148,12 +148,12 @@ def dnasa_schedule(eta_max: float, m: int, t: int) -> float:
 
 def init_state(
     method: Method, p: ProblemInstance, x0: np.ndarray, hp: HyperParams, w: MixingMatrix,
-    streams: RunStreams,
+    rng: np.random.Generator,
 ) -> OptimizerState:
     """Consensus start at x0; V is the sampled G, gossiped k_init times if accelerated."""
     x0 = _as_start_point(p, x0)
     x = np.tile(x0, (p.m, 1))
-    g = sample_grad(p, x, hp.b, streams.oracle(0))
+    g = sample_grad(p, x, hp.b, rng)
     _ensure_finite(g, "gradient batch", 0)
     if method.accelerated:
         v = acc_gossip(g, w, hp.k_init)
@@ -165,12 +165,13 @@ def init_state(
 
 def step(
     s: OptimizerState, method: Method, p: ProblemInstance, hp: HyperParams, w: MixingMatrix,
-    streams: RunStreams,
+    rng: np.random.Generator,
 ) -> OptimizerState:
     """One iteration of the shared rule: mix X - step * direction, resample, track.
 
-    s must come from init_state or step with the same p, hp and w: its V was
-    checked when it was made, and the kernels called here do not check.
+    s must come from init_state or step with the same p, hp, w and rng: its V
+    was checked when it was made, and the kernels called here do not check.
+    G' draws rng's next oracle block.
     """
     t_next = s.t + 1
     eta = dnasa_schedule(hp.eta, p.m, t_next) if method.scheduled else hp.eta
@@ -183,7 +184,7 @@ def step(
     x_next = mix(x_half, w, rounds)
     _ensure_finite(x_next, "iterate matrix", t_next)
     try:
-        g_next = sample_grad(p, x_next, hp.b, streams.oracle(t_next))
+        g_next = sample_grad(p, x_next, hp.b, rng)
     except ExpRangeError as e:  # a diverging exp_pair run, not a bad argument
         raise NonFiniteStateError(f"{e} at iteration {t_next}, agent {e.row}") from e
     _ensure_finite(g_next, "gradient batch", t_next)
@@ -209,11 +210,11 @@ def run(
 ) -> Trajectory:
     """Run an algorithm for hp.big_t iterations on each seed; row s of the record is seeds[s].
 
-    All randomness of row s derives from seeds[s]: each iteration draws the
-    oracle noise of all agents as one (m, d) block from the stream keyed by
-    (seed, iteration), and the final uniform output draw uses a dedicated
-    stream, so a row does not depend on the other seeds, and a repeated call
-    reproduces every byte of the trajectory.
+    All randomness of row s derives from seeds[s]: iteration t draws the
+    oracle noise of all agents as block t of the seed's oracle stream, and the
+    final uniform output draw uses a dedicated stream, so a row does not
+    depend on the other seeds, and a repeated call reproduces every byte of
+    the trajectory.
     big_t = 0 records only the initial state. Box exits (any |x_ij| beyond
     the problem's certification box) are counted, not clamped.
     """
@@ -249,17 +250,18 @@ def run(
 
     output_indices = np.empty((n_seeds, p.m), dtype=np.int64) if hp.big_t > 0 else None
     for row, seed in enumerate(seeds):
-        streams = RunStreams(seed, hp.big_t)
+        rng = derive_stream(StreamKey(seed, "oracle"))
         # overflow on the way to a non-finite state is reported once, by the
         # finiteness checks, not also as numpy warnings
         with np.errstate(over="ignore", invalid="ignore"):
-            state = init_state(method, p, x0, hp, w, streams)
+            state = init_state(method, p, x0, hp, w, rng)
             record(row, state)
             for _ in range(hp.big_t):
-                state = step(state, method, p, hp, w, streams)
+                state = step(state, method, p, hp, w, rng)
                 record(row, state)
         if output_indices is not None:
-            output_indices[row] = streams.output_draw().integers(0, hp.big_t, size=p.m)
+            draw = derive_stream(StreamKey(seed, "output_draw"))
+            output_indices[row] = draw.integers(0, hp.big_t, size=p.m)
 
     return Trajectory(
         metrics=StateMetrics(**cols),

@@ -149,8 +149,10 @@ def sample_grad(
     Each underlying draw is the exact gradient plus spherical Gaussian noise
     with total variance sigma^2. The b-draw average is itself Gaussian with
     per-coordinate variance sigma^2 / (b d), so it is drawn directly at that
-    scale; the caller's sample counter still advances by b. The noise is one
-    (m, d) block drawn from rng, row i for agent i; none when sigma = 0.
+    scale; the caller's sample counter still advances by b. The noise is
+    exactly one (m, d) standard_normal block from rng, row i for agent i, and
+    nothing is drawn when sigma = 0: a run calls this once per iteration on a
+    seed's oracle stream, so iteration t's block is fixed by (seed, t).
 
     Verification tolerances: over n independent calls the empirical mean of a
     row must match grad_local to within 5 sigma / sqrt(b d n) per coordinate,
@@ -225,7 +227,7 @@ def _sample_pairs(dim: int, l1: float, region: float, trials: int, seed: int, ex
 
     Returns x rows, y rows, their distances and the pair count before the drop.
     """
-    gen = derive_stream(StreamKey(seed, "smoothness", 0, 0))
+    gen = derive_stream(StreamKey(seed, "smoothness"))
     rmax = min(1.0 / l1, 2.0 * region * math.sqrt(dim)) if l1 > 0 else None
 
     xs = np.empty((trials, dim))
@@ -344,7 +346,7 @@ def check_relaxed_smooth(
 def _make_offsets(d: int, m: int, zeta: float, seed: int) -> np.ndarray:
     if zeta == 0.0 or m == 1:
         return np.zeros((m, d))
-    gen = derive_stream(StreamKey(seed, "offsets", 0, 0))
+    gen = derive_stream(StreamKey(seed, "offsets"))
     raw = gen.standard_normal((m, d))
     raw -= raw.mean(axis=0, keepdims=True)
     norms = np.linalg.norm(raw, axis=1)
@@ -492,7 +494,7 @@ def dissimilarity_measured(p: ProblemInstance, trials: int = 32, seed: int = 0) 
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    gen = derive_stream(StreamKey(seed, "dissimilarity", 0, 0))
+    gen = derive_stream(StreamKey(seed, "dissimilarity"))
     g = grad_base(p, gen.uniform(-p.box_radius, p.box_radius, size=(trials, p.d)))[:, None]
     gap = (g + p.offsets) - g  # grad f_i(x) - grad f(x): (trials, m, d)
     return float(_row_norms(gap).max(initial=0.0))

@@ -101,7 +101,7 @@ def build_topology(
         return Graph(upper | upper.T, kind)
 
     # one uniform draw per pair i < j, in row-major order
-    gen = derive_stream(StreamKey(seed, "topology", 0, 0))
+    gen = derive_stream(StreamKey(seed, "topology"))
     pairs = np.triu_indices(m, k=1)
     for _ in range(MAX_RETRIES):
         adjacency = np.zeros((m, m), dtype=bool)

@@ -9,7 +9,7 @@ stepped_states gives the states of a run, which the runner does not keep.
 from __future__ import annotations
 
 from dnsgd.optimizers import METHODS, init_state, step
-from dnsgd.streams import RunStreams
+from dnsgd.streams import StreamKey, derive_stream
 
 _CRITERION_LINES: dict[int, str] = {}
 
@@ -25,10 +25,10 @@ def record_criterion(number: int, name: str, passed: bool, detail: str = "") -> 
 def stepped_states(algorithm, p, hp, w, x0, seed):
     """The states t = 0..hp.big_t of run(algorithm, p, hp, w, x0, [seed]), in order."""
     method = METHODS[algorithm]
-    streams = RunStreams(seed, hp.big_t)
-    states = [init_state(method, p, x0, hp, w, streams)]
+    rng = derive_stream(StreamKey(seed, "oracle"))
+    states = [init_state(method, p, x0, hp, w, rng)]
     for _ in range(hp.big_t):
-        states.append(step(states[-1], method, p, hp, w, streams))
+        states.append(step(states[-1], method, p, hp, w, rng))
     return states
 
 

@@ -304,6 +304,27 @@ def test_usage_errors_exit_two(tmp_path, capsys):
         assert main(["check-smoothness", "--config", smooth]) == 2
         assert "seed" in capsys.readouterr().err
 
+    # an output directory that cannot be made is one error line naming it, and no report
+    sweep = json.loads(Path(_auto_quadratic(tmp_path)).read_text())
+    sweep.update(m_list=[2], target_epsilon=0.5, auto={"epsilon": 0.5, "t_cap": 3})
+    smooth = _write(tmp_path / "smooth.json", {"mode": "counterexample", "trials": 5})
+    commands = [
+        ["run", "--config", no_auto],
+        ["sweep", "--config", _write(tmp_path / "sweep.json", sweep)],
+        ["validate-topology", "--kind", "ring", "--m", "4"],
+        ["check-smoothness", "--config", smooth],
+        ["params", "--config", _auto_quadratic(tmp_path)],
+    ]
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    for argv in commands:
+        for out_dir in (taken, taken / "sub"):
+            assert main([*argv, "--out-dir", str(out_dir)]) == 2, argv
+            out, err = capsys.readouterr()
+            assert out == "", argv
+            assert err.startswith(f"error: cannot write {out_dir}: "), (argv, err)
+            assert err.count("\n") == 1, (argv, err)
+
 
 def test_retired_snapshot_key_exits_two(tmp_path, capsys):
     # state snapshots were removed: the key parses only as 0, which asked for none

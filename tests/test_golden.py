@@ -40,31 +40,38 @@ FAMILY_PARAMS = {
     "quadratic": {"curvature": 1.0},
 }
 
+# These digests, and in RUN_OUTPUT_DIGESTS and OUTPUT_DIGESTS["stochastic"]
+# the checks.csv, metrics CSVs and summary.txt, were rebaselined once when a
+# seed's oracle noise became one stream read in iteration order instead of
+# one stream per iteration. Row t = 0 of every metrics CSV held, since
+# iteration 0's block is the first draw under the same key; every later noisy
+# block moved. The sigma = 0 pins, the sweep pins, the echoes and the params
+# reports held.
 RUN_DIGESTS = {
-    ("exp_pair", "dnsgd"): "6b80022f4090161fffb7252d7e1bcbe97802d4a6243236b94c8e29a41e4e288a",
-    ("exp_pair", "dsgd"): "cab24adf2a8f1fb4dc0a45d09b078e0c952b0ac431af199ab5785f4c1477cc5e",
-    ("exp_pair", "dsgt"): "6d586aadaa904c3d0d8a9e70d663e41cc0c5bde326eed6c1c00abbd281cd9440",
-    ("exp_pair", "dnasa"): "08315bd51a4eaf83005d59b53c962d4b3abcbfec7e6394302e8b5d1a191c1fb7",
-    ("poly_even", "dnsgd"): "c5d3ff3f97defbe9b119b4e5f34deca47f673ffc431eed784bfb1872e06e5e9a",
-    ("poly_even", "dsgd"): "271bc9aa77dfda9b107d93b7381c97774c78379768c6a9030d83e38bafbe0c72",
-    ("poly_even", "dsgt"): "0803a526a85be1e27596b8f64a88f6b7bdb2d9f4f940b84e59cefec2aaa78666",
-    ("poly_even", "dnasa"): "d5901111371f56a04b5e547423fc67967d8c5471483efdaabbbe623c87c567bb",
-    ("quadratic", "dnsgd"): "ff5eccff73359aaef16056173f541fbd81e7975535f7c933bb10ce0bc8ac80aa",
-    ("quadratic", "dsgd"): "0b7c23a8fd9261c949990045f69e4bb56ca2bd4cc03b3c5c9b416be2150ee072",
-    ("quadratic", "dsgt"): "2ffc40e052f9d4adbe87c14449da56f00230a650602228c57104d9c4b65410c5",
-    ("quadratic", "dnasa"): "2e9c28f932957fe7b2fde1a18211ed92d1d249116f8ff585fa5c0cdd8dbd2432",
+    ("exp_pair", "dnsgd"): "39ff0bef8bd9476b01f312a58d3d3484ee06ff5bb3aa8bdd9e5d57c314a69ebe",
+    ("exp_pair", "dsgd"): "8793084419bbbc6ba44cc82c854eecde2eb4390c138e5a9ec7231fb7d8b654d6",
+    ("exp_pair", "dsgt"): "71e055888a68027ae598ce76f762eee5c1e25404c601509a3bbf51d3061835d7",
+    ("exp_pair", "dnasa"): "67e7b80be252da6b37946cb0f69e7ec13b7e466e14b8d94d27a199167465bb59",
+    ("poly_even", "dnsgd"): "4b369b3917d5940813bbbf28d1841dac68939b1faa5d0db7d3b9ca2e48532f3e",
+    ("poly_even", "dsgd"): "f5600ce7af771ebea8c814eb9a46db6783b363f0e8687a1f73a08dc137cf054a",
+    ("poly_even", "dsgt"): "43a248f5a37cbc7c4c01de0c62b4abf8ccf9e657f97e28cd0cc018f4032be246",
+    ("poly_even", "dnasa"): "2fb833fdfb2258efe03049482f72aa87a579eb9d66004c17b528ceb8871dfb96",
+    ("quadratic", "dnsgd"): "08a42f782a824281f3273ac092a89d0c2cfcf789fe12c17be185b7d12825f80e",
+    ("quadratic", "dsgd"): "dcbece7952b3a3dba4c7b8c4da9e919a851c5ef9e57f39627c536f9665283e2f",
+    ("quadratic", "dsgt"): "0220343b8cebefbb6d5cd367256d7f197e60389f468e3668a003379b51847f21",
+    ("quadratic", "dnasa"): "63919c9a32a13c7d286552c61302e78c9fee33faef16b3961dac9273d738337a",
 }
 
 # Every file of the criterion-10 dnsgd run: the one pinned echo whose config
 # carries an explicit hyperparams block.
 RUN_OUTPUT_DIGESTS = {
-    "checks.csv": "55397ba2f7cf4e9a5767564be6576de0f11c055178440726c8127de8a45c1c36",
+    "checks.csv": "420f4a0eea3688618e2b546a75d72e62bb8ef444a7c364454668ea4932b28a9a",
     "config_echo.json": "63f5c5257599e5f1d338e61e2985842f664fd3969ddd51cc05744d19cccbce28",
-    "metrics_seed000.csv": "911b9100e365c5fb5bac48156e335f87bcac7eb76c13f325e741ffd3c88cc32b",
-    "metrics_seed001.csv": "c9c8d90ca52b6f368a2cf3dfe857a394d9cb2f70d259908a6388b73e2fecd823",
-    "metrics_seed002.csv": "183b334bb83d185b382cdc0a120ff3168f3253e3fb1fecb3bf6aa3562b646c79",
-    "metrics_seed003.csv": "c0f571927a34cfcc96d1b375a6070c052aa6ee5a2ff270e44207b1fb0d732958",
-    "summary.txt": "447064ad67ffaab90a638c59f160d61904a9a55f6038a05a1fe03576826eea47",
+    "metrics_seed000.csv": "d200d9f254750269b55f7f008b5a5ded4fcc499d7648eaaf9ad5c400521bc029",
+    "metrics_seed001.csv": "b0a674415fc79193587f14b49ae4772624f80e12838d235d181fcf31564d0b5e",
+    "metrics_seed002.csv": "e3f1097e6fc12544bfae617d4494e10c0e2111c9be89c53e3ec81900833b5e82",
+    "metrics_seed003.csv": "306af8117722e00b35541ad30c94b50befaa1c1ead27185dfdbdb8da2220004b",
+    "summary.txt": "0a2a4aa3b94d2facca32b8e8c4ba0ca423eb52b18890dc1b42dcc5d43103539c",
 }
 
 # A small calculator-driven sweep: per-m hyperparameters, delta_f estimated.
@@ -140,20 +147,20 @@ OUTPUT_CHECKS = {
 # held both times.
 OUTPUT_DIGESTS = {
     "stochastic": {
-        "checks.csv": "a4fce51f60b4e682797ba3dc8c552d94411657e68b2d5cea7ccaa6b6368e28b5",
+        "checks.csv": "cfb7c8ba11a067a638f14a700ffff0b097e60c8e75a6cd7c48c42545c3b17670",
         "config_echo.json": "3e8d3376828ef5c6b61eb19b85a36d85bd1cbfcbed9aa5b1cf0848690aab042d",
-        "metrics_seed000.csv": "e0bba0c46ff98e2a1cedc16b44fb0858fb95b0f5fac8f7e3e5abad1fce8d80ea",
-        "metrics_seed001.csv": "1843d17ee1c0651d565afdc17da37a93b64603e1751b693f5d4f5a14787511de",
-        "metrics_seed002.csv": "01e684f8209e6d410106dcb9e8c11ab35a8c1a83ce92ad27a54b3da2338bfb26",
-        "metrics_seed003.csv": "847836bb2861cb5620297a2c4396f70a9c1754f47a8e188eafe0443ea722204d",
-        "metrics_seed004.csv": "49107ddb69ecf750c68f94f926a860f60a312dcd1d54fa4bf4c901d72ec326ef",
-        "metrics_seed005.csv": "97136aea51a7d0d4c64863e11add0068b07a67f2718a8ff23eb0c7633f7a59c3",
-        "metrics_seed006.csv": "6c6c163afa3e62f627686f77da32452858fdf8cea58343ea660d047531432626",
-        "metrics_seed007.csv": "138cd61f4d0a20e9afbc2aed3fcac7943cb08b3ae2bb034a9f75f0d05851070e",
-        "metrics_seed008.csv": "87645b047236d35181d4c0f923191857f5a599f305271ba68c62974e2ff1ef49",
-        "metrics_seed009.csv": "54daf095c45253e856c9b96caf13d7566fa5630603ace23fe18d6b26d055ce70",
+        "metrics_seed000.csv": "393caac319ed1786f5f854bb1b5d75cb6b2f1526b706dc7b8c559b8fc698211c",
+        "metrics_seed001.csv": "ba05b30d55d2e5b7bce61e2396be745ac247c95d4e2e4b0be6785e7ce0de0a0d",
+        "metrics_seed002.csv": "220c90448fa2e996e1255883498fbbc1d20813a91ba5bb432d9f309b5834c0ce",
+        "metrics_seed003.csv": "d0c26847e40240edc25ffaf3ee22cc0eb5ec2a57e1627f114000edbd4d863d65",
+        "metrics_seed004.csv": "4f850ed762c25cca98bf3635bed6261a9b6f3d22ffd381823686ba35669543d2",
+        "metrics_seed005.csv": "8032e303287313a0ea979535f7366bcd0a1b3adf1a32858b994b88bcc221280c",
+        "metrics_seed006.csv": "79419d8f3cc2b1d32799a5464649c33be3ea97b0b619e8bf7e2fbf637791716c",
+        "metrics_seed007.csv": "c74bd2e3e156d522309fc6fd17e6c7936057085a7653f714bbe6a2f6af98a385",
+        "metrics_seed008.csv": "d3eca4a83b2d3e858b21ef4edbd141c52f0709f134c8aeb4ede7547c61442ecf",
+        "metrics_seed009.csv": "d39ec00b067740c0701a9898f38b050cac480bf43faa8eb09891f49002bb1a3b",
         "params_report.txt": "95294000a5f6ce6f416dce9b9e6d349cea0fa1a6a26829968504937e847a7c2f",
-        "summary.txt": "0a7a9b3dd7fc2feb4e1a9bd22e6e73a05e6ba12d0269d71a9a6d870d07b0920c",
+        "summary.txt": "2030e37800ab709ccd57a9b58832e87c5ce3bcbd0e348b46e55e38b32e6f0cab",
     },
     "deterministic": {
         "checks.csv": "12d6a3d8b7036d902244ff50d55fbcd3acdb8d6aa06849ae114e7c20caf4984f",

@@ -1,6 +1,7 @@
 """Update rules: hand-simulated trajectories, counters, and failure modes."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from dnsgd.optimizers import (
     run,
 )
 from dnsgd.problems import f_base, grad_base, make_exp_pair, make_poly_even, make_quadratic
-from dnsgd.streams import RunStreams
+from dnsgd.streams import StreamKey, derive_stream
 from dnsgd.topology import build_topology, metropolis_mixing
 
 RING4 = metropolis_mixing(build_topology("ring", 4))
@@ -275,7 +276,7 @@ def reference_run(algorithm, p, hp, w, x0, master_seed):
             if first_exit is None:
                 first_exit = s.t
     output_indices = (
-        RunStreams(master_seed).output_draw().integers(0, hp.big_t, size=p.m)
+        derive_stream(StreamKey(master_seed, "output_draw")).integers(0, hp.big_t, size=p.m)
         if hp.big_t > 0 else None
     )
     return {name: np.array(col) for name, col in cols.items()}, np.array(agent_norms), \
@@ -388,8 +389,9 @@ def test_rows_do_not_depend_on_the_batching_of_seeds(algorithm):
 
 
 def test_stream_derivations_per_run_do_not_grow_with_big_t(monkeypatch):
-    """A run derives its oracle keys in one pass: derive_stream calls and
-    SeedSequence constructions are counted, not timed, at two run lengths."""
+    """A run derives two streams per seed, its oracle stream and its output
+    draw, at any length: derive_stream calls, wherever a module imported it
+    by name, and SeedSequence constructions are counted at two run lengths."""
     p = make_quadratic(d=3, curvature=1.0, m=4, zeta=0.3, sigma=0.5, seed=2)
     counts = {"derive_stream": 0, "SeedSequence": 0}
     derive, seed_sequence = streams.derive_stream, np.random.SeedSequence
@@ -402,12 +404,12 @@ def test_stream_derivations_per_run_do_not_grow_with_big_t(monkeypatch):
         counts["SeedSequence"] += 1
         return seed_sequence(*args, **kwargs)
 
-    monkeypatch.setattr(streams, "derive_stream", counting_derive)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("dnsgd") and getattr(module, "derive_stream", None) is derive:
+            monkeypatch.setattr(module, "derive_stream", counting_derive)
     monkeypatch.setattr(np.random, "SeedSequence", counting_seed_sequence)
-    per_run = []
+    seeds = [4, 5, 6]
     for big_t in (10, 1000):
         counts.update(derive_stream=0, SeedSequence=0)
-        run("dnsgd", p, _hp(big_t=big_t), RING4, np.full(3, 0.5), seeds=[4])
-        per_run.append(dict(counts))
-    assert per_run[0] == per_run[1]
-    assert per_run[0]["derive_stream"] >= 1  # the output draw: the counters are live
+        run("dnsgd", p, _hp(big_t=big_t), RING4, np.full(3, 0.5), seeds=seeds)
+        assert counts == {"derive_stream": 2 * len(seeds), "SeedSequence": 2 * len(seeds)}

@@ -24,7 +24,7 @@ from dnsgd.problems import (
     make_quadratic,
     sample_grad,
 )
-from dnsgd.streams import RunStreams, StreamKey, derive_stream
+from dnsgd.streams import StreamKey, derive_stream
 
 LOG2 = math.log(2.0)
 
@@ -118,16 +118,21 @@ def test_row_matrix_gradient_matches_rows_exactly(p):
 
 # --- stochastic oracle vs its documented tolerances ----------------------------
 
+def _oracle(seed):
+    """A fresh oracle stream of the seed, as a run derives it."""
+    return derive_stream(StreamKey(seed, "oracle"))
+
+
 def test_sample_grad_mean_and_variance():
     p = make_quadratic(d=3, curvature=1.0, m=2, zeta=0.4, sigma=0.5, seed=7)
     x = np.array([0.3, -1.1, 0.7])
     exact = grad_local(p, 0, x)
     b, n = 4, 20_000
-    streams = RunStreams(555, n - 1)
+    rng = _oracle(555)  # read in order, one block per call, as a run reads it
     x_rows = np.tile(x, (p.m, 1))
     draws = np.empty((n, p.d))
     for t in range(n):
-        draws[t] = sample_grad(p, x_rows, b, streams.oracle(t))[0]
+        draws[t] = sample_grad(p, x_rows, b, rng)[0]
     mean_tol = 5.0 * p.sigma / math.sqrt(b * p.d * n)
     assert np.all(np.abs(draws.mean(axis=0) - exact) <= mean_tol)
     sq = float(np.mean(np.sum((draws - exact) ** 2, axis=1)))
@@ -138,51 +143,54 @@ def test_sample_grad_mean_and_variance():
 def test_sample_grad_noiseless_is_exact_and_deterministic():
     p = make_quadratic(d=3, curvature=1.0, m=2, zeta=0.4, sigma=0.0, seed=7)
     x = np.array([0.3, -1.1, 0.7])
-    streams = RunStreams(1)
-    out = sample_grad(p, np.tile(x, (p.m, 1)), 10, streams.oracle(0))
+    out = sample_grad(p, np.tile(x, (p.m, 1)), 10, _oracle(1))
     assert np.array_equal(out[0], grad_local(p, 0, x))
 
 
 def test_sample_grad_same_stream_key_replays():
     p = make_quadratic(d=2, curvature=1.0, m=1, zeta=0.0, sigma=1.0, seed=0)
     x = np.zeros((1, 2))
-    a = sample_grad(p, x, 3, RunStreams(9, 6).oracle(5))
-    b = sample_grad(p, x, 3, RunStreams(9, 6).oracle(5))
+    a = sample_grad(p, x, 3, _oracle(9))
+    rng = _oracle(9)
+    b = sample_grad(p, x, 3, rng)
     assert np.array_equal(a, b)
-    c = sample_grad(p, x, 3, RunStreams(9, 6).oracle(6))
+    c = sample_grad(p, x, 3, rng)  # the stream's next block
     assert not np.array_equal(a, c)
 
 
 def test_sample_grad_rejects_bad_batch():
     p = make_quadratic(d=2, curvature=1.0, m=1, zeta=0.0, sigma=1.0, seed=0)
     with pytest.raises(ValueError, match="batch size"):
-        sample_grad(p, np.zeros((1, 2)), 0, RunStreams(0).oracle(0))
+        sample_grad(p, np.zeros((1, 2)), 0, _oracle(0))
 
 
 @pytest.mark.parametrize("p", INSTANCES, ids=lambda p: p.family)
 def test_sample_grad_matrix_oracle(p):
-    """One call gives every agent's row: exact without noise, one block per iteration."""
+    """One call gives every agent's row: exact without noise, one block per call."""
     x_rows = np.linspace(-1.5, 1.5, p.m * p.d).reshape(p.m, p.d)
-    rng = RunStreams(3).oracle(0)
+    rng = _oracle(3)
     noiseless = sample_grad(p, x_rows, 4, rng)
     # sigma = 0 draws nothing: the stream still starts where a fresh one does
-    assert np.array_equal(rng.standard_normal(4), RunStreams(3).oracle(0).standard_normal(4))
+    assert np.array_equal(rng.standard_normal(4), _oracle(3).standard_normal(4))
     for i in range(p.m):
         assert np.array_equal(noiseless[i], grad_local(p, i, x_rows[i]))
 
     noisy = p._replace(sigma=0.5)
-    a = sample_grad(noisy, x_rows, 4, RunStreams(3, 8).oracle(7))
-    assert np.array_equal(a, sample_grad(noisy, x_rows, 4, RunStreams(3, 8).oracle(7)))
-    noise = RunStreams(3, 8).oracle(7).standard_normal((p.m, p.d))  # row i is agent i's
-    for i in range(p.m):
-        expect = grad_local(p, i, x_rows[i]) + noise[i] * (0.5 / math.sqrt(4 * p.d))
-        assert np.array_equal(a[i], expect)
-    later = sample_grad(noisy, x_rows, 4, RunStreams(3, 8).oracle(8))
+    rng = _oracle(3)
+    a, later = (sample_grad(noisy, x_rows, 4, rng) for _ in range(2))
+    assert np.array_equal(a, sample_grad(noisy, x_rows, 4, _oracle(3)))
+    # each call draws exactly the stream's next (m, d) block; row i is agent i's
+    reference = _oracle(3)
+    for out in (a, later):
+        noise = reference.standard_normal((p.m, p.d))
+        for i in range(p.m):
+            expect = grad_local(p, i, x_rows[i]) + noise[i] * (0.5 / math.sqrt(4 * p.d))
+            assert np.array_equal(out[i], expect)
     assert not np.any(a == later)
 
     for bad in (np.zeros((p.m + 1, p.d)), np.zeros(p.d), np.zeros((1, p.m, p.d))):
         with pytest.raises(ValueError, match="agent matrix"):
-            sample_grad(p, bad, 4, RunStreams(3).oracle(0))
+            sample_grad(p, bad, 4, _oracle(3))
 
 
 # --- offsets and heterogeneity ---------------------------------------------------
@@ -218,7 +226,7 @@ def test_dissimilarity_equals_max_offset_norm():
 
 def reference_dissimilarity_measured(p, trials=32, seed=0):
     """The defining loop of dissimilarity_measured: one sampled point per step."""
-    gen = derive_stream(StreamKey(seed, "dissimilarity", 0, 0))
+    gen = derive_stream(StreamKey(seed, "dissimilarity"))
     worst = 0.0
     for _ in range(trials):
         g = grad_base(p, gen.uniform(-p.box_radius, p.box_radius, size=p.d))
@@ -330,7 +338,7 @@ def reference_check_relaxed_smooth(
 ):
     """The defining per-pair loop of check_relaxed_smooth: grad at one point per call."""
     # looked up on the module, so a stream patched in there reaches both versions
-    gen = problems.derive_stream(StreamKey(seed, "smoothness", 0, 0))
+    gen = problems.derive_stream(StreamKey(seed, "smoothness"))
     rmax = min(1.0 / l1, 2.0 * region * math.sqrt(dim)) if l1 > 0 else None
 
     pairs = []

@@ -1,11 +1,11 @@
-"""The optimizer step and its oracle streams against the checked paths they replaced.
+"""The optimizer step and its oracle stream against the checked paths they replaced.
 
 step calls gossip and normalization kernels that do not check their input,
-and a run draws its oracle noise from one generator that is re-keyed at each
-iteration. The references below are the public functions that check
-(acc_gossip, plain_gossip, normalize_rows through np.linalg.norm) and one
-derive_stream per iteration. States, draws and normalized rows must equal
-theirs bit for bit.
+and a run draws its oracle noise from one stream per seed, read in iteration
+order. The references below are the public functions that check
+(acc_gossip, plain_gossip, normalize_rows through np.linalg.norm) and a fresh
+derive_stream(StreamKey(seed, "oracle")) read one (m, d) block per iteration.
+States, draws and normalized rows must equal theirs bit for bit.
 """
 
 import numpy as np
@@ -39,24 +39,22 @@ def reference_normalize_rows(v):
 
 
 def reference_states(algorithm, p, hp, w, x0, seed):
-    """(X, V, G) at t = 0..big_t, from the checked public maps and a fresh stream per iteration."""
+    """(X, V, G) at t = 0..big_t, from the checked public maps and the seed's oracle stream."""
     method = METHODS[algorithm]
-
-    def oracle(t):
-        return derive_stream(StreamKey(seed, "oracle", 0, t))
+    rng = derive_stream(StreamKey(seed, "oracle"))
 
     def mix(y):
         return acc_gossip(y, w, hp.k_inner) if method.accelerated else plain_gossip(y, w, 1)
 
     x = np.tile(x0, (p.m, 1))
-    g = sample_grad(p, x, hp.b, oracle(0))
+    g = sample_grad(p, x, hp.b, rng)
     v = acc_gossip(g, w, hp.k_init) if method.accelerated else g.copy()
     states = [(x, v, g)]
     for t in range(1, hp.big_t + 1):
         eta = dnasa_schedule(hp.eta, p.m, t) if method.scheduled else hp.eta
         direction = reference_normalize_rows(v) if method.normalized else v
         x = mix(x - eta * direction)
-        g_next = sample_grad(p, x, hp.b, oracle(t))
+        g_next = sample_grad(p, x, hp.b, rng)
         if not method.tracked:
             v = g_next
         elif method.accelerated:
@@ -97,9 +95,10 @@ def test_runner_noise_blocks_are_derive_stream_draws(monkeypatch, seed):
     monkeypatch.setattr(optimizers, "sample_grad", replaying_sample_grad)
     run("dnsgd", p, HP, RING5, np.full(p.d, 0.5), [seed])
     assert len(blocks) == HP.big_t + 1
-    for t, block in enumerate(blocks):
-        expected = derive_stream(StreamKey(seed, "oracle", 0, t)).standard_normal((p.m, p.d))
-        assert block.tobytes() == expected.tobytes()
+    # iteration t's block is the t-th consecutive (m, d) draw of a fresh oracle stream
+    fresh = derive_stream(StreamKey(seed, "oracle"))
+    for block in blocks:
+        assert block.tobytes() == fresh.standard_normal((p.m, p.d)).tobytes()
 
 
 @pytest.mark.parametrize("d", [1, 10, 257])

@@ -1,32 +1,29 @@
 """Stream derivation: reproducibility and independence."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from dnsgd.streams import (
-    PURPOSE_CODES,
-    RunStreams,
-    StreamKey,
-    derive_stream,
-    fanout_seed,
-    oracle_keys,
-)
+import dnsgd
+
+from dnsgd.streams import PURPOSE_CODES, StreamKey, derive_stream, fanout_seed
 
 
 def test_same_key_replays_identical_draws():
-    key = StreamKey(1234, "oracle", agent=3, iteration=17)
+    key = StreamKey(1234, "oracle", agent=3)
     a = derive_stream(key).standard_normal(100)
     b = derive_stream(key).standard_normal(100)
     assert np.array_equal(a, b)
 
 
 def test_distinct_key_components_give_distinct_streams():
-    base = StreamKey(1234, "oracle", agent=3, iteration=17)
+    base = StreamKey(1234, "oracle", agent=3)
     variants = [
-        StreamKey(1235, "oracle", 3, 17),
-        StreamKey(1234, "offsets", 3, 17),
-        StreamKey(1234, "oracle", 4, 17),
-        StreamKey(1234, "oracle", 3, 18),
+        StreamKey(1235, "oracle", 3),
+        StreamKey(1234, "offsets", 3),
+        StreamKey(1234, "oracle", 4),
     ]
     ref = derive_stream(base).standard_normal(8)
     for key in variants:
@@ -35,8 +32,16 @@ def test_distinct_key_components_give_distinct_streams():
 
 def test_cross_agent_streams_uncorrelated():
     n = 10_000
-    block = RunStreams(99).oracle(0).standard_normal((2, n))  # rows of agents 0 and 1
+    block = derive_stream(StreamKey(99, "oracle")).standard_normal((2, n))  # agents 0 and 1
     corr = float(np.corrcoef(block[0], block[1])[0, 1])
+    assert abs(corr) < 0.05
+
+
+def test_consecutive_iteration_blocks_uncorrelated():
+    # a run reads one oracle stream in order: block t + 1 follows block t
+    m, d, n = 8, 10, 2000
+    blocks = derive_stream(StreamKey(99, "oracle")).standard_normal((n, m * d))
+    corr = float(np.corrcoef(blocks[:-1].ravel(), blocks[1:].ravel())[0, 1])
     assert abs(corr) < 0.05
 
 
@@ -48,8 +53,6 @@ def test_unknown_purpose_rejected():
 def test_negative_indices_rejected():
     with pytest.raises(ValueError, match="non-negative"):
         derive_stream(StreamKey(0, "oracle", agent=-1))
-    with pytest.raises(ValueError, match="non-negative"):
-        derive_stream(StreamKey(0, "oracle", iteration=-2))
 
 
 def test_purpose_codes_distinct():
@@ -71,51 +74,81 @@ def test_large_master_seed_wraps_into_range():
     assert np.array_equal(out, same)
 
 
-ORACLE_SEEDS = [
-    0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1,
-    *np.random.default_rng(2024).integers(0, 2**64 - 1, size=6, dtype=np.uint64).tolist(),
-    -3, 2**70 + 5,  # reduced modulo 2**64, as derive_stream does
-]
+def _random_calls(tree: ast.Module) -> list[str]:
+    """Calls in tree that make or draw from a random generator other than a derived one.
+
+    Those are calls through numpy.random (np.random.default_rng(...),
+    np.random.Philox(...)), through the standard library's random module, and
+    of names imported from either. Methods of a generator a caller was handed
+    (rng.standard_normal) and annotations (np.random.Generator) are not.
+    """
+    numpy_names, module_names, imported = set(), set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                if alias.name == "numpy" or (alias.name == "numpy.random" and not alias.asname):
+                    numpy_names.add(bound)
+                elif alias.name in ("numpy.random", "random"):
+                    module_names.add(bound)
+        elif isinstance(node, ast.ImportFrom):
+            if node.module in ("numpy.random", "random"):
+                imported.update(alias.asname or alias.name for alias in node.names)
+            elif node.module == "numpy":
+                module_names.update(
+                    alias.asname or alias.name for alias in node.names if alias.name == "random"
+                )
+    found = []
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    for node in sorted(calls, key=lambda node: (node.lineno, node.col_offset)):
+        parts, func = [], node.func
+        while isinstance(func, ast.Attribute):
+            parts.append(func.attr)
+            func = func.value
+        if not isinstance(func, ast.Name):
+            continue
+        parts = [func.id, *reversed(parts)]
+        if (
+            (parts[0] in numpy_names and parts[1:2] == ["random"])
+            or (parts[0] in module_names and len(parts) > 1)
+            or (parts[0] in imported and len(parts) == 1)
+        ):
+            found.append(f"line {node.lineno}: {'.'.join(parts)}(...)")
+    return found
 
 
-@pytest.mark.parametrize("seed", ORACLE_SEEDS)
-def test_oracle_keys_match_seed_sequence(seed):
-    iterations = np.array([*range(51), 2071, 2**32 - 1])
-    keys = oracle_keys(seed, iterations)
-    assert keys.dtype == np.uint64 and keys.shape == (iterations.size, 2)
-    for t, key in zip(iterations.tolist(), keys):
-        expected = np.random.SeedSequence(seed & (2**64 - 1), spawn_key=(1, 0, t))
-        assert key.tobytes() == expected.generate_state(2, np.uint64).tobytes(), t
-    # the keys derive_stream hands Philox
-    for t in (0, 7, 2071):
-        philox = derive_stream(StreamKey(seed, "oracle", 0, t)).bit_generator
-        assert np.array_equal(philox.state["state"]["key"], keys[iterations == t][0])
+def test_random_call_guard_flags_every_spelling():
+    source = """
+import random
+import numpy as np
+import numpy.random as npr
+from numpy import random as nr
+from numpy.random import Philox, default_rng as make
+np.random.default_rng(1)
+np.random.Generator(np.random.Philox(2))
+np.random.standard_normal(3)
+npr.SeedSequence(4)
+nr.random(5)
+Philox(6)
+make(7)
+random.random()
+def f(rng: np.random.Generator, gen) -> np.random.Generator:
+    return gen.random(3) + rng.standard_normal(2)
+"""
+    assert [call.split(": ")[1] for call in _random_calls(ast.parse(source))] == [
+        "np.random.default_rng(...)", "np.random.Generator(...)", "np.random.Philox(...)",
+        "np.random.standard_normal(...)", "npr.SeedSequence(...)", "nr.random(...)",
+        "Philox(...)", "make(...)", "random.random(...)",
+    ]
 
 
-def test_oracle_keys_reject_iterations_beyond_one_word():
-    # SeedSequence splits an iteration >= 2**32 into two spawn-key words
-    for bad in ([2**32], [-1], [0, 2**40]):
-        with pytest.raises(ValueError, match="oracle iterations must lie in"):
-            oracle_keys(0, np.array(bad))
-    for bad in (np.array([0.5]), np.zeros((2, 2), dtype=int)):
-        with pytest.raises(ValueError, match="1-d integer array"):
-            oracle_keys(0, bad)
-    assert oracle_keys(0, np.arange(0)).shape == (0, 2)
-
-
-def test_run_streams_rekey_one_generator():
-    streams = RunStreams(5, 3)
-    first = streams.oracle(1)
-    # a part-used buffer and a cached 32-bit half must not leak into the next iteration
-    first.integers(0, 2**32, size=3, dtype=np.uint32)
-    first.standard_normal(5)
-    assert streams.oracle(2) is first  # valid until the next oracle call
-    for t in (3, 0, 1, 1):
-        draws = streams.oracle(t).standard_normal((4, 3))
-        expected = derive_stream(StreamKey(5, "oracle", 0, t)).standard_normal((4, 3))
-        assert draws.tobytes() == expected.tobytes()
-    for bad in (4, -1):
-        with pytest.raises(ValueError, match="outside 0..3"):
-            streams.oracle(bad)
-    with pytest.raises(ValueError, match="big_t"):
-        RunStreams(5, -1)
+def test_every_draw_comes_from_a_derived_stream():
+    # only dnsgd.streams makes generators; every other module draws from one it was handed
+    package = Path(dnsgd.__file__).parent
+    offenders = {
+        path.name: calls
+        for path in sorted(package.glob("*.py"))
+        if path.name != "streams.py"
+        and (calls := _random_calls(ast.parse(path.read_text(), str(path))))
+    }
+    assert offenders == {}

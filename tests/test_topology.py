@@ -61,7 +61,7 @@ def reference_edges(kind, m, p=None, seed=0):
     pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
     if kind == "complete":
         return set(pairs)
-    gen = derive_stream(StreamKey(seed, "topology", 0, 0))
+    gen = derive_stream(StreamKey(seed, "topology"))
     for _ in range(MAX_RETRIES):
         draws = gen.random(len(pairs))
         edges = {pair for pair, u in zip(pairs, draws) if u < p}
