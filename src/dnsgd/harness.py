@@ -14,9 +14,11 @@ line per state, and the sweep finds every seed's first hit in one search.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import math
+import shutil
 from pathlib import Path
 from typing import NamedTuple
 
@@ -195,9 +197,30 @@ def _write_metrics_csvs(out: Path, run_id: str, traj: Trajectory) -> None:
         (out / f"metrics_seed{s:03d}.csv").write_text("\n".join(lines) + "\n")
 
 
+@contextlib.contextmanager
+def _made_dir(out: Path | None):
+    """Make out, if given, before the body, and remove what was made if the body raises.
+
+    So an output directory that cannot be made fails before a run is spent, and
+    a run that fails leaves no directory it did not find.
+    """
+    if out is None:
+        yield
+        return
+    top = None if out.exists() else out
+    while top is not None and not top.parent.exists():
+        top = top.parent
+    out.mkdir(parents=True, exist_ok=True)
+    try:
+        yield
+    except BaseException:
+        if top is not None:
+            shutil.rmtree(top)
+        raise
+
+
 def _write_run_outputs(result: RunResult, run_id: str) -> None:
     out = result.out_dir
-    out.mkdir(parents=True, exist_ok=True)
     _write_metrics_csvs(out, run_id, result.trajectory)
 
     check_lines = ["check,passed,observed,threshold,detail"]
@@ -265,25 +288,28 @@ def run_experiment(
     """Run cfg.num_seeds independent seeds as one trajectory and evaluate the checks.
 
     Seed i of the run is fanned out from cfg.master_seed at index
-    seed_offset + i. out_dir overrides cfg.out_dir; write_outputs=False keeps
-    everything in memory (the sweep and the acceptance suite use it so).
+    seed_offset + i. out_dir overrides cfg.out_dir, and is made after the set-up,
+    before the first iteration; write_outputs=False keeps everything in memory
+    (the sweep and the acceptance suite use it so).
     """
     p = build_problem(cfg.problem)
     mixing = build_mixing(cfg.topology, p.m)
     x0 = resolve_x0(cfg.x0, p.d)
     hp, theory = resolve_hyperparams(cfg, p, mixing, x0)
     seeds = tuple(fanout_seed(cfg.master_seed, seed_offset + i) for i in range(cfg.num_seeds))
-    traj = run(cfg.algorithm, p, hp, mixing, x0, seeds)
-    checks = _run_checks(cfg, p, hp, mixing, traj)
     out = Path(out_dir) if out_dir is not None else Path(cfg.out_dir)
-    result = RunResult(
-        config=cfg, problem=p, mixing=mixing, hp=hp, theory=theory,
-        seeds=seeds, trajectory=traj, checks=checks,
-        stationarity=stationarity_summary(traj), out_dir=out if write_outputs else None,
-    )
-    if write_outputs:
-        run_id = f"{cfg.algorithm}-{cfg.problem.family}-m{p.m}-s{cfg.master_seed}"
-        _write_run_outputs(result, run_id)
+    out = out if write_outputs else None
+    with _made_dir(out):
+        traj = run(cfg.algorithm, p, hp, mixing, x0, seeds)
+        checks = _run_checks(cfg, p, hp, mixing, traj)
+        result = RunResult(
+            config=cfg, problem=p, mixing=mixing, hp=hp, theory=theory,
+            seeds=seeds, trajectory=traj, checks=checks,
+            stationarity=stationarity_summary(traj), out_dir=out,
+        )
+        if write_outputs:
+            run_id = f"{cfg.algorithm}-{cfg.problem.family}-m{p.m}-s{cfg.master_seed}"
+            _write_run_outputs(result, run_id)
     return result
 
 
@@ -323,44 +349,47 @@ def sweep_speedup(
     nan rows rather than errors.
     """
     run_cfg = cfg.run
-    points: list[SweepPoint] = []
-    for i, m in enumerate(cfg.m_list):
-        cell = run_cfg._replace(problem=run_cfg.problem._replace(m=m))
-        result = run_experiment(cell, write_outputs=False, seed_offset=i * run_cfg.num_seeds)
-        traj = result.trajectory
-        first = _first_hits(traj, cfg.target_epsilon)
-        mean_samples = mean_comm = math.nan
-        if first.size:
-            mean_samples = float(np.mean(traj.samples_per_agent[first]))
-            mean_comm = float(np.mean(traj.comm_rounds[first]))
-        points.append(
-            SweepPoint(
-                m=m, run=result, seeds_reached=first.size,
-                mean_samples_per_agent=mean_samples, mean_comm_rounds=mean_comm,
-            )
-        )
-
     out = Path(out_dir) if out_dir is not None else Path(run_cfg.out_dir)
-    result = SweepResult(config=cfg, points=points, out_dir=out if write_outputs else None)
-    if write_outputs:
-        out.mkdir(parents=True, exist_ok=True)
-        lines = ["m,seeds_reached,num_seeds,mean_samples_per_agent,mean_comm_rounds"]
-        for pt in points:
-            lines.append(
-                f"{pt.m},{pt.seeds_reached},{run_cfg.num_seeds},"
-                f"{_fmt(pt.mean_samples_per_agent)},{_fmt(pt.mean_comm_rounds)}"
+    out = out if write_outputs else None
+    with _made_dir(out):
+        points: list[SweepPoint] = []
+        for i, m in enumerate(cfg.m_list):
+            cell = run_cfg._replace(problem=run_cfg.problem._replace(m=m))
+            result = run_experiment(
+                cell, write_outputs=False, seed_offset=i * run_cfg.num_seeds
             )
-        (out / "speedup.csv").write_text("\n".join(lines) + "\n")
-        (out / "config_echo.json").write_text(
-            json.dumps({"config": _echo(cfg)}, indent=2, sort_keys=True) + "\n"
-        )
-        slines = [f"sweep: {run_cfg.algorithm} target_epsilon={_fmt(cfg.target_epsilon)}"]
-        for pt in points:
-            slines.append(
-                f"m={pt.m}: b={pt.run.hp.b} big_t={pt.run.hp.big_t} "
-                f"k_inner={pt.run.hp.k_inner} reached {pt.seeds_reached}/{run_cfg.num_seeds} "
-                f"mean_samples={_fmt(pt.mean_samples_per_agent)} "
-                f"mean_comm={_fmt(pt.mean_comm_rounds)}"
+            traj = result.trajectory
+            first = _first_hits(traj, cfg.target_epsilon)
+            mean_samples = mean_comm = math.nan
+            if first.size:
+                mean_samples = float(np.mean(traj.samples_per_agent[first]))
+                mean_comm = float(np.mean(traj.comm_rounds[first]))
+            points.append(
+                SweepPoint(
+                    m=m, run=result, seeds_reached=first.size,
+                    mean_samples_per_agent=mean_samples, mean_comm_rounds=mean_comm,
+                )
             )
-        (out / "summary.txt").write_text("\n".join(slines) + "\n")
+
+        result = SweepResult(config=cfg, points=points, out_dir=out)
+        if write_outputs:
+            lines = ["m,seeds_reached,num_seeds,mean_samples_per_agent,mean_comm_rounds"]
+            for pt in points:
+                lines.append(
+                    f"{pt.m},{pt.seeds_reached},{run_cfg.num_seeds},"
+                    f"{_fmt(pt.mean_samples_per_agent)},{_fmt(pt.mean_comm_rounds)}"
+                )
+            (out / "speedup.csv").write_text("\n".join(lines) + "\n")
+            (out / "config_echo.json").write_text(
+                json.dumps({"config": _echo(cfg)}, indent=2, sort_keys=True) + "\n"
+            )
+            slines = [f"sweep: {run_cfg.algorithm} target_epsilon={_fmt(cfg.target_epsilon)}"]
+            for pt in points:
+                slines.append(
+                    f"m={pt.m}: b={pt.run.hp.b} big_t={pt.run.hp.big_t} "
+                    f"k_inner={pt.run.hp.k_inner} reached {pt.seeds_reached}/{run_cfg.num_seeds} "
+                    f"mean_samples={_fmt(pt.mean_samples_per_agent)} "
+                    f"mean_comm={_fmt(pt.mean_comm_rounds)}"
+                )
+            (out / "summary.txt").write_text("\n".join(slines) + "\n")
     return result

@@ -1,5 +1,6 @@
 """Command line interface: exit codes, report text, reproducible outputs."""
 
+import ast
 import json
 import os
 import subprocess
@@ -11,6 +12,7 @@ import pytest
 import dnsgd
 from dnsgd import harness
 from dnsgd.cli import main
+from dnsgd.optimizers import NonFiniteStateError
 from dnsgd.problems import EXP_ARG_MAX
 
 
@@ -248,7 +250,7 @@ def test_validate_topology_exact_output(case, capsys):
     assert (captured.out, captured.err) == (out, "")
 
 
-def test_usage_errors_exit_two(tmp_path, capsys):
+def test_usage_errors_exit_two(tmp_path, capsys, monkeypatch):
     for argv in ([], ["frobnicate"], ["run"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -317,6 +319,9 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     ]
     taken = tmp_path / "taken"
     taken.write_text("")
+    # and it fails before a run or a sweep cell iterates once
+    runs, real_run = [], harness.run
+    monkeypatch.setattr(harness, "run", lambda *args: runs.append(args) or real_run(*args))
     for argv in commands:
         for out_dir in (taken, taken / "sub"):
             assert main([*argv, "--out-dir", str(out_dir)]) == 2, argv
@@ -324,6 +329,7 @@ def test_usage_errors_exit_two(tmp_path, capsys):
             assert out == "", argv
             assert err.startswith(f"error: cannot write {out_dir}: "), (argv, err)
             assert err.count("\n") == 1, (argv, err)
+            assert runs == [], argv
 
 
 def test_retired_snapshot_key_exits_two(tmp_path, capsys):
@@ -358,6 +364,105 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert "overall: PASS" in proc.stdout, proc.stderr
+
+
+# main in a fresh interpreter, as the console script and `python -m dnsgd.cli` run it
+FROZEN_MAIN = """
+import contextlib, gc, io, json, sys
+from dnsgd.cli import main
+before = gc.get_freeze_count()
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    code = main(sys.argv[1:])
+print(json.dumps([before, gc.get_freeze_count(), code, out.getvalue()]))
+"""
+
+
+@pytest.mark.parametrize("code", [0, 1, 2])
+def test_main_freezes_the_heap_and_reports_as_in_process(tmp_path, capsys, code):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    argv = {
+        0: ["validate-topology", "--kind", "ring", "--m", "4"],
+        1: ["check-smoothness", "--config",
+            str(EXP_PAIR_CONFIG.parent / "smoothness_counterexample.json")],
+        2: ["run", "--config", str(bad)],
+    }[code]
+    proc = subprocess.run(
+        [sys.executable, "-c", FROZEN_MAIN, *argv],
+        capture_output=True, text=True, cwd=str(tmp_path), env=_child_env(), timeout=60,
+    )
+    before, after, child_code, child_out = json.loads(proc.stdout)
+    assert after > before
+    assert main(argv) == child_code == code
+    assert capsys.readouterr() == (child_out, proc.stderr)
+
+
+def _gc_uses(tree: ast.Module) -> list[str]:
+    """Uses of the gc module in tree.
+
+    Those are its imports, calls through it or through a name imported from it,
+    and calls given the module's name, such as __import__("gc").
+    """
+    modules, imported, found = set(), set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name == "gc":
+                    modules.add(alias.asname or "gc")
+                    found.append((node.lineno, "import gc"))
+        elif isinstance(node, ast.ImportFrom) and node.module == "gc":
+            imported.update(alias.asname or alias.name for alias in node.names)
+            found.append((node.lineno, "from gc import ..."))
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = ast.unparse(func)
+        if (
+            (isinstance(func, ast.Attribute) and ast.unparse(func.value) in modules)
+            or (isinstance(func, ast.Name) and func.id in imported)
+            or any(isinstance(a, ast.Constant) and a.value == "gc" for a in node.args)
+        ):
+            found.append((node.lineno, f"{name}(...)"))
+    return [f"line {line}: {use}" for line, use in sorted(found)]
+
+
+def test_gc_guard_flags_every_spelling():
+    source = """
+import gc
+import gc as collector
+from gc import disable, collect as sweep
+import importlib
+gc.freeze()
+collector.set_threshold(0)
+disable()
+sweep()
+__import__("gc").collect()
+importlib.import_module("gc")
+def f(gen):
+    return gen.collect()
+"""
+    assert [use.split(": ")[1] for use in _gc_uses(ast.parse(source))] == [
+        "import gc", "import gc", "from gc import ...", "gc.freeze(...)",
+        "collector.set_threshold(...)", "disable(...)", "sweep(...)", "__import__(...)",
+        "importlib.import_module(...)",
+    ]
+
+
+def test_only_the_process_entry_touches_the_collector():
+    # cli.main freezes the import-time heap once; no library module changes the collector
+    package = Path(dnsgd.__file__).parent
+    uses = {
+        path.name: found
+        for path in sorted(package.glob("*.py"))
+        if (found := _gc_uses(ast.parse(path.read_text(), str(path))))
+    }
+    assert [use.split(": ")[1] for use in uses.pop("cli.py")] == ["import gc", "gc.freeze(...)"]
+    assert uses == {}
+    cli = ast.parse((package / "cli.py").read_text())
+    main_def = next(n for n in cli.body if isinstance(n, ast.FunctionDef) and n.name == "main")
+    # its first statement after the docstring, before the arguments are parsed
+    assert ast.unparse(main_def.body[1]) == "gc.freeze()"
 
 
 DIVERGING_RUNS = {
@@ -435,6 +540,26 @@ def test_far_start_exits_with_one_error_line(tmp_path, case):
     assert proc.returncode == code, proc.stderr
     # no numpy warnings and no traceback: the error line is all of stderr
     assert proc.stderr == message + "\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_failed_command_removes_only_the_directories_it_made(tmp_path, capsys, monkeypatch):
+    def diverge(*args):
+        raise NonFiniteStateError("diverged")
+
+    monkeypatch.setattr(harness, "run", diverge)
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    (kept / "old.txt").write_text("old")
+    sweep = _write(tmp_path / "sweep.json", {
+        **json.loads(QUADRATIC_CONFIG.read_text()), "m_list": [2], "target_epsilon": 0.5,
+    })
+    for argv in (["run", "--config", str(QUADRATIC_CONFIG)], ["sweep", "--config", sweep]):
+        for out_dir in (tmp_path / "new" / "a" / "b", kept, kept / "new" / "a"):
+            assert main([*argv, "--out-dir", str(out_dir)]) == 1, argv
+            assert capsys.readouterr() == ("", "error: diverged\n")
+            assert not (tmp_path / "new").exists(), argv
+            assert sorted(p.name for p in kept.iterdir()) == ["old.txt"], argv
 
 
 EXP_PAIR_CONFIG = QUADRATIC_CONFIG.parent / "run_exp_pair.json"
