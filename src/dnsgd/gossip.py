@@ -19,14 +19,16 @@ stochastic.
 
 plain_gossip is the unaccelerated W^k map used by the baseline optimizers.
 
-Each public map checks its arguments and then runs its kernel (_acc_mix,
-_plain_mix), which does not check. The optimizers call the kernels on
-matrices they have already checked, so each array is checked once per step.
+Each public map checks its arguments and then runs its kernel (_acc_mixer,
+_plain_mix), which does not check. The optimizers bind the accelerated
+kernel, or W itself, once per run and apply it to (S, m, d) stacks of states;
+a run tests its state for finiteness once per iteration, not each mix.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Callable
 
 import numpy as np
 
@@ -78,11 +80,22 @@ def _acc_gains(mix: MixingMatrix, k: int) -> np.ndarray:
     return gains
 
 
-def _acc_mix(y0: np.ndarray, mix: MixingMatrix, k: int) -> np.ndarray:
+def _acc_mixer(mix: MixingMatrix, k: int) -> Callable[[np.ndarray], np.ndarray]:
+    """The kernel of acc_gossip(., mix, k), with Q and the gains of k bound.
+
+    It maps an (m, n) matrix, or an (S, m, n) stack of them, and does not
+    check its input. A stack's matmuls make one gemm per (m, n) slice, the same
+    call as for that slice alone, so a stacked slice equals its own mix bit for bit.
+    """
     _, q = mix.spectrum
-    z = q.T @ y0
-    z *= _acc_gains(mix, k)[:, None]
-    return q @ z
+    qt, gains = q.T, _acc_gains(mix, k)[:, None]
+
+    def apply(y0: np.ndarray) -> np.ndarray:
+        z = qt @ y0
+        z *= gains
+        return q @ z
+
+    return apply
 
 
 def _plain_mix(y0: np.ndarray, mix: MixingMatrix, k: int) -> np.ndarray:
@@ -95,7 +108,7 @@ def _plain_mix(y0: np.ndarray, mix: MixingMatrix, k: int) -> np.ndarray:
 def acc_gossip(y0: np.ndarray, mix: MixingMatrix, k: int) -> np.ndarray:
     """Accelerated gossip: the map of k + 1 Chebyshev rounds, applied spectrally."""
     _check_rounds(k)
-    return _acc_mix(_check_agent_matrix(y0, mix), mix, k)
+    return _acc_mixer(mix, k)(_check_agent_matrix(y0, mix))
 
 
 def plain_gossip(y0: np.ndarray, mix: MixingMatrix, k: int) -> np.ndarray:

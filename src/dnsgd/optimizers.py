@@ -29,33 +29,40 @@ start + t * depth * (2 if tracked else 1) communication rounds, where
 otherwise. run records it as two int64 columns shared by all seeds, and dnsgd
 params prints its totals at t = big_t.
 
+update_rule binds the rule to one run's problem, hyperparameters and mixing
+matrix once; its init and step take one seed's (m, d) state or an (S, m, d)
+stack of S seeds, and give each seed of a stack the bytes it gets alone.
+
 run takes all the seeds of a run and records the metrics of every state in
-one Trajectory: columns of shape (S, big_t + 1), sized once. The seeds run
-one after another, and each fills its row a block of states at a time: run
-copies X, V and G into (n, m, d) blocks of at most METRICS_BLOCK_FLOATS floats
-each, makes one state_metrics call per block and writes the results into the
-block's slice of the seed's row.
+one Trajectory: columns of shape (S, big_t + 1), sized once. The seeds move
+together, one (S, m, d) state through one step call per iteration, and fill
+their rows a block of states at a time: run copies X, V and G into
+(n, S, m, d) blocks of at most METRICS_BLOCK_FLOATS floats each, makes one
+state_metrics call per block and writes the results into the block's slice of
+every seed's row.
 A state that turns non-finite, or whose iterates leave the exponential
-family's safe range, raises NonFiniteStateError with its iteration and agent.
+family's safe range, raises NonFiniteStateError with its iteration and agent,
+and with its seed's row when the run has several seeds.
 
 A seed's oracle noise is one stream, derive_stream(StreamKey(seed, "oracle")),
-which the runner hands init_state and then every step in turn: each draws the
-next (m, d) block from it, so iteration t reads block t, counting from 0.
-step checks each array it makes once: X - eta dir(V), X', G', the corrected
-tracker V + G' - G before it is mixed, and V'; init_state checks G and the
-gossiped V. The gossip and normalization kernels step calls do not check again.
+read in iteration order: iteration t reads its t-th (m, d) block, counting
+from 0. run draws the blocks of each metrics block of n iterations with one
+standard_normal((n, m, d)) call per seed, the same bytes as n single-block
+draws.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+import functools
+import math
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .analysis import StateMetrics, Trajectory, state_metrics
-from .gossip import _acc_mix, _plain_mix, acc_gossip
+from .gossip import _acc_mixer
 from .hyperparams import HyperParams
-from .problems import ExpRangeError, ProblemInstance, _row_norms, sample_grad
+from .problems import ExpRangeError, ProblemInstance, _noise_scale, _oracle, _row_norms
 from .streams import StreamKey, derive_stream
 from .topology import MixingMatrix
 
@@ -88,8 +95,9 @@ ALGORITHMS = tuple(METHODS)
 # Rows with a smaller norm normalize to zero.
 EPS_NORM = 1e-12
 
-# Floats per stacked (n, m, d) array when run computes the recorded metrics of
-# a block of states at once: 819 states at m = 8, d = 10, and 25 at m = 256, d = 10.
+# Floats per stacked (n, S, m, d) array when run computes the recorded metrics
+# of a block of states at once, and per chunk of oracle noise: for one seed,
+# 819 states at m = 8, d = 10, and 25 at m = 256, d = 10.
 METRICS_BLOCK_FLOATS = 2**16
 
 
@@ -98,7 +106,10 @@ class NonFiniteStateError(RuntimeError):
 
 
 class OptimizerState(NamedTuple):
-    """Row-stacked local iterates, tracker, and last sampled gradients."""
+    """Row-stacked local iterates, tracker, and last sampled gradients.
+
+    Each is one seed's (m, d) matrix, or an (S, m, d) stack of S seeds' matrices.
+    """
 
     x: np.ndarray
     v: np.ndarray
@@ -108,8 +119,8 @@ class OptimizerState(NamedTuple):
 
 def _unit_rows(v: np.ndarray) -> np.ndarray:
     # add.reduce of the squares is np.linalg.norm's own sum, so the norms
-    # equal np.linalg.norm(v, axis=1) bit for bit
-    norms = np.sqrt(np.add.reduce(v * v, axis=1, keepdims=True))
+    # equal np.linalg.norm(v, axis=-1) bit for bit
+    norms = np.sqrt(np.add.reduce(v * v, axis=-1, keepdims=True))
     return np.divide(v, norms, out=np.zeros(v.shape), where=norms > EPS_NORM)
 
 
@@ -121,13 +132,39 @@ def normalize_rows(v: np.ndarray) -> np.ndarray:
     return _unit_rows(v)
 
 
-def _ensure_finite(mat: np.ndarray, what: str, t: int) -> None:
+def _unchecked(mat: np.ndarray, what: str, t: int) -> None:
+    pass
+
+
+def _ensure_finite(mat: np.ndarray, what: str, t: int, seed_label: str = "") -> None:
     finite = np.isfinite(mat)
-    if not np.logical_and.reduce(finite, axis=None):  # finite.all(), minus its Python wrapper
-        agent = int(np.flatnonzero(~finite.all(axis=1))[0])
-        raise NonFiniteStateError(
-            f"non-finite {what} at iteration {t}, agent {agent}"
-        )
+    if not finite.all():
+        agent = int(np.flatnonzero(~finite.all(axis=-1))[0])
+        raise NonFiniteStateError(f"non-finite {what} at iteration {t}, {seed_label}agent {agent}")
+
+
+def _raise_first_failure(rule: Callable, state: OptimizerState, noise: np.ndarray | None) -> None:
+    """Re-run rule on one seed at a time, checking each array it makes in order.
+
+    Raises NonFiniteStateError for the lowest seed whose step fails: the
+    first non-finite array, or an exp_pair argument out of the safe range.
+    Returns when no seed fails, as for a finite state whose test overflowed.
+    A stack of several seeds names the seed (its row in the stack); one seed's
+    (m, d) state, or a stack of one, gives the same line without it.
+    """
+    stacked = state.x.ndim == 3
+    n_seeds = state.x.shape[0] if stacked else 1
+    t = state.t + 1
+    for k in range(n_seeds):
+        label = f"seed {k}, " if n_seeds > 1 else ""
+        one = state  # init's state before t = 0 has only x; v and g_prev are None
+        if stacked:
+            one = OptimizerState(*(None if a is None else a[k] for a in state[:3]), state.t)
+        try:
+            rule(one, noise if noise is None or not stacked else noise[k],
+                 functools.partial(_ensure_finite, seed_label=label))
+        except ExpRangeError as e:
+            raise NonFiniteStateError(f"{e} at iteration {t}, {label}agent {e.row}") from e
 
 
 def _as_start_point(p: ProblemInstance, x0: np.ndarray) -> np.ndarray:
@@ -146,58 +183,86 @@ def dnasa_schedule(eta_max: float, m: int, t: int) -> float:
     return min(eta_max, m**0.25 / t**0.75)
 
 
-def init_state(
-    method: Method, p: ProblemInstance, x0: np.ndarray, hp: HyperParams, w: MixingMatrix,
-    rng: np.random.Generator,
-) -> OptimizerState:
-    """Consensus start at x0; V is the sampled G, gossiped k_init times if accelerated."""
-    x0 = _as_start_point(p, x0)
-    x = np.tile(x0, (p.m, 1))
-    g = sample_grad(p, x, hp.b, rng)
-    _ensure_finite(g, "gradient batch", 0)
-    if method.accelerated:
-        v = acc_gossip(g, w, hp.k_init)
-        _ensure_finite(v, "tracker matrix", 0)
-    else:
-        v = g.copy()
-    return OptimizerState(x=x, v=v, g_prev=g, t=0)
+def update_rule(
+    method: Method, p: ProblemInstance, hp: HyperParams, w: MixingMatrix
+) -> tuple[Callable, Callable]:
+    """The rule's init and step for method on (p, hp, w), with the run's constants bound once.
 
+    init(x, noise) gives the state at t = 0 from the start matrix x, and
+    step(s, noise) the state at s.t + 1. Both take one seed's (m, d) state or
+    S seeds' (S, m, d) stack, and noise is the new state's oracle noise block
+    of the same shape, already scaled, or None when sigma = 0. An init whose
+    oracle argument leaves the exponential family's safe range raises
+    ExpRangeError, a ValueError: the start point is bad input.
 
-def step(
-    s: OptimizerState, method: Method, p: ProblemInstance, hp: HyperParams, w: MixingMatrix,
-    rng: np.random.Generator,
-) -> OptimizerState:
-    """One iteration of the shared rule: mix X - step * direction, resample, track.
-
-    s must come from init_state or step with the same p, hp, w and rng: its V
-    was checked when it was made, and the kernels called here do not check.
-    G' draws rng's next oracle block.
+    Each call makes one finiteness test, on the V (and for step the X) it
+    hands on; every other array of the call flows into them. When the test
+    fails, or step's oracle raises ExpRangeError, the call is re-run one
+    seed at a time with each array checked in order (for step: X - eta dir(V),
+    X', G', the corrected tracker V + G' - G before it is mixed, then V'), and
+    raises NonFiniteStateError naming the first array, iteration and agent
+    that fail (_raise_first_failure).
     """
-    t_next = s.t + 1
-    eta = dnasa_schedule(hp.eta, p.m, t_next) if method.scheduled else hp.eta
-    direction = _unit_rows(s.v) if method.normalized else s.v
-    mix, rounds = (_acc_mix, hp.k_inner) if method.accelerated else (_plain_mix, 1)
-    # checked before mixing, so a diverging step is reported at the array
-    # that overflowed
-    x_half = s.x - eta * direction
-    _ensure_finite(x_half, "iterate matrix", t_next)
-    x_next = mix(x_half, w, rounds)
-    _ensure_finite(x_next, "iterate matrix", t_next)
-    try:
-        g_next = sample_grad(p, x_next, hp.b, rng)
-    except ExpRangeError as e:  # a diverging exp_pair run, not a bad argument
-        raise NonFiniteStateError(f"{e} at iteration {t_next}, agent {e.row}") from e
-    _ensure_finite(g_next, "gradient batch", t_next)
-    v_next = g_next
-    if method.tracked:
-        if method.accelerated:  # correct the tracker, then mix it
-            corrected = s.v + g_next - s.g_prev
-            _ensure_finite(corrected, "tracker matrix", t_next)
-            v_next = mix(corrected, w, rounds)
+    oracle = _oracle(p)
+    if method.accelerated:
+        mix, start_mix = _acc_mixer(w, hp.k_inner), _acc_mixer(w, hp.k_init)
+    else:
+        mix, start_mix = functools.partial(np.matmul, w.w), np.copy
+    eta, schedule = hp.eta, None
+    if method.scheduled:
+        schedule = functools.partial(dnasa_schedule, hp.eta, p.m)
+    normalized, tracked, accelerated = method.normalized, method.tracked, method.accelerated
+
+    def start(s: OptimizerState, noise, check) -> OptimizerState:
+        g = oracle(s.x, noise)
+        check(g, "gradient batch", 0)
+        v = start_mix(g)
+        check(v, "tracker matrix", 0)
+        return OptimizerState(x=s.x, v=v, g_prev=g, t=0)
+
+    def advance(s: OptimizerState, noise, check) -> OptimizerState:
+        t = s.t + 1
+        eta_t = eta if schedule is None else schedule(t)
+        x_half = s.x - eta_t * (_unit_rows(s.v) if normalized else s.v)
+        # checked before mixing, so a diverging step is reported at the
+        # array that overflowed
+        check(x_half, "iterate matrix", t)
+        x = mix(x_half)
+        check(x, "iterate matrix", t)
+        g = oracle(x, noise)
+        check(g, "gradient batch", t)
+        if not tracked:
+            v = g
+        elif accelerated:  # correct the tracker, then mix it
+            corrected = s.v + g - s.g_prev
+            check(corrected, "tracker matrix", t)
+            v = mix(corrected)
         else:  # mix the old tracker, then correct it
-            v_next = mix(s.v, w, rounds) + g_next - s.g_prev
-        _ensure_finite(v_next, "tracker matrix", t_next)
-    return OptimizerState(x=x_next, v=v_next, g_prev=g_next, t=t_next)
+            v = mix(s.v) + g - s.g_prev
+        check(v, "tracker matrix", t)
+        return OptimizerState(x=x, v=v, g_prev=g, t=t)
+
+    def init(x: np.ndarray, noise: np.ndarray | None) -> OptimizerState:
+        before = OptimizerState(x=x, v=None, g_prev=None, t=-1)  # start reads only x
+        s = start(before, noise, _unchecked)
+        # G flows into V, so one test of V covers both
+        if not math.isfinite(np.vdot(s.v, s.v)):
+            _raise_first_failure(start, before, noise)
+        return s
+
+    def step(s: OptimizerState, noise: np.ndarray | None) -> OptimizerState:
+        try:
+            nxt = advance(s, noise, _unchecked)
+            # x.v is finite only if every entry of X' and V' is: a non-finite
+            # entry makes its product, and so the sum, inf or nan
+            if math.isfinite(np.vdot(nxt.x, nxt.v)):
+                return nxt
+        except ExpRangeError:
+            pass
+        _raise_first_failure(advance, s, noise)
+        return nxt  # the product overflowed, but every array is finite
+
+    return init, step
 
 
 def run(
@@ -214,7 +279,8 @@ def run(
     oracle noise of all agents as block t of the seed's oracle stream, and the
     final uniform output draw uses a dedicated stream, so a row does not
     depend on the other seeds, and a repeated call reproduces every byte of
-    the trajectory.
+    the trajectory. A seed that diverges ends the run, with the earliest
+    iteration of any seed and, at a tie, the lowest row.
     big_t = 0 records only the initial state. Box exits (any |x_ij| beyond
     the problem's certification box) are counted, not clamped.
     """
@@ -222,46 +288,66 @@ def run(
         raise ValueError(f"unknown algorithm {algorithm!r} (known: {', '.join(ALGORITHMS)})")
     if w.m != p.m:
         raise ValueError(f"mixing matrix couples {w.m} agents but the problem has {p.m}")
+    if len(seeds) == 0:
+        raise ValueError("run needs at least one seed")
     method = METHODS[algorithm]
+    x0 = _as_start_point(p, x0)
+    init, step = update_rule(method, p, hp, w)
 
-    n_seeds, n_states = len(seeds), hp.big_t + 1
+    n_seeds, n_states, m, d = len(seeds), hp.big_t + 1, p.m, p.d
     cols = {name: np.empty((n_seeds, n_states)) for name in StateMetrics._fields}
-    cols["agent_grad_norms"] = np.empty((n_seeds, n_states, p.m))
+    cols["agent_grad_norms"] = np.empty((n_seeds, n_states, m))
     samples, comms = method.cost(hp, np.arange(n_states, dtype=np.int64))
     drifts, exits = np.empty((n_seeds, n_states)), np.empty((n_seeds, n_states), dtype=bool)
-    # States are copied into these (n, m, d) blocks. Each full block, and the
-    # last one, gets one state_metrics call and fills its slice of every column.
-    block_len = min(max(1, METRICS_BLOCK_FLOATS // (p.m * p.d)), n_states)
-    xs, vs, gs = (np.empty((block_len, p.m, p.d)) for _ in range(3))
+    # States are copied into these (n, S, m, d) blocks. Each full block, and
+    # the last one, gets one state_metrics call and fills its slice of every
+    # column. A block of oracle noise, (S, n, m, d), is drawn ahead of it.
+    block_len = min(max(1, METRICS_BLOCK_FLOATS // (n_seeds * m * d)), n_states)
+    xs, vs, gs = (np.empty((block_len, n_seeds, m, d)) for _ in range(3))
+    streams = [derive_stream(StreamKey(seed, "oracle")) for seed in seeds]
+    noise = np.empty((n_seeds, block_len, m, d)) if p.sigma > 0.0 else None
+    scale = _noise_scale(p, hp.b)
 
-    def record(seed_row: int, s: OptimizerState) -> None:
-        i = s.t % block_len
-        xs[i], vs[i], gs[i] = s.x, s.v, s.g_prev
-        if i + 1 < block_len and s.t < hp.big_t:
-            return
-        x, v, g = xs[: i + 1], vs[: i + 1], gs[: i + 1]
-        block = (seed_row, slice(s.t - i, s.t + 1))
+    def record(t: int, n: int) -> None:
+        """Metrics of the n states up to t, held in the first n slots of the blocks."""
+        x, v, g = (a[:n].reshape(n * n_seeds, m, d) for a in (xs, vs, gs))
+        block = (slice(None), slice(t + 1 - n, t + 1))
+
+        def put(col: np.ndarray, values: np.ndarray) -> None:
+            col[block] = values.reshape(n, n_seeds, *values.shape[1:]).swapaxes(0, 1)
+
         sm = state_metrics(x, v, p, hp.eta)
         for name, col in cols.items():
-            col[block] = getattr(sm, name)
+            put(col, getattr(sm, name))
         gbar = g.mean(axis=1)
-        drifts[block] = _row_norms(v.mean(axis=1) - gbar) / np.maximum(1.0, _row_norms(gbar))
-        exits[block] = np.abs(x).max(axis=(1, 2)) > p.box_radius
+        put(drifts, _row_norms(v.mean(axis=1) - gbar) / np.maximum(1.0, _row_norms(gbar)))
+        put(exits, np.abs(x).max(axis=(1, 2)) > p.box_radius)
 
-    output_indices = np.empty((n_seeds, p.m), dtype=np.int64) if hp.big_t > 0 else None
-    for row, seed in enumerate(seeds):
-        rng = derive_stream(StreamKey(seed, "oracle"))
-        # overflow on the way to a non-finite state is reported once, by the
-        # finiteness checks, not also as numpy warnings
-        with np.errstate(over="ignore", invalid="ignore"):
-            state = init_state(method, p, x0, hp, w, rng)
-            record(row, state)
-            for _ in range(hp.big_t):
-                state = step(state, method, p, hp, w, rng)
-                record(row, state)
-        if output_indices is not None:
-            draw = derive_stream(StreamKey(seed, "output_draw"))
-            output_indices[row] = draw.integers(0, hp.big_t, size=p.m)
+    # overflow on the way to a non-finite state is reported once, by the
+    # finiteness test, not also as numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(n_states):
+            i = t % block_len
+            if noise is not None and i == 0:
+                n = min(block_len, n_states - t)
+                for row, rng in enumerate(streams):
+                    rng.standard_normal(out=noise[row, :n])
+                noise[:, :n] *= scale
+            block_noise = None if noise is None else noise[:, i]
+            if t == 0:
+                state = init(np.tile(x0, (n_seeds, m, 1)), block_noise)
+            else:
+                state = step(state, block_noise)
+            xs[i], vs[i], gs[i] = state.x, state.v, state.g_prev
+            if i + 1 == block_len or t == hp.big_t:
+                record(t, i + 1)
+
+    output_indices = None
+    if hp.big_t > 0:
+        output_indices = np.stack([
+            derive_stream(StreamKey(seed, "output_draw")).integers(0, hp.big_t, size=m)
+            for seed in seeds
+        ])
 
     return Trajectory(
         metrics=StateMetrics(**cols),

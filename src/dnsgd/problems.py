@@ -85,10 +85,11 @@ class ExpRangeError(ValueError):
         self.row = row
 
 
-def _exp_guard(rate: float, x: np.ndarray) -> None:
-    scaled = np.abs(rate * x)
-    if scaled.max(initial=0.0) > EXP_ARG_MAX:
-        rows = scaled.reshape(-1, x.shape[-1]).max(axis=1) > EXP_ARG_MAX
+def _exp_guard(rx: np.ndarray) -> None:
+    """Raise ExpRangeError when an exp_pair argument rate * x leaves the safe range."""
+    scaled = np.abs(rx)
+    if np.maximum.reduce(scaled, axis=None, initial=0.0) > EXP_ARG_MAX:
+        rows = scaled.max(axis=-1) > EXP_ARG_MAX
         raise ExpRangeError(int(np.argmax(rows)))
 
 
@@ -96,9 +97,9 @@ def f_base(p: ProblemInstance, x: np.ndarray) -> float | np.ndarray:
     """Objective at a point (d,), or row by row at a row matrix (n, d) as an (n,) array."""
     x = _check_point(p, x)
     if p.family == "exp_pair":
-        r = p.family_params["rate"]
-        _exp_guard(r, x)
-        f = np.cosh(r * x).mean(axis=-1)
+        rx = p.family_params["rate"] * x
+        _exp_guard(rx)
+        f = np.cosh(rx).mean(axis=-1)
     elif p.family == "poly_even":
         a = p.family_params["scale"]
         power = p.family_params["power"]
@@ -109,36 +110,57 @@ def f_base(p: ProblemInstance, x: np.ndarray) -> float | np.ndarray:
     return float(f) if x.ndim == 1 else f
 
 
+def _gradient(p: ProblemInstance) -> Callable[[np.ndarray], np.ndarray]:
+    """grad_base's map with the family's coefficients bound, row by row over any (..., d) stack.
+
+    It does not check its argument. For exp_pair, rate * x is computed once and
+    serves both the range guard and sinh.
+    """
+    params = p.family_params
+    if p.family == "exp_pair":
+        r = params["rate"]
+        coef = r / p.d
+
+        def grad(x):
+            rx = r * x
+            _exp_guard(rx)
+            return coef * np.sinh(rx)
+
+        return grad
+    if p.family == "poly_even":
+        a, k = params["scale"], params["power"] - 1
+        return lambda x: a * x**k
+    c = params["curvature"]
+    return lambda x: c * x
+
+
 def grad_base(p: ProblemInstance, x: np.ndarray) -> np.ndarray:
     """Gradient at a point (d,), or row by row at a row matrix (n, d)."""
-    x = _check_point(p, x)
-    if p.family == "exp_pair":
-        r = p.family_params["rate"]
-        _exp_guard(r, x)
-        return (r / p.d) * np.sinh(r * x)
-    if p.family == "poly_even":
-        a = p.family_params["scale"]
-        power = p.family_params["power"]
-        return a * x ** (power - 1)
-    c = p.family_params["curvature"]
-    return c * x
-
-
-def _check_agent(p: ProblemInstance, i: int) -> None:
-    if not 0 <= i < p.m:
-        raise ValueError(f"agent index {i} out of range for m = {p.m}")
-
-
-def f_local(p: ProblemInstance, i: int, x: np.ndarray) -> float | np.ndarray:
-    _check_agent(p, i)
-    x = _check_point(p, x)
-    f = f_base(p, x) + x @ p.offsets[i]
-    return float(f) if x.ndim == 1 else f
+    return _gradient(p)(_check_point(p, x))
 
 
 def grad_local(p: ProblemInstance, i: int, x: np.ndarray) -> np.ndarray:
-    _check_agent(p, i)
+    if not 0 <= i < p.m:
+        raise ValueError(f"agent index {i} out of range for m = {p.m}")
     return grad_base(p, x) + p.offsets[i]
+
+
+def _noise_scale(p: ProblemInstance, b: int) -> float:
+    """Standard deviation per coordinate of a b-sample minibatch's oracle noise."""
+    return p.sigma / math.sqrt(b * p.d)
+
+
+def _oracle(p: ProblemInstance) -> Callable[[np.ndarray, np.ndarray | None], np.ndarray]:
+    """sample_grad's map with p bound: (x, noise) -> (grad_base(x) + offsets) + noise.
+
+    x is an (m, d) agent matrix or an (S, m, d) stack of them, and noise the
+    matching block of scaled noise, None when sigma = 0. It does not check
+    its arguments.
+    """
+    grad, offsets = _gradient(p), p.offsets
+    if p.sigma > 0.0:
+        return lambda x, noise: grad(x) + offsets + noise
+    return lambda x, noise: grad(x) + offsets
 
 
 def sample_grad(
@@ -151,8 +173,9 @@ def sample_grad(
     per-coordinate variance sigma^2 / (b d), so it is drawn directly at that
     scale; the caller's sample counter still advances by b. The noise is
     exactly one (m, d) standard_normal block from rng, row i for agent i, and
-    nothing is drawn when sigma = 0: a run calls this once per iteration on a
-    seed's oracle stream, so iteration t's block is fixed by (seed, t).
+    nothing is drawn when sigma = 0. A run reads the same blocks from a seed's
+    oracle stream, iteration t's block being the t-th, and evaluates them with
+    the same map (_oracle).
 
     Verification tolerances: over n independent calls the empirical mean of a
     row must match grad_local to within 5 sigma / sqrt(b d n) per coordinate,
@@ -163,10 +186,9 @@ def sample_grad(
         raise ValueError(f"batch size must be a positive integer, got {b!r}")
     if np.shape(x_rows) != (p.m, p.d):
         raise ValueError(f"agent matrix must have shape ({p.m}, {p.d}), got {np.shape(x_rows)}")
-    g = grad_base(p, x_rows) + p.offsets
-    if p.sigma > 0.0:
-        g = g + rng.standard_normal((p.m, p.d)) * (p.sigma / math.sqrt(b * p.d))
-    return g
+    x = np.asarray(x_rows, dtype=np.float64)
+    noise = rng.standard_normal((p.m, p.d)) * _noise_scale(p, b) if p.sigma > 0.0 else None
+    return _oracle(p)(x, noise)
 
 
 def lf_effective(l0: float, l1: float, zeta: float) -> float:

@@ -8,7 +8,11 @@ stepped_states gives the states of a run, which the runner does not keep.
 
 from __future__ import annotations
 
-from dnsgd.optimizers import METHODS, init_state, step
+import math
+
+import numpy as np
+
+from dnsgd.optimizers import METHODS, update_rule
 from dnsgd.streams import StreamKey, derive_stream
 
 _CRITERION_LINES: dict[int, str] = {}
@@ -23,12 +27,23 @@ def record_criterion(number: int, name: str, passed: bool, detail: str = "") -> 
 
 
 def stepped_states(algorithm, p, hp, w, x0, seed):
-    """The states t = 0..hp.big_t of run(algorithm, p, hp, w, x0, [seed]), in order."""
-    method = METHODS[algorithm]
+    """The states t = 0..hp.big_t of run(algorithm, p, hp, w, x0, [seed]), in order.
+
+    They come from run's own bound step, applied to the seed's (m, d) state
+    alone, with the oracle noise drawn one (m, d) block per state from a fresh
+    oracle stream of the seed and scaled by sigma / sqrt(b d).
+    """
+    init, step = update_rule(METHODS[algorithm], p, hp, w)
     rng = derive_stream(StreamKey(seed, "oracle"))
-    states = [init_state(method, p, x0, hp, w, rng)]
+
+    def noise():
+        if p.sigma == 0.0:
+            return None
+        return rng.standard_normal((p.m, p.d)) * (p.sigma / math.sqrt(hp.b * p.d))
+
+    states = [init(np.tile(np.asarray(x0, dtype=np.float64), (p.m, 1)), noise())]
     for _ in range(hp.big_t):
-        states.append(step(states[-1], method, p, hp, w, rng))
+        states.append(step(states[-1], noise()))
     return states
 
 

@@ -15,6 +15,8 @@ from dnsgd.cli import main
 from dnsgd.optimizers import NonFiniteStateError
 from dnsgd.problems import EXP_ARG_MAX
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
 
 def _write(path, obj):
     path.write_text(json.dumps(obj))
@@ -65,7 +67,7 @@ def test_params_reports_calculator_output(tmp_path, capsys):
     assert "condition noise_floor: PASS" in out
 
 
-EXP_PAIR_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "run_exp_pair.json"
+EXP_PAIR_CONFIG = CONFIGS / "run_exp_pair.json"
 
 
 @pytest.mark.parametrize("algorithm", ["dnsgd", "dsgd", "dsgt", "dnasa"])
@@ -140,7 +142,7 @@ def test_check_smoothness_average_counterexample(tmp_path, capsys):
 
 
 def test_check_smoothness_counterexample_config_report(capsys):
-    config = Path(__file__).resolve().parents[1] / "configs" / "smoothness_counterexample.json"
+    config = CONFIGS / "smoothness_counterexample.json"
     code = main(["check-smoothness", "--config", str(config)])
     assert code == 1
     assert capsys.readouterr().out == (
@@ -383,8 +385,7 @@ def test_main_freezes_the_heap_and_reports_as_in_process(tmp_path, capsys, code)
     bad.write_text("{not json")
     argv = {
         0: ["validate-topology", "--kind", "ring", "--m", "4"],
-        1: ["check-smoothness", "--config",
-            str(EXP_PAIR_CONFIG.parent / "smoothness_counterexample.json")],
+        1: ["check-smoothness", "--config", str(CONFIGS / "smoothness_counterexample.json")],
         2: ["run", "--config", str(bad)],
     }[code]
     proc = subprocess.run(
@@ -509,7 +510,7 @@ def test_diverging_run_exits_one_without_traceback(tmp_path, case):
     assert "Traceback" not in proc.stderr
 
 
-QUADRATIC_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "run_quadratic_descent.json"
+QUADRATIC_CONFIG = CONFIGS / "run_quadratic_descent.json"
 
 FAR_STARTS = {
     # the start gossip of the tracker overflows: a divergence, not bad usage
@@ -562,7 +563,6 @@ def test_failed_command_removes_only_the_directories_it_made(tmp_path, capsys, m
             assert sorted(p.name for p in kept.iterdir()) == ["old.txt"], argv
 
 
-EXP_PAIR_CONFIG = QUADRATIC_CONFIG.parent / "run_exp_pair.json"
 OVERFLOW_ERROR = "error: gradient norms on the box overflow float64; shrink the box or the rate"
 
 
@@ -600,7 +600,7 @@ def test_start_at_the_minimizer_is_a_config_error(tmp_path, capsys, command):
     assert err.count("\n") == 1
 
 
-SWEEP_CONFIG = QUADRATIC_CONFIG.parent / "sweep_speedup.json"
+SWEEP_CONFIG = CONFIGS / "sweep_speedup.json"
 
 
 def test_sweep_exits_one_when_a_cell_check_fails(tmp_path, capsys, monkeypatch):

@@ -1,13 +1,14 @@
 """Update rules: hand-simulated trajectories, counters, and failure modes."""
 
 import math
+import re
 import sys
 
 import numpy as np
 import pytest
 from conftest import stepped_states
 
-from dnsgd import streams
+from dnsgd import optimizers, streams
 from dnsgd.hyperparams import HyperParams, lyapunov_constants
 from dnsgd.optimizers import (
     ALGORITHMS,
@@ -221,6 +222,8 @@ def test_run_argument_validation():
         run("dnsgd", p, hp, RING4, np.zeros(3), seeds=[1])
     with pytest.raises(ValueError, match="finite"):
         run("dnsgd", p, hp, RING4, np.array([np.nan, 0.0]), seeds=[1])
+    with pytest.raises(ValueError, match="at least one seed"):
+        run("dnsgd", p, hp, RING4, np.zeros(2), seeds=[])
 
 
 # --- the recorded trajectory against a per-iteration reference ------------------
@@ -295,26 +298,34 @@ def recorded_columns(traj, s=0):
     }
 
 
-def _assert_matches_reference(algorithm, p, hp, w, x0, seed):
-    """run on [seed] equals the reference; returns the reference's first box exit and count."""
-    traj = run(algorithm, p, hp, w, x0, [seed])
+def _assert_row_matches_reference(traj, s, algorithm, p, hp, w, x0, seed):
+    """Row s of traj equals the reference run of seed; returns its first box exit and count."""
     cols, agent_norms, drifts, output_indices, box_exits, first_exit = reference_run(
         algorithm, p, hp, w, x0, seed
     )
-    for name, col in recorded_columns(traj).items():
+    for name, col in recorded_columns(traj, s).items():
         assert col.shape == cols[name].shape, name
         assert col.dtype.kind == cols[name].dtype.kind, name
         assert np.array_equal(col, cols[name]), name
-    assert np.array_equal(traj.metrics.agent_grad_norms[0], agent_norms)
-    assert traj.metrics.agent_grad_norms.shape == (1, *agent_norms.shape)
-    assert np.array_equal(traj.tracker_drifts[0], drifts)
-    assert traj.tracker_drifts.shape == (1, *drifts.shape)
+    assert np.array_equal(traj.metrics.agent_grad_norms[s], agent_norms)
+    assert traj.metrics.agent_grad_norms.shape == (traj.num_seeds, *agent_norms.shape)
+    assert np.array_equal(traj.tracker_drifts[s], drifts)
+    assert traj.tracker_drifts.shape == (traj.num_seeds, *drifts.shape)
     if output_indices is None:
         assert traj.output_indices is None
     else:
-        assert np.array_equal(traj.output_indices, output_indices[None])
-    assert traj.box_exits.tolist() == [box_exits]
+        assert traj.output_indices.shape == (traj.num_seeds, p.m)
+        assert np.array_equal(traj.output_indices[s], output_indices)
+    assert traj.box_exits.shape == (traj.num_seeds,)
+    assert traj.box_exits[s] == box_exits
     return first_exit, box_exits
+
+
+def _assert_matches_reference(algorithm, p, hp, w, x0, seed):
+    """run on [seed] equals the reference; returns the reference's first box exit and count."""
+    traj = run(algorithm, p, hp, w, x0, [seed])
+    assert traj.num_seeds == 1
+    return _assert_row_matches_reference(traj, 0, algorithm, p, hp, w, x0, seed)
 
 
 D_WIDE = 256  # with m = 4, a metrics block holds 64 states
@@ -413,3 +424,79 @@ def test_stream_derivations_per_run_do_not_grow_with_big_t(monkeypatch):
         counts.update(derive_stream=0, SeedSequence=0)
         run("dnsgd", p, _hp(big_t=big_t), RING4, np.full(3, 0.5), seeds=seeds)
         assert counts == {"derive_stream": 2 * len(seeds), "SeedSequence": 2 * len(seeds)}
+
+
+def test_stacked_noisy_run_matches_reference_across_noise_chunks():
+    # run draws each seed's oracle noise a metrics block of iterations at a
+    # time, for all seeds of the stack; every row must equal the reference,
+    # which draws one (m, d) block per iteration from a fresh oracle stream
+    p = WIDE_PROBLEMS["exp_pair"]()
+    assert p.sigma > 0.0
+    seeds = [0, 17, 2**64 - 1]
+    chunk = METRICS_BLOCK_FLOATS // (len(seeds) * p.m * p.d)
+    hp = _hp(eta=0.02, b=2, big_t=2 * chunk + 3, k_inner=3, k_init=2)
+    x0 = np.full(D_WIDE, 0.5)
+    traj = run("dnsgd", p, hp, RING4, x0, seeds)
+    for s, seed in enumerate(seeds):
+        _assert_row_matches_reference(traj, s, "dnsgd", p, hp, RING4, x0, seed)
+
+
+def test_run_moves_all_seeds_in_one_step_call(monkeypatch):
+    # the bound step of update_rule is called once per iteration with the
+    # (S, m, d) stack of all seeds, so big_t times at any seed count
+    p = make_exp_pair(d=3, rate=1.0, m=4, zeta=0.3, sigma=0.4, seed=5)
+    hp = _hp(eta=0.05, b=2, big_t=25, k_inner=3, k_init=2)
+    x0 = np.full(3, 0.5)
+    bind = optimizers.update_rule
+    shapes = []
+
+    def counting_rule(*args):
+        init, step = bind(*args)
+
+        def counted_step(s, noise):
+            shapes.append(s.x.shape)
+            return step(s, noise)
+
+        return init, counted_step
+
+    monkeypatch.setattr(optimizers, "update_rule", counting_rule)
+    seeds = [4, 9, 2**64 - 1]
+    alone = {}
+    for batch in [[seed] for seed in seeds] + [seeds]:
+        shapes.clear()
+        traj = run("dnsgd", p, hp, RING4, x0, batch)
+        assert shapes == [(len(batch), p.m, p.d)] * hp.big_t
+        if len(batch) == 1:
+            alone[batch[0]] = traj
+    for s, seed in enumerate(seeds):
+        for name in traj.metrics._fields:
+            row = getattr(traj.metrics, name)[s]
+            assert row.tobytes() == getattr(alone[seed].metrics, name)[0].tobytes(), name
+        assert traj.tracker_drifts[s].tobytes() == alone[seed].tracker_drifts[0].tobytes()
+
+
+# dsgd on a noisy quartic near its stability edge: each seed diverges at an
+# iteration of its own (seed 5 at 32, seed 7 at 34, seed 4 at 10)
+NOISY_QUARTIC = dict(d=3, power=4, scale=0.5, m=4, zeta=0.3, sigma=12.0, seed=5)
+
+
+def _divergence(seeds):
+    p = make_poly_even(**NOISY_QUARTIC)
+    hp = _hp(eta=0.3, b=1, big_t=80, k_inner=1, k_init=1)
+    with pytest.raises(NonFiniteStateError) as err:
+        run("dsgd", p, hp, RING4, np.full(3, 0.5), seeds=seeds)
+    return str(err.value)
+
+
+def test_stacked_run_reports_the_earliest_diverging_seed():
+    alone = {seed: _divergence([seed]) for seed in (5, 7, 4)}
+    iteration = {
+        seed: int(re.search(r"at iteration (\d+), agent \d+$", line).group(1))
+        for seed, line in alone.items()
+    }
+    assert iteration[4] < iteration[5] < iteration[7]
+    # row 2 diverges first: its one-seed line, with the row named
+    where = f"at iteration {iteration[4]}, "
+    assert _divergence([5, 7, 4]) == alone[4].replace(where, where + "seed 2, ")
+    # a tie goes to the lowest row
+    assert _divergence([4, 4]) == alone[4].replace(where, where + "seed 0, ")

@@ -15,7 +15,6 @@ from dnsgd.problems import (
     check_relaxed_smooth,
     dissimilarity_measured,
     f_base,
-    f_local,
     grad_base,
     grad_local,
     lf_effective,
@@ -27,6 +26,15 @@ from dnsgd.problems import (
 from dnsgd.streams import StreamKey, derive_stream
 
 LOG2 = math.log(2.0)
+
+
+def f_local(p, i, x):
+    """Agent i's objective f_base(x) + <b_i, x>, at a point (d,) or row by row at (n, d)."""
+    if not 0 <= i < p.m:
+        raise ValueError(f"agent index {i} out of range for m = {p.m}")
+    x = np.asarray(x, dtype=np.float64)
+    f = f_base(p, x) + x @ p.offsets[i]
+    return float(f) if x.ndim == 1 else f
 
 
 # Shared read-only instances; building the certified families is costly

@@ -1,11 +1,14 @@
-"""The optimizer step and its oracle stream against the checked paths they replaced.
+"""The bound optimizer step against the checked paths it replaced.
 
-step calls gossip and normalization kernels that do not check their input,
-and a run draws its oracle noise from one stream per seed, read in iteration
-order. The references below are the public functions that check
-(acc_gossip, plain_gossip, normalize_rows through np.linalg.norm) and a fresh
-derive_stream(StreamKey(seed, "oracle")) read one (m, d) block per iteration.
-States, draws and normalized rows must equal theirs bit for bit.
+The step of update_rule calls gossip, oracle and normalization kernels that
+do not check their input. The references below are the public functions
+that check (acc_gossip, plain_gossip, sample_grad, normalize_rows through
+np.linalg.norm), with a fresh derive_stream(StreamKey(seed, "oracle")) read
+one (m, d) block per iteration. States and normalized rows must equal theirs
+bit for bit. That run hands the step the same noise blocks is tested here
+too; that its chunked draws across several metrics blocks give the same
+trajectories is tested in test_optimizers
+(test_stacked_noisy_run_matches_reference_across_noise_chunks).
 """
 
 import numpy as np
@@ -83,22 +86,32 @@ def test_stepped_states_match_reference(algorithm, family):
 @pytest.mark.parametrize("seed", [0, 17, 2**64 - 1])
 def test_runner_noise_blocks_are_derive_stream_draws(monkeypatch, seed):
     p = PROBLEMS["exp_pair"]
+    bind = optimizers.update_rule
     blocks = []
 
-    def replaying_sample_grad(p, x_rows, b, rng):
-        # a second generator in the same state shows the block rng is about to draw
-        replay = np.random.Generator(np.random.Philox(0))
-        replay.bit_generator.state = rng.bit_generator.state
-        blocks.append(replay.standard_normal((p.m, p.d)))
-        return sample_grad(p, x_rows, b, rng)
+    def recording_rule(*args):
+        init, step = bind(*args)
 
-    monkeypatch.setattr(optimizers, "sample_grad", replaying_sample_grad)
+        def recorded_init(x, noise):
+            blocks.append(noise.copy())
+            return init(x, noise)
+
+        def recorded_step(s, noise):
+            blocks.append(noise.copy())
+            return step(s, noise)
+
+        return recorded_init, recorded_step
+
+    monkeypatch.setattr(optimizers, "update_rule", recording_rule)
     run("dnsgd", p, HP, RING5, np.full(p.d, 0.5), [seed])
     assert len(blocks) == HP.big_t + 1
-    # iteration t's block is the t-th consecutive (m, d) draw of a fresh oracle stream
+    # iteration t's block is the t-th consecutive (m, d) draw of a fresh
+    # oracle stream, scaled as sample_grad scales it
     fresh = derive_stream(StreamKey(seed, "oracle"))
+    scale = p.sigma / np.sqrt(HP.b * p.d)
     for block in blocks:
-        assert block.tobytes() == fresh.standard_normal((p.m, p.d)).tobytes()
+        assert block.shape == (1, p.m, p.d)
+        assert block[0].tobytes() == (fresh.standard_normal((p.m, p.d)) * scale).tobytes()
 
 
 @pytest.mark.parametrize("d", [1, 10, 257])

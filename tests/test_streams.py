@@ -45,6 +45,22 @@ def test_consecutive_iteration_blocks_uncorrelated():
     assert abs(corr) < 0.05
 
 
+@pytest.mark.parametrize("n, m, d", [(64, 8, 10), (7, 3, 5), (25, 256, 10), (3, 1, 1)])
+def test_a_chunk_of_blocks_is_the_consecutive_block_draws(n, m, d):
+    # run fills each seed's (n, m, d) noise chunk with one call, which must
+    # equal n consecutive (m, d) draws and leave the stream where they leave it
+    one_by_one, chunked, into = (derive_stream(StreamKey(2**64 - 1, "oracle")) for _ in range(3))
+    blocks = np.stack([one_by_one.standard_normal((m, d)) for _ in range(n)])
+    assert chunked.standard_normal((n, m, d)).tobytes() == blocks.tobytes()
+    out = np.empty((2, n, m, d))
+    into.standard_normal(out=out[1])
+    assert out[1].tobytes() == blocks.tobytes()
+    # the state holds the counter, key and buffer arrays; assert_equal compares them in full
+    state = one_by_one.bit_generator.state
+    np.testing.assert_equal(chunked.bit_generator.state, state)
+    np.testing.assert_equal(into.bit_generator.state, state)
+
+
 def test_unknown_purpose_rejected():
     with pytest.raises(ValueError, match="unknown stream purpose"):
         derive_stream(StreamKey(0, "banana"))
