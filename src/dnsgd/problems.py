@@ -247,26 +247,23 @@ def _row_norms(a: np.ndarray) -> np.ndarray:
 def _sample_pairs(dim: int, l1: float, region: float, trials: int, seed: int, extra_pairs=()):
     """The pairs check_relaxed_smooth tests, less those with x == y; they depend on l1, not l0.
 
+    The random pairs are three bulk draws from the seed's smoothness stream,
+    in this order: the x rows, uniform(-region, region, (trials, dim)); the
+    directions, standard_normal((trials, dim)); and one uniform(0, rmax, n)
+    for the distances of the n pairs with t % 10 != 0 (every tenth pair uses
+    the full admissible distance rmax). When l1 = 0 they are two uniform
+    (trials, dim) draws, the x rows and then the y rows.
+
     Returns x rows, y rows, their distances and the pair count before the drop.
     """
     gen = derive_stream(StreamKey(seed, "smoothness"))
-    rmax = min(1.0 / l1, 2.0 * region * math.sqrt(dim)) if l1 > 0 else None
-
-    xs = np.empty((trials, dim))
-    ys = np.empty((trials, dim))
-    if rmax is None:
-        for t in range(trials):
-            xs[t] = gen.uniform(-region, region, size=dim)
-            ys[t] = gen.uniform(-region, region, size=dim)
-    else:
-        directions = np.empty((trials, dim))
-        # Every tenth pair uses the full admissible distance.
+    xs = gen.uniform(-region, region, (trials, dim))
+    if l1 > 0:
+        rmax = min(1.0 / l1, 2.0 * region * math.sqrt(dim))
+        directions = gen.standard_normal((trials, dim))
         dist = np.full(trials, rmax)
-        for t in range(trials):
-            xs[t] = gen.uniform(-region, region, size=dim)
-            directions[t] = gen.standard_normal(dim)
-            if t % 10 != 0:
-                dist[t] = gen.uniform(0.0, rmax)
+        drawn = np.arange(trials) % 10 != 0
+        dist[drawn] = gen.uniform(0.0, rmax, np.count_nonzero(drawn))
         norms = _row_norms(directions)
         zero = norms == 0.0
         directions[zero] = 0.0
@@ -285,6 +282,8 @@ def _sample_pairs(dim: int, l1: float, region: float, trials: int, seed: int, ex
             ys[outside] = xs[outside] + dist[outside, None] * directions[outside]
         else:
             ys[outside] = xs[outside]
+    else:
+        ys = gen.uniform(-region, region, (trials, dim))
 
     probe_x, probe_y = _smoothness_probe_pairs(dim, l1, region)
     extra = np.asarray(extra_pairs, dtype=np.float64).reshape(-1, 2, dim)
@@ -330,7 +329,8 @@ def check_relaxed_smooth(
 
         gap = ||grad(x) - grad(y)||  vs  bound = (l0 + l1 ||grad(x)||) ||x - y||.
 
-    The sample (_sample_pairs) does not depend on l0, and the gradients
+    The sample (_sample_pairs, three bulk draws from the seed's smoothness
+    stream) does not depend on l0, and the gradients
     (_gradient_gaps) are evaluated once: grad maps an (n, dim) row matrix to its
     row gradients and is called once on all x rows and once on all y rows,
     skipping pairs with x == y. It raises ValueError when a gradient norm

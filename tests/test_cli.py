@@ -147,7 +147,7 @@ def test_check_smoothness_counterexample_config_report(capsys):
     assert code == 1
     assert capsys.readouterr().out == (
         "counterexample mode: target=average rate=1 certificate (l0=0, l1=1.4427)\n"
-        "trials: 10013  violations: 4795\n"
+        "trials: 10013  violations: 4814\n"
         "worst ratio: inf\n"
         "worst pair: x=[0.0] y=[0.6931471805599453] gap=0.75 bound=0\n"
         "implied l0 at this l1: 1.08202\n"

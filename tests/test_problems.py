@@ -344,25 +344,31 @@ def reference_smoothness_probe_pairs(dim, l1, region):
 def reference_check_relaxed_smooth(
     grad, dim, l0, l1, region=5.0, trials=1000, seed=0, extra_pairs=()
 ):
-    """The defining per-pair loop of check_relaxed_smooth: grad at one point per call."""
+    """The defining per-pair loop of check_relaxed_smooth: grad at one point per call.
+
+    The random pairs start from the smoothness stream's bulk draws: the x rows,
+    the directions and the distances of the pairs with t % 10 != 0 (the x rows
+    and the y rows when l1 = 0). Each pair is then normalized and halved alone.
+    """
     # looked up on the module, so a stream patched in there reaches both versions
     gen = problems.derive_stream(StreamKey(seed, "smoothness"))
-    rmax = min(1.0 / l1, 2.0 * region * math.sqrt(dim)) if l1 > 0 else None
-
-    pairs = []
-    for t in range(trials):
-        x = gen.uniform(-region, region, size=dim)
-        if rmax is None:
-            y = gen.uniform(-region, region, size=dim)
-        else:
-            direction = gen.standard_normal(dim)
+    xs = gen.uniform(-region, region, (trials, dim))
+    if l1 == 0:
+        ys = gen.uniform(-region, region, (trials, dim))
+        pairs = list(zip(xs, ys))
+    else:
+        rmax = min(1.0 / l1, 2.0 * region * math.sqrt(dim))
+        directions = gen.standard_normal((trials, dim))
+        drawn = iter(gen.uniform(0.0, rmax, sum(t % 10 != 0 for t in range(trials))))
+        pairs = []
+        for t, (x, direction) in enumerate(zip(xs, directions)):
             norm = np.linalg.norm(direction)
             if norm == 0.0:
                 direction = np.zeros(dim)
                 direction[0] = 1.0
                 norm = 1.0
-            direction /= norm
-            dist = rmax if t % 10 == 0 else gen.uniform(0.0, rmax)
+            direction = direction / norm
+            dist = rmax if t % 10 == 0 else next(drawn)
             y = x + dist * direction
             for _ in range(32):
                 if np.abs(y).max() <= region:
@@ -371,7 +377,7 @@ def reference_check_relaxed_smooth(
                 y = x + dist * direction
             else:
                 y = x
-        pairs.append((x, y))
+            pairs.append((x, y))
 
     pairs.extend(reference_smoothness_probe_pairs(dim, l1, region))
     for x, y in extra_pairs:
@@ -459,7 +465,7 @@ def test_check_relaxed_smooth_matches_reference_loop(case):
 
 
 class _BoxFaceStream:
-    """A smoothness stream whose points have their first coordinate on the box face.
+    """A smoothness stream whose x rows have their first coordinate on the box face.
 
     A pair whose direction points out through that face stays outside the box
     however often its distance is halved, so it uses up all 32 halvings and
@@ -471,8 +477,8 @@ class _BoxFaceStream:
 
     def uniform(self, low, high, size=None):
         out = self._gen.uniform(low, high, size)
-        if size is not None:
-            out[0] = math.copysign(high, out[0])
+        if np.ndim(out) == 2:
+            out[:, 0] = np.copysign(high, out[:, 0])
         return out
 
     def standard_normal(self, size):
@@ -485,6 +491,66 @@ def test_check_relaxed_smooth_exhausted_halvings_match_reference_loop(monkeypatc
     kwargs = {"region": 1.0, "trials": 200, "seed": 5}
     report = check_relaxed_smooth(*args, **kwargs)
     _assert_same_report(report, reference_check_relaxed_smooth(*args, **kwargs))
+    # some pairs did use up their halvings and were dropped as x == y
+    x_rows, _, _, count = problems._sample_pairs(3, 1.0, 1.0, 200, 5)
+    assert len(x_rows) < count
+
+
+@pytest.mark.parametrize("l1", [0.0, 1.0])
+def test_sample_pairs_reads_the_smoothness_stream_in_bulk_order(monkeypatch, l1):
+    dim, region, trials, seed = 3, 10.0, 40, 4
+    made = []
+    monkeypatch.setattr(
+        problems, "derive_stream", lambda key: made.append(derive_stream(key)) or made[-1]
+    )
+    x_rows, y_rows, _, _ = problems._sample_pairs(dim, l1, region, trials, seed)
+    gen = derive_stream(StreamKey(seed, "smoothness"))
+    xs = gen.uniform(-region, region, (trials, dim))
+    assert np.array_equal(x_rows[:trials], xs)
+    if l1 == 0:
+        assert np.array_equal(y_rows[:trials], gen.uniform(-region, region, (trials, dim)))
+    else:
+        directions = gen.standard_normal((trials, dim))
+        dist = np.full(trials, 1.0 / l1)
+        dist[np.arange(trials) % 10 != 0] = gen.uniform(0.0, 1.0 / l1, trials - 4)
+        # pairs whose x is one full step inside the box are never halved
+        inner = np.abs(xs).max(axis=1) <= region - 1.0 / l1
+        assert inner.sum() >= trials // 2
+        step = y_rows[:trials][inner] - xs[inner]
+        units = directions[inner] / np.linalg.norm(directions[inner], axis=1)[:, None]
+        np.testing.assert_allclose(np.linalg.norm(step, axis=1), dist[inner], rtol=1e-12)
+        np.testing.assert_allclose(step / dist[inner, None], units, rtol=0, atol=1e-12)
+    np.testing.assert_equal(made[0].bit_generator.state, gen.bit_generator.state)
+
+
+class _CountingStream:
+    """A smoothness stream that records the name of every generator method called on it."""
+
+    def __init__(self, gen, calls):
+        self._gen = gen
+        self._calls = calls
+
+    def __getattr__(self, name):
+        method = getattr(self._gen, name)
+
+        def counted(*args, **kwargs):
+            self._calls.append(name)
+            return method(*args, **kwargs)
+
+        return counted
+
+
+@pytest.mark.parametrize("trials", [10, 10_000])
+@pytest.mark.parametrize(
+    "l1, draws", [(0.0, ["uniform", "uniform"]), (1.0, ["uniform", "standard_normal", "uniform"])]
+)
+def test_check_relaxed_smooth_draws_its_sample_in_bulk(monkeypatch, trials, l1, draws):
+    calls = []
+    monkeypatch.setattr(
+        problems, "derive_stream", lambda key: _CountingStream(derive_stream(key), calls)
+    )
+    check_relaxed_smooth(np.sinh, 3, 0.5, l1, region=2.0, trials=trials, seed=0)
+    assert calls == draws
 
 
 @pytest.mark.parametrize("l1", [0.0, 1.0])
@@ -551,6 +617,22 @@ def test_certified_l0_matches_two_pass_reference(family, value, d, seed):
         p = make_poly_even(d=d, power=value, scale=0.5, m=1, zeta=0.0, sigma=0.0, seed=seed)
         l0_start = 0.5 * (value - 1)
     assert p.l0 == reference_certified_l0(p, l0_start, seed)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 9])
+@pytest.mark.parametrize("d", [1, 10])
+@pytest.mark.parametrize("power", [4, 6, 8])
+def test_poly_even_l0_is_its_start_value(power, d, seed):
+    # no sampled pair, random or probe, implies an l0 above scale (power - 1),
+    # so the certificate does not depend on the random sample
+    p = make_poly_even(d=d, power=power, scale=0.5, m=1, zeta=0.0, sigma=0.0, seed=seed)
+    assert p.l0 == 0.5 * (power - 1)
+    report = check_relaxed_smooth(
+        lambda x: grad_base(p, x), d, p.l0, p.l1, region=p.box_radius, trials=CERTIFY_TRIALS,
+        seed=seed,
+    )
+    assert report.passed
+    assert report.implied_l0 <= p.l0
 
 
 @pytest.mark.parametrize("rate", [0.25, 1.0, 10.0, 20.0, 60.0, 70.0])
