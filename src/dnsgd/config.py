@@ -26,8 +26,6 @@ from .optimizers import ALGORITHMS
 from .problems import FAMILIES, FAMILY_PARAMS, ProblemInstance
 from .topology import KINDS, MixingMatrix, build_topology, metropolis_mixing
 
-K_MODES = ("formula", "guard")
-
 
 class ConfigError(ValueError):
     """Invalid or missing configuration value; .field holds the dotted path."""
@@ -61,7 +59,6 @@ class TopologyConfig(NamedTuple):
 class AutoHyperConfig(NamedTuple):
     epsilon: float
     t_cap: int | None = None
-    k_mode: str = "formula"
 
 
 class RunConfig(NamedTuple):
@@ -195,16 +192,13 @@ def parse_topology(d: dict, path: str = "topology") -> TopologyConfig:
 
 def parse_auto(d: dict, path: str = "auto") -> AutoHyperConfig:
     d = _expect_dict(d, path)
-    _reject_unknown(d, {"epsilon", "t_cap", "k_mode"}, path)
+    _reject_unknown(d, {"epsilon", "t_cap"}, path)
     t_cap = d.get("t_cap")
     if t_cap is not None:
         t_cap = _as_int(t_cap, f"{path}.t_cap", minimum=1)
     return AutoHyperConfig(
         epsilon=_as_float(_get(d, "epsilon", path), f"{path}.epsilon", 0.0, strict=True),
         t_cap=t_cap,
-        k_mode=_as_str(
-            _get(d, "k_mode", path, required=False, default="formula"), f"{path}.k_mode", choices=K_MODES
-        ),
     )
 
 

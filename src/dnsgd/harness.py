@@ -118,7 +118,7 @@ def resolve_hyperparams(
     theory = theoretical_hyperparams(
         epsilon=auto.epsilon, l0=p.l0, l1=p.l1, zeta=p.zeta, sigma=p.sigma,
         m=p.m, gamma=mixing.gamma, delta_f_estimate=delta_f,
-        g0_norm_sq=g0_norm_sq, t_cap=auto.t_cap, k_mode=auto.k_mode,
+        g0_norm_sq=g0_norm_sq, t_cap=auto.t_cap,
     )
     return theory.hp, theory
 

@@ -6,13 +6,14 @@ gossip depths under which the method is guaranteed to reach an epsilon/2
 expected gradient norm. The guarantees assume a consensus contraction factor
 rho small enough to satisfy a list of explicit inequalities; rho_guard checks
 that list for a concrete rho and choose_k_for_guard finds the smallest gossip
-depth satisfying it. The calculator's constants are fixed: C_K scales the
-inner gossip depth, C_K_HAT the initial one, and RHO_MAX caps the worst-case
-contraction factor of the inner depth.
+depth satisfying it; the calculator never picks a shallower inner depth. Its
+constants are fixed: C_K scales the inner gossip depth and C_K_HAT the initial
+one.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 import operator
 from dataclasses import dataclass
@@ -20,15 +21,13 @@ from typing import NamedTuple
 
 from .gossip import contraction_rho, min_rounds_for_rho
 
-# Deepest gossip depth choose_k_for_guard tries.
-K_MAX = 5000
+# Deepest gossip depth choose_k_for_guard tries; the exp_pair benchmark problem
+# on a path at m = 1024 needs 23177.
+K_MAX = 2**16
 
 # k_inner >= C_K log(max(m, 2)) / sqrt(gamma); k_init scales by C_K_HAT.
 C_K = 2.0
 C_K_HAT = 1.0
-# Largest worst-case contraction factor of the inner depth: the descent
-# preconditions require rho <= 1/2 and the consensus bound needs rho < 1.
-RHO_MAX = 0.5
 
 
 @dataclass(frozen=True)
@@ -167,17 +166,27 @@ def choose_k_for_guard(
     b: int,
     m: int,
 ) -> int:
-    """Smallest gossip depth whose worst-case rho passes rho_guard."""
+    """Smallest gossip depth up to K_MAX whose worst-case rho passes rho_guard.
+
+    A bisection: rho falls as k grows and every guard condition is monotone
+    in rho, so the depths that pass are a tail of [1, K_MAX].
+    """
     l_f = l0 + l1 * zeta
     if 2.0 * sigma / math.sqrt(m * b) >= eta * l_f / 4.0:
         raise ValueError(
             "noise floor condition cannot hold for any gossip depth: "
             "batch size too small for this sigma, eta, and l_f"
         )
-    for k in range(1, K_MAX + 1):
-        if rho_guard(contraction_rho(lambda2, k), eta, l0, l1, zeta, sigma, b, m).ok:
-            return k
-    raise ValueError(f"no gossip depth up to {K_MAX} passes the guard")
+
+    def ok(k: int) -> bool:
+        return rho_guard(contraction_rho(lambda2, k), eta, l0, l1, zeta, sigma, b, m).ok
+
+    k = bisect.bisect_left(range(1, K_MAX + 1), True, key=ok) + 1
+    if k > K_MAX:
+        raise ValueError(
+            f"no gossip depth up to {K_MAX} passes rho_guard; give hyperparams instead of auto"
+        )
+    return k
 
 
 class TheoreticalParams(NamedTuple):
@@ -209,7 +218,6 @@ def theoretical_hyperparams(
     *,
     g0_norm_sq: float,
     t_cap: int | None = None,
-    k_mode: str = "formula",
 ) -> TheoreticalParams:
     """Hyperparameters guaranteeing an epsilon/2 expected gradient norm.
 
@@ -217,12 +225,12 @@ def theoretical_hyperparams(
     sigma^2 / m; the iteration count with delta_phi / epsilon^2 where
     delta_phi budgets twice the initial objective gap (the init gossip depth
     k_init is chosen to make that budget valid). The inner gossip depth is
-    ceil(C_K * log(max(m, 2)) / sqrt(gamma)), floored so the worst-case
-    contraction factor is at most RHO_MAX.
+    the larger of ceil(C_K * log(max(m, 2)) / sqrt(gamma)) and the smallest
+    depth whose worst-case contraction factor passes rho_guard, so the
+    returned guard always passes; ValueError when no depth up to K_MAX does.
 
     g0_norm_sq is sum_i ||grad f_i(x0)||^2 measured at the start point; with
-    the noise it sets k_init. k_mode = "guard" additionally raises the inner
-    depth until rho_guard passes. t_cap truncates the iteration count (the
+    the noise it sets k_init. t_cap truncates the iteration count (the
     uncapped value is recorded).
     """
     if epsilon <= 0:
@@ -241,8 +249,6 @@ def theoretical_hyperparams(
         raise ValueError("delta_f_estimate must be positive")
     if not math.isfinite(delta_f_estimate):
         raise ValueError(f"delta_f_estimate must be finite, got {delta_f_estimate}")
-    if k_mode not in ("formula", "guard"):
-        raise ValueError(f"k_mode must be 'formula' or 'guard', got {k_mode!r}")
     if g0_norm_sq < 0:
         raise ValueError("g0_norm_sq must be non-negative")
     if not math.isfinite(g0_norm_sq):
@@ -272,9 +278,7 @@ def theoretical_hyperparams(
 
     lambda2 = 1.0 - gamma
     k_formula = math.ceil(C_K * math.log(max(m, 2)) / math.sqrt(gamma))
-    k_inner = max(1, k_formula, min_rounds_for_rho(lambda2, RHO_MAX))
-    if k_mode == "guard":
-        k_inner = max(k_inner, choose_k_for_guard(lambda2, eta, l0, l1, zeta, sigma, b, m))
+    k_inner = max(k_formula, choose_k_for_guard(lambda2, eta, l0, l1, zeta, sigma, b, m))
 
     drive = math.sqrt(m * sigma * sigma / b + g0_norm_sq)
     if drive == 0.0:

@@ -69,7 +69,7 @@ def crit4():
         algorithm="dnsgd",
         x0=0.6,
         master_seed=7,
-        auto=AutoHyperConfig(epsilon=0.12, k_mode="guard"),
+        auto=AutoHyperConfig(epsilon=0.12),
         num_seeds=1,
     )
     t0 = time.perf_counter()

@@ -39,7 +39,7 @@ def _guard_mode_params(t_override=None):
     th = theoretical_hyperparams(
         epsilon=0.12, l0=QUAD.l0, l1=QUAD.l1, zeta=QUAD.zeta, sigma=0.0,
         m=QUAD.m, gamma=RING4.gamma, delta_f_estimate=f_base(QUAD, x0),
-        g0_norm_sq=g0, k_mode="guard",
+        g0_norm_sq=g0,
     )
     hp = th.hp
     if t_override is not None:

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import dnsgd
-from dnsgd import harness
+from dnsgd import harness, hyperparams
 from dnsgd.cli import main
 from dnsgd.optimizers import NonFiniteStateError
 from dnsgd.problems import EXP_ARG_MAX
@@ -33,7 +33,7 @@ def _auto_quadratic(tmp_path, **extra):
         "algorithm": "dnsgd",
         "x0": 0.6,
         "master_seed": 7,
-        "auto": {"epsilon": 0.12, "k_mode": "guard"},
+        "auto": {"epsilon": 0.12},
     }
     cfg.update(extra)
     return _write(tmp_path / "run.json", cfg)
@@ -93,15 +93,46 @@ def test_params_cost_matches_last_run_row(tmp_path, capsys, algorithm):
 
 
 def test_removed_calculator_knobs_exit_two(tmp_path, capsys):
-    # the calculator's constants are fixed; their old auto keys are unknown fields
-    for key, value in (("c_k", 2.0), ("c_k_hat", 1.0), ("rho_max", 0.5), ("delta_f", 1.0)):
+    # the calculator's constants and its one depth rule are fixed; their old
+    # auto keys are unknown fields
+    for key, value in (
+        ("c_k", 2.0), ("c_k_hat", 1.0), ("rho_max", 0.5), ("delta_f", 1.0), ("k_mode", "guard"),
+    ):
         cfg = _auto_quadratic(tmp_path, auto={"epsilon": 0.12, key: value})
         assert main(["params", "--config", cfg]) == 2
         assert capsys.readouterr().err == f"config error: auto.{key}: unknown field\n"
 
 
+def test_auto_run_without_a_passing_depth_exits_two(tmp_path, capsys, monkeypatch):
+    # the ring at m = 4 needs depth 29 to pass rho_guard; below it no depth does
+    monkeypatch.setattr(hyperparams, "K_MAX", 28)
+    sweep = json.loads(Path(_auto_quadratic(tmp_path)).read_text())
+    sweep.update(m_list=[4], target_epsilon=0.5)
+    for argv in (
+        ["run", "--config", _auto_quadratic(tmp_path)],
+        ["sweep", "--config", _write(tmp_path / "sweep.json", sweep)],
+        ["params", "--config", _auto_quadratic(tmp_path)],
+    ):
+        out_dir = tmp_path / "out"
+        assert main([*argv, "--out-dir", str(out_dir)]) == 2, argv
+        assert capsys.readouterr() == ("", (
+            "error: no gossip depth up to 28 passes rho_guard; give hyperparams instead of auto\n"
+        )), argv
+        assert not out_dir.exists(), argv
+
+
+def test_params_ring_m512_passes_the_guard(tmp_path, capsys):
+    # the guard's depth on this ring is 5556, so it needs a K_MAX above 5000
+    cfg = json.loads(EXP_PAIR_CONFIG.read_text())
+    cfg["problem"]["m"] = 512
+    assert main(["params", "--config", _write(tmp_path / "m512.json", cfg)]) == 0
+    out = capsys.readouterr().out
+    assert "k_inner = 5556\n" in out
+    assert "guard: PASS\n" in out
+
+
 def test_run_writes_outputs_and_succeeds(tmp_path, capsys):
-    cfg = _auto_quadratic(tmp_path, auto={"epsilon": 0.12, "k_mode": "guard", "t_cap": 60})
+    cfg = _auto_quadratic(tmp_path, auto={"epsilon": 0.12, "t_cap": 60})
     code = main(["run", "--config", cfg, "--out-dir", str(tmp_path / "out")])
     out = capsys.readouterr().out
     assert code == 0

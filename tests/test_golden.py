@@ -89,7 +89,7 @@ SWEEP_CONFIG = {
     "num_seeds": 3,
 }
 
-SWEEP_DIGEST = "5605a47f766238d9070df02cf99ae57c9224a9a44619c88ef82a1970affe16ee"
+SWEEP_DIGEST = "3c94204d04f4c7ab6e825e0c8cd37c22469771e0623ec983878ca24d9804dedc"
 
 # float.hex() of the certified (l0, l1, f_star) of the problems that the
 # pinned configs build. The digests fix l0 only through phi.
@@ -105,7 +105,7 @@ SWEEP_CONSTANTS = {
 }
 
 
-# Guard-mode calculator runs whose outputs together emit all four built-in
+# Calculator runs whose outputs together emit all four built-in
 # checks; every file they write is pinned. The first also has a list x0.
 OUTPUT_CONFIGS = {
     "stochastic": {
@@ -117,7 +117,7 @@ OUTPUT_CONFIGS = {
         "algorithm": "dnsgd",
         "x0": [1.2, 1.0, 0.8, 1.1],
         "master_seed": 31,
-        "auto": {"epsilon": 0.3, "t_cap": 20, "k_mode": "guard"},
+        "auto": {"epsilon": 0.3, "t_cap": 20},
         "num_seeds": 10,
     },
     "deterministic": {
@@ -129,7 +129,7 @@ OUTPUT_CONFIGS = {
         "algorithm": "dnsgd",
         "x0": 0.6,
         "master_seed": 7,
-        "auto": {"epsilon": 0.12, "t_cap": 30, "k_mode": "guard"},
+        "auto": {"epsilon": 0.12, "t_cap": 30},
         "num_seeds": 1,
     },
 }
@@ -144,11 +144,16 @@ OUTPUT_CHECKS = {
 # config, and a sweep's echo nests its run config under "run". They were
 # rebaselined once more when the calculator's delta_f, c_k, c_k_hat and
 # rho_max left the auto block and the echoed config. Every other pinned file
-# held both times.
+# held both times. They were rebaselined a third time when auto.k_mode went
+# and every auto run took at least the rho_guard depth: k_mode left the echoed
+# configs, and the sweep's k_inner rose to the guard's depth (9, 11, 21 to
+# 24, 32, 65), which moved its summary.txt and the comm-rounds column of
+# SWEEP_DIGEST; its batch sizes, first hits and samples held. The two configs
+# here already ran at the guard's depth, so their other files held.
 OUTPUT_DIGESTS = {
     "stochastic": {
         "checks.csv": "cfb7c8ba11a067a638f14a700ffff0b097e60c8e75a6cd7c48c42545c3b17670",
-        "config_echo.json": "3e8d3376828ef5c6b61eb19b85a36d85bd1cbfcbed9aa5b1cf0848690aab042d",
+        "config_echo.json": "70d2d71d40aa132977911bd0d372392533c0714a9677bc3d8c0351f3f2543216",
         "metrics_seed000.csv": "393caac319ed1786f5f854bb1b5d75cb6b2f1526b706dc7b8c559b8fc698211c",
         "metrics_seed001.csv": "ba05b30d55d2e5b7bce61e2396be745ac247c95d4e2e4b0be6785e7ce0de0a0d",
         "metrics_seed002.csv": "220c90448fa2e996e1255883498fbbc1d20813a91ba5bb432d9f309b5834c0ce",
@@ -164,7 +169,7 @@ OUTPUT_DIGESTS = {
     },
     "deterministic": {
         "checks.csv": "12d6a3d8b7036d902244ff50d55fbcd3acdb8d6aa06849ae114e7c20caf4984f",
-        "config_echo.json": "142ae0be948b4f8b4c4138f336acaa1053f604fe6cbe134d11a8a503f51d069b",
+        "config_echo.json": "9a3c1792d9a131acec4b351e58a42a54713beb7bf71d5dd3b89e18748c276205",
         "metrics_seed000.csv": "1d193c6d81daaef1692d91f7316244dcbf9c3fe2cb5c6de4004c98e36f6bc764",
         "params_report.txt": "311ca991d3f4e9723f12aa3564c76874f1381437e1d54e0b38a3cfe5de99144f",
         "summary.txt": "d76ba4bb35db8a31d88f898920e3c3a758a4fa4bb99a790c1da83264a9e6952a",
@@ -173,8 +178,8 @@ OUTPUT_DIGESTS = {
 
 # The other files of the pinned sweep; speedup.csv is SWEEP_DIGEST.
 SWEEP_OUTPUT_DIGESTS = {
-    "config_echo.json": "be0d9a14f1313665538b15ebb632338954707fce8239d34beac88ea08ca7e6b5",
-    "summary.txt": "049fd0c1d6b6befba787eada8b92a3a08fb4807c82821e9a73c767e1f7d7af08",
+    "config_echo.json": "decec46dbf995575a3fa4cb32485fbdb94f592a11d8f1fba45060a5430d29175",
+    "summary.txt": "e75e908e57f22578ce80e6efceb9dbaade2fbf77d67a2cdc3bd3f823cd477c9f",
 }
 
 

@@ -116,7 +116,7 @@ def test_degenerate_horizon_csv(tmp_path):
 
 
 def test_config_echo_resolved_block(tmp_path):
-    cfg = _quad_cfg(hyperparams=None, auto=AutoHyperConfig(epsilon=0.12, k_mode="guard"))
+    cfg = _quad_cfg(hyperparams=None, auto=AutoHyperConfig(epsilon=0.12))
     result = run_experiment(cfg, out_dir=tmp_path)
     echo = json.loads((tmp_path / "config_echo.json").read_text())
     resolved = echo["resolved"]
@@ -405,5 +405,5 @@ def test_long_ring_m256_run_keeps_tracker_identity():
         "auto": {"epsilon": 0.2, "t_cap": 300}, "num_seeds": 1,
     })
     res = run_experiment(cfg, write_outputs=False)
-    assert (res.hp.big_t, res.hp.k_inner) == (300, 1107)
+    assert (res.hp.big_t, res.hp.k_inner) == (300, 2658)
     assert res.trajectory.tracker_drifts.max() <= TRACKER_DRIFT_TOL

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dnsgd import hyperparams
 from dnsgd.gossip import contraction_rho
 from dnsgd.hyperparams import (
     HyperParams,
@@ -71,7 +72,7 @@ def test_quadratic_guard_mode_frozen():
     # ring m = 4 has gamma = 1/3; this is the descent-check configuration
     th = theoretical_hyperparams(
         epsilon=0.12, l0=1.0, l1=0.0, zeta=0.5, sigma=0.0, m=4, gamma=1.0 / 3.0,
-        delta_f_estimate=0.9, g0_norm_sq=4 * 0.9 * 2.0, k_mode="guard",
+        delta_f_estimate=0.9, g0_norm_sq=4 * 0.9 * 2.0,
     )
     assert th.hp.eta == pytest.approx(0.024, abs=1e-15)
     assert th.hp.big_t == 5000
@@ -84,13 +85,13 @@ def test_quadratic_guard_mode_frozen():
 
 def test_k_inner_floor_keeps_rho_below_half():
     # the C_K log(m)/sqrt(gamma) formula alone would give k = 2 for m = 2,
-    # whose worst-case contraction factor exceeds 1; the floor raises it
+    # whose worst-case contraction factor exceeds 1; the guard's depth raises it
     th = theoretical_hyperparams(
         epsilon=0.3, l0=1.0, l1=0.0, zeta=0.0, sigma=0.0, m=2, gamma=0.5,
         delta_f_estimate=1.0, g0_norm_sq=1.0,
     )
-    assert th.hp.k_inner == 9
     assert th.rho_actual <= 0.5
+    assert th.guard.ok
     assert contraction_rho(0.5, 2) > 1.0
 
 
@@ -154,7 +155,8 @@ def test_calculator_invariants_random_sweep():
         assert hp.big_t >= 1
         assert hp.k_inner >= 1 and hp.k_init >= 1
         assert th.rho_actual == contraction_rho(1.0 - gamma, hp.k_inner)
-        assert th.rho_actual <= 0.5  # formula mode floors the depth
+        assert th.rho_actual <= 0.5
+        assert th.guard.ok  # the depth is at least the guard's
         m0, m1 = lyapunov_constants(l0, l1, zeta)
         assert th.m0 == m0 and th.m1 == m1
 
@@ -173,7 +175,6 @@ def test_calculator_validation():
         dict(good, l0=-1.0),
         dict(good, delta_f_estimate=0.0),
         dict(good, l0=0.0),  # l_f = 0
-        dict(good, k_mode="magic"),
         dict(good, g0_norm_sq=-1.0),
         dict(good, g0_norm_sq=math.inf),
     ):
@@ -182,7 +183,7 @@ def test_calculator_validation():
 
 
 def test_rho_guard_frozen_pass_and_fail():
-    # the guard-mode quadratic configuration passes
+    # the quadratic descent configuration passes
     ok = rho_guard(0.0174, 0.024, 1.0, 0.0, 0.5, 0.0, 1, 4)
     assert ok.ok
     assert all(ok.conditions.values())
@@ -216,17 +217,60 @@ def test_rho_guard_monotone_in_rho(rho, shrink):
         assert rho_guard(rho * shrink, **params).ok
 
 
-def test_choose_k_for_guard_is_minimal():
+def test_choose_k_for_guard_is_minimal(monkeypatch):
     lam2 = 2.0 / 3.0
     k = choose_k_for_guard(lam2, 0.024, 1.0, 0.0, 0.5, 0.0, 1, 4)
     assert k == 29
     assert rho_guard(contraction_rho(lam2, k), 0.024, 1.0, 0.0, 0.5, 0.0, 1, 4).ok
     assert not rho_guard(contraction_rho(lam2, k - 1), 0.024, 1.0, 0.0, 0.5, 0.0, 1, 4).ok
+    # K_MAX itself is a candidate depth; one below it, none passes
+    monkeypatch.setattr(hyperparams, "K_MAX", 29)
+    assert choose_k_for_guard(lam2, 0.024, 1.0, 0.0, 0.5, 0.0, 1, 4) == 29
+    monkeypatch.setattr(hyperparams, "K_MAX", 28)
+    with pytest.raises(ValueError, match="no gossip depth up to 28 passes rho_guard"):
+        choose_k_for_guard(lam2, 0.024, 1.0, 0.0, 0.5, 0.0, 1, 4)
 
 
 def test_choose_k_for_guard_infeasible_noise_floor():
     with pytest.raises(ValueError, match="noise floor"):
         choose_k_for_guard(0.5, 0.02, 1.0, 0.0, 0.0, 10.0, 1, 1)
+
+
+def _first_passing_depth(lambda2, eta, l0, l1, zeta, sigma, b, m):
+    """choose_k_for_guard as a linear scan: the first k in [1, K_MAX] that passes."""
+    for k in range(1, hyperparams.K_MAX + 1):
+        if rho_guard(contraction_rho(lambda2, k), eta, l0, l1, zeta, sigma, b, m).ok:
+            return k
+    raise ValueError(f"no gossip depth up to {hyperparams.K_MAX} passes")
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    lambda2=st.floats(min_value=0.0, max_value=0.9999),
+    eta=st.floats(min_value=1e-4, max_value=1.0),
+    l0=st.floats(min_value=0.0, max_value=10.0),
+    l1=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=5.0)),
+    zeta=st.floats(min_value=0.0, max_value=3.0),
+    sigma=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=3.0)),
+    b=st.integers(min_value=1, max_value=10**5),
+    m=st.integers(min_value=1, max_value=1024),
+)
+def test_choose_k_for_guard_bisection_matches_linear_scan(
+    lambda2, eta, l0, l1, zeta, sigma, b, m
+):
+    if l0 + l1 * zeta < 1e-3:  # keep eta * l_f / 4 clear of underflow
+        l0 = 1.0
+    args = (lambda2, eta, l0, l1, zeta, sigma, b, m)
+    # a short limit keeps the scan cheap and makes some draws infeasible
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hyperparams, "K_MAX", 512)
+        try:
+            expected = _first_passing_depth(*args)
+        except ValueError:
+            with pytest.raises(ValueError):
+                choose_k_for_guard(*args)
+        else:
+            assert choose_k_for_guard(*args) == expected
 
 
 def test_hyperparams_validation():
