@@ -7,15 +7,16 @@ consensus penalties:
         + (2 eta / sqrt(m)) ||V - 1 vbar||
 
 with (m0, m1) = lyapunov_constants(l0, l1, zeta). state_metrics computes it
-with the other recorded metrics for one state or for a stack of states; the
-runner calls it once per block of iterations and stores the stacked result
-as the trajectory's metric columns, one row per seed of the run. A Trajectory
-holds those columns and the run's counters, not the states; the potential of
-a given state (X, V) is state_metrics(X, V, p, eta).phi. The checks reduce the
-columns over seeds and iterations at once: verify_descent checks the one-step
-decrease inequality implied by the theory, either per iteration on noiseless
-runs or in seed-averaged form; verify_consensus_bound checks the steady-state
-consensus radius rho * m * eta / (1 - rho) on every seed.
+with the other recorded metrics for a stack of states (n, m, d); the runner
+calls it once per block of iterations and stores the stacked result as the
+trajectory's metric columns, one row per seed of the run. A Trajectory holds
+those columns and the run's counters, not the states; the potential of a
+given state (X, V) is state_metrics(X[None], V[None], p, eta).phi[0]. The
+checks reduce the columns over seeds and iterations at once: verify_descent
+checks the one-step decrease inequality implied by the theory, either per
+iteration on noiseless runs or in seed-averaged form; verify_consensus_bound
+checks the steady-state consensus radius rho * m * eta / (1 - rho) on every
+seed.
 """
 
 from __future__ import annotations
@@ -58,33 +59,30 @@ class Trajectory(NamedTuple):
 
 
 class StateMetrics(NamedTuple):
-    """Metrics of one state (floats, agent norms (m,)) or of n states ((n,) arrays, (n, m))."""
+    """Metrics of n states: (n,) arrays, agent norms (n, m)."""
 
-    f_mean: float | np.ndarray
-    grad_norm_mean: float | np.ndarray
+    f_mean: np.ndarray
+    grad_norm_mean: np.ndarray
     agent_grad_norms: np.ndarray
-    cons_x: float | np.ndarray
-    cons_v: float | np.ndarray
-    phi: float | np.ndarray
+    cons_x: np.ndarray
+    cons_v: np.ndarray
+    phi: np.ndarray
 
 
 def state_metrics(x: np.ndarray, v: np.ndarray, p: ProblemInstance, eta: float) -> StateMetrics:
-    """Metrics of one state (m, d), or of a stack of states (n, m, d) along the first axis.
+    """Metrics of a stack of states (n, m, d), one entry per state along the first axis.
 
-    Each metric is computed once for the whole stack; a single state goes
-    through the same path as a stack of one. Norms are sqrt(vecdot) over
-    flattened rows, which matches np.linalg.norm bit for bit, so a stacked
-    call equals the per-state calls exactly.
+    Each metric is computed once for the whole stack; one state is a stack of
+    one. Norms are sqrt(vecdot) over flattened rows, which matches
+    np.linalg.norm bit for bit, so a stacked call equals the per-state calls
+    exactly.
     """
     if eta <= 0:
         raise ValueError("eta must be positive")
     x = np.asarray(x, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
-    single = x.ndim == 2
-    if single:
-        x, v = x[None], v[None]
     if x.ndim != 3 or x.shape[1:] != (p.m, p.d) or v.shape != x.shape:
-        raise ValueError(f"state matrices must have shape ({p.m}, {p.d}) or (n, {p.m}, {p.d})")
+        raise ValueError(f"state matrices must be stacks of shape (n, {p.m}, {p.d})")
     n = x.shape[0]
     m0, m1 = lyapunov_constants(p.l0, p.l1, p.zeta)
     xbar = x.mean(axis=1)
@@ -95,12 +93,6 @@ def state_metrics(x: np.ndarray, v: np.ndarray, p: ProblemInstance, eta: float) 
     cons_v = consensus_error(v)
     sqm = math.sqrt(p.m)
     phi = f_mean + (3.0 * eta / sqm) * (m0 + m1 * grad_norm) * cons_x + (2.0 * eta / sqm) * cons_v
-    if single:
-        return StateMetrics(
-            f_mean=float(f_mean[0]), grad_norm_mean=float(grad_norm[0]),
-            agent_grad_norms=agent[0], cons_x=float(cons_x[0]), cons_v=float(cons_v[0]),
-            phi=float(phi[0]),
-        )
     return StateMetrics(
         f_mean=f_mean, grad_norm_mean=grad_norm, agent_grad_norms=agent,
         cons_x=cons_x, cons_v=cons_v, phi=phi,

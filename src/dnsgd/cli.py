@@ -205,7 +205,7 @@ def _cmd_params(args: argparse.Namespace) -> int:
         f"big_t = {hp.big_t} (uncapped {theory.t_uncapped})",
         f"k_inner = {hp.k_inner}",
         f"k_init = {hp.k_init}",
-        f"rho = {theory.rho_actual:.12g} (required <= {guard.min_threshold:g})",
+        f"rho = {guard.rho:.12g} (required <= {guard.min_threshold:g})",
         f"samples per agent = {samples}",
         f"comm rounds = {rounds}",
         f"guard: {'PASS' if guard.ok else 'FAIL'}",

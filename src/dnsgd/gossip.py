@@ -9,18 +9,18 @@ with eta_w = (1 - sqrt(1 - lambda2^2)) / (1 + sqrt(1 - lambda2^2)), run for
 k = 0..K inclusive: K + 1 mixing rounds, which the communication counters
 charge. The result is the fixed polynomial p_K(W) applied to Y. W is
 symmetric, W = Q diag(lam) Q^T, so the implementation evaluates it
-spectrally as Q (p_K(lam) * (Q^T Y)): the same recursion runs once on the
-eigenvalue vector to give the gains p_K(lam), and each call costs two
-products with Q instead of K + 1 with W. The eigendecomposition and the
-gains for each K are computed once per mixing matrix. The contraction bound
+spectrally as Q (p_K(lam) * (Q^T Y)): the same recursion runs on the
+eigenvalue vector to give the gains p_K(lam), once each time the map is
+bound, and each call costs two products with Q instead of K + 1 with W. The
+eigendecomposition is computed once per mixing matrix. The contraction bound
 below is stated for exponent K and the returned matrix can only be tighter.
 Column means are preserved in exact arithmetic because W is doubly
 stochastic.
 
 plain_gossip is the unaccelerated W^k map used by the baseline optimizers.
 
-Each public map checks its arguments and then runs its kernel (_acc_mixer,
-_plain_mix), which does not check. The optimizers bind the accelerated
+Each public map checks its arguments and then runs what a run uses without
+checks: _acc_mixer, or products with W. The optimizers bind the accelerated
 kernel, or W itself, once per run and apply it to (S, m, d) stacks of states;
 a run tests its state for finiteness once per iteration, not each mix.
 """
@@ -67,19 +67,6 @@ def chebyshev_weight(lambda2: float) -> float:
     return (1.0 - s) / (1.0 + s)
 
 
-def _acc_gains(mix: MixingMatrix, k: int) -> np.ndarray:
-    """p_k on the eigenvalues of W: the recursion of acc_gossip run on scalars."""
-    gains = mix.acc_gains.get(k)
-    if gains is None:
-        lam, _ = mix.spectrum
-        eta_w = chebyshev_weight(mix.lambda2)
-        prev = cur = np.ones_like(lam)
-        for _ in range(k + 1):
-            prev, cur = cur, (1.0 + eta_w) * (lam * cur) - eta_w * prev
-        gains = mix.acc_gains[k] = cur
-    return gains
-
-
 def _acc_mixer(mix: MixingMatrix, k: int) -> Callable[[np.ndarray], np.ndarray]:
     """The kernel of acc_gossip(., mix, k), with Q and the gains of k bound.
 
@@ -87,8 +74,13 @@ def _acc_mixer(mix: MixingMatrix, k: int) -> Callable[[np.ndarray], np.ndarray]:
     check its input. A stack's matmuls make one gemm per (m, n) slice, the same
     call as for that slice alone, so a stacked slice equals its own mix bit for bit.
     """
-    _, q = mix.spectrum
-    qt, gains = q.T, _acc_gains(mix, k)[:, None]
+    lam, q = mix.spectrum
+    eta_w = chebyshev_weight(mix.lambda2)
+    # the gains p_k(lam): the recursion of acc_gossip run on the eigenvalues
+    prev = gains = np.ones_like(lam)
+    for _ in range(k + 1):
+        prev, gains = gains, (1.0 + eta_w) * (lam * gains) - eta_w * prev
+    qt, gains = q.T, gains[:, None]
 
     def apply(y0: np.ndarray) -> np.ndarray:
         z = qt @ y0
@@ -96,13 +88,6 @@ def _acc_mixer(mix: MixingMatrix, k: int) -> Callable[[np.ndarray], np.ndarray]:
         return q @ z
 
     return apply
-
-
-def _plain_mix(y0: np.ndarray, mix: MixingMatrix, k: int) -> np.ndarray:
-    y = y0.copy()
-    for _ in range(k):
-        y = mix.w @ y
-    return y
 
 
 def acc_gossip(y0: np.ndarray, mix: MixingMatrix, k: int) -> np.ndarray:
@@ -114,7 +99,10 @@ def acc_gossip(y0: np.ndarray, mix: MixingMatrix, k: int) -> np.ndarray:
 def plain_gossip(y0: np.ndarray, mix: MixingMatrix, k: int) -> np.ndarray:
     """Unaccelerated gossip: returns W^k @ y0 (k = 0 returns a copy of y0)."""
     _check_rounds(k)
-    return _plain_mix(_check_agent_matrix(y0, mix), mix, k)
+    y = _check_agent_matrix(y0, mix).copy()
+    for _ in range(k):
+        y = mix.w @ y
+    return y
 
 
 def contraction_rho(lambda2: float, k: int) -> float:

@@ -263,7 +263,7 @@ def _write_run_outputs(result: RunResult, run_id: str) -> None:
         th = result.theory
         lines.append(
             f"calculator: l_f={_fmt(th.l_f)} delta_phi={_fmt(th.delta_phi)} "
-            f"rho={_fmt(th.rho_actual)} guard_ok={th.guard.ok} t_uncapped={th.t_uncapped}"
+            f"rho={_fmt(th.guard.rho)} guard_ok={th.guard.ok} t_uncapped={th.t_uncapped}"
         )
     lines.append(f"seeds: {result.config.num_seeds}")
     st = result.stationarity

@@ -91,6 +91,13 @@ def _tracking_constants(
     return m2, m3
 
 
+def _largest_rho(budget: float, denom: float) -> float:
+    """Largest rho with rho * denom <= budget, for denom >= 0."""
+    if denom > 0:
+        return budget / denom
+    return math.inf if budget >= 0 else -math.inf
+
+
 def rho_guard(
     rho: float,
     eta: float,
@@ -103,10 +110,9 @@ def rho_guard(
 ) -> RhoGuard:
     """Check the six descent preconditions for a concrete contraction rho.
 
-    The tracker amplification constants depend on rho themselves, so all
-    inequalities are evaluated at the supplied value (a self-consistency
-    check rather than a solve). Thresholds report, per condition, the
-    largest rho that would pass with these same amplification constants.
+    Each condition is rho <= its threshold: the largest rho that passes with
+    the amplification constants evaluated at the supplied rho (they depend on
+    rho themselves, so this is a self-consistency check rather than a solve).
     """
     if rho < 0 or eta <= 0 or b < 1 or m < 1 or sigma < 0:
         raise ValueError("rho >= 0, eta > 0, b >= 1, m >= 1, sigma >= 0 required")
@@ -115,42 +121,25 @@ def rho_guard(
         raise ValueError("l0 + l1 * zeta must be positive")
     m0, m1 = lyapunov_constants(l0, l1, zeta)
     m2, m3 = _tracking_constants(rho, eta, l_f, l1)
-    sq2 = math.sqrt(2.0)
     sqm = math.sqrt(m)
-    inf = math.inf
-
-    conditions: dict[str, bool] = {}
-    thresholds: dict[str, float] = {}
-
-    # Consensus penalty on the iterate term stays contractive.
-    denom = 3.0 * (m0 + m1 * l_f * eta) + 2.0 * m2
-    conditions["x_weight"] = 2.0 * sq2 * m0 + rho * denom <= 3.0 * m0
-    thresholds["x_weight"] = (3.0 - 2.0 * sq2) * m0 / denom if denom > 0 else inf
-
-    # Same for the gradient-proportional part (vacuous when l1 = 0).
-    denom = 3.0 * m1 * (1.0 + l1 * eta) + 2.0 * m3
-    conditions["grad_weight"] = 2.0 * sq2 * m1 + rho * denom <= 3.0 * m1
-    thresholds["grad_weight"] = (3.0 - 2.0 * sq2) * m1 / denom if denom > 0 else inf
-
-    conditions["v_weight"] = rho <= 0.5
-    thresholds["v_weight"] = 0.5
-
-    # Leakage into the gradient-norm coefficient stays below 1/8.
-    denom = sqm * eta * (3.0 * m1 * (1.0 + l1 * eta) + 2.0 * m3)
-    conditions["grad_coeff"] = rho * denom <= 0.125
-    thresholds["grad_coeff"] = 0.125 / denom if denom > 0 else inf
-
-    # Noise floor plus consensus leakage stays below eta * l_f / 4.
-    noise = 2.0 * sigma / math.sqrt(m * b)
-    denom = sqm * eta * (3.0 * (m0 + m1 * l_f * eta) + 2.0 * m2)
-    budget = eta * l_f / 4.0 - noise
-    conditions["noise_floor"] = noise + rho * denom <= eta * l_f / 4.0
-    thresholds["noise_floor"] = (budget / denom if denom > 0 else inf) if budget > 0 else 0.0
-
-    # Tracker error recursion remains a contraction.
-    conditions["tracker_recursion"] = rho <= 1.0 / (1.0 + m * eta * l1)
-    thresholds["tracker_recursion"] = 1.0 / (1.0 + m * eta * l1)
-
+    slack = 3.0 - 2.0 * math.sqrt(2.0)
+    x_denom = 3.0 * (m0 + m1 * l_f * eta) + 2.0 * m2
+    grad_denom = 3.0 * m1 * (1.0 + l1 * eta) + 2.0 * m3
+    noise_budget = eta * l_f / 4.0 - 2.0 * sigma / math.sqrt(m * b)
+    thresholds = {
+        # consensus penalty on the iterate term stays contractive
+        "x_weight": _largest_rho(slack * m0, x_denom),
+        # same for the gradient-proportional part (vacuous when l1 = 0)
+        "grad_weight": _largest_rho(slack * m1, grad_denom),
+        "v_weight": 0.5,
+        # leakage into the gradient-norm coefficient stays below 1/8
+        "grad_coeff": _largest_rho(0.125, sqm * eta * grad_denom),
+        # noise floor plus consensus leakage stays below eta * l_f / 4
+        "noise_floor": _largest_rho(noise_budget, sqm * eta * x_denom),
+        # tracker error recursion remains a contraction
+        "tracker_recursion": 1.0 / (1.0 + m * eta * l1),
+    }
+    conditions = {name: rho <= limit for name, limit in thresholds.items()}
     return RhoGuard(
         ok=all(conditions.values()), rho=rho, conditions=conditions, thresholds=thresholds
     )
@@ -192,7 +181,8 @@ def choose_k_for_guard(
 class TheoreticalParams(NamedTuple):
     """Calculator output: the HyperParams bundle plus its intermediates.
 
-    guard is rho_guard evaluated at rho_actual and the chosen hyperparameters.
+    guard is rho_guard evaluated at the chosen hyperparameters and
+    guard.rho = contraction_rho(1 - gamma, hp.k_inner).
     """
 
     hp: HyperParams
@@ -201,7 +191,6 @@ class TheoreticalParams(NamedTuple):
     m1: float
     delta_f: float
     delta_phi: float
-    rho_actual: float
     guard: RhoGuard
     t_uncapped: int
 
@@ -291,9 +280,8 @@ def theoretical_hyperparams(
         eta=eta, b=int(b), big_t=int(big_t), k_inner=int(k_inner), k_init=int(k_init),
         epsilon=float(epsilon),
     )
-    rho_actual = contraction_rho(lambda2, k_inner)
+    rho = contraction_rho(lambda2, k_inner)
     return TheoreticalParams(
-        hp=hp, l_f=l_f, m0=m0, m1=m1, delta_f=float(delta_f_estimate),
-        delta_phi=delta_phi, rho_actual=rho_actual,
-        guard=rho_guard(rho_actual, eta, l0, l1, zeta, sigma, b, m), t_uncapped=int(t_uncapped),
+        hp=hp, l_f=l_f, m0=m0, m1=m1, delta_f=float(delta_f_estimate), delta_phi=delta_phi,
+        guard=rho_guard(rho, eta, l0, l1, zeta, sigma, b, m), t_uncapped=int(t_uncapped),
     )

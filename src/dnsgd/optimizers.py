@@ -12,7 +12,7 @@ and differs only in the settings of its METHODS entry:
 
     accelerated  mix = acc_gossip(., k_inner), mix0 = acc_gossip(., k_init);
                  otherwise mix = one plain gossip round W, mix0 = identity
-    normalized   dir(V) = normalize_rows(V); otherwise dir(V) = V
+    normalized   dir(V) = V with each row scaled to unit norm; otherwise dir(V) = V
     tracked      V <- acc_gossip(V + G' - G) if accelerated, else W V + G' - G;
                  otherwise V <- G' (no tracker)
     scheduled    eta_t = min(eta, m^(1/4) / t^(3/4)) with t >= 1; otherwise eta
@@ -122,14 +122,6 @@ def _unit_rows(v: np.ndarray) -> np.ndarray:
     # equal np.linalg.norm(v, axis=-1) bit for bit
     norms = np.sqrt(np.add.reduce(v * v, axis=-1, keepdims=True))
     return np.divide(v, norms, out=np.zeros(v.shape), where=norms > EPS_NORM)
-
-
-def normalize_rows(v: np.ndarray) -> np.ndarray:
-    """Scale each row to unit Euclidean norm; rows below EPS_NORM become zero."""
-    v = np.asarray(v, dtype=np.float64)
-    if not np.all(np.isfinite(v)):
-        raise ValueError("normalize_rows requires finite input")
-    return _unit_rows(v)
 
 
 def _unchecked(mat: np.ndarray, what: str, t: int) -> None:

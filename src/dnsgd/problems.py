@@ -139,12 +139,6 @@ def grad_base(p: ProblemInstance, x: np.ndarray) -> np.ndarray:
     return _gradient(p)(_check_point(p, x))
 
 
-def grad_local(p: ProblemInstance, i: int, x: np.ndarray) -> np.ndarray:
-    if not 0 <= i < p.m:
-        raise ValueError(f"agent index {i} out of range for m = {p.m}")
-    return grad_base(p, x) + p.offsets[i]
-
-
 def _noise_scale(p: ProblemInstance, b: int) -> float:
     """Standard deviation per coordinate of a b-sample minibatch's oracle noise."""
     return p.sigma / math.sqrt(b * p.d)
@@ -178,9 +172,10 @@ def sample_grad(
     the same map (_oracle).
 
     Verification tolerances: over n independent calls the empirical mean of a
-    row must match grad_local to within 5 sigma / sqrt(b d n) per coordinate,
-    and the empirical mean of ||g_i - grad_local||^2 must match sigma^2 / b to
-    within 5 sqrt(2 / (n d)) relative (both are 5-standard-error bands).
+    row must match grad_base(p, x_rows[i]) + p.offsets[i] to within
+    5 sigma / sqrt(b d n) per coordinate, and the empirical mean of the squared
+    distance from it must match sigma^2 / b to within 5 sqrt(2 / (n d))
+    relative (both are 5-standard-error bands).
     """
     if not isinstance(b, (int, np.integer)) or b < 1:
         raise ValueError(f"batch size must be a positive integer, got {b!r}")

@@ -131,8 +131,6 @@ class MixingMatrix:
     # eigvalsh of the symmetric part (w + w^T) / 2, which lambda2 is read from
     eigenvalues: np.ndarray = field(repr=False)
     graph: Graph | None = None
-    # gossip.acc_gossip's gain vectors p_k(eigenvalues), keyed by the depth k
-    acc_gains: dict[int, np.ndarray] = field(default_factory=dict, init=False, repr=False)
 
     @property
     def m(self) -> int:

@@ -31,7 +31,6 @@ from dnsgd.problems import (
     check_relaxed_smooth,
     f_base,
     grad_base,
-    grad_local,
     make_exp_pair,
     make_poly_even,
     make_quadratic,
@@ -192,7 +191,7 @@ def test_criterion_5_linear_speedup(crit5):
 def test_criterion_6_consensus_bound(crit3, crit4, crit5):
     results = [crit3[0], crit4[0], *(pt.run for pt in crit5[0].points)]
     reports = [
-        verify_consensus_bound(r.trajectory, r.theory.rho_actual, r.problem.m, r.hp.eta)
+        verify_consensus_bound(r.trajectory, r.theory.guard.rho, r.problem.m, r.hp.eta)
         for r in results
     ]
     worst = max(
@@ -262,7 +261,7 @@ def test_criterion_8_oracle_correctness():
 
     p = make_quadratic(d=3, curvature=1.0, m=2, zeta=0.4, sigma=0.5, seed=7)
     x = np.array([0.3, -1.1, 0.7])
-    exact = grad_local(p, 0, x)
+    exact = grad_base(p, x) + p.offsets[0]
     b, n = 4, 20_000
     rng = derive_stream(StreamKey(909, "oracle"))  # read in order, as a run reads it
     x_rows = np.tile(x, (p.m, 1))

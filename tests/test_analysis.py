@@ -19,7 +19,6 @@ from dnsgd.optimizers import run
 from dnsgd.problems import (
     f_base,
     grad_base,
-    grad_local,
     make_exp_pair,
     make_poly_even,
     make_quadratic,
@@ -32,10 +31,7 @@ RING4 = metropolis_mixing(build_topology("ring", 4))
 
 def _guard_mode_params(t_override=None):
     x0 = np.full(QUAD.d, 0.6)
-    g0 = sum(
-        float(np.dot(g, g))
-        for g in (grad_local(QUAD, i, x0) for i in range(QUAD.m))
-    )
+    g0 = sum(float(np.dot(g, g)) for g in grad_base(QUAD, x0) + QUAD.offsets)
     th = theoretical_hyperparams(
         epsilon=0.12, l0=QUAD.l0, l1=QUAD.l1, zeta=QUAD.zeta, sigma=0.0,
         m=QUAD.m, gamma=RING4.gamma, delta_f_estimate=f_base(QUAD, x0),
@@ -51,7 +47,7 @@ def test_phi_of_consensus_state_is_objective_value():
     xbar = np.array([0.3, -0.2, 0.0, 1.0, -0.5])
     x = np.tile(xbar, (QUAD.m, 1))
     v = np.tile(np.ones(QUAD.d), (QUAD.m, 1))
-    phi = state_metrics(x, v, QUAD, eta=0.05).phi
+    phi = state_metrics(x[None], v[None], QUAD, eta=0.05).phi[0]
     assert phi == pytest.approx(f_base(QUAD, xbar), abs=1e-12)
 
 
@@ -68,7 +64,7 @@ def test_phi_matches_hand_formula():
         * consensus_error(x)
         + (2.0 * eta / 2.0) * consensus_error(v)
     )
-    assert state_metrics(x, v, QUAD, eta).phi == pytest.approx(expected, rel=1e-14)
+    assert state_metrics(x[None], v[None], QUAD, eta).phi[0] == pytest.approx(expected, rel=1e-14)
 
 
 def test_phi_dominates_objective_infimum():
@@ -76,15 +72,18 @@ def test_phi_dominates_objective_infimum():
     for _ in range(20):
         x = rng.normal(size=(QUAD.m, QUAD.d))
         v = rng.normal(size=(QUAD.m, QUAD.d))
-        assert state_metrics(x, v, QUAD, 0.02).phi >= QUAD.f_star
+        assert state_metrics(x[None], v[None], QUAD, 0.02).phi[0] >= QUAD.f_star
 
 
 def test_phi_validation():
-    x = np.zeros((QUAD.m, QUAD.d))
+    x = np.zeros((1, QUAD.m, QUAD.d))
     with pytest.raises(ValueError, match="eta"):
         state_metrics(x, x, QUAD, 0.0)
     with pytest.raises(ValueError, match="shape"):
-        state_metrics(np.zeros((2, QUAD.d)), x, QUAD, 0.1)
+        state_metrics(np.zeros((1, 2, QUAD.d)), x, QUAD, 0.1)
+    # a single (m, d) state is not a stack
+    with pytest.raises(ValueError, match=rf"stacks of shape \(n, {QUAD.m}, {QUAD.d}\)"):
+        state_metrics(x[0], x[0], QUAD, 0.1)
 
 
 STACK_PROBLEMS = [
@@ -100,12 +99,11 @@ def test_stacked_state_metrics_equal_per_state_calls(p):
     x = rng.uniform(-1.5, 1.5, size=(7, p.m, p.d))
     v = rng.normal(size=(7, p.m, p.d))
     stacked = state_metrics(x, v, p, 0.03)
-    singles = [state_metrics(x[i], v[i], p, 0.03) for i in range(len(x))]
+    singles = [state_metrics(x[i : i + 1], v[i : i + 1], p, 0.03) for i in range(len(x))]
     for name in ("f_mean", "grad_norm_mean", "cons_x", "cons_v", "phi"):
         assert getattr(stacked, name).shape == (7,)
-        assert getattr(stacked, name).tolist() == [getattr(sm, name) for sm in singles], name
-        assert all(type(getattr(sm, name)) is float for sm in singles)
-    assert np.array_equal(stacked.agent_grad_norms, [sm.agent_grad_norms for sm in singles])
+        assert getattr(stacked, name).tolist() == [getattr(sm, name)[0] for sm in singles], name
+    assert np.array_equal(stacked.agent_grad_norms, [sm.agent_grad_norms[0] for sm in singles])
     with pytest.raises(ValueError, match="shape"):
         state_metrics(x, v[:6], p, 0.03)
     with pytest.raises(ValueError, match="shape"):
@@ -116,19 +114,19 @@ def test_state_metrics_fields_consistent():
     rng = np.random.default_rng(9)
     x = rng.normal(size=(QUAD.m, QUAD.d))
     v = rng.normal(size=(QUAD.m, QUAD.d))
-    sm = state_metrics(x, v, QUAD, 0.05)
+    sm = state_metrics(x[None], v[None], QUAD, 0.05)
     xbar = x.mean(axis=0)
-    assert sm.f_mean == pytest.approx(f_base(QUAD, xbar), rel=1e-14)
-    assert sm.grad_norm_mean == pytest.approx(
+    assert sm.f_mean[0] == pytest.approx(f_base(QUAD, xbar), rel=1e-14)
+    assert sm.grad_norm_mean[0] == pytest.approx(
         np.linalg.norm(grad_base(QUAD, xbar)), rel=1e-14
     )
-    assert sm.cons_x == pytest.approx(consensus_error(x), rel=1e-14)
-    assert sm.cons_v == pytest.approx(consensus_error(v), rel=1e-14)
-    assert state_metrics(x, v, QUAD, 0.05).phi == sm.phi
-    assert sm.agent_grad_norms.shape == (QUAD.m,)
+    assert sm.cons_x[0] == pytest.approx(consensus_error(x), rel=1e-14)
+    assert sm.cons_v[0] == pytest.approx(consensus_error(v), rel=1e-14)
+    assert state_metrics(x[None], v[None], QUAD, 0.05).phi == sm.phi
+    assert sm.agent_grad_norms.shape == (1, QUAD.m)
     # the metrics CSV digests depend on these norms matching the per-row norm exactly
     per_row = [np.linalg.norm(grad_base(QUAD, x[i])) for i in range(QUAD.m)]
-    assert np.array_equal(sm.agent_grad_norms, per_row)
+    assert np.array_equal(sm.agent_grad_norms[0], per_row)
 
 
 def test_deterministic_descent_on_guarded_run():
@@ -144,16 +142,16 @@ def test_deterministic_descent_on_guarded_run():
 def test_consensus_bound_on_guarded_run():
     hp, th, x0 = _guard_mode_params(t_override=200)
     traj = run("dnsgd", QUAD, hp, RING4, x0, seeds=[7])
-    report = verify_consensus_bound(traj, th.rho_actual, QUAD.m, hp.eta)
+    report = verify_consensus_bound(traj, th.guard.rho, QUAD.m, hp.eta)
     assert report.passed
     assert report.checked == 200
     assert report.bound == pytest.approx(
-        th.rho_actual * QUAD.m * hp.eta / (1.0 - th.rho_actual), rel=1e-15
+        th.guard.rho * QUAD.m * hp.eta / (1.0 - th.guard.rho), rel=1e-15
     )
     # a deeper gossip sweep must fit inside its own tighter radius
     deep_hp = dataclasses.replace(hp, k_inner=hp.k_inner + 15)
     deep_rho = contraction_rho(1.0 - RING4.gamma, deep_hp.k_inner)
-    assert deep_rho < th.rho_actual
+    assert deep_rho < th.guard.rho
     deep = run("dnsgd", QUAD, deep_hp, RING4, x0, seeds=[7])
     deep_report = verify_consensus_bound(deep, deep_rho, QUAD.m, hp.eta)
     assert deep_report.passed
@@ -171,7 +169,7 @@ def test_consensus_bound_rejects_expanding_rho():
 def test_stochastic_descent_seed_average():
     p = make_exp_pair(d=4, rate=1.0, m=4, zeta=0.2, sigma=0.5, seed=5)
     x0 = np.full(p.d, 1.2)
-    g0 = sum(float(np.dot(g, g)) for g in (grad_local(p, i, x0) for i in range(p.m)))
+    g0 = sum(float(np.dot(g, g)) for g in grad_base(p, x0) + p.offsets)
     th = theoretical_hyperparams(
         epsilon=0.3, l0=p.l0, l1=p.l1, zeta=p.zeta, sigma=p.sigma, m=p.m,
         gamma=RING4.gamma, delta_f_estimate=1.0, g0_norm_sq=g0, t_cap=300,
@@ -233,7 +231,7 @@ def test_stationarity_summary_degenerate_run():
 def test_consensus_bound_empty_tail():
     hp, th, x0 = _guard_mode_params(t_override=0)
     traj = run("dnsgd", QUAD, hp, RING4, x0, seeds=[3])
-    report = verify_consensus_bound(traj, th.rho_actual, QUAD.m, hp.eta)
+    report = verify_consensus_bound(traj, th.guard.rho, QUAD.m, hp.eta)
     assert report.passed
     assert report.checked == 0
 
@@ -246,7 +244,7 @@ def test_phi_recorded_rows_match_recomputation():
     assert [s.t for s in states] == list(range(hp.big_t + 1))
     for t, s in enumerate(states):
         assert traj.metrics.phi[0, t] == pytest.approx(
-            state_metrics(s.x, s.v, QUAD, hp.eta).phi, rel=1e-14
+            state_metrics(s.x[None], s.v[None], QUAD, hp.eta).phi[0], rel=1e-14
         )
         assert traj.metrics.cons_x[0, t] == pytest.approx(consensus_error(s.x), rel=1e-14)
     assert math.isfinite(traj.metrics.phi[0, -1])

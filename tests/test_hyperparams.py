@@ -1,10 +1,14 @@
 """Calculator and guard: frozen hand-derived values plus invariant sweeps."""
 
 import math
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dnsgd import hyperparams
@@ -78,9 +82,9 @@ def test_quadratic_guard_mode_frozen():
     assert th.hp.big_t == 5000
     assert th.hp.k_inner == 29
     assert th.guard.ok
-    assert th.rho_actual <= th.guard.min_threshold
+    assert th.guard.rho <= th.guard.min_threshold
     # the recorded guard is rho_guard at the chosen hyperparameters
-    assert th.guard == rho_guard(th.rho_actual, th.hp.eta, 1.0, 0.0, 0.5, 0.0, th.hp.b, 4)
+    assert th.guard == rho_guard(th.guard.rho, th.hp.eta, 1.0, 0.0, 0.5, 0.0, th.hp.b, 4)
 
 
 def test_k_inner_floor_keeps_rho_below_half():
@@ -90,7 +94,7 @@ def test_k_inner_floor_keeps_rho_below_half():
         epsilon=0.3, l0=1.0, l1=0.0, zeta=0.0, sigma=0.0, m=2, gamma=0.5,
         delta_f_estimate=1.0, g0_norm_sq=1.0,
     )
-    assert th.rho_actual <= 0.5
+    assert th.guard.rho <= 0.5
     assert th.guard.ok
     assert contraction_rho(0.5, 2) > 1.0
 
@@ -154,8 +158,8 @@ def test_calculator_invariants_random_sweep():
             assert hp.b >= b1 - 1.0
         assert hp.big_t >= 1
         assert hp.k_inner >= 1 and hp.k_init >= 1
-        assert th.rho_actual == contraction_rho(1.0 - gamma, hp.k_inner)
-        assert th.rho_actual <= 0.5
+        assert th.guard.rho == contraction_rho(1.0 - gamma, hp.k_inner)
+        assert th.guard.rho <= 0.5
         assert th.guard.ok  # the depth is at least the guard's
         m0, m1 = lyapunov_constants(l0, l1, zeta)
         assert th.m0 == m0 and th.m1 == m1
@@ -204,6 +208,81 @@ def test_rho_guard_zero_rho_reduces_to_noise_floor():
     noisy = rho_guard(0.0, 0.1, 1.0, 0.0, 0.0, 10.0, 1, 1)
     assert not noisy.ok
     assert not noisy.conditions["noise_floor"]
+    assert noisy.thresholds["noise_floor"] < 0.0  # the budget left for rho is negative
+
+
+def reference_rho_guard_conditions(rho, eta, l0, l1, zeta, sigma, b, m):
+    """rho_guard's six conditions as the inequalities they were before thresholds set them."""
+    l_f = l0 + l1 * zeta
+    m0, m1 = lyapunov_constants(l0, l1, zeta)
+    m2 = (rho + 1.0) * l_f + rho * l_f * l1 * eta
+    m3 = rho * l1 * (l1 * eta + 1.0) + l1
+    sq2, sqm = math.sqrt(2.0), math.sqrt(m)
+    x_denom = 3.0 * (m0 + m1 * l_f * eta) + 2.0 * m2
+    grad_denom = 3.0 * m1 * (1.0 + l1 * eta) + 2.0 * m3
+    noise = 2.0 * sigma / math.sqrt(m * b)
+    return {
+        "x_weight": 2.0 * sq2 * m0 + rho * x_denom <= 3.0 * m0,
+        "grad_weight": 2.0 * sq2 * m1 + rho * grad_denom <= 3.0 * m1,
+        "v_weight": rho <= 0.5,
+        "grad_coeff": rho * sqm * eta * grad_denom <= 0.125,
+        "noise_floor": noise + rho * sqm * eta * x_denom <= eta * l_f / 4.0,
+        "tracker_recursion": rho <= 1.0 / (1.0 + m * eta * l1),
+    }
+
+
+@st.composite
+def guard_arguments(draw):
+    """rho_guard's arguments; rho is 0, any float in [0, 1] or the rho of a gossip depth."""
+    lambda2 = draw(st.floats(min_value=0.0, max_value=0.9999))
+    rho = draw(st.one_of(
+        st.just(0.0),
+        st.floats(min_value=0.0, max_value=1.0),
+        st.integers(min_value=1, max_value=2000).map(lambda k: contraction_rho(lambda2, k)),
+    ))
+    return (
+        rho,
+        draw(st.floats(min_value=1e-4, max_value=1.0)),  # eta
+        draw(st.floats(min_value=1e-3, max_value=10.0)),  # l0, clear of underflow in eta * l_f / 4
+        draw(st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=5.0))),  # l1, as l0
+        draw(st.floats(min_value=0.0, max_value=3.0)),  # zeta
+        draw(st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=3.0))),  # sigma
+        draw(st.integers(min_value=1, max_value=10**5)),  # b
+        draw(st.integers(min_value=1, max_value=1024)),  # m
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(guard_arguments())
+# rho = 0 with the noise over its budget: the noise_floor threshold is negative
+@example((0.0, 0.1, 1.0, 0.0, 0.0, 10.0, 1, 1))
+def test_rho_guard_conditions_are_their_thresholds(args):
+    rho = args[0]
+    guard = rho_guard(*args)
+    assert guard.conditions == reference_rho_guard_conditions(*args)
+    assert guard.conditions == {name: rho <= limit for name, limit in guard.thresholds.items()}
+    assert guard.ok == all(guard.conditions.values())
+
+
+def test_failing_property_test_reports_its_example(tmp_path):
+    # a failing @given test imports libcst to explain its example; under the
+    # project's warning filters that import must not turn into an INTERNALERROR
+    (tmp_path / "test_fails.py").write_text(textwrap.dedent("""
+        from hypothesis import given, strategies as st
+
+        @given(st.integers())
+        def test_small(n):
+            assert n < 10
+    """))
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(pyproject), "--rootdir", str(tmp_path),
+         "-p", "no:cacheprovider", str(tmp_path / "test_fails.py")],
+        capture_output=True, text=True, cwd=str(tmp_path), timeout=120,
+    )
+    assert proc.returncode == 1, proc.stdout[-2000:]
+    assert "Falsifying example" in proc.stdout
+    assert "INTERNALERROR" not in proc.stdout
 
 
 @settings(max_examples=60, deadline=None)

@@ -16,7 +16,6 @@ from dnsgd.problems import (
     dissimilarity_measured,
     f_base,
     grad_base,
-    grad_local,
     lf_effective,
     make_exp_pair,
     make_poly_even,
@@ -99,7 +98,7 @@ def test_gradients_match_central_differences():
         for _ in range(100):
             x = rng.uniform(-2.0, 2.0, size=p.d)
             i = int(rng.integers(0, p.m))
-            g = grad_local(p, i, x)
+            g = grad_base(p, x) + p.offsets[i]
             fd = _fd_grad(lambda y: f_local(p, i, y), x)
             assert np.linalg.norm(g - fd) <= 1e-6 * max(1.0, np.linalg.norm(g))
         x = rng.uniform(-2.0, 2.0, size=p.d)
@@ -134,7 +133,7 @@ def _oracle(seed):
 def test_sample_grad_mean_and_variance():
     p = make_quadratic(d=3, curvature=1.0, m=2, zeta=0.4, sigma=0.5, seed=7)
     x = np.array([0.3, -1.1, 0.7])
-    exact = grad_local(p, 0, x)
+    exact = grad_base(p, x) + p.offsets[0]
     b, n = 4, 20_000
     rng = _oracle(555)  # read in order, one block per call, as a run reads it
     x_rows = np.tile(x, (p.m, 1))
@@ -152,7 +151,7 @@ def test_sample_grad_noiseless_is_exact_and_deterministic():
     p = make_quadratic(d=3, curvature=1.0, m=2, zeta=0.4, sigma=0.0, seed=7)
     x = np.array([0.3, -1.1, 0.7])
     out = sample_grad(p, np.tile(x, (p.m, 1)), 10, _oracle(1))
-    assert np.array_equal(out[0], grad_local(p, 0, x))
+    assert np.array_equal(out[0], grad_base(p, x) + p.offsets[0])
 
 
 def test_sample_grad_same_stream_key_replays():
@@ -181,7 +180,7 @@ def test_sample_grad_matrix_oracle(p):
     # sigma = 0 draws nothing: the stream still starts where a fresh one does
     assert np.array_equal(rng.standard_normal(4), _oracle(3).standard_normal(4))
     for i in range(p.m):
-        assert np.array_equal(noiseless[i], grad_local(p, i, x_rows[i]))
+        assert np.array_equal(noiseless[i], grad_base(p, x_rows[i]) + p.offsets[i])
 
     noisy = p._replace(sigma=0.5)
     rng = _oracle(3)
@@ -192,7 +191,7 @@ def test_sample_grad_matrix_oracle(p):
     for out in (a, later):
         noise = reference.standard_normal((p.m, p.d))
         for i in range(p.m):
-            expect = grad_local(p, i, x_rows[i]) + noise[i] * (0.5 / math.sqrt(4 * p.d))
+            expect = grad_base(p, x_rows[i]) + p.offsets[i] + noise[i] * (0.5 / math.sqrt(4 * p.d))
             assert np.array_equal(out[i], expect)
     assert not np.any(a == later)
 
@@ -276,11 +275,11 @@ def test_quadratic_local_minimum_matches_descent_oracle():
         x_star, f_min = quadratic_local_minimum(p, i)
         x = np.zeros(p.d)
         for _ in range(200):
-            x = x - 0.4 * grad_local(p, i, x)
+            x = x - 0.4 * (grad_base(p, x) + p.offsets[i])
         assert np.allclose(x, x_star, atol=1e-8)
         assert f_local(p, i, x_star) == pytest.approx(f_min, abs=1e-12)
         # first-order optimality
-        assert np.linalg.norm(grad_local(p, i, x_star)) <= 1e-12
+        assert np.linalg.norm(grad_base(p, x_star) + p.offsets[i]) <= 1e-12
 
 
 # --- smoothness certification ----------------------------------------------------
@@ -294,7 +293,7 @@ def test_built_instances_pass_their_own_certificate():
         assert report.passed, f"{p.family}: ratio {report.worst_ratio}"
         # the certificate also covers each offset objective
         report_local = check_relaxed_smooth(
-            lambda x: grad_local(p, 0, x), p.d, p.l0, p.l1,
+            lambda x: grad_base(p, x) + p.offsets[0], p.d, p.l0, p.l1,
             region=p.box_radius, trials=400, seed=6,
         )
         assert report_local.passed, f"{p.family} local: ratio {report_local.worst_ratio}"
@@ -682,8 +681,6 @@ def test_factory_validation():
         make_poly_even(d=2, power=4, scale=1.0, m=1, zeta=0.0, sigma=0.0, seed=0, box_radius=0.0)
     with pytest.raises(ValueError, match="positive integer"):
         make_quadratic(d=0, curvature=1.0, m=1, zeta=0.0, sigma=0.0, seed=0)
-    with pytest.raises(ValueError, match="agent"):
-        grad_local(make_quadratic(d=2, curvature=1.0, m=2, zeta=0.0, sigma=0.0, seed=0), 2, np.zeros(2))
 
 
 # --- hypothesis properties ------------------------------------------------------
@@ -695,7 +692,7 @@ def test_global_is_mean_of_locals(coords):
     for p in INSTANCES:
         f_mean = np.mean([f_local(p, i, x) for i in range(p.m)])
         assert f_base(p, x) == pytest.approx(float(f_mean), rel=1e-9, abs=1e-9)
-        g_mean = np.mean([grad_local(p, i, x) for i in range(p.m)], axis=0)
+        g_mean = np.mean(grad_base(p, x) + p.offsets, axis=0)
         assert np.allclose(grad_base(p, x), g_mean, atol=1e-9)
 
 

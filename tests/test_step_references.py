@@ -2,8 +2,8 @@
 
 The step of update_rule calls gossip, oracle and normalization kernels that
 do not check their input. The references below are the public functions
-that check (acc_gossip, plain_gossip, sample_grad, normalize_rows through
-np.linalg.norm), with a fresh derive_stream(StreamKey(seed, "oracle")) read
+that check (acc_gossip, plain_gossip, sample_grad) and row normalization
+through np.linalg.norm, with a fresh derive_stream(StreamKey(seed, "oracle")) read
 one (m, d) block per iteration. States and normalized rows must equal theirs
 bit for bit. That run hands the step the same noise blocks is tested here
 too; that its chunked draws across several metrics blocks give the same
@@ -18,7 +18,7 @@ from conftest import stepped_states
 from dnsgd import optimizers
 from dnsgd.gossip import acc_gossip, plain_gossip
 from dnsgd.hyperparams import HyperParams
-from dnsgd.optimizers import EPS_NORM, METHODS, dnasa_schedule, normalize_rows, run
+from dnsgd.optimizers import EPS_NORM, METHODS, _unit_rows, dnasa_schedule, run
 from dnsgd.problems import make_exp_pair, make_poly_even, sample_grad
 from dnsgd.streams import StreamKey, derive_stream
 from dnsgd.topology import build_topology, metropolis_mixing
@@ -32,7 +32,7 @@ HP = HyperParams(eta=0.05, b=3, big_t=40, k_inner=4, k_init=2, epsilon=0.1)
 
 
 def reference_normalize_rows(v):
-    """normalize_rows as it was: np.linalg.norm and a boolean row mask."""
+    """Row normalization as it was: np.linalg.norm and a boolean row mask."""
     v = np.asarray(v, dtype=np.float64)
     norms = np.linalg.norm(v, axis=1, keepdims=True)
     out = np.zeros_like(v)
@@ -130,11 +130,11 @@ def test_normalize_rows_matches_reference(d):
         np.full(d, EPS_NORM / np.sqrt(d)),  # norm EPS_NORM up to rounding
         np.full(d, 1e-300),
     ])
-    assert normalize_rows(rows).tobytes() == reference_normalize_rows(rows).tobytes()
+    assert _unit_rows(rows).tobytes() == reference_normalize_rows(rows).tobytes()
 
 
 def test_normalize_rows_matches_reference_on_overflowing_norms():
     # finite rows whose squared norm overflows normalize to (signed) zeros in both
     rows = np.array([[1e200, -1e200, 3.0], [-1e300, 0.0, 0.0], [1.0, 2.0, 2.0]])
     with np.errstate(over="ignore"):
-        assert normalize_rows(rows).tobytes() == reference_normalize_rows(rows).tobytes()
+        assert _unit_rows(rows).tobytes() == reference_normalize_rows(rows).tobytes()
