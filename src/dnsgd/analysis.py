@@ -73,9 +73,8 @@ def state_metrics(x: np.ndarray, v: np.ndarray, p: ProblemInstance, eta: float) 
     """Metrics of a stack of states (n, m, d), one entry per state along the first axis.
 
     Each metric is computed once for the whole stack; one state is a stack of
-    one. Norms are sqrt(vecdot) over flattened rows, which matches
-    np.linalg.norm bit for bit, so a stacked call equals the per-state calls
-    exactly.
+    one. Norms are problems._row_norms over (flattened) rows, numpy's
+    pairwise sum, so a stacked call equals the per-state calls exactly.
     """
     if eta <= 0:
         raise ValueError("eta must be positive")

@@ -11,8 +11,8 @@ charge. The result is the fixed polynomial p_K(W) applied to Y. W is
 symmetric, W = Q diag(lam) Q^T, so the implementation evaluates it
 spectrally as Q (p_K(lam) * (Q^T Y)): the same recursion runs on the
 eigenvalue vector to give the gains p_K(lam), once each time the map is
-bound, and each call costs two products with Q instead of K + 1 with W. The
-eigendecomposition is computed once per mixing matrix. The contraction bound
+bound, and each call costs two products with Q instead of K + 1 with W. One
+eigh serves every depth bound together (_acc_mixers). The contraction bound
 below is stated for exponent K and the returned matrix can only be tighter.
 Column means are preserved in exact arithmetic because W is doubly
 stochastic.
@@ -20,7 +20,7 @@ stochastic.
 plain_gossip is the unaccelerated W^k map used by the baseline optimizers.
 
 Each public map checks its arguments and then runs what a run uses without
-checks: _acc_mixer, or products with W. The optimizers bind the accelerated
+checks: _acc_mixers, or products with W. The optimizers bind the accelerated
 kernel, or W itself, once per run and apply it to (S, m, d) stacks of states;
 a run tests its state for finiteness once per iteration, not each mix.
 """
@@ -32,7 +32,8 @@ from typing import Callable
 
 import numpy as np
 
-from .topology import MixingMatrix
+from .problems import _row_norms
+from .topology import _SYMMETRY_TOL, MixingMatrix
 
 # Contraction bound constants: error after k accelerated rounds is at most
 # sqrt(14) * (1 - (1 - 1/sqrt(2)) * sqrt(1 - lambda2))^k times the initial
@@ -67,33 +68,45 @@ def chebyshev_weight(lambda2: float) -> float:
     return (1.0 - s) / (1.0 + s)
 
 
-def _acc_mixer(mix: MixingMatrix, k: int) -> Callable[[np.ndarray], np.ndarray]:
-    """The kernel of acc_gossip(., mix, k), with Q and the gains of k bound.
+def _acc_mixers(mix: MixingMatrix, *ks: int) -> list[Callable[[np.ndarray], np.ndarray]]:
+    """The kernels of acc_gossip(., mix, k) for each k, from one eigh of mix.w.
 
-    It maps an (m, n) matrix, or an (S, m, n) stack of them, and does not
+    Each maps an (m, n) matrix, or an (S, m, n) stack of them, and does not
     check its input. A stack's matmuls make one gemm per (m, n) slice, the same
     call as for that slice alone, so a stacked slice equals its own mix bit for bit.
+    eigh reads one triangle only, so a non-symmetric w is rejected rather
+    than diagonalised wrongly.
     """
-    lam, q = mix.spectrum
+    asym = float(np.abs(mix.w - mix.w.T).max())
+    if asym > _SYMMETRY_TOL:
+        raise ValueError(
+            f"spectral gossip needs a symmetric mixing matrix, got max |w_ij - w_ji| = {asym:.3g}"
+        )
+    lam, q = np.linalg.eigh(mix.w)
     eta_w = chebyshev_weight(mix.lambda2)
-    # the gains p_k(lam): the recursion of acc_gossip run on the eigenvalues
-    prev = gains = np.ones_like(lam)
-    for _ in range(k + 1):
-        prev, gains = gains, (1.0 + eta_w) * (lam * gains) - eta_w * prev
-    qt, gains = q.T, gains[:, None]
+    qt = q.T
 
-    def apply(y0: np.ndarray) -> np.ndarray:
-        z = qt @ y0
-        z *= gains
-        return q @ z
+    def bind(k: int) -> Callable[[np.ndarray], np.ndarray]:
+        # the gains p_k(lam): the recursion of acc_gossip run on the eigenvalues
+        prev = gains = np.ones_like(lam)
+        for _ in range(k + 1):
+            prev, gains = gains, (1.0 + eta_w) * (lam * gains) - eta_w * prev
+        gains = gains[:, None]
 
-    return apply
+        def apply(y0: np.ndarray) -> np.ndarray:
+            z = qt @ y0
+            z *= gains
+            return q @ z
+
+        return apply
+
+    return [bind(k) for k in ks]
 
 
 def acc_gossip(y0: np.ndarray, mix: MixingMatrix, k: int) -> np.ndarray:
     """Accelerated gossip: the map of k + 1 Chebyshev rounds, applied spectrally."""
     _check_rounds(k)
-    return _acc_mixer(mix, k)(_check_agent_matrix(y0, mix))
+    return _acc_mixers(mix, k)[0](_check_agent_matrix(y0, mix))
 
 
 def plain_gossip(y0: np.ndarray, mix: MixingMatrix, k: int) -> np.ndarray:
@@ -131,10 +144,10 @@ def consensus_error(y: np.ndarray) -> float | np.ndarray:
     """Frobenius distance of an agent matrix (m, d) from its row average.
 
     A stack (n, m, d) gives the (n,) distances of its matrices. The norm is
-    sqrt(vecdot) of the flattened deviation, which equals np.linalg.norm bit
-    for bit.
+    _row_norms of the flattened deviation, numpy's pairwise sum, so a
+    stacked matrix's distance equals its own bit for bit.
     """
     y = np.asarray(y, dtype=np.float64)
     dev = (y - y.mean(axis=-2, keepdims=True)).reshape(*y.shape[:-2], -1)
-    err = np.sqrt(np.vecdot(dev, dev))
+    err = _row_norms(dev)
     return float(err) if y.ndim == 2 else err

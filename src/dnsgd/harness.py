@@ -40,7 +40,7 @@ from .hyperparams import (
     theoretical_hyperparams,
 )
 from .optimizers import METHODS, run
-from .problems import ProblemInstance, f_base, grad_base, lf_effective
+from .problems import ProblemInstance, _sum_squares, f_base, grad_base, lf_effective
 from .streams import fanout_seed
 from .topology import MixingMatrix
 
@@ -93,13 +93,6 @@ class RunResult(NamedTuple):
         return all(c.passed for c in self.checks)
 
 
-def _initial_gradient_energy(p: ProblemInstance, x0: np.ndarray) -> float:
-    """sum_i ||grad f_i(x0)||^2: each norm squared by scalar pow, added left to right."""
-    g = grad_base(p, x0) + p.offsets
-    # array ** 2 multiplies x * x, which rounds differently from pow about once in a thousand
-    return float(sum(norm**2 for norm in np.sqrt(np.vecdot(g, g)).tolist()))
-
-
 def resolve_hyperparams(
     cfg: RunConfig, p: ProblemInstance, mixing: MixingMatrix, x0: np.ndarray
 ) -> tuple[HyperParams, TheoreticalParams | None]:
@@ -111,7 +104,7 @@ def resolve_hyperparams(
     # rejects; that error is the one report, without numpy warnings before it
     with np.errstate(over="ignore", invalid="ignore"):
         delta_f = f_base(p, x0) - p.f_star
-        g0_norm_sq = _initial_gradient_energy(p, x0)
+        g0_norm_sq = float(_sum_squares(grad_base(p, x0) + p.offsets).sum())
     if delta_f <= 0.0:
         raise ConfigError("x0", f"f(x0) - f_star = {delta_f:.6g} leaves the calculator no "
                           "objective gap (x0 is a minimizer); give hyperparams instead of auto")

@@ -60,7 +60,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .analysis import StateMetrics, Trajectory, state_metrics
-from .gossip import _acc_mixer
+from .gossip import _acc_mixers
 from .hyperparams import HyperParams
 from .problems import ExpRangeError, ProblemInstance, _noise_scale, _oracle, _row_norms
 from .streams import StreamKey, derive_stream
@@ -118,9 +118,7 @@ class OptimizerState(NamedTuple):
 
 
 def _unit_rows(v: np.ndarray) -> np.ndarray:
-    # add.reduce of the squares is np.linalg.norm's own sum, so the norms
-    # equal np.linalg.norm(v, axis=-1) bit for bit
-    norms = np.sqrt(np.add.reduce(v * v, axis=-1, keepdims=True))
+    norms = _row_norms(v)[..., None]
     return np.divide(v, norms, out=np.zeros(v.shape), where=norms > EPS_NORM)
 
 
@@ -197,7 +195,7 @@ def update_rule(
     """
     oracle = _oracle(p)
     if method.accelerated:
-        mix, start_mix = _acc_mixer(w, hp.k_inner), _acc_mixer(w, hp.k_init)
+        mix, start_mix = _acc_mixers(w, hp.k_inner, hp.k_init)
     else:
         mix, start_mix = functools.partial(np.matmul, w.w), np.copy
     eta, schedule = hp.eta, None
@@ -237,7 +235,9 @@ def update_rule(
     def init(x: np.ndarray, noise: np.ndarray | None) -> OptimizerState:
         before = OptimizerState(x=x, v=None, g_prev=None, t=-1)  # start reads only x
         s = start(before, noise, _unchecked)
-        # G flows into V, so one test of V covers both
+        # G flows into V, so one test of V covers both. np.vdot (BLAS ddot)
+        # only steers control flow, here and in step: a non-finite result
+        # re-runs the checked path, which raises or finds the same arrays finite.
         if not math.isfinite(np.vdot(s.v, s.v)):
             _raise_first_failure(start, before, noise)
         return s

@@ -106,7 +106,7 @@ def f_base(p: ProblemInstance, x: np.ndarray) -> float | np.ndarray:
         f = (a / power) * np.sum(x**power, axis=-1)
     else:
         c = p.family_params["curvature"]
-        f = 0.5 * c * np.vecdot(x, x)
+        f = 0.5 * c * _sum_squares(x)
     return float(f) if x.ndim == 1 else f
 
 
@@ -235,8 +235,17 @@ def _smoothness_probe_pairs(dim: int, l1: float, region: float) -> tuple[np.ndar
     return x, y
 
 
+def _sum_squares(a: np.ndarray) -> np.ndarray:
+    """Sums of squares along the last axis by numpy's pairwise add.reduce.
+
+    Every recorded norm takes this one rule, whose order, unlike a BLAS dot
+    product's, does not depend on the BLAS kernel.
+    """
+    return np.add.reduce(a * a, axis=-1)
+
+
 def _row_norms(a: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.vecdot(a, a))
+    return np.sqrt(_sum_squares(a))
 
 
 def _sample_pairs(dim: int, l1: float, region: float, trials: int, seed: int, extra_pairs=()):
@@ -366,7 +375,7 @@ def _make_offsets(d: int, m: int, zeta: float, seed: int) -> np.ndarray:
     gen = derive_stream(StreamKey(seed, "offsets"))
     raw = gen.standard_normal((m, d))
     raw -= raw.mean(axis=0, keepdims=True)
-    norms = np.linalg.norm(raw, axis=1)
+    norms = _row_norms(raw)
     top = norms.max()
     if top == 0.0:
         return np.zeros((m, d))
@@ -444,7 +453,7 @@ def _make_family(
     l0 = l0_start
     if family != "quadratic":
         l0 = _certified_l0(family, tuple(params.items()), d, l1, l0_start, box_radius, seed)
-    max_off = float(np.linalg.norm(offsets, axis=1).max(initial=0.0))
+    max_off = float(_row_norms(offsets).max(initial=0.0))
     inst = ProblemInstance(
         family=family, d=d, m=m, l0=l0 + l1 * max_off, l1=l1, zeta=float(zeta),
         sigma=float(sigma), offsets=offsets, family_params=params, f_star=f_star,

@@ -12,7 +12,6 @@ one eigvalsh of its symmetric part, which lambda2 and validation share.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -136,35 +135,18 @@ class MixingMatrix:
     def m(self) -> int:
         return self.w.shape[0]
 
-    @cached_property
-    def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
-        """Eigenvalues and orthonormal eigenvectors of w, from one eigh.
-
-        eigh reads one triangle only, so a non-symmetric w is rejected
-        rather than diagonalised wrongly.
-        """
-        asym = float(np.abs(self.w - self.w.T).max())
-        if asym > _SYMMETRY_TOL:
-            raise ValueError(
-                f"spectral gossip needs a symmetric mixing matrix, "
-                f"got max |w_ij - w_ji| = {asym:.3g}"
-            )
-        return np.linalg.eigh(self.w)
-
     @classmethod
     def from_matrix(cls, w: np.ndarray, graph: Graph | None = None) -> "MixingMatrix":
         """Wrap a matrix with the eigenvalues of its symmetric part and lambda2.
 
         The matrix is taken as-is; use validate_mixing to test whether it
-        actually satisfies the mixing assumptions. The eigh spectrum that
-        accelerated gossip reads is computed on first use, and raises
-        ValueError on a non-symmetric matrix.
+        actually satisfies the mixing assumptions.
         """
         w = np.asarray(w, dtype=np.float64)
         if w.ndim != 2 or w.shape[0] != w.shape[1]:
             raise ValueError(f"mixing matrix must be square, got shape {w.shape}")
-        # Kept apart from spectrum: eigh's eigenvalues differ from eigvalsh's
-        # in the last bits, and lambda2 feeds the calculator.
+        # Kept apart from gossip's eigh: eigh's eigenvalues differ from
+        # eigvalsh's in the last bits, and lambda2 feeds the calculator.
         eigs = np.linalg.eigvalsh((w + w.T) / 2.0)
         lam2 = 0.0 if w.shape[0] == 1 else float(np.sort(eigs)[-2])
         return cls(w=w, lambda2=lam2, gamma=1.0 - lam2, eigenvalues=eigs, graph=graph)
@@ -234,9 +216,8 @@ def validate_mixing(mix: MixingMatrix) -> ValidationReport:
         worst = max(1.0 if missing else 0.0, float(stray.max()) if stray.size else 0.0)
         clauses["sparsity_pattern"] = ClauseResult(not missing and stray.size == 0, worst)
 
-    ones = np.ones(m)
-    row_err = float(np.abs(w @ ones - ones).max())
-    col_err = float(np.abs(ones @ w - ones).max())
+    row_err = float(np.abs(w.sum(axis=1) - 1.0).max())
+    col_err = float(np.abs(w.sum(axis=0) - 1.0).max())
     stoch = max(row_err, col_err)
     clauses["doubly_stochastic"] = ClauseResult(stoch <= 1e-12, stoch)
 

@@ -259,9 +259,11 @@ VALIDATE_TOPOLOGY_PINS = {
         "gamma = 1\n"
         "overall: PASS\n"
     )),
+    # rebaselined from 2.22e-16 when validate_mixing's row and column sums
+    # became w.sum (numpy's summing order) instead of w @ ones (BLAS dgemv)
     "er16": (["--kind", "erdos_renyi", "--m", "16", "--p", "0.6", "--seed", "3"], 0, (
         "topology: erdos_renyi m=16 edges=78\n" + _CLEAN_CLAUSES +
-        "clause doubly_stochastic: PASS (violation 2.22e-16)\n"
+        "clause doubly_stochastic: PASS (violation 4.44e-16)\n"
         "clause eigenvalue_range: PASS (violation 0)\n"
         "clause nullspace_dimension: PASS (violation 0)\n"
         "lambda2 = 0.7288741401\n"

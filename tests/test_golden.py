@@ -4,13 +4,21 @@ Criterion 10 compares runs with each other; these digests compare them with
 recorded bytes, so a change to the oracle streams, the update rules, the
 calculator, the checks or the output writers shows up here. A change that
 alters the bytes on purpose updates the digests and says why in CHANGES.md.
+The cross-kernel test at the end compares the same outputs with a child's,
+written under another BLAS kernel.
 """
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import dnsgd
 from dnsgd.cli import main as cli_main
 from dnsgd.config import build_problem, parse_problem
 from dnsgd.optimizers import ALGORITHMS
@@ -47,31 +55,39 @@ FAMILY_PARAMS = {
 # iteration 0's block is the first draw under the same key; every later noisy
 # block moved. The sigma = 0 pins, the sweep pins, the echoes and the params
 # reports held.
+# They, and the files of OUTPUT_DIGESTS that record norms, were rebaselined
+# once more when every norm and sum of squares became numpy's pairwise
+# add.reduce (problems._sum_squares) instead of BLAS ddot, whose summing order
+# the BLAS kernel picks. No iterate moved: the norm columns, phi and the
+# quadratic's f_mean moved in their last bits, and with them the criterion-10
+# dnsgd run's consensus_bound figure and the deterministic run's delta_phi and
+# average gradient norm in summary.txt. The echoes, the params reports, the
+# stochastic run's checks.csv and summary.txt and the sweep pins held.
 RUN_DIGESTS = {
-    ("exp_pair", "dnsgd"): "39ff0bef8bd9476b01f312a58d3d3484ee06ff5bb3aa8bdd9e5d57c314a69ebe",
-    ("exp_pair", "dsgd"): "8793084419bbbc6ba44cc82c854eecde2eb4390c138e5a9ec7231fb7d8b654d6",
-    ("exp_pair", "dsgt"): "71e055888a68027ae598ce76f762eee5c1e25404c601509a3bbf51d3061835d7",
-    ("exp_pair", "dnasa"): "67e7b80be252da6b37946cb0f69e7ec13b7e466e14b8d94d27a199167465bb59",
-    ("poly_even", "dnsgd"): "4b369b3917d5940813bbbf28d1841dac68939b1faa5d0db7d3b9ca2e48532f3e",
-    ("poly_even", "dsgd"): "f5600ce7af771ebea8c814eb9a46db6783b363f0e8687a1f73a08dc137cf054a",
-    ("poly_even", "dsgt"): "43a248f5a37cbc7c4c01de0c62b4abf8ccf9e657f97e28cd0cc018f4032be246",
-    ("poly_even", "dnasa"): "2fb833fdfb2258efe03049482f72aa87a579eb9d66004c17b528ceb8871dfb96",
-    ("quadratic", "dnsgd"): "08a42f782a824281f3273ac092a89d0c2cfcf789fe12c17be185b7d12825f80e",
-    ("quadratic", "dsgd"): "dcbece7952b3a3dba4c7b8c4da9e919a851c5ef9e57f39627c536f9665283e2f",
-    ("quadratic", "dsgt"): "0220343b8cebefbb6d5cd367256d7f197e60389f468e3668a003379b51847f21",
-    ("quadratic", "dnasa"): "63919c9a32a13c7d286552c61302e78c9fee33faef16b3961dac9273d738337a",
+    ("exp_pair", "dnsgd"): "f1cce410a508dc2b8e2edc20f22e3bd2d6af351076dd55bbc345b729e0540504",
+    ("exp_pair", "dsgd"): "9fe37dfbab588ceaa71141309ec4ce4a5fbe46bd8c3301ee148b693d0f126ac6",
+    ("exp_pair", "dsgt"): "70eacd1f5f6e9462169dcad555b63c1cd5f6df342f9b55bc88a23b3506b5d610",
+    ("exp_pair", "dnasa"): "50383fa58049cecc2c2864ef5e2023a1d923682ce1d5459a42077122b6c7230e",
+    ("poly_even", "dnsgd"): "ecf0d2334312961b71e5a0703d0aa95f48586366ea5e00f9d5a9238f928aa4cf",
+    ("poly_even", "dsgd"): "3c23590ababb1a8361f6c8fa0d7ed86855bb7e602f1f31d515a98ecb6ffed571",
+    ("poly_even", "dsgt"): "295ce301da263e677309d1234d44952f6b42d20b574d1fc3a5d7b318eced1211",
+    ("poly_even", "dnasa"): "e4290d8829477bfe35c439e58548c81805f53178d504b7eab76ebe7bf6445931",
+    ("quadratic", "dnsgd"): "9a8a61531a673236d51af9c113ccf17c170cbf2e635e71c1598c8051eb44109e",
+    ("quadratic", "dsgd"): "cd794b385dc5dc7989ce4174e972d69b3985fe4b955fd27485a4acdc066775a3",
+    ("quadratic", "dsgt"): "e79190327914e2823bda3946a01197d0c276b232a668020c173f24723189f51d",
+    ("quadratic", "dnasa"): "f17f50b9d70f4476b197c1b3aabca1ae97a808c27bddbbea21a689865796bb74",
 }
 
 # Every file of the criterion-10 dnsgd run: the one pinned echo whose config
 # carries an explicit hyperparams block.
 RUN_OUTPUT_DIGESTS = {
-    "checks.csv": "420f4a0eea3688618e2b546a75d72e62bb8ef444a7c364454668ea4932b28a9a",
+    "checks.csv": "4e73c3231beceb2f362967b355d5f36a0e5640c2bf5d67c8478c469837e09e00",
     "config_echo.json": "63f5c5257599e5f1d338e61e2985842f664fd3969ddd51cc05744d19cccbce28",
-    "metrics_seed000.csv": "d200d9f254750269b55f7f008b5a5ded4fcc499d7648eaaf9ad5c400521bc029",
-    "metrics_seed001.csv": "b0a674415fc79193587f14b49ae4772624f80e12838d235d181fcf31564d0b5e",
-    "metrics_seed002.csv": "e3f1097e6fc12544bfae617d4494e10c0e2111c9be89c53e3ec81900833b5e82",
-    "metrics_seed003.csv": "306af8117722e00b35541ad30c94b50befaa1c1ead27185dfdbdb8da2220004b",
-    "summary.txt": "0a2a4aa3b94d2facca32b8e8c4ba0ca423eb52b18890dc1b42dcc5d43103539c",
+    "metrics_seed000.csv": "fa044f586875efc3754a3d248d8be538cc927a54fb675d0795ddaf151cbe0cae",
+    "metrics_seed001.csv": "3c5c519b0e3ed87b672e995c822143600ac7657f3c4479b9c3f29e5fc8779ee0",
+    "metrics_seed002.csv": "49f1f34033963c21029af9b5e7415048b0dc8bab4dffab687bd60c7b4984b815",
+    "metrics_seed003.csv": "39fbe5bcaf0f49f33c458657e99cc20c258b5b6afdb06cb46fe6aed6e60a3674",
+    "summary.txt": "64e2a52ce3475ec0d0a8ef74af57f4c9fbe92a90710f765f33cff7956e4a5e8b",
 }
 
 # A small calculator-driven sweep: per-m hyperparameters, delta_f estimated.
@@ -154,25 +170,25 @@ OUTPUT_DIGESTS = {
     "stochastic": {
         "checks.csv": "cfb7c8ba11a067a638f14a700ffff0b097e60c8e75a6cd7c48c42545c3b17670",
         "config_echo.json": "70d2d71d40aa132977911bd0d372392533c0714a9677bc3d8c0351f3f2543216",
-        "metrics_seed000.csv": "393caac319ed1786f5f854bb1b5d75cb6b2f1526b706dc7b8c559b8fc698211c",
-        "metrics_seed001.csv": "ba05b30d55d2e5b7bce61e2396be745ac247c95d4e2e4b0be6785e7ce0de0a0d",
-        "metrics_seed002.csv": "220c90448fa2e996e1255883498fbbc1d20813a91ba5bb432d9f309b5834c0ce",
-        "metrics_seed003.csv": "d0c26847e40240edc25ffaf3ee22cc0eb5ec2a57e1627f114000edbd4d863d65",
-        "metrics_seed004.csv": "4f850ed762c25cca98bf3635bed6261a9b6f3d22ffd381823686ba35669543d2",
-        "metrics_seed005.csv": "8032e303287313a0ea979535f7366bcd0a1b3adf1a32858b994b88bcc221280c",
-        "metrics_seed006.csv": "79419d8f3cc2b1d32799a5464649c33be3ea97b0b619e8bf7e2fbf637791716c",
-        "metrics_seed007.csv": "c74bd2e3e156d522309fc6fd17e6c7936057085a7653f714bbe6a2f6af98a385",
-        "metrics_seed008.csv": "d3eca4a83b2d3e858b21ef4edbd141c52f0709f134c8aeb4ede7547c61442ecf",
-        "metrics_seed009.csv": "d39ec00b067740c0701a9898f38b050cac480bf43faa8eb09891f49002bb1a3b",
+        "metrics_seed000.csv": "41e4c7fc24c164c2b51fad3b159e979437995aafcae6299f4e18453bfedf44fa",
+        "metrics_seed001.csv": "200f3ceda2ce60a600746afa1fa4e6b7263af2b95ba50fdf423bcc52168feb9c",
+        "metrics_seed002.csv": "bc0cd94e2118cd11f5458ac0d353210f6c4731e6de1a7ecfcd71686f4df9db9c",
+        "metrics_seed003.csv": "5120d5611f15f64005e102f2ab7110cf5bdfc88e67fac28b673281a28546ec46",
+        "metrics_seed004.csv": "ed07c69e1c48d8e408ce9deaea472f4c0954c6c215e8493557dac938f50ec32c",
+        "metrics_seed005.csv": "b085be1a72b14eaa20d32517e75218c07e46dc73c0f454553f2317a4afb21101",
+        "metrics_seed006.csv": "0e87db660c19116f89533dba36a8a343147fa4663b11c565455ce7c0b18d3303",
+        "metrics_seed007.csv": "127d0db628a9229c4a773f424eb820399025f5d0551d99caff857c6822936f2b",
+        "metrics_seed008.csv": "25a8a31437e244f445ab3b2171e85e8e8c380e05f06951633a5dde854ddb8a3b",
+        "metrics_seed009.csv": "604ee1ae7ac885c25c1aaf19e65c18decd1bb8effefc6021844ad7bec7199387",
         "params_report.txt": "95294000a5f6ce6f416dce9b9e6d349cea0fa1a6a26829968504937e847a7c2f",
         "summary.txt": "2030e37800ab709ccd57a9b58832e87c5ce3bcbd0e348b46e55e38b32e6f0cab",
     },
     "deterministic": {
         "checks.csv": "12d6a3d8b7036d902244ff50d55fbcd3acdb8d6aa06849ae114e7c20caf4984f",
         "config_echo.json": "9a3c1792d9a131acec4b351e58a42a54713beb7bf71d5dd3b89e18748c276205",
-        "metrics_seed000.csv": "1d193c6d81daaef1692d91f7316244dcbf9c3fe2cb5c6de4004c98e36f6bc764",
+        "metrics_seed000.csv": "ff5c64857951836b2832bac7968870c47751c3b7c9e27847459a9442e6482ee2",
         "params_report.txt": "311ca991d3f4e9723f12aa3564c76874f1381437e1d54e0b38a3cfe5de99144f",
-        "summary.txt": "d76ba4bb35db8a31d88f898920e3c3a758a4fa4bb99a790c1da83264a9e6952a",
+        "summary.txt": "6629115a3e20c7489909f6f25726b2f6fc0ba0b090f45c22cf3d2d4867746c18",
     },
 }
 
@@ -197,9 +213,23 @@ def _run_problem(family: str) -> dict:
     return problem
 
 
+def _run_config(family: str, algorithm: str) -> dict:
+    return {**RUN_CONFIG, "algorithm": algorithm, "problem": _run_problem(family)}
+
+
 def _case_id(family: str, algorithm: str) -> str:
     # the criterion-10 family keeps the bare algorithm name as its id
     return algorithm if family == "exp_pair" else f"{family}-{algorithm}"
+
+
+def _write_outputs(tmp_path, config: dict, *commands: str):
+    """Run each command on config into tmp_path / "out", which it returns."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    for command in commands:
+        assert cli_main([command, "--config", str(path), "--out-dir", str(out)]) == 0
+    return out
 
 
 @pytest.mark.parametrize(
@@ -207,11 +237,7 @@ def _case_id(family: str, algorithm: str) -> str:
     [pytest.param(f, a, id=_case_id(f, a)) for f in FAMILY_PARAMS for a in ALGORITHMS],
 )
 def test_run_metrics_digest(tmp_path, family, algorithm):
-    path = tmp_path / "run.json"
-    run = {**RUN_CONFIG, "algorithm": algorithm, "problem": _run_problem(family)}
-    path.write_text(json.dumps(run))
-    out = tmp_path / "out"
-    assert cli_main(["run", "--config", str(path), "--out-dir", str(out)]) == 0
+    out = _write_outputs(tmp_path, _run_config(family, algorithm), "run")
     data = b"".join((out / f"metrics_seed{i:03d}.csv").read_bytes() for i in range(4))
     assert _sha256(data) == RUN_DIGESTS[family, algorithm]
     if (family, algorithm) == ("exp_pair", "dnsgd"):
@@ -219,10 +245,7 @@ def test_run_metrics_digest(tmp_path, family, algorithm):
 
 
 def test_sweep_speedup_digest(tmp_path):
-    path = tmp_path / "sweep.json"
-    path.write_text(json.dumps(SWEEP_CONFIG))
-    out = tmp_path / "out"
-    assert cli_main(["sweep", "--config", str(path), "--out-dir", str(out)]) == 0
+    out = _write_outputs(tmp_path, SWEEP_CONFIG, "sweep")
     assert _sha256((out / "speedup.csv").read_bytes()) == SWEEP_DIGEST
 
 
@@ -232,22 +255,15 @@ def _file_digests(out) -> dict[str, str]:
 
 @pytest.mark.parametrize("case", OUTPUT_CONFIGS)
 def test_run_output_digests(tmp_path, case):
-    path = tmp_path / "run.json"
-    path.write_text(json.dumps(OUTPUT_CONFIGS[case]))
-    out = tmp_path / "out"
-    assert cli_main(["run", "--config", str(path), "--out-dir", str(out)]) == 0
+    out = _write_outputs(tmp_path, OUTPUT_CONFIGS[case], "run", "params")
     checks = (out / "checks.csv").read_text().splitlines()[1:]
     assert [line.split(",")[0] for line in checks] == OUTPUT_CHECKS[case]
     assert all(line.split(",")[1] == "True" for line in checks)
-    assert cli_main(["params", "--config", str(path), "--out-dir", str(out)]) == 0
     assert _file_digests(out) == OUTPUT_DIGESTS[case]
 
 
 def test_sweep_output_digests(tmp_path):
-    path = tmp_path / "sweep.json"
-    path.write_text(json.dumps(SWEEP_CONFIG))
-    out = tmp_path / "out"
-    assert cli_main(["sweep", "--config", str(path), "--out-dir", str(out)]) == 0
+    out = _write_outputs(tmp_path, SWEEP_CONFIG, "sweep")
     assert _file_digests(out) == {"speedup.csv": SWEEP_DIGEST, **SWEEP_OUTPUT_DIGESTS}
 
 
@@ -264,3 +280,65 @@ def test_sweep_problem_constants():
         for m in SWEEP_CONFIG["m_list"]
     }
     assert got == SWEEP_CONSTANTS
+
+
+def pinned_outputs(root: Path) -> dict[str, str]:
+    """sha256 of every file that the pinned run, params and sweep commands write.
+
+    Each command set writes under its own directory of root; keys are
+    "<case>/<file name>".
+    """
+    cases = {
+        f"run-{_case_id(f, a)}": (_run_config(f, a), ("run",))
+        for f in FAMILY_PARAMS for a in ALGORITHMS
+    }
+    cases.update({f"output-{c}": (cfg, ("run", "params")) for c, cfg in OUTPUT_CONFIGS.items()})
+    cases["sweep"] = (SWEEP_CONFIG, ("sweep",))
+    digests = {}
+    for case, (config, commands) in cases.items():
+        (root / case).mkdir()
+        out = _write_outputs(root / case, config, *commands)
+        digests.update({f"{case}/{name}": d for name, d in _file_digests(out).items()})
+    return digests
+
+
+def _openblas_with_avx2() -> bool:
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    from numpy._core._multiarray_umath import __cpu_features__ as features
+
+    openblas = "openblas" in blas.get("name", "").lower()
+    return openblas and features.get("AVX2", False) and features.get("FMA3", False)
+
+
+# A child writes every pinned output again with OpenBLAS forced onto its
+# Haswell (AVX2) kernels; OpenBLAS otherwise picks its kernels from the CPU.
+# validate-topology is left out: its eigenvalue_range line reads LAPACK
+# eigvalsh's eigenvalues, whose last bits depend on the kernel (complete6
+# prints 4.44e-16 under SkylakeX and 0 under Haswell).
+_CHILD = (
+    "import json, sys\n"
+    "from pathlib import Path\n"
+    "from test_golden import pinned_outputs\n"
+    "out = Path(sys.argv[1])\n"
+    "(out / 'digests.json').write_text(json.dumps(pinned_outputs(out)))\n"
+)
+
+
+@pytest.mark.skipif(not _openblas_with_avx2(), reason="needs OpenBLAS on a CPU with AVX2 and FMA3")
+def test_pinned_outputs_do_not_depend_on_the_blas_kernel(tmp_path):
+    (tmp_path / "here").mkdir()
+    (tmp_path / "child").mkdir()
+    path = [str(Path(dnsgd.__file__).resolve().parents[1]), str(Path(__file__).resolve().parent)]
+    path += [str(Path(p).resolve()) for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = {
+        **os.environ, "PYTHONPATH": os.pathsep.join(path),
+        "OPENBLAS_CORETYPE": "Haswell", "OPENBLAS_NUM_THREADS": "1",
+    }
+    proc = subprocess.run(
+        [sys.executable, "-c", _CHILD, str(tmp_path / "child")],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    child = json.loads((tmp_path / "child" / "digests.json").read_text())
+    here = pinned_outputs(tmp_path / "here")
+    assert sorted(k for k in here.keys() | child.keys() if here.get(k) != child.get(k)) == []

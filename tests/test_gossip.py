@@ -104,7 +104,9 @@ def test_consensus_is_fixed_point():
 @pytest.mark.parametrize("shape", [(4, 6), (256, 10)])
 def test_consensus_error_of_a_stack_equals_per_matrix_norms(shape):
     y = np.random.default_rng(8).standard_normal((5, *shape))
-    per_matrix = [float(np.linalg.norm(yi - yi.mean(axis=0, keepdims=True))) for yi in y]
+    per_matrix = [
+        float(np.linalg.norm(np.ravel(yi - yi.mean(axis=0, keepdims=True)), axis=-1)) for yi in y
+    ]
     assert [consensus_error(yi) for yi in y] == per_matrix
     assert consensus_error(y).tolist() == per_matrix
 

@@ -235,13 +235,13 @@ def reference_state_metrics(x, v, p, eta):
     m0, m1 = lyapunov_constants(p.l0, p.l1, p.zeta)
     xbar = x.mean(axis=0)
     f_mean = f_base(p, xbar)
-    grad_norm = float(np.linalg.norm(grad_base(p, xbar)))
+    grad_norm = float(np.linalg.norm(grad_base(p, xbar), axis=-1))
     g = grad_base(p, x)
-    cons_x = float(np.linalg.norm(x - x.mean(axis=0, keepdims=True)))
-    cons_v = float(np.linalg.norm(v - v.mean(axis=0, keepdims=True)))
+    cons_x = float(np.linalg.norm(np.ravel(x - x.mean(axis=0, keepdims=True)), axis=-1))
+    cons_v = float(np.linalg.norm(np.ravel(v - v.mean(axis=0, keepdims=True)), axis=-1))
     sqm = math.sqrt(p.m)
     phi = f_mean + (3.0 * eta / sqm) * (m0 + m1 * grad_norm) * cons_x + (2.0 * eta / sqm) * cons_v
-    return f_mean, grad_norm, np.sqrt(np.vecdot(g, g)), cons_x, cons_v, phi
+    return f_mean, grad_norm, np.linalg.norm(g, axis=-1), cons_x, cons_v, phi
 
 
 # the columns a run records per state, in metrics CSV order
@@ -270,8 +270,8 @@ def reference_run(algorithm, p, hp, w, x0, master_seed):
         agent_norms.append(agent)
         vbar = s.v.mean(axis=0)
         gbar = s.g_prev.mean(axis=0)
-        scale = max(1.0, float(np.linalg.norm(gbar)))
-        drifts.append(float(np.linalg.norm(vbar - gbar)) / scale)
+        scale = max(1.0, float(np.linalg.norm(gbar, axis=-1)))
+        drifts.append(float(np.linalg.norm(vbar - gbar, axis=-1)) / scale)
         if np.abs(s.x).max() > p.box_radius:
             box_exits += 1
             if first_exit is None:

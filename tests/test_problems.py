@@ -238,7 +238,7 @@ def reference_dissimilarity_measured(p, trials=32, seed=0):
     for _ in range(trials):
         g = grad_base(p, gen.uniform(-p.box_radius, p.box_radius, size=p.d))
         gap = (g + p.offsets) - g
-        worst = max(worst, float(np.sqrt(np.vecdot(gap, gap)).max()))
+        worst = max(worst, float(np.linalg.norm(gap, axis=-1).max()))
     return worst
 
 
@@ -361,7 +361,7 @@ def reference_check_relaxed_smooth(
         drawn = iter(gen.uniform(0.0, rmax, sum(t % 10 != 0 for t in range(trials))))
         pairs = []
         for t, (x, direction) in enumerate(zip(xs, directions)):
-            norm = np.linalg.norm(direction)
+            norm = np.linalg.norm(direction, axis=-1)
             if norm == 0.0:
                 direction = np.zeros(dim)
                 direction[0] = 1.0
@@ -387,20 +387,20 @@ def reference_check_relaxed_smooth(
     violations = 0
     implied = -math.inf
     for x, y in pairs:
-        dist = float(np.linalg.norm(x - y))
+        dist = float(np.linalg.norm(x - y, axis=-1))
         if dist == 0.0:
             continue
         gx = np.asarray(grad(x), dtype=np.float64)
         gy = np.asarray(grad(y), dtype=np.float64)
-        gap = float(np.linalg.norm(gx - gy))
-        bound = (l0 + l1 * float(np.linalg.norm(gx))) * dist
+        gap = float(np.linalg.norm(gx - gy, axis=-1))
+        bound = (l0 + l1 * float(np.linalg.norm(gx, axis=-1))) * dist
         if gap > bound * (1.0 + RATIO_TOL) + 1e-12:
             violations += 1
         if bound > 0.0:
             ratio = gap / bound
         else:
             ratio = math.inf if gap > 0.0 else 0.0
-        implied = max(implied, gap / dist - l1 * float(np.linalg.norm(gx)))
+        implied = max(implied, gap / dist - l1 * float(np.linalg.norm(gx, axis=-1)))
         if (ratio, gap) > worst_key:
             worst_key = (ratio, gap)
             worst = (x, y, gap, bound)

@@ -5,12 +5,16 @@ Records are built by keyword, read by attribute and copied with _replace.
 Every dnsgd process defines every class at import, and a dataclass costs
 several times a NamedTuple to define, so the guard below keeps new records
 off dataclasses. The three dataclasses need what a tuple cannot give:
-HyperParams validates its fields in __post_init__, MixingMatrix caches its
-spectrum in an instance __dict__, and Graph compares by identity.
+HyperParams validates its fields in __post_init__, and MixingMatrix and Graph
+compare by identity.
 
 A public function that nothing in src/ calls is surface only tests reach; the
 caller guard fails on it unless the benchmark traces it by name, a config
 dispatches to it by name, or it is the console-script entry point.
+
+Every norm and sum of squares goes through problems._sum_squares, numpy's
+pairwise add.reduce, whose order no BLAS kernel picks; the sum guard fails on
+any call that would sum through BLAS instead.
 """
 
 import ast
@@ -119,3 +123,46 @@ def test_every_public_function_has_a_caller():
         name for name in defined - exempt if name.rsplit(".", 1)[1] not in referenced
     )
     assert uncalled == []
+
+
+# Calls that sum products through BLAS (ddot, dgemv), in an order the kernel
+# picks, and the one allowance: optimizers tests a step's finiteness with
+# np.vdot, which only steers control flow, since a non-finite result re-runs
+# the checked path, which raises or finds the same arrays finite.
+BLAS_SUMS = ("vecdot", "vdot", "dot", "inner", "tensordot", "einsum", "linalg.norm")
+BLAS_SUM_ALLOWED = {("optimizers", "np.vdot")}
+
+
+def _dotted(node) -> str:
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name):
+        parts.append(node.id)
+    return ".".join(reversed(parts))
+
+
+def test_sums_of_squares_take_one_rule():
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        # the calls that make a ones vector, and the names bound to one
+        ones_calls = [
+            node for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and _dotted(node.func).rsplit(".", 1)[-1] in ("ones", "ones_like")
+        ]
+        ones = {
+            target.id for node in ast.walk(tree) if isinstance(node, ast.Assign)
+            and node.value in ones_calls for target in node.targets if isinstance(target, ast.Name)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = _dotted(node.func)
+                if any(name == f or name.endswith("." + f) for f in BLAS_SUMS):
+                    found.add((path.stem, name))
+            elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult):
+                for side in (node.left, node.right):
+                    if side in ones_calls or (isinstance(side, ast.Name) and side.id in ones):
+                        found.add((path.stem, "@ ones"))
+    assert found == BLAS_SUM_ALLOWED
