@@ -20,10 +20,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import problems
 from .hyperparams import HyperParams
 from .optimizers import ALGORITHMS
-from .problems import FAMILIES, FAMILY_PARAMS, ProblemInstance
+from .problems import FAMILIES, PARAMS, ProblemInstance, make_problem
 from .topology import KINDS, MixingMatrix, build_topology, metropolis_mixing
 
 
@@ -139,23 +138,26 @@ def _as_str(value, path: str, choices: tuple[str, ...] | None = None) -> str:
     return value
 
 
-_FAMILY_KEYS = {name for names in FAMILY_PARAMS.values() for name in names}
-_PROBLEM_KEYS = {"family", "d", "m", "zeta", "sigma", "seed", "box_radius"} | _FAMILY_KEYS
+_PROBLEM_KEYS = {"family", "d", "m", "zeta", "sigma", "seed", "box_radius"} | set(PARAMS)
 
 
 def _parse_family_param(d: dict, name: str, family: str, path: str):
+    field = f"{path}.{name}"
     if name not in d:
-        raise ConfigError(f"{path}.{name}", f"required for family {family!r}")
-    if name == "power":
-        return _as_int(d[name], f"{path}.{name}", minimum=4)
-    return _as_float(d[name], f"{path}.{name}", 0.0, strict=True)
+        raise ConfigError(field, f"required for family {family!r}")
+    value = _as_int(d[name], field) if PARAMS[name].integer else _as_float(d[name], field)
+    error = PARAMS[name].error(value)
+    if error is not None:
+        raise ConfigError(field, error)
+    return value
 
 
 def parse_problem(d: dict, path: str = "problem") -> ProblemConfig:
     d = _expect_dict(d, path)
     _reject_unknown(d, _PROBLEM_KEYS, path)
-    family = _as_str(_get(d, "family", path), f"{path}.family", choices=FAMILIES)
-    foreign = sorted((set(d) & _FAMILY_KEYS) - set(FAMILY_PARAMS[family]))
+    family = _as_str(_get(d, "family", path), f"{path}.family", choices=tuple(FAMILIES))
+    params = FAMILIES[family].params
+    foreign = sorted((set(d) & set(PARAMS)) - set(params))
     if foreign:
         raise ConfigError(f"{path}.{foreign[0]}", f"not a parameter of family {family!r}")
     return ProblemConfig(
@@ -169,7 +171,7 @@ def parse_problem(d: dict, path: str = "problem") -> ProblemConfig:
             _get(d, "box_radius", path, required=False, default=5.0),
             f"{path}.box_radius", minimum=0.0, strict=True,
         ),
-        **{name: _parse_family_param(d, name, family, path) for name in FAMILY_PARAMS[family]},
+        **{name: _parse_family_param(d, name, family, path) for name in params},
     )
 
 
@@ -307,12 +309,9 @@ def load_json(path: str | Path) -> dict:
 
 def build_problem(cfg: ProblemConfig) -> ProblemInstance:
     """Instantiate the configured problem."""
-    # The maker is read from the module at call time, so a wrapper installed
-    # on problems.make_<family> is the one called.
-    maker = getattr(problems, f"make_{cfg.family}")
-    params = {name: getattr(cfg, name) for name in FAMILY_PARAMS[cfg.family]}
-    return maker(
-        d=cfg.d, m=cfg.m, zeta=cfg.zeta, sigma=cfg.sigma, seed=cfg.seed,
+    params = {name: getattr(cfg, name) for name in FAMILIES[cfg.family].params}
+    return make_problem(
+        cfg.family, d=cfg.d, m=cfg.m, zeta=cfg.zeta, sigma=cfg.sigma, seed=cfg.seed,
         box_radius=cfg.box_radius, **params,
     )
 

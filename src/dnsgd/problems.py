@@ -9,6 +9,12 @@ Because the offsets cancel in the average, the global objective equals
 f_base, its infimum is analytic, and ||grad f_i(x) - grad f(x)|| equals
 ||b_i|| at every x.
 
+A family is one FAMILIES entry (a Family record): its parameter names, its
+value and gradient maps, its starting constants (l0_start, l1, f_star) and
+whether l0_start is exact or certified. Each parameter's type and range is one
+PARAMS rule, which config parsing and make_problem both apply. make_problem
+builds an instance of any family; f_base and grad_base look the family up.
+
 Families:
     exp_pair   f_base(x) = (1/d) sum_j (exp(r x_j) + exp(-r x_j)) / 2
     poly_even  f_base(x) = (a / p) sum_j x_j^p, even p >= 4
@@ -27,19 +33,12 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .streams import StreamKey, derive_stream
-
-# The parameters each family takes, in its maker's argument order.
-FAMILY_PARAMS = {
-    "exp_pair": ("rate",),
-    "poly_even": ("power", "scale"),
-    "quadratic": ("curvature",),
-}
-FAMILIES = tuple(FAMILY_PARAMS)
 
 # exp(x) overflows float64 near 709.8; reject arguments beyond this bound.
 EXP_ARG_MAX = 700.0
@@ -85,53 +84,107 @@ class ExpRangeError(ValueError):
         self.row = row
 
 
-def _exp_guard(rx: np.ndarray) -> None:
-    """Raise ExpRangeError when an exp_pair argument rate * x leaves the safe range."""
+def _exp_arg(rate: float, x: np.ndarray) -> np.ndarray:
+    """The exp_pair argument rate * x; ExpRangeError when it leaves the safe range."""
+    rx = rate * x
     scaled = np.abs(rx)
     if np.maximum.reduce(scaled, axis=None, initial=0.0) > EXP_ARG_MAX:
         rows = scaled.max(axis=-1) > EXP_ARG_MAX
         raise ExpRangeError(int(np.argmax(rows)))
+    return rx
+
+
+class Param(NamedTuple):
+    """A family parameter's rule: an integer or a number, for which holds is true.
+
+    An integer parameter stays an int in a parsed config, so its echo reads 4, not 4.0.
+    """
+
+    integer: bool
+    rule: str
+    holds: Callable[[float], bool]
+
+    def error(self, value) -> str | None:
+        """How value breaks this rule, or None if it keeps it."""
+        kind = numbers.Integral if self.integer else numbers.Real
+        if isinstance(value, kind) and not isinstance(value, bool) and self.holds(value):
+            return None
+        return f"must be {self.rule}, got {value!r}"
+
+
+# Each family parameter's rule, which config parsing and make_problem both apply.
+_POSITIVE = Param(False, "a finite number > 0", lambda v: 0 < v < math.inf)
+PARAMS = {
+    "rate": _POSITIVE,
+    "power": Param(True, "an even integer >= 4", lambda v: v >= 4 and v % 2 == 0),
+    "scale": _POSITIVE,
+    "curvature": _POSITIVE,
+}
+
+
+class Family(NamedTuple):
+    """A problem family: its parameter names in config order, its maps and its constants.
+
+    value(params, x) is f_base and gradient(params, d) builds grad_base's map,
+    both row by row over any (..., d) stack and unchecked. constants(params, d)
+    is (l0_start, l1, f_star); make_problem certifies l0_start if certified.
+    """
+
+    params: tuple[str, ...]
+    value: Callable[[dict[str, float], np.ndarray], np.ndarray]
+    gradient: Callable[[dict[str, float], int], Callable[[np.ndarray], np.ndarray]]
+    constants: Callable[[dict[str, float], int], tuple[float, float, float]]
+    certified: bool
+
+
+def _exp_gradient(q: dict[str, float], d: int) -> Callable[[np.ndarray], np.ndarray]:
+    r = q["rate"]
+    coef = r / d
+    return lambda x: coef * np.sinh(_exp_arg(r, x))
+
+
+def _poly_gradient(q: dict[str, float], d: int) -> Callable[[np.ndarray], np.ndarray]:
+    a, k = q["scale"], q["power"] - 1
+    return lambda x: a * x**k
+
+
+def _quadratic_gradient(q: dict[str, float], d: int) -> Callable[[np.ndarray], np.ndarray]:
+    c = q["curvature"]
+    return lambda x: c * x
+
+
+FAMILIES = {
+    # l1 is rate / log(2); l0 starts from the curvature bound rate^2 / d.
+    "exp_pair": Family(
+        ("rate",), lambda q, x: np.cosh(_exp_arg(q["rate"], x)).mean(axis=-1), _exp_gradient,
+        lambda q, d: (q["rate"] * q["rate"] / d, q["rate"] / math.log(2.0), 1.0), certified=True,
+    ),
+    # The curvature/gradient ratio is (power - 1)/|x_j|; splitting at |x_j| = 1
+    # gives the candidate pair (scale * (power - 1), power - 1).
+    "poly_even": Family(
+        ("power", "scale"),
+        lambda q, x: (q["scale"] / q["power"]) * np.sum(x ** q["power"], axis=-1),
+        _poly_gradient,
+        lambda q, d: (q["scale"] * (q["power"] - 1), q["power"] - 1, 0.0), certified=True,
+    ),
+    # Exact constants l0 = curvature, l1 = 0.
+    "quadratic": Family(
+        ("curvature",), lambda q, x: 0.5 * q["curvature"] * _sum_squares(x), _quadratic_gradient,
+        lambda q, d: (q["curvature"], 0.0, 0.0), certified=False,
+    ),
+}
 
 
 def f_base(p: ProblemInstance, x: np.ndarray) -> float | np.ndarray:
     """Objective at a point (d,), or row by row at a row matrix (n, d) as an (n,) array."""
     x = _check_point(p, x)
-    if p.family == "exp_pair":
-        rx = p.family_params["rate"] * x
-        _exp_guard(rx)
-        f = np.cosh(rx).mean(axis=-1)
-    elif p.family == "poly_even":
-        a = p.family_params["scale"]
-        power = p.family_params["power"]
-        f = (a / power) * np.sum(x**power, axis=-1)
-    else:
-        c = p.family_params["curvature"]
-        f = 0.5 * c * _sum_squares(x)
+    f = FAMILIES[p.family].value(p.family_params, x)
     return float(f) if x.ndim == 1 else f
 
 
 def _gradient(p: ProblemInstance) -> Callable[[np.ndarray], np.ndarray]:
-    """grad_base's map with the family's coefficients bound, row by row over any (..., d) stack.
-
-    It does not check its argument. For exp_pair, rate * x is computed once and
-    serves both the range guard and sinh.
-    """
-    params = p.family_params
-    if p.family == "exp_pair":
-        r = params["rate"]
-        coef = r / p.d
-
-        def grad(x):
-            rx = r * x
-            _exp_guard(rx)
-            return coef * np.sinh(rx)
-
-        return grad
-    if p.family == "poly_even":
-        a, k = params["scale"], params["power"] - 1
-        return lambda x: a * x**k
-    c = params["curvature"]
-    return lambda x: c * x
+    """grad_base's map with the family's coefficients bound; it does not check its argument."""
+    return FAMILIES[p.family].gradient(p.family_params, p.d)
 
 
 def grad_base(p: ProblemInstance, x: np.ndarray) -> np.ndarray:
@@ -393,16 +446,12 @@ def _certified_l0(
     One sample and one gradient evaluation serve every candidate. A failing l0
     is raised to 1.2 times the largest l0 that a violating pair implies (and by
     at least 5%), so implied l0s that are rounding noise never inflate it.
-    Memoized on these scalar inputs, so rebuilding a problem for another agent
-    count (as a sweep does) reuses the certificate of the same m = 1 stub.
+    Memoized on these scalar inputs, which do not include the agent count, so
+    rebuilding a problem for another m (as a sweep does) reuses the certificate.
     """
-    # the stub only feeds grad_base, which reads family, d and family_params
-    stub = ProblemInstance(
-        family=family, d=d, m=1, l0=0.0, l1=l1, zeta=0.0, sigma=0.0, offsets=np.zeros((1, d)),
-        family_params=dict(params), f_star=0.0, box_radius=box_radius,
-    )
+    grad = FAMILIES[family].gradient(dict(params), d)
     x_rows, y_rows, dist, _ = _sample_pairs(d, l1, box_radius, CERTIFY_TRIALS, seed)
-    gap, gx_norm = _gradient_gaps(lambda x: grad_base(stub, x), x_rows, y_rows)
+    gap, gx_norm = _gradient_gaps(grad, x_rows, y_rows)
     implied = gap / dist - l1 * gx_norm
     l0 = l0_start
     for _ in range(6):
@@ -416,7 +465,20 @@ def _certified_l0(
     )
 
 
-def _validate_common(d: int, m: int, zeta: float, sigma: float, box_radius: float) -> None:
+def make_problem(
+    family: str, d: int, m: int, zeta: float, sigma: float, seed: int, box_radius: float = 5.0,
+    **params: float,
+) -> ProblemInstance:
+    """Instance of a FAMILIES entry with seeded offsets and l0 covering every agent's objective.
+
+    params are the family's parameters by name, each held to its PARAMS rule.
+    l1 and f_star are the family's; l0 is its l0_start, raised by certification
+    when the family is certified, plus l1 * max_i ||b_i|| to cover the offset
+    objectives.
+    """
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}; expected one of {', '.join(FAMILIES)}")
+    spec = FAMILIES[family]
     if not isinstance(d, (int, np.integer)) or d < 1:
         raise ValueError(f"dimension must be a positive integer, got {d!r}")
     if not isinstance(m, (int, np.integer)) or m < 1:
@@ -427,89 +489,23 @@ def _validate_common(d: int, m: int, zeta: float, sigma: float, box_radius: floa
         raise ValueError("sigma must be non-negative")
     if box_radius <= 0:
         raise ValueError("box_radius must be positive")
-
-
-def _make_family(
-    family: str,
-    params: dict[str, float],
-    d: int,
-    m: int,
-    zeta: float,
-    sigma: float,
-    seed: int,
-    box_radius: float,
-    *,
-    l0_start: float,
-    l1: float,
-    f_star: float,
-) -> ProblemInstance:
-    """Instance with seeded offsets and l0 covering every agent's objective.
-
-    l0_start is raised by numeric certification of the base objective over
-    the box, except for the quadratic, whose l0_start is exact; then
-    l1 * max_i ||b_i|| is added to cover the offset objectives.
-    """
+    if sorted(params) != sorted(spec.params):
+        raise ValueError(f"family {family!r} takes parameters {spec.params}, got {tuple(params)}")
+    for name in spec.params:
+        error = PARAMS[name].error(params[name])
+        if error is not None:
+            raise ValueError(f"{name} {error}")
+    params = {name: float(params[name]) for name in spec.params}
+    l0, l1, f_star = spec.constants(params, d)
     offsets = _make_offsets(d, m, zeta, seed)
-    l0 = l0_start
-    if family != "quadratic":
-        l0 = _certified_l0(family, tuple(params.items()), d, l1, l0_start, box_radius, seed)
+    offsets.setflags(write=False)
+    if spec.certified:
+        l0 = _certified_l0(family, tuple(params.items()), d, l1, l0, box_radius, seed)
     max_off = float(_row_norms(offsets).max(initial=0.0))
-    inst = ProblemInstance(
+    return ProblemInstance(
         family=family, d=d, m=m, l0=l0 + l1 * max_off, l1=l1, zeta=float(zeta),
         sigma=float(sigma), offsets=offsets, family_params=params, f_star=f_star,
         box_radius=float(box_radius),
-    )
-    inst.offsets.setflags(write=False)
-    return inst
-
-
-def make_exp_pair(
-    d: int, rate: float, m: int, zeta: float, sigma: float, seed: int, box_radius: float = 5.0
-) -> ProblemInstance:
-    """Averaged symmetric exponential family with growth rate ``rate``.
-
-    l1 is rate / log(2); l0 starts from the curvature bound rate^2 / d and is
-    raised by numeric certification over the box, then adjusted by
-    l1 * max_i ||b_i|| to cover the offset objectives.
-    """
-    _validate_common(d, m, zeta, sigma, box_radius)
-    if rate <= 0:
-        raise ValueError("rate must be positive")
-    return _make_family(
-        "exp_pair", {"rate": float(rate)}, d, m, zeta, sigma, seed, box_radius,
-        l0_start=rate * rate / d, l1=rate / math.log(2.0), f_star=1.0,
-    )
-
-
-def make_poly_even(
-    d: int, power: int, scale: float, m: int, zeta: float, sigma: float, seed: int,
-    box_radius: float = 5.0,
-) -> ProblemInstance:
-    """Even-power monomial family f_base(x) = (scale / power) sum_j x_j^power."""
-    _validate_common(d, m, zeta, sigma, box_radius)
-    if not isinstance(power, (int, np.integer)) or power < 4 or power % 2 != 0:
-        raise ValueError(f"power must be an even integer >= 4, got {power!r}")
-    if scale <= 0:
-        raise ValueError("scale must be positive")
-    # Curvature/gradient ratio is (power - 1)/|x_j|; splitting at |x_j| = 1
-    # gives the candidate pair (scale * (power - 1), power - 1).
-    return _make_family(
-        "poly_even", {"power": float(power), "scale": float(scale)}, d, m, zeta, sigma, seed,
-        box_radius, l0_start=scale * (power - 1), l1=float(power - 1), f_star=0.0,
-    )
-
-
-def make_quadratic(
-    d: int, curvature: float, m: int, zeta: float, sigma: float, seed: int,
-    box_radius: float = 5.0,
-) -> ProblemInstance:
-    """Quadratic family with exact constants l0 = curvature, l1 = 0."""
-    _validate_common(d, m, zeta, sigma, box_radius)
-    if curvature <= 0:
-        raise ValueError("curvature must be positive")
-    return _make_family(
-        "quadratic", {"curvature": float(curvature)}, d, m, zeta, sigma, seed, box_radius,
-        l0_start=float(curvature), l1=0.0, f_star=0.0,
     )
 
 

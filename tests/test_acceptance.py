@@ -31,9 +31,7 @@ from dnsgd.problems import (
     check_relaxed_smooth,
     f_base,
     grad_base,
-    make_exp_pair,
-    make_poly_even,
-    make_quadratic,
+    make_problem,
     sample_grad,
 )
 from dnsgd.streams import StreamKey, derive_stream
@@ -242,9 +240,9 @@ def test_criterion_7_smoothness_counterexample():
 def test_criterion_8_oracle_correctness():
     t0 = time.perf_counter()
     instances = (
-        make_exp_pair(d=4, rate=1.0, m=3, zeta=0.3, sigma=0.0, seed=2),
-        make_poly_even(d=4, power=4, scale=0.5, m=3, zeta=0.3, sigma=0.0, seed=2),
-        make_quadratic(d=4, curvature=1.5, m=3, zeta=0.3, sigma=0.0, seed=2),
+        make_problem("exp_pair", d=4, rate=1.0, m=3, zeta=0.3, sigma=0.0, seed=2),
+        make_problem("poly_even", d=4, power=4, scale=0.5, m=3, zeta=0.3, sigma=0.0, seed=2),
+        make_problem("quadratic", d=4, curvature=1.5, m=3, zeta=0.3, sigma=0.0, seed=2),
     )
     rng = np.random.default_rng(321)
     fd_ok = True
@@ -259,7 +257,7 @@ def test_criterion_8_oracle_correctness():
             if np.linalg.norm(g - fd) > 1e-6 * max(1.0, np.linalg.norm(g)):
                 fd_ok = False
 
-    p = make_quadratic(d=3, curvature=1.0, m=2, zeta=0.4, sigma=0.5, seed=7)
+    p = make_problem("quadratic", d=3, curvature=1.0, m=2, zeta=0.4, sigma=0.5, seed=7)
     x = np.array([0.3, -1.1, 0.7])
     exact = grad_base(p, x) + p.offsets[0]
     b, n = 4, 20_000
@@ -287,7 +285,7 @@ def test_criterion_8_oracle_correctness():
 def test_criterion_9_tracker_identity(crit3, crit4, crit5):
     trajs = [crit3[0].trajectory, crit4[0].trajectory]
     trajs.extend(pt.run.trajectory for pt in crit5[0].points)
-    p = make_exp_pair(d=4, rate=1.0, m=4, zeta=0.2, sigma=0.5, seed=5)
+    p = make_problem("exp_pair", d=4, rate=1.0, m=4, zeta=0.2, sigma=0.5, seed=5)
     mix = metropolis_mixing(build_topology("ring", 4))
     hp = HyperParams(eta=0.02, b=2, big_t=50, k_inner=3, k_init=1, epsilon=0.1)
     trajs.append(run("dsgt", p, hp, mix, np.full(4, 0.8), seeds=[31]))

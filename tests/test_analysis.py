@@ -16,16 +16,10 @@ from dnsgd.analysis import (
 from dnsgd.gossip import consensus_error, contraction_rho
 from dnsgd.hyperparams import lyapunov_constants, theoretical_hyperparams
 from dnsgd.optimizers import run
-from dnsgd.problems import (
-    f_base,
-    grad_base,
-    make_exp_pair,
-    make_poly_even,
-    make_quadratic,
-)
+from dnsgd.problems import f_base, grad_base, make_problem
 from dnsgd.topology import build_topology, metropolis_mixing
 
-QUAD = make_quadratic(d=5, curvature=1.0, m=4, zeta=0.5, sigma=0.0, seed=3)
+QUAD = make_problem("quadratic", d=5, curvature=1.0, m=4, zeta=0.5, sigma=0.0, seed=3)
 RING4 = metropolis_mixing(build_topology("ring", 4))
 
 
@@ -88,8 +82,8 @@ def test_phi_validation():
 
 STACK_PROBLEMS = [
     QUAD,
-    make_exp_pair(d=3, rate=1.0, m=4, zeta=0.4, sigma=0.0, seed=1),
-    make_poly_even(d=10, power=4, scale=0.5, m=256, zeta=0.3, sigma=0.0, seed=2),
+    make_problem("exp_pair", d=3, rate=1.0, m=4, zeta=0.4, sigma=0.0, seed=1),
+    make_problem("poly_even", d=10, power=4, scale=0.5, m=256, zeta=0.3, sigma=0.0, seed=2),
 ]
 
 
@@ -167,7 +161,7 @@ def test_consensus_bound_rejects_expanding_rho():
 
 
 def test_stochastic_descent_seed_average():
-    p = make_exp_pair(d=4, rate=1.0, m=4, zeta=0.2, sigma=0.5, seed=5)
+    p = make_problem("exp_pair", d=4, rate=1.0, m=4, zeta=0.2, sigma=0.5, seed=5)
     x0 = np.full(p.d, 1.2)
     g0 = sum(float(np.dot(g, g)) for g in grad_base(p, x0) + p.offsets)
     th = theoretical_hyperparams(

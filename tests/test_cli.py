@@ -633,6 +633,22 @@ def test_start_at_the_minimizer_is_a_config_error(tmp_path, capsys, command):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command, power", [("params", 5), ("check-smoothness", 7)])
+def test_odd_power_is_a_config_error(tmp_path, capsys, command, power):
+    # config parsing holds power to the rule make_problem applies, so the error names the field
+    problem = {
+        "family": "poly_even", "d": 2, "m": 1, "zeta": 0.0, "sigma": 0.0,
+        "power": power, "scale": 1.0,
+    }
+    if command == "params":
+        path = _auto_quadratic(tmp_path, problem=problem)
+    else:
+        path = _write(tmp_path / "spec.json", {"mode": "problem", "problem": problem})
+    assert main([command, "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: problem.power: must be an even integer >= 4, got {power}\n"
+
+
 SWEEP_CONFIG = CONFIGS / "sweep_speedup.json"
 
 

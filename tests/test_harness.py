@@ -30,7 +30,7 @@ from dnsgd.harness import (
 )
 from dnsgd.hyperparams import HyperParams
 from dnsgd.optimizers import run
-from dnsgd.problems import f_base
+from dnsgd.problems import FAMILIES, PARAMS, f_base
 from dnsgd.streams import fanout_seed
 from dnsgd.topology import build_topology, metropolis_mixing
 
@@ -210,6 +210,14 @@ def test_parse_errors_carry_field_paths():
         parse_run_config(raw)
     assert exc.value.field == "problem.rate"
 
+    # a family parameter is held to the rule that make_problem applies
+    raw = _raw_run_dict()
+    del raw["problem"]["curvature"]
+    raw["problem"].update(family="poly_even", power=5, scale=1.0)
+    with pytest.raises(ConfigError, match="even integer") as exc:
+        parse_run_config(raw)
+    assert exc.value.field == "problem.power"
+
     # streams use seeds modulo 2**64, so every seed field is bounded to [0, 2**64)
     for block in ("problem", "topology"):
         raw = _raw_run_dict()
@@ -217,6 +225,16 @@ def test_parse_errors_carry_field_paths():
         with pytest.raises(ConfigError) as exc:
             parse_run_config(raw)
         assert exc.value.field == f"{block}.seed"
+
+
+def test_family_parameters_are_the_optional_problem_fields():
+    # ProblemConfig lists the family parameters by hand, so that config echoes
+    # keep their bytes: each family's are fields, and each such field is some family's
+    optional = {name for name, value in ProblemConfig._field_defaults.items() if value is None}
+    for family in FAMILIES.values():
+        assert set(family.params) <= set(ProblemConfig._fields)
+    assert optional == {name for family in FAMILIES.values() for name in family.params}
+    assert optional == set(PARAMS)
 
 
 @pytest.mark.parametrize(

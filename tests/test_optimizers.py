@@ -18,7 +18,7 @@ from dnsgd.optimizers import (
     dnasa_schedule,
     run,
 )
-from dnsgd.problems import f_base, grad_base, make_exp_pair, make_poly_even, make_quadratic
+from dnsgd.problems import f_base, grad_base, make_problem
 from dnsgd.streams import StreamKey, derive_stream
 from dnsgd.topology import build_topology, metropolis_mixing
 
@@ -44,7 +44,7 @@ def test_dnsgd_single_agent_hand_simulation():
     # one agent, gossip is the identity, noiseless quadratic f(x) = x^2 / 2:
     # the tracker equals the gradient and each step moves by eta * sign(x),
     # so from 2.0 with eta = 0.5 the iterates are 2, 1.5, 1, 0.5, 0, 0.
-    p = make_quadratic(d=1, curvature=1.0, m=1, zeta=0.0, sigma=0.0, seed=0)
+    p = make_problem("quadratic", d=1, curvature=1.0, m=1, zeta=0.0, sigma=0.0, seed=0)
     mix = metropolis_mixing(build_topology("ring", 1))
     hp = _hp(eta=0.5, big_t=5, k_inner=1, k_init=1)
     traj = run("dnsgd", p, hp, mix, np.array([2.0]), seeds=[1])
@@ -57,7 +57,7 @@ def test_dnsgd_single_agent_hand_simulation():
 
 
 def test_dsgd_single_agent_geometric_decay():
-    p = make_quadratic(d=1, curvature=1.0, m=1, zeta=0.0, sigma=0.0, seed=0)
+    p = make_problem("quadratic", d=1, curvature=1.0, m=1, zeta=0.0, sigma=0.0, seed=0)
     mix = metropolis_mixing(build_topology("ring", 1))
     hp = _hp(eta=0.1, big_t=3)
     traj = run("dsgd", p, hp, mix, np.array([1.0]), seeds=[1])
@@ -71,7 +71,7 @@ def test_dsgd_single_agent_geometric_decay():
 def test_dnsgd_mean_update_identity():
     # gossip preserves column means, so the averaged iterate must follow
     # xbar' = xbar - eta * mean(_unit_rows(V)) up to floating point
-    p = make_quadratic(d=3, curvature=1.0, m=4, zeta=0.8, sigma=0.0, seed=2)
+    p = make_problem("quadratic", d=3, curvature=1.0, m=4, zeta=0.8, sigma=0.0, seed=2)
     hp = _hp(eta=0.04, big_t=25, k_inner=4, k_init=3)
     states = stepped_states("dnsgd", p, hp, RING4, np.full(3, 1.5), 9)
     for t in range(hp.big_t):
@@ -85,7 +85,7 @@ def test_dnsgd_mean_update_identity():
 
 
 def test_tracker_identity_all_tracked_algorithms():
-    p = make_exp_pair(d=4, rate=1.0, m=4, zeta=0.2, sigma=0.5, seed=5)
+    p = make_problem("exp_pair", d=4, rate=1.0, m=4, zeta=0.2, sigma=0.5, seed=5)
     hp = _hp(eta=0.02, b=3, big_t=40)
     for alg in ("dnsgd", "dsgt", "dnasa"):
         traj = run(alg, p, hp, RING4, np.full(4, 0.5), seeds=[17])
@@ -93,7 +93,7 @@ def test_tracker_identity_all_tracked_algorithms():
 
 
 def test_run_is_deterministic_per_seed():
-    p = make_exp_pair(d=3, rate=1.0, m=4, zeta=0.2, sigma=0.7, seed=5)
+    p = make_problem("exp_pair", d=3, rate=1.0, m=4, zeta=0.2, sigma=0.7, seed=5)
     hp = _hp(big_t=10, b=2)
     x0 = np.full(3, 0.8)
     a = run("dnsgd", p, hp, RING4, x0, seeds=[42])
@@ -111,7 +111,7 @@ def test_dsgt_removes_heterogeneity_floor():
     # with constant steps on a heterogeneous noiseless problem, plain
     # diffusion stalls at a consensus floor while tracking converges;
     # thresholds were frozen from an observed run (0.0855 vs 2.1e-9)
-    p = make_quadratic(d=3, curvature=1.0, m=4, zeta=1.0, sigma=0.0, seed=8)
+    p = make_problem("quadratic", d=3, curvature=1.0, m=4, zeta=1.0, sigma=0.0, seed=8)
     hp = _hp(eta=0.05, big_t=400)
     x0 = np.full(3, 1.0)
     dsgd = run("dsgd", p, hp, RING4, x0, seeds=[5])
@@ -123,7 +123,7 @@ def test_dsgt_removes_heterogeneity_floor():
 
 
 def test_divergence_raises_non_finite():
-    p = make_poly_even(d=2, power=4, scale=1.0, m=2, zeta=0.0, sigma=0.0, seed=1)
+    p = make_problem("poly_even", d=2, power=4, scale=1.0, m=2, zeta=0.0, sigma=0.0, seed=1)
     mix = metropolis_mixing(build_topology("complete", 2))
     hp = _hp(eta=1e6, big_t=20)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -132,7 +132,7 @@ def test_divergence_raises_non_finite():
 
 
 def test_exp_range_exit_is_a_divergence():
-    p = make_exp_pair(d=4, rate=1.0, m=4, zeta=0.5, sigma=0.0, seed=3)
+    p = make_problem("exp_pair", d=4, rate=1.0, m=4, zeta=0.5, sigma=0.0, seed=3)
     hp = _hp(eta=50.0, big_t=400, k_inner=1, k_init=1)
     with pytest.raises(NonFiniteStateError, match=r"safe range .* at iteration 2, agent 0$"):
         run("dsgd", p, hp, RING4, np.full(4, 0.6), seeds=[7])
@@ -149,7 +149,7 @@ def test_dnasa_schedule_frozen():
 
 
 def test_dnasa_step_respects_schedule():
-    p = make_quadratic(d=3, curvature=1.0, m=4, zeta=0.5, sigma=0.0, seed=2)
+    p = make_problem("quadratic", d=3, curvature=1.0, m=4, zeta=0.5, sigma=0.0, seed=2)
     hp = _hp(eta=0.5, big_t=12)
     states = stepped_states("dnasa", p, hp, RING4, np.full(3, 2.0), 6)
     for t in range(hp.big_t):
@@ -160,7 +160,7 @@ def test_dnasa_step_respects_schedule():
 
 
 def test_degenerate_horizon_records_initial_state_only():
-    p = make_quadratic(d=2, curvature=1.0, m=4, zeta=0.3, sigma=0.0, seed=2)
+    p = make_problem("quadratic", d=2, curvature=1.0, m=4, zeta=0.3, sigma=0.0, seed=2)
     hp = _hp(big_t=0)
     for alg in ALGORITHMS:
         traj = run(alg, p, hp, RING4, np.zeros(2), seeds=[1])
@@ -182,7 +182,7 @@ EXPECTED_COMM = {
 
 
 def test_counters_per_algorithm():
-    p = make_quadratic(d=2, curvature=1.0, m=4, zeta=0.3, sigma=0.0, seed=2)
+    p = make_problem("quadratic", d=2, curvature=1.0, m=4, zeta=0.3, sigma=0.0, seed=2)
     hp = _hp(b=7, big_t=4, k_inner=5, k_init=3)
     assert EXPECTED_COMM["dnsgd"](hp, np.arange(3)).tolist() == [3, 13, 23]
     for alg in ALGORITHMS:
@@ -194,8 +194,8 @@ def test_counters_per_algorithm():
 
 
 def test_box_exit_counting():
-    p = make_quadratic(
-        d=2, curvature=1.0, m=4, zeta=0.0, sigma=0.0, seed=2, box_radius=0.5
+    p = make_problem(
+        "quadratic", d=2, curvature=1.0, m=4, zeta=0.0, sigma=0.0, seed=2, box_radius=0.5
     )
     hp = _hp(eta=0.3, big_t=3)
     traj = run("dnsgd", p, hp, RING4, np.full(2, 0.6), seeds=[1])
@@ -206,7 +206,7 @@ def test_box_exit_counting():
 
 
 def test_run_argument_validation():
-    p = make_quadratic(d=2, curvature=1.0, m=4, zeta=0.3, sigma=0.0, seed=2)
+    p = make_problem("quadratic", d=2, curvature=1.0, m=4, zeta=0.3, sigma=0.0, seed=2)
     hp = _hp()
     with pytest.raises(ValueError, match="unknown algorithm"):
         run("adam", p, hp, RING4, np.zeros(2), seeds=[1])
@@ -329,11 +329,15 @@ def _assert_matches_reference(algorithm, p, hp, w, x0, seed):
 D_WIDE = 256  # with m = 4, a metrics block holds 64 states
 
 WIDE_PROBLEMS = {
-    "exp_pair": lambda: make_exp_pair(d=D_WIDE, rate=1.0, m=4, zeta=0.3, sigma=0.5, seed=5),
-    "poly_even": lambda: make_poly_even(
-        d=D_WIDE, power=4, scale=0.5, m=4, zeta=0.3, sigma=0.5, seed=5
+    "exp_pair": lambda: make_problem(
+        "exp_pair", d=D_WIDE, rate=1.0, m=4, zeta=0.3, sigma=0.5, seed=5
     ),
-    "quadratic": lambda: make_quadratic(d=D_WIDE, curvature=1.0, m=4, zeta=0.3, sigma=0.5, seed=5),
+    "poly_even": lambda: make_problem(
+        "poly_even", d=D_WIDE, power=4, scale=0.5, m=4, zeta=0.3, sigma=0.5, seed=5
+    ),
+    "quadratic": lambda: make_problem(
+        "quadratic", d=D_WIDE, curvature=1.0, m=4, zeta=0.3, sigma=0.5, seed=5
+    ),
 }
 
 
@@ -357,7 +361,9 @@ def test_run_matches_reference_at_block_edges(horizon):
 
 def test_run_matches_reference_with_first_box_exit_in_second_block():
     # a near-flat quadratic with large noise: the iterates random-walk out of the box
-    p = make_quadratic(d=D_WIDE, curvature=1e-3, m=4, zeta=0.0, sigma=16.0, seed=3, box_radius=1.45)
+    p = make_problem(
+        "quadratic", d=D_WIDE, curvature=1e-3, m=4, zeta=0.0, sigma=16.0, seed=3, box_radius=1.45
+    )
     block = _block_len(p)
     hp = _hp(eta=0.1, big_t=2 * block + 3)
     first_exit, box_exits = _assert_matches_reference("dsgd", p, hp, RING4, np.zeros(D_WIDE), 5)
@@ -367,7 +373,7 @@ def test_run_matches_reference_with_first_box_exit_in_second_block():
 
 @pytest.mark.parametrize("algorithm", ["dnsgd", "dsgd"])
 def test_run_matches_reference_on_large_ring(algorithm):
-    p = make_exp_pair(d=10, rate=1.0, m=256, zeta=0.2, sigma=0.5, seed=2)
+    p = make_problem("exp_pair", d=10, rate=1.0, m=256, zeta=0.2, sigma=0.5, seed=2)
     mix = metropolis_mixing(build_topology("ring", 256))
     block = _block_len(p)
     assert block == 25
@@ -401,7 +407,7 @@ def test_stream_derivations_per_run_do_not_grow_with_big_t(monkeypatch):
     """A run derives two streams per seed, its oracle stream and its output
     draw, at any length: derive_stream calls, wherever a module imported it
     by name, and SeedSequence constructions are counted at two run lengths."""
-    p = make_quadratic(d=3, curvature=1.0, m=4, zeta=0.3, sigma=0.5, seed=2)
+    p = make_problem("quadratic", d=3, curvature=1.0, m=4, zeta=0.3, sigma=0.5, seed=2)
     counts = {"derive_stream": 0, "SeedSequence": 0}
     derive, seed_sequence = streams.derive_stream, np.random.SeedSequence
 
@@ -442,7 +448,7 @@ def test_stacked_noisy_run_matches_reference_across_noise_chunks():
 def test_run_moves_all_seeds_in_one_step_call(monkeypatch):
     # the bound step of update_rule is called once per iteration with the
     # (S, m, d) stack of all seeds, so big_t times at any seed count
-    p = make_exp_pair(d=3, rate=1.0, m=4, zeta=0.3, sigma=0.4, seed=5)
+    p = make_problem("exp_pair", d=3, rate=1.0, m=4, zeta=0.3, sigma=0.4, seed=5)
     hp = _hp(eta=0.05, b=2, big_t=25, k_inner=3, k_init=2)
     x0 = np.full(3, 0.5)
     bind = optimizers.update_rule
@@ -479,7 +485,7 @@ NOISY_QUARTIC = dict(d=3, power=4, scale=0.5, m=4, zeta=0.3, sigma=12.0, seed=5)
 
 
 def _divergence(seeds):
-    p = make_poly_even(**NOISY_QUARTIC)
+    p = make_problem("poly_even", **NOISY_QUARTIC)
     hp = _hp(eta=0.3, b=1, big_t=80, k_inner=1, k_init=1)
     with pytest.raises(NonFiniteStateError) as err:
         run("dsgd", p, hp, RING4, np.full(3, 0.5), seeds=seeds)

@@ -17,9 +17,7 @@ from dnsgd.problems import (
     f_base,
     grad_base,
     lf_effective,
-    make_exp_pair,
-    make_poly_even,
-    make_quadratic,
+    make_problem,
     sample_grad,
 )
 from dnsgd.streams import StreamKey, derive_stream
@@ -39,16 +37,16 @@ def f_local(p, i, x):
 # Shared read-only instances; building the certified families is costly
 # enough that per-example rebuilds would dominate the hypothesis tests.
 INSTANCES = (
-    make_exp_pair(d=4, rate=1.0, m=3, zeta=0.3, sigma=0.0, seed=2),
-    make_poly_even(d=4, power=4, scale=0.5, m=3, zeta=0.3, sigma=0.0, seed=2),
-    make_quadratic(d=4, curvature=1.5, m=3, zeta=0.3, sigma=0.0, seed=2),
+    make_problem("exp_pair", d=4, rate=1.0, m=3, zeta=0.3, sigma=0.0, seed=2),
+    make_problem("poly_even", d=4, power=4, scale=0.5, m=3, zeta=0.3, sigma=0.0, seed=2),
+    make_problem("quadratic", d=4, curvature=1.5, m=3, zeta=0.3, sigma=0.0, seed=2),
 )
 
 
 # --- frozen closed-form values ------------------------------------------------
 
 def test_exp_pair_frozen_values():
-    p = make_exp_pair(d=1, rate=1.0, m=1, zeta=0.0, sigma=0.0, seed=0)
+    p = make_problem("exp_pair", d=1, rate=1.0, m=1, zeta=0.0, sigma=0.0, seed=0)
     assert f_base(p, np.zeros(1)) == pytest.approx(1.0, abs=1e-15)
     assert p.f_star == 1.0
     # cosh(log 2) = (2 + 1/2)/2 and sinh(log 2) = (2 - 1/2)/2
@@ -58,7 +56,7 @@ def test_exp_pair_frozen_values():
 
 
 def test_poly_even_frozen_values():
-    p = make_poly_even(d=1, power=4, scale=1.0, m=1, zeta=0.0, sigma=0.0, seed=0)
+    p = make_problem("poly_even", d=1, power=4, scale=1.0, m=1, zeta=0.0, sigma=0.0, seed=0)
     assert f_base(p, np.array([2.0])) == pytest.approx(4.0, abs=1e-12)
     assert grad_base(p, np.array([2.0]))[0] == pytest.approx(8.0, abs=1e-12)
     assert p.l1 == 3.0
@@ -66,7 +64,7 @@ def test_poly_even_frozen_values():
 
 
 def test_quadratic_frozen_values():
-    p = make_quadratic(d=2, curvature=2.0, m=1, zeta=0.0, sigma=0.0, seed=0)
+    p = make_problem("quadratic", d=2, curvature=2.0, m=1, zeta=0.0, sigma=0.0, seed=0)
     x = np.array([1.0, 2.0])
     assert f_base(p, x) == pytest.approx(5.0, abs=1e-14)
     assert np.allclose(grad_base(p, x), [2.0, 4.0], atol=1e-14)
@@ -131,7 +129,7 @@ def _oracle(seed):
 
 
 def test_sample_grad_mean_and_variance():
-    p = make_quadratic(d=3, curvature=1.0, m=2, zeta=0.4, sigma=0.5, seed=7)
+    p = make_problem("quadratic", d=3, curvature=1.0, m=2, zeta=0.4, sigma=0.5, seed=7)
     x = np.array([0.3, -1.1, 0.7])
     exact = grad_base(p, x) + p.offsets[0]
     b, n = 4, 20_000
@@ -148,14 +146,14 @@ def test_sample_grad_mean_and_variance():
 
 
 def test_sample_grad_noiseless_is_exact_and_deterministic():
-    p = make_quadratic(d=3, curvature=1.0, m=2, zeta=0.4, sigma=0.0, seed=7)
+    p = make_problem("quadratic", d=3, curvature=1.0, m=2, zeta=0.4, sigma=0.0, seed=7)
     x = np.array([0.3, -1.1, 0.7])
     out = sample_grad(p, np.tile(x, (p.m, 1)), 10, _oracle(1))
     assert np.array_equal(out[0], grad_base(p, x) + p.offsets[0])
 
 
 def test_sample_grad_same_stream_key_replays():
-    p = make_quadratic(d=2, curvature=1.0, m=1, zeta=0.0, sigma=1.0, seed=0)
+    p = make_problem("quadratic", d=2, curvature=1.0, m=1, zeta=0.0, sigma=1.0, seed=0)
     x = np.zeros((1, 2))
     a = sample_grad(p, x, 3, _oracle(9))
     rng = _oracle(9)
@@ -166,7 +164,7 @@ def test_sample_grad_same_stream_key_replays():
 
 
 def test_sample_grad_rejects_bad_batch():
-    p = make_quadratic(d=2, curvature=1.0, m=1, zeta=0.0, sigma=1.0, seed=0)
+    p = make_problem("quadratic", d=2, curvature=1.0, m=1, zeta=0.0, sigma=1.0, seed=0)
     with pytest.raises(ValueError, match="batch size"):
         sample_grad(p, np.zeros((1, 2)), 0, _oracle(0))
 
@@ -203,7 +201,7 @@ def test_sample_grad_matrix_oracle(p):
 # --- offsets and heterogeneity ---------------------------------------------------
 
 def test_offsets_centered_and_scaled_to_zeta():
-    p = make_quadratic(d=6, curvature=1.0, m=5, zeta=0.8, sigma=0.0, seed=3)
+    p = make_problem("quadratic", d=6, curvature=1.0, m=5, zeta=0.8, sigma=0.0, seed=3)
     assert np.allclose(p.offsets.sum(axis=0), 0.0, atol=1e-12)
     norms = np.linalg.norm(p.offsets, axis=1)
     assert norms.max() <= 0.8
@@ -212,14 +210,14 @@ def test_offsets_centered_and_scaled_to_zeta():
 
 def test_offsets_zero_when_homogeneous():
     for p in (
-        make_quadratic(d=3, curvature=1.0, m=4, zeta=0.0, sigma=0.0, seed=3),
-        make_quadratic(d=3, curvature=1.0, m=1, zeta=0.9, sigma=0.0, seed=3),
+        make_problem("quadratic", d=3, curvature=1.0, m=4, zeta=0.0, sigma=0.0, seed=3),
+        make_problem("quadratic", d=3, curvature=1.0, m=1, zeta=0.9, sigma=0.0, seed=3),
     ):
         assert np.all(p.offsets == 0.0)
 
 
 def test_offsets_read_only():
-    p = make_quadratic(d=3, curvature=1.0, m=4, zeta=0.5, sigma=0.0, seed=3)
+    p = make_problem("quadratic", d=3, curvature=1.0, m=4, zeta=0.5, sigma=0.0, seed=3)
     with pytest.raises(ValueError):
         p.offsets[0, 0] = 1.0
 
@@ -252,8 +250,8 @@ def test_dissimilarity_matches_reference_loop(seed):
 
 def test_global_objective_ignores_offsets():
     # offsets sum to zero, so the average objective equals the base objective
-    p = make_exp_pair(d=4, rate=1.0, m=5, zeta=0.6, sigma=0.0, seed=8)
-    q = make_exp_pair(d=4, rate=1.0, m=1, zeta=0.0, sigma=0.0, seed=8)
+    p = make_problem("exp_pair", d=4, rate=1.0, m=5, zeta=0.6, sigma=0.0, seed=8)
+    q = make_problem("exp_pair", d=4, rate=1.0, m=1, zeta=0.0, sigma=0.0, seed=8)
     rng = np.random.default_rng(0)
     for _ in range(10):
         x = rng.uniform(-2, 2, size=4)
@@ -270,7 +268,7 @@ def quadratic_local_minimum(p, i):
 
 
 def test_quadratic_local_minimum_matches_descent_oracle():
-    p = make_quadratic(d=4, curvature=2.0, m=3, zeta=1.0, sigma=0.0, seed=11)
+    p = make_problem("quadratic", d=4, curvature=2.0, m=3, zeta=1.0, sigma=0.0, seed=11)
     for i in range(p.m):
         x_star, f_min = quadratic_local_minimum(p, i)
         x = np.zeros(p.d)
@@ -300,7 +298,7 @@ def test_built_instances_pass_their_own_certificate():
 
 
 def test_exp_pair_l0_exceeds_curvature_bound():
-    p = make_exp_pair(d=10, rate=1.0, m=1, zeta=0.0, sigma=0.0, seed=0)
+    p = make_problem("exp_pair", d=10, rate=1.0, m=1, zeta=0.0, sigma=0.0, seed=0)
     assert p.l0 >= 1.0 / 10.0
     # the certified value stays within an order of magnitude of the start
     assert p.l0 <= 10.0 / 10.0
@@ -421,9 +419,13 @@ def reference_check_relaxed_smooth(
 
 # each family's m = 1 certification stub at dimension d
 STUB_MAKERS = {
-    "exp_pair": lambda d: make_exp_pair(d=d, rate=1.0, m=1, zeta=0.0, sigma=0.0, seed=0),
-    "poly_even": lambda d: make_poly_even(d=d, power=4, scale=0.5, m=1, zeta=0.0, sigma=0.0, seed=0),
-    "quadratic": lambda d: make_quadratic(d=d, curvature=1.5, m=1, zeta=0.0, sigma=0.0, seed=0),
+    "exp_pair": lambda d: make_problem("exp_pair", d=d, rate=1.0, m=1, zeta=0.0, sigma=0.0, seed=0),
+    "poly_even": lambda d: make_problem(
+        "poly_even", d=d, power=4, scale=0.5, m=1, zeta=0.0, sigma=0.0, seed=0
+    ),
+    "quadratic": lambda d: make_problem(
+        "quadratic", d=d, curvature=1.5, m=1, zeta=0.0, sigma=0.0, seed=0
+    ),
 }
 
 SINH_WITNESS = (np.zeros(1), np.array([LOG2]))
@@ -610,10 +612,12 @@ def test_certified_l0_matches_two_pass_reference(family, value, d, seed):
     # the pair that binds l0 violates at every earlier candidate here, so
     # raising l0 by the violating pairs or by all pairs gives the same l0
     if family == "exp_pair":
-        p = make_exp_pair(d=d, rate=value, m=1, zeta=0.0, sigma=0.0, seed=seed)
+        p = make_problem("exp_pair", d=d, rate=value, m=1, zeta=0.0, sigma=0.0, seed=seed)
         l0_start = value * value / d
     else:
-        p = make_poly_even(d=d, power=value, scale=0.5, m=1, zeta=0.0, sigma=0.0, seed=seed)
+        p = make_problem(
+            "poly_even", d=d, power=value, scale=0.5, m=1, zeta=0.0, sigma=0.0, seed=seed
+        )
         l0_start = 0.5 * (value - 1)
     assert p.l0 == reference_certified_l0(p, l0_start, seed)
 
@@ -624,7 +628,7 @@ def test_certified_l0_matches_two_pass_reference(family, value, d, seed):
 def test_poly_even_l0_is_its_start_value(power, d, seed):
     # no sampled pair, random or probe, implies an l0 above scale (power - 1),
     # so the certificate does not depend on the random sample
-    p = make_poly_even(d=d, power=power, scale=0.5, m=1, zeta=0.0, sigma=0.0, seed=seed)
+    p = make_problem("poly_even", d=d, power=power, scale=0.5, m=1, zeta=0.0, sigma=0.0, seed=seed)
     assert p.l0 == 0.5 * (power - 1)
     report = check_relaxed_smooth(
         lambda x: grad_base(p, x), d, p.l0, p.l1, region=p.box_radius, trials=CERTIFY_TRIALS,
@@ -639,7 +643,7 @@ def test_exp_pair_l0_is_set_by_the_zero_probe(rate):
     # the binding pair is x = 0, y = (log 2 / rate) e_j, which implies
     # l0 = sinh(log 2) / log 2 * rate^2 / d; pairs at large |rate x| whose
     # implied l0 is rounding noise within RATIO_TOL must not inflate it
-    p = make_exp_pair(d=10, rate=rate, m=1, zeta=0.0, sigma=0.0, seed=0)
+    p = make_problem("exp_pair", d=10, rate=rate, m=1, zeta=0.0, sigma=0.0, seed=0)
     expected = 1.2 * math.sinh(LOG2) / LOG2 * rate * rate / 10
     assert p.l0 == pytest.approx(expected, rel=1e-9)
 
@@ -647,13 +651,13 @@ def test_exp_pair_l0_is_set_by_the_zero_probe(rate):
 def test_certification_overflow_is_a_value_error():
     # at rate 71 on the box of radius 5, ||grad||^2 exceeds the float64 range
     with pytest.raises(ValueError, match="overflow float64"):
-        make_exp_pair(d=10, rate=71.0, m=1, zeta=0.0, sigma=0.0, seed=0)
+        make_problem("exp_pair", d=10, rate=71.0, m=1, zeta=0.0, sigma=0.0, seed=0)
 
 
 def test_exp_overflow_guard():
     # evaluation outside the certification box is allowed (box exits are the
     # runner's concern) until the exponent would overflow a double
-    p = make_exp_pair(d=2, rate=1.0, m=1, zeta=0.0, sigma=0.0, seed=0)
+    p = make_problem("exp_pair", d=2, rate=1.0, m=1, zeta=0.0, sigma=0.0, seed=0)
     assert math.isfinite(f_base(p, np.array([699.0, 0.0])))
     with pytest.raises(ValueError, match="safe range"):
         f_base(p, np.array([701.0, 0.0]))
@@ -670,17 +674,26 @@ def test_exp_overflow_guard():
 
 def test_factory_validation():
     with pytest.raises(ValueError, match="rate"):
-        make_exp_pair(d=2, rate=0.0, m=1, zeta=0.0, sigma=0.0, seed=0)
+        make_problem("exp_pair", d=2, rate=0.0, m=1, zeta=0.0, sigma=0.0, seed=0)
     with pytest.raises(ValueError, match="even integer"):
-        make_poly_even(d=2, power=3, scale=1.0, m=1, zeta=0.0, sigma=0.0, seed=0)
+        make_problem("poly_even", d=2, power=3, scale=1.0, m=1, zeta=0.0, sigma=0.0, seed=0)
     with pytest.raises(ValueError, match="even integer"):
-        make_poly_even(d=2, power=2, scale=1.0, m=1, zeta=0.0, sigma=0.0, seed=0)
+        make_problem("poly_even", d=2, power=2, scale=1.0, m=1, zeta=0.0, sigma=0.0, seed=0)
     with pytest.raises(ValueError, match="curvature"):
-        make_quadratic(d=2, curvature=-1.0, m=1, zeta=0.0, sigma=0.0, seed=0)
+        make_problem("quadratic", d=2, curvature=-1.0, m=1, zeta=0.0, sigma=0.0, seed=0)
     with pytest.raises(ValueError, match="box_radius"):
-        make_poly_even(d=2, power=4, scale=1.0, m=1, zeta=0.0, sigma=0.0, seed=0, box_radius=0.0)
+        make_problem(
+            "poly_even", d=2, power=4, scale=1.0, m=1, zeta=0.0, sigma=0.0, seed=0, box_radius=0.0
+        )
     with pytest.raises(ValueError, match="positive integer"):
-        make_quadratic(d=0, curvature=1.0, m=1, zeta=0.0, sigma=0.0, seed=0)
+        make_problem("quadratic", d=0, curvature=1.0, m=1, zeta=0.0, sigma=0.0, seed=0)
+    with pytest.raises(ValueError, match="unknown family 'cubic'"):
+        make_problem("cubic", d=2, m=1, zeta=0.0, sigma=0.0, seed=0)
+    # a missing and a foreign parameter
+    with pytest.raises(ValueError, match="takes parameters"):
+        make_problem("poly_even", d=2, power=4, m=1, zeta=0.0, sigma=0.0, seed=0)
+    with pytest.raises(ValueError, match="takes parameters"):
+        make_problem("quadratic", d=2, curvature=1.0, rate=1.0, m=1, zeta=0.0, sigma=0.0, seed=0)
 
 
 # --- hypothesis properties ------------------------------------------------------

@@ -9,8 +9,11 @@ HyperParams validates its fields in __post_init__, and MixingMatrix and Graph
 compare by identity.
 
 A public function that nothing in src/ calls is surface only tests reach; the
-caller guard fails on it unless the benchmark traces it by name, a config
-dispatches to it by name, or it is the console-script entry point.
+caller guard fails on it unless the benchmark traces it by name or it is the
+console-script entry point.
+
+A problem family is one problems.FAMILIES entry; the family guard fails on a
+module that branches on a family name or looks a problems attribute up by name.
 
 Every norm and sum of squares goes through problems._sum_squares, numpy's
 pairwise add.reduce, whose order no BLAS kernel picks; the sum guard fails on
@@ -35,7 +38,7 @@ SRC = ROOT / "src" / "dnsgd"
 
 RECORDS = (
     streams.StreamKey,
-    problems.ProblemInstance, problems.SmoothnessReport,
+    problems.ProblemInstance, problems.SmoothnessReport, problems.Param, problems.Family,
     topology.ClauseResult, topology.ValidationReport,
     hyperparams.RhoGuard, hyperparams.TheoreticalParams,
     optimizers.Method, optimizers.OptimizerState,
@@ -114,7 +117,6 @@ def test_every_public_function_has_a_caller():
                 referenced.add(node.name)
     exempt = (
         _bench_named_functions()
-        | {f"problems.make_{family}" for family in problems.FAMILIES}
         | _script_entry_points()
         # the measured-dissimilarity check of ROADMAP item 5 is built on it
         | {"problems.dissimilarity_measured"}
@@ -166,3 +168,25 @@ def test_sums_of_squares_take_one_rule():
                     if side in ones_calls or (isinstance(side, ast.Name) and side.id in ones):
                         found.add((path.stem, "@ ones"))
     assert found == BLAS_SUM_ALLOWED
+
+
+def test_the_family_decision_stays_in_the_table():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Compare):
+                operands = [node.left, *node.comparators]
+                operands += [
+                    elt for o in operands if isinstance(o, (ast.Tuple, ast.List, ast.Set))
+                    for elt in o.elts
+                ]
+                found += [
+                    (path.stem, node.lineno, o.value) for o in operands
+                    if isinstance(o, ast.Constant) and o.value in problems.FAMILIES
+                ]
+            elif (
+                isinstance(node, ast.Call) and _dotted(node.func) == "getattr" and node.args
+                and _dotted(node.args[0]).rsplit(".", 1)[-1] == "problems"
+            ):
+                found.append((path.stem, node.lineno, "getattr(problems, ...)"))
+    assert found == []

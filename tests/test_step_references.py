@@ -19,14 +19,16 @@ from dnsgd import optimizers
 from dnsgd.gossip import acc_gossip, plain_gossip
 from dnsgd.hyperparams import HyperParams
 from dnsgd.optimizers import EPS_NORM, METHODS, _unit_rows, dnasa_schedule, run
-from dnsgd.problems import make_exp_pair, make_poly_even, sample_grad
+from dnsgd.problems import make_problem, sample_grad
 from dnsgd.streams import StreamKey, derive_stream
 from dnsgd.topology import build_topology, metropolis_mixing
 
 RING5 = metropolis_mixing(build_topology("ring", 5))
 PROBLEMS = {
-    "exp_pair": make_exp_pair(d=3, rate=1.0, m=5, zeta=0.3, sigma=0.4, seed=11),
-    "poly_even": make_poly_even(d=3, power=4, scale=0.5, m=5, zeta=0.3, sigma=0.4, seed=12),
+    "exp_pair": make_problem("exp_pair", d=3, rate=1.0, m=5, zeta=0.3, sigma=0.4, seed=11),
+    "poly_even": make_problem(
+        "poly_even", d=3, power=4, scale=0.5, m=5, zeta=0.3, sigma=0.4, seed=12
+    ),
 }
 HP = HyperParams(eta=0.05, b=3, big_t=40, k_inner=4, k_init=2, epsilon=0.1)
 
