@@ -30,10 +30,10 @@ import numpy as np
 
 from .config import (
     ConfigError,
-    _as_float,
     _as_int,
     _as_str,
     _get,
+    _parse_field,
     _reject_unknown,
     build_mixing,
     build_problem,
@@ -46,7 +46,7 @@ from .config import (
 )
 from .harness import resolve_hyperparams, run_experiment, sweep_speedup
 from .optimizers import METHODS, NonFiniteStateError
-from .problems import EXP_ARG_MAX, check_relaxed_smooth, grad_base
+from .problems import EXP_ARG_MAX, FAMILIES, PARAMS, check_relaxed_smooth, grad_base
 from .topology import (
     KINDS,
     DisconnectedTopologyError,
@@ -121,17 +121,17 @@ _SPEC_KEYS = {
 
 
 def _counterexample_check(spec: dict, seed: int):
-    rate = _as_float(spec.get("rate", 1.0), "rate", 0.0, strict=True)
+    rate = _parse_field(spec, "rate", PARAMS["rate"], "", default=1.0)
     target = _as_str(spec.get("target", "average"), "target", choices=("single", "average"))
     trials = _as_int(spec.get("trials", 500), "trials", minimum=1)
-    box = _as_float(spec.get("box_radius", 2.0), "box_radius", 0.0, strict=True)
+    box = _parse_field(spec, "box_radius", PARAMS["box_radius"], "", default=2.0)
     region = min(box, (EXP_ARG_MAX - 100.0) / rate)
     l1 = rate / math.log(2.0)
 
     if target == "single":
         grad = lambda x: rate * np.exp(rate * x)  # noqa: E731
-    else:
-        grad = lambda x: rate * np.sinh(rate * x)  # noqa: E731
+    else:  # exp_pair's gradient at d = 1
+        grad = FAMILIES["exp_pair"].gradient({"rate": rate}, 1)
     witness = (np.zeros(1), np.array([math.log(2.0) / rate]))
     report = check_relaxed_smooth(
         grad, dim=1, l0=0.0, l1=l1, region=region, trials=trials,
@@ -274,10 +274,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 2
-    except DisconnectedTopologyError as e:
+    except (ConfigError, DisconnectedTopologyError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
     except ValueError as e:

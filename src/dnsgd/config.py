@@ -8,7 +8,10 @@ config without ``hyperparams`` (``auto`` is required) plus ``m_list`` and
 
 Errors raise ConfigError with the dotted path of the offending field so a
 typo in a nested block is reported as e.g. ``problem.sigma`` rather than a
-bare KeyError.
+bare KeyError. Each numeric field of a problem, of hyperparams, and auto's and
+a sweep's epsilon is read by _parse_field and held to the rule that the
+record's constructor applies too: problems.PARAMS, hyperparams.FIELDS, and
+topology.edge_probability_error for topology.p.
 """
 
 from __future__ import annotations
@@ -20,10 +23,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .hyperparams import HyperParams
+from .hyperparams import FIELDS, HyperParams
 from .optimizers import ALGORITHMS
-from .problems import FAMILIES, PARAMS, ProblemInstance, make_problem
-from .topology import KINDS, MixingMatrix, build_topology, metropolis_mixing
+from .problems import FAMILIES, PARAMS, Param, ProblemInstance, make_problem
+from .topology import (
+    KINDS, MixingMatrix, build_topology, edge_probability_error, metropolis_mixing,
+)
 
 
 class ConfigError(ValueError):
@@ -113,7 +118,7 @@ def parse_seed(value, path: str) -> int:
     return _as_int(value, path, minimum=0, maximum=2**64 - 1)
 
 
-def _as_float(value, path: str, minimum: float | None = None, strict: bool = False) -> float:
+def _as_float(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(path, f"expected a number, got {value!r}")
     try:
@@ -122,11 +127,6 @@ def _as_float(value, path: str, minimum: float | None = None, strict: bool = Fal
         value = math.inf
     if not math.isfinite(value):
         raise ConfigError(path, f"expected a finite number, got {value}")
-    if minimum is not None:
-        if strict and value <= minimum:
-            raise ConfigError(path, f"must be > {minimum}, got {value}")
-        if not strict and value < minimum:
-            raise ConfigError(path, f"must be >= {minimum}, got {value}")
     return value
 
 
@@ -138,18 +138,28 @@ def _as_str(value, path: str, choices: tuple[str, ...] | None = None) -> str:
     return value
 
 
-_PROBLEM_KEYS = {"family", "d", "m", "zeta", "sigma", "seed", "box_radius"} | set(PARAMS)
+def _parse_field(
+    d: dict, name: str, rule: Param, path: str, missing: str = "missing required field",
+    default: float | None = None,
+):
+    """d[name] read as an int or a finite float, as rule says, and held to rule.
 
-
-def _parse_family_param(d: dict, name: str, family: str, path: str):
-    field = f"{path}.{name}"
+    An absent field is default, or with no default a ConfigError saying missing.
+    """
+    field = f"{path}.{name}" if path else name
     if name not in d:
-        raise ConfigError(field, f"required for family {family!r}")
-    value = _as_int(d[name], field) if PARAMS[name].integer else _as_float(d[name], field)
-    error = PARAMS[name].error(value)
+        if default is None:
+            raise ConfigError(field, missing)
+        return default
+    value = _as_int(d[name], field) if rule.integer else _as_float(d[name], field)
+    error = rule.error(value)
     if error is not None:
         raise ConfigError(field, error)
     return value
+
+
+_PROBLEM_KEYS = {"family", "seed"} | set(PARAMS)
+_FAMILY_PARAMS = {name for family in FAMILIES.values() for name in family.params}
 
 
 def parse_problem(d: dict, path: str = "problem") -> ProblemConfig:
@@ -157,21 +167,18 @@ def parse_problem(d: dict, path: str = "problem") -> ProblemConfig:
     _reject_unknown(d, _PROBLEM_KEYS, path)
     family = _as_str(_get(d, "family", path), f"{path}.family", choices=tuple(FAMILIES))
     params = FAMILIES[family].params
-    foreign = sorted((set(d) & set(PARAMS)) - set(params))
+    foreign = sorted((set(d) & _FAMILY_PARAMS) - set(params))
     if foreign:
         raise ConfigError(f"{path}.{foreign[0]}", f"not a parameter of family {family!r}")
     return ProblemConfig(
         family=family,
-        d=_as_int(_get(d, "d", path), f"{path}.d", minimum=1),
-        m=_as_int(_get(d, "m", path), f"{path}.m", minimum=1),
-        zeta=_as_float(_get(d, "zeta", path), f"{path}.zeta", minimum=0.0),
-        sigma=_as_float(_get(d, "sigma", path), f"{path}.sigma", minimum=0.0),
+        **{name: _parse_field(d, name, PARAMS[name], path) for name in ("d", "m", "zeta", "sigma")},
         seed=parse_seed(_get(d, "seed", path, required=False, default=0), f"{path}.seed"),
-        box_radius=_as_float(
-            _get(d, "box_radius", path, required=False, default=5.0),
-            f"{path}.box_radius", minimum=0.0, strict=True,
-        ),
-        **{name: _parse_family_param(d, name, family, path) for name in params},
+        box_radius=_parse_field(d, "box_radius", PARAMS["box_radius"], path, default=5.0),
+        **{
+            name: _parse_field(d, name, PARAMS[name], path, f"required for family {family!r}")
+            for name in params
+        },
     )
 
 
@@ -179,15 +186,10 @@ def parse_topology(d: dict, path: str = "topology") -> TopologyConfig:
     d = _expect_dict(d, path)
     _reject_unknown(d, {"kind", "p", "seed"}, path)
     kind = _as_str(_get(d, "kind", path), f"{path}.kind", choices=KINDS)
-    p = d.get("p")
-    if p is not None:
-        p = _as_float(p, f"{path}.p", minimum=0.0, strict=True)
-        if p > 1.0:
-            raise ConfigError(f"{path}.p", f"must be in (0, 1], got {p}")
-    if kind == "erdos_renyi" and p is None:
-        raise ConfigError(f"{path}.p", "required for erdos_renyi")
-    if kind != "erdos_renyi" and p is not None:
-        raise ConfigError(f"{path}.p", f"only valid for erdos_renyi, not {kind!r}")
+    p = None if d.get("p") is None else _as_float(d["p"], f"{path}.p")
+    error = edge_probability_error(kind, p)
+    if error is not None:
+        raise ConfigError(f"{path}.p", error)
     seed = parse_seed(_get(d, "seed", path, required=False, default=0), f"{path}.seed")
     return TopologyConfig(kind=kind, p=p, seed=seed)
 
@@ -195,27 +197,15 @@ def parse_topology(d: dict, path: str = "topology") -> TopologyConfig:
 def parse_auto(d: dict, path: str = "auto") -> AutoHyperConfig:
     d = _expect_dict(d, path)
     _reject_unknown(d, {"epsilon", "t_cap"}, path)
-    t_cap = d.get("t_cap")
-    if t_cap is not None:
-        t_cap = _as_int(t_cap, f"{path}.t_cap", minimum=1)
-    return AutoHyperConfig(
-        epsilon=_as_float(_get(d, "epsilon", path), f"{path}.epsilon", 0.0, strict=True),
-        t_cap=t_cap,
-    )
+    t_cap = None if d.get("t_cap") is None else _as_int(d["t_cap"], f"{path}.t_cap", minimum=1)
+    return AutoHyperConfig(epsilon=_parse_field(d, "epsilon", FIELDS["epsilon"], path), t_cap=t_cap)
 
 
 def parse_hyperparams(d: dict, path: str = "hyperparams") -> HyperParams:
     d = _expect_dict(d, path)
-    _reject_unknown(d, {"eta", "b", "big_t", "k_inner", "k_init", "epsilon"}, path)
-    # the field checks enforce every bound of HyperParams, so it cannot raise here
-    return HyperParams(
-        eta=_as_float(_get(d, "eta", path), f"{path}.eta", 0.0, strict=True),
-        b=_as_int(_get(d, "b", path), f"{path}.b", minimum=1),
-        big_t=_as_int(_get(d, "big_t", path), f"{path}.big_t", minimum=0),
-        k_inner=_as_int(_get(d, "k_inner", path), f"{path}.k_inner", minimum=1),
-        k_init=_as_int(_get(d, "k_init", path), f"{path}.k_init", minimum=1),
-        epsilon=_as_float(_get(d, "epsilon", path), f"{path}.epsilon", 0.0, strict=True),
-    )
+    _reject_unknown(d, set(FIELDS), path)
+    # HyperParams applies the same rules, so it cannot raise here
+    return HyperParams(**{name: _parse_field(d, name, rule, path) for name, rule in FIELDS.items()})
 
 
 def _parse_x0(value, path: str = "x0") -> float | tuple[float, ...]:
@@ -284,10 +274,7 @@ def parse_sweep_config(d: dict) -> SweepConfig:
     if not isinstance(raw_m, list) or not raw_m:
         raise ConfigError("m_list", "expected a non-empty list of integers")
     m_list = tuple(_as_int(v, f"m_list[{i}]", minimum=1) for i, v in enumerate(raw_m))
-    target_epsilon = _as_float(
-        _get(d, "target_epsilon", "", required=False, default=0.3),
-        "target_epsilon", 0.0, strict=True,
-    )
+    target_epsilon = _parse_field(d, "target_epsilon", FIELDS["epsilon"], "", default=0.3)
     run = {key: v for key, v in d.items() if key not in ("m_list", "target_epsilon")}
     return SweepConfig(
         run=parse_run_config({"algorithm": "dnsgd", **run}),

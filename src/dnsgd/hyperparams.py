@@ -8,18 +8,20 @@ rho small enough to satisfy a list of explicit inequalities; rho_guard checks
 that list for a concrete rho and choose_k_for_guard finds the smallest gossip
 depth satisfying it; the calculator never picks a shallower inner depth. Its
 constants are fixed: C_K scales the inner gossip depth and C_K_HAT the initial
-one.
+one. Each HyperParams field's type and range is one FIELDS rule (a
+problems.Param), which config parsing and HyperParams both apply; l_f is
+problems.lf_effective wherever it is needed.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
 from .gossip import contraction_rho, min_rounds_for_rho
+from .problems import COUNT, PARAMS, POSITIVE, Param, check_fields, lf_effective
 
 # Deepest gossip depth choose_k_for_guard tries; the exp_pair benchmark problem
 # on a path at m = 1024 needs 23177.
@@ -28,6 +30,17 @@ K_MAX = 2**16
 # k_inner >= C_K log(max(m, 2)) / sqrt(gamma); k_init scales by C_K_HAT.
 C_K = 2.0
 C_K_HAT = 1.0
+
+# Each HyperParams field's rule, which config parsing and __post_init__ both
+# apply; auto.epsilon and a sweep's target_epsilon are held to the epsilon rule.
+FIELDS = {
+    "eta": POSITIVE,
+    "b": COUNT,
+    "big_t": Param(True, "an integer >= 0", lambda v: v >= 0),
+    "k_inner": COUNT,
+    "k_init": COUNT,
+    "epsilon": POSITIVE,
+}
 
 
 @dataclass(frozen=True)
@@ -46,18 +59,7 @@ class HyperParams:
     epsilon: float
 
     def __post_init__(self) -> None:
-        if not self.eta > 0:
-            raise ValueError(f"eta must be positive, got {self.eta}")
-        if not self.epsilon > 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-        for name, value, low in (
-            ("b", self.b, 1),
-            ("big_t", self.big_t, 0),
-            ("k_inner", self.k_inner, 1),
-            ("k_init", self.k_init, 1),
-        ):
-            if not isinstance(value, int) or isinstance(value, bool) or value < low:
-                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+        check_fields(FIELDS, vars(self))
 
 
 def lyapunov_constants(l0: float, l1: float, zeta: float) -> tuple[float, float]:
@@ -116,7 +118,7 @@ def rho_guard(
     """
     if rho < 0 or eta <= 0 or b < 1 or m < 1 or sigma < 0:
         raise ValueError("rho >= 0, eta > 0, b >= 1, m >= 1, sigma >= 0 required")
-    l_f = l0 + l1 * zeta
+    l_f = lf_effective(l0, l1, zeta)
     if l_f <= 0:
         raise ValueError("l0 + l1 * zeta must be positive")
     m0, m1 = lyapunov_constants(l0, l1, zeta)
@@ -160,7 +162,7 @@ def choose_k_for_guard(
     A bisection: rho falls as k grows and every guard condition is monotone
     in rho, so the depths that pass are a tail of [1, K_MAX].
     """
-    l_f = l0 + l1 * zeta
+    l_f = lf_effective(l0, l1, zeta)
     if 2.0 * sigma / math.sqrt(m * b) >= eta * l_f / 4.0:
         raise ValueError(
             "noise floor condition cannot hold for any gossip depth: "
@@ -222,16 +224,9 @@ def theoretical_hyperparams(
     the noise it sets k_init. t_cap truncates the iteration count (the
     uncapped value is recorded).
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    check_fields({"epsilon": FIELDS["epsilon"], "m": PARAMS["m"]}, {"epsilon": epsilon, "m": m})
     if not 0.0 < gamma <= 1.0:
         raise ValueError(f"gamma must lie in (0, 1], got {gamma}")
-    try:
-        m = int(operator.index(m))
-    except TypeError:
-        raise ValueError(f"m must be a positive integer, got {m!r}") from None
-    if m < 1:
-        raise ValueError(f"m must be a positive integer, got {m!r}")
     if l0 < 0 or l1 < 0 or zeta < 0 or sigma < 0:
         raise ValueError("l0, l1, zeta, sigma must be non-negative")
     if delta_f_estimate <= 0:
@@ -243,7 +238,7 @@ def theoretical_hyperparams(
     if not math.isfinite(g0_norm_sq):
         raise ValueError(f"g0_norm_sq must be finite, got {g0_norm_sq}")
 
-    l_f = l0 + l1 * zeta
+    l_f = lf_effective(l0, l1, zeta)
     if l_f <= 0:
         raise ValueError("l0 + l1 * zeta must be positive")
     m0, m1 = lyapunov_constants(l0, l1, zeta)

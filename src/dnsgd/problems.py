@@ -11,9 +11,11 @@ f_base, its infimum is analytic, and ||grad f_i(x) - grad f(x)|| equals
 
 A family is one FAMILIES entry (a Family record): its parameter names, its
 value and gradient maps, its starting constants (l0_start, l1, f_star) and
-whether l0_start is exact or certified. Each parameter's type and range is one
-PARAMS rule, which config parsing and make_problem both apply. make_problem
-builds an instance of any family; f_base and grad_base look the family up.
+whether l0_start is exact or certified. Every numeric problem field (d, m,
+zeta, sigma, box_radius and each family parameter) has one PARAMS rule, a Param
+giving its type and range, which config parsing and make_problem (through
+check_fields) both apply. make_problem builds an instance of any family;
+f_base and grad_base look the family up.
 
 Families:
     exp_pair   f_base(x) = (1/d) sum_j (exp(r x_j) + exp(-r x_j)) / 2
@@ -95,9 +97,10 @@ def _exp_arg(rate: float, x: np.ndarray) -> np.ndarray:
 
 
 class Param(NamedTuple):
-    """A family parameter's rule: an integer or a number, for which holds is true.
+    """A numeric field's rule: an integer or a number, for which holds is true.
 
-    An integer parameter stays an int in a parsed config, so its echo reads 4, not 4.0.
+    An integer field stays an int in a parsed config, so its echo reads 4, not 4.0.
+    Every rule compares so that NaN breaks it.
     """
 
     integer: bool
@@ -112,13 +115,30 @@ class Param(NamedTuple):
         return f"must be {self.rule}, got {value!r}"
 
 
-# Each family parameter's rule, which config parsing and make_problem both apply.
-_POSITIVE = Param(False, "a finite number > 0", lambda v: 0 < v < math.inf)
+def check_fields(rules: dict[str, Param], values: dict[str, object]) -> None:
+    """ValueError naming the first of values, by name, that breaks its rule in rules."""
+    for name, value in values.items():
+        error = rules[name].error(value)
+        if error is not None:
+            raise ValueError(f"{name} {error}")
+
+
+POSITIVE = Param(False, "a finite number > 0", lambda v: 0 < v < math.inf)
+COUNT = Param(True, "an integer >= 1", lambda v: v >= 1)
+_NON_NEGATIVE = Param(False, "a finite number >= 0", lambda v: 0 <= v < math.inf)
+
+# Each numeric problem field's rule, which config parsing and make_problem both
+# apply; the family parameters are the names that FAMILIES entries take.
 PARAMS = {
-    "rate": _POSITIVE,
+    "d": COUNT,
+    "m": COUNT,
+    "zeta": _NON_NEGATIVE,
+    "sigma": _NON_NEGATIVE,
+    "box_radius": POSITIVE,
+    "rate": POSITIVE,
     "power": Param(True, "an even integer >= 4", lambda v: v >= 4 and v % 2 == 0),
-    "scale": _POSITIVE,
-    "curvature": _POSITIVE,
+    "scale": POSITIVE,
+    "curvature": POSITIVE,
 }
 
 
@@ -471,30 +491,19 @@ def make_problem(
 ) -> ProblemInstance:
     """Instance of a FAMILIES entry with seeded offsets and l0 covering every agent's objective.
 
-    params are the family's parameters by name, each held to its PARAMS rule.
-    l1 and f_star are the family's; l0 is its l0_start, raised by certification
-    when the family is certified, plus l1 * max_i ||b_i|| to cover the offset
-    objectives.
+    params are the family's parameters by name; they, d, m, zeta, sigma and
+    box_radius are held to their PARAMS rules. l1 and f_star are the family's;
+    l0 is its l0_start, raised by certification when the family is certified,
+    plus l1 * max_i ||b_i|| to cover the offset objectives.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {', '.join(FAMILIES)}")
     spec = FAMILIES[family]
-    if not isinstance(d, (int, np.integer)) or d < 1:
-        raise ValueError(f"dimension must be a positive integer, got {d!r}")
-    if not isinstance(m, (int, np.integer)) or m < 1:
-        raise ValueError(f"agent count must be a positive integer, got {m!r}")
-    if zeta < 0:
-        raise ValueError("zeta must be non-negative")
-    if sigma < 0:
-        raise ValueError("sigma must be non-negative")
-    if box_radius <= 0:
-        raise ValueError("box_radius must be positive")
     if sorted(params) != sorted(spec.params):
         raise ValueError(f"family {family!r} takes parameters {spec.params}, got {tuple(params)}")
-    for name in spec.params:
-        error = PARAMS[name].error(params[name])
-        if error is not None:
-            raise ValueError(f"{name} {error}")
+    check_fields(
+        PARAMS, {"d": d, "m": m, "zeta": zeta, "sigma": sigma, "box_radius": box_radius, **params}
+    )
     params = {name: float(params[name]) for name in spec.params}
     l0, l1, f_star = spec.constants(params, d)
     offsets = _make_offsets(d, m, zeta, seed)

@@ -16,9 +16,13 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .problems import PARAMS, Param, check_fields
 from .streams import StreamKey, derive_stream
 
 KINDS = ("ring", "path", "complete", "erdos_renyi")
+
+# The rule of erdos_renyi's edge probability; no other kind takes one.
+_EDGE_PROBABILITY = Param(False, "an edge probability in (0, 1]", lambda v: 0.0 < v <= 1.0)
 
 # Erdos-Renyi draws tried before a disconnected topology is reported.
 MAX_RETRIES = 100
@@ -66,6 +70,13 @@ def is_connected(adjacency: np.ndarray) -> bool:
     return bool(seen.all())
 
 
+def edge_probability_error(kind: str, p: float | None) -> str | None:
+    """How p breaks the edge-probability rule of a graph of this kind, or None if it keeps it."""
+    if kind == "erdos_renyi":
+        return _EDGE_PROBABILITY.error(p)
+    return None if p is None else f"only applies to erdos_renyi, not {kind!r}"
+
+
 def build_topology(
     kind: str,
     m: int,
@@ -76,19 +87,17 @@ def build_topology(
 
     Args:
         kind: one of ring, path, complete, erdos_renyi.
-        m: number of agents, >= 1.
-        p: edge probability, required exactly for erdos_renyi, in (0, 1].
+        m: number of agents, held to problems.PARAMS["m"].
+        p: edge probability, required exactly for erdos_renyi, in (0, 1]
+            (edge_probability_error).
         seed: master seed for the topology stream (erdos_renyi only).
     """
     if kind not in KINDS:
         raise ValueError(f"unknown topology kind {kind!r} (known: {', '.join(KINDS)})")
-    if not isinstance(m, (int, np.integer)) or m < 1:
-        raise ValueError(f"agent count must be a positive integer, got {m!r}")
-    if kind == "erdos_renyi":
-        if p is None or not (0.0 < p <= 1.0):
-            raise ValueError("erdos_renyi requires edge probability p in (0, 1]")
-    elif p is not None:
-        raise ValueError(f"edge probability p only applies to erdos_renyi, not {kind!r}")
+    check_fields({"m": PARAMS["m"]}, {"m": m})
+    error = edge_probability_error(kind, p)
+    if error is not None:
+        raise ValueError(f"p {error}")
 
     if kind == "complete":
         return Graph(~np.eye(m, dtype=bool), kind)

@@ -1,6 +1,7 @@
 """Experiment harness: config parsing, file outputs, reproducibility."""
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +29,7 @@ from dnsgd.harness import (
     run_experiment,
     sweep_speedup,
 )
-from dnsgd.hyperparams import HyperParams
+from dnsgd.hyperparams import FIELDS, HyperParams
 from dnsgd.optimizers import run
 from dnsgd.problems import FAMILIES, PARAMS, f_base
 from dnsgd.streams import fanout_seed
@@ -234,7 +235,54 @@ def test_family_parameters_are_the_optional_problem_fields():
     for family in FAMILIES.values():
         assert set(family.params) <= set(ProblemConfig._fields)
     assert optional == {name for family in FAMILIES.values() for name in family.params}
-    assert optional == set(PARAMS)
+    # PARAMS holds a rule for every numeric problem field, the family parameters among them
+    assert optional < set(PARAMS) <= set(ProblemConfig._fields)
+
+
+# A value that keeps its rule, for each numeric field with one.
+VALID = {
+    "d": 2, "m": 2, "zeta": 0.5, "sigma": 0.5, "box_radius": 2.0,
+    "rate": 1.0, "power": 4, "scale": 1.0, "curvature": 1.0,
+    "eta": 0.1, "b": 1, "big_t": 5, "k_inner": 1, "k_init": 1, "epsilon": 0.1,
+}
+
+# Every rule of the tables, each with values that break it: NaN, inf and -1.
+RULE_CASES = [
+    pytest.param(block, name, bad, id=f"{block}.{name}={bad}")
+    for block, names in (("problem", PARAMS), ("hyperparams", FIELDS), ("topology", ("p",)))
+    for name in names
+    for bad in (math.nan, math.inf, -1)
+]
+
+
+@pytest.mark.parametrize("block, name, bad", RULE_CASES)
+def test_each_rule_holds_at_parse_and_at_construction(block, name, bad):
+    # config parsing and the record's constructor apply one rule: both reject the value
+    raw = _raw_run_dict()
+    if block == "problem":
+        family = next((f for f, spec in FAMILIES.items() if name in spec.params), "quadratic")
+        names = ("d", "m", "zeta", "sigma", "box_radius", *FAMILIES[family].params)
+        fields = {**{key: VALID[key] for key in names}, name: bad}
+        raw["problem"] = {"family": family, "seed": 0, **fields}
+
+        def construct():
+            problems.make_problem(family, seed=0, **fields)
+    elif block == "hyperparams":
+        del raw["auto"]
+        raw["hyperparams"] = {**{key: VALID[key] for key in FIELDS}, name: bad}
+
+        def construct():
+            HyperParams(**raw["hyperparams"])
+    else:
+        raw["topology"] = {"kind": "erdos_renyi", "p": bad}
+
+        def construct():
+            build_topology("erdos_renyi", 4, p=bad)
+    with pytest.raises(ConfigError) as exc:
+        parse_run_config(raw)
+    assert exc.value.field == f"{block}.{name}"
+    with pytest.raises(ValueError, match=f"^{name} must be "):
+        construct()
 
 
 @pytest.mark.parametrize(

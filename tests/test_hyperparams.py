@@ -357,6 +357,8 @@ def test_hyperparams_validation():
     HyperParams(**good)  # big_t = 0 is allowed: record only the start state
     for bad in (
         dict(good, eta=0.0),
+        dict(good, eta=math.inf),
+        dict(good, epsilon=math.nan),
         dict(good, b=0),
         dict(good, big_t=-1),
         dict(good, k_inner=0),

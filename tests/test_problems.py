@@ -685,7 +685,7 @@ def test_factory_validation():
         make_problem(
             "poly_even", d=2, power=4, scale=1.0, m=1, zeta=0.0, sigma=0.0, seed=0, box_radius=0.0
         )
-    with pytest.raises(ValueError, match="positive integer"):
+    with pytest.raises(ValueError, match="^d must be an integer >= 1, got 0$"):
         make_problem("quadratic", d=0, curvature=1.0, m=1, zeta=0.0, sigma=0.0, seed=0)
     with pytest.raises(ValueError, match="unknown family 'cubic'"):
         make_problem("cubic", d=2, m=1, zeta=0.0, sigma=0.0, seed=0)
@@ -694,6 +694,14 @@ def test_factory_validation():
         make_problem("poly_even", d=2, power=4, m=1, zeta=0.0, sigma=0.0, seed=0)
     with pytest.raises(ValueError, match="takes parameters"):
         make_problem("quadratic", d=2, curvature=1.0, rate=1.0, m=1, zeta=0.0, sigma=0.0, seed=0)
+
+
+@pytest.mark.parametrize("name", ["zeta", "sigma", "box_radius"])
+def test_factory_rejects_nan(name):
+    # a NaN compares false against every bound, so each rule must be one that NaN fails
+    fields = dict(d=2, m=2, zeta=0.5, sigma=0.5, box_radius=5.0, curvature=1.0)
+    with pytest.raises(ValueError, match=f"^{name} must be a finite number"):
+        make_problem("quadratic", seed=0, **{**fields, name: math.nan})
 
 
 # --- hypothesis properties ------------------------------------------------------

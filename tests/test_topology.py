@@ -280,7 +280,7 @@ def test_metropolis_requires_connected_graph():
 def test_argument_validation():
     with pytest.raises(ValueError, match="unknown topology kind"):
         build_topology("torus", 4)
-    with pytest.raises(ValueError, match="positive integer"):
+    with pytest.raises(ValueError, match="^m must be an integer >= 1, got 0$"):
         build_topology("ring", 0)
     with pytest.raises(ValueError, match="edge probability"):
         build_topology("erdos_renyi", 4)
