@@ -53,10 +53,8 @@ def main() -> int:
           f"{'cons_x (final)':>15s} {'samples/agent':>14s} {'comm rounds':>12s}")
     for alg in ALGORITHMS:
         cfg = base._replace(algorithm=alg)
-        out_dir = None
-        if args.out_dir is not None:
-            out_dir = Path(args.out_dir) / alg
-        result = run_experiment(cfg, out_dir=out_dir, write_outputs=out_dir is not None)
+        out_dir = None if args.out_dir is None else Path(args.out_dir) / alg
+        result = run_experiment(cfg, out_dir)
         traj, st = result.trajectory, result.stationarity
         avg = np.mean(st.avg_grad_mean)
         best = np.mean(st.min_grad_mean)

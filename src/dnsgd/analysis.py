@@ -6,7 +6,7 @@ consensus penalties:
     phi = f(xbar) + (3 eta / sqrt(m)) (m0 + m1 ||grad f(xbar)||) ||X - 1 xbar||
         + (2 eta / sqrt(m)) ||V - 1 vbar||
 
-with (m0, m1) = lyapunov_constants(l0, l1, zeta). state_metrics computes it
+with (m0, m1) = lyapunov_constants(p). state_metrics computes it
 with the other recorded metrics for a stack of states (n, m, d); the runner
 calls it once per block of iterations and stores the stacked result as the
 trajectory's metric columns, one row per seed of the run. A Trajectory holds
@@ -28,7 +28,7 @@ import numpy as np
 
 from .gossip import consensus_error
 from .hyperparams import lyapunov_constants
-from .problems import ProblemInstance, _row_norms, f_base, grad_base
+from .problems import ProblemInstance, _row_norms, f_base, grad_base, lf_effective
 
 
 class Trajectory(NamedTuple):
@@ -83,7 +83,7 @@ def state_metrics(x: np.ndarray, v: np.ndarray, p: ProblemInstance, eta: float) 
     if x.ndim != 3 or x.shape[1:] != (p.m, p.d) or v.shape != x.shape:
         raise ValueError(f"state matrices must be stacks of shape (n, {p.m}, {p.d})")
     n = x.shape[0]
-    m0, m1 = lyapunov_constants(p.l0, p.l1, p.zeta)
+    m0, m1 = lyapunov_constants(p)
     xbar = x.mean(axis=1)
     f_mean = f_base(p, xbar)
     grad_norm = _row_norms(grad_base(p, xbar))
@@ -167,14 +167,9 @@ class DescentReport(NamedTuple):
 
 
 def verify_descent(
-    traj: Trajectory,
-    p: ProblemInstance,
-    eta: float,
-    l_f: float,
-    mode: str = "deterministic",
-    tol: float = 1e-9,
+    traj: Trajectory, p: ProblemInstance, eta: float, mode: str = "deterministic", tol: float = 1e-9
 ) -> DescentReport:
-    """Check the one-step decrease property of the potential.
+    """Check the one-step decrease property of the potential, with l_f = lf_effective(p).
 
     deterministic mode (noiseless runs): for every seed and every consecutive
     pair of states,
@@ -191,6 +186,7 @@ def verify_descent(
     passes rho_guard.
     """
     phi, grad = traj.metrics.phi, traj.metrics.grad_norm_mean
+    l_f = lf_effective(p)
     n_seeds = traj.num_seeds
     if mode == "deterministic":
         allowed = phi[:, :-1] - (5.0 * eta / 8.0) * grad[:, :-1]

@@ -35,16 +35,14 @@ from .config import (
     _get,
     _parse_field,
     _reject_unknown,
-    build_mixing,
     build_problem,
     load_json,
     parse_problem,
     parse_run_config,
     parse_seed,
     parse_sweep_config,
-    resolve_x0,
 )
-from .harness import resolve_hyperparams, run_experiment, sweep_speedup
+from .harness import run_experiment, set_up, sweep_speedup
 from .optimizers import METHODS, NonFiniteStateError
 from .problems import EXP_ARG_MAX, FAMILIES, PARAMS, check_relaxed_smooth, grad_base
 from .topology import (
@@ -76,7 +74,7 @@ def _load_config(args: argparse.Namespace, parse):
 
 def _cmd_run(args: argparse.Namespace) -> int:
     cfg = _load_config(args, parse_run_config)
-    result = run_experiment(cfg, out_dir=args.out_dir)
+    result = run_experiment(cfg, cfg.out_dir if args.out_dir is None else args.out_dir)
     summary_path = result.out_dir / "summary.txt"
     print(summary_path.read_text(), end="")
     return 0 if result.all_checks_passed else 1
@@ -84,7 +82,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _load_config(args, parse_sweep_config)
-    result = sweep_speedup(cfg, out_dir=args.out_dir)
+    result = sweep_speedup(cfg, cfg.run.out_dir if args.out_dir is None else args.out_dir)
     print((result.out_dir / "summary.txt").read_text(), end="")
     failed = [(pt.m, c) for pt in result.points for c in pt.run.checks if not c.passed]
     for m, c in failed:
@@ -184,11 +182,8 @@ def _cmd_params(args: argparse.Namespace) -> int:
     cfg = _load_config(args, parse_run_config)
     if cfg.auto is None:
         raise ConfigError("auto", "params requires an auto block")
-    p = build_problem(cfg.problem)
-    mixing = build_mixing(cfg.topology, p.m)
-    x0 = resolve_x0(cfg.x0, p.d)
-    _, theory = resolve_hyperparams(cfg, p, mixing, x0)
-    hp, guard = theory.hp, theory.guard
+    p, mixing, _, hp, theory = set_up(cfg)
+    guard = theory.guard
     samples, rounds = METHODS[cfg.algorithm].cost(hp, hp.big_t)
     lines = [
         f"problem: {p.family} d={p.d} m={p.m} l0={p.l0:.12g} l1={p.l1:.12g} "

@@ -142,16 +142,18 @@ def _parse_field(
     d: dict, name: str, rule: Param, path: str, missing: str = "missing required field",
     default: float | None = None,
 ):
-    """d[name] read as an int or a finite float, as rule says, and held to rule.
-
-    An absent field is default, or with no default a ConfigError saying missing.
-    """
+    """d[name] read by _as_field; absent, default, or with none a ConfigError saying missing."""
     field = f"{path}.{name}" if path else name
     if name not in d:
         if default is None:
             raise ConfigError(field, missing)
         return default
-    value = _as_int(d[name], field) if rule.integer else _as_float(d[name], field)
+    return _as_field(d[name], field, rule)
+
+
+def _as_field(value, field: str, rule: Param):
+    """value read as an int or a finite float, as rule says, and held to rule."""
+    value = _as_int(value, field) if rule.integer else _as_float(value, field)
     error = rule.error(value)
     if error is not None:
         raise ConfigError(field, error)
@@ -273,7 +275,7 @@ def parse_sweep_config(d: dict) -> SweepConfig:
     raw_m = _get(d, "m_list", "", required=False, default=[2, 4, 8, 16])
     if not isinstance(raw_m, list) or not raw_m:
         raise ConfigError("m_list", "expected a non-empty list of integers")
-    m_list = tuple(_as_int(v, f"m_list[{i}]", minimum=1) for i, v in enumerate(raw_m))
+    m_list = tuple(_as_field(v, f"m_list[{i}]", PARAMS["m"]) for i, v in enumerate(raw_m))
     target_epsilon = _parse_field(d, "target_epsilon", FIELDS["epsilon"], "", default=0.3)
     run = {key: v for key, v in d.items() if key not in ("m_list", "target_epsilon")}
     return SweepConfig(

@@ -1,9 +1,11 @@
 """Experiment driver: multi-seed runs, CSV output, and built-in checks.
 
-run_experiment is the one path from a RunConfig to a trajectory: it builds
-the problem, the mixing matrix and the hyperparameters, runs all the seeds in
-one optimizers.run call and evaluates the checks. A sweep cell is a run:
-sweep_speedup sets problem.m of the sweep's run config and calls run_experiment.
+run_experiment is the one path from a RunConfig to a trajectory: set_up
+builds the problem, the mixing matrix, the start point and the
+hyperparameters (for dnsgd params too), and run_experiment runs all the
+seeds in one optimizers.run call and evaluates the checks. A sweep cell is a
+run: sweep_speedup sets problem.m of the sweep's run config and calls
+run_experiment.
 
 Outputs are byte-deterministic for a fixed config: no timestamps, float
 fields formatted with repr-faithful %.17g, seeds fanned out from the master
@@ -40,7 +42,7 @@ from .hyperparams import (
     theoretical_hyperparams,
 )
 from .optimizers import METHODS, run
-from .problems import ProblemInstance, _sum_squares, f_base, grad_base, lf_effective
+from .problems import ProblemInstance, _sum_squares, f_base, grad_base
 from .streams import fanout_seed
 from .topology import MixingMatrix
 
@@ -93,12 +95,19 @@ class RunResult(NamedTuple):
         return all(c.passed for c in self.checks)
 
 
-def resolve_hyperparams(
-    cfg: RunConfig, p: ProblemInstance, mixing: MixingMatrix, x0: np.ndarray
-) -> tuple[HyperParams, TheoreticalParams | None]:
-    """Explicit hyperparameters pass through; an auto block runs the calculator."""
+def set_up(cfg: RunConfig) -> tuple[
+    ProblemInstance, MixingMatrix, np.ndarray, HyperParams, TheoreticalParams | None
+]:
+    """A run's problem, mixing matrix, start point and hyperparameters, with the calculator's.
+
+    Explicit hyperparameters pass through, with no calculator output; an auto
+    block runs the calculator.
+    """
+    p = build_problem(cfg.problem)
+    mixing = build_mixing(cfg.topology, p.m)
+    x0 = resolve_x0(cfg.x0, p.d)
     if cfg.hyperparams is not None:
-        return cfg.hyperparams, None
+        return p, mixing, x0, cfg.hyperparams, None
     auto = cfg.auto
     # a start point far enough out overflows both to inf, which the calculator
     # rejects; that error is the one report, without numpy warnings before it
@@ -109,11 +118,9 @@ def resolve_hyperparams(
         raise ConfigError("x0", f"f(x0) - f_star = {delta_f:.6g} leaves the calculator no "
                           "objective gap (x0 is a minimizer); give hyperparams instead of auto")
     theory = theoretical_hyperparams(
-        epsilon=auto.epsilon, l0=p.l0, l1=p.l1, zeta=p.zeta, sigma=p.sigma,
-        m=p.m, gamma=mixing.gamma, delta_f_estimate=delta_f,
-        g0_norm_sq=g0_norm_sq, t_cap=auto.t_cap,
+        p, mixing.gamma, auto.epsilon, delta_f, g0_norm_sq=g0_norm_sq, t_cap=auto.t_cap
     )
-    return theory.hp, theory
+    return p, mixing, x0, theory.hp, theory
 
 
 def _run_checks(
@@ -144,10 +151,9 @@ def _run_checks(
                 f"cons_x vs rho*m*eta/(1-rho) over t >= 1, rho={rho:.6g}",
             )
         )
-    guard = rho_guard(rho, hp.eta, p.l0, p.l1, p.zeta, p.sigma, hp.b, p.m)
-    l_f = lf_effective(p.l0, p.l1, p.zeta)
+    guard = rho_guard(rho, p, hp.eta, hp.b)
     if guard.ok and p.sigma == 0.0:
-        report = verify_descent(traj, p, hp.eta, l_f, mode="deterministic")
+        report = verify_descent(traj, p, hp.eta, "deterministic")
         checks.append(
             CheckResult(
                 "descent_deterministic", report.passed, report.observed, report.bound,
@@ -160,7 +166,7 @@ def _run_checks(
         and traj.num_seeds >= MIN_SEEDS_FOR_STOCHASTIC_CHECK
         and hp.big_t >= 1
     ):
-        report = verify_descent(traj, p, hp.eta, l_f, mode="stochastic")
+        report = verify_descent(traj, p, hp.eta, "stochastic")
         checks.append(
             CheckResult(
                 "descent_stochastic", report.passed, report.observed, report.bound,
@@ -273,25 +279,18 @@ def _write_run_outputs(result: RunResult, run_id: str) -> None:
 
 
 def run_experiment(
-    cfg: RunConfig,
-    out_dir: str | Path | None = None,
-    write_outputs: bool = True,
-    seed_offset: int = 0,
+    cfg: RunConfig, out_dir: str | Path | None = None, seed_offset: int = 0
 ) -> RunResult:
     """Run cfg.num_seeds independent seeds as one trajectory and evaluate the checks.
 
     Seed i of the run is fanned out from cfg.master_seed at index
-    seed_offset + i. out_dir overrides cfg.out_dir, and is made after the set-up,
-    before the first iteration; write_outputs=False keeps everything in memory
-    (the sweep and the acceptance suite use it so).
+    seed_offset + i. The outputs go to out_dir, made after the set-up, before
+    the first iteration; out_dir=None keeps everything in memory (a sweep's
+    cells are run so). cfg.out_dir is the command line's default, not read here.
     """
-    p = build_problem(cfg.problem)
-    mixing = build_mixing(cfg.topology, p.m)
-    x0 = resolve_x0(cfg.x0, p.d)
-    hp, theory = resolve_hyperparams(cfg, p, mixing, x0)
+    p, mixing, x0, hp, theory = set_up(cfg)
     seeds = tuple(fanout_seed(cfg.master_seed, seed_offset + i) for i in range(cfg.num_seeds))
-    out = Path(out_dir) if out_dir is not None else Path(cfg.out_dir)
-    out = out if write_outputs else None
+    out = None if out_dir is None else Path(out_dir)
     with _made_dir(out):
         traj = run(cfg.algorithm, p, hp, mixing, x0, seeds)
         checks = _run_checks(cfg, p, hp, mixing, traj)
@@ -300,7 +299,7 @@ def run_experiment(
             seeds=seeds, trajectory=traj, checks=checks,
             stationarity=stationarity_summary(traj), out_dir=out,
         )
-        if write_outputs:
+        if out is not None:
             run_id = f"{cfg.algorithm}-{cfg.problem.family}-m{p.m}-s{cfg.master_seed}"
             _write_run_outputs(result, run_id)
     return result
@@ -326,11 +325,7 @@ def _first_hits(traj: Trajectory, target: float) -> np.ndarray:
     return hit.argmax(axis=1)[hit.any(axis=1)]
 
 
-def sweep_speedup(
-    cfg: SweepConfig,
-    out_dir: str | Path | None = None,
-    write_outputs: bool = True,
-) -> SweepResult:
+def sweep_speedup(cfg: SweepConfig, out_dir: str | Path | None = None) -> SweepResult:
     """Run cfg.run once for each network size m in cfg.m_list.
 
     The cell for the m at index i is cfg.run with problem.m set to m, run by
@@ -339,18 +334,15 @@ def sweep_speedup(
     batch size scales with 1/m) are its own, and so are its checks. Each
     point records the first iteration whose mean-iterate gradient norm
     reaches target_epsilon. Points where no seed reaches the target produce
-    nan rows rather than errors.
+    nan rows rather than errors. The outputs go to out_dir, as run_experiment's.
     """
     run_cfg = cfg.run
-    out = Path(out_dir) if out_dir is not None else Path(run_cfg.out_dir)
-    out = out if write_outputs else None
+    out = None if out_dir is None else Path(out_dir)
     with _made_dir(out):
         points: list[SweepPoint] = []
         for i, m in enumerate(cfg.m_list):
             cell = run_cfg._replace(problem=run_cfg.problem._replace(m=m))
-            result = run_experiment(
-                cell, write_outputs=False, seed_offset=i * run_cfg.num_seeds
-            )
+            result = run_experiment(cell, seed_offset=i * run_cfg.num_seeds)
             traj = result.trajectory
             first = _first_hits(traj, cfg.target_epsilon)
             mean_samples = mean_comm = math.nan
@@ -365,7 +357,7 @@ def sweep_speedup(
             )
 
         result = SweepResult(config=cfg, points=points, out_dir=out)
-        if write_outputs:
+        if out is not None:
             lines = ["m,seeds_reached,num_seeds,mean_samples_per_agent,mean_comm_rounds"]
             for pt in points:
                 lines.append(

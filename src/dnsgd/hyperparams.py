@@ -1,16 +1,21 @@
 """Hyperparameter bundles and the theoretical calculator.
 
-theoretical_hyperparams converts a target stationarity epsilon plus problem
-and network constants into the step size, batch size, iteration count, and
-gossip depths under which the method is guaranteed to reach an epsilon/2
-expected gradient norm. The guarantees assume a consensus contraction factor
-rho small enough to satisfy a list of explicit inequalities; rho_guard checks
-that list for a concrete rho and choose_k_for_guard finds the smallest gossip
-depth satisfying it; the calculator never picks a shallower inner depth. Its
-constants are fixed: C_K scales the inner gossip depth and C_K_HAT the initial
-one. Each HyperParams field's type and range is one FIELDS rule (a
-problems.Param), which config parsing and HyperParams both apply; l_f is
-problems.lf_effective wherever it is needed.
+theoretical_hyperparams converts a target stationarity epsilon, a problem
+instance and the network's spectral gap into the step size, batch size,
+iteration count, and gossip depths under which the method is guaranteed to
+reach an epsilon/2 expected gradient norm. The guarantees assume a consensus
+contraction factor rho small enough to satisfy a list of explicit
+inequalities; rho_guard checks that list for a concrete rho and
+choose_k_for_guard finds the smallest gossip depth satisfying it; the
+calculator never picks a shallower inner depth. Its constants are fixed: C_K
+scales the inner gossip depth and C_K_HAT the initial one.
+
+Every function here reads the problem's constants (l0, l1, zeta, sigma, m)
+from its ProblemInstance, whose fields make_problem has held to their
+problems.PARAMS rules and whose l_f = problems.lf_effective(p) it has made
+sure is positive, so none of them is checked again here. Each HyperParams field's type and range is one
+FIELDS rule (a problems.Param), which config parsing, HyperParams and
+rho_guard apply.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .gossip import contraction_rho, min_rounds_for_rho
-from .problems import COUNT, PARAMS, POSITIVE, Param, check_fields, lf_effective
+from .problems import COUNT, POSITIVE, Param, ProblemInstance, check_fields, lf_effective
 
 # Deepest gossip depth choose_k_for_guard tries; the exp_pair benchmark problem
 # on a path at m = 1024 needs 23177.
@@ -62,12 +67,10 @@ class HyperParams:
         check_fields(FIELDS, vars(self))
 
 
-def lyapunov_constants(l0: float, l1: float, zeta: float) -> tuple[float, float]:
+def lyapunov_constants(p: ProblemInstance) -> tuple[float, float]:
     """Weights (m0, m1) of the gradient-dependent consensus penalty."""
-    if l0 < 0 or l1 < 0 or zeta < 0:
-        raise ValueError("l0, l1, zeta must be non-negative")
-    m0 = math.sqrt(2.0 * (l0 * l0 + l1 * l1 * zeta * zeta))
-    m1 = math.sqrt(2.0) * l1
+    m0 = math.sqrt(2.0 * (p.l0 * p.l0 + p.l1 * p.l1 * p.zeta * p.zeta))
+    m1 = math.sqrt(2.0) * p.l1
     return m0, m1
 
 
@@ -100,28 +103,18 @@ def _largest_rho(budget: float, denom: float) -> float:
     return math.inf if budget >= 0 else -math.inf
 
 
-def rho_guard(
-    rho: float,
-    eta: float,
-    l0: float,
-    l1: float,
-    zeta: float,
-    sigma: float,
-    b: int,
-    m: int,
-) -> RhoGuard:
+def rho_guard(rho: float, p: ProblemInstance, eta: float, b: int) -> RhoGuard:
     """Check the six descent preconditions for a concrete contraction rho.
 
     Each condition is rho <= its threshold: the largest rho that passes with
     the amplification constants evaluated at the supplied rho (they depend on
     rho themselves, so this is a self-consistency check rather than a solve).
+    eta and b are held to their FIELDS rules.
     """
-    if rho < 0 or eta <= 0 or b < 1 or m < 1 or sigma < 0:
-        raise ValueError("rho >= 0, eta > 0, b >= 1, m >= 1, sigma >= 0 required")
-    l_f = lf_effective(l0, l1, zeta)
-    if l_f <= 0:
-        raise ValueError("l0 + l1 * zeta must be positive")
-    m0, m1 = lyapunov_constants(l0, l1, zeta)
+    check_fields(FIELDS, {"eta": eta, "b": b})
+    l1, sigma, m = p.l1, p.sigma, p.m
+    l_f = lf_effective(p)
+    m0, m1 = lyapunov_constants(p)
     m2, m3 = _tracking_constants(rho, eta, l_f, l1)
     sqm = math.sqrt(m)
     slack = 3.0 - 2.0 * math.sqrt(2.0)
@@ -147,30 +140,20 @@ def rho_guard(
     )
 
 
-def choose_k_for_guard(
-    lambda2: float,
-    eta: float,
-    l0: float,
-    l1: float,
-    zeta: float,
-    sigma: float,
-    b: int,
-    m: int,
-) -> int:
+def choose_k_for_guard(lambda2: float, p: ProblemInstance, eta: float, b: int) -> int:
     """Smallest gossip depth up to K_MAX whose worst-case rho passes rho_guard.
 
     A bisection: rho falls as k grows and every guard condition is monotone
     in rho, so the depths that pass are a tail of [1, K_MAX].
     """
-    l_f = lf_effective(l0, l1, zeta)
-    if 2.0 * sigma / math.sqrt(m * b) >= eta * l_f / 4.0:
+    if 2.0 * p.sigma / math.sqrt(p.m * b) >= eta * lf_effective(p) / 4.0:
         raise ValueError(
             "noise floor condition cannot hold for any gossip depth: "
             "batch size too small for this sigma, eta, and l_f"
         )
 
     def ok(k: int) -> bool:
-        return rho_guard(contraction_rho(lambda2, k), eta, l0, l1, zeta, sigma, b, m).ok
+        return rho_guard(contraction_rho(lambda2, k), p, eta, b).ok
 
     k = bisect.bisect_left(range(1, K_MAX + 1), True, key=ok) + 1
     if k > K_MAX:
@@ -198,37 +181,29 @@ class TheoreticalParams(NamedTuple):
 
 
 def theoretical_hyperparams(
-    epsilon: float,
-    l0: float,
-    l1: float,
-    zeta: float,
-    sigma: float,
-    m: int,
-    gamma: float,
-    delta_f_estimate: float,
-    *,
-    g0_norm_sq: float,
-    t_cap: int | None = None,
+    p: ProblemInstance, gamma: float, epsilon: float, delta_f_estimate: float, *,
+    g0_norm_sq: float, t_cap: int | None = None,
 ) -> TheoreticalParams:
-    """Hyperparameters guaranteeing an epsilon/2 expected gradient norm.
+    """Hyperparameters guaranteeing an epsilon/2 expected gradient norm on p.
 
-    eta = min(epsilon / (4 l_f + 1), 1 / (2 l1)); the batch size scales with
-    sigma^2 / m; the iteration count with delta_phi / epsilon^2 where
-    delta_phi budgets twice the initial objective gap (the init gossip depth
-    k_init is chosen to make that budget valid). The inner gossip depth is
+    p supplies l0, l1, zeta, sigma and m, and gamma in (0, 1] is the mixing
+    matrix's spectral gap. eta = min(epsilon / (4 l_f + 1), 1 / (2 l1)) with
+    l_f = lf_effective(p); the batch size scales with sigma^2 / m; the
+    iteration count with delta_phi / epsilon^2 where delta_phi budgets twice
+    the initial objective gap (the init gossip depth k_init is chosen to make
+    that budget valid). The inner gossip depth is
     the larger of ceil(C_K * log(max(m, 2)) / sqrt(gamma)) and the smallest
     depth whose worst-case contraction factor passes rho_guard, so the
     returned guard always passes; ValueError when no depth up to K_MAX does.
 
     g0_norm_sq is sum_i ||grad f_i(x0)||^2 measured at the start point; with
     the noise it sets k_init. t_cap truncates the iteration count (the
-    uncapped value is recorded).
+    uncapped value is recorded). epsilon, gamma, delta_f_estimate and
+    g0_norm_sq are checked here; p's fields were checked by make_problem.
     """
-    check_fields({"epsilon": FIELDS["epsilon"], "m": PARAMS["m"]}, {"epsilon": epsilon, "m": m})
+    check_fields(FIELDS, {"epsilon": epsilon})
     if not 0.0 < gamma <= 1.0:
         raise ValueError(f"gamma must lie in (0, 1], got {gamma}")
-    if l0 < 0 or l1 < 0 or zeta < 0 or sigma < 0:
-        raise ValueError("l0, l1, zeta, sigma must be non-negative")
     if delta_f_estimate <= 0:
         raise ValueError("delta_f_estimate must be positive")
     if not math.isfinite(delta_f_estimate):
@@ -238,10 +213,9 @@ def theoretical_hyperparams(
     if not math.isfinite(g0_norm_sq):
         raise ValueError(f"g0_norm_sq must be finite, got {g0_norm_sq}")
 
-    l_f = lf_effective(l0, l1, zeta)
-    if l_f <= 0:
-        raise ValueError("l0 + l1 * zeta must be positive")
-    m0, m1 = lyapunov_constants(l0, l1, zeta)
+    l1, sigma, m = p.l1, p.sigma, p.m
+    l_f = lf_effective(p)
+    m0, m1 = lyapunov_constants(p)
 
     eta = epsilon / (4.0 * l_f + 1.0)
     if l1 > 0:
@@ -262,7 +236,7 @@ def theoretical_hyperparams(
 
     lambda2 = 1.0 - gamma
     k_formula = math.ceil(C_K * math.log(max(m, 2)) / math.sqrt(gamma))
-    k_inner = max(k_formula, choose_k_for_guard(lambda2, eta, l0, l1, zeta, sigma, b, m))
+    k_inner = max(k_formula, choose_k_for_guard(lambda2, p, eta, b))
 
     drive = math.sqrt(m * sigma * sigma / b + g0_norm_sq)
     if drive == 0.0:
@@ -278,5 +252,5 @@ def theoretical_hyperparams(
     rho = contraction_rho(lambda2, k_inner)
     return TheoreticalParams(
         hp=hp, l_f=l_f, m0=m0, m1=m1, delta_f=float(delta_f_estimate), delta_phi=delta_phi,
-        guard=rho_guard(rho, eta, l0, l1, zeta, sigma, b, m), t_uncapped=int(t_uncapped),
+        guard=rho_guard(rho, p, eta, b), t_uncapped=int(t_uncapped),
     )

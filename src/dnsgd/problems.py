@@ -250,8 +250,7 @@ def sample_grad(
     distance from it must match sigma^2 / b to within 5 sqrt(2 / (n d))
     relative (both are 5-standard-error bands).
     """
-    if not isinstance(b, (int, np.integer)) or b < 1:
-        raise ValueError(f"batch size must be a positive integer, got {b!r}")
+    check_fields({"b": COUNT}, {"b": b})
     if np.shape(x_rows) != (p.m, p.d):
         raise ValueError(f"agent matrix must have shape ({p.m}, {p.d}), got {np.shape(x_rows)}")
     x = np.asarray(x_rows, dtype=np.float64)
@@ -259,11 +258,9 @@ def sample_grad(
     return _oracle(p)(x, noise)
 
 
-def lf_effective(l0: float, l1: float, zeta: float) -> float:
-    """Smoothness constant of the average objective: l0 + l1 * zeta."""
-    if l0 < 0 or l1 < 0 or zeta < 0:
-        raise ValueError("l0, l1, zeta must be non-negative")
-    return l0 + l1 * zeta
+def lf_effective(p: ProblemInstance) -> float:
+    """Smoothness constant of the average objective: l0 + l1 * zeta, positive for every instance."""
+    return p.l0 + p.l1 * p.zeta
 
 
 class SmoothnessReport(NamedTuple):
@@ -494,7 +491,8 @@ def make_problem(
     params are the family's parameters by name; they, d, m, zeta, sigma and
     box_radius are held to their PARAMS rules. l1 and f_star are the family's;
     l0 is its l0_start, raised by certification when the family is certified,
-    plus l1 * max_i ||b_i|| to cover the offset objectives.
+    plus l1 * max_i ||b_i|| to cover the offset objectives. ValueError when
+    l0 + l1 * zeta underflows to 0 (an exp_pair rate below about 1e-162).
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {', '.join(FAMILIES)}")
@@ -510,9 +508,11 @@ def make_problem(
     offsets.setflags(write=False)
     if spec.certified:
         l0 = _certified_l0(family, tuple(params.items()), d, l1, l0, box_radius, seed)
-    max_off = float(_row_norms(offsets).max(initial=0.0))
+    l0 += l1 * float(_row_norms(offsets).max(initial=0.0))
+    if not l0 + l1 * zeta > 0.0:  # lf_effective, which the calculator divides by
+        raise ValueError(f"l_f = l0 + l1 zeta underflows to 0 for {family} with {params}")
     return ProblemInstance(
-        family=family, d=d, m=m, l0=l0 + l1 * max_off, l1=l1, zeta=float(zeta),
+        family=family, d=d, m=m, l0=l0, l1=l1, zeta=float(zeta),
         sigma=float(sigma), offsets=offsets, family_params=params, f_star=f_star,
         box_radius=float(box_radius),
     )

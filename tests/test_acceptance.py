@@ -52,7 +52,7 @@ def crit3():
         num_seeds=10,
     )
     t0 = time.perf_counter()
-    result = run_experiment(cfg, write_outputs=False)
+    result = run_experiment(cfg)
     return result, time.perf_counter() - t0
 
 
@@ -70,7 +70,7 @@ def crit4():
         num_seeds=1,
     )
     t0 = time.perf_counter()
-    result = run_experiment(cfg, write_outputs=False)
+    result = run_experiment(cfg)
     return result, time.perf_counter() - t0
 
 
@@ -89,7 +89,7 @@ def crit5():
     )
     cfg = SweepConfig(run=run, m_list=(2, 4, 8, 16), target_epsilon=0.3)
     t0 = time.perf_counter()
-    result = sweep_speedup(cfg, write_outputs=False)
+    result = sweep_speedup(cfg)
     return result, time.perf_counter() - t0
 
 
@@ -160,8 +160,7 @@ def test_criterion_4_deterministic_descent(crit4):
     result, elapsed = crit4
     assert result.theory is not None and result.theory.guard.ok
     report = verify_descent(
-        result.trajectory, result.problem, result.hp.eta, result.theory.l_f,
-        mode="deterministic", tol=1e-9,
+        result.trajectory, result.problem, result.hp.eta, mode="deterministic", tol=1e-9
     )
     passed = report.passed and elapsed < 10.0
     record_criterion(

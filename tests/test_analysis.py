@@ -26,11 +26,7 @@ RING4 = metropolis_mixing(build_topology("ring", 4))
 def _guard_mode_params(t_override=None):
     x0 = np.full(QUAD.d, 0.6)
     g0 = sum(float(np.dot(g, g)) for g in grad_base(QUAD, x0) + QUAD.offsets)
-    th = theoretical_hyperparams(
-        epsilon=0.12, l0=QUAD.l0, l1=QUAD.l1, zeta=QUAD.zeta, sigma=0.0,
-        m=QUAD.m, gamma=RING4.gamma, delta_f_estimate=f_base(QUAD, x0),
-        g0_norm_sq=g0,
-    )
+    th = theoretical_hyperparams(QUAD, RING4.gamma, 0.12, f_base(QUAD, x0), g0_norm_sq=g0)
     hp = th.hp
     if t_override is not None:
         hp = dataclasses.replace(hp, big_t=t_override)
@@ -50,7 +46,7 @@ def test_phi_matches_hand_formula():
     x = rng.normal(size=(QUAD.m, QUAD.d))
     v = rng.normal(size=(QUAD.m, QUAD.d))
     eta = 0.07
-    m0, m1 = lyapunov_constants(QUAD.l0, QUAD.l1, QUAD.zeta)
+    m0, m1 = lyapunov_constants(QUAD)
     xbar = x.mean(axis=0)
     expected = (
         f_base(QUAD, xbar)
@@ -127,7 +123,7 @@ def test_deterministic_descent_on_guarded_run():
     hp, th, x0 = _guard_mode_params(t_override=300)
     assert th.guard.ok
     traj = run("dnsgd", QUAD, hp, RING4, x0, seeds=[7])
-    report = verify_descent(traj, QUAD, hp.eta, th.l_f, mode="deterministic")
+    report = verify_descent(traj, QUAD, hp.eta, mode="deterministic")
     assert report.passed
     assert report.observed <= 1e-9
     assert report.n_seeds == 1
@@ -164,12 +160,9 @@ def test_stochastic_descent_seed_average():
     p = make_problem("exp_pair", d=4, rate=1.0, m=4, zeta=0.2, sigma=0.5, seed=5)
     x0 = np.full(p.d, 1.2)
     g0 = sum(float(np.dot(g, g)) for g in grad_base(p, x0) + p.offsets)
-    th = theoretical_hyperparams(
-        epsilon=0.3, l0=p.l0, l1=p.l1, zeta=p.zeta, sigma=p.sigma, m=p.m,
-        gamma=RING4.gamma, delta_f_estimate=1.0, g0_norm_sq=g0, t_cap=300,
-    )
+    th = theoretical_hyperparams(p, RING4.gamma, 0.3, 1.0, g0_norm_sq=g0, t_cap=300)
     traj = run("dnsgd", p, th.hp, RING4, x0, seeds=range(100, 110))
-    report = verify_descent(traj, p, th.hp.eta, th.l_f, mode="stochastic")
+    report = verify_descent(traj, p, th.hp.eta, mode="stochastic")
     assert report.passed
     assert report.n_seeds == 10
     assert report.observed <= report.bound
@@ -183,10 +176,10 @@ def test_descent_mode_validation():
     hp, th, x0 = _guard_mode_params(t_override=2)
     traj = run("dnsgd", QUAD, hp, RING4, x0, seeds=[7])
     with pytest.raises(ValueError, match="mode"):
-        verify_descent(traj, QUAD, hp.eta, th.l_f, mode="typo")
+        verify_descent(traj, QUAD, hp.eta, mode="typo")
     single = run("dnsgd", QUAD, dataclasses.replace(hp, big_t=0), RING4, x0, seeds=[7])
     with pytest.raises(ValueError, match="big_t >= 1"):
-        verify_descent(single, QUAD, hp.eta, th.l_f, mode="stochastic")
+        verify_descent(single, QUAD, hp.eta, mode="stochastic")
 
 
 def test_stationarity_summary_identities():

@@ -29,7 +29,8 @@ Row = namedtuple("Row", "t phi grad_norm_mean cons_x")
 
 ETA = 0.05
 L_F = 1.3
-PROBLEM = SimpleNamespace(f_star=0.25)  # verify_descent reads only f_star
+# verify_descent reads only f_star and, through lf_effective, l_f = l0 + l1 * zeta = L_F
+PROBLEM = SimpleNamespace(f_star=0.25, l0=L_F, l1=0.0, zeta=0.0)
 
 
 def _rows(traj, s):
@@ -184,11 +185,11 @@ def _assert_all_checks_match(traj):
         targets = (-1.0, 0.5, 1.0, float(run.metrics.grad_norm_mean[0, -1]), 5.0)
         for target in targets:
             assert _first_hits(run, target).tolist() == reference_first_hits(run, target)
-        assert verify_descent(run, PROBLEM, ETA, L_F, "deterministic") == reference_descent(
+        assert verify_descent(run, PROBLEM, ETA, "deterministic") == reference_descent(
             run, PROBLEM, ETA, L_F, "deterministic"
         )
         if run.big_t >= 1:
-            assert verify_descent(run, PROBLEM, ETA, L_F, "stochastic") == reference_descent(
+            assert verify_descent(run, PROBLEM, ETA, "stochastic") == reference_descent(
                 run, PROBLEM, ETA, L_F, "stochastic"
             )
 
@@ -210,7 +211,7 @@ def test_tied_maxima_keep_the_first():
     )
     traj = _traj(rng, n - 1, **tied)
     _assert_all_checks_match(traj)
-    det = verify_descent(traj, PROBLEM, ETA, L_F, "deterministic")
+    det = verify_descent(traj, PROBLEM, ETA, "deterministic")
     assert (det.worst_seed, det.worst_t) == (0, 1)
     cons = verify_consensus_bound(traj, 0.5, 4, ETA)
     assert (cons.worst_cons, cons.worst_t, cons.checked) == (3.0, 2, 18)
@@ -225,7 +226,7 @@ def test_worst_trajectory_is_a_later_one():
     traj.metrics.phi[2, 5] += 1.0  # a potential increase from t = 4 to t = 5 on seed 2
     traj.metrics.cons_x[3, 7] = 1.0
     _assert_all_checks_match(traj)
-    det = verify_descent(traj, PROBLEM, ETA, L_F, "deterministic")
+    det = verify_descent(traj, PROBLEM, ETA, "deterministic")
     assert (det.worst_seed, det.worst_t, det.passed) == (2, 4, False)
     cons = verify_consensus_bound(traj, 0.5, 4, ETA)
     assert (cons.worst_cons, cons.worst_t, cons.passed) == (1.0, 7, False)
@@ -237,7 +238,7 @@ def test_nan_margins_are_skipped_like_the_loop():
     # inf - inf margins are nan; the loop never took one as its worst
     traj = _traj(rng, 3, n_seeds=1, phi=[1.0, math.inf, math.inf, 0.5])
     _assert_all_checks_match(traj)
-    det = verify_descent(traj, PROBLEM, ETA, L_F, "deterministic")
+    det = verify_descent(traj, PROBLEM, ETA, "deterministic")
     assert (det.observed, det.worst_t, det.passed) == (math.inf, 0, False)
 
 

@@ -670,6 +670,24 @@ def test_sweep_exits_one_when_a_cell_check_fails(tmp_path, capsys, monkeypatch):
         assert (failing / name).read_bytes() == (passing / name).read_bytes(), name
 
 
+def test_out_dir_flag_overrides_the_config(tmp_path, capsys):
+    # without --out-dir, run and sweep write to the config's out_dir
+    from_config, from_flag = tmp_path / "from_config", tmp_path / "from_flag"
+    run_cfg = _auto_quadratic(
+        tmp_path, out_dir=str(from_config), auto={"epsilon": 0.12, "t_cap": 5}
+    )
+    assert main(["run", "--config", run_cfg]) == 0
+    assert main(["run", "--config", run_cfg, "--out-dir", str(from_flag)]) == 0
+    assert sorted(p.name for p in from_flag.iterdir()) == sorted(
+        p.name for p in from_config.iterdir()
+    )
+    for name in ("summary.txt", "metrics_seed000.csv"):
+        assert (from_flag / name).read_bytes() == (from_config / name).read_bytes(), name
+    sweep = {**json.loads(SWEEP_CONFIG.read_text()), "out_dir": str(tmp_path / "sweep")}
+    assert main(["sweep", "--config", _write(tmp_path / "sweep.json", sweep)]) == 0
+    assert (tmp_path / "sweep" / "speedup.csv").is_file()
+
+
 COMPARE_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "compare_optimizers.py"
 
 
@@ -683,6 +701,12 @@ def test_scripts_run(tmp_path):
     proc = compare("--seeds", "1", "--t-cap", "3")
     assert proc.returncode == 0, proc.stderr
     assert "samples/agent" in proc.stdout.splitlines()[0], proc.stdout
+    assert list(tmp_path.iterdir()) == []  # without --out-dir the runs stay in memory
+    proc = compare("--seeds", "1", "--t-cap", "3", "--out-dir", "out")
+    assert proc.returncode == 0, proc.stderr
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+        "dnasa", "dnsgd", "dsgd", "dsgt"
+    ]
     # the script's options are validated as a run config: bad usage exits 2, without a traceback
     for args, error in [
         (["--seeds", "0"], "num_seeds: must be >= 1, got 0"),

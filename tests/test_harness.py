@@ -25,15 +25,15 @@ from dnsgd.config import (
 from dnsgd.harness import (
     CSV_HEADER,
     TRACKER_DRIFT_TOL,
-    resolve_hyperparams,
     run_experiment,
+    set_up,
     sweep_speedup,
 )
 from dnsgd.hyperparams import FIELDS, HyperParams
 from dnsgd.optimizers import run
 from dnsgd.problems import FAMILIES, PARAMS, f_base
 from dnsgd.streams import fanout_seed
-from dnsgd.topology import build_topology, metropolis_mixing
+from dnsgd.topology import build_topology
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -97,6 +97,14 @@ def test_run_outputs_layout(tmp_path):
     assert "consensus_bound" in names
 
 
+def test_run_without_out_dir_stays_in_memory(tmp_path, monkeypatch):
+    # cfg.out_dir is "out", the command line's default; run_experiment does not read it
+    monkeypatch.chdir(tmp_path)
+    result = run_experiment(_quad_cfg())
+    assert result.out_dir is None
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_rerun_is_byte_identical(tmp_path):
     cfg = _quad_cfg()
     run_experiment(cfg, out_dir=tmp_path / "a")
@@ -130,11 +138,8 @@ def test_config_echo_resolved_block(tmp_path):
 
 def test_auto_delta_f_defaults_to_initial_gap():
     cfg = _quad_cfg(hyperparams=None, auto=AutoHyperConfig(epsilon=0.12))
-    p = build_problem(cfg.problem)
-    mixing = build_mixing(cfg.topology, p.m)
-    x0 = resolve_x0(cfg.x0, p.d)
-    _, theory = resolve_hyperparams(cfg, p, mixing, x0)
-    assert theory is not None
+    p, _, x0, hp, theory = set_up(cfg)
+    assert theory is not None and hp is theory.hp
     assert theory.delta_phi == pytest.approx(
         2.0 * (f_base(p, x0) - p.f_star), rel=1e-12
     )
@@ -142,11 +147,13 @@ def test_auto_delta_f_defaults_to_initial_gap():
 
 def test_explicit_hyperparams_pass_through():
     cfg = _quad_cfg()
-    mixing = metropolis_mixing(build_topology("ring", 4))
-    p = build_problem(cfg.problem)
-    hp, theory = resolve_hyperparams(cfg, p, mixing, np.zeros(3))
+    p, mixing, x0, hp, theory = set_up(cfg)
     assert hp is cfg.hyperparams
     assert theory is None
+    # the rest of the set-up is the config's problem, mixing matrix and start point
+    assert (p.family, p.d, p.m) == ("quadratic", 3, 4)
+    assert (mixing.graph.kind, mixing.w.shape) == ("ring", (4, 4))
+    assert x0.tolist() == [0.6, 0.6, 0.6]
 
 
 def test_parse_run_config_roundtrip():
@@ -356,6 +363,10 @@ def test_sweep_parse_errors_carry_field_paths():
         assert exc.value.field == field, changes
         if field in ("hyperparams", "m_lists"):
             assert str(exc.value) == f"{field}: unknown field"
+    # an m_list entry is held to the rule of problem.m
+    raw = {**load_json(CONFIGS / "sweep_speedup.json"), "m_list": [2, 0]}
+    with pytest.raises(ConfigError, match=r"^m_list\[1\]: must be an integer >= 1, got 0$"):
+        parse_sweep_config(raw)
 
 
 def test_resolve_x0_length_mismatch():
@@ -406,7 +417,7 @@ def test_sweep_seeds_follow_the_m_index():
     # the m at index i runs the fanned-out seeds i * num_seeds onward; the
     # runs are noiseless, so each seed shows in its output draw
     cfg = _quad_sweep(1.0, AutoHyperConfig(epsilon=0.3, t_cap=50), (4, 4), 0.3, 2)
-    result = sweep_speedup(cfg, write_outputs=False)
+    result = sweep_speedup(cfg)
     for i, pt in enumerate(result.points):
         p = build_problem(cfg.run.problem._replace(m=pt.m))
         mixing = build_mixing(cfg.run.topology, pt.m)
@@ -436,7 +447,7 @@ def test_sweep_certifies_the_stub_once(monkeypatch):
         counted(name)
     problems._certified_l0.cache_clear()
     cfg = parse_sweep_config(load_json(CONFIGS / "sweep_speedup.json"))
-    result = sweep_speedup(cfg, write_outputs=False)
+    result = sweep_speedup(cfg)
     assert calls == ["_sample_pairs", "_gradient_gaps", "_violates", "_violates"]
     assert [pt.m for pt in result.points] == [2, 4, 8, 16]
 
@@ -444,7 +455,7 @@ def test_sweep_certifies_the_stub_once(monkeypatch):
 def test_sweep_cells_pass_their_checks():
     # a sweep cell is a run, so each point carries the run's built-in checks
     cfg = parse_sweep_config(load_json(CONFIGS / "sweep_speedup.json"))
-    result = sweep_speedup(cfg, write_outputs=False)
+    result = sweep_speedup(cfg)
     for pt in result.points:
         names = [c.name for c in pt.run.checks]
         assert names[:2] == ["tracker_identity", "consensus_bound"], (pt.m, names)
@@ -470,6 +481,6 @@ def test_long_ring_m256_run_keeps_tracker_identity():
         "topology": {"kind": "ring"}, "algorithm": "dnsgd", "x0": 1.5, "master_seed": 1,
         "auto": {"epsilon": 0.2, "t_cap": 300}, "num_seeds": 1,
     })
-    res = run_experiment(cfg, write_outputs=False)
+    res = run_experiment(cfg)
     assert (res.hp.big_t, res.hp.k_inner) == (300, 2658)
     assert res.trajectory.tracker_drifts.max() <= TRACKER_DRIFT_TOL

@@ -20,13 +20,21 @@ from dnsgd.hyperparams import (
     rho_guard,
     theoretical_hyperparams,
 )
+from dnsgd.problems import make_problem
+
+BASE = make_problem("quadratic", d=1, curvature=1.0, m=1, zeta=0.0, sigma=0.0, seed=0)
+
+
+def problem(l0, l1, zeta, sigma, m):
+    """A problem record with these constants, the only fields the calculator and the guard read."""
+    return BASE._replace(l0=l0, l1=l1, zeta=zeta, sigma=sigma, m=m)
 
 
 def test_lyapunov_constants_frozen():
-    m0, m1 = lyapunov_constants(1.0, 0.0, 0.7)
+    m0, m1 = lyapunov_constants(problem(1.0, 0.0, 0.7, 0.0, 1))
     assert m0 == pytest.approx(math.sqrt(2.0), abs=1e-15)
     assert m1 == 0.0
-    m0, m1 = lyapunov_constants(3.0, 4.0, 2.0)
+    m0, m1 = lyapunov_constants(problem(3.0, 4.0, 2.0, 0.0, 1))
     # sqrt(2 (9 + 16 * 4)) = sqrt(146)
     assert m0 == pytest.approx(math.sqrt(146.0), rel=1e-15)
     assert m1 == pytest.approx(4.0 * math.sqrt(2.0), rel=1e-15)
@@ -34,8 +42,8 @@ def test_lyapunov_constants_frozen():
 
 def test_eta_frozen_smooth_case():
     th = theoretical_hyperparams(
-        epsilon=0.1, l0=1.0, l1=1.0, zeta=0.0, sigma=0.0, m=4, gamma=0.5,
-        delta_f_estimate=1.0, g0_norm_sq=1.0,
+        problem(1.0, 1.0, 0.0, 0.0, 4), gamma=0.5, epsilon=0.1, delta_f_estimate=1.0,
+        g0_norm_sq=1.0,
     )
     # l_f = 1, so eta = min(0.1 / 5, 1 / 2) = 0.02
     assert th.hp.eta == pytest.approx(0.02, abs=1e-15)
@@ -46,8 +54,8 @@ def test_eta_frozen_smooth_case():
 def test_batch_and_horizon_frozen_noise_dominant():
     # l0 = 1, l1 = 0: only the first branch of each max is active
     th = theoretical_hyperparams(
-        epsilon=0.5, l0=1.0, l1=0.0, zeta=0.0, sigma=1.0, m=4, gamma=0.5,
-        delta_f_estimate=2.0, g0_norm_sq=1.0,
+        problem(1.0, 0.0, 0.0, 1.0, 4), gamma=0.5, epsilon=0.5, delta_f_estimate=2.0,
+        g0_norm_sq=1.0,
     )
     # b = ceil(256 * 25 / (4 * 0.25)) = 6400
     assert th.hp.b == 6400
@@ -60,8 +68,8 @@ def test_batch_and_horizon_frozen_noise_dominant():
 def test_batch_and_horizon_frozen_l1_dominant():
     # large epsilon flips both maxima to their l1 branches
     th = theoretical_hyperparams(
-        epsilon=2.0, l0=0.0, l1=2.0, zeta=0.5, sigma=1.0, m=4, gamma=0.5,
-        delta_f_estimate=1.0, g0_norm_sq=1.0,
+        problem(0.0, 2.0, 0.5, 1.0, 4), gamma=0.5, epsilon=2.0, delta_f_estimate=1.0,
+        g0_norm_sq=1.0,
     )
     assert th.l_f == 1.0
     # b2 = 1024 * 4 * 1 / (4 * 1) = 1024 beats b1 = 256 * 25 / (4 * 4) = 400
@@ -74,9 +82,9 @@ def test_batch_and_horizon_frozen_l1_dominant():
 
 def test_quadratic_guard_mode_frozen():
     # ring m = 4 has gamma = 1/3; this is the descent-check configuration
+    p = problem(1.0, 0.0, 0.5, 0.0, 4)
     th = theoretical_hyperparams(
-        epsilon=0.12, l0=1.0, l1=0.0, zeta=0.5, sigma=0.0, m=4, gamma=1.0 / 3.0,
-        delta_f_estimate=0.9, g0_norm_sq=4 * 0.9 * 2.0,
+        p, gamma=1.0 / 3.0, epsilon=0.12, delta_f_estimate=0.9, g0_norm_sq=4 * 0.9 * 2.0
     )
     assert th.hp.eta == pytest.approx(0.024, abs=1e-15)
     assert th.hp.big_t == 5000
@@ -84,15 +92,15 @@ def test_quadratic_guard_mode_frozen():
     assert th.guard.ok
     assert th.guard.rho <= th.guard.min_threshold
     # the recorded guard is rho_guard at the chosen hyperparameters
-    assert th.guard == rho_guard(th.guard.rho, th.hp.eta, 1.0, 0.0, 0.5, 0.0, th.hp.b, 4)
+    assert th.guard == rho_guard(th.guard.rho, p, th.hp.eta, th.hp.b)
 
 
 def test_k_inner_floor_keeps_rho_below_half():
     # the C_K log(m)/sqrt(gamma) formula alone would give k = 2 for m = 2,
     # whose worst-case contraction factor exceeds 1; the guard's depth raises it
     th = theoretical_hyperparams(
-        epsilon=0.3, l0=1.0, l1=0.0, zeta=0.0, sigma=0.0, m=2, gamma=0.5,
-        delta_f_estimate=1.0, g0_norm_sq=1.0,
+        problem(1.0, 0.0, 0.0, 0.0, 2), gamma=0.5, epsilon=0.3, delta_f_estimate=1.0,
+        g0_norm_sq=1.0,
     )
     assert th.guard.rho <= 0.5
     assert th.guard.ok
@@ -101,8 +109,8 @@ def test_k_inner_floor_keeps_rho_below_half():
 
 def test_t_cap_records_uncapped_value():
     th = theoretical_hyperparams(
-        epsilon=0.05, l0=1.0, l1=0.0, zeta=0.0, sigma=0.0, m=4, gamma=0.5,
-        delta_f_estimate=5.0, g0_norm_sq=1.0, t_cap=1000,
+        problem(1.0, 0.0, 0.0, 0.0, 4), gamma=0.5, epsilon=0.05, delta_f_estimate=5.0,
+        g0_norm_sq=1.0, t_cap=1000,
     )
     assert th.hp.big_t == 1000
     assert th.t_uncapped > 1000
@@ -110,16 +118,15 @@ def test_t_cap_records_uncapped_value():
 
 def test_k_init_shrinks_to_one_without_drive():
     th = theoretical_hyperparams(
-        epsilon=0.1, l0=1.0, l1=0.0, zeta=0.0, sigma=0.0, m=4, gamma=0.5,
-        delta_f_estimate=1.0, g0_norm_sq=0.0,
+        problem(1.0, 0.0, 0.0, 0.0, 4), gamma=0.5, epsilon=0.1, delta_f_estimate=1.0,
+        g0_norm_sq=0.0,
     )
     assert th.hp.k_init == 1
 
 
 def test_k_init_grows_with_initial_gradient_energy():
     common = dict(
-        epsilon=0.1, l0=1.0, l1=0.0, zeta=0.0, sigma=0.0, m=4, gamma=0.1,
-        delta_f_estimate=0.05,
+        p=problem(1.0, 0.0, 0.0, 0.0, 4), gamma=0.1, epsilon=0.1, delta_f_estimate=0.05
     )
     small = theoretical_hyperparams(**common, g0_norm_sq=1.0)
     large = theoretical_hyperparams(**common, g0_norm_sq=1e6)
@@ -140,9 +147,9 @@ def test_calculator_invariants_random_sweep():
         m = int(rng.integers(1, 33))
         gamma = float(rng.uniform(0.01, 1.0))
         delta_f = float(rng.uniform(0.1, 10.0))
+        p = problem(l0, l1, zeta, sigma, m)
         th = theoretical_hyperparams(
-            epsilon=epsilon, l0=l0, l1=l1, zeta=zeta, sigma=sigma, m=m,
-            gamma=gamma, delta_f_estimate=delta_f,
+            p, gamma=gamma, epsilon=epsilon, delta_f_estimate=delta_f,
             g0_norm_sq=float(rng.uniform(0.0, 10.0)),
         )
         hp = th.hp
@@ -161,24 +168,21 @@ def test_calculator_invariants_random_sweep():
         assert th.guard.rho == contraction_rho(1.0 - gamma, hp.k_inner)
         assert th.guard.rho <= 0.5
         assert th.guard.ok  # the depth is at least the guard's
-        m0, m1 = lyapunov_constants(l0, l1, zeta)
+        m0, m1 = lyapunov_constants(p)
         assert th.m0 == m0 and th.m1 == m1
 
 
 def test_calculator_validation():
+    # the problem's constants were held to their rules by make_problem
     good = dict(
-        epsilon=0.1, l0=1.0, l1=0.0, zeta=0.0, sigma=0.0, m=4, gamma=0.5,
-        delta_f_estimate=1.0, g0_norm_sq=1.0,
+        p=problem(1.0, 0.0, 0.0, 0.0, 4), gamma=0.5, epsilon=0.1, delta_f_estimate=1.0,
+        g0_norm_sq=1.0,
     )
     for bad in (
         dict(good, epsilon=0.0),
         dict(good, gamma=0.0),
         dict(good, gamma=1.5),
-        dict(good, m=0),
-        dict(good, m=2.5),
-        dict(good, l0=-1.0),
         dict(good, delta_f_estimate=0.0),
-        dict(good, l0=0.0),  # l_f = 0
         dict(good, g0_norm_sq=-1.0),
         dict(good, g0_norm_sq=math.inf),
     ):
@@ -188,12 +192,12 @@ def test_calculator_validation():
 
 def test_rho_guard_frozen_pass_and_fail():
     # the quadratic descent configuration passes
-    ok = rho_guard(0.0174, 0.024, 1.0, 0.0, 0.5, 0.0, 1, 4)
+    ok = rho_guard(0.0174, problem(1.0, 0.0, 0.5, 0.0, 4), 0.024, 1)
     assert ok.ok
     assert all(ok.conditions.values())
     # a contraction factor close to 1/2 fails the weight conditions even
     # though the v_weight clause itself allows it
-    bad = rho_guard(0.4986, 0.0523, 0.4, 1.0 / math.log(2.0), 0.2, 0.1, 235, 8)
+    bad = rho_guard(0.4986, problem(0.4, 1.0 / math.log(2.0), 0.2, 0.1, 8), 0.0523, 235)
     assert not bad.ok
     assert bad.conditions["v_weight"]
     assert not bad.conditions["x_weight"]
@@ -203,9 +207,9 @@ def test_rho_guard_frozen_pass_and_fail():
 def test_rho_guard_zero_rho_reduces_to_noise_floor():
     # at rho = 0 every consensus-leakage condition holds; only the raw
     # noise floor can fail
-    g = rho_guard(0.0, 0.1, 1.0, 0.0, 0.0, 0.0, 1, 4)
+    g = rho_guard(0.0, problem(1.0, 0.0, 0.0, 0.0, 4), 0.1, 1)
     assert g.ok
-    noisy = rho_guard(0.0, 0.1, 1.0, 0.0, 0.0, 10.0, 1, 1)
+    noisy = rho_guard(0.0, problem(1.0, 0.0, 0.0, 10.0, 1), 0.1, 1)
     assert not noisy.ok
     assert not noisy.conditions["noise_floor"]
     assert noisy.thresholds["noise_floor"] < 0.0  # the budget left for rho is negative
@@ -214,7 +218,7 @@ def test_rho_guard_zero_rho_reduces_to_noise_floor():
 def reference_rho_guard_conditions(rho, eta, l0, l1, zeta, sigma, b, m):
     """rho_guard's six conditions as the inequalities they were before thresholds set them."""
     l_f = l0 + l1 * zeta
-    m0, m1 = lyapunov_constants(l0, l1, zeta)
+    m0, m1 = math.sqrt(2.0 * (l0 * l0 + l1 * l1 * zeta * zeta)), math.sqrt(2.0) * l1
     m2 = (rho + 1.0) * l_f + rho * l_f * l1 * eta
     m3 = rho * l1 * (l1 * eta + 1.0) + l1
     sq2, sqm = math.sqrt(2.0), math.sqrt(m)
@@ -257,8 +261,8 @@ def guard_arguments(draw):
 # rho = 0 with the noise over its budget: the noise_floor threshold is negative
 @example((0.0, 0.1, 1.0, 0.0, 0.0, 10.0, 1, 1))
 def test_rho_guard_conditions_are_their_thresholds(args):
-    rho = args[0]
-    guard = rho_guard(*args)
+    rho, eta, l0, l1, zeta, sigma, b, m = args
+    guard = rho_guard(rho, problem(l0, l1, zeta, sigma, m), eta, b)
     assert guard.conditions == reference_rho_guard_conditions(*args)
     assert guard.conditions == {name: rho <= limit for name, limit in guard.thresholds.items()}
     assert guard.ok == all(guard.conditions.values())
@@ -291,34 +295,44 @@ def test_failing_property_test_reports_its_example(tmp_path):
     st.floats(min_value=0.2, max_value=0.8),
 )
 def test_rho_guard_monotone_in_rho(rho, shrink):
-    params = dict(eta=0.05, l0=1.0, l1=1.5, zeta=0.5, sigma=0.3, b=500, m=8)
-    if rho_guard(rho, **params).ok:
-        assert rho_guard(rho * shrink, **params).ok
+    p = problem(1.0, 1.5, 0.5, 0.3, 8)
+    if rho_guard(rho, p, 0.05, 500).ok:
+        assert rho_guard(rho * shrink, p, 0.05, 500).ok
+
+
+def test_rho_guard_holds_eta_and_b_to_their_rules():
+    p = problem(1.0, 0.0, 0.5, 0.0, 4)
+    for eta, b in ((math.nan, 1), (math.inf, 1), (0.0, 1), (0.024, 0), (0.024, 1.0)):
+        with pytest.raises(ValueError, match=r"^(eta|b) must be"):
+            rho_guard(0.1, p, eta, b)
+    with pytest.raises(ValueError, match="^eta must be"):
+        choose_k_for_guard(2.0 / 3.0, p, math.nan, 1)
 
 
 def test_choose_k_for_guard_is_minimal(monkeypatch):
     lam2 = 2.0 / 3.0
-    k = choose_k_for_guard(lam2, 0.024, 1.0, 0.0, 0.5, 0.0, 1, 4)
+    p = problem(1.0, 0.0, 0.5, 0.0, 4)
+    k = choose_k_for_guard(lam2, p, 0.024, 1)
     assert k == 29
-    assert rho_guard(contraction_rho(lam2, k), 0.024, 1.0, 0.0, 0.5, 0.0, 1, 4).ok
-    assert not rho_guard(contraction_rho(lam2, k - 1), 0.024, 1.0, 0.0, 0.5, 0.0, 1, 4).ok
+    assert rho_guard(contraction_rho(lam2, k), p, 0.024, 1).ok
+    assert not rho_guard(contraction_rho(lam2, k - 1), p, 0.024, 1).ok
     # K_MAX itself is a candidate depth; one below it, none passes
     monkeypatch.setattr(hyperparams, "K_MAX", 29)
-    assert choose_k_for_guard(lam2, 0.024, 1.0, 0.0, 0.5, 0.0, 1, 4) == 29
+    assert choose_k_for_guard(lam2, p, 0.024, 1) == 29
     monkeypatch.setattr(hyperparams, "K_MAX", 28)
     with pytest.raises(ValueError, match="no gossip depth up to 28 passes rho_guard"):
-        choose_k_for_guard(lam2, 0.024, 1.0, 0.0, 0.5, 0.0, 1, 4)
+        choose_k_for_guard(lam2, p, 0.024, 1)
 
 
 def test_choose_k_for_guard_infeasible_noise_floor():
     with pytest.raises(ValueError, match="noise floor"):
-        choose_k_for_guard(0.5, 0.02, 1.0, 0.0, 0.0, 10.0, 1, 1)
+        choose_k_for_guard(0.5, problem(1.0, 0.0, 0.0, 10.0, 1), 0.02, 1)
 
 
-def _first_passing_depth(lambda2, eta, l0, l1, zeta, sigma, b, m):
+def _first_passing_depth(lambda2, p, eta, b):
     """choose_k_for_guard as a linear scan: the first k in [1, K_MAX] that passes."""
     for k in range(1, hyperparams.K_MAX + 1):
-        if rho_guard(contraction_rho(lambda2, k), eta, l0, l1, zeta, sigma, b, m).ok:
+        if rho_guard(contraction_rho(lambda2, k), p, eta, b).ok:
             return k
     raise ValueError(f"no gossip depth up to {hyperparams.K_MAX} passes")
 
@@ -339,7 +353,7 @@ def test_choose_k_for_guard_bisection_matches_linear_scan(
 ):
     if l0 + l1 * zeta < 1e-3:  # keep eta * l_f / 4 clear of underflow
         l0 = 1.0
-    args = (lambda2, eta, l0, l1, zeta, sigma, b, m)
+    args = (lambda2, problem(l0, l1, zeta, sigma, m), eta, b)
     # a short limit keeps the scan cheap and makes some draws infeasible
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(hyperparams, "K_MAX", 512)

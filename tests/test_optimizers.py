@@ -232,7 +232,7 @@ def _block_len(p):
 
 def reference_state_metrics(x, v, p, eta):
     """One state's metrics, computed point by point."""
-    m0, m1 = lyapunov_constants(p.l0, p.l1, p.zeta)
+    m0, m1 = lyapunov_constants(p)
     xbar = x.mean(axis=0)
     f_mean = f_base(p, xbar)
     grad_norm = float(np.linalg.norm(grad_base(p, xbar), axis=-1))

@@ -72,11 +72,10 @@ def test_quadratic_frozen_values():
 
 
 def test_lf_effective_frozen_values():
-    assert lf_effective(1.0, 0.0, 5.0) == 1.0
-    assert lf_effective(0.0, 2.0, 0.5) == 1.0
-    assert lf_effective(3.0, 1.0, 2.0) == 5.0
-    with pytest.raises(ValueError):
-        lf_effective(-1.0, 0.0, 0.0)
+    p = make_problem("quadratic", d=1, curvature=1.0, m=1, zeta=0.0, sigma=0.0, seed=0)
+    assert lf_effective(p._replace(zeta=5.0)) == 1.0
+    assert lf_effective(p._replace(l0=0.0, l1=2.0, zeta=0.5)) == 1.0
+    assert lf_effective(p._replace(l0=3.0, l1=1.0, zeta=2.0)) == 5.0
 
 
 # --- finite-difference oracle ---------------------------------------------------
@@ -165,8 +164,10 @@ def test_sample_grad_same_stream_key_replays():
 
 def test_sample_grad_rejects_bad_batch():
     p = make_problem("quadratic", d=2, curvature=1.0, m=1, zeta=0.0, sigma=1.0, seed=0)
-    with pytest.raises(ValueError, match="batch size"):
-        sample_grad(p, np.zeros((1, 2)), 0, _oracle(0))
+    for b in (0, 2.0, True):
+        with pytest.raises(ValueError, match="^b must be an integer >= 1"):
+            sample_grad(p, np.zeros((1, 2)), b, _oracle(0))
+    assert sample_grad(p, np.zeros((1, 2)), np.int64(2), _oracle(0)).shape == (1, 2)
 
 
 @pytest.mark.parametrize("p", INSTANCES, ids=lambda p: p.family)
@@ -687,6 +688,9 @@ def test_factory_validation():
         )
     with pytest.raises(ValueError, match="^d must be an integer >= 1, got 0$"):
         make_problem("quadratic", d=0, curvature=1.0, m=1, zeta=0.0, sigma=0.0, seed=0)
+    # rate^2 / d underflows to a zero l0, and l_f with it: the calculator divides by l_f
+    with pytest.raises(ValueError, match="^l_f = l0 \\+ l1 zeta underflows to 0 for exp_pair"):
+        make_problem("exp_pair", d=2, rate=1e-200, m=2, zeta=0.0, sigma=0.1, seed=0)
     with pytest.raises(ValueError, match="unknown family 'cubic'"):
         make_problem("cubic", d=2, m=1, zeta=0.0, sigma=0.0, seed=0)
     # a missing and a foreign parameter

@@ -15,6 +15,10 @@ console-script entry point.
 A problem family is one problems.FAMILIES entry; the family guard fails on a
 module that branches on a family name or looks a problems attribute up by name.
 
+A problem's constants travel in its ProblemInstance, whose fields make_problem
+has held to their rules; the constants guard fails on a public function that
+takes one of them as a loose argument, which it would then have to check again.
+
 Every norm and sum of squares goes through problems._sum_squares, numpy's
 pairwise add.reduce, whose order no BLAS kernel picks; the sum guard fails on
 any call that would sum through BLAS instead.
@@ -168,6 +172,23 @@ def test_sums_of_squares_take_one_rule():
                     if side in ones_calls or (isinstance(side, ast.Name) and side.id in ones):
                         found.add((path.stem, "@ ones"))
     assert found == BLAS_SUM_ALLOWED
+
+
+# make_problem builds the record from them; check_relaxed_smooth certifies any gradient map.
+CONSTANT_TAKERS = {"problems.make_problem", "problems.check_relaxed_smooth"}
+
+
+def test_problem_constants_come_in_the_record():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                args = node.args
+                names = {a.arg for a in [*args.posonlyargs, *args.args, *args.kwonlyargs]}
+                loose = names & {"l0", "l1", "zeta", "sigma", "l_f"}
+                if loose and f"{path.stem}.{node.name}" not in CONSTANT_TAKERS:
+                    found.append((path.stem, node.name, sorted(loose)))
+    assert found == []
 
 
 def test_the_family_decision_stays_in_the_table():
