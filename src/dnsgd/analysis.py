@@ -27,8 +27,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .gossip import consensus_error
-from .hyperparams import lyapunov_constants
-from .problems import ProblemInstance, _row_norms, f_base, grad_base, lf_effective
+from .hyperparams import FIELDS, lyapunov_constants
+from .problems import ProblemInstance, _row_norms, check_fields, f_base, grad_base, lf_effective
 
 
 class Trajectory(NamedTuple):
@@ -75,9 +75,9 @@ def state_metrics(x: np.ndarray, v: np.ndarray, p: ProblemInstance, eta: float) 
     Each metric is computed once for the whole stack; one state is a stack of
     one. Norms are problems._row_norms over (flattened) rows, numpy's
     pairwise sum, so a stacked call equals the per-state calls exactly.
+    eta is held to hyperparams.FIELDS["eta"].
     """
-    if eta <= 0:
-        raise ValueError("eta must be positive")
+    check_fields({"eta": FIELDS["eta"]}, {"eta": eta})
     x = np.asarray(x, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
     if x.ndim != 3 or x.shape[1:] != (p.m, p.d) or v.shape != x.shape:
@@ -142,10 +142,12 @@ def verify_consensus_bound(traj: Trajectory, rho: float, m: int, eta: float) -> 
     """Check cons_x <= rho * m * eta / (1 - rho) for every seed and every t >= 1.
 
     Requires rho < 1; the bound follows from the gossip contraction plus the
-    fact that normalized steps move each row by at most eta.
+    fact that normalized steps move each row by at most eta, which is held
+    to hyperparams.FIELDS["eta"].
     """
     if not 0.0 <= rho < 1.0:
         raise ValueError(f"the consensus bound needs rho in [0, 1), got {rho}")
+    check_fields({"eta": FIELDS["eta"]}, {"eta": eta})
     bound = rho * m * eta / (1.0 - rho)
     cons = traj.metrics.cons_x[:, 1:]
     if cons.size == 0:
@@ -184,7 +186,10 @@ def verify_descent(
     delta_phi is the seed-averaged initial potential minus the objective
     infimum. Meant for >= 10 seeds; valid when the run's contraction factor
     passes rho_guard.
+
+    eta is held to hyperparams.FIELDS["eta"].
     """
+    check_fields({"eta": FIELDS["eta"]}, {"eta": eta})
     phi, grad = traj.metrics.phi, traj.metrics.grad_norm_mean
     l_f = lf_effective(p)
     n_seeds = traj.num_seeds

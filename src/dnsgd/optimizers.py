@@ -60,7 +60,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .analysis import StateMetrics, Trajectory, state_metrics
-from .gossip import _acc_mixers
+from .gossip import _acc_mixers, _plain_mixer
 from .hyperparams import HyperParams
 from .problems import ExpRangeError, ProblemInstance, _noise_scale, _oracle, _row_norms
 from .streams import StreamKey, derive_stream
@@ -197,7 +197,7 @@ def update_rule(
     if method.accelerated:
         mix, start_mix = _acc_mixers(w, hp.k_inner, hp.k_init)
     else:
-        mix, start_mix = functools.partial(np.matmul, w.w), np.copy
+        mix, start_mix = _plain_mixer(w), np.copy
     eta, schedule = hp.eta, None
     if method.scheduled:
         schedule = functools.partial(dnasa_schedule, hp.eta, p.m)

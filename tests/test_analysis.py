@@ -235,3 +235,19 @@ def test_phi_recorded_rows_match_recomputation():
         )
         assert traj.metrics.cons_x[0, t] == pytest.approx(consensus_error(s.x), rel=1e-14)
     assert math.isfinite(traj.metrics.phi[0, -1])
+
+
+@pytest.mark.parametrize("eta", [math.nan, math.inf, -1.0])
+def test_eta_is_held_to_its_field_rule(eta):
+    # a NaN eta once gave a NaN phi, and a passing descent check with observed 0.0
+    hp, th, x0 = _guard_mode_params(t_override=5)
+    traj = run("dnsgd", QUAD, hp, RING4, x0, seeds=[7])
+    x = np.zeros((1, QUAD.m, QUAD.d))
+    message = rf"^eta must be a finite number > 0, got {eta!r}$"
+    with pytest.raises(ValueError, match=message):
+        state_metrics(x, x, QUAD, eta)
+    with pytest.raises(ValueError, match=message):
+        verify_consensus_bound(traj, th.guard.rho, QUAD.m, eta)
+    for mode in ("deterministic", "stochastic"):
+        with pytest.raises(ValueError, match=message):
+            verify_descent(traj, QUAD, eta, mode)

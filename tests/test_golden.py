@@ -342,3 +342,46 @@ def test_pinned_outputs_do_not_depend_on_the_blas_kernel(tmp_path):
     child = json.loads((tmp_path / "child" / "digests.json").read_text())
     here = pinned_outputs(tmp_path / "here")
     assert sorted(k for k in here.keys() | child.keys() if here.get(k) != child.get(k)) == []
+
+
+# The benchmark's ring_m256 run (m = 256, T = 12). A ring of
+# topology.CLOSED_FORM_MIN_M agents or more takes its closed-form spectrum and
+# FFT gossip, neither of which goes through LAPACK or BLAS, so its bytes hold
+# across OpenBLAS thread counts and kernels. Children run it at one and two
+# threads, whichever count this process has, and on the Haswell kernels.
+RING_M256_CONFIG = {
+    "problem": {"family": "exp_pair", "d": 10, "m": 256, "zeta": 0.2, "sigma": 0.1,
+                "seed": 1, "rate": 1.0},
+    "topology": {"kind": "ring"}, "algorithm": "dnsgd", "x0": 1.5, "master_seed": 1,
+    "auto": {"epsilon": 0.2, "t_cap": 12}, "num_seeds": 1,
+}
+
+_RING_CHILD = (
+    "import json, sys\n"
+    "from pathlib import Path\n"
+    "from test_golden import RING_M256_CONFIG, _file_digests, _write_outputs\n"
+    "root = Path(sys.argv[1])\n"
+    "digests = _file_digests(_write_outputs(root, RING_M256_CONFIG, 'run'))\n"
+    "(root / 'digests.json').write_text(json.dumps(digests))\n"
+)
+
+
+@pytest.mark.skipif(not _openblas_with_avx2(), reason="needs OpenBLAS on a CPU with AVX2 and FMA3")
+@pytest.mark.parametrize("blas", [
+    pytest.param({"OPENBLAS_NUM_THREADS": "1"}, id="one-thread"),
+    pytest.param({"OPENBLAS_NUM_THREADS": "2"}, id="two-threads"),
+    pytest.param({"OPENBLAS_CORETYPE": "Haswell", "OPENBLAS_NUM_THREADS": "1"}, id="haswell"),
+])
+def test_long_ring_outputs_do_not_depend_on_blas_threads_or_kernel(tmp_path, blas):
+    (tmp_path / "here").mkdir()
+    (tmp_path / "child").mkdir()
+    path = [str(Path(dnsgd.__file__).resolve().parents[1]), str(Path(__file__).resolve().parent)]
+    path += [str(Path(p).resolve()) for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path), **blas}
+    proc = subprocess.run(
+        [sys.executable, "-c", _RING_CHILD, str(tmp_path / "child")],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    child = json.loads((tmp_path / "child" / "digests.json").read_text())
+    assert child == _file_digests(_write_outputs(tmp_path / "here", RING_M256_CONFIG, "run"))

@@ -1,5 +1,6 @@
 """Gossip routines: contraction, mean preservation, frozen spectral values."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +10,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from dnsgd.gossip import (
+    _acc_mixers,
+    _chebyshev_gains,
+    _plain_mixer,
     acc_gossip,
     chebyshev_weight,
     consensus_error,
@@ -16,7 +20,7 @@ from dnsgd.gossip import (
     min_rounds_for_rho,
     plain_gossip,
 )
-from dnsgd.topology import MixingMatrix, build_topology, metropolis_mixing
+from dnsgd.topology import CLOSED_FORM_MIN_M, MixingMatrix, build_topology, metropolis_mixing
 
 RING4 = metropolis_mixing(build_topology("ring", 4))
 RING8 = metropolis_mixing(build_topology("ring", 8))
@@ -174,3 +178,51 @@ def test_argument_validation():
         chebyshev_weight(1.0)
     with pytest.raises(ValueError):
         chebyshev_weight(-0.1)
+
+
+def recursion_gains(lam, lambda2, k):
+    """The gains of the dense route: acc_gossip's recursion run on the eigenvalues."""
+    eta_w = chebyshev_weight(lambda2)
+    prev = gains = np.ones_like(lam)
+    for _ in range(k + 1):
+        prev, gains = gains, (1.0 + eta_w) * (lam * gains) - eta_w * prev
+    return gains
+
+
+# lambda2 of the ring at m = 2, at m = 8 (criterion 3) and at m = 256 (eigvalsh
+# at one BLAS thread; the closed form is one ulp below it)
+@pytest.mark.parametrize("lambda2", [0.5, 0.9023689270621826, 0.99989960623206808])
+def test_closed_form_gains_match_the_recursion(lambda2):
+    lam = np.append(np.linspace(0.0, lambda2, 1001), 1.0)
+    for k in (0, 1, 3, 64, 2658):
+        gains = _chebyshev_gains(lam, lambda2, k)
+        assert np.abs(gains - recursion_gains(lam, lambda2, k)).max() <= 1e-12, k
+        assert gains[-1] == 1.0
+
+
+def _dense_twin(mix):
+    """The same W, lambda2 and graph on the dense route: eigh of the built matrix."""
+    return dataclasses.replace(mix, dense=mix.w)
+
+
+@pytest.mark.parametrize("kind", ["ring", "path"])
+@pytest.mark.parametrize("m", [CLOSED_FORM_MIN_M, CLOSED_FORM_MIN_M + 1, 256])
+def test_fourier_mixers_match_the_dense_route(kind, m):
+    mix = metropolis_mixing(build_topology(kind, m))
+    assert mix.closed_form and "w" not in vars(mix)
+    dense = _dense_twin(mix)
+    rng = np.random.default_rng(m)
+    y, stack = rng.standard_normal((m, 10)), rng.standard_normal((3, m, 10))
+    ks = (0, 1, 64, 2658)
+    for k, fourier, spectral in zip(ks, _acc_mixers(mix, *ks), _acc_mixers(dense, *ks)):
+        out = fourier(y)
+        assert out.shape == y.shape
+        assert np.abs(out - spectral(y)).max() <= 1e-10, k
+        assert np.abs(out.mean(axis=0) - y.mean(axis=0)).max() <= 1e-14, k
+        stacked = fourier(stack)
+        for s in range(len(stack)):
+            assert stacked[s].tobytes() == fourier(stack[s]).tobytes(), k
+    plain = _plain_mixer(mix)(y)
+    assert np.abs(plain - mix.w @ y).max() <= 1e-12
+    assert np.abs(plain.mean(axis=0) - y.mean(axis=0)).max() <= 1e-14
+    assert np.abs(plain_gossip(y, mix, 3) - plain_gossip(y, dense, 3)).max() <= 1e-12

@@ -33,7 +33,7 @@ from dnsgd.hyperparams import FIELDS, HyperParams
 from dnsgd.optimizers import run
 from dnsgd.problems import FAMILIES, PARAMS, f_base
 from dnsgd.streams import fanout_seed
-from dnsgd.topology import build_topology
+from dnsgd.topology import CLOSED_FORM_MIN_M, build_topology
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -484,3 +484,33 @@ def test_long_ring_m256_run_keeps_tracker_identity():
     res = run_experiment(cfg)
     assert (res.hp.big_t, res.hp.k_inner) == (300, 2658)
     assert res.trajectory.tracker_drifts.max() <= TRACKER_DRIFT_TOL
+
+
+class _DenseRoute(Exception):
+    """Raised by the patched LAPACK eigensolvers in the route guard below."""
+
+
+@pytest.mark.parametrize("kind,algorithm", [("ring", "dnsgd"), ("ring", "dsgd"), ("path", "dnsgd")])
+def test_long_rings_and_paths_take_no_eigendecomposition(monkeypatch, kind, algorithm):
+    """From CLOSED_FORM_MIN_M agents a ring or path run calls neither eigh nor
+    eigvalsh and builds neither W nor the adjacency; one agent fewer, it does."""
+    def dense_route(*args, **kwargs):
+        raise _DenseRoute
+
+    monkeypatch.setattr(np.linalg, "eigh", dense_route)
+    monkeypatch.setattr(np.linalg, "eigvalsh", dense_route)
+
+    def config(m):
+        return parse_run_config({
+            "problem": {"family": "exp_pair", "d": 10, "m": m, "zeta": 0.2, "sigma": 0.1,
+                        "seed": 1, "rate": 1.0},
+            "topology": {"kind": kind}, "algorithm": algorithm, "x0": 1.5, "master_seed": 1,
+            "auto": {"epsilon": 0.2, "t_cap": 3}, "num_seeds": 1,
+        })
+
+    res = run_experiment(config(CLOSED_FORM_MIN_M))
+    assert res.all_checks_passed
+    assert res.mixing.closed_form
+    assert "w" not in vars(res.mixing) and "adjacency" not in vars(res.mixing.graph)
+    with pytest.raises(_DenseRoute):
+        run_experiment(config(CLOSED_FORM_MIN_M - 1))

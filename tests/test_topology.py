@@ -13,6 +13,7 @@ import pytest
 
 from dnsgd.streams import StreamKey, derive_stream
 from dnsgd.topology import (
+    CLOSED_FORM_MIN_M,
     MAX_RETRIES,
     ClauseResult,
     DisconnectedTopologyError,
@@ -90,6 +91,22 @@ def reference_metropolis(m, edges):
     return w, lam2
 
 
+# Largest gap allowed between a closed-form spectrum and eigvalsh of the same
+# W, fixed before it was measured.
+CLOSED_FORM_EIGVALSH_TOL = 1e-14
+
+
+def closed_form_eigenvalues(kind, m):
+    """The lazy-Metropolis ring's or path's eigenvalues, ascending.
+
+    Ring: 2/3 + cos(2 pi j / m) / 3, frequencies j and m - j sharing the
+    value of the smaller; path: 2/3 + cos(pi j / m) / 3, as 2 pi j / (2m).
+    """
+    j = np.arange(m)
+    theta = 2.0 * np.pi * np.minimum(j, m - j) / m if kind == "ring" else 2.0 * np.pi * j / (2 * m)
+    return np.sort(2.0 / 3.0 + np.cos(theta) / 3.0)
+
+
 def graph_edges(g):
     """The pairs i < j that g's adjacency marks, as the reference edge set."""
     i, j = np.nonzero(np.triu(g.adjacency, k=1))
@@ -112,13 +129,23 @@ def assert_matches_reference(kind, m, p=None, seed=0):
     mix = metropolis_mixing(g)
     w, lam2 = reference_metropolis(m, edges)
     assert mix.w.tobytes() == w.tobytes(), (kind, m, p, seed)
+    eigs = np.linalg.eigvalsh((w + w.T) / 2.0)
+    if kind in ("ring", "path") and m >= CLOSED_FORM_MIN_M:
+        # the closed form exactly, and eigvalsh of the reference W within a fixed bound
+        closed = closed_form_eigenvalues(kind, m)
+        assert mix.eigenvalues.tobytes() == closed.tobytes(), (kind, m)
+        assert mix.lambda2 == closed[-2] and mix.gamma == 1.0 - closed[-2]
+        assert np.abs(mix.eigenvalues - eigs).max() <= CLOSED_FORM_EIGVALSH_TOL, (kind, m)
+        assert abs(mix.lambda2 - lam2) <= CLOSED_FORM_EIGVALSH_TOL, (kind, m)
+        return
     assert mix.lambda2 == lam2 and mix.gamma == 1.0 - lam2
-    assert mix.eigenvalues.tobytes() == np.linalg.eigvalsh((w + w.T) / 2.0).tobytes()
+    assert mix.eigenvalues.tobytes() == eigs.tobytes()
 
 
 @pytest.mark.parametrize("kind", ["ring", "path", "complete"])
 def test_deterministic_kinds_match_reference(kind):
-    for m in [*range(1, 41), 64, 256]:
+    # below CLOSED_FORM_MIN_M every kind matches eigvalsh byte for byte
+    for m in [*range(1, 41), 64, CLOSED_FORM_MIN_M - 1, CLOSED_FORM_MIN_M, 256]:
         assert_matches_reference(kind, m)
 
 
