@@ -1,34 +1,33 @@
-"""Gossip averaging primitives.
+"""Gossip averaging primitives and the contraction of an accelerated mix.
 
-acc_gossip(Y, W, K) is defined by the Chebyshev-accelerated consensus
+acc_gossip(Y, mix, k) is defined by the Chebyshev-accelerated consensus
 recursion
 
-    Y(k+1) = (1 + eta_w) * W @ Y(k) - eta_w * Y(k-1),   Y(-1) = Y(0),
+    Y(n+1) = (1 + eta_w) * W @ Y(n) - eta_w * Y(n-1),   Y(-1) = Y(0),
 
 with eta_w = (1 - sqrt(1 - lambda2^2)) / (1 + sqrt(1 - lambda2^2)), run for
-k = 0..K inclusive: K + 1 mixing rounds, which the communication counters
-charge. The result is the fixed polynomial p_K(W) applied to Y. W is
-symmetric, W = Q diag(lam) Q^T, so the implementation evaluates it
-spectrally as Q (p_K(lam) * (Q^T Y)): the gains p_K(lam) are computed once
-each time the map is bound, and each call transforms Y into the eigenbasis,
-scales it and transforms it back. Two routes give the eigenbasis:
+n = 0..k-1: depth k is k products with W, the rounds the communication
+counters charge (depth 0 is the identity). The result is the polynomial
+p_k(W) applied to Y, which the implementation evaluates spectrally, W being
+symmetric, as Q (p_k(lam) * (Q^T Y)) with W = Q diag(lam) Q^T: the gains
+p_k(lam) come from the Chebyshev closed form in O(m) (_chebyshev_gains) when
+the map is bound, the consensus eigenvector's exactly 1. Two routes give the
+eigenbasis:
 
 - dense, for every graph below topology.CLOSED_FORM_MIN_M agents and for
   complete and Erdos-Renyi graphs: one eigh of W serves every depth bound
-  together (_acc_mixers); the gains come from the recursion run on the
-  eigenvalue vector, and each call makes two products with Q instead of
-  K + 1 with W.
+  together (_acc_mixers), and each call makes two products with Q.
 - Fourier, for a ring or path of at least CLOSED_FORM_MIN_M agents
   (mix.closed_form): a ring's W is circulant, so the real DFT along the agent
   axis diagonalises it, with the closed-form eigenvalue
   2/3 + cos(2 pi j / m) / 3 at frequency j; a path runs as the 2m-ring on
-  its mirror image [Y; Y[::-1]], keeping the first m rows. The gains come
-  from the Chebyshev closed form in O(m) (_chebyshev_gains), the DC gain is
-  exactly 1, and each call is one rfft and one irfft: no W, no eigh, no BLAS.
+  its mirror image [Y; Y[::-1]], keeping the first m rows. Each call is one
+  rfft and one irfft: no W, no eigh, no BLAS.
 
-The contraction bound below is stated for exponent K and the returned matrix
-can only be tighter. Column means are preserved in exact arithmetic because W
-is doubly stochastic.
+contraction(mix, k), the rho of the calculator, its guard, a run's consensus
+check and its reports, is how far a depth-k mix shrinks any distance from
+consensus. Column means are preserved in exact arithmetic because W is
+doubly stochastic.
 
 plain_gossip is the unaccelerated W^k map used by the baseline optimizers;
 its round (_plain_mixer) is a product with W on the dense route and the
@@ -51,11 +50,12 @@ import numpy as np
 from .problems import _row_norms
 from .topology import _SYMMETRY_TOL, MixingMatrix, _ring_spectrum
 
-# Contraction bound constants: error after k accelerated rounds is at most
-# sqrt(14) * (1 - (1 - 1/sqrt(2)) * sqrt(1 - lambda2))^k times the initial
-# deviation from consensus.
-C1 = math.sqrt(14.0)
-C2 = 1.0 - 1.0 / math.sqrt(2.0)
+# The smallest contraction a mix is credited with: a float64 mix leaves a few
+# ulps of its input's scale off consensus whatever p_k(lam) reads. The
+# criterion-3 ring (m = 8, entries of order one) keeps 7.3e-15 at depth 1000,
+# where p_k reads 3e-42 and an unfloored consensus check fails; 1e-12 is over
+# a hundred times that rounding.
+RHO_FLOOR = 1e-12
 
 
 def _check_rounds(k: int) -> None:
@@ -85,24 +85,39 @@ def chebyshev_weight(lambda2: float) -> float:
 
 
 def _chebyshev_gains(lam: np.ndarray, lambda2: float, k: int) -> np.ndarray:
-    """The gains p_k(lam) of acc_gossip in closed form, for 0 < lambda2 < 1.
+    """The gains p_k(lam) of a depth-k acc_gossip in closed form, for 0 <= lambda2 < 1.
 
-    Each lam lies in [0, lambda2], or is 1, whose gain is exactly 1. With
-    r = sqrt(eta_w), the recursion is r^n times the Chebyshev recursion in
-    cos(theta) = lam / lambda2, so after its n = k + 1 rounds
+    Each lam lies in [-lambda2, lambda2] (a few ulps above counts as lambda2)
+    or is the consensus eigenvalue: any lam above (1 + lambda2) / 2 gets gain
+    exactly 1. With r = sqrt(eta_w), the recursion is r^k times the Chebyshev
+    recursion in cos(theta) = lam / lambda2, so after its k rounds
 
-        p_k(lam) = r^n (cos(n theta) + (cos(theta) - r) sin(n theta) / sin(theta)),
+        p_k(lam) = r^k (cos(k theta) + (cos(theta) - r) sin(k theta) / sin(theta)),
 
-    with sin(n theta) / sin(theta) = n at theta = 0. theta is taken from
-    h = 1 - lam / lambda2, which is exact for lam near lambda2.
+    with sin(k theta) / sin(theta) = k at theta = 0. theta is taken from
+    h = 1 - lam / lambda2, which is exact for lam near lambda2. At lambda2 = 0
+    (one agent) eta_w is 0 and p_k(lam) = lam^k.
     """
-    r, n = math.sqrt(chebyshev_weight(lambda2)), k + 1
+    if lambda2 == 0.0:
+        return lam**k
+    r = math.sqrt(chebyshev_weight(lambda2))
     h = np.maximum((lambda2 - lam) / lambda2, 0.0)
     theta = 2.0 * np.arcsin(np.sqrt(h / 2.0))
     sin = np.sqrt(h * (2.0 - h))
-    ratio = np.divide(np.sin(n * theta), sin, out=np.full_like(sin, n), where=sin > 0.0)
-    gains = r**n * (np.cos(n * theta) + (1.0 - r - h) * ratio)
-    return np.where(lam == 1.0, 1.0, gains)
+    ratio = np.divide(np.sin(k * theta), sin, out=np.full_like(sin, k), where=sin > 0.0)
+    gains = r**k * (np.cos(k * theta) + (1.0 - r - h) * ratio)
+    return np.where(lam > (1.0 + lambda2) / 2.0, 1.0, gains)
+
+
+def contraction(mix: MixingMatrix, k: int) -> float:
+    """The factor by which a depth-k acc_gossip shrinks any distance from consensus.
+
+    max |p_k(lam)| over mix.eigenvalues but the consensus eigenvalue (the
+    largest), and at least RHO_FLOOR. Not monotone in k while it is near 1.
+    """
+    _check_rounds(k)
+    gains = _chebyshev_gains(mix.eigenvalues[:-1], mix.lambda2, k)
+    return max(float(np.abs(gains).max(initial=0.0)), RHO_FLOOR)
 
 
 def _eigenbasis(mix: MixingMatrix) -> tuple[np.ndarray, Callable, Callable]:
@@ -167,18 +182,7 @@ def _acc_mixers(mix: MixingMatrix, *ks: int) -> list[Callable[[np.ndarray], np.n
     check its input.
     """
     lam, forward, inverse = _eigenbasis(mix)
-    eta_w = chebyshev_weight(mix.lambda2)
-
-    def gains(k: int) -> np.ndarray:
-        if mix.closed_form:
-            return _chebyshev_gains(lam, mix.lambda2, k)
-        # the recursion of acc_gossip run on the eigenvalues
-        prev = out = np.ones_like(lam)
-        for _ in range(k + 1):
-            prev, out = out, (1.0 + eta_w) * (lam * out) - eta_w * prev
-        return out
-
-    return [_spectral_kernel(forward, inverse, gains(k)) for k in ks]
+    return [_spectral_kernel(forward, inverse, _chebyshev_gains(lam, mix.lambda2, k)) for k in ks]
 
 
 def _plain_mixer(mix: MixingMatrix) -> Callable[[np.ndarray], np.ndarray]:
@@ -190,7 +194,7 @@ def _plain_mixer(mix: MixingMatrix) -> Callable[[np.ndarray], np.ndarray]:
 
 
 def acc_gossip(y0: np.ndarray, mix: MixingMatrix, k: int) -> np.ndarray:
-    """Accelerated gossip: the map of k + 1 Chebyshev rounds, applied spectrally."""
+    """Accelerated gossip: the map of k Chebyshev rounds, applied spectrally."""
     _check_rounds(k)
     return _acc_mixers(mix, k)[0](_check_agent_matrix(y0, mix))
 
@@ -203,28 +207,6 @@ def plain_gossip(y0: np.ndarray, mix: MixingMatrix, k: int) -> np.ndarray:
     for _ in range(k):
         y = round_(y)
     return y
-
-
-def contraction_rho(lambda2: float, k: int) -> float:
-    """Worst-case consensus contraction factor after k accelerated rounds."""
-    if not 0.0 <= lambda2 < 1.0:
-        raise ValueError(f"lambda2 must lie in [0, 1), got {lambda2}")
-    _check_rounds(k)
-    return C1 * (1.0 - C2 * math.sqrt(1.0 - lambda2)) ** k
-
-
-def min_rounds_for_rho(lambda2: float, rho_target: float) -> int:
-    """Smallest k with contraction_rho(lambda2, k) <= rho_target."""
-    if rho_target <= 0.0:
-        raise ValueError("rho_target must be positive")
-    if rho_target >= C1:
-        return 0
-    base = 1.0 - C2 * math.sqrt(1.0 - lambda2)
-    k = math.ceil(math.log(rho_target / C1) / math.log(base))
-    # Guard against float edge cases at the ceiling boundary.
-    while contraction_rho(lambda2, k) > rho_target:
-        k += 1
-    return k
 
 
 def consensus_error(y: np.ndarray) -> float | np.ndarray:

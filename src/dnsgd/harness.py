@@ -34,7 +34,7 @@ from .analysis import (
     verify_descent,
 )
 from .config import ConfigError, RunConfig, SweepConfig, build_mixing, build_problem, resolve_x0
-from .gossip import contraction_rho
+from .gossip import contraction
 from .hyperparams import (
     HyperParams,
     TheoreticalParams,
@@ -118,7 +118,7 @@ def set_up(cfg: RunConfig) -> tuple[
         raise ConfigError("x0", f"f(x0) - f_star = {delta_f:.6g} leaves the calculator no "
                           "objective gap (x0 is a minimizer); give hyperparams instead of auto")
     theory = theoretical_hyperparams(
-        p, mixing.gamma, auto.epsilon, delta_f, g0_norm_sq=g0_norm_sq, t_cap=auto.t_cap
+        p, mixing, auto.epsilon, delta_f, g0_norm_sq=g0_norm_sq, t_cap=auto.t_cap
     )
     return p, mixing, x0, theory.hp, theory
 
@@ -142,7 +142,7 @@ def _run_checks(
     if cfg.algorithm != "dnsgd":
         return checks
 
-    rho = contraction_rho(mixing.lambda2, hp.k_inner)
+    rho = contraction(mixing, hp.k_inner)
     if rho < 1.0:
         report = verify_consensus_bound(traj, rho, p.m, hp.eta)
         checks.append(
@@ -236,7 +236,7 @@ def _write_run_outputs(result: RunResult, run_id: str) -> None:
             "k_inner": result.hp.k_inner, "k_init": result.hp.k_init,
             "epsilon": result.hp.epsilon,
             "lambda2": result.mixing.lambda2, "gamma": result.mixing.gamma,
-            "rho": contraction_rho(result.mixing.lambda2, result.hp.k_inner),
+            "rho": contraction(result.mixing, result.hp.k_inner),
             "seeds": list(result.seeds),
         },
     }

@@ -1,21 +1,22 @@
 """Hyperparameter bundles and the theoretical calculator.
 
 theoretical_hyperparams converts a target stationarity epsilon, a problem
-instance and the network's spectral gap into the step size, batch size,
+instance and the network's mixing matrix into the step size, batch size,
 iteration count, and gossip depths under which the method is guaranteed to
 reach an epsilon/2 expected gradient norm. The guarantees assume a consensus
 contraction factor rho small enough to satisfy a list of explicit
 inequalities; rho_guard checks that list for a concrete rho and
 choose_k_for_guard finds the smallest gossip depth satisfying it; the
-calculator never picks a shallower inner depth. Its constants are fixed: C_K
-scales the inner gossip depth and C_K_HAT the initial one.
+calculator never picks a shallower inner depth. The rho of a depth is its
+exact gossip.contraction on the matrix's own spectrum, and one search
+(_shallowest_depth) finds both depths.
 
 Every function here reads the problem's constants (l0, l1, zeta, sigma, m)
 from its ProblemInstance, whose fields make_problem has held to their
 problems.PARAMS rules and whose l_f = problems.lf_effective(p) it has made
-sure is positive, so none of them is checked again here. Each HyperParams field's type and range is one
-FIELDS rule (a problems.Param), which config parsing, HyperParams and
-rho_guard apply.
+sure is positive, and the spectrum from its MixingMatrix, so none of them is
+checked again here. Each HyperParams field's type and range is one FIELDS
+rule (a problems.Param), which config parsing, HyperParams and rho_guard apply.
 """
 
 from __future__ import annotations
@@ -23,18 +24,23 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
-from .gossip import contraction_rho, min_rounds_for_rho
+from .gossip import contraction
 from .problems import COUNT, POSITIVE, Param, ProblemInstance, check_fields, lf_effective
+from .topology import MixingMatrix
 
-# Deepest gossip depth choose_k_for_guard tries; the exp_pair benchmark problem
-# on a path at m = 1024 needs 23177.
+# Deepest gossip depth the depth search tries; the exp_pair benchmark problem
+# on a path at m = 1024 needs 11069, its formula depth.
 K_MAX = 2**16
 
-# k_inner >= C_K log(max(m, 2)) / sqrt(gamma); k_init scales by C_K_HAT.
+# k_inner >= C_K log(max(m, 2)) / sqrt(gamma).
 C_K = 2.0
-C_K_HAT = 1.0
+
+# The largest contraction a depth search accepts past its start (the guard's
+# v_weight limit): below it contraction falls as k grows on every graph measured,
+# 2 to 512 agents; above 0.98 it need not (1.2 at depth 2 on a 256-path).
+RHO_SEARCH_MAX = 0.5
 
 # Each HyperParams field's rule, which config parsing and __post_init__ both
 # apply; auto.epsilon and a sweep's target_epsilon are held to the epsilon rule.
@@ -140,34 +146,47 @@ def rho_guard(rho: float, p: ProblemInstance, eta: float, b: int) -> RhoGuard:
     )
 
 
-def choose_k_for_guard(lambda2: float, p: ProblemInstance, eta: float, b: int) -> int:
-    """Smallest gossip depth up to K_MAX whose worst-case rho passes rho_guard.
+def _shallowest_depth(
+    mix: MixingMatrix, passes: Callable[[float], bool], what: str, start: int = 1
+) -> int:
+    """Smallest depth k >= start whose rho = contraction(mix, k) passes, and
+    past start also has rho <= RHO_SEARCH_MAX.
 
-    A bisection: rho falls as k grows and every guard condition is monotone
-    in rho, so the depths that pass are a tail of [1, K_MAX].
+    For passes monotone in rho the passing depths past start are a tail, so
+    probing start, start + 1, start + 3, ... until one passes and bisecting
+    the last gap finds, in O(log K_MAX) probes, what a linear scan finds.
     """
+    def ok(k: int) -> bool:
+        rho = contraction(mix, k)
+        return (k == start or rho <= RHO_SEARCH_MAX) and passes(rho)
+
+    failed, width = start - 1, 1  # every depth from start to failed fails
+    while not ok(k := min(failed + width, K_MAX)):
+        if k == K_MAX:
+            raise ValueError(
+                f"no gossip depth up to {K_MAX} passes {what}; give hyperparams instead of auto"
+            )
+        failed, width = k, 2 * width
+    return bisect.bisect_left(range(failed + 1, k), True, key=ok) + failed + 1
+
+
+def choose_k_for_guard(
+    mix: MixingMatrix, p: ProblemInstance, eta: float, b: int, start: int = 1
+) -> int:
+    """Smallest gossip depth k >= start whose contraction on mix passes rho_guard."""
     if 2.0 * p.sigma / math.sqrt(p.m * b) >= eta * lf_effective(p) / 4.0:
         raise ValueError(
             "noise floor condition cannot hold for any gossip depth: "
             "batch size too small for this sigma, eta, and l_f"
         )
-
-    def ok(k: int) -> bool:
-        return rho_guard(contraction_rho(lambda2, k), p, eta, b).ok
-
-    k = bisect.bisect_left(range(1, K_MAX + 1), True, key=ok) + 1
-    if k > K_MAX:
-        raise ValueError(
-            f"no gossip depth up to {K_MAX} passes rho_guard; give hyperparams instead of auto"
-        )
-    return k
+    return _shallowest_depth(mix, lambda rho: rho_guard(rho, p, eta, b).ok, "rho_guard", start)
 
 
 class TheoreticalParams(NamedTuple):
     """Calculator output: the HyperParams bundle plus its intermediates.
 
     guard is rho_guard evaluated at the chosen hyperparameters and
-    guard.rho = contraction_rho(1 - gamma, hp.k_inner).
+    guard.rho = gossip.contraction(mix, hp.k_inner).
     """
 
     hp: HyperParams
@@ -181,29 +200,29 @@ class TheoreticalParams(NamedTuple):
 
 
 def theoretical_hyperparams(
-    p: ProblemInstance, gamma: float, epsilon: float, delta_f_estimate: float, *,
+    p: ProblemInstance, mix: MixingMatrix, epsilon: float, delta_f_estimate: float, *,
     g0_norm_sq: float, t_cap: int | None = None,
 ) -> TheoreticalParams:
     """Hyperparameters guaranteeing an epsilon/2 expected gradient norm on p.
 
-    p supplies l0, l1, zeta, sigma and m, and gamma in (0, 1] is the mixing
-    matrix's spectral gap. eta = min(epsilon / (4 l_f + 1), 1 / (2 l1)) with
+    p supplies l0, l1, zeta, sigma and m, and mix the spectrum its agents mix
+    with. eta = min(epsilon / (4 l_f + 1), 1 / (2 l1)) with
     l_f = lf_effective(p); the batch size scales with sigma^2 / m; the
     iteration count with delta_phi / epsilon^2 where delta_phi budgets twice
-    the initial objective gap (the init gossip depth k_init is chosen to make
-    that budget valid). The inner gossip depth is
-    the larger of ceil(C_K * log(max(m, 2)) / sqrt(gamma)) and the smallest
-    depth whose worst-case contraction factor passes rho_guard, so the
-    returned guard always passes; ValueError when no depth up to K_MAX does.
+    the initial objective gap. The inner gossip depth is the larger of
+    ceil(C_K * log(max(m, 2)) / sqrt(mix.gamma)) and the smallest depth whose
+    contraction passes rho_guard, so the returned guard always passes. The
+    init depth k_init, which makes the delta_phi budget valid, is the first
+    (by _shallowest_depth) whose contraction is at most sqrt(m) delta_f /
+    (2 sqrt(2) eta drive), drive^2 = m sigma^2 / b + g0_norm_sq (1 without
+    drive). ValueError when no depth up to K_MAX passes either rule.
 
-    g0_norm_sq is sum_i ||grad f_i(x0)||^2 measured at the start point; with
-    the noise it sets k_init. t_cap truncates the iteration count (the
-    uncapped value is recorded). epsilon, gamma, delta_f_estimate and
-    g0_norm_sq are checked here; p's fields were checked by make_problem.
+    g0_norm_sq is sum_i ||grad f_i(x0)||^2 measured at the start point. t_cap
+    truncates the iteration count (the uncapped value is recorded). epsilon,
+    delta_f_estimate and g0_norm_sq are checked here; p's fields were checked
+    by make_problem and mix's spectrum by metropolis_mixing.
     """
     check_fields(FIELDS, {"epsilon": epsilon})
-    if not 0.0 < gamma <= 1.0:
-        raise ValueError(f"gamma must lie in (0, 1], got {gamma}")
     if delta_f_estimate <= 0:
         raise ValueError("delta_f_estimate must be positive")
     if not math.isfinite(delta_f_estimate):
@@ -234,23 +253,21 @@ def theoretical_hyperparams(
     t_uncapped = max(1, math.ceil(max(t1, t2)))
     big_t = min(t_uncapped, t_cap) if t_cap is not None else t_uncapped
 
-    lambda2 = 1.0 - gamma
-    k_formula = math.ceil(C_K * math.log(max(m, 2)) / math.sqrt(gamma))
-    k_inner = max(k_formula, choose_k_for_guard(lambda2, p, eta, b))
+    k_formula = math.ceil(C_K * math.log(max(m, 2)) / math.sqrt(mix.gamma))
+    k_inner = choose_k_for_guard(mix, p, eta, b, start=k_formula)
 
-    drive = math.sqrt(m * sigma * sigma / b + g0_norm_sq)
-    if drive == 0.0:
-        k_init = 1
-    else:
+    drive, k_init = math.sqrt(m * sigma * sigma / b + g0_norm_sq), 1
+    if drive > 0.0:
         rho_target = math.sqrt(m) * delta_f_estimate / (2.0 * math.sqrt(2.0) * eta * drive)
-        k_init = max(1, math.ceil(C_K_HAT * min_rounds_for_rho(lambda2, rho_target)))
+        k_init = _shallowest_depth(
+            mix, lambda rho: rho <= rho_target, f"the k_init target rho <= {rho_target:.3g}"
+        )
 
     hp = HyperParams(
         eta=eta, b=int(b), big_t=int(big_t), k_inner=int(k_inner), k_init=int(k_init),
         epsilon=float(epsilon),
     )
-    rho = contraction_rho(lambda2, k_inner)
     return TheoreticalParams(
         hp=hp, l_f=l_f, m0=m0, m1=m1, delta_f=float(delta_f_estimate), delta_phi=delta_phi,
-        guard=rho_guard(rho, p, eta, b), t_uncapped=int(t_uncapped),
+        guard=rho_guard(contraction(mix, k_inner), p, eta, b), t_uncapped=int(t_uncapped),
     )

@@ -4,6 +4,8 @@ Acceptance tests register one line per criterion through record_criterion;
 pytest_terminal_summary prints them after the run so the pass/fail status
 of each criterion is visible even though pytest captures stdout.
 stepped_states gives the states of a run, which the runner does not keep.
+worst_case_contraction is the paper's bound on an accelerated mix, the
+reference that criterion 1 and the gossip tests hold the exact contraction to.
 """
 
 from __future__ import annotations
@@ -24,6 +26,16 @@ def record_criterion(number: int, name: str, passed: bool, detail: str = "") -> 
     if detail:
         line += f" ({detail})"
     _CRITERION_LINES[number] = line
+
+
+def worst_case_contraction(lambda2: float, k: int) -> float:
+    """The paper's bound on how far a depth-k accelerated mix shrinks a distance from consensus.
+
+    sqrt(14) (1 - (1 - 1/sqrt(2)) sqrt(1 - lambda2))^k, for any mixing matrix
+    with second eigenvalue lambda2; gossip.contraction, the exact factor on a
+    matrix's own spectrum, never exceeds it.
+    """
+    return math.sqrt(14.0) * (1.0 - (1.0 - 1.0 / math.sqrt(2.0)) * math.sqrt(1.0 - lambda2)) ** k
 
 
 def stepped_states(algorithm, p, hp, w, x0, seed):

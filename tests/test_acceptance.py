@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 import pytest
-from conftest import record_criterion
+from conftest import record_criterion, worst_case_contraction
 
 from dnsgd.analysis import stationarity_summary, verify_consensus_bound, verify_descent
 from dnsgd.cli import main as cli_main
@@ -23,7 +23,7 @@ from dnsgd.config import (
     SweepConfig,
     TopologyConfig,
 )
-from dnsgd.gossip import acc_gossip, consensus_error, contraction_rho
+from dnsgd.gossip import acc_gossip, consensus_error
 from dnsgd.harness import run_experiment, sweep_speedup
 from dnsgd.hyperparams import HyperParams
 from dnsgd.optimizers import run
@@ -105,7 +105,7 @@ def test_criterion_1_gossip_contraction():
         e0 = consensus_error(y0)
         for k in range(1, 21):
             yk = acc_gossip(y0, mix, k)
-            if consensus_error(yk) > contraction_rho(mix.lambda2, k) * e0 * (1 + 1e-12):
+            if consensus_error(yk) > worst_case_contraction(mix.lambda2, k) * e0 * (1 + 1e-12):
                 contraction_ok = False
             rel = np.linalg.norm(yk.mean(axis=0) - ybar0) / max(
                 np.linalg.norm(ybar0), 1e-12

@@ -13,7 +13,7 @@ from dnsgd.analysis import (
     verify_consensus_bound,
     verify_descent,
 )
-from dnsgd.gossip import consensus_error, contraction_rho
+from dnsgd.gossip import consensus_error, contraction
 from dnsgd.hyperparams import lyapunov_constants, theoretical_hyperparams
 from dnsgd.optimizers import run
 from dnsgd.problems import f_base, grad_base, make_problem
@@ -26,7 +26,7 @@ RING4 = metropolis_mixing(build_topology("ring", 4))
 def _guard_mode_params(t_override=None):
     x0 = np.full(QUAD.d, 0.6)
     g0 = sum(float(np.dot(g, g)) for g in grad_base(QUAD, x0) + QUAD.offsets)
-    th = theoretical_hyperparams(QUAD, RING4.gamma, 0.12, f_base(QUAD, x0), g0_norm_sq=g0)
+    th = theoretical_hyperparams(QUAD, RING4, 0.12, f_base(QUAD, x0), g0_norm_sq=g0)
     hp = th.hp
     if t_override is not None:
         hp = dataclasses.replace(hp, big_t=t_override)
@@ -140,7 +140,7 @@ def test_consensus_bound_on_guarded_run():
     )
     # a deeper gossip sweep must fit inside its own tighter radius
     deep_hp = dataclasses.replace(hp, k_inner=hp.k_inner + 15)
-    deep_rho = contraction_rho(1.0 - RING4.gamma, deep_hp.k_inner)
+    deep_rho = contraction(RING4, deep_hp.k_inner)
     assert deep_rho < th.guard.rho
     deep = run("dnsgd", QUAD, deep_hp, RING4, x0, seeds=[7])
     deep_report = verify_consensus_bound(deep, deep_rho, QUAD.m, hp.eta)
@@ -160,7 +160,7 @@ def test_stochastic_descent_seed_average():
     p = make_problem("exp_pair", d=4, rate=1.0, m=4, zeta=0.2, sigma=0.5, seed=5)
     x0 = np.full(p.d, 1.2)
     g0 = sum(float(np.dot(g, g)) for g in grad_base(p, x0) + p.offsets)
-    th = theoretical_hyperparams(p, RING4.gamma, 0.3, 1.0, g0_norm_sq=g0, t_cap=300)
+    th = theoretical_hyperparams(p, RING4, 0.3, 1.0, g0_norm_sq=g0, t_cap=300)
     traj = run("dnsgd", p, th.hp, RING4, x0, seeds=range(100, 110))
     report = verify_descent(traj, p, th.hp.eta, mode="stochastic")
     assert report.passed

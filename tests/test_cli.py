@@ -62,7 +62,7 @@ def test_params_reports_calculator_output(tmp_path, capsys):
     assert code == 0
     assert "eta = 0.024" in out
     assert "big_t = 5000 (uncapped 5000)" in out
-    assert "k_inner = 29" in out
+    assert "k_inner = 6\n" in out
     assert "guard: PASS" in out
     assert "condition noise_floor: PASS" in out
 
@@ -104,8 +104,8 @@ def test_removed_calculator_knobs_exit_two(tmp_path, capsys):
 
 
 def test_auto_run_without_a_passing_depth_exits_two(tmp_path, capsys, monkeypatch):
-    # the ring at m = 4 needs depth 29 to pass rho_guard; below it no depth does
-    monkeypatch.setattr(hyperparams, "K_MAX", 28)
+    # the ring at m = 4 needs depth 6 to pass rho_guard; below it no depth does
+    monkeypatch.setattr(hyperparams, "K_MAX", 5)
     sweep = json.loads(Path(_auto_quadratic(tmp_path)).read_text())
     sweep.update(m_list=[4], target_epsilon=0.5)
     for argv in (
@@ -116,18 +116,32 @@ def test_auto_run_without_a_passing_depth_exits_two(tmp_path, capsys, monkeypatc
         out_dir = tmp_path / "out"
         assert main([*argv, "--out-dir", str(out_dir)]) == 2, argv
         assert capsys.readouterr() == ("", (
-            "error: no gossip depth up to 28 passes rho_guard; give hyperparams instead of auto\n"
+            "error: no gossip depth up to 5 passes rho_guard; give hyperparams instead of auto\n"
         )), argv
         assert not out_dir.exists(), argv
 
 
+def test_k_init_target_below_the_contraction_floor_exits_two(tmp_path, capsys):
+    # so close to the minimizer the init mix must contract by 9.8e-15, below
+    # gossip.RHO_FLOOR, which no depth is credited with
+    for command in ("params", "run"):
+        out_dir = tmp_path / "out"
+        argv = [command, "--config", _auto_quadratic(tmp_path, x0=1e-8), "--out-dir", str(out_dir)]
+        assert main(argv) == 2, command
+        assert capsys.readouterr() == ("", (
+            "error: no gossip depth up to 65536 passes the k_init target rho <= 9.79e-15; "
+            "give hyperparams instead of auto\n"
+        )), command
+        assert not out_dir.exists(), command
+
+
 def test_params_ring_m512_passes_the_guard(tmp_path, capsys):
-    # the guard's depth on this ring is 5556, so it needs a K_MAX above 5000
+    # the formula's depth on this ring, 2491, binds; the guard's is 1292
     cfg = json.loads(EXP_PAIR_CONFIG.read_text())
     cfg["problem"]["m"] = 512
     assert main(["params", "--config", _write(tmp_path / "m512.json", cfg)]) == 0
     out = capsys.readouterr().out
-    assert "k_inner = 5556\n" in out
+    assert "k_inner = 2491\n" in out
     assert "guard: PASS\n" in out
 
 

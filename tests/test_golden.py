@@ -63,16 +63,22 @@ FAMILY_PARAMS = {
 # dnsgd run's consensus_bound figure and the deterministic run's delta_phi and
 # average gradient norm in summary.txt. The echoes, the params reports, the
 # stochastic run's checks.csv and summary.txt and the sweep pins held.
+# Every dnsgd pin here and below was rebaselined once more when a depth-k mix
+# became k products with W instead of k + 1, the dense route took the
+# closed-form gains, and rho became the exact contraction on the matrix's own
+# spectrum (gossip.contraction) instead of the worst-case bound: every dnsgd
+# iterate moved, and with them its checks, echo and summary. The dsgd, dsgt
+# and dnasa digests held.
 RUN_DIGESTS = {
-    ("exp_pair", "dnsgd"): "f1cce410a508dc2b8e2edc20f22e3bd2d6af351076dd55bbc345b729e0540504",
+    ("exp_pair", "dnsgd"): "8a0eb42b6008989551991bcc1cab6704cd0c7d3f079af0d04bbc567701f7ddc6",
     ("exp_pair", "dsgd"): "9fe37dfbab588ceaa71141309ec4ce4a5fbe46bd8c3301ee148b693d0f126ac6",
     ("exp_pair", "dsgt"): "70eacd1f5f6e9462169dcad555b63c1cd5f6df342f9b55bc88a23b3506b5d610",
     ("exp_pair", "dnasa"): "50383fa58049cecc2c2864ef5e2023a1d923682ce1d5459a42077122b6c7230e",
-    ("poly_even", "dnsgd"): "ecf0d2334312961b71e5a0703d0aa95f48586366ea5e00f9d5a9238f928aa4cf",
+    ("poly_even", "dnsgd"): "18300ab86db36d1c08b4c3b40fd18c8898d45a78498bb778e19b06bf8329775a",
     ("poly_even", "dsgd"): "3c23590ababb1a8361f6c8fa0d7ed86855bb7e602f1f31d515a98ecb6ffed571",
     ("poly_even", "dsgt"): "295ce301da263e677309d1234d44952f6b42d20b574d1fc3a5d7b318eced1211",
     ("poly_even", "dnasa"): "e4290d8829477bfe35c439e58548c81805f53178d504b7eab76ebe7bf6445931",
-    ("quadratic", "dnsgd"): "9a8a61531a673236d51af9c113ccf17c170cbf2e635e71c1598c8051eb44109e",
+    ("quadratic", "dnsgd"): "0f3c6055aaa5615624db59459edbb02587e3260e63d9c7452bcd5cc48cdaa2e4",
     ("quadratic", "dsgd"): "cd794b385dc5dc7989ce4174e972d69b3985fe4b955fd27485a4acdc066775a3",
     ("quadratic", "dsgt"): "e79190327914e2823bda3946a01197d0c276b232a668020c173f24723189f51d",
     ("quadratic", "dnasa"): "f17f50b9d70f4476b197c1b3aabca1ae97a808c27bddbbea21a689865796bb74",
@@ -81,13 +87,13 @@ RUN_DIGESTS = {
 # Every file of the criterion-10 dnsgd run: the one pinned echo whose config
 # carries an explicit hyperparams block.
 RUN_OUTPUT_DIGESTS = {
-    "checks.csv": "4e73c3231beceb2f362967b355d5f36a0e5640c2bf5d67c8478c469837e09e00",
-    "config_echo.json": "63f5c5257599e5f1d338e61e2985842f664fd3969ddd51cc05744d19cccbce28",
-    "metrics_seed000.csv": "fa044f586875efc3754a3d248d8be538cc927a54fb675d0795ddaf151cbe0cae",
-    "metrics_seed001.csv": "3c5c519b0e3ed87b672e995c822143600ac7657f3c4479b9c3f29e5fc8779ee0",
-    "metrics_seed002.csv": "49f1f34033963c21029af9b5e7415048b0dc8bab4dffab687bd60c7b4984b815",
-    "metrics_seed003.csv": "39fbe5bcaf0f49f33c458657e99cc20c258b5b6afdb06cb46fe6aed6e60a3674",
-    "summary.txt": "64e2a52ce3475ec0d0a8ef74af57f4c9fbe92a90710f765f33cff7956e4a5e8b",
+    "checks.csv": "eea5d7c26a50a6179db7c5df01f0c10f477cc4e7f6363b0141e75aea54d7f4a9",
+    "config_echo.json": "153a8f1165ee2aa15958a1fca4c5a08c9e1f8eeb95e07e316b5e64ae52948a39",
+    "metrics_seed000.csv": "c712d1f1f7e7827c2d0b2dfd8d5161f66d1053853b2bff7c7bbb19e34301d2ab",
+    "metrics_seed001.csv": "cc28281258f711823a35b6de8d75473e70e3e648ee7fa077fcd836b2f7e2665a",
+    "metrics_seed002.csv": "58328578566abb1cffa6e083f8342c62cde6a64a6b7ff14a6364c586dd01ef0d",
+    "metrics_seed003.csv": "7a8f25ed570a6b6d1354ff17c6322ba0b642260523953406a9344e844911e5f8",
+    "summary.txt": "277e8dddefad35194fb0554ebb73c2aa791784759c9c51467ad9dce883d4f2b4",
 }
 
 # A small calculator-driven sweep: per-m hyperparameters, delta_f estimated.
@@ -105,7 +111,7 @@ SWEEP_CONFIG = {
     "num_seeds": 3,
 }
 
-SWEEP_DIGEST = "3c94204d04f4c7ab6e825e0c8cd37c22469771e0623ec983878ca24d9804dedc"
+SWEEP_DIGEST = "be3b5b27c8e9ff559e738cc18ef7898f7bfc571fba532c16efc143844d5e6409"
 
 # float.hex() of the certified (l0, l1, f_star) of the problems that the
 # pinned configs build. The digests fix l0 only through phi.
@@ -165,37 +171,41 @@ OUTPUT_CHECKS = {
 # configs, and the sweep's k_inner rose to the guard's depth (9, 11, 21 to
 # 24, 32, 65), which moved its summary.txt and the comm-rounds column of
 # SWEEP_DIGEST; its batch sizes, first hits and samples held. The two configs
-# here already ran at the guard's depth, so their other files held.
+# here already ran at the guard's depth, so their other files held. With the
+# exact contraction (see RUN_DIGESTS) k_inner fell from 32 to 7 in the
+# stochastic run and from 70 to 16 in the deterministic one (k_init stayed 1),
+# and the sweep's from 24, 32, 65 to 5, 7, 15; the sweep's echo, batch sizes,
+# first hits and samples held.
 OUTPUT_DIGESTS = {
     "stochastic": {
-        "checks.csv": "cfb7c8ba11a067a638f14a700ffff0b097e60c8e75a6cd7c48c42545c3b17670",
-        "config_echo.json": "70d2d71d40aa132977911bd0d372392533c0714a9677bc3d8c0351f3f2543216",
-        "metrics_seed000.csv": "41e4c7fc24c164c2b51fad3b159e979437995aafcae6299f4e18453bfedf44fa",
-        "metrics_seed001.csv": "200f3ceda2ce60a600746afa1fa4e6b7263af2b95ba50fdf423bcc52168feb9c",
-        "metrics_seed002.csv": "bc0cd94e2118cd11f5458ac0d353210f6c4731e6de1a7ecfcd71686f4df9db9c",
-        "metrics_seed003.csv": "5120d5611f15f64005e102f2ab7110cf5bdfc88e67fac28b673281a28546ec46",
-        "metrics_seed004.csv": "ed07c69e1c48d8e408ce9deaea472f4c0954c6c215e8493557dac938f50ec32c",
-        "metrics_seed005.csv": "b085be1a72b14eaa20d32517e75218c07e46dc73c0f454553f2317a4afb21101",
-        "metrics_seed006.csv": "0e87db660c19116f89533dba36a8a343147fa4663b11c565455ce7c0b18d3303",
-        "metrics_seed007.csv": "127d0db628a9229c4a773f424eb820399025f5d0551d99caff857c6822936f2b",
-        "metrics_seed008.csv": "25a8a31437e244f445ab3b2171e85e8e8c380e05f06951633a5dde854ddb8a3b",
-        "metrics_seed009.csv": "604ee1ae7ac885c25c1aaf19e65c18decd1bb8effefc6021844ad7bec7199387",
-        "params_report.txt": "95294000a5f6ce6f416dce9b9e6d349cea0fa1a6a26829968504937e847a7c2f",
-        "summary.txt": "2030e37800ab709ccd57a9b58832e87c5ce3bcbd0e348b46e55e38b32e6f0cab",
+        "checks.csv": "bbaca89f291a142bd382ce54389c944fb55792c1c8ab0c3c1573f3f8ee43db5d",
+        "config_echo.json": "1a33cd8ca20b391efd8dd390f32d9f9a56e07345f3d4414bc5996b8dace15d95",
+        "metrics_seed000.csv": "64e38b9564059f8c4fb7b46df42867466b66b319efc9ed9ffc724ad0000802ab",
+        "metrics_seed001.csv": "e2798286b6bb6a1be3d9ebdeaae1da9fdaff51c519d21d3d0932f76020ecf7f3",
+        "metrics_seed002.csv": "ca04caa60ec2c58e456a176d826f908c34ce30d0da8406a510e2258e65fd1a0a",
+        "metrics_seed003.csv": "e30edf3fb23bff18aabe8e1fa2d4f939339f1d27ac5bfa961e693382b7e90641",
+        "metrics_seed004.csv": "a40918233e8d8e787934d60d36b0670d93a4b2c23faecf2e7d719eaae75de260",
+        "metrics_seed005.csv": "a38aae72369074eed153069f64d5e4099f488ba61d587df7c804bdcffd4e2145",
+        "metrics_seed006.csv": "6c7a3d2c671c58aa51b7efea75185cd8d1751814fa310dc38e42679731912c27",
+        "metrics_seed007.csv": "902627a7a982dea3f169fd1b1342d5c82c9b4d6e9f8b84aa5bd9eb9e289e7d4f",
+        "metrics_seed008.csv": "9d2f58b197992aee76c990d1212977733ae4264330f06070e8b5e75f722c7c7f",
+        "metrics_seed009.csv": "7a3194da0082583c8e8262a2ce836067be2476414cf48e99d67724dd4118ecf8",
+        "params_report.txt": "1da22b039f977995f98c6d525f9dc8e53e3aa5879a417c7ee5aa699dfe02f306",
+        "summary.txt": "9d0ffd4f6f4ab9a45cd8d3ad94dbf061fbe1e72ac6e866293f8104916b638a93",
     },
     "deterministic": {
-        "checks.csv": "12d6a3d8b7036d902244ff50d55fbcd3acdb8d6aa06849ae114e7c20caf4984f",
-        "config_echo.json": "9a3c1792d9a131acec4b351e58a42a54713beb7bf71d5dd3b89e18748c276205",
-        "metrics_seed000.csv": "ff5c64857951836b2832bac7968870c47751c3b7c9e27847459a9442e6482ee2",
-        "params_report.txt": "311ca991d3f4e9723f12aa3564c76874f1381437e1d54e0b38a3cfe5de99144f",
-        "summary.txt": "6629115a3e20c7489909f6f25726b2f6fc0ba0b090f45c22cf3d2d4867746c18",
+        "checks.csv": "19ce550f21b80e5b6384d11c75d14f547a954c4e11c7073768904c40dc66f738",
+        "config_echo.json": "955a5500276fabda20f57b7d65c8e16a0f00977b8ccfe5a382ec33f851d2f30a",
+        "metrics_seed000.csv": "891a70cf5a840af900a84fd49eec39324934525bd847ef6e201d73e9fcecf152",
+        "params_report.txt": "77def50ddb5f343eca09232f57d44e890b7857c50eb6d785ee6cbd815ba3dd89",
+        "summary.txt": "1ab24145cc6c440f9bac61b63e833cf634a0045e7baf47c51201d15d6bc20d99",
     },
 }
 
 # The other files of the pinned sweep; speedup.csv is SWEEP_DIGEST.
 SWEEP_OUTPUT_DIGESTS = {
     "config_echo.json": "decec46dbf995575a3fa4cb32485fbdb94f592a11d8f1fba45060a5430d29175",
-    "summary.txt": "e75e908e57f22578ce80e6efceb9dbaade2fbf77d67a2cdc3bd3f823cd477c9f",
+    "summary.txt": "043e824d865e79cc3f0994a3445665933138b9b23ace76f01d9b84ef4b5d456b",
 }
 
 

@@ -7,17 +7,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from conftest import worst_case_contraction
 from hypothesis.extra.numpy import arrays
 
 from dnsgd.gossip import (
+    RHO_FLOOR,
     _acc_mixers,
     _chebyshev_gains,
     _plain_mixer,
     acc_gossip,
     chebyshev_weight,
     consensus_error,
-    contraction_rho,
-    min_rounds_for_rho,
+    contraction,
     plain_gossip,
 )
 from dnsgd.topology import CLOSED_FORM_MIN_M, MixingMatrix, build_topology, metropolis_mixing
@@ -27,24 +28,33 @@ RING8 = metropolis_mixing(build_topology("ring", 8))
 
 
 def reference_acc_gossip(y0, mix, k):
-    """The defining recursion of acc_gossip: k + 1 products with W."""
+    """The defining recursion of acc_gossip: k products with W."""
     eta_w = chebyshev_weight(mix.lambda2)
     y_prev = y = np.asarray(y0, dtype=np.float64)
-    for _ in range(k + 1):
+    for _ in range(k):
         y_prev, y = y, (1.0 + eta_w) * (mix.w @ y) - eta_w * y_prev
     return y
 
 
+def _closed_form_twin(mix):
+    """The same lambda2 and graph on the Fourier route, at any number of agents."""
+    return dataclasses.replace(mix, dense=None)
+
+
 @pytest.mark.parametrize("kind", ["ring", "path", "complete", "erdos_renyi"])
-@pytest.mark.parametrize("m", [1, 2, 8, 16, 64])
+@pytest.mark.parametrize("m", [1, 2, 6, 8, 16, 64])
 def test_acc_gossip_matches_recursion(kind, m):
+    # depth k is k products with W, what Method.cost charges, on both routes
     p = 0.5 if kind == "erdos_renyi" else None
     mix = metropolis_mixing(build_topology(kind, m, p=p, seed=m))
+    # a ring or path of 2 agents is one edge, not the stencil of the Fourier route
+    routes = [mix, _closed_form_twin(mix)] if kind in ("ring", "path") and m != 2 else [mix]
     rng = np.random.default_rng(m)
     y0 = rng.standard_normal((m, 5))
-    for k in (0, 1, 21, 200):
-        err = np.linalg.norm(acc_gossip(y0, mix, k) - reference_acc_gossip(y0, mix, k))
-        assert err <= 1e-12 * np.linalg.norm(y0), (kind, m, k, err)
+    for route in routes:
+        for k in (0, 1, 3, 15, 21, 200):
+            err = np.linalg.norm(acc_gossip(y0, route, k) - reference_acc_gossip(y0, mix, k))
+            assert err <= 1e-12 * np.linalg.norm(y0), (kind, m, route.closed_form, k, err)
 
 
 def test_acc_gossip_rejects_nonsymmetric_mixing():
@@ -63,23 +73,39 @@ def test_chebyshev_weight_frozen_value():
     assert chebyshev_weight(0.0) == 0.0
 
 
-def test_contraction_rho_frozen_values():
-    assert contraction_rho(0.5, 0) == pytest.approx(math.sqrt(14.0), abs=1e-15)
-    # lambda2 = 0: per-round rate is 1/sqrt(2), so one round gives sqrt(7)
-    assert contraction_rho(0.0, 1) == pytest.approx(math.sqrt(7.0), rel=1e-15)
-    assert contraction_rho(0.9, 50) < contraction_rho(0.9, 10)
+def test_contraction_frozen_values():
+    # depth 0 is the identity, which contracts nothing
+    assert contraction(RING4, 0) == 1.0
+    # the 4-ring's eigenvalues are 1/3, 2/3, 2/3 and 1, and eta_w = (7 - 3 sqrt(5)) / 2,
+    # so one round maps 2/3 to (1 + eta_w) 2/3 - eta_w = (sqrt(5) - 1) / 2 and 1/3 lower
+    assert contraction(RING4, 1) == pytest.approx((math.sqrt(5.0) - 1.0) / 2.0, rel=1e-15)
+    # a complete graph's eigenvalues are 1/2 and 1, where r = sqrt(eta_w) = 2 - sqrt(3)
+    complete = metropolis_mixing(build_topology("complete", 6))
+    r = 2.0 - math.sqrt(3.0)
+    for k in (1, 2, 7):
+        assert contraction(complete, k) == pytest.approx(r**k * (1.0 + k * (1.0 - r)), rel=1e-13)
+    # not monotone while it is near 1: a long path's rises above 1 before it falls
+    path = metropolis_mixing(build_topology("path", 256))
+    assert contraction(path, 2) > 1.1 > contraction(path, 1)
 
 
-def test_min_rounds_for_rho_is_tight():
-    for lam2 in (0.3, 0.666, 0.95):
-        for target in (0.9, 0.5, 1e-3):
-            k = min_rounds_for_rho(lam2, target)
-            assert contraction_rho(lam2, k) <= target
-            if k > 0:
-                assert contraction_rho(lam2, k - 1) > target
-    assert min_rounds_for_rho(0.5, math.sqrt(14.0) + 1.0) == 0
-    with pytest.raises(ValueError):
-        min_rounds_for_rho(0.5, 0.0)
+def test_contraction_is_floored_where_rounding_binds():
+    assert contraction(RING8, 200) == RHO_FLOOR  # p_200 reads about 1e-38 there
+    assert contraction(RING8, 20) > RHO_FLOOR
+    # one agent is always in consensus: only the floor is left
+    assert contraction(metropolis_mixing(build_topology("ring", 1)), 3) == RHO_FLOOR
+    with pytest.raises(ValueError, match="non-negative integer"):
+        contraction(RING8, -1)
+
+
+@pytest.mark.parametrize("kind", ["ring", "path", "complete", "erdos_renyi"])
+@pytest.mark.parametrize("m", [2, 8, 64, 256])
+def test_contraction_never_exceeds_the_worst_case_bound(kind, m):
+    # the paper's worst-case factor bounds the exact one above the rounding floor
+    mix = metropolis_mixing(build_topology(kind, m, p=0.3 if kind == "erdos_renyi" else None))
+    for k in range(3000):
+        bound = max(worst_case_contraction(mix.lambda2, k), RHO_FLOOR)
+        assert contraction(mix, k) <= bound, k
 
 
 def test_plain_gossip_one_hot_reads_matrix_column():
@@ -122,7 +148,7 @@ def test_acc_gossip_contraction_bound_ring4():
         e0 = consensus_error(y0)
         for k in range(21):
             ek = consensus_error(acc_gossip(y0, RING4, k))
-            assert ek <= contraction_rho(RING4.lambda2, k) * e0 * (1.0 + 1e-12)
+            assert ek <= contraction(RING4, k) * e0 * (1.0 + 1e-12)
 
 
 def test_acc_gossip_deep_run_reaches_consensus():
@@ -158,12 +184,6 @@ def test_mean_preserved_for_any_input(y0, k):
     assert np.allclose(out.mean(axis=0), y0.mean(axis=0), atol=1e-10 * scale)
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.integers(min_value=0, max_value=25))
-def test_contraction_rho_monotone_in_k(k):
-    assert contraction_rho(0.7, k + 1) <= contraction_rho(0.7, k)
-
-
 def test_argument_validation():
     y0 = np.zeros((4, 2))
     with pytest.raises(ValueError):
@@ -181,10 +201,10 @@ def test_argument_validation():
 
 
 def recursion_gains(lam, lambda2, k):
-    """The gains of the dense route: acc_gossip's recursion run on the eigenvalues."""
+    """acc_gossip's recursion run on the eigenvalues: k rounds."""
     eta_w = chebyshev_weight(lambda2)
     prev = gains = np.ones_like(lam)
-    for _ in range(k + 1):
+    for _ in range(k):
         prev, gains = gains, (1.0 + eta_w) * (lam * gains) - eta_w * prev
     return gains
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dnsgd import problems
+from dnsgd import gossip, optimizers, problems
 from dnsgd.config import (
     AutoHyperConfig,
     ConfigError,
@@ -482,8 +482,43 @@ def test_long_ring_m256_run_keeps_tracker_identity():
         "auto": {"epsilon": 0.2, "t_cap": 300}, "num_seeds": 1,
     })
     res = run_experiment(cfg)
-    assert (res.hp.big_t, res.hp.k_inner) == (300, 2658)
+    assert (res.hp.big_t, res.hp.k_inner) == (300, 1107)
     assert res.trajectory.tracker_drifts.max() <= TRACKER_DRIFT_TOL
+
+
+# The criterion-3 problem and ring (exp_pair, m = 8).
+CRIT3 = {
+    "problem": {"family": "exp_pair", "d": 10, "m": 8, "zeta": 0.2, "sigma": 0.1,
+                "seed": 1, "rate": 1.0},
+    "topology": {"kind": "ring"}, "algorithm": "dnsgd", "x0": 1.5, "master_seed": 2024,
+}
+
+
+@pytest.mark.parametrize("k", [300, 1000, 2000])
+def test_consensus_bound_passes_deep_runs(k):
+    # at these depths p_k reads 1e-60 and less, and cons_x is rounding (7.4e-15);
+    # the bound credits a mix with gossip.RHO_FLOOR at most
+    cfg = parse_run_config({**CRIT3, "num_seeds": 2, "hyperparams": {
+        "eta": 0.05, "b": 16, "big_t": 50, "k_inner": k, "k_init": k, "epsilon": 0.2,
+    }})
+    res = run_experiment(cfg)
+    check = next(c for c in res.checks if c.name == "consensus_bound")
+    assert check.passed, check
+    assert check.threshold == pytest.approx(gossip.RHO_FLOOR * 8 * 0.05, rel=1e-9)
+
+
+def test_consensus_bound_catches_a_shallow_mix(monkeypatch):
+    # a run that mixes at a quarter of the depths it reports: its consensus
+    # error is bounded by the contraction of the depth it claims, and exceeds it
+    def shallow(mix, *ks):
+        return gossip._acc_mixers(mix, *(k // 4 for k in ks))
+
+    monkeypatch.setattr(optimizers, "_acc_mixers", shallow)
+    cfg = parse_run_config({**CRIT3, "num_seeds": 10, "auto": {"epsilon": 0.2, "t_cap": 50_000}})
+    res = run_experiment(cfg)
+    check = next(c for c in res.checks if c.name == "consensus_bound")
+    assert not check.passed
+    assert check.observed > 10.0 * check.threshold
 
 
 class _DenseRoute(Exception):

@@ -1,5 +1,6 @@
 """Calculator and guard: frozen hand-derived values plus invariant sweeps."""
 
+import functools
 import math
 import subprocess
 import sys
@@ -12,15 +13,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dnsgd import hyperparams
-from dnsgd.gossip import contraction_rho
+from dnsgd.gossip import RHO_FLOOR, contraction
 from dnsgd.hyperparams import (
+    RHO_SEARCH_MAX,
     HyperParams,
+    _shallowest_depth,
     choose_k_for_guard,
     lyapunov_constants,
     rho_guard,
     theoretical_hyperparams,
 )
 from dnsgd.problems import make_problem
+from dnsgd.topology import KINDS, build_topology, metropolis_mixing
 
 BASE = make_problem("quadratic", d=1, curvature=1.0, m=1, zeta=0.0, sigma=0.0, seed=0)
 
@@ -28,6 +32,16 @@ BASE = make_problem("quadratic", d=1, curvature=1.0, m=1, zeta=0.0, sigma=0.0, s
 def problem(l0, l1, zeta, sigma, m):
     """A problem record with these constants, the only fields the calculator and the guard read."""
     return BASE._replace(l0=l0, l1=l1, zeta=zeta, sigma=sigma, m=m)
+
+
+@functools.cache
+def mixing(kind, m):
+    """The Metropolis mixing matrix of a kind of graph on m agents (Erdos-Renyi at p = 1/2).
+
+    Complete graphs have gamma = 1/2 at any m >= 2, the 4-ring gamma = 1/3 and
+    the 4-path gamma = 0.098.
+    """
+    return metropolis_mixing(build_topology(kind, m, p=0.5 if kind == "erdos_renyi" else None))
 
 
 def test_lyapunov_constants_frozen():
@@ -42,8 +56,8 @@ def test_lyapunov_constants_frozen():
 
 def test_eta_frozen_smooth_case():
     th = theoretical_hyperparams(
-        problem(1.0, 1.0, 0.0, 0.0, 4), gamma=0.5, epsilon=0.1, delta_f_estimate=1.0,
-        g0_norm_sq=1.0,
+        problem(1.0, 1.0, 0.0, 0.0, 4), mixing("complete", 4), epsilon=0.1,
+        delta_f_estimate=1.0, g0_norm_sq=1.0,
     )
     # l_f = 1, so eta = min(0.1 / 5, 1 / 2) = 0.02
     assert th.hp.eta == pytest.approx(0.02, abs=1e-15)
@@ -54,8 +68,8 @@ def test_eta_frozen_smooth_case():
 def test_batch_and_horizon_frozen_noise_dominant():
     # l0 = 1, l1 = 0: only the first branch of each max is active
     th = theoretical_hyperparams(
-        problem(1.0, 0.0, 0.0, 1.0, 4), gamma=0.5, epsilon=0.5, delta_f_estimate=2.0,
-        g0_norm_sq=1.0,
+        problem(1.0, 0.0, 0.0, 1.0, 4), mixing("complete", 4), epsilon=0.5,
+        delta_f_estimate=2.0, g0_norm_sq=1.0,
     )
     # b = ceil(256 * 25 / (4 * 0.25)) = 6400
     assert th.hp.b == 6400
@@ -68,8 +82,8 @@ def test_batch_and_horizon_frozen_noise_dominant():
 def test_batch_and_horizon_frozen_l1_dominant():
     # large epsilon flips both maxima to their l1 branches
     th = theoretical_hyperparams(
-        problem(0.0, 2.0, 0.5, 1.0, 4), gamma=0.5, epsilon=2.0, delta_f_estimate=1.0,
-        g0_norm_sq=1.0,
+        problem(0.0, 2.0, 0.5, 1.0, 4), mixing("complete", 4), epsilon=2.0,
+        delta_f_estimate=1.0, g0_norm_sq=1.0,
     )
     assert th.l_f == 1.0
     # b2 = 1024 * 4 * 1 / (4 * 1) = 1024 beats b1 = 256 * 25 / (4 * 4) = 400
@@ -81,14 +95,14 @@ def test_batch_and_horizon_frozen_l1_dominant():
 
 
 def test_quadratic_guard_mode_frozen():
-    # ring m = 4 has gamma = 1/3; this is the descent-check configuration
+    # the descent-check configuration, on the 4-ring
     p = problem(1.0, 0.0, 0.5, 0.0, 4)
     th = theoretical_hyperparams(
-        p, gamma=1.0 / 3.0, epsilon=0.12, delta_f_estimate=0.9, g0_norm_sq=4 * 0.9 * 2.0
+        p, mixing("ring", 4), epsilon=0.12, delta_f_estimate=0.9, g0_norm_sq=4 * 0.9 * 2.0
     )
     assert th.hp.eta == pytest.approx(0.024, abs=1e-15)
     assert th.hp.big_t == 5000
-    assert th.hp.k_inner == 29
+    assert th.hp.k_inner == 6
     assert th.guard.ok
     assert th.guard.rho <= th.guard.min_threshold
     # the recorded guard is rho_guard at the chosen hyperparameters
@@ -97,20 +111,19 @@ def test_quadratic_guard_mode_frozen():
 
 def test_k_inner_floor_keeps_rho_below_half():
     # the C_K log(m)/sqrt(gamma) formula alone would give k = 2 for m = 2,
-    # whose worst-case contraction factor exceeds 1; the guard's depth raises it
-    th = theoretical_hyperparams(
-        problem(1.0, 0.0, 0.0, 0.0, 2), gamma=0.5, epsilon=0.3, delta_f_estimate=1.0,
-        g0_norm_sq=1.0,
-    )
-    assert th.guard.rho <= 0.5
+    # whose contraction fails the guard; the guard's depth raises it
+    ring2, p = mixing("ring", 2), problem(1.0, 0.0, 0.0, 0.0, 2)
+    th = theoretical_hyperparams(p, ring2, epsilon=0.3, delta_f_estimate=1.0, g0_norm_sq=1.0)
+    assert th.hp.k_inner == 4
+    assert th.guard.rho == contraction(ring2, 4) <= 0.5
     assert th.guard.ok
-    assert contraction_rho(0.5, 2) > 1.0
+    assert not rho_guard(contraction(ring2, 2), p, th.hp.eta, th.hp.b).ok
 
 
 def test_t_cap_records_uncapped_value():
     th = theoretical_hyperparams(
-        problem(1.0, 0.0, 0.0, 0.0, 4), gamma=0.5, epsilon=0.05, delta_f_estimate=5.0,
-        g0_norm_sq=1.0, t_cap=1000,
+        problem(1.0, 0.0, 0.0, 0.0, 4), mixing("complete", 4), epsilon=0.05,
+        delta_f_estimate=5.0, g0_norm_sq=1.0, t_cap=1000,
     )
     assert th.hp.big_t == 1000
     assert th.t_uncapped > 1000
@@ -118,15 +131,16 @@ def test_t_cap_records_uncapped_value():
 
 def test_k_init_shrinks_to_one_without_drive():
     th = theoretical_hyperparams(
-        problem(1.0, 0.0, 0.0, 0.0, 4), gamma=0.5, epsilon=0.1, delta_f_estimate=1.0,
-        g0_norm_sq=0.0,
+        problem(1.0, 0.0, 0.0, 0.0, 4), mixing("complete", 4), epsilon=0.1,
+        delta_f_estimate=1.0, g0_norm_sq=0.0,
     )
     assert th.hp.k_init == 1
 
 
 def test_k_init_grows_with_initial_gradient_energy():
     common = dict(
-        p=problem(1.0, 0.0, 0.0, 0.0, 4), gamma=0.1, epsilon=0.1, delta_f_estimate=0.05
+        p=problem(1.0, 0.0, 0.0, 0.0, 4), mix=mixing("path", 4), epsilon=0.1,
+        delta_f_estimate=0.05,
     )
     small = theoretical_hyperparams(**common, g0_norm_sq=1.0)
     large = theoretical_hyperparams(**common, g0_norm_sq=1e6)
@@ -145,11 +159,11 @@ def test_calculator_invariants_random_sweep():
             l0 = 0.5
         sigma = float(rng.uniform(0.0, 2.0)) if rng.random() < 0.5 else 0.0
         m = int(rng.integers(1, 33))
-        gamma = float(rng.uniform(0.01, 1.0))
+        mix = mixing(KINDS[rng.integers(len(KINDS))], m)
         delta_f = float(rng.uniform(0.1, 10.0))
         p = problem(l0, l1, zeta, sigma, m)
         th = theoretical_hyperparams(
-            p, gamma=gamma, epsilon=epsilon, delta_f_estimate=delta_f,
+            p, mix, epsilon=epsilon, delta_f_estimate=delta_f,
             g0_norm_sq=float(rng.uniform(0.0, 10.0)),
         )
         hp = th.hp
@@ -165,7 +179,7 @@ def test_calculator_invariants_random_sweep():
             assert hp.b >= b1 - 1.0
         assert hp.big_t >= 1
         assert hp.k_inner >= 1 and hp.k_init >= 1
-        assert th.guard.rho == contraction_rho(1.0 - gamma, hp.k_inner)
+        assert th.guard.rho == contraction(mix, hp.k_inner)
         assert th.guard.rho <= 0.5
         assert th.guard.ok  # the depth is at least the guard's
         m0, m1 = lyapunov_constants(p)
@@ -173,15 +187,14 @@ def test_calculator_invariants_random_sweep():
 
 
 def test_calculator_validation():
-    # the problem's constants were held to their rules by make_problem
+    # the problem's constants were held to their rules by make_problem, and the
+    # spectrum by metropolis_mixing
     good = dict(
-        p=problem(1.0, 0.0, 0.0, 0.0, 4), gamma=0.5, epsilon=0.1, delta_f_estimate=1.0,
-        g0_norm_sq=1.0,
+        p=problem(1.0, 0.0, 0.0, 0.0, 4), mix=mixing("complete", 4), epsilon=0.1,
+        delta_f_estimate=1.0, g0_norm_sq=1.0,
     )
     for bad in (
         dict(good, epsilon=0.0),
-        dict(good, gamma=0.0),
-        dict(good, gamma=1.5),
         dict(good, delta_f_estimate=0.0),
         dict(good, g0_norm_sq=-1.0),
         dict(good, g0_norm_sq=math.inf),
@@ -235,14 +248,18 @@ def reference_rho_guard_conditions(rho, eta, l0, l1, zeta, sigma, b, m):
     }
 
 
+# Mixing matrices for the property tests: every kind, from 2 to 256 agents.
+SEARCH_MIXES = [(kind, m) for kind in KINDS for m in (2, 4, 8, 16, 64, 256)]
+
+
 @st.composite
 def guard_arguments(draw):
     """rho_guard's arguments; rho is 0, any float in [0, 1] or the rho of a gossip depth."""
-    lambda2 = draw(st.floats(min_value=0.0, max_value=0.9999))
+    mix = mixing(*draw(st.sampled_from(SEARCH_MIXES)))
     rho = draw(st.one_of(
         st.just(0.0),
         st.floats(min_value=0.0, max_value=1.0),
-        st.integers(min_value=1, max_value=2000).map(lambda k: contraction_rho(lambda2, k)),
+        st.integers(min_value=1, max_value=2000).map(lambda k: contraction(mix, k)),
     ))
     return (
         rho,
@@ -306,64 +323,90 @@ def test_rho_guard_holds_eta_and_b_to_their_rules():
         with pytest.raises(ValueError, match=r"^(eta|b) must be"):
             rho_guard(0.1, p, eta, b)
     with pytest.raises(ValueError, match="^eta must be"):
-        choose_k_for_guard(2.0 / 3.0, p, math.nan, 1)
+        choose_k_for_guard(mixing("ring", 4), p, math.nan, 1)
 
 
 def test_choose_k_for_guard_is_minimal(monkeypatch):
-    lam2 = 2.0 / 3.0
+    ring4 = mixing("ring", 4)
     p = problem(1.0, 0.0, 0.5, 0.0, 4)
-    k = choose_k_for_guard(lam2, p, 0.024, 1)
-    assert k == 29
-    assert rho_guard(contraction_rho(lam2, k), p, 0.024, 1).ok
-    assert not rho_guard(contraction_rho(lam2, k - 1), p, 0.024, 1).ok
+    k = choose_k_for_guard(ring4, p, 0.024, 1)
+    assert k == 6
+    assert rho_guard(contraction(ring4, k), p, 0.024, 1).ok
+    assert not rho_guard(contraction(ring4, k - 1), p, 0.024, 1).ok
+    # from a start, the smallest passing depth at or above it
+    assert [choose_k_for_guard(ring4, p, 0.024, 1, start=s) for s in (1, 5, 6, 9)] == [6, 6, 6, 9]
     # K_MAX itself is a candidate depth; one below it, none passes
-    monkeypatch.setattr(hyperparams, "K_MAX", 29)
-    assert choose_k_for_guard(lam2, p, 0.024, 1) == 29
-    monkeypatch.setattr(hyperparams, "K_MAX", 28)
-    with pytest.raises(ValueError, match="no gossip depth up to 28 passes rho_guard"):
-        choose_k_for_guard(lam2, p, 0.024, 1)
+    monkeypatch.setattr(hyperparams, "K_MAX", 6)
+    assert choose_k_for_guard(ring4, p, 0.024, 1) == 6
+    monkeypatch.setattr(hyperparams, "K_MAX", 5)
+    with pytest.raises(ValueError, match="no gossip depth up to 5 passes rho_guard"):
+        choose_k_for_guard(ring4, p, 0.024, 1)
 
 
 def test_choose_k_for_guard_infeasible_noise_floor():
     with pytest.raises(ValueError, match="noise floor"):
-        choose_k_for_guard(0.5, problem(1.0, 0.0, 0.0, 10.0, 1), 0.02, 1)
+        choose_k_for_guard(mixing("ring", 1), problem(1.0, 0.0, 0.0, 10.0, 1), 0.02, 1)
 
 
-def _first_passing_depth(lambda2, p, eta, b):
-    """choose_k_for_guard as a linear scan: the first k in [1, K_MAX] that passes."""
-    for k in range(1, hyperparams.K_MAX + 1):
-        if rho_guard(contraction_rho(lambda2, k), p, eta, b).ok:
-            return k
-    raise ValueError(f"no gossip depth up to {hyperparams.K_MAX} passes")
+@functools.cache
+def _contractions(mix, k_max):
+    return [contraction(mix, k) for k in range(1, k_max + 1)]
+
+
+def _first_passing_depth(mix, passes):
+    """The depth search from depth 1 as a linear scan: the first k in [1, K_MAX]
+    whose contraction passes and, past depth 1, is at most RHO_SEARCH_MAX; or None."""
+    rhos = _contractions(mix, hyperparams.K_MAX)
+    return next(
+        (k for k, rho in enumerate(rhos, 1)
+         if (k == 1 or rho <= RHO_SEARCH_MAX) and passes(rho)), None
+    )
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("m", [2, 4, 8, 16, 64, 256])
+def test_depth_search_matches_linear_scan(kind, m, monkeypatch):
+    # contraction rises above 1 at small depths on long rings and paths, so a
+    # target above RHO_SEARCH_MAX would make the passing depths no tail; past
+    # its start the search caps every target there, and finds what a linear scan finds
+    monkeypatch.setattr(hyperparams, "K_MAX", 8192)
+    mix = mixing(kind, m)
+    for target in (2.0, 1.1, 1.0, 0.6, 0.5, 0.3, 1e-2, 1e-5, 1e-9, RHO_FLOOR, RHO_FLOOR / 2):
+        passes = functools.partial(float.__ge__, target)
+        expected = _first_passing_depth(mix, passes)
+        if expected is None:
+            with pytest.raises(ValueError, match="no gossip depth up to 8192 passes the target"):
+                _shallowest_depth(mix, passes, "the target")
+        else:
+            assert _shallowest_depth(mix, passes, "the target") == expected, target
 
 
 @settings(max_examples=300, deadline=None)
 @given(
-    lambda2=st.floats(min_value=0.0, max_value=0.9999),
+    mix_key=st.sampled_from([key for key in SEARCH_MIXES if key[1] <= 64]),
     eta=st.floats(min_value=1e-4, max_value=1.0),
     l0=st.floats(min_value=0.0, max_value=10.0),
     l1=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=5.0)),
     zeta=st.floats(min_value=0.0, max_value=3.0),
     sigma=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=3.0)),
     b=st.integers(min_value=1, max_value=10**5),
-    m=st.integers(min_value=1, max_value=1024),
 )
 def test_choose_k_for_guard_bisection_matches_linear_scan(
-    lambda2, eta, l0, l1, zeta, sigma, b, m
+    mix_key, eta, l0, l1, zeta, sigma, b
 ):
     if l0 + l1 * zeta < 1e-3:  # keep eta * l_f / 4 clear of underflow
         l0 = 1.0
-    args = (lambda2, problem(l0, l1, zeta, sigma, m), eta, b)
+    mix = mixing(*mix_key)
+    p = problem(l0, l1, zeta, sigma, mix.m)
     # a short limit keeps the scan cheap and makes some draws infeasible
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(hyperparams, "K_MAX", 512)
-        try:
-            expected = _first_passing_depth(*args)
-        except ValueError:
+        expected = _first_passing_depth(mix, lambda rho: rho_guard(rho, p, eta, b).ok)
+        if expected is None:
             with pytest.raises(ValueError):
-                choose_k_for_guard(*args)
+                choose_k_for_guard(mix, p, eta, b)
         else:
-            assert choose_k_for_guard(*args) == expected
+            assert choose_k_for_guard(mix, p, eta, b) == expected
 
 
 def test_hyperparams_validation():

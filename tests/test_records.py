@@ -16,8 +16,10 @@ A problem family is one problems.FAMILIES entry; the family guard fails on a
 module that branches on a family name or looks a problems attribute up by name.
 
 A problem's constants travel in its ProblemInstance, whose fields make_problem
-has held to their rules; the constants guard fails on a public function that
-takes one of them as a loose argument, which it would then have to check again.
+has held to their rules, and a network's spectrum in its MixingMatrix; the
+constants guard fails on a public function that takes one of them (l0, l1,
+zeta, sigma, l_f, gamma or lambda2) as a loose argument, which it would then
+have to check again.
 
 Every norm and sum of squares goes through problems._sum_squares, numpy's
 pairwise add.reduce, whose order no BLAS kernel picks; the sum guard fails on
@@ -174,8 +176,11 @@ def test_sums_of_squares_take_one_rule():
     assert found == BLAS_SUM_ALLOWED
 
 
-# make_problem builds the record from them; check_relaxed_smooth certifies any gradient map.
-CONSTANT_TAKERS = {"problems.make_problem", "problems.check_relaxed_smooth"}
+# make_problem builds the record from them; check_relaxed_smooth certifies any
+# gradient map; chebyshev_weight is the momentum of the lambda2 it is given.
+CONSTANT_TAKERS = {
+    "problems.make_problem", "problems.check_relaxed_smooth", "gossip.chebyshev_weight",
+}
 
 
 def test_problem_constants_come_in_the_record():
@@ -185,7 +190,7 @@ def test_problem_constants_come_in_the_record():
             if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
                 args = node.args
                 names = {a.arg for a in [*args.posonlyargs, *args.args, *args.kwonlyargs]}
-                loose = names & {"l0", "l1", "zeta", "sigma", "l_f"}
+                loose = names & {"l0", "l1", "zeta", "sigma", "l_f", "gamma", "lambda2"}
                 if loose and f"{path.stem}.{node.name}" not in CONSTANT_TAKERS:
                     found.append((path.stem, node.name, sorted(loose)))
     assert found == []
