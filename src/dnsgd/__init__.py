@@ -4,7 +4,7 @@ Simulation and verification library for decentralized stochastic
 optimization of objectives whose smoothness degrades with the gradient
 norm. The main pieces:
 
-- problems: synthetic objective families with certified smoothness constants
+- problems: synthetic objective families with proved smoothness constants
 - topology: graphs, Metropolis mixing matrices, and their validation
 - gossip: plain and accelerated consensus averaging
 - optimizers: the normalized tracking method plus unnormalized baselines

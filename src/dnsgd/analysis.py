@@ -39,7 +39,7 @@ class Trajectory(NamedTuple):
     objective on seed s. The int counters samples_per_agent and comm_rounds,
     shape (big_t + 1,), are the same for every seed. output_indices holds each
     seed's uniform draws over {0, ..., big_t - 1}, shape (S, m), or None when
-    big_t = 0. box_exits counts each seed's states outside the certification box.
+    big_t = 0. box_exits counts each seed's states outside the problem's box.
     """
 
     metrics: StateMetrics

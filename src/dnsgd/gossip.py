@@ -15,8 +15,9 @@ the map is bound, the consensus eigenvector's exactly 1. Two routes give the
 eigenbasis:
 
 - dense, for every graph below topology.CLOSED_FORM_MIN_M agents and for
-  complete and Erdos-Renyi graphs: one eigh of W serves every depth bound
-  together (_acc_mixers), and each call makes two products with Q.
+  complete and Erdos-Renyi graphs: one eigenbasis serves every depth bound
+  together (_acc_mixers), and each call makes two products with Q. Q is the
+  real Fourier basis for a ring (_ring_basis) and eigh's for other graphs.
 - Fourier, for a ring or path of at least CLOSED_FORM_MIN_M agents
   (mix.closed_form): a ring's W is circulant, so the real DFT along the agent
   axis diagonalises it, with the closed-form eigenvalue
@@ -120,13 +121,34 @@ def contraction(mix: MixingMatrix, k: int) -> float:
     return max(float(np.abs(gains).max(initial=0.0)), RHO_FLOOR)
 
 
+def _ring_basis(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The lazy-Metropolis m-ring's eigenvalues and real Fourier eigenbasis Q (columns), m >= 3.
+
+    Column n of frequency j is cos or sin(2 pi j n / m), scaled to unit norm:
+    one constant column, a cosine and a sine column for each 0 < j < m / 2,
+    and for even m the alternating column of j = m / 2. A ring's eigenvalues
+    come in equal pairs, so eigh would return any basis of each pair's plane,
+    which LAPACK picks differently under different BLAS kernels.
+    """
+    j = np.arange(1, (m + 1) // 2)
+    angle = 2.0 * np.pi * (np.outer(np.arange(m), j) % m) / m
+    cols = [np.full((m, 1), 1.0), math.sqrt(2.0) * np.cos(angle), math.sqrt(2.0) * np.sin(angle)]
+    spec = _ring_spectrum(m)
+    lam = [spec[:1], spec[j], spec[j]]
+    if m % 2 == 0:
+        cols.append((-1.0) ** np.arange(m)[:, None])
+        lam.append(spec[-1:])
+    return np.concatenate(lam), np.concatenate(cols, axis=1) / math.sqrt(m)
+
+
 def _eigenbasis(mix: MixingMatrix) -> tuple[np.ndarray, Callable, Callable]:
     """mix's eigenvalues and the unchecked maps into and out of its eigenbasis.
 
-    Dense route: lam and Q from one eigh of W, the maps products with Q^T and
-    Q. A stack's matmuls make one gemm per (m, n) slice, the same call as for
-    that slice alone, so a stacked slice equals its own mix bit for bit. eigh
-    reads one triangle only, so a non-symmetric w is rejected rather than
+    Dense route: lam and Q from _ring_basis for a ring of three or more
+    agents, else from one eigh of W; the maps are products with Q^T and Q. A
+    stack's matmuls make one gemm per (m, n) slice, the same call as for that
+    slice alone, so a stacked slice equals its own mix bit for bit. eigh reads
+    one triangle only, so a non-symmetric w is rejected rather than
     diagonalised wrongly.
 
     Fourier route (a closed-form ring or path): lam per rfft frequency, the
@@ -142,7 +164,11 @@ def _eigenbasis(mix: MixingMatrix) -> tuple[np.ndarray, Callable, Callable]:
                 "spectral gossip needs a symmetric mixing matrix, "
                 f"got max |w_ij - w_ji| = {asym:.3g}"
             )
-        lam, q = np.linalg.eigh(mix.w)
+        g = mix.graph
+        if g is not None and g.given is None and g.kind == "ring" and mix.m >= 3:
+            lam, q = _ring_basis(mix.m)
+        else:
+            lam, q = np.linalg.eigh(mix.w)
         return lam, functools.partial(np.matmul, q.T), functools.partial(np.matmul, q)
     m = mix.m
     if mix.graph.kind == "ring":

@@ -229,17 +229,16 @@ def _write_run_outputs(result: RunResult, run_id: str) -> None:
         )
     (out / "checks.csv").write_text("\n".join(check_lines) + "\n")
 
-    echo = {
-        "config": _echo(result.config),
-        "resolved": {
-            "eta": result.hp.eta, "b": result.hp.b, "big_t": result.hp.big_t,
-            "k_inner": result.hp.k_inner, "k_init": result.hp.k_init,
-            "epsilon": result.hp.epsilon,
-            "lambda2": result.mixing.lambda2, "gamma": result.mixing.gamma,
-            "rho": contraction(result.mixing, result.hp.k_inner),
-            "seeds": list(result.seeds),
-        },
+    resolved = {
+        "eta": result.hp.eta, "b": result.hp.b, "big_t": result.hp.big_t,
+        "k_inner": result.hp.k_inner, "k_init": result.hp.k_init,
+        "epsilon": result.hp.epsilon,
+        "lambda2": result.mixing.lambda2, "gamma": result.mixing.gamma,
+        "seeds": list(result.seeds),
     }
+    if METHODS[result.config.algorithm].accelerated:  # the others mix by plain W rounds
+        resolved["rho"] = contraction(result.mixing, result.hp.k_inner)
+    echo = {"config": _echo(result.config), "resolved": resolved}
     (out / "config_echo.json").write_text(json.dumps(echo, indent=2, sort_keys=True) + "\n")
 
     lines = [f"run_id: {run_id}"]

@@ -274,7 +274,7 @@ def run(
     the trajectory. A seed that diverges ends the run, with the earliest
     iteration of any seed and, at a tie, the lowest row.
     big_t = 0 records only the initial state. Box exits (any |x_ij| beyond
-    the problem's certification box) are counted, not clamped.
+    the problem's box_radius) are counted, not clamped.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r} (known: {', '.join(ALGORITHMS)})")

@@ -1,4 +1,4 @@
-"""Synthetic problem families with relaxed smoothness certificates.
+"""Synthetic problem families with proved relaxed smoothness constants.
 
 Each instance consists of a shared base objective plus per-agent linear
 offsets b_i with sum_i b_i = 0 and ||b_i|| <= zeta:
@@ -10,30 +10,38 @@ f_base, its infimum is analytic, and ||grad f_i(x) - grad f(x)|| equals
 ||b_i|| at every x.
 
 A family is one FAMILIES entry (a Family record): its parameter names, its
-value and gradient maps, its starting constants (l0_start, l1, f_star) and
-whether l0_start is exact or certified. Every numeric problem field (d, m,
-zeta, sigma, box_radius and each family parameter) has one PARAMS rule, a Param
-giving its type and range, which config parsing and make_problem (through
-check_fields) both apply. make_problem builds an instance of any family;
-f_base and grad_base look the family up.
+value and gradient maps and its constants (l0, l1, f_star) in closed form.
+Every numeric problem field (d, m, zeta, sigma, box_radius and each family
+parameter) has one PARAMS rule, a Param giving its type and range, which
+config parsing and make_problem (through check_fields) both apply.
 
-Families:
+Families, with constants that are tight (equality at the pair x, x + z named):
     exp_pair   f_base(x) = (1/d) sum_j (exp(r x_j) + exp(-r x_j)) / 2
-    poly_even  f_base(x) = (a / p) sum_j x_j^p, even p >= 4
-    quadratic  f_base(x) = (c / 2) ||x||^2
+               l1 = r / ln 2, l0 = 3 r^2 / (4 d ln 2); x = 0, z = (ln 2 / r) e_j
+    poly_even  f_base(x) = (a / p) sum_j x_j^p, even p >= 4, k = p - 1
+               l1 = k, l0 = 2 a t^(k-1), t = 1 / (k (2^(1/(k-1)) - 1)); x = t e_j, z = e_j / k
+    quadratic  f_base(x) = (c / 2) ||x||^2; l1 = 0, l0 = c
 
-The relaxed smoothness condition certified at construction is
+On all of R^d they satisfy the relaxed smoothness condition
 
-    ||grad f(x) - grad f(y)|| <= (l0 + l1 ||grad f(x)||) ||x - y||
+    ||grad f(x + z) - grad f(x)|| <= (l0 + l1 ||grad f(x)||) ||z||  for ||z|| <= 1/l1.
 
-for ||x - y|| <= 1/l1 (unrestricted when l1 = 0), sampled over the box
-||x||_inf <= box_radius. A certificate draws its pairs and evaluates their
-gradients once, then tests each candidate l0 on those arrays.
+Proof. grad f_base applies one odd map g (r sinh(r u) / d or a u^k) to each
+coordinate, and g has nonnegative Taylor coefficients; term by term of the
+binomial expansion, |g(u + z) - g(u)| <= g(|u| + |z|) - g(|u|), whether the
+step moves outward, inward or across zero. With v = |u| this bound is convex
+in s = |z| and zero at s = 0, while (l0 + l1 g(v)) s is linear, so the step
+s = 1/l1 binds, where the condition reads l0 >= l1 (g(v + 1/l1) - 2 g(v)): that
+is 3 r^2 e^(-r v) / (4 d ln 2) for exp_pair, largest at v = 0, and for
+poly_even it is largest at v = t. In d dimensions |z_j| <= ||z|| <= 1/l1, so each
+coordinate keeps its bound, and ||g(x + z) - g(x)|| <= l0 ||z|| + l1 ||g(x) * z||
+<= (l0 + l1 ||g(x)||) ||z||. An offset adds b_i to every gradient, so
+make_problem raises l0 by l1 max_i ||b_i|| to cover each f_i.
+check_relaxed_smooth samples the condition for any gradient map on a box.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 from typing import Callable, NamedTuple, Sequence
@@ -46,9 +54,6 @@ from .streams import StreamKey, derive_stream
 EXP_ARG_MAX = 700.0
 
 _OFFSET_HAIRCUT = 1.0 - 1e-13
-
-# Sampled pairs per certification pass of a numerically certified family.
-CERTIFY_TRIALS = 1500
 
 # Relative slack on the bound before a sampled pair counts as a violation.
 RATIO_TOL = 1e-9
@@ -147,14 +152,13 @@ class Family(NamedTuple):
 
     value(params, x) is f_base and gradient(params, d) builds grad_base's map,
     both row by row over any (..., d) stack and unchecked. constants(params, d)
-    is (l0_start, l1, f_star); make_problem certifies l0_start if certified.
+    is the proved (l0, l1, f_star) of f_base (see the module docstring).
     """
 
     params: tuple[str, ...]
     value: Callable[[dict[str, float], np.ndarray], np.ndarray]
     gradient: Callable[[dict[str, float], int], Callable[[np.ndarray], np.ndarray]]
     constants: Callable[[dict[str, float], int], tuple[float, float, float]]
-    certified: bool
 
 
 def _exp_gradient(q: dict[str, float], d: int) -> Callable[[np.ndarray], np.ndarray]:
@@ -173,24 +177,28 @@ def _quadratic_gradient(q: dict[str, float], d: int) -> Callable[[np.ndarray], n
     return lambda x: c * x
 
 
+def _poly_constants(q: dict[str, float], d: int) -> tuple[float, float, float]:
+    # t^(k-1) leaves float64 near power 1950; numpy makes it inf, which make_problem rejects
+    a, k = q["scale"], q["power"] - 1
+    t = 1.0 / (k * math.expm1(math.log(2.0) / (k - 1)))
+    with np.errstate(over="ignore"):
+        return float(2.0 * a * np.float64(t) ** (k - 1)), k, 0.0
+
+
 FAMILIES = {
-    # l1 is rate / log(2); l0 starts from the curvature bound rate^2 / d.
     "exp_pair": Family(
         ("rate",), lambda q, x: np.cosh(_exp_arg(q["rate"], x)).mean(axis=-1), _exp_gradient,
-        lambda q, d: (q["rate"] * q["rate"] / d, q["rate"] / math.log(2.0), 1.0), certified=True,
+        lambda q, d: (3.0 * q["rate"] * q["rate"] / (4.0 * d * math.log(2.0)),
+                      q["rate"] / math.log(2.0), 1.0),
     ),
-    # The curvature/gradient ratio is (power - 1)/|x_j|; splitting at |x_j| = 1
-    # gives the candidate pair (scale * (power - 1), power - 1).
     "poly_even": Family(
         ("power", "scale"),
         lambda q, x: (q["scale"] / q["power"]) * np.sum(x ** q["power"], axis=-1),
-        _poly_gradient,
-        lambda q, d: (q["scale"] * (q["power"] - 1), q["power"] - 1, 0.0), certified=True,
+        _poly_gradient, _poly_constants,
     ),
-    # Exact constants l0 = curvature, l1 = 0.
     "quadratic": Family(
         ("curvature",), lambda q, x: 0.5 * q["curvature"] * _sum_squares(x), _quadratic_gradient,
-        lambda q, d: (q["curvature"], 0.0, 0.0), certified=False,
+        lambda q, d: (q["curvature"], 0.0, 0.0),
     ),
 }
 
@@ -268,8 +276,7 @@ class SmoothnessReport(NamedTuple):
 
     worst_ratio is gap / bound at the worst pair (inf when the bound is zero
     but the gradient gap is not). implied_l0 is the largest l0 that any
-    sampled pair actually requires given l1, useful for calibrating
-    certificates.
+    sampled pair actually requires given l1.
     """
 
     passed: bool
@@ -288,7 +295,7 @@ def _smoothness_probe_pairs(dim: int, l1: float, region: float) -> tuple[np.ndar
 
     For symmetric separable objectives the binding pairs sit on coordinate
     axes at full admissible step length; probing them directly makes the
-    sampled certificate reproducible across seeds. The pairs run over axis j,
+    sampled check reproducible across seeds. The pairs run over axis j,
     then base point u, then sign s, with x = s u e_j and y = s (u + step) e_j.
     """
     step = min(1.0 / l1, region) if l1 > 0 else region / 3.0
@@ -368,23 +375,6 @@ def _sample_pairs(dim: int, l1: float, region: float, trials: int, seed: int, ex
     return x_rows[moved], y_rows[moved], dist[moved], len(moved)
 
 
-def _gradient_gaps(grad: Callable[[np.ndarray], np.ndarray], x_rows, y_rows):
-    """||grad(x) - grad(y)|| and ||grad(x)|| per pair, from one grad call per side."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        gx = np.asarray(grad(x_rows), dtype=np.float64)
-        gy = np.asarray(grad(y_rows), dtype=np.float64)
-        gap = _row_norms(gx - gy)
-        gx_norm = _row_norms(gx)
-    if not (np.isfinite(gap).all() and np.isfinite(gx_norm).all()):
-        raise ValueError("gradient norms on the box overflow float64; shrink the box or the rate")
-    return gap, gx_norm
-
-
-def _violates(gap, gx_norm, dist, l0: float, l1: float) -> np.ndarray:
-    """Pairs whose gradient gap exceeds the relaxed smoothness bound beyond RATIO_TOL."""
-    return gap > (l0 + l1 * gx_norm) * dist * (1.0 + RATIO_TOL) + 1e-12
-
-
 def check_relaxed_smooth(
     grad: Callable[[np.ndarray], np.ndarray],
     dim: int,
@@ -403,22 +393,26 @@ def check_relaxed_smooth(
 
         gap = ||grad(x) - grad(y)||  vs  bound = (l0 + l1 ||grad(x)||) ||x - y||.
 
-    The sample (_sample_pairs, three bulk draws from the seed's smoothness
-    stream) does not depend on l0, and the gradients
-    (_gradient_gaps) are evaluated once: grad maps an (n, dim) row matrix to its
-    row gradients and is called once on all x rows and once on all y rows,
-    skipping pairs with x == y. It raises ValueError when a gradient norm
-    overflows float64. A pair violates when gap > bound * (1 + RATIO_TOL) +
-    1e-12. Pairs are ranked by (ratio, gap); the first worst one is the witness.
+    The sample is _sample_pairs, three bulk draws from the seed's smoothness
+    stream. grad maps an (n, dim) row matrix to its row gradients and is
+    called once on all x rows and once on all y rows, skipping pairs with
+    x == y. It raises ValueError when a gradient norm overflows float64. A
+    pair violates when gap > bound * (1 + RATIO_TOL) + 1e-12. Pairs are
+    ranked by (ratio, gap); the first worst one is the witness.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if l0 < 0 or l1 < 0:
         raise ValueError("l0 and l1 must be non-negative")
     x_rows, y_rows, dist, count = _sample_pairs(dim, l1, region, trials, seed, extra_pairs)
-    gap, gx_norm = _gradient_gaps(grad, x_rows, y_rows)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gx = np.asarray(grad(x_rows), dtype=np.float64)
+        gap = _row_norms(gx - np.asarray(grad(y_rows), dtype=np.float64))
+        gx_norm = _row_norms(gx)
+    if not (np.isfinite(gap).all() and np.isfinite(gx_norm).all()):
+        raise ValueError("gradient norms on the box overflow float64; shrink the box or the rate")
     bound = (l0 + l1 * gx_norm) * dist
-    violations = int(np.count_nonzero(_violates(gap, gx_norm, dist, l0, l1)))
+    violations = int(np.count_nonzero(gap > bound * (1.0 + RATIO_TOL) + 1e-12))
     ratio = np.divide(gap, bound, out=np.where(gap > 0.0, math.inf, 0.0), where=bound > 0.0)
 
     if gap.size:
@@ -453,35 +447,6 @@ def _make_offsets(d: int, m: int, zeta: float, seed: int) -> np.ndarray:
     return raw * (zeta / top * _OFFSET_HAIRCUT)
 
 
-@functools.cache
-def _certified_l0(
-    family: str, params: tuple[tuple[str, float], ...], d: int, l1: float, l0_start: float,
-    box_radius: float, seed: int,
-) -> float:
-    """Raise l0_start until the sampled check passes for the family's base objective.
-
-    One sample and one gradient evaluation serve every candidate. A failing l0
-    is raised to 1.2 times the largest l0 that a violating pair implies (and by
-    at least 5%), so implied l0s that are rounding noise never inflate it.
-    Memoized on these scalar inputs, which do not include the agent count, so
-    rebuilding a problem for another m (as a sweep does) reuses the certificate.
-    """
-    grad = FAMILIES[family].gradient(dict(params), d)
-    x_rows, y_rows, dist, _ = _sample_pairs(d, l1, box_radius, CERTIFY_TRIALS, seed)
-    gap, gx_norm = _gradient_gaps(grad, x_rows, y_rows)
-    implied = gap / dist - l1 * gx_norm
-    l0 = l0_start
-    for _ in range(6):
-        violating = _violates(gap, gx_norm, dist, l0, l1)
-        if not violating.any():
-            return l0
-        l0 = max(l0 * 1.05, float(implied[violating].max()) * 1.2)
-    raise RuntimeError(
-        f"smoothness certification did not stabilize (last l0 = {l0}); "
-        "the candidate constants are far from admissible on this box"
-    )
-
-
 def make_problem(
     family: str, d: int, m: int, zeta: float, sigma: float, seed: int, box_radius: float = 5.0,
     **params: float,
@@ -490,9 +455,11 @@ def make_problem(
 
     params are the family's parameters by name; they, d, m, zeta, sigma and
     box_radius are held to their PARAMS rules. l1 and f_star are the family's;
-    l0 is its l0_start, raised by certification when the family is certified,
-    plus l1 * max_i ||b_i|| to cover the offset objectives. ValueError when
-    l0 + l1 * zeta underflows to 0 (an exp_pair rate below about 1e-162).
+    l0 is its proved l0 plus l1 * max_i ||b_i|| to cover the offset objectives.
+    box_radius is where runs count box exits and check-smoothness samples; the
+    constants hold everywhere. ValueError unless 0 < l0 + l1 * zeta < inf (an
+    exp_pair rate below about 1e-162 underflows it; a poly_even power above
+    about 1950 overflows it).
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {', '.join(FAMILIES)}")
@@ -506,11 +473,11 @@ def make_problem(
     l0, l1, f_star = spec.constants(params, d)
     offsets = _make_offsets(d, m, zeta, seed)
     offsets.setflags(write=False)
-    if spec.certified:
-        l0 = _certified_l0(family, tuple(params.items()), d, l1, l0, box_radius, seed)
     l0 += l1 * float(_row_norms(offsets).max(initial=0.0))
-    if not l0 + l1 * zeta > 0.0:  # lf_effective, which the calculator divides by
-        raise ValueError(f"l_f = l0 + l1 zeta underflows to 0 for {family} with {params}")
+    l_f = l0 + l1 * zeta  # lf_effective, which the calculator divides by
+    if not 0.0 < l_f < math.inf:
+        raise ValueError(f"l_f = l0 + l1 zeta must be finite and > 0 for {family} with {params}, "
+                         f"got {l_f}")
     return ProblemInstance(
         family=family, d=d, m=m, l0=l0, l1=l1, zeta=float(zeta),
         sigma=float(sigma), offsets=offsets, family_params=params, f_star=f_star,

@@ -613,24 +613,49 @@ def test_failed_command_removes_only_the_directories_it_made(tmp_path, capsys, m
 OVERFLOW_ERROR = "error: gradient norms on the box overflow float64; shrink the box or the rate"
 
 
-@pytest.mark.parametrize("command", ["params", "run", "check-smoothness"])
-def test_certification_overflow_exits_with_one_error_line(tmp_path, command):
-    # ||grad||^2 on the box exceeds float64: exp_pair at rate 71 on the box of
-    # radius 5, and the counterexample's cosh at rate 1 on the box of radius 400
-    if command == "check-smoothness":
-        cfg = {"mode": "counterexample", "rate": 1.0, "box_radius": 400.0}
-    else:
-        cfg = json.loads(EXP_PAIR_CONFIG.read_text())
-        cfg["problem"]["rate"] = 71.0
-        cfg["x0"] = 0.01
-    proc = subprocess.run(
+def _run_child(tmp_path, command, cfg):
+    """Run the command on cfg in a child interpreter in tmp_path."""
+    return subprocess.run(
         [sys.executable, "-m", "dnsgd.cli", command, "--config",
-         _write(tmp_path / "overflow.json", cfg), "--out-dir", "out"],
+         _write(tmp_path / "config.json", cfg), "--out-dir", "out"],
         capture_output=True, text=True, cwd=str(tmp_path), env=_child_env(), timeout=60,
     )
+
+
+@pytest.mark.parametrize("command", ["params", "run", "check-smoothness"])
+def test_certification_overflow_exits_with_one_error_line(tmp_path, command):
+    # ||grad||^2 on the box exceeds float64 for the counterexample's cosh at
+    # rate 1 on the box of radius 400. Building a problem samples nothing, so
+    # exp_pair at rate 71, whose gradients overflowed on the box of radius 5,
+    # now runs
+    if command == "check-smoothness":
+        proc = _run_child(tmp_path, command, {
+            "mode": "counterexample", "rate": 1.0, "box_radius": 400.0,
+        })
+        assert proc.returncode == 2, proc.stderr
+        # no numpy warnings and no traceback: the error line is all of stderr
+        assert proc.stderr == OVERFLOW_ERROR + "\n"
+        return
+    cfg = json.loads(EXP_PAIR_CONFIG.read_text())
+    cfg["problem"]["rate"] = 71.0
+    cfg.update(x0=0.01, num_seeds=1, auto={"epsilon": 0.2, "t_cap": 20})
+    proc = _run_child(tmp_path, command, cfg)
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
+@pytest.mark.parametrize("command", ["params", "run"])
+def test_overflowing_smoothness_constant_exits_with_one_error_line(tmp_path, command):
+    # poly_even's l0 = 2 scale t^(power - 2) passes float64 near power 1950
+    cfg = json.loads(EXP_PAIR_CONFIG.read_text())
+    cfg["problem"] = {**cfg["problem"], "family": "poly_even", "power": 4000, "scale": 0.5}
+    del cfg["problem"]["rate"]
+    proc = _run_child(tmp_path, command, cfg)
     assert proc.returncode == 2, proc.stderr
-    # no numpy warnings and no traceback: the error line is all of stderr
-    assert proc.stderr == OVERFLOW_ERROR + "\n"
+    assert proc.stderr == (
+        "error: l_f = l0 + l1 zeta must be finite and > 0 for poly_even with "
+        "{'power': 4000.0, 'scale': 0.5}, got inf\n"
+    )
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["params", "run"])

@@ -10,6 +10,7 @@ written under another BLAS kernel.
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -69,16 +70,26 @@ FAMILY_PARAMS = {
 # spectrum (gossip.contraction) instead of the worst-case bound: every dnsgd
 # iterate moved, and with them its checks, echo and summary. The dsgd, dsgt
 # and dnasa digests held.
+# Every exp_pair and poly_even pin here and below was rebaselined once more
+# when their l0 became the proved closed form instead of a sampled
+# certificate: l0 feeds phi in every run and the calculator in every auto run.
+# In the same change a ring's accelerated mix took the real Fourier
+# eigenbasis instead of eigh's, which picks a basis of each pair of equal
+# eigenvalues that differs between BLAS kernels (the new stochastic outputs
+# showed it, in one metrics row under the Haswell kernels); that moved the
+# quadratic dnsgd digest, the one quadratic pin that changed. The criterion-10
+# dnsgd echo, the dsgd, dsgt and dnasa quadratic digests, the deterministic
+# (path) outputs and the sweep's echo held.
 RUN_DIGESTS = {
-    ("exp_pair", "dnsgd"): "8a0eb42b6008989551991bcc1cab6704cd0c7d3f079af0d04bbc567701f7ddc6",
-    ("exp_pair", "dsgd"): "9fe37dfbab588ceaa71141309ec4ce4a5fbe46bd8c3301ee148b693d0f126ac6",
-    ("exp_pair", "dsgt"): "70eacd1f5f6e9462169dcad555b63c1cd5f6df342f9b55bc88a23b3506b5d610",
-    ("exp_pair", "dnasa"): "50383fa58049cecc2c2864ef5e2023a1d923682ce1d5459a42077122b6c7230e",
-    ("poly_even", "dnsgd"): "18300ab86db36d1c08b4c3b40fd18c8898d45a78498bb778e19b06bf8329775a",
-    ("poly_even", "dsgd"): "3c23590ababb1a8361f6c8fa0d7ed86855bb7e602f1f31d515a98ecb6ffed571",
-    ("poly_even", "dsgt"): "295ce301da263e677309d1234d44952f6b42d20b574d1fc3a5d7b318eced1211",
-    ("poly_even", "dnasa"): "e4290d8829477bfe35c439e58548c81805f53178d504b7eab76ebe7bf6445931",
-    ("quadratic", "dnsgd"): "0f3c6055aaa5615624db59459edbb02587e3260e63d9c7452bcd5cc48cdaa2e4",
+    ("exp_pair", "dnsgd"): "da80fc9b1908468a1c582db0f6ab6f956bf6fb3baa21b5bfa588fbbe6b74414a",
+    ("exp_pair", "dsgd"): "886eeed13ae40f4b26c470fad21c3227734003b08a466f27482d7fb7784f2186",
+    ("exp_pair", "dsgt"): "0e7c860c49f3405ea339f384e582251fcb378c13146671d0cbee6b5978f504c7",
+    ("exp_pair", "dnasa"): "873d7fdef33641e83b078cbce6da5acb35856f9da2baaadf02dc27c20ecb9733",
+    ("poly_even", "dnsgd"): "ccaa11e0b8b1ef8037133978c964d45f9a831a85ea771e69c9a8fec528dd2ae9",
+    ("poly_even", "dsgd"): "2f537f3fb1c222be900deaddb748110ec40aa6814fd298fe1a5cf5d68526381a",
+    ("poly_even", "dsgt"): "f221054bf1890189341f28a985d4d7b856d451a40b7f6f673b41e25669e737da",
+    ("poly_even", "dnasa"): "8593730c501df8024cc3336ef5dd9dbb2908480d5d8e440b24ad84835e3b9392",
+    ("quadratic", "dnsgd"): "f8c7b0a7d7ae2a38675ea0578bd87ac4597b45173c1409310051af676f0cd7df",
     ("quadratic", "dsgd"): "cd794b385dc5dc7989ce4174e972d69b3985fe4b955fd27485a4acdc066775a3",
     ("quadratic", "dsgt"): "e79190327914e2823bda3946a01197d0c276b232a668020c173f24723189f51d",
     ("quadratic", "dnasa"): "f17f50b9d70f4476b197c1b3aabca1ae97a808c27bddbbea21a689865796bb74",
@@ -87,13 +98,13 @@ RUN_DIGESTS = {
 # Every file of the criterion-10 dnsgd run: the one pinned echo whose config
 # carries an explicit hyperparams block.
 RUN_OUTPUT_DIGESTS = {
-    "checks.csv": "eea5d7c26a50a6179db7c5df01f0c10f477cc4e7f6363b0141e75aea54d7f4a9",
+    "checks.csv": "82e015f5960214b8b9daf63b8e0f25276f09ed2727dcb2392736f3a2aebde3ae",
     "config_echo.json": "153a8f1165ee2aa15958a1fca4c5a08c9e1f8eeb95e07e316b5e64ae52948a39",
-    "metrics_seed000.csv": "c712d1f1f7e7827c2d0b2dfd8d5161f66d1053853b2bff7c7bbb19e34301d2ab",
-    "metrics_seed001.csv": "cc28281258f711823a35b6de8d75473e70e3e648ee7fa077fcd836b2f7e2665a",
-    "metrics_seed002.csv": "58328578566abb1cffa6e083f8342c62cde6a64a6b7ff14a6364c586dd01ef0d",
-    "metrics_seed003.csv": "7a8f25ed570a6b6d1354ff17c6322ba0b642260523953406a9344e844911e5f8",
-    "summary.txt": "277e8dddefad35194fb0554ebb73c2aa791784759c9c51467ad9dce883d4f2b4",
+    "metrics_seed000.csv": "9d0e08ea7432a71754685e88ea346189c4ae5cd46fd9a3a407cd5d7bbab03264",
+    "metrics_seed001.csv": "706e014895d26a34d6fdf29b02b130d152649169804579534220fac4f0127ea6",
+    "metrics_seed002.csv": "f4ead2740e838989f7b41085a555fd1fd2c028ba3d7d389c5f0f946adbd391ac",
+    "metrics_seed003.csv": "4bb142e6a4f211266e655ada6127f3ef10aee6d612339a8c155c41f66c23f548",
+    "summary.txt": "6def14733e62fccb75644c593c479ad8b141762da3bd1beeccf4dd04fe251c8c",
 }
 
 # A small calculator-driven sweep: per-m hyperparameters, delta_f estimated.
@@ -111,18 +122,18 @@ SWEEP_CONFIG = {
     "num_seeds": 3,
 }
 
-SWEEP_DIGEST = "be3b5b27c8e9ff559e738cc18ef7898f7bfc571fba532c16efc143844d5e6409"
+SWEEP_DIGEST = "3bf8bc7a4b48903b5f5009f770c14c215fbd6604dd304e88304b881f16936561"
 
-# float.hex() of the certified (l0, l1, f_star) of the problems that the
-# pinned configs build. The digests fix l0 only through phi.
+# float.hex() of the proved (l0, l1, f_star) of the problems that the
+# pinned configs build. The digests fix l0 only through phi and the calculator.
 RUN_CONSTANTS = {
-    "exp_pair": ("0x1.0287ec6d1a77bp-1", "0x1.71547652b82fep+0", "0x1.0000000000000p+0"),
-    "poly_even": ("0x1.0cccccccccc46p+1", "0x1.8000000000000p+1", "0x0.0p+0"),
+    "exp_pair": ("0x1.e021003855b76p-2", "0x1.71547652b82fep+0", "0x1.0000000000000p+0"),
+    "poly_even": ("0x1.3f62e93eec246p+0", "0x1.8000000000000p+1", "0x0.0p+0"),
     "quadratic": ("0x1.0000000000000p+0", "0x0.0p+0", "0x0.0p+0"),
 }
 
 SWEEP_CONSTANTS = {
-    m: ("0x1.ac6c3755b6cf6p-2", "0x1.71547652b82fep+0", "0x1.0000000000000p+0")
+    m: ("0x1.96434ef497476p-2", "0x1.71547652b82fep+0", "0x1.0000000000000p+0")
     for m in (2, 4, 8)
 }
 
@@ -178,20 +189,20 @@ OUTPUT_CHECKS = {
 # first hits and samples held.
 OUTPUT_DIGESTS = {
     "stochastic": {
-        "checks.csv": "bbaca89f291a142bd382ce54389c944fb55792c1c8ab0c3c1573f3f8ee43db5d",
-        "config_echo.json": "1a33cd8ca20b391efd8dd390f32d9f9a56e07345f3d4414bc5996b8dace15d95",
-        "metrics_seed000.csv": "64e38b9564059f8c4fb7b46df42867466b66b319efc9ed9ffc724ad0000802ab",
-        "metrics_seed001.csv": "e2798286b6bb6a1be3d9ebdeaae1da9fdaff51c519d21d3d0932f76020ecf7f3",
-        "metrics_seed002.csv": "ca04caa60ec2c58e456a176d826f908c34ce30d0da8406a510e2258e65fd1a0a",
-        "metrics_seed003.csv": "e30edf3fb23bff18aabe8e1fa2d4f939339f1d27ac5bfa961e693382b7e90641",
-        "metrics_seed004.csv": "a40918233e8d8e787934d60d36b0670d93a4b2c23faecf2e7d719eaae75de260",
-        "metrics_seed005.csv": "a38aae72369074eed153069f64d5e4099f488ba61d587df7c804bdcffd4e2145",
-        "metrics_seed006.csv": "6c7a3d2c671c58aa51b7efea75185cd8d1751814fa310dc38e42679731912c27",
-        "metrics_seed007.csv": "902627a7a982dea3f169fd1b1342d5c82c9b4d6e9f8b84aa5bd9eb9e289e7d4f",
-        "metrics_seed008.csv": "9d2f58b197992aee76c990d1212977733ae4264330f06070e8b5e75f722c7c7f",
-        "metrics_seed009.csv": "7a3194da0082583c8e8262a2ce836067be2476414cf48e99d67724dd4118ecf8",
-        "params_report.txt": "1da22b039f977995f98c6d525f9dc8e53e3aa5879a417c7ee5aa699dfe02f306",
-        "summary.txt": "9d0ffd4f6f4ab9a45cd8d3ad94dbf061fbe1e72ac6e866293f8104916b638a93",
+        "checks.csv": "d3d2583c01e9500158f71a94bfa273386286e76b045ac451ea61f8fd8ea2e2e7",
+        "config_echo.json": "c01dd1972d2e392460213029d829d000bb905a95988c0779c974639a4902f042",
+        "metrics_seed000.csv": "c02b5d0901aee9533ec1304d085696ff79f1772771e89226d75e69ad63fe3c4c",
+        "metrics_seed001.csv": "69eea2713c15d7a2e47424faba7a9f381f61e90aedd888688aa24944591215cd",
+        "metrics_seed002.csv": "e70b7df00a1729fa3945de4968718e95b8af64c510e02464bb55308acb90936a",
+        "metrics_seed003.csv": "4b00ebe1aae9e03bcd48b9ec58db48560487ce7de3d270ecd1668cd232a7e002",
+        "metrics_seed004.csv": "d234f73d424802a4e2438ae0917bb480703153338313649e974e21654a6a5404",
+        "metrics_seed005.csv": "a109e7946fece0c2b2875986c8a1478221655288ae7e8dd017f3813a6194b5b3",
+        "metrics_seed006.csv": "cac1fbd24f1efd6b21f43af84f5c2c9bc381d4aed3796ff3a70ea2b745f170e4",
+        "metrics_seed007.csv": "ee03e1bc96eb9757fbfda48c82f8c225e267b95e2d9c0aacef913475f9ec087b",
+        "metrics_seed008.csv": "d0cdf650b090c88df13bccba93dfd8cc36d87232dc40214502e56db7deaf9b8c",
+        "metrics_seed009.csv": "1d373211e06933dbb80622ecd393129e18848aa19cef988753c6c8c13dd5b670",
+        "params_report.txt": "16c47a79aab900fcac16d8a102004311af5acf5bd8c1b0f8d56fc0bbb794a5bd",
+        "summary.txt": "eea0eb59fe455c112641dfaaafbf5a62db3d27b6621b741f14a00b079bf0848b",
     },
     "deterministic": {
         "checks.csv": "19ce550f21b80e5b6384d11c75d14f547a954c4e11c7073768904c40dc66f738",
@@ -205,7 +216,7 @@ OUTPUT_DIGESTS = {
 # The other files of the pinned sweep; speedup.csv is SWEEP_DIGEST.
 SWEEP_OUTPUT_DIGESTS = {
     "config_echo.json": "decec46dbf995575a3fa4cb32485fbdb94f592a11d8f1fba45060a5430d29175",
-    "summary.txt": "043e824d865e79cc3f0994a3445665933138b9b23ace76f01d9b84ef4b5d456b",
+    "summary.txt": "c4f1ceee02544d696ec4e531d5bdfd18889dc938c76da58c89f05e85e25100f9",
 }
 
 
@@ -277,10 +288,25 @@ def test_sweep_output_digests(tmp_path):
     assert _file_digests(out) == {"speedup.csv": SWEEP_DIGEST, **SWEEP_OUTPUT_DIGESTS}
 
 
+def _closed_form_l0(problem: dict, family: str) -> float:
+    """The family's proved l0 plus l1 zeta, since every pinned problem's largest offset is zeta."""
+    d, zeta, log2 = problem["d"], problem["zeta"], math.log(2.0)
+    if family == "exp_pair":
+        rate = problem["rate"]
+        return 3.0 * rate * rate / (4.0 * d * log2) + rate / log2 * zeta
+    if family == "poly_even":
+        k = problem["power"] - 1
+        t = 1.0 / (k * (2.0 ** (1.0 / (k - 1)) - 1.0))
+        return 2.0 * problem["scale"] * t ** (k - 1) + k * zeta
+    return problem["curvature"]
+
+
 @pytest.mark.parametrize("family", FAMILY_PARAMS)
 def test_run_problem_constants(family):
     p = build_problem(parse_problem(_run_problem(family)))
     assert _constants(p) == RUN_CONSTANTS[family]
+    pinned = float.fromhex(RUN_CONSTANTS[family][0])
+    assert pinned == pytest.approx(_closed_form_l0(_run_problem(family), family), rel=1e-12)
 
 
 def test_sweep_problem_constants():
@@ -290,6 +316,8 @@ def test_sweep_problem_constants():
         for m in SWEEP_CONFIG["m_list"]
     }
     assert got == SWEEP_CONSTANTS
+    pinned = float.fromhex(SWEEP_CONSTANTS[2][0])
+    assert pinned == pytest.approx(_closed_form_l0(SWEEP_CONFIG["problem"], "exp_pair"), rel=1e-12)
 
 
 def pinned_outputs(root: Path) -> dict[str, str]:

@@ -15,6 +15,7 @@ from dnsgd.gossip import (
     _acc_mixers,
     _chebyshev_gains,
     _plain_mixer,
+    _ring_basis,
     acc_gossip,
     chebyshev_weight,
     consensus_error,
@@ -55,6 +56,25 @@ def test_acc_gossip_matches_recursion(kind, m):
         for k in (0, 1, 3, 15, 21, 200):
             err = np.linalg.norm(acc_gossip(y0, route, k) - reference_acc_gossip(y0, mix, k))
             assert err <= 1e-12 * np.linalg.norm(y0), (kind, m, route.closed_form, k, err)
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 8, 12, 16, 191])
+def test_ring_basis_diagonalises_the_ring(monkeypatch, m):
+    # the real Fourier basis is orthonormal, diagonalises W with the closed-form
+    # eigenvalues, and replaces eigh, whose basis of each pair of equal
+    # eigenvalues depends on the BLAS kernel
+    mix = metropolis_mixing(build_topology("ring", m))
+    lam, q = _ring_basis(m)
+    assert np.abs(q.T @ q - np.eye(m)).max() <= 1e-14
+    assert np.abs((q * lam) @ q.T - mix.w).max() <= 1e-14
+    np.testing.assert_allclose(np.sort(lam), mix.eigenvalues, rtol=0, atol=1e-14)
+
+    def no_eigh(w):
+        raise AssertionError("eigh called for a ring")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    y0 = np.random.default_rng(m).standard_normal((m, 3))
+    assert np.abs(acc_gossip(y0, mix, 5) - reference_acc_gossip(y0, mix, 5)).max() <= 1e-13
 
 
 def test_acc_gossip_rejects_nonsymmetric_mixing():

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from dnsgd import gossip, optimizers, problems
+from dnsgd.cli import main as cli_main
 from dnsgd.config import (
     AutoHyperConfig,
     ConfigError,
@@ -32,7 +33,7 @@ from dnsgd.harness import (
 from dnsgd.hyperparams import FIELDS, HyperParams
 from dnsgd.optimizers import run
 from dnsgd.problems import FAMILIES, PARAMS, f_base
-from dnsgd.streams import fanout_seed
+from dnsgd.streams import derive_stream, fanout_seed
 from dnsgd.topology import CLOSED_FORM_MIN_M, build_topology
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -134,6 +135,20 @@ def test_config_echo_resolved_block(tmp_path):
     assert resolved["k_inner"] == result.hp.k_inner
     assert echo["config"]["algorithm"] == "dnsgd"
     assert len(resolved["seeds"]) == cfg.num_seeds
+
+
+@pytest.mark.parametrize("algorithm", optimizers.ALGORITHMS)
+def test_config_echo_gives_rho_to_accelerated_mixes_only(tmp_path, algorithm):
+    # dsgd, dsgt and dnasa mix by plain W rounds, so no contraction describes them
+    result = run_experiment(_quad_cfg(algorithm=algorithm), out_dir=tmp_path)
+    resolved = json.loads((tmp_path / "config_echo.json").read_text())["resolved"]
+    if optimizers.METHODS[algorithm].accelerated:
+        assert resolved["rho"] == gossip.contraction(result.mixing, result.hp.k_inner)
+    else:
+        assert "rho" not in resolved
+    assert sorted(resolved.keys() - {"rho"}) == [
+        "b", "big_t", "epsilon", "eta", "gamma", "k_init", "k_inner", "lambda2", "seeds",
+    ]
 
 
 def test_auto_delta_f_defaults_to_initial_gap():
@@ -428,28 +443,25 @@ def test_sweep_seeds_follow_the_m_index():
             assert np.array_equal(draws, expected.output_indices[0]), (i, j)
 
 
-def test_sweep_certifies_the_stub_once(monkeypatch):
-    # every m of the sweep has the same m = 1 stub: one certification serves
-    # all four problem builds, and it draws its pairs and evaluates their
-    # gradients once for both of its l0 candidates
-    calls = []
+def test_problem_construction_samples_no_pairs(monkeypatch, tmp_path):
+    # the constants are proved, so no run or sweep draws a smoothness sample
+    # or reads the smoothness stream
+    def refuse(*args, **kwargs):
+        raise AssertionError("a smoothness sample was drawn")
 
-    def counted(name):
-        inner = getattr(problems, name)
+    def streams(key):
+        if key.purpose == "smoothness":
+            refuse()
+        return derive_stream(key)
 
-        def wrapper(*args, **kwargs):
-            calls.append(name)
-            return inner(*args, **kwargs)
-
-        monkeypatch.setattr(problems, name, wrapper)
-
-    for name in ("_sample_pairs", "_gradient_gaps", "_violates", "check_relaxed_smooth"):
-        counted(name)
-    problems._certified_l0.cache_clear()
-    cfg = parse_sweep_config(load_json(CONFIGS / "sweep_speedup.json"))
-    result = sweep_speedup(cfg)
-    assert calls == ["_sample_pairs", "_gradient_gaps", "_violates", "_violates"]
-    assert [pt.m for pt in result.points] == [2, 4, 8, 16]
+    monkeypatch.setattr(problems, "_sample_pairs", refuse)
+    monkeypatch.setattr(problems, "derive_stream", streams)
+    runs = sorted(CONFIGS.glob("run_*.json"))
+    assert [path.name for path in runs] == ["run_exp_pair.json", "run_quadratic_descent.json"]
+    for path in runs:
+        assert cli_main(["run", "--config", str(path), "--out-dir", str(tmp_path / path.stem)]) == 0
+    sweep = CONFIGS / "sweep_speedup.json"
+    assert cli_main(["sweep", "--config", str(sweep), "--out-dir", str(tmp_path / "sweep")]) == 0
 
 
 def test_sweep_cells_pass_their_checks():

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from dnsgd import problems
 from dnsgd.problems import (
-    CERTIFY_TRIALS,
     RATIO_TOL,
     ExpRangeError,
     check_relaxed_smooth,
@@ -24,6 +23,26 @@ from dnsgd.streams import StreamKey, derive_stream
 
 LOG2 = math.log(2.0)
 
+# Pairs per sampled check in the tests that repeat the sampled certificate
+# make_problem ran before its constants were proved.
+TRIALS = 1500
+
+
+def exp_pair_l0(rate, d):
+    """exp_pair's proved l0, sinh(log 2) / log 2 * rate^2 / d = 3 rate^2 / (4 d log 2)."""
+    return 0.75 / LOG2 * rate * rate / d
+
+
+def poly_t(power):
+    """The |x_j| at which poly_even's l0 binds, 1 / (k (2^(1/(k-1)) - 1)) with k = power - 1."""
+    k = power - 1
+    return 1.0 / (k * (2.0 ** (1.0 / (k - 1)) - 1.0))
+
+
+def poly_even_l0(power, scale):
+    """poly_even's proved l0, 2 scale t^(power-2)."""
+    return 2.0 * scale * poly_t(power) ** (power - 2)
+
 
 def f_local(p, i, x):
     """Agent i's objective f_base(x) + <b_i, x>, at a point (d,) or row by row at (n, d)."""
@@ -34,8 +53,7 @@ def f_local(p, i, x):
     return float(f) if x.ndim == 1 else f
 
 
-# Shared read-only instances; building the certified families is costly
-# enough that per-example rebuilds would dominate the hypothesis tests.
+# Shared read-only instances for the loops and hypothesis tests.
 INSTANCES = (
     make_problem("exp_pair", d=4, rate=1.0, m=3, zeta=0.3, sigma=0.0, seed=2),
     make_problem("poly_even", d=4, power=4, scale=0.5, m=3, zeta=0.3, sigma=0.0, seed=2),
@@ -299,10 +317,10 @@ def test_built_instances_pass_their_own_certificate():
 
 
 def test_exp_pair_l0_exceeds_curvature_bound():
+    # the curvature bound rate^2 / d at x = 0, raised by sinh(log 2) / log 2 = 1.082
     p = make_problem("exp_pair", d=10, rate=1.0, m=1, zeta=0.0, sigma=0.0, seed=0)
-    assert p.l0 >= 1.0 / 10.0
-    # the certified value stays within an order of magnitude of the start
-    assert p.l0 <= 10.0 / 10.0
+    assert p.l0 == pytest.approx(exp_pair_l0(1.0, 10), rel=1e-15)
+    assert 1.0 / 10.0 < p.l0 < 1.1 / 10.0
 
 
 def test_check_relaxed_smooth_flags_undersized_l0():
@@ -573,28 +591,28 @@ def test_check_relaxed_smooth_calls_grad_once_per_side(l1):
 @pytest.mark.parametrize("d", [1, 10])
 @pytest.mark.parametrize("family", sorted(STUB_MAKERS))
 def test_certification_matches_reference_loop(family, d):
-    """Each family's certification stub, at its certified l0 and below it."""
+    """Each family's m = 1 stub, at its proved l0 and below it."""
     p = STUB_MAKERS[family](d)
     grad = lambda x: grad_base(p, x)  # noqa: E731
     for l0 in (p.l0, 0.5 * p.l0):
         args = (grad, d, l0, p.l1)
-        kwargs = {"region": p.box_radius, "trials": CERTIFY_TRIALS, "seed": 0}
+        kwargs = {"region": p.box_radius, "trials": TRIALS, "seed": 0}
         report = check_relaxed_smooth(*args, **kwargs)
         _assert_same_report(report, reference_check_relaxed_smooth(*args, **kwargs))
 
 
 def reference_certified_l0(stub, l0_start, seed):
-    """The two-pass certification: one full check_relaxed_smooth per candidate l0.
+    """The sampled certification make_problem ran before its constants were proved.
 
-    Each pass draws the same seeded pairs and evaluates their gradients again;
-    a failing candidate is raised to 1.2 times the largest l0 over all pairs.
+    One full check_relaxed_smooth per candidate l0 on the box of radius 5 with
+    1500 pairs; a failing candidate is raised to 1.2 times the largest l0 over
+    all pairs.
     """
     grad = lambda x: grad_base(stub, x)  # noqa: E731
     l0 = l0_start
     for _ in range(6):
         report = check_relaxed_smooth(
-            grad, stub.d, l0, stub.l1, region=stub.box_radius, trials=CERTIFY_TRIALS,
-            seed=seed,
+            grad, stub.d, l0, stub.l1, region=stub.box_radius, trials=TRIALS, seed=seed,
         )
         if report.passed:
             return l0
@@ -610,30 +628,29 @@ def reference_certified_l0(stub, l0_start, seed):
     + [("poly_even", power) for power in (4, 6, 8)],
 )
 def test_certified_l0_matches_two_pass_reference(family, value, d, seed):
-    # the pair that binds l0 violates at every earlier candidate here, so
-    # raising l0 by the violating pairs or by all pairs gives the same l0
+    # the sampled certification, started at the proved l0, keeps it: no pair
+    # it draws on the box implies more
     if family == "exp_pair":
         p = make_problem("exp_pair", d=d, rate=value, m=1, zeta=0.0, sigma=0.0, seed=seed)
-        l0_start = value * value / d
+        assert p.l0 == pytest.approx(exp_pair_l0(value, d), rel=1e-15)
     else:
         p = make_problem(
             "poly_even", d=d, power=value, scale=0.5, m=1, zeta=0.0, sigma=0.0, seed=seed
         )
-        l0_start = 0.5 * (value - 1)
-    assert p.l0 == reference_certified_l0(p, l0_start, seed)
+        assert p.l0 == pytest.approx(poly_even_l0(value, 0.5), rel=1e-14)
+    assert p.l0 == reference_certified_l0(p, p.l0, seed)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 9])
 @pytest.mark.parametrize("d", [1, 10])
 @pytest.mark.parametrize("power", [4, 6, 8])
 def test_poly_even_l0_is_its_start_value(power, d, seed):
-    # no sampled pair, random or probe, implies an l0 above scale (power - 1),
-    # so the certificate does not depend on the random sample
+    # l0 is the closed form, at any d and seed, and no sampled pair implies more
     p = make_problem("poly_even", d=d, power=power, scale=0.5, m=1, zeta=0.0, sigma=0.0, seed=seed)
-    assert p.l0 == 0.5 * (power - 1)
+    assert p.l0 == pytest.approx(poly_even_l0(power, 0.5), rel=1e-14)
+    assert p.l0 / 0.5 == pytest.approx({4: 1.295, 6: 2.497, 8: 5.040}[power], abs=5e-4)
     report = check_relaxed_smooth(
-        lambda x: grad_base(p, x), d, p.l0, p.l1, region=p.box_radius, trials=CERTIFY_TRIALS,
-        seed=seed,
+        lambda x: grad_base(p, x), d, p.l0, p.l1, region=p.box_radius, trials=TRIALS, seed=seed,
     )
     assert report.passed
     assert report.implied_l0 <= p.l0
@@ -642,17 +659,89 @@ def test_poly_even_l0_is_its_start_value(power, d, seed):
 @pytest.mark.parametrize("rate", [0.25, 1.0, 10.0, 20.0, 60.0, 70.0])
 def test_exp_pair_l0_is_set_by_the_zero_probe(rate):
     # the binding pair is x = 0, y = (log 2 / rate) e_j, which implies
-    # l0 = sinh(log 2) / log 2 * rate^2 / d; pairs at large |rate x| whose
-    # implied l0 is rounding noise within RATIO_TOL must not inflate it
+    # l0 = sinh(log 2) / log 2 * rate^2 / d, whatever the box
     p = make_problem("exp_pair", d=10, rate=rate, m=1, zeta=0.0, sigma=0.0, seed=0)
-    expected = 1.2 * math.sinh(LOG2) / LOG2 * rate * rate / 10
-    assert p.l0 == pytest.approx(expected, rel=1e-9)
+    assert p.l0 == pytest.approx(math.sinh(LOG2) / LOG2 * rate * rate / 10, rel=1e-15)
+    assert p.l1 == rate / LOG2
 
 
 def test_certification_overflow_is_a_value_error():
-    # at rate 71 on the box of radius 5, ||grad||^2 exceeds the float64 range
+    # make_problem samples nothing, so rate 71 builds; sampling its gradient on
+    # the box of radius 5 overflows ||grad||^2 and is a ValueError
+    p = make_problem("exp_pair", d=10, rate=71.0, m=1, zeta=0.0, sigma=0.0, seed=0)
+    assert p.l0 == pytest.approx(exp_pair_l0(71.0, 10), rel=1e-15)
     with pytest.raises(ValueError, match="overflow float64"):
-        make_problem("exp_pair", d=10, rate=71.0, m=1, zeta=0.0, sigma=0.0, seed=0)
+        check_relaxed_smooth(
+            lambda x: grad_base(p, x), 10, p.l0, p.l1, region=p.box_radius, trials=TRIALS
+        )
+
+
+# each family's tight pair (x, x + z): equality in the relaxed smoothness bound
+WITNESSES = {
+    "exp_pair": lambda p: (0.0, LOG2 / p.family_params["rate"]),
+    "poly_even": lambda p: (poly_t(p.family_params["power"]), 1.0 / p.l1),
+}
+
+
+def _cases(rates, powers):
+    """(family, params) per exp_pair rate and poly_even power, with ids such as rate0.25."""
+    return [pytest.param("exp_pair", {"rate": r}, id=f"rate{r}") for r in rates] + [
+        pytest.param("poly_even", {"power": k, "scale": 0.5}, id=f"power{k}") for k in powers
+    ]
+
+
+@pytest.mark.parametrize("d", [1, 10])
+@pytest.mark.parametrize("family, params", _cases((0.25, 1.0, 5.0), (4, 6, 8, 10, 12, 22)))
+def test_proved_l0_is_tight_at_its_witness(family, params, d):
+    # the witness pair breaks the bound at 0.999 l0 and keeps it at l0
+    p = make_problem(family, d=d, m=1, zeta=0.0, sigma=0.0, seed=0, **params)
+    u, step = WITNESSES[family](p)
+    x, y = np.zeros(d), np.zeros(d)
+    x[-1], y[-1] = u, u + step
+    grad = lambda rows: grad_base(p, rows)  # noqa: E731
+    kwargs = {"region": p.box_radius, "trials": 200, "seed": 3}
+
+    def violations(l0, extra):
+        report = check_relaxed_smooth(grad, d, l0, p.l1, extra_pairs=extra, **kwargs)
+        return report.violations
+
+    assert violations(p.l0, [(x, y)]) == 0
+    assert violations(0.999 * p.l0, [(x, y)]) == violations(0.999 * p.l0, []) + 1
+
+
+def _far_pairs(rng, d, l1, radius, n):
+    """n pairs (x, x + z) with ||x||_inf <= radius and ||z|| <= 1/l1.
+
+    Half are random (every other one a full step), half full steps along an
+    axis: outward, inward or across zero.
+    """
+    x = rng.uniform(-radius, radius, (n, d))
+    z = rng.standard_normal((n, d))
+    length = np.where(np.arange(n) % 2 == 0, 1.0, rng.uniform(0.0, 1.0, n)) / l1
+    z *= (length / np.linalg.norm(z, axis=1))[:, None]
+    axis = rng.integers(0, d, n // 2)
+    rows = np.arange(n // 2)
+    x[rows] = 0.0
+    z[rows] = 0.0
+    x[rows, axis] = rng.uniform(-radius, radius, n // 2)
+    z[rows, axis] = rng.choice([-1.0, 1.0], n // 2) / l1
+    return x, x + z
+
+
+@pytest.mark.parametrize("d", [1, 10])
+@pytest.mark.parametrize("family, params", _cases((0.25, 1.0, 5.0), (4, 6, 8, 10, 22)))
+def test_proved_constants_hold_far_outside_the_box(family, params, d):
+    # |rate x| reaches 600 and |x_j| 100, 20 times the box of radius 5, where
+    # check_relaxed_smooth's sum of squares overflows; np.hypot's norm does not
+    p = make_problem(family, d=d, m=1, zeta=0.0, sigma=0.0, seed=0, **params)
+    radius = 600.0 / params["rate"] if family == "exp_pair" else 100.0
+    x, y = _far_pairs(np.random.default_rng(17), d, p.l1, radius, 4000)
+    assert np.abs(x).max() > 0.99 * radius
+    gx, gy = grad_base(p, x), grad_base(p, y)
+    gap = np.hypot.reduce(gx - gy, axis=1)
+    bound = (p.l0 + p.l1 * np.hypot.reduce(gx, axis=1)) * np.hypot.reduce(x - y, axis=1)
+    assert np.isfinite(bound).all()
+    assert np.count_nonzero(gap > bound * (1.0 + RATIO_TOL) + 1e-12) == 0
 
 
 def test_exp_overflow_guard():
@@ -688,9 +777,16 @@ def test_factory_validation():
         )
     with pytest.raises(ValueError, match="^d must be an integer >= 1, got 0$"):
         make_problem("quadratic", d=0, curvature=1.0, m=1, zeta=0.0, sigma=0.0, seed=0)
-    # rate^2 / d underflows to a zero l0, and l_f with it: the calculator divides by l_f
-    with pytest.raises(ValueError, match="^l_f = l0 \\+ l1 zeta underflows to 0 for exp_pair"):
+    # l_f must be finite and > 0, since the calculator divides by it: rate^2 / d
+    # underflows to a zero l0, and poly_even's t^(power - 2) overflows past power 1950
+    lf_error = "^l_f = l0 \\+ l1 zeta must be finite and > 0 for {} with .*, got {}$"
+    with pytest.raises(ValueError, match=lf_error.format("exp_pair", "0.0")):
         make_problem("exp_pair", d=2, rate=1e-200, m=2, zeta=0.0, sigma=0.1, seed=0)
+    with pytest.raises(ValueError, match=lf_error.format("poly_even", "inf")):
+        make_problem("poly_even", d=2, power=4000, scale=0.5, m=2, zeta=0.1, sigma=0.1, seed=0)
+    assert make_problem(
+        "poly_even", d=2, power=1900, scale=0.5, m=2, zeta=0.1, sigma=0.1, seed=0
+    ).l0 < math.inf
     with pytest.raises(ValueError, match="unknown family 'cubic'"):
         make_problem("cubic", d=2, m=1, zeta=0.0, sigma=0.0, seed=0)
     # a missing and a foreign parameter
