@@ -9,9 +9,11 @@ consensus penalties:
 with (m0, m1) = lyapunov_constants(p). state_metrics computes it
 with the other recorded metrics for a stack of states (n, m, d); the runner
 calls it once per block of iterations and stores the stacked result as the
-trajectory's metric columns, one row per seed of the run. A Trajectory holds
-those columns and the run's counters, not the states; the potential of a
-given state (X, V) is state_metrics(X[None], V[None], p, eta).phi[0]. The
+trajectory's metric columns, one row per seed of the run, with each block's
+per-agent norms reduced to their agent maximum and to the norms at the
+seed's output draws. A Trajectory holds those columns and the run's
+counters, not the states; the potential of a given state (X, V) is
+state_metrics(X[None], V[None], p, eta).phi[0]. The
 checks reduce the columns over seeds and iterations at once: verify_descent
 checks the one-step decrease inequality implied by the theory, either per
 iteration on noiseless runs or in seed-averaged form; verify_consensus_bound
@@ -31,22 +33,39 @@ from .hyperparams import FIELDS, lyapunov_constants
 from .problems import ProblemInstance, _row_norms, check_fields, f_base, grad_base, lf_effective
 
 
+class MetricColumns(NamedTuple):
+    """A run's recorded metrics, in metrics CSV order: each (S, big_t + 1), row s is seed s.
+
+    grad_norm_agent_max[s, t] is max_i ||grad f(x_i^t)||, with the global objective.
+    """
+
+    f_mean: np.ndarray
+    grad_norm_mean: np.ndarray
+    grad_norm_agent_max: np.ndarray
+    cons_x: np.ndarray
+    cons_v: np.ndarray
+    phi: np.ndarray
+
+
 class Trajectory(NamedTuple):
     """Everything a run records, as columns over its S seeds and states t = 0..big_t.
 
-    Each metric column has shape (S, big_t + 1), and so has tracker_drifts;
-    metrics.agent_grad_norms[s, t, i] is ||grad f(x_i^t)|| with the global
-    objective on seed s. The int counters samples_per_agent and comm_rounds,
-    shape (big_t + 1,), are the same for every seed. output_indices holds each
-    seed's uniform draws over {0, ..., big_t - 1}, shape (S, m), or None when
-    big_t = 0. box_exits counts each seed's states outside the problem's box.
+    Each metric column has shape (S, big_t + 1), and so has tracker_drifts.
+    The int counters samples_per_agent and comm_rounds, shape (big_t + 1,),
+    are the same for every seed. output_indices holds each seed's uniform
+    draws over {0, ..., big_t - 1}, shape (S, m), or None when big_t = 0.
+    output_grad_norms[s, i] is ||grad f(x_i^t)|| on seed s at agent i's
+    output draw t = output_indices[s, i], or at t = 0 when big_t = 0: the
+    only per-agent norms a run keeps. box_exits counts each seed's states
+    outside the problem's box.
     """
 
-    metrics: StateMetrics
+    metrics: MetricColumns
     samples_per_agent: np.ndarray
     comm_rounds: np.ndarray
     tracker_drifts: np.ndarray
     output_indices: np.ndarray | None
+    output_grad_norms: np.ndarray
     box_exits: np.ndarray
 
     @property
@@ -103,8 +122,8 @@ class StationaritySummary(NamedTuple):
 
     avg_grad_mean averages ||grad f(xbar^t)|| over the output-eligible
     iterations t = 0..big_t-1 and therefore equals the expected gradient
-    norm at a uniformly drawn output iterate. agent_max_at_output evaluates
-    each agent's own sampled output iterate.
+    norm at a uniformly drawn output iterate. agent_max_at_output is the
+    largest of the agents' norms at their own sampled output iterates.
     """
 
     min_grad_mean: np.ndarray
@@ -114,17 +133,11 @@ class StationaritySummary(NamedTuple):
 
 def stationarity_summary(traj: Trajectory) -> StationaritySummary:
     """A big_t = 0 run has only its initial state to summarize."""
-    m = traj.metrics
-    eligible = m.grad_norm_mean[:, : max(traj.big_t, 1)]
-    if traj.output_indices is None:
-        agent = m.agent_grad_norms[:, 0]
-    else:
-        seeds, agents = np.indices(traj.output_indices.shape)
-        agent = m.agent_grad_norms[seeds, traj.output_indices, agents]
+    eligible = traj.metrics.grad_norm_mean[:, : max(traj.big_t, 1)]
     return StationaritySummary(
         min_grad_mean=eligible.min(axis=1),
         avg_grad_mean=np.mean(eligible, axis=1),
-        agent_max_at_output=agent.max(axis=1),
+        agent_max_at_output=traj.output_grad_norms.max(axis=1),
     )
 
 

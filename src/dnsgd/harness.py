@@ -52,6 +52,7 @@ CSV_FIELDS = (
     "samples_per_agent", "comm_rounds",
 )
 CSV_HEADER = ",".join(CSV_FIELDS)
+CSV_CHUNK_ROWS = 512  # metrics CSV lines formatted and written at a time
 
 TRACKER_DRIFT_TOL = 1e-8
 MIN_SEEDS_FOR_STOCHASTIC_CHECK = 10
@@ -177,23 +178,25 @@ def _run_checks(
 
 
 def _write_metrics_csvs(out: Path, run_id: str, traj: Trajectory) -> None:
-    """One metrics_seed<s>.csv per seed s, from row s of the columns."""
-    m = traj.metrics
-    agent_max = m.agent_grad_norms.max(axis=2)
-    counters = (traj.samples_per_agent.tolist(), traj.comm_rounds.tolist())
+    """One metrics_seed<s>.csv per seed s, from row s of the columns.
+
+    Each file is written CSV_CHUNK_ROWS lines at a time, so the text held in
+    memory does not grow with big_t.
+    """
     for s in range(traj.num_seeds):
-        columns = (
-            range(traj.big_t + 1), m.f_mean[s].tolist(), m.grad_norm_mean[s].tolist(),
-            agent_max[s].tolist(), m.cons_x[s].tolist(), m.cons_v[s].tolist(),
-            m.phi[s].tolist(), *counters,
-        )
-        lines = [CSV_HEADER]
-        lines.extend(
-            f"{run_id},{s},{t},{f:.17g},{g:.17g},{g_max:.17g},{cx:.17g},{cv:.17g},"
-            f"{phi:.17g},{samples},{comms}"
-            for t, f, g, g_max, cx, cv, phi, samples, comms in zip(*columns)
-        )
-        (out / f"metrics_seed{s:03d}.csv").write_text("\n".join(lines) + "\n")
+        with open(out / f"metrics_seed{s:03d}.csv", "w") as csv:
+            csv.write(CSV_HEADER + "\n")
+            for start in range(0, traj.big_t + 1, CSV_CHUNK_ROWS):
+                rows = slice(start, start + CSV_CHUNK_ROWS)
+                columns = (
+                    range(traj.big_t + 1)[rows], *(col[s, rows].tolist() for col in traj.metrics),
+                    traj.samples_per_agent[rows].tolist(), traj.comm_rounds[rows].tolist(),
+                )
+                csv.write("".join(
+                    f"{run_id},{s},{t},{f:.17g},{g:.17g},{g_max:.17g},{cx:.17g},{cv:.17g},"
+                    f"{phi:.17g},{samples},{comms}\n"
+                    for t, f, g, g_max, cx, cv, phi, samples, comms in zip(*columns)
+                ))
 
 
 @contextlib.contextmanager

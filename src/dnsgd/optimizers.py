@@ -39,7 +39,10 @@ together, one (S, m, d) state through one step call per iteration, and fill
 their rows a block of states at a time: run copies X, V and G into
 (n, S, m, d) blocks of at most METRICS_BLOCK_FLOATS floats each, makes one
 state_metrics call per block and writes the results into the block's slice of
-every seed's row.
+every seed's row. A block's (n S, m) agent norms live only as long as the
+block: run keeps their agent maximum per state and, drawing each seed's
+output indices before the first state, the norms at those draws. So a run's
+memory is its columns plus a few blocks, at any big_t.
 A state that turns non-finite, or whose iterates leave the exponential
 family's safe range, raises NonFiniteStateError with its iteration and agent,
 and with its seed's row when the run has several seeds.
@@ -59,7 +62,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .analysis import StateMetrics, Trajectory, state_metrics
+from .analysis import MetricColumns, Trajectory, state_metrics
 from .gossip import _acc_mixers, _plain_mixer
 from .hyperparams import HyperParams
 from .problems import ExpRangeError, ProblemInstance, _noise_scale, _oracle, _row_norms
@@ -96,9 +99,12 @@ ALGORITHMS = tuple(METHODS)
 EPS_NORM = 1e-12
 
 # Floats per stacked (n, S, m, d) array when run computes the recorded metrics
-# of a block of states at once, and per chunk of oracle noise: for one seed,
-# 819 states at m = 8, d = 10, and 25 at m = 256, d = 10.
-METRICS_BLOCK_FLOATS = 2**16
+# of a block of states at once, and per chunk of oracle noise: 128 KiB, or for
+# one seed 204 states at m = 8, d = 10, and 6 at m = 256, d = 10. Against
+# 2**16, measured in fresh processes (2 vCPUs, one BLAS thread) on the
+# benchmark's commands: peak RSS fell by 2.5 to 3.5 MB on each small_m command
+# and by 1.3 MB on the m = 256 ring run, and in-process times stayed in noise.
+METRICS_BLOCK_FLOATS = 2**14
 
 
 class NonFiniteStateError(RuntimeError):
@@ -269,10 +275,12 @@ def run(
 
     All randomness of row s derives from seeds[s]: iteration t draws the
     oracle noise of all agents as block t of the seed's oracle stream, and the
-    final uniform output draw uses a dedicated stream, so a row does not
-    depend on the other seeds, and a repeated call reproduces every byte of
-    the trajectory. A seed that diverges ends the run, with the earliest
-    iteration of any seed and, at a tie, the lowest row.
+    uniform output draw uses a dedicated stream, so a row does not depend on
+    the other seeds, and a repeated call reproduces every byte of the
+    trajectory. The output draw is taken before the first state, so that each
+    metrics block keeps the agent norms at the draws it holds, and only those
+    (Trajectory.output_grad_norms). A seed that diverges ends the run, with
+    the earliest iteration of any seed and, at a tie, the lowest row.
     big_t = 0 records only the initial state. Box exits (any |x_ij| beyond
     the problem's box_radius) are counted, not clamped.
     """
@@ -287,8 +295,7 @@ def run(
     init, step = update_rule(method, p, hp, w)
 
     n_seeds, n_states, m, d = len(seeds), hp.big_t + 1, p.m, p.d
-    cols = {name: np.empty((n_seeds, n_states)) for name in StateMetrics._fields}
-    cols["agent_grad_norms"] = np.empty((n_seeds, n_states, m))
+    cols = {name: np.empty((n_seeds, n_states)) for name in MetricColumns._fields}
     samples, comms = method.cost(hp, np.arange(n_states, dtype=np.int64))
     drifts, exits = np.empty((n_seeds, n_states)), np.empty((n_seeds, n_states), dtype=bool)
     # States are copied into these (n, S, m, d) blocks. Each full block, and
@@ -296,6 +303,14 @@ def run(
     # column. A block of oracle noise, (S, n, m, d), is drawn ahead of it.
     block_len = min(max(1, METRICS_BLOCK_FLOATS // (n_seeds * m * d)), n_states)
     xs, vs, gs = (np.empty((block_len, n_seeds, m, d)) for _ in range(3))
+    # each agent's output draw; a big_t = 0 run keeps its initial state's norms
+    output_indices, draws = None, np.zeros((n_seeds, m), dtype=np.int64)
+    if hp.big_t > 0:
+        output_indices = draws = np.stack([
+            derive_stream(StreamKey(seed, "output_draw")).integers(0, hp.big_t, size=m)
+            for seed in seeds
+        ])
+    output_norms = np.empty((n_seeds, m))
     streams = [derive_stream(StreamKey(seed, "oracle")) for seed in seeds]
     noise = np.empty((n_seeds, block_len, m, d)) if p.sigma > 0.0 else None
     scale = _noise_scale(p, hp.b)
@@ -309,8 +324,15 @@ def run(
             col[block] = values.reshape(n, n_seeds, *values.shape[1:]).swapaxes(0, 1)
 
         sm = state_metrics(x, v, p, hp.eta)
+        agent = sm.agent_grad_norms  # (n S, m), state-major like x
+        values = sm._asdict()
+        values["grad_norm_agent_max"] = agent.max(axis=1)
         for name, col in cols.items():
-            put(col, getattr(sm, name))
+            put(col, values[name])
+        first = t + 1 - n
+        held = (draws >= first) & (draws <= t)
+        at = (draws[held] - first, *np.nonzero(held))  # (state in block, seed, agent)
+        output_norms[held] = agent.reshape(n, n_seeds, m)[at]
         gbar = g.mean(axis=1)
         put(drifts, _row_norms(v.mean(axis=1) - gbar) / np.maximum(1.0, _row_norms(gbar)))
         put(exits, np.abs(x).max(axis=(1, 2)) > p.box_radius)
@@ -334,18 +356,12 @@ def run(
             if i + 1 == block_len or t == hp.big_t:
                 record(t, i + 1)
 
-    output_indices = None
-    if hp.big_t > 0:
-        output_indices = np.stack([
-            derive_stream(StreamKey(seed, "output_draw")).integers(0, hp.big_t, size=m)
-            for seed in seeds
-        ])
-
     return Trajectory(
-        metrics=StateMetrics(**cols),
+        metrics=MetricColumns(**cols),
         samples_per_agent=samples,
         comm_rounds=comms,
         tracker_drifts=drifts,
         output_indices=output_indices,
+        output_grad_norms=output_norms,
         box_exits=exits.sum(axis=1),
     )

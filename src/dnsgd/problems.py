@@ -141,7 +141,10 @@ PARAMS = {
     "sigma": _NON_NEGATIVE,
     "box_radius": POSITIVE,
     "rate": POSITIVE,
-    "power": Param(True, "an even integer >= 4", lambda v: v >= 4 and v % 2 == 0),
+    # every even integer up to 2**53 is a float64, which make_problem converts it to
+    "power": Param(
+        True, "an even integer from 4 to 2**53", lambda v: 4 <= v <= 2**53 and v % 2 == 0
+    ),
     "scale": POSITIVE,
     "curvature": POSITIVE,
 }

@@ -17,7 +17,7 @@ import pytest
 from dnsgd.analysis import (
     ConsensusBoundReport,
     DescentReport,
-    StateMetrics,
+    MetricColumns,
     Trajectory,
     stationarity_summary,
     verify_consensus_bound,
@@ -50,16 +50,9 @@ def reference_stationarity_summary(traj):
     for s in range(traj.num_seeds):
         rows = _rows(traj, s)
         eligible = [row.grad_norm_mean for row in rows[: max(traj.big_t, 1)]]
-        if traj.output_indices is None:
-            agent_max = float(traj.metrics.agent_grad_norms[s, 0].max())
-        else:
-            agent_max = max(
-                float(traj.metrics.agent_grad_norms[s, t_i, i])
-                for i, t_i in enumerate(traj.output_indices[s])
-            )
         mins.append(min(eligible))
         avgs.append(float(np.mean(eligible)))
-        outs.append(agent_max)
+        outs.append(max(traj.output_grad_norms[s].tolist()))
     return mins, avgs, outs
 
 
@@ -127,13 +120,19 @@ def reference_first_hits(traj, target):
 def _traj(rng, big_t, n_seeds=3, m=3, **columns):
     """A trajectory with random metric columns; keyword arguments replace columns.
 
-    A replacement column of big_t + 1 entries is given to every seed.
+    A replacement column of big_t + 1 entries is given to every seed. The
+    agent norms are drawn for every state, and the trajectory keeps them as a
+    run does: their agent maximum and the norms at each agent's output draw.
     """
     shape = (n_seeds, big_t + 1)
+    agent_norms = rng.uniform(0.0, 2.0, (*shape, m))
+    output_indices = rng.integers(0, big_t, size=(n_seeds, m)) if big_t > 0 else None
+    draws = np.zeros((n_seeds, m), dtype=np.int64) if big_t == 0 else output_indices
+    seeds, agents = np.indices(draws.shape)
     metrics = {
         "f_mean": rng.normal(size=shape),
         "grad_norm_mean": rng.uniform(0.0, 2.0, shape),
-        "agent_grad_norms": rng.uniform(0.0, 2.0, (*shape, m)),
+        "grad_norm_agent_max": agent_norms.max(axis=2),
         "cons_x": rng.uniform(0.0, 1e-3, shape),
         "cons_v": rng.uniform(0.0, 1e-3, shape),
         "phi": 1.0 + rng.uniform(0.0, 0.1, shape).cumsum(axis=1)[:, ::-1],
@@ -143,11 +142,12 @@ def _traj(rng, big_t, n_seeds=3, m=3, **columns):
         metrics[name] = np.broadcast_to(column, (n_seeds, *column.shape)).copy()
     n = big_t + 1
     return Trajectory(
-        metrics=StateMetrics(**metrics),
+        metrics=MetricColumns(**metrics),
         samples_per_agent=3 * np.arange(1, n + 1),
         comm_rounds=2 + 5 * np.arange(n),
         tracker_drifts=np.zeros(shape),
-        output_indices=rng.integers(0, big_t, size=(n_seeds, m)) if big_t > 0 else None,
+        output_indices=output_indices,
+        output_grad_norms=agent_norms[seeds, draws, agents],
         box_exits=np.zeros(n_seeds, dtype=np.int64),
     )
 
@@ -155,17 +155,13 @@ def _traj(rng, big_t, n_seeds=3, m=3, **columns):
 def _one_seed(traj, s):
     """Seed s of traj as a trajectory of its own."""
     rows = slice(s, s + 1)
-    m = traj.metrics
     return Trajectory(
-        metrics=StateMetrics(
-            f_mean=m.f_mean[rows], grad_norm_mean=m.grad_norm_mean[rows],
-            agent_grad_norms=m.agent_grad_norms[rows], cons_x=m.cons_x[rows],
-            cons_v=m.cons_v[rows], phi=m.phi[rows],
-        ),
+        metrics=MetricColumns(*(col[rows] for col in traj.metrics)),
         samples_per_agent=traj.samples_per_agent,
         comm_rounds=traj.comm_rounds,
         tracker_drifts=traj.tracker_drifts[rows],
         output_indices=None if traj.output_indices is None else traj.output_indices[rows],
+        output_grad_norms=traj.output_grad_norms[rows],
         box_exits=traj.box_exits[rows],
     )
 
@@ -207,7 +203,7 @@ def test_tied_maxima_keep_the_first():
     # with phi constant, equal gradient norms give equal descent margins
     tied = dict(
         phi=np.full(n, 2.0), grad_norm_mean=[0.4, 0.9, 0.2, 0.9, 0.9, 0.2, 0.9],
-        cons_x=[5.0, 1.0, 3.0, 3.0, 2.0, 3.0, 0.5], agent_grad_norms=np.ones((n, 3)),
+        cons_x=[5.0, 1.0, 3.0, 3.0, 2.0, 3.0, 0.5], grad_norm_agent_max=np.ones(n),
     )
     traj = _traj(rng, n - 1, **tied)
     _assert_all_checks_match(traj)

@@ -315,6 +315,14 @@ def test_usage_errors_exit_two(tmp_path, capsys, monkeypatch):
     assert main(["params", "--config", no_auto]) == 2
     assert "auto" in capsys.readouterr().err
 
+    # a power past the float range is one error line naming the field, not an OverflowError
+    huge = {"family": "poly_even", "d": 2, "m": 1, "zeta": 0.0, "sigma": 0.0,
+            "power": 10**400, "scale": 1.0}
+    assert main(["params", "--config", _auto_quadratic(tmp_path, problem=huge)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: problem.power: must be an even integer from 4 to 2**53")
+    assert err.count("\n") == 1
+
     spec = _write(tmp_path / "mode.json", {"mode": "sideways"})
     assert main(["check-smoothness", "--config", spec]) == 2
     capsys.readouterr()
@@ -685,7 +693,9 @@ def test_odd_power_is_a_config_error(tmp_path, capsys, command, power):
         path = _write(tmp_path / "spec.json", {"mode": "problem", "problem": problem})
     assert main([command, "--config", path]) == 2
     err = capsys.readouterr().err
-    assert err == f"config error: problem.power: must be an even integer >= 4, got {power}\n"
+    assert err == (
+        f"config error: problem.power: must be an even integer from 4 to 2**53, got {power}\n"
+    )
 
 
 SWEEP_CONFIG = CONFIGS / "sweep_speedup.json"

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -23,9 +24,11 @@ from dnsgd.config import (
     parse_sweep_config,
     resolve_x0,
 )
+from dnsgd.analysis import MetricColumns, Trajectory
 from dnsgd.harness import (
     CSV_HEADER,
     TRACKER_DRIFT_TOL,
+    _write_metrics_csvs,
     run_experiment,
     set_up,
     sweep_speedup,
@@ -113,6 +116,56 @@ def test_rerun_is_byte_identical(tmp_path):
     for name in ("metrics_seed000.csv", "metrics_seed001.csv", "checks.csv",
                  "config_echo.json", "summary.txt"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("algorithm", ["dnsgd", "dsgd"])
+def test_outputs_do_not_depend_on_the_metrics_block_size(tmp_path, monkeypatch, algorithm):
+    # a noisy 3-seed run at one state per block, at 7 states per block (not a
+    # divisor of its 41 states) and at the default: the same columns, the same bytes
+    cfg = _quad_cfg(
+        algorithm=algorithm, num_seeds=3,
+        problem=ProblemConfig(family="exp_pair", d=3, m=4, zeta=0.2, sigma=0.5, seed=5, rate=1.0),
+    )
+    per_state = cfg.num_seeds * cfg.problem.m * cfg.problem.d
+    runs = {}
+    for floats in (per_state, 7 * per_state + 5, optimizers.METRICS_BLOCK_FLOATS):
+        monkeypatch.setattr(optimizers, "METRICS_BLOCK_FLOATS", floats)
+        out = tmp_path / str(floats)
+        result = run_experiment(cfg, out_dir=out)
+        runs[floats] = (result.trajectory, {f.name: f.read_bytes() for f in out.iterdir()})
+    (traj, files), *others = runs.values()
+    assert len(files) == 6  # three metrics CSVs, checks, echo and summary
+    for other, other_files in others:
+        assert other_files == files
+        for name in traj._fields:
+            got, expected = getattr(other, name), getattr(traj, name)
+            if name == "metrics":
+                assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+            else:
+                assert np.array_equal(got, expected), name
+
+
+def test_metrics_csvs_stream_a_chunk_at_a_time(tmp_path):
+    # the text of a 20,000-state metrics CSV is never held whole
+    rng = np.random.default_rng(4)
+    n = 20_000
+    cols = MetricColumns(*(rng.uniform(0.0, 2.0, (1, n)) for _ in MetricColumns._fields))
+    traj = Trajectory(
+        metrics=cols, samples_per_agent=np.arange(1, n + 1), comm_rounds=3 * np.arange(n),
+        tracker_drifts=np.zeros((1, n)), output_indices=np.zeros((1, 4), dtype=np.int64),
+        output_grad_norms=np.zeros((1, 4)), box_exits=np.zeros(1, dtype=np.int64),
+    )
+    tracemalloc.start()
+    try:
+        _write_metrics_csvs(tmp_path, "run", traj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = (tmp_path / "metrics_seed000.csv").stat().st_size
+    assert size > 2_500_000
+    assert peak < size / 4, (peak, size)
+    lines = (tmp_path / "metrics_seed000.csv").read_text().splitlines()
+    assert len(lines) == n + 1 and lines[-1].startswith(f"run,0,{n - 1},")
 
 
 def test_degenerate_horizon_csv(tmp_path):

@@ -48,7 +48,8 @@ RECORDS = (
     topology.ClauseResult, topology.ValidationReport,
     hyperparams.RhoGuard, hyperparams.TheoreticalParams,
     optimizers.Method, optimizers.OptimizerState,
-    analysis.Trajectory, analysis.StateMetrics, analysis.StationaritySummary,
+    analysis.MetricColumns, analysis.Trajectory, analysis.StateMetrics,
+    analysis.StationaritySummary,
     analysis.ConsensusBoundReport, analysis.DescentReport,
     config.ProblemConfig, config.TopologyConfig, config.AutoHyperConfig,
     config.RunConfig, config.SweepConfig,
