@@ -8,22 +8,19 @@ recursion
 with eta_w = (1 - sqrt(1 - lambda2^2)) / (1 + sqrt(1 - lambda2^2)), run for
 n = 0..k-1: depth k is k products with W, the rounds the communication
 counters charge (depth 0 is the identity). The result is the polynomial
-p_k(W) applied to Y, which the implementation evaluates spectrally, W being
-symmetric, as Q (p_k(lam) * (Q^T Y)) with W = Q diag(lam) Q^T: the gains
-p_k(lam) come from the Chebyshev closed form in O(m) (_chebyshev_gains) when
-the map is bound, the consensus eigenvector's exactly 1. Two routes give the
-eigenbasis:
+p_k(W) applied to Y. W being symmetric, it is inverse(p_k(lam) * forward(Y))
+in W's one spectral map (_spectral_map), whose eigenvalues lam are
+mix.eigenvalues: rfft and irfft along the agent axis for a closed-form ring,
+whose W is circulant; the same for a closed-form path, run as the 2m-ring on
+its mirror image [Y; Y[::-1]], keeping the first m rows; and products with
+eigh's Q^T and Q for every other matrix. The gains p_k(lam) come from the
+Chebyshev closed form in O(m) (_chebyshev_gains), the consensus eigenvector's
+exactly 1. The kernel is applied in one of two ways:
 
-- dense, for every graph below topology.CLOSED_FORM_MIN_M agents and for
-  complete and Erdos-Renyi graphs: one eigenbasis serves every depth bound
-  together (_acc_mixers), and each call makes two products with Q. Q is the
-  real Fourier basis for a ring (_ring_basis) and eigh's for other graphs.
-- Fourier, for a ring or path of at least CLOSED_FORM_MIN_M agents
-  (mix.closed_form): a ring's W is circulant, so the real DFT along the agent
-  axis diagonalises it, with the closed-form eigenvalue
-  2/3 + cos(2 pi j / m) / 3 at frequency j; a path runs as the 2m-ring on
-  its mirror image [Y; Y[::-1]], keeping the first m rows. Each call is one
-  rfft and one irfft: no W, no eigh, no BLAS.
+- Fourier, for a closed-form ring or path of at least CLOSED_FORM_MIN_M
+  agents: each call is one rfft and one irfft, with no W and no BLAS.
+- dense, for every other matrix: the kernel is materialised once per depth
+  as the m x m matrix p_k(W) = kernel(I), and each call is one product with it.
 
 contraction(mix, k), the rho of the calculator, its guard, a run's consensus
 check and its reports, is how far a depth-k mix shrinks any distance from
@@ -31,8 +28,8 @@ consensus. Column means are preserved in exact arithmetic because W is
 doubly stochastic.
 
 plain_gossip is the unaccelerated W^k map used by the baseline optimizers;
-its round (_plain_mixer) is a product with W on the dense route and the
-gains lam on the Fourier route.
+its round (_plain_mixer) is the gains lam on the Fourier route and a product
+with W on the dense one.
 
 Each public map checks its arguments and then runs what a run uses without
 checks: _acc_mixers or _plain_mixer. The optimizers bind the accelerated
@@ -50,6 +47,13 @@ import numpy as np
 
 from .problems import _row_norms
 from .topology import _SYMMETRY_TOL, MixingMatrix, _ring_spectrum
+
+# Closed-form rings and paths with at least this many agents mix by FFT;
+# smaller ones, like every other graph, by one product with p_k(W). Measured
+# per mix at one BLAS thread (d = 10): a ring's FFT mix costs 16-37 us at any
+# m up to 256, against a dense accelerated mix that passes it between 160 and
+# 192 agents and a plain W round that meets it at about 192.
+CLOSED_FORM_MIN_M = 192
 
 # The smallest contraction a mix is credited with: a float64 mix leaves a few
 # ulps of its input's scale off consensus whatever p_k(lam) reads. The
@@ -88,10 +92,11 @@ def chebyshev_weight(lambda2: float) -> float:
 def _chebyshev_gains(lam: np.ndarray, lambda2: float, k: int) -> np.ndarray:
     """The gains p_k(lam) of a depth-k acc_gossip in closed form, for 0 <= lambda2 < 1.
 
-    Each lam lies in [-lambda2, lambda2] (a few ulps above counts as lambda2)
-    or is the consensus eigenvalue: any lam above (1 + lambda2) / 2 gets gain
-    exactly 1. With r = sqrt(eta_w), the recursion is r^k times the Chebyshev
-    recursion in cos(theta) = lam / lambda2, so after its k rounds
+    Each lam lies in [-lambda2, lambda2] or is the consensus eigenvalue,
+    lambda2 being read from the same eigenvalues: any lam above
+    (1 + lambda2) / 2 gets gain exactly 1. With r = sqrt(eta_w), the
+    recursion is r^k times the Chebyshev recursion in
+    cos(theta) = lam / lambda2, so after its k rounds
 
         p_k(lam) = r^k (cos(k theta) + (cos(theta) - r) sin(k theta) / sin(theta)),
 
@@ -121,41 +126,18 @@ def contraction(mix: MixingMatrix, k: int) -> float:
     return max(float(np.abs(gains).max(initial=0.0)), RHO_FLOOR)
 
 
-def _ring_basis(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """The lazy-Metropolis m-ring's eigenvalues and real Fourier eigenbasis Q (columns), m >= 3.
-
-    Column n of frequency j is cos or sin(2 pi j n / m), scaled to unit norm:
-    one constant column, a cosine and a sine column for each 0 < j < m / 2,
-    and for even m the alternating column of j = m / 2. A ring's eigenvalues
-    come in equal pairs, so eigh would return any basis of each pair's plane,
-    which LAPACK picks differently under different BLAS kernels.
-    """
-    j = np.arange(1, (m + 1) // 2)
-    angle = 2.0 * np.pi * (np.outer(np.arange(m), j) % m) / m
-    cols = [np.full((m, 1), 1.0), math.sqrt(2.0) * np.cos(angle), math.sqrt(2.0) * np.sin(angle)]
-    spec = _ring_spectrum(m)
-    lam = [spec[:1], spec[j], spec[j]]
-    if m % 2 == 0:
-        cols.append((-1.0) ** np.arange(m)[:, None])
-        lam.append(spec[-1:])
-    return np.concatenate(lam), np.concatenate(cols, axis=1) / math.sqrt(m)
-
-
-def _eigenbasis(mix: MixingMatrix) -> tuple[np.ndarray, Callable, Callable]:
+def _spectral_map(mix: MixingMatrix) -> tuple[np.ndarray, Callable, Callable]:
     """mix's eigenvalues and the unchecked maps into and out of its eigenbasis.
 
-    Dense route: lam and Q from _ring_basis for a ring of three or more
-    agents, else from one eigh of W; the maps are products with Q^T and Q. A
-    stack's matmuls make one gemm per (m, n) slice, the same call as for that
-    slice alone, so a stacked slice equals its own mix bit for bit. eigh reads
-    one triangle only, so a non-symmetric w is rejected rather than
-    diagonalised wrongly.
+    A closed-form ring or path: lam per rfft frequency, the maps rfft and
+    irfft over the agent axis. A ring of m agents transforms at length m; a
+    path runs as the 2m-ring on its mirror image, whose frequency m is zero.
+    pocketfft transforms each column by itself, so a stacked slice equals its
+    own mix bit for bit.
 
-    Fourier route (a closed-form ring or path): lam per rfft frequency, the
-    maps rfft and irfft over the agent axis. A ring of m agents transforms at
-    length m; a path runs as the 2m-ring on its mirror image, whose frequency
-    m is zero. pocketfft transforms each column by itself, so a stacked slice
-    equals its own mix bit for bit.
+    Any other matrix: lam is mix.eigenvalues and the maps are products with
+    Q^T and Q, mix.eigenvectors. The eigenvectors are those of the symmetric
+    part, so a non-symmetric w is rejected rather than diagonalised wrongly.
     """
     if not mix.closed_form:
         asym = float(np.abs(mix.w - mix.w.T).max())
@@ -164,12 +146,8 @@ def _eigenbasis(mix: MixingMatrix) -> tuple[np.ndarray, Callable, Callable]:
                 "spectral gossip needs a symmetric mixing matrix, "
                 f"got max |w_ij - w_ji| = {asym:.3g}"
             )
-        g = mix.graph
-        if g is not None and g.given is None and g.kind == "ring" and mix.m >= 3:
-            lam, q = _ring_basis(mix.m)
-        else:
-            lam, q = np.linalg.eigh(mix.w)
-        return lam, functools.partial(np.matmul, q.T), functools.partial(np.matmul, q)
+        q = mix.eigenvectors
+        return mix.eigenvalues, functools.partial(np.matmul, q.T), functools.partial(np.matmul, q)
     m = mix.m
     if mix.graph.kind == "ring":
         return (
@@ -187,6 +165,11 @@ def _eigenbasis(mix: MixingMatrix) -> tuple[np.ndarray, Callable, Callable]:
     return _ring_spectrum(2 * m), mirrored, first_half
 
 
+def _fourier(mix: MixingMatrix) -> bool:
+    """Whether mix's kernels run as transforms rather than as products with p_k(W)."""
+    return mix.closed_form and mix.m >= CLOSED_FORM_MIN_M
+
+
 def _spectral_kernel(
     forward: Callable, inverse: Callable, gains: np.ndarray
 ) -> Callable[[np.ndarray], np.ndarray]:
@@ -202,19 +185,28 @@ def _spectral_kernel(
 
 
 def _acc_mixers(mix: MixingMatrix, *ks: int) -> list[Callable[[np.ndarray], np.ndarray]]:
-    """The kernels of acc_gossip(., mix, k) for each k, from one eigenbasis of mix.
+    """The kernels of acc_gossip(., mix, k) for each k, from mix's one spectral map.
 
     Each maps an (m, n) matrix, or an (S, m, n) stack of them, and does not
-    check its input.
+    check its input. Off the Fourier route each is one product with its
+    materialised p_k(W); a stack's matmul makes one gemm per (m, n) slice, the
+    same call as for that slice alone, so a stacked slice equals its own mix
+    bit for bit.
     """
-    lam, forward, inverse = _eigenbasis(mix)
-    return [_spectral_kernel(forward, inverse, _chebyshev_gains(lam, mix.lambda2, k)) for k in ks]
+    lam, forward, inverse = _spectral_map(mix)
+    kernels = [
+        _spectral_kernel(forward, inverse, _chebyshev_gains(lam, mix.lambda2, k)) for k in ks
+    ]
+    if _fourier(mix):
+        return kernels
+    eye = np.eye(mix.m)
+    return [functools.partial(np.matmul, kernel(eye)) for kernel in kernels]
 
 
 def _plain_mixer(mix: MixingMatrix) -> Callable[[np.ndarray], np.ndarray]:
     """One unchecked plain gossip round Y -> W Y, of an (m, n) matrix or an (S, m, n) stack."""
-    if mix.closed_form:
-        lam, forward, inverse = _eigenbasis(mix)
+    if _fourier(mix):
+        lam, forward, inverse = _spectral_map(mix)
         return _spectral_kernel(forward, inverse, lam)
     return functools.partial(np.matmul, mix.w)
 

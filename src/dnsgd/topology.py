@@ -5,14 +5,15 @@ Supported kinds: ring, path, complete, and connected Erdos-Renyi
 (resampled until connected, bounded retries). Mixing matrices use lazy
 Metropolis weights, which are symmetric, doubly stochastic, and
 positive semidefinite on any connected graph. Graphs, connectivity and
-weights are built with array operations, and each mixing matrix takes
-one eigvalsh of its symmetric part, for lambda2.
+weights are built with array operations.
 
-A ring or path of at least CLOSED_FORM_MIN_M agents skips all of that:
-its lazy-Metropolis matrix is the n-ring's circulant stencil (1/6, 2/3, 1/6)
-(n = m), or that stencil on the path's mirror image (n = 2m), so its
-eigenvalues are 2/3 + cos(2 pi j / n) / 3 in closed form, and neither its
-adjacency nor W is built unless something reads them.
+Each mixing matrix holds one spectrum, which lambda2, gamma, the contraction
+and gossip's gains all read. A ring or path of at least three agents takes it
+in closed form: its lazy-Metropolis matrix is the n-ring's circulant stencil
+(1/6, 2/3, 1/6) (n = m), or that stencil on the path's mirror image (n = 2m),
+so its eigenvalues are 2/3 + cos(2 pi j / n) / 3, and neither its adjacency
+nor W is built unless something reads them. Every other matrix takes one eigh,
+whose eigenvectors gossip mixes with.
 """
 
 from __future__ import annotations
@@ -33,14 +34,6 @@ _EDGE_PROBABILITY = Param(False, "an edge probability in (0, 1]", lambda v: 0.0 
 
 # Erdos-Renyi draws tried before a disconnected topology is reported.
 MAX_RETRIES = 100
-
-# Rings and paths with at least this many agents take their closed-form
-# spectrum, and gossip mixes them by FFT; smaller ones stay on the dense W.
-# Measured per mix and per set-up at one BLAS thread (d = 10): a ring's FFT
-# mix costs 16-37 us at any m up to 256, against a dense accelerated mix that
-# passes it between 160 and 192 agents and a plain W round that meets it at
-# about 192; the closed-form set-up is 0.1 ms against 10-25 ms.
-CLOSED_FORM_MIN_M = 192
 
 # Eigenvalues within this distance of 1.0 count as the consensus eigenvalue
 # when checking that null(I - W) is one-dimensional.
@@ -150,30 +143,37 @@ def build_topology(
 
 @dataclass(frozen=True, eq=False)
 class MixingMatrix:
-    """Symmetric doubly stochastic matrix with its spectral summary.
+    """Symmetric doubly stochastic matrix with its one spectral decomposition.
 
-    lambda2 is the second largest eigenvalue and gamma = 1 - lambda2 the
-    spectral gap. For m = 1 there is no second eigenvalue; lambda2 is 0
-    by convention (a single agent is always in consensus). Mixing matrices
-    compare by identity, as graphs do.
+    eigenvalues are ascending. lambda2, the second largest, and the spectral
+    gap gamma = 1 - lambda2 are read from them; for m = 1 there is no second
+    eigenvalue, and lambda2 is 0 by convention (a single agent is always in
+    consensus). Mixing matrices compare by identity, as graphs do.
 
-    A dense mixing matrix holds its matrix, and its eigenvalues are eigvalsh
-    of the symmetric part. A closed-form one (dense is None) is a ring or path
-    of at least CLOSED_FORM_MIN_M agents from metropolis_mixing: its
-    eigenvalues are the closed form, and w is built from its graph only when
-    read.
+    A closed-form mixing matrix (dense is None) is a ring or path of at least
+    three agents from metropolis_mixing: its eigenvalues are the closed form,
+    its eigenbasis is the real Fourier basis of the ring or of the path's
+    mirror image, and w is built from its graph only when read. Every other one
+    holds its matrix and one eigh of the symmetric part: the eigenvalues, and
+    the eigenvectors (columns) gossip mixes with.
     """
 
-    lambda2: float
-    gamma: float
-    # ascending; lambda2 is read from them
     eigenvalues: np.ndarray = field(repr=False)
     graph: Graph | None = None
     dense: np.ndarray | None = field(default=None, repr=False)
+    eigenvectors: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def m(self) -> int:
         return self.eigenvalues.shape[0]
+
+    @property
+    def lambda2(self) -> float:
+        return 0.0 if self.m == 1 else float(self.eigenvalues[-2])
+
+    @property
+    def gamma(self) -> float:
+        return 1.0 - self.lambda2
 
     @property
     def closed_form(self) -> bool:
@@ -185,7 +185,7 @@ class MixingMatrix:
 
     @classmethod
     def from_matrix(cls, w: np.ndarray, graph: Graph | None = None) -> "MixingMatrix":
-        """Wrap a matrix with the eigenvalues of its symmetric part and lambda2.
+        """Wrap a matrix with one eigh of its symmetric part.
 
         The matrix is taken as-is; use validate_mixing to test whether it
         actually satisfies the mixing assumptions.
@@ -193,11 +193,8 @@ class MixingMatrix:
         w = np.asarray(w, dtype=np.float64)
         if w.ndim != 2 or w.shape[0] != w.shape[1]:
             raise ValueError(f"mixing matrix must be square, got shape {w.shape}")
-        # Kept apart from gossip's eigh: eigh's eigenvalues differ from
-        # eigvalsh's in the last bits, and lambda2 feeds the calculator.
-        eigs = np.linalg.eigvalsh((w + w.T) / 2.0)
-        lam2 = 0.0 if w.shape[0] == 1 else float(np.sort(eigs)[-2])
-        return cls(lambda2=lam2, gamma=1.0 - lam2, eigenvalues=eigs, graph=graph, dense=w)
+        eigs, vecs = np.linalg.eigh((w + w.T) / 2.0)
+        return cls(eigs, graph=graph, dense=w, eigenvectors=vecs)
 
 
 def _ring_spectrum(n: int) -> np.ndarray:
@@ -226,21 +223,16 @@ def metropolis_mixing(g: Graph) -> MixingMatrix:
     the diagonal absorbs the remainder so rows sum to one. The lazy (I + W')/2
     step keeps all eigenvalues in [0, 1].
 
-    A ring or path from build_topology (no given adjacency) of at least
-    CLOSED_FORM_MIN_M agents gets its closed-form spectrum: eigenvalues
-    2/3 + cos(2 pi j / m) / 3 (ring) or 2/3 + cos(pi j / m) / 3, j < m
-    (path), and lambda2 at j = 1. Its graph is connected by construction,
-    and no m x m array is built.
+    A ring or path from build_topology (no given adjacency) of at least three
+    agents gets its closed-form spectrum: eigenvalues 2/3 + cos(2 pi j / m) / 3
+    (ring, frequencies j and m - j sharing a value) or 2/3 + cos(pi j / m) / 3,
+    j < m (path), and lambda2 at j = 1. Its graph is connected by construction,
+    and no m x m array is built. Any other graph takes MixingMatrix.from_matrix.
     """
-    if g.given is None and g.kind in ("ring", "path") and g.m >= CLOSED_FORM_MIN_M:
-        if g.kind == "ring":
-            bins = _ring_spectrum(g.m)
-            eigs = np.concatenate([bins, bins[1 : (g.m + 1) // 2]])
-        else:  # the 2m-ring on the mirror image; frequency m carries nothing
-            bins = _ring_spectrum(2 * g.m)
-            eigs = bins[: g.m]
-        lam2 = float(bins[1])
-        return MixingMatrix(lam2, 1.0 - lam2, np.sort(eigs), graph=g)
+    if g.given is None and g.kind in ("ring", "path") and g.m >= 3:
+        n = g.m if g.kind == "ring" else 2 * g.m
+        j = np.arange(g.m)
+        return MixingMatrix(np.sort(_ring_spectrum(n)[np.minimum(j, n - j)]), graph=g)
     if not is_connected(g.adjacency):
         raise ValueError("metropolis_mixing requires a connected graph")
     return MixingMatrix.from_matrix(_metropolis_weights(g.adjacency), graph=g)
@@ -271,8 +263,8 @@ def validate_mixing(mix: MixingMatrix) -> ValidationReport:
     one within 1e-12, eigenvalues in [0, 1] within 1e-10, and a
     one-dimensional nullspace of I - W. The checks read the dense W, built
     if the mixing matrix has a closed form, and the eigenvalue clauses read
-    eigvalsh of its symmetric part: mix.eigenvalues, or for a closed form a
-    fresh eigvalsh, so the closed form is checked too.
+    eigvalsh of its symmetric part, not mix.eigenvalues, so they check the
+    spectrum a run mixes with independently.
     """
     w = mix.w
     m = w.shape[0]
@@ -300,7 +292,7 @@ def validate_mixing(mix: MixingMatrix) -> ValidationReport:
     stoch = max(row_err, col_err)
     clauses["doubly_stochastic"] = ClauseResult(stoch <= 1e-12, stoch)
 
-    eigs = np.linalg.eigvalsh((w + w.T) / 2.0) if mix.closed_form else mix.eigenvalues
+    eigs = np.linalg.eigvalsh((w + w.T) / 2.0)
     low = float(max(0.0, -eigs.min()))
     high = float(max(0.0, eigs.max() - 1.0))
     range_err = max(low, high)

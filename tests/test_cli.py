@@ -568,12 +568,12 @@ def test_diverging_run_exits_one_without_traceback(tmp_path, case):
 QUADRATIC_CONFIG = CONFIGS / "run_quadratic_descent.json"
 
 FAR_STARTS = {
-    # the start gossip of the tracker overflows: a divergence, not bad usage
+    # the tracker overflows in the first step: a divergence, not bad usage
     "explicit": (
         {"hyperparams": {"eta": 0.1, "b": 1, "big_t": 5, "k_inner": 3, "k_init": 1,
                          "epsilon": 0.12}},
         1,
-        "error: non-finite tracker matrix at iteration 0, agent 0",
+        "error: non-finite tracker matrix at iteration 1, agent 0",
     ),
     # the calculator's initial gap is infinite: its input is rejected
     "auto": ({}, 2, "error: delta_f_estimate must be finite, got inf"),

@@ -80,16 +80,28 @@ FAMILY_PARAMS = {
 # quadratic dnsgd digest, the one quadratic pin that changed. The criterion-10
 # dnsgd echo, the dsgd, dsgt and dnasa quadratic digests, the deterministic
 # (path) outputs and the sweep's echo held.
+# Every dnsgd pin here and below was rebaselined once more when each mixing
+# matrix became one spectrum: a ring or path of three agents or more takes its
+# closed-form eigenvalues, which lambda2, rho and the gains read, instead of
+# eigvalsh's for lambda2 and eigh's or the real Fourier basis's for the mix
+# (lambda2 of the 4-ring went from 0.66666666666666674 to 2/3 rounded,
+# 0.66666666666666663), and a mix off the Fourier route (any graph below
+# gossip.CLOSED_FORM_MIN_M agents) became one product with the materialised
+# p_k(W) instead of two products with the eigenbasis. Every dnsgd iterate moved in its last bits, and with it its
+# checks, echo and summary; the auto runs kept their k_inner and k_init. The
+# dsgd, dsgt and dnasa metrics CSVs, both params reports and every sweep file
+# held (the baselines' echoes and summaries, which no digest pins, print the
+# new lambda2).
 RUN_DIGESTS = {
-    ("exp_pair", "dnsgd"): "da80fc9b1908468a1c582db0f6ab6f956bf6fb3baa21b5bfa588fbbe6b74414a",
+    ("exp_pair", "dnsgd"): "1bbc83927a4f2ea6eedb31ff619f3533ab76dfe1b0fa37106c9ef00094f55dd9",
     ("exp_pair", "dsgd"): "886eeed13ae40f4b26c470fad21c3227734003b08a466f27482d7fb7784f2186",
     ("exp_pair", "dsgt"): "0e7c860c49f3405ea339f384e582251fcb378c13146671d0cbee6b5978f504c7",
     ("exp_pair", "dnasa"): "873d7fdef33641e83b078cbce6da5acb35856f9da2baaadf02dc27c20ecb9733",
-    ("poly_even", "dnsgd"): "ccaa11e0b8b1ef8037133978c964d45f9a831a85ea771e69c9a8fec528dd2ae9",
+    ("poly_even", "dnsgd"): "447196e59492d7d3436de58cc7c0ebe678f69c763f837d3cd661b0ba69e834f2",
     ("poly_even", "dsgd"): "2f537f3fb1c222be900deaddb748110ec40aa6814fd298fe1a5cf5d68526381a",
     ("poly_even", "dsgt"): "f221054bf1890189341f28a985d4d7b856d451a40b7f6f673b41e25669e737da",
     ("poly_even", "dnasa"): "8593730c501df8024cc3336ef5dd9dbb2908480d5d8e440b24ad84835e3b9392",
-    ("quadratic", "dnsgd"): "f8c7b0a7d7ae2a38675ea0578bd87ac4597b45173c1409310051af676f0cd7df",
+    ("quadratic", "dnsgd"): "227197a9ab11a32ef7eea799343303b2d62d156eaaa58c005940f2475ee4b6dc",
     ("quadratic", "dsgd"): "cd794b385dc5dc7989ce4174e972d69b3985fe4b955fd27485a4acdc066775a3",
     ("quadratic", "dsgt"): "e79190327914e2823bda3946a01197d0c276b232a668020c173f24723189f51d",
     ("quadratic", "dnasa"): "f17f50b9d70f4476b197c1b3aabca1ae97a808c27bddbbea21a689865796bb74",
@@ -98,13 +110,13 @@ RUN_DIGESTS = {
 # Every file of the criterion-10 dnsgd run: the one pinned echo whose config
 # carries an explicit hyperparams block.
 RUN_OUTPUT_DIGESTS = {
-    "checks.csv": "82e015f5960214b8b9daf63b8e0f25276f09ed2727dcb2392736f3a2aebde3ae",
-    "config_echo.json": "153a8f1165ee2aa15958a1fca4c5a08c9e1f8eeb95e07e316b5e64ae52948a39",
-    "metrics_seed000.csv": "9d0e08ea7432a71754685e88ea346189c4ae5cd46fd9a3a407cd5d7bbab03264",
-    "metrics_seed001.csv": "706e014895d26a34d6fdf29b02b130d152649169804579534220fac4f0127ea6",
-    "metrics_seed002.csv": "f4ead2740e838989f7b41085a555fd1fd2c028ba3d7d389c5f0f946adbd391ac",
-    "metrics_seed003.csv": "4bb142e6a4f211266e655ada6127f3ef10aee6d612339a8c155c41f66c23f548",
-    "summary.txt": "6def14733e62fccb75644c593c479ad8b141762da3bd1beeccf4dd04fe251c8c",
+    "checks.csv": "c702ca2bd27eccf6fce5e25cdd672a3f59c72cd0bb9f5a9b244192b62cee5358",
+    "config_echo.json": "1b4c5f1de6cb4096c9897626f1a2ac6f85bb70923a9278b2ce09e1048820506a",
+    "metrics_seed000.csv": "d117fddf3f58a463010c100859eb1d365ead4c31e25b08ea9c7d11c31575531a",
+    "metrics_seed001.csv": "cad6c1888394064f05d8281540b10e439a6f414561bd1677846e633808df5970",
+    "metrics_seed002.csv": "4c785fde0ebd6b6f6e21a396c14483417858610b79a858c2636250aa88f84b71",
+    "metrics_seed003.csv": "60703923d64bc03ec73b53f5827d91564e1b3b8fe5fde0dc3c66489dbb9463a0",
+    "summary.txt": "abbb5bc2d195df2365f4d4a2fbf8b068cc2a2c140854589b92daccd78625be5a",
 }
 
 # A small calculator-driven sweep: per-m hyperparameters, delta_f estimated.
@@ -189,27 +201,27 @@ OUTPUT_CHECKS = {
 # first hits and samples held.
 OUTPUT_DIGESTS = {
     "stochastic": {
-        "checks.csv": "d3d2583c01e9500158f71a94bfa273386286e76b045ac451ea61f8fd8ea2e2e7",
-        "config_echo.json": "c01dd1972d2e392460213029d829d000bb905a95988c0779c974639a4902f042",
-        "metrics_seed000.csv": "c02b5d0901aee9533ec1304d085696ff79f1772771e89226d75e69ad63fe3c4c",
-        "metrics_seed001.csv": "69eea2713c15d7a2e47424faba7a9f381f61e90aedd888688aa24944591215cd",
-        "metrics_seed002.csv": "e70b7df00a1729fa3945de4968718e95b8af64c510e02464bb55308acb90936a",
-        "metrics_seed003.csv": "4b00ebe1aae9e03bcd48b9ec58db48560487ce7de3d270ecd1668cd232a7e002",
-        "metrics_seed004.csv": "d234f73d424802a4e2438ae0917bb480703153338313649e974e21654a6a5404",
-        "metrics_seed005.csv": "a109e7946fece0c2b2875986c8a1478221655288ae7e8dd017f3813a6194b5b3",
-        "metrics_seed006.csv": "cac1fbd24f1efd6b21f43af84f5c2c9bc381d4aed3796ff3a70ea2b745f170e4",
-        "metrics_seed007.csv": "ee03e1bc96eb9757fbfda48c82f8c225e267b95e2d9c0aacef913475f9ec087b",
-        "metrics_seed008.csv": "d0cdf650b090c88df13bccba93dfd8cc36d87232dc40214502e56db7deaf9b8c",
-        "metrics_seed009.csv": "1d373211e06933dbb80622ecd393129e18848aa19cef988753c6c8c13dd5b670",
+        "checks.csv": "752fbc41663b553be2da6ce145cacf178fe02211e526b6b39814446d6617c00c",
+        "config_echo.json": "4cb037697e345f50f8f7763cb2d540af586639aaad751e295bb37d554f7a18f4",
+        "metrics_seed000.csv": "b76261216ee4a1449e4e0b11ce778da5ddbd5b41649f521bd0cd1e028c1b0ac6",
+        "metrics_seed001.csv": "d410e94d67af5f3a3e922a3e05b6966de9a871b0a4fb81cd5568543d3892bbe2",
+        "metrics_seed002.csv": "dc04615cda25afec276324bfb6ab72a766a3517e138d2bdf9a58bcac5ab8fcef",
+        "metrics_seed003.csv": "df31884464cebb99ce0f8091dd919dcdd3611328f49ffecb45d4e389fcde1e54",
+        "metrics_seed004.csv": "3e8b90cc52e7e6ad57eb266e1e8c779197a80489356acf71b8b6523ba1011b1c",
+        "metrics_seed005.csv": "fc222e97609f99c04a2f2b6a057a63b9442651d96f50f13377837b63f19ec023",
+        "metrics_seed006.csv": "5c860d69715ae7b75a91d50d082b79106748fa926b8fee4e3bd5f39bd0887fdc",
+        "metrics_seed007.csv": "e0854b2b28fde5271f34148c3b78a3405d8d5b5586c63e8a57330e639845ca12",
+        "metrics_seed008.csv": "405062a05162338c84fcf168c3d4f53e0d9d2c5b3108ed3466974c7946dd75f0",
+        "metrics_seed009.csv": "d49962ccd36e272a2ebf718d6e5569700f51e999c0a1ee194fad915d887ca804",
         "params_report.txt": "16c47a79aab900fcac16d8a102004311af5acf5bd8c1b0f8d56fc0bbb794a5bd",
-        "summary.txt": "eea0eb59fe455c112641dfaaafbf5a62db3d27b6621b741f14a00b079bf0848b",
+        "summary.txt": "ece74ba9210ac26bf7c2a676ccf87e688f1d481f06b9e0690829543af022a3ab",
     },
     "deterministic": {
-        "checks.csv": "19ce550f21b80e5b6384d11c75d14f547a954c4e11c7073768904c40dc66f738",
-        "config_echo.json": "955a5500276fabda20f57b7d65c8e16a0f00977b8ccfe5a382ec33f851d2f30a",
-        "metrics_seed000.csv": "891a70cf5a840af900a84fd49eec39324934525bd847ef6e201d73e9fcecf152",
+        "checks.csv": "86fc6e78407d067fbaac20d37c4e7aeaaa108109cfa2cbf53a0b59d02effa924",
+        "config_echo.json": "6b64db0c0086a498abcca78b735af34d813d42d61565ab5333ddc1c4473d341e",
+        "metrics_seed000.csv": "6c88c83469a80b79314787271faad86a91c236d532e6424ee7332410669a9d81",
         "params_report.txt": "77def50ddb5f343eca09232f57d44e890b7857c50eb6d785ee6cbd815ba3dd89",
-        "summary.txt": "1ab24145cc6c440f9bac61b63e833cf634a0045e7baf47c51201d15d6bc20d99",
+        "summary.txt": "d8ab62fa51fa487446a554c638a77593d6b236ac01a1605bd72944dac2739ad6",
     },
 }
 
@@ -320,8 +332,14 @@ def test_sweep_problem_constants():
     assert pinned == pytest.approx(_closed_form_l0(SWEEP_CONFIG["problem"], "exp_pair"), rel=1e-12)
 
 
+# The criterion-3 config (exp_pair, m = 8 ring, 3 seeds); its outputs are not
+# pinned by digest, but the cross-kernel test below compares them.
+CRITERION3_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "run_exp_pair.json"
+
+
 def pinned_outputs(root: Path) -> dict[str, str]:
-    """sha256 of every file that the pinned run, params and sweep commands write.
+    """sha256 of every file that the pinned run, params and sweep commands and
+    the criterion-3 run write.
 
     Each command set writes under its own directory of root; keys are
     "<case>/<file name>".
@@ -332,6 +350,7 @@ def pinned_outputs(root: Path) -> dict[str, str]:
     }
     cases.update({f"output-{c}": (cfg, ("run", "params")) for c, cfg in OUTPUT_CONFIGS.items()})
     cases["sweep"] = (SWEEP_CONFIG, ("sweep",))
+    cases["criterion3"] = (json.loads(CRITERION3_CONFIG.read_text()), ("run",))
     digests = {}
     for case, (config, commands) in cases.items():
         (root / case).mkdir()
@@ -382,9 +401,9 @@ def test_pinned_outputs_do_not_depend_on_the_blas_kernel(tmp_path):
     assert sorted(k for k in here.keys() | child.keys() if here.get(k) != child.get(k)) == []
 
 
-# The benchmark's ring_m256 run (m = 256, T = 12). A ring of
-# topology.CLOSED_FORM_MIN_M agents or more takes its closed-form spectrum and
-# FFT gossip, neither of which goes through LAPACK or BLAS, so its bytes hold
+# The benchmark's ring_m256 run (m = 256, T = 12). A ring takes its
+# closed-form spectrum, and from gossip.CLOSED_FORM_MIN_M agents FFT gossip,
+# neither of which goes through LAPACK or BLAS, so its bytes hold
 # across OpenBLAS thread counts and kernels. Children run it at one and two
 # threads, whichever count this process has, and on the Haswell kernels.
 RING_M256_CONFIG = {

@@ -1,6 +1,5 @@
 """Gossip routines: contraction, mean preservation, frozen spectral values."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -10,19 +9,20 @@ from hypothesis import strategies as st
 from conftest import worst_case_contraction
 from hypothesis.extra.numpy import arrays
 
+from dnsgd import gossip
 from dnsgd.gossip import (
+    CLOSED_FORM_MIN_M,
     RHO_FLOOR,
     _acc_mixers,
     _chebyshev_gains,
     _plain_mixer,
-    _ring_basis,
     acc_gossip,
     chebyshev_weight,
     consensus_error,
     contraction,
     plain_gossip,
 )
-from dnsgd.topology import CLOSED_FORM_MIN_M, MixingMatrix, build_topology, metropolis_mixing
+from dnsgd.topology import MixingMatrix, build_topology, metropolis_mixing
 
 RING4 = metropolis_mixing(build_topology("ring", 4))
 RING8 = metropolis_mixing(build_topology("ring", 8))
@@ -37,42 +37,37 @@ def reference_acc_gossip(y0, mix, k):
     return y
 
 
-def _closed_form_twin(mix):
-    """The same lambda2 and graph on the Fourier route, at any number of agents."""
-    return dataclasses.replace(mix, dense=None)
-
-
 @pytest.mark.parametrize("kind", ["ring", "path", "complete", "erdos_renyi"])
-@pytest.mark.parametrize("m", [1, 2, 6, 8, 16, 64])
-def test_acc_gossip_matches_recursion(kind, m):
-    # depth k is k products with W, what Method.cost charges, on both routes
+@pytest.mark.parametrize("m", [1, 2, 3, 6, 8, 16, 64, 191])
+def test_acc_gossip_matches_recursion(monkeypatch, kind, m):
+    # depth k is k products with W, what Method.cost charges, on both routes:
+    # a closed-form ring or path (three agents or more) mixes by one product
+    # with p_k(W) below CLOSED_FORM_MIN_M agents, and by FFT once the
+    # threshold is lowered to its size
     p = 0.5 if kind == "erdos_renyi" else None
     mix = metropolis_mixing(build_topology(kind, m, p=p, seed=m))
-    # a ring or path of 2 agents is one edge, not the stencil of the Fourier route
-    routes = [mix, _closed_form_twin(mix)] if kind in ("ring", "path") and m != 2 else [mix]
     rng = np.random.default_rng(m)
     y0 = rng.standard_normal((m, 5))
-    for route in routes:
+    for threshold in [CLOSED_FORM_MIN_M, m] if mix.closed_form else [CLOSED_FORM_MIN_M]:
+        monkeypatch.setattr(gossip, "CLOSED_FORM_MIN_M", threshold)
         for k in (0, 1, 3, 15, 21, 200):
-            err = np.linalg.norm(acc_gossip(y0, route, k) - reference_acc_gossip(y0, mix, k))
-            assert err <= 1e-12 * np.linalg.norm(y0), (kind, m, route.closed_form, k, err)
+            err = np.linalg.norm(acc_gossip(y0, mix, k) - reference_acc_gossip(y0, mix, k))
+            assert err <= 1e-12 * np.linalg.norm(y0), (kind, m, threshold, k, err)
 
 
 @pytest.mark.parametrize("m", [3, 4, 5, 8, 12, 16, 191])
 def test_ring_basis_diagonalises_the_ring(monkeypatch, m):
-    # the real Fourier basis is orthonormal, diagonalises W with the closed-form
-    # eigenvalues, and replaces eigh, whose basis of each pair of equal
-    # eigenvalues depends on the BLAS kernel
-    mix = metropolis_mixing(build_topology("ring", m))
-    lam, q = _ring_basis(m)
-    assert np.abs(q.T @ q - np.eye(m)).max() <= 1e-14
-    assert np.abs((q * lam) @ q.T - mix.w).max() <= 1e-14
-    np.testing.assert_allclose(np.sort(lam), mix.eigenvalues, rtol=0, atol=1e-14)
-
-    def no_eigh(w):
+    # the ring's real Fourier map, rfft and irfft with the closed-form
+    # eigenvalue at each frequency, rebuilds W, and its materialised kernels
+    # replace eigh, whose basis of each pair of equal eigenvalues depends on
+    # the BLAS kernel
+    def no_eigh(*args, **kwargs):
         raise AssertionError("eigh called for a ring")
 
     monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    mix = metropolis_mixing(build_topology("ring", m))
+    lam, forward, inverse = gossip._spectral_map(mix)
+    assert np.abs(inverse(lam[:, None] * forward(np.eye(m))) - mix.w).max() <= 1e-14
     y0 = np.random.default_rng(m).standard_normal((m, 3))
     assert np.abs(acc_gossip(y0, mix, 5) - reference_acc_gossip(y0, mix, 5)).max() <= 1e-13
 
@@ -240,17 +235,13 @@ def test_closed_form_gains_match_the_recursion(lambda2):
         assert gains[-1] == 1.0
 
 
-def _dense_twin(mix):
-    """The same W, lambda2 and graph on the dense route: eigh of the built matrix."""
-    return dataclasses.replace(mix, dense=mix.w)
-
-
 @pytest.mark.parametrize("kind", ["ring", "path"])
 @pytest.mark.parametrize("m", [CLOSED_FORM_MIN_M, CLOSED_FORM_MIN_M + 1, 256])
 def test_fourier_mixers_match_the_dense_route(kind, m):
     mix = metropolis_mixing(build_topology(kind, m))
     assert mix.closed_form and "w" not in vars(mix)
-    dense = _dense_twin(mix)
+    # the same W on the dense route: one eigh of the built matrix
+    dense = MixingMatrix.from_matrix(mix.w, mix.graph)
     rng = np.random.default_rng(m)
     y, stack = rng.standard_normal((m, 10)), rng.standard_normal((3, m, 10))
     ks = (0, 1, 64, 2658)

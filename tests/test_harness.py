@@ -1,5 +1,6 @@
 """Experiment harness: config parsing, file outputs, reproducibility."""
 
+import collections
 import json
 import math
 import tracemalloc
@@ -37,7 +38,7 @@ from dnsgd.hyperparams import FIELDS, HyperParams
 from dnsgd.optimizers import run
 from dnsgd.problems import FAMILIES, PARAMS, f_base
 from dnsgd.streams import derive_stream, fanout_seed
-from dnsgd.topology import CLOSED_FORM_MIN_M, build_topology
+from dnsgd.topology import build_topology
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -586,31 +587,49 @@ def test_consensus_bound_catches_a_shallow_mix(monkeypatch):
     assert check.observed > 10.0 * check.threshold
 
 
-class _DenseRoute(Exception):
-    """Raised by the patched LAPACK eigensolvers in the route guard below."""
+def _count_decompositions(monkeypatch) -> collections.Counter:
+    """Count the calls of LAPACK's eigh and eigvalsh from here on."""
+    calls = collections.Counter()
+    for name in ("eigh", "eigvalsh"):
+        def counted(*args, _name=name, _real=getattr(np.linalg, name), **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
 
 
-@pytest.mark.parametrize("kind,algorithm", [("ring", "dnsgd"), ("ring", "dsgd"), ("path", "dnsgd")])
+def _route_config(kind, algorithm, m):
+    return parse_run_config({
+        "problem": {"family": "exp_pair", "d": 10, "m": m, "zeta": 0.2, "sigma": 0.1,
+                    "seed": 1, "rate": 1.0},
+        "topology": {"kind": kind, **({"p": 0.5} if kind == "erdos_renyi" else {})},
+        "algorithm": algorithm, "x0": 1.5, "master_seed": 1,
+        "auto": {"epsilon": 0.2, "t_cap": 3}, "num_seeds": 1,
+    })
+
+
+@pytest.mark.parametrize(
+    "kind,algorithm", [("ring", "dnsgd"), ("ring", "dsgd"), ("path", "dnsgd"), ("path", "dsgd")]
+)
 def test_long_rings_and_paths_take_no_eigendecomposition(monkeypatch, kind, algorithm):
-    """From CLOSED_FORM_MIN_M agents a ring or path run calls neither eigh nor
-    eigvalsh and builds neither W nor the adjacency; one agent fewer, it does."""
-    def dense_route(*args, **kwargs):
-        raise _DenseRoute
+    """A ring or path run of three agents or more calls neither eigh nor
+    eigvalsh, at any m; from gossip.CLOSED_FORM_MIN_M agents it builds neither
+    W nor the adjacency."""
+    calls = _count_decompositions(monkeypatch)
+    for m in (3, 8, gossip.CLOSED_FORM_MIN_M - 1, gossip.CLOSED_FORM_MIN_M):
+        res = run_experiment(_route_config(kind, algorithm, m))
+        assert res.all_checks_passed, m
+        assert res.mixing.closed_form and not calls, (m, calls)
+        if m >= gossip.CLOSED_FORM_MIN_M:
+            assert "w" not in vars(res.mixing) and "adjacency" not in vars(res.mixing.graph)
 
-    monkeypatch.setattr(np.linalg, "eigh", dense_route)
-    monkeypatch.setattr(np.linalg, "eigvalsh", dense_route)
 
-    def config(m):
-        return parse_run_config({
-            "problem": {"family": "exp_pair", "d": 10, "m": m, "zeta": 0.2, "sigma": 0.1,
-                        "seed": 1, "rate": 1.0},
-            "topology": {"kind": kind}, "algorithm": algorithm, "x0": 1.5, "master_seed": 1,
-            "auto": {"epsilon": 0.2, "t_cap": 3}, "num_seeds": 1,
-        })
-
-    res = run_experiment(config(CLOSED_FORM_MIN_M))
+@pytest.mark.parametrize("algorithm", ["dnsgd", "dsgd"])
+@pytest.mark.parametrize("kind,m", [("complete", 8), ("erdos_renyi", 8), ("ring", 2), ("path", 2)])
+def test_other_graphs_take_one_eigh(monkeypatch, kind, m, algorithm):
+    """Any other graph's run, set-up included, makes one eigh and no eigvalsh."""
+    calls = _count_decompositions(monkeypatch)
+    res = run_experiment(_route_config(kind, algorithm, m))
     assert res.all_checks_passed
-    assert res.mixing.closed_form
-    assert "w" not in vars(res.mixing) and "adjacency" not in vars(res.mixing.graph)
-    with pytest.raises(_DenseRoute):
-        run_experiment(config(CLOSED_FORM_MIN_M - 1))
+    assert not res.mixing.closed_form and calls == {"eigh": 1}

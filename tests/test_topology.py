@@ -3,7 +3,9 @@
 The edge-set builders, the list breadth-first search and the per-edge
 Metropolis loop below are the earlier implementation of the topology
 module, kept as references: the array version must give the same graphs,
-the same Erdos-Renyi retries and bit-identical W and lambda2.
+the same Erdos-Renyi retries, bit-identical W, and the spectrum of the
+reference W: in closed form for a ring or path of three agents or more, and
+eigh's, bit for bit, for any other graph.
 """
 
 import math
@@ -11,9 +13,9 @@ import math
 import numpy as np
 import pytest
 
+from dnsgd.gossip import CLOSED_FORM_MIN_M
 from dnsgd.streams import StreamKey, derive_stream
 from dnsgd.topology import (
-    CLOSED_FORM_MIN_M,
     MAX_RETRIES,
     ClauseResult,
     DisconnectedTopologyError,
@@ -129,22 +131,26 @@ def assert_matches_reference(kind, m, p=None, seed=0):
     mix = metropolis_mixing(g)
     w, lam2 = reference_metropolis(m, edges)
     assert mix.w.tobytes() == w.tobytes(), (kind, m, p, seed)
-    eigs = np.linalg.eigvalsh((w + w.T) / 2.0)
-    if kind in ("ring", "path") and m >= CLOSED_FORM_MIN_M:
+    if kind in ("ring", "path") and m >= 3:
         # the closed form exactly, and eigvalsh of the reference W within a fixed bound
         closed = closed_form_eigenvalues(kind, m)
         assert mix.eigenvalues.tobytes() == closed.tobytes(), (kind, m)
-        assert mix.lambda2 == closed[-2] and mix.gamma == 1.0 - closed[-2]
+        eigs = np.linalg.eigvalsh((w + w.T) / 2.0)
         assert np.abs(mix.eigenvalues - eigs).max() <= CLOSED_FORM_EIGVALSH_TOL, (kind, m)
-        assert abs(mix.lambda2 - lam2) <= CLOSED_FORM_EIGVALSH_TOL, (kind, m)
-        return
-    assert mix.lambda2 == lam2 and mix.gamma == 1.0 - lam2
-    assert mix.eigenvalues.tobytes() == eigs.tobytes()
+        assert mix.eigenvectors is None
+    else:
+        # one eigh of the reference W, eigenvalues and eigenvectors bit for bit
+        eigs, vecs = np.linalg.eigh(w)
+        assert mix.eigenvalues.tobytes() == eigs.tobytes(), (kind, m, p, seed)
+        assert mix.eigenvectors.tobytes() == vecs.tobytes(), (kind, m, p, seed)
+    # lambda2 and gamma are read from the same eigenvalues
+    assert mix.lambda2 == (0.0 if m == 1 else mix.eigenvalues[-2])
+    assert mix.gamma == 1.0 - mix.lambda2
+    assert abs(mix.lambda2 - lam2) <= CLOSED_FORM_EIGVALSH_TOL, (kind, m, p, seed)
 
 
 @pytest.mark.parametrize("kind", ["ring", "path", "complete"])
 def test_deterministic_kinds_match_reference(kind):
-    # below CLOSED_FORM_MIN_M every kind matches eigvalsh byte for byte
     for m in [*range(1, 41), 64, CLOSED_FORM_MIN_M - 1, CLOSED_FORM_MIN_M, 256]:
         assert_matches_reference(kind, m)
 
