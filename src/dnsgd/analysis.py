@@ -156,7 +156,12 @@ def verify_consensus_bound(traj: Trajectory, rho: float, m: int, eta: float) -> 
 
     Requires rho < 1; the bound follows from the gossip contraction plus the
     fact that normalized steps move each row by at most eta, which is held
-    to hyperparams.FIELDS["eta"].
+    to hyperparams.FIELDS["eta"]. rho is at least gossip.RHO_FLOOR, an
+    absolute floor that assumes iterates of order one, while a mix's rounding
+    grows with the state: on the 8-ring quadratic (d 10, zeta 0.2, sigma 0.1,
+    eta 0.05, b 16, T 50, k_inner = k_init = 300, 2 seeds) a healthy run
+    passes from x0 = 100 (9.9e-14 against a 4e-13 bound) and fails from
+    x0 = 500 (4.6e-13) and x0 = 1000 (9.7e-13).
     """
     if not 0.0 <= rho < 1.0:
         raise ValueError(f"the consensus bound needs rho in [0, 1), got {rho}")

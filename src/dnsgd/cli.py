@@ -104,8 +104,8 @@ def _cmd_validate_topology(args: argparse.Namespace) -> int:
     for name, clause in report.clauses.items():
         status = "PASS" if clause.passed else "FAIL"
         lines.append(f"clause {name}: {status} (violation {clause.violation:.3g})")
-    lines.append(f"lambda2 = {report.lambda2:.12g}")
-    lines.append(f"gamma = {report.gamma:.12g}")
+    lines.append(f"lambda2 = {mixing.lambda2:.12g}")
+    lines.append(f"gamma = {mixing.gamma:.12g}")
     lines.append(f"overall: {'PASS' if report.passed else 'FAIL'}")
     _emit(lines, args.out_dir, "topology_report.txt")
     return 0 if report.passed else 1

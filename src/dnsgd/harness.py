@@ -316,7 +316,6 @@ class SweepPoint(NamedTuple):
 
 
 class SweepResult(NamedTuple):
-    config: SweepConfig
     points: list[SweepPoint]
     out_dir: Path | None
 
@@ -358,7 +357,7 @@ def sweep_speedup(cfg: SweepConfig, out_dir: str | Path | None = None) -> SweepR
                 )
             )
 
-        result = SweepResult(config=cfg, points=points, out_dir=out)
+        result = SweepResult(points=points, out_dir=out)
         if out is not None:
             lines = ["m,seeds_reached,num_seeds,mean_samples_per_agent,mean_comm_rounds"]
             for pt in points:

@@ -47,7 +47,7 @@ A state that turns non-finite, or whose iterates leave the exponential
 family's safe range, raises NonFiniteStateError with its iteration and agent,
 and with its seed's row when the run has several seeds.
 
-A seed's oracle noise is one stream, derive_stream(StreamKey(seed, "oracle")),
+A seed's oracle noise is one stream, derive_stream(seed, "oracle"),
 read in iteration order: iteration t reads its t-th (m, d) block, counting
 from 0. run draws the blocks of each metrics block of n iterations with one
 standard_normal((n, m, d)) call per seed, the same bytes as n single-block
@@ -66,7 +66,7 @@ from .analysis import MetricColumns, Trajectory, state_metrics
 from .gossip import _acc_mixers, _plain_mixer
 from .hyperparams import HyperParams
 from .problems import ExpRangeError, ProblemInstance, _noise_scale, _oracle, _row_norms
-from .streams import StreamKey, derive_stream
+from .streams import derive_stream
 from .topology import MixingMatrix
 
 
@@ -307,11 +307,11 @@ def run(
     output_indices, draws = None, np.zeros((n_seeds, m), dtype=np.int64)
     if hp.big_t > 0:
         output_indices = draws = np.stack([
-            derive_stream(StreamKey(seed, "output_draw")).integers(0, hp.big_t, size=m)
+            derive_stream(seed, "output_draw").integers(0, hp.big_t, size=m)
             for seed in seeds
         ])
     output_norms = np.empty((n_seeds, m))
-    streams = [derive_stream(StreamKey(seed, "oracle")) for seed in seeds]
+    streams = [derive_stream(seed, "oracle") for seed in seeds]
     noise = np.empty((n_seeds, block_len, m, d)) if p.sigma > 0.0 else None
     scale = _noise_scale(p, hp.b)
 

@@ -48,7 +48,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .streams import StreamKey, derive_stream
+from .streams import derive_stream
 
 # exp(x) overflows float64 near 709.8; reject arguments beyond this bound.
 EXP_ARG_MAX = 700.0
@@ -340,7 +340,7 @@ def _sample_pairs(dim: int, l1: float, region: float, trials: int, seed: int, ex
 
     Returns x rows, y rows, their distances and the pair count before the drop.
     """
-    gen = derive_stream(StreamKey(seed, "smoothness"))
+    gen = derive_stream(seed, "smoothness")
     xs = gen.uniform(-region, region, (trials, dim))
     if l1 > 0:
         rmax = min(1.0 / l1, 2.0 * region * math.sqrt(dim))
@@ -439,7 +439,7 @@ def check_relaxed_smooth(
 def _make_offsets(d: int, m: int, zeta: float, seed: int) -> np.ndarray:
     if zeta == 0.0 or m == 1:
         return np.zeros((m, d))
-    gen = derive_stream(StreamKey(seed, "offsets"))
+    gen = derive_stream(seed, "offsets")
     raw = gen.standard_normal((m, d))
     raw -= raw.mean(axis=0, keepdims=True)
     norms = _row_norms(raw)
@@ -495,7 +495,7 @@ def dissimilarity_measured(p: ProblemInstance, trials: int = 32, seed: int = 0) 
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    gen = derive_stream(StreamKey(seed, "dissimilarity"))
+    gen = derive_stream(seed, "dissimilarity")
     g = grad_base(p, gen.uniform(-p.box_radius, p.box_radius, size=(trials, p.d)))[:, None]
     gap = (g + p.offsets) - g  # grad f_i(x) - grad f(x): (trials, m, d)
     return float(_row_norms(gap).max(initial=0.0))

@@ -1,19 +1,18 @@
 """Counter-based random stream derivation.
 
-Every random draw in the library comes from a stream keyed by
-(master_seed, purpose, agent). Keys are hashed through numpy's SeedSequence
-into a Philox counter generator, so distinct keys give statistically
-independent streams and the same key always replays the same draws.
+Every random draw in the library comes from a stream addressed by
+(master_seed, purpose, index). Addresses are hashed through numpy's
+SeedSequence into a Philox counter generator, so distinct addresses give
+statistically independent streams and the same address always replays the
+same draws.
 
-A seed's oracle noise is one stream, StreamKey(seed, "oracle"), read in
+A seed's oracle noise is one stream, derive_stream(seed, "oracle"), read in
 iteration order: iteration t draws the t-th (m, d) block of it. Successive
 blocks of a counter-based generator are independent (Salmon et al.,
 "Parallel random numbers: as easy as 1, 2, 3", SC 2011).
 """
 
 from __future__ import annotations
-
-from typing import NamedTuple
 
 import numpy as np
 
@@ -30,34 +29,26 @@ PURPOSE_CODES = {
 }
 
 
-class StreamKey(NamedTuple):
-    """Address of one random stream."""
+def derive_stream(master_seed: int, purpose: str, index: int = 0) -> np.random.Generator:
+    """Return the Philox generator addressed by (master_seed, purpose, index).
 
-    master_seed: int
-    purpose: str
-    agent: int = 0
-
-
-def derive_stream(key: StreamKey) -> np.random.Generator:
-    """Return the Philox generator addressed by ``key``.
-
-    Raises ValueError for unknown purposes or a negative agent index.
+    Raises ValueError for unknown purposes or a negative index.
     """
-    if key.purpose not in PURPOSE_CODES:
+    if purpose not in PURPOSE_CODES:
         known = ", ".join(sorted(PURPOSE_CODES))
-        raise ValueError(f"unknown stream purpose {key.purpose!r} (known: {known})")
-    if key.agent < 0:
-        raise ValueError("agent index must be non-negative")
+        raise ValueError(f"unknown stream purpose {purpose!r} (known: {known})")
+    if index < 0:
+        raise ValueError("stream index must be non-negative")
     # the trailing 0 word is part of every stream's key: dropping it would
     # change every draw
     seq = np.random.SeedSequence(
-        entropy=key.master_seed & _SEED_MASK,
-        spawn_key=(PURPOSE_CODES[key.purpose], key.agent, 0),
+        entropy=master_seed & _SEED_MASK,
+        spawn_key=(PURPOSE_CODES[purpose], index, 0),
     )
     return np.random.Generator(np.random.Philox(seq))
 
 
 def fanout_seed(master_seed: int, run_index: int) -> int:
     """Child master seed for the run_index-th repetition of an experiment."""
-    gen = derive_stream(StreamKey(master_seed, "seed_fanout", run_index))
+    gen = derive_stream(master_seed, "seed_fanout", run_index)
     return int(gen.integers(0, 1 << 63))

@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .problems import PARAMS, Param, check_fields
-from .streams import StreamKey, derive_stream
+from .streams import derive_stream
 
 KINDS = ("ring", "path", "complete", "erdos_renyi")
 
@@ -51,7 +51,7 @@ class DisconnectedTopologyError(ValueError):
 class Graph:
     """Undirected graph on agents 0..m-1: a symmetric boolean adjacency, zero diagonal.
 
-    Graph(adjacency, kind, p) holds the adjacency it is given. A ring, path or
+    Graph(adjacency, kind) holds the adjacency it is given. A ring, path or
     complete graph from build_topology holds none: it is its kind and its
     size m, and builds its adjacency when first read. Graphs compare
     by identity; compare adjacency matrices with np.array_equal.
@@ -59,7 +59,6 @@ class Graph:
 
     given: np.ndarray | None
     kind: str
-    p: float | None = None
     size: int = 0
 
     @property
@@ -127,14 +126,14 @@ def build_topology(
         return Graph(None, kind, size=m)
 
     # one uniform draw per pair i < j, in row-major order
-    gen = derive_stream(StreamKey(seed, "topology"))
+    gen = derive_stream(seed, "topology")
     pairs = np.triu_indices(m, k=1)
     for _ in range(MAX_RETRIES):
         adjacency = np.zeros((m, m), dtype=bool)
         adjacency[pairs] = gen.random(pairs[0].size) < p
         adjacency |= adjacency.T
         if is_connected(adjacency):
-            return Graph(adjacency, kind, p)
+            return Graph(adjacency, kind)
     raise DisconnectedTopologyError(
         f"disconnected topology: no connected Erdos-Renyi(m={m}, p={p}) draw "
         f"within {MAX_RETRIES} retries (seed {seed})"
@@ -247,8 +246,6 @@ class ValidationReport(NamedTuple):
     """Outcome of validate_mixing, one clause per mixing assumption."""
 
     clauses: dict[str, ClauseResult]
-    lambda2: float
-    gamma: float
 
     @property
     def passed(self) -> bool:
@@ -301,4 +298,4 @@ def validate_mixing(mix: MixingMatrix) -> ValidationReport:
     near_one = int(np.sum(eigs >= 1.0 - _NULLSPACE_TOL))
     clauses["nullspace_dimension"] = ClauseResult(near_one == 1, float(near_one - 1))
 
-    return ValidationReport(clauses=clauses, lambda2=mix.lambda2, gamma=mix.gamma)
+    return ValidationReport(clauses=clauses)

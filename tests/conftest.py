@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from dnsgd.optimizers import METHODS, update_rule
-from dnsgd.streams import StreamKey, derive_stream
+from dnsgd.streams import derive_stream
 
 _CRITERION_LINES: dict[int, str] = {}
 
@@ -46,7 +46,7 @@ def stepped_states(algorithm, p, hp, w, x0, seed):
     oracle stream of the seed and scaled by sigma / sqrt(b d).
     """
     init, step = update_rule(METHODS[algorithm], p, hp, w)
-    rng = derive_stream(StreamKey(seed, "oracle"))
+    rng = derive_stream(seed, "oracle")
 
     def noise():
         if p.sigma == 0.0:

@@ -34,7 +34,7 @@ from dnsgd.problems import (
     make_problem,
     sample_grad,
 )
-from dnsgd.streams import StreamKey, derive_stream
+from dnsgd.streams import derive_stream
 from dnsgd.topology import build_topology, metropolis_mixing, validate_mixing
 
 
@@ -260,7 +260,7 @@ def test_criterion_8_oracle_correctness():
     x = np.array([0.3, -1.1, 0.7])
     exact = grad_base(p, x) + p.offsets[0]
     b, n = 4, 20_000
-    rng = derive_stream(StreamKey(909, "oracle"))  # read in order, as a run reads it
+    rng = derive_stream(909, "oracle")  # read in order, as a run reads it
     x_rows = np.tile(x, (p.m, 1))
     draws = np.empty((n, p.d))
     for t in range(n):

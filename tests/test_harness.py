@@ -503,10 +503,10 @@ def test_problem_construction_samples_no_pairs(monkeypatch, tmp_path):
     def refuse(*args, **kwargs):
         raise AssertionError("a smoothness sample was drawn")
 
-    def streams(key):
-        if key.purpose == "smoothness":
+    def streams(master_seed, purpose, index=0):
+        if purpose == "smoothness":
             refuse()
-        return derive_stream(key)
+        return derive_stream(master_seed, purpose, index)
 
     monkeypatch.setattr(problems, "_sample_pairs", refuse)
     monkeypatch.setattr(problems, "derive_stream", streams)

@@ -20,7 +20,7 @@ from dnsgd.optimizers import (
     run,
 )
 from dnsgd.problems import f_base, grad_base, make_problem
-from dnsgd.streams import StreamKey, derive_stream
+from dnsgd.streams import derive_stream
 from dnsgd.topology import build_topology, metropolis_mixing
 
 RING4 = metropolis_mixing(build_topology("ring", 4))
@@ -278,7 +278,7 @@ def reference_run(algorithm, p, hp, w, x0, master_seed):
             if first_exit is None:
                 first_exit = s.t
     output_indices = (
-        derive_stream(StreamKey(master_seed, "output_draw")).integers(0, hp.big_t, size=p.m)
+        derive_stream(master_seed, "output_draw").integers(0, hp.big_t, size=p.m)
         if hp.big_t > 0 else None
     )
     return {name: np.array(col) for name, col in cols.items()}, np.array(agent_norms), \
@@ -416,9 +416,9 @@ def test_stream_derivations_per_run_do_not_grow_with_big_t(monkeypatch):
     counts = {"derive_stream": 0, "SeedSequence": 0}
     derive, seed_sequence = streams.derive_stream, np.random.SeedSequence
 
-    def counting_derive(key):
+    def counting_derive(*key):
         counts["derive_stream"] += 1
-        return derive(key)
+        return derive(*key)
 
     def counting_seed_sequence(*args, **kwargs):
         counts["SeedSequence"] += 1

@@ -19,7 +19,7 @@ from dnsgd.problems import (
     make_problem,
     sample_grad,
 )
-from dnsgd.streams import StreamKey, derive_stream
+from dnsgd.streams import derive_stream
 
 LOG2 = math.log(2.0)
 
@@ -142,7 +142,7 @@ def test_row_matrix_gradient_matches_rows_exactly(p):
 
 def _oracle(seed):
     """A fresh oracle stream of the seed, as a run derives it."""
-    return derive_stream(StreamKey(seed, "oracle"))
+    return derive_stream(seed, "oracle")
 
 
 def test_sample_grad_mean_and_variance():
@@ -250,7 +250,7 @@ def test_dissimilarity_equals_max_offset_norm():
 
 def reference_dissimilarity_measured(p, trials=32, seed=0):
     """The defining loop of dissimilarity_measured: one sampled point per step."""
-    gen = derive_stream(StreamKey(seed, "dissimilarity"))
+    gen = derive_stream(seed, "dissimilarity")
     worst = 0.0
     for _ in range(trials):
         g = grad_base(p, gen.uniform(-p.box_radius, p.box_radius, size=p.d))
@@ -367,7 +367,7 @@ def reference_check_relaxed_smooth(
     and the y rows when l1 = 0). Each pair is then normalized and halved alone.
     """
     # looked up on the module, so a stream patched in there reaches both versions
-    gen = problems.derive_stream(StreamKey(seed, "smoothness"))
+    gen = problems.derive_stream(seed, "smoothness")
     xs = gen.uniform(-region, region, (trials, dim))
     if l1 == 0:
         ys = gen.uniform(-region, region, (trials, dim))
@@ -506,7 +506,7 @@ class _BoxFaceStream:
 
 
 def test_check_relaxed_smooth_exhausted_halvings_match_reference_loop(monkeypatch):
-    monkeypatch.setattr(problems, "derive_stream", lambda key: _BoxFaceStream(derive_stream(key)))
+    monkeypatch.setattr(problems, "derive_stream", lambda *key: _BoxFaceStream(derive_stream(*key)))
     args = (np.sinh, 3, 0.1, 1.0)
     kwargs = {"region": 1.0, "trials": 200, "seed": 5}
     report = check_relaxed_smooth(*args, **kwargs)
@@ -521,10 +521,10 @@ def test_sample_pairs_reads_the_smoothness_stream_in_bulk_order(monkeypatch, l1)
     dim, region, trials, seed = 3, 10.0, 40, 4
     made = []
     monkeypatch.setattr(
-        problems, "derive_stream", lambda key: made.append(derive_stream(key)) or made[-1]
+        problems, "derive_stream", lambda *key: made.append(derive_stream(*key)) or made[-1]
     )
     x_rows, y_rows, _, _ = problems._sample_pairs(dim, l1, region, trials, seed)
-    gen = derive_stream(StreamKey(seed, "smoothness"))
+    gen = derive_stream(seed, "smoothness")
     xs = gen.uniform(-region, region, (trials, dim))
     assert np.array_equal(x_rows[:trials], xs)
     if l1 == 0:
@@ -567,7 +567,7 @@ class _CountingStream:
 def test_check_relaxed_smooth_draws_its_sample_in_bulk(monkeypatch, trials, l1, draws):
     calls = []
     monkeypatch.setattr(
-        problems, "derive_stream", lambda key: _CountingStream(derive_stream(key), calls)
+        problems, "derive_stream", lambda *key: _CountingStream(derive_stream(*key), calls)
     )
     check_relaxed_smooth(np.sinh, 3, 0.5, l1, region=2.0, trials=trials, seed=0)
     assert calls == draws

@@ -37,13 +37,12 @@ from pathlib import Path
 import pytest
 
 import dnsgd
-from dnsgd import analysis, config, harness, hyperparams, optimizers, problems, streams, topology
+from dnsgd import analysis, config, harness, hyperparams, optimizers, problems, topology
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "dnsgd"
 
 RECORDS = (
-    streams.StreamKey,
     problems.ProblemInstance, problems.SmoothnessReport, problems.Param, problems.Family,
     topology.ClauseResult, topology.ValidationReport,
     hyperparams.RhoGuard, hyperparams.TheoreticalParams,

@@ -3,7 +3,7 @@
 The step of update_rule calls gossip, oracle and normalization kernels that
 do not check their input. The references below are the public functions
 that check (acc_gossip, plain_gossip, sample_grad) and row normalization
-through np.linalg.norm, with a fresh derive_stream(StreamKey(seed, "oracle")) read
+through np.linalg.norm, with a fresh derive_stream(seed, "oracle") read
 one (m, d) block per iteration. States and normalized rows must equal theirs
 bit for bit. That run hands the step the same noise blocks is tested here
 too; that its chunked draws across several metrics blocks give the same
@@ -20,7 +20,7 @@ from dnsgd.gossip import acc_gossip, plain_gossip
 from dnsgd.hyperparams import HyperParams
 from dnsgd.optimizers import EPS_NORM, METHODS, _unit_rows, dnasa_schedule, run
 from dnsgd.problems import make_problem, sample_grad
-from dnsgd.streams import StreamKey, derive_stream
+from dnsgd.streams import derive_stream
 from dnsgd.topology import build_topology, metropolis_mixing
 
 RING5 = metropolis_mixing(build_topology("ring", 5))
@@ -46,7 +46,7 @@ def reference_normalize_rows(v):
 def reference_states(algorithm, p, hp, w, x0, seed):
     """(X, V, G) at t = 0..big_t, from the checked public maps and the seed's oracle stream."""
     method = METHODS[algorithm]
-    rng = derive_stream(StreamKey(seed, "oracle"))
+    rng = derive_stream(seed, "oracle")
 
     def mix(y):
         return acc_gossip(y, w, hp.k_inner) if method.accelerated else plain_gossip(y, w, 1)
@@ -109,7 +109,7 @@ def test_runner_noise_blocks_are_derive_stream_draws(monkeypatch, seed):
     assert len(blocks) == HP.big_t + 1
     # iteration t's block is the t-th consecutive (m, d) draw of a fresh
     # oracle stream, scaled as sample_grad scales it
-    fresh = derive_stream(StreamKey(seed, "oracle"))
+    fresh = derive_stream(seed, "oracle")
     scale = p.sigma / np.sqrt(HP.b * p.d)
     for block in blocks:
         assert block.shape == (1, p.m, p.d)

@@ -8,7 +8,7 @@ import pytest
 
 import dnsgd
 
-from dnsgd.streams import PURPOSE_CODES, StreamKey, derive_stream, fanout_seed
+from dnsgd.streams import PURPOSE_CODES, derive_stream, fanout_seed
 
 
 # the first two standard_normal draws of each stream at seed 1234, index 0;
@@ -27,11 +27,11 @@ PINNED_DRAWS = {
 def test_every_stream_replays_its_pinned_draws():
     assert set(PINNED_DRAWS) == set(PURPOSE_CODES)
     for purpose, draws in PINNED_DRAWS.items():
-        assert derive_stream(StreamKey(1234, purpose)).standard_normal(2).tolist() == draws, purpose
-    assert derive_stream(StreamKey(1234, "oracle", 3)).standard_normal(2).tolist() == [
+        assert derive_stream(1234, purpose).standard_normal(2).tolist() == draws, purpose
+    assert derive_stream(1234, "oracle", 3).standard_normal(2).tolist() == [
         1.1153294553925501, -1.1386666693228262,
     ]
-    assert derive_stream(StreamKey(2**64 - 1, "oracle")).standard_normal(2).tolist() == [
+    assert derive_stream(2**64 - 1, "oracle").standard_normal(2).tolist() == [
         1.5766758676728205, 0.14858907687939873,
     ]
     assert [fanout_seed(1234, i) for i in range(3)] == [
@@ -40,27 +40,21 @@ def test_every_stream_replays_its_pinned_draws():
 
 
 def test_same_key_replays_identical_draws():
-    key = StreamKey(1234, "oracle", agent=3)
-    a = derive_stream(key).standard_normal(100)
-    b = derive_stream(key).standard_normal(100)
+    a = derive_stream(1234, "oracle", 3).standard_normal(100)
+    b = derive_stream(1234, "oracle", 3).standard_normal(100)
     assert np.array_equal(a, b)
 
 
 def test_distinct_key_components_give_distinct_streams():
-    base = StreamKey(1234, "oracle", agent=3)
-    variants = [
-        StreamKey(1235, "oracle", 3),
-        StreamKey(1234, "offsets", 3),
-        StreamKey(1234, "oracle", 4),
-    ]
-    ref = derive_stream(base).standard_normal(8)
+    variants = [(1235, "oracle", 3), (1234, "offsets", 3), (1234, "oracle", 4)]
+    ref = derive_stream(1234, "oracle", 3).standard_normal(8)
     for key in variants:
-        assert not np.array_equal(ref, derive_stream(key).standard_normal(8))
+        assert not np.array_equal(ref, derive_stream(*key).standard_normal(8))
 
 
 def test_cross_agent_streams_uncorrelated():
     n = 10_000
-    block = derive_stream(StreamKey(99, "oracle")).standard_normal((2, n))  # agents 0 and 1
+    block = derive_stream(99, "oracle").standard_normal((2, n))  # agents 0 and 1
     corr = float(np.corrcoef(block[0], block[1])[0, 1])
     assert abs(corr) < 0.05
 
@@ -68,7 +62,7 @@ def test_cross_agent_streams_uncorrelated():
 def test_consecutive_iteration_blocks_uncorrelated():
     # a run reads one oracle stream in order: block t + 1 follows block t
     m, d, n = 8, 10, 2000
-    blocks = derive_stream(StreamKey(99, "oracle")).standard_normal((n, m * d))
+    blocks = derive_stream(99, "oracle").standard_normal((n, m * d))
     corr = float(np.corrcoef(blocks[:-1].ravel(), blocks[1:].ravel())[0, 1])
     assert abs(corr) < 0.05
 
@@ -77,7 +71,7 @@ def test_consecutive_iteration_blocks_uncorrelated():
 def test_a_chunk_of_blocks_is_the_consecutive_block_draws(n, m, d):
     # run fills each seed's (n, m, d) noise chunk with one call, which must
     # equal n consecutive (m, d) draws and leave the stream where they leave it
-    one_by_one, chunked, into = (derive_stream(StreamKey(2**64 - 1, "oracle")) for _ in range(3))
+    one_by_one, chunked, into = (derive_stream(2**64 - 1, "oracle") for _ in range(3))
     blocks = np.stack([one_by_one.standard_normal((m, d)) for _ in range(n)])
     assert chunked.standard_normal((n, m, d)).tobytes() == blocks.tobytes()
     out = np.empty((2, n, m, d))
@@ -91,12 +85,12 @@ def test_a_chunk_of_blocks_is_the_consecutive_block_draws(n, m, d):
 
 def test_unknown_purpose_rejected():
     with pytest.raises(ValueError, match="unknown stream purpose"):
-        derive_stream(StreamKey(0, "banana"))
+        derive_stream(0, "banana")
 
 
 def test_negative_indices_rejected():
     with pytest.raises(ValueError, match="non-negative"):
-        derive_stream(StreamKey(0, "oracle", agent=-1))
+        derive_stream(0, "oracle", -1)
 
 
 def test_purpose_codes_distinct():
@@ -113,8 +107,8 @@ def test_fanout_deterministic_and_nontrivial():
 
 def test_large_master_seed_wraps_into_range():
     huge = 1 << 130
-    out = derive_stream(StreamKey(huge, "oracle")).standard_normal(4)
-    same = derive_stream(StreamKey(huge, "oracle")).standard_normal(4)
+    out = derive_stream(huge, "oracle").standard_normal(4)
+    same = derive_stream(huge, "oracle").standard_normal(4)
     assert np.array_equal(out, same)
 
 

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from dnsgd.gossip import CLOSED_FORM_MIN_M
-from dnsgd.streams import StreamKey, derive_stream
+from dnsgd.streams import derive_stream
 from dnsgd.topology import (
     MAX_RETRIES,
     ClauseResult,
@@ -64,7 +64,7 @@ def reference_edges(kind, m, p=None, seed=0):
     pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
     if kind == "complete":
         return set(pairs)
-    gen = derive_stream(StreamKey(seed, "topology"))
+    gen = derive_stream(seed, "topology")
     for _ in range(MAX_RETRIES):
         draws = gen.random(len(pairs))
         edges = {pair for pair, u in zip(pairs, draws) if u < p}
