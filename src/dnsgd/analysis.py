@@ -56,8 +56,7 @@ class Trajectory(NamedTuple):
     draws over {0, ..., big_t - 1}, shape (S, m), or None when big_t = 0.
     output_grad_norms[s, i] is ||grad f(x_i^t)|| on seed s at agent i's
     output draw t = output_indices[s, i], or at t = 0 when big_t = 0: the
-    only per-agent norms a run keeps. box_exits counts each seed's states
-    outside the problem's box.
+    only per-agent norms a run keeps.
     """
 
     metrics: MetricColumns
@@ -66,7 +65,6 @@ class Trajectory(NamedTuple):
     tracker_drifts: np.ndarray
     output_indices: np.ndarray | None
     output_grad_norms: np.ndarray
-    box_exits: np.ndarray
 
     @property
     def num_seeds(self) -> int:

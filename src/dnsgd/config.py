@@ -46,7 +46,6 @@ class ProblemConfig(NamedTuple):
     zeta: float
     sigma: float
     seed: int = 0
-    box_radius: float = 5.0
     # family-specific knobs; unused ones stay None
     rate: float | None = None
     power: int | None = None
@@ -176,7 +175,6 @@ def parse_problem(d: dict, path: str = "problem") -> ProblemConfig:
         family=family,
         **{name: _parse_field(d, name, PARAMS[name], path) for name in ("d", "m", "zeta", "sigma")},
         seed=parse_seed(_get(d, "seed", path, required=False, default=0), f"{path}.seed"),
-        box_radius=_parse_field(d, "box_radius", PARAMS["box_radius"], path, default=5.0),
         **{
             name: _parse_field(d, name, PARAMS[name], path, f"required for family {family!r}")
             for name in params
@@ -300,8 +298,7 @@ def build_problem(cfg: ProblemConfig) -> ProblemInstance:
     """Instantiate the configured problem."""
     params = {name: getattr(cfg, name) for name in FAMILIES[cfg.family].params}
     return make_problem(
-        cfg.family, d=cfg.d, m=cfg.m, zeta=cfg.zeta, sigma=cfg.sigma, seed=cfg.seed,
-        box_radius=cfg.box_radius, **params,
+        cfg.family, d=cfg.d, m=cfg.m, zeta=cfg.zeta, sigma=cfg.sigma, seed=cfg.seed, **params
     )
 
 

@@ -271,7 +271,6 @@ def _write_run_outputs(result: RunResult, run_id: str) -> None:
     lines.append(f"min grad_norm_mean (seed mean): {_fmt(np.mean(st.min_grad_mean))}")
     lines.append(f"avg grad_norm_mean (seed mean): {_fmt(np.mean(st.avg_grad_mean))}")
     lines.append(f"agent max at output draw (worst seed): {_fmt(st.agent_max_at_output.max())}")
-    lines.append(f"box exits: {result.trajectory.box_exits.sum()}")
     for c in result.checks:
         status = "PASS" if c.passed else "FAIL"
         lines.append(

@@ -281,8 +281,7 @@ def run(
     metrics block keeps the agent norms at the draws it holds, and only those
     (Trajectory.output_grad_norms). A seed that diverges ends the run, with
     the earliest iteration of any seed and, at a tie, the lowest row.
-    big_t = 0 records only the initial state. Box exits (any |x_ij| beyond
-    the problem's box_radius) are counted, not clamped.
+    big_t = 0 records only the initial state.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r} (known: {', '.join(ALGORITHMS)})")
@@ -297,7 +296,7 @@ def run(
     n_seeds, n_states, m, d = len(seeds), hp.big_t + 1, p.m, p.d
     cols = {name: np.empty((n_seeds, n_states)) for name in MetricColumns._fields}
     samples, comms = method.cost(hp, np.arange(n_states, dtype=np.int64))
-    drifts, exits = np.empty((n_seeds, n_states)), np.empty((n_seeds, n_states), dtype=bool)
+    drifts = np.empty((n_seeds, n_states))
     # States are copied into these (n, S, m, d) blocks. Each full block, and
     # the last one, gets one state_metrics call and fills its slice of every
     # column. A block of oracle noise, (S, n, m, d), is drawn ahead of it.
@@ -335,7 +334,6 @@ def run(
         output_norms[held] = agent.reshape(n, n_seeds, m)[at]
         gbar = g.mean(axis=1)
         put(drifts, _row_norms(v.mean(axis=1) - gbar) / np.maximum(1.0, _row_norms(gbar)))
-        put(exits, np.abs(x).max(axis=(1, 2)) > p.box_radius)
 
     # overflow on the way to a non-finite state is reported once, by the
     # finiteness test, not also as numpy warnings
@@ -363,5 +361,4 @@ def run(
         tracker_drifts=drifts,
         output_indices=output_indices,
         output_grad_norms=output_norms,
-        box_exits=exits.sum(axis=1),
     )

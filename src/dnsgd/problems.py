@@ -11,9 +11,9 @@ f_base, its infimum is analytic, and ||grad f_i(x) - grad f(x)|| equals
 
 A family is one FAMILIES entry (a Family record): its parameter names, its
 value and gradient maps and its constants (l0, l1, f_star) in closed form.
-Every numeric problem field (d, m, zeta, sigma, box_radius and each family
-parameter) has one PARAMS rule, a Param giving its type and range, which
-config parsing and make_problem (through check_fields) both apply.
+Every numeric problem field (d, m, zeta, sigma and each family parameter) has
+one PARAMS rule, a Param giving its type and range, which config parsing and
+make_problem (through check_fields) both apply.
 
 Families, with constants that are tight (equality at the pair x, x + z named):
     exp_pair   f_base(x) = (1/d) sum_j (exp(r x_j) + exp(-r x_j)) / 2
@@ -37,7 +37,8 @@ poly_even it is largest at v = t. In d dimensions |z_j| <= ||z|| <= 1/l1, so eac
 coordinate keeps its bound, and ||g(x + z) - g(x)|| <= l0 ||z|| + l1 ||g(x) * z||
 <= (l0 + l1 ||g(x)||) ||z||. An offset adds b_i to every gradient, so
 make_problem raises l0 by l1 max_i ||b_i|| to cover each f_i.
-check_relaxed_smooth samples the condition for any gradient map on a box.
+check_relaxed_smooth samples the condition for any gradient map on a cube
+||x||_inf <= region.
 """
 
 from __future__ import annotations
@@ -70,7 +71,6 @@ class ProblemInstance(NamedTuple):
     offsets: np.ndarray
     family_params: dict[str, float]
     f_star: float
-    box_radius: float
 
 
 def _check_point(p: ProblemInstance, x: np.ndarray) -> np.ndarray:
@@ -139,7 +139,6 @@ PARAMS = {
     "m": COUNT,
     "zeta": _NON_NEGATIVE,
     "sigma": _NON_NEGATIVE,
-    "box_radius": POSITIVE,
     "rate": POSITIVE,
     # every even integer up to 2**53 is a float64, which make_problem converts it to
     "power": Param(
@@ -451,16 +450,14 @@ def _make_offsets(d: int, m: int, zeta: float, seed: int) -> np.ndarray:
 
 
 def make_problem(
-    family: str, d: int, m: int, zeta: float, sigma: float, seed: int, box_radius: float = 5.0,
-    **params: float,
+    family: str, d: int, m: int, zeta: float, sigma: float, seed: int, **params: float
 ) -> ProblemInstance:
     """Instance of a FAMILIES entry with seeded offsets and l0 covering every agent's objective.
 
-    params are the family's parameters by name; they, d, m, zeta, sigma and
-    box_radius are held to their PARAMS rules. l1 and f_star are the family's;
-    l0 is its proved l0 plus l1 * max_i ||b_i|| to cover the offset objectives.
-    box_radius is where runs count box exits and check-smoothness samples; the
-    constants hold everywhere. ValueError unless 0 < l0 + l1 * zeta < inf (an
+    params are the family's parameters by name; they, d, m, zeta and sigma are
+    held to their PARAMS rules. l1 and f_star are the family's; l0 is its
+    proved l0 plus l1 * max_i ||b_i|| to cover the offset objectives, so the
+    constants hold on all of R^d. ValueError unless 0 < l0 + l1 * zeta < inf (an
     exp_pair rate below about 1e-162 underflows it; a poly_even power above
     about 1950 overflows it).
     """
@@ -469,9 +466,7 @@ def make_problem(
     spec = FAMILIES[family]
     if sorted(params) != sorted(spec.params):
         raise ValueError(f"family {family!r} takes parameters {spec.params}, got {tuple(params)}")
-    check_fields(
-        PARAMS, {"d": d, "m": m, "zeta": zeta, "sigma": sigma, "box_radius": box_radius, **params}
-    )
+    check_fields(PARAMS, {"d": d, "m": m, "zeta": zeta, "sigma": sigma, **params})
     params = {name: float(params[name]) for name in spec.params}
     l0, l1, f_star = spec.constants(params, d)
     offsets = _make_offsets(d, m, zeta, seed)
@@ -484,18 +479,4 @@ def make_problem(
     return ProblemInstance(
         family=family, d=d, m=m, l0=l0, l1=l1, zeta=float(zeta),
         sigma=float(sigma), offsets=offsets, family_params=params, f_star=f_star,
-        box_radius=float(box_radius),
     )
-
-
-def dissimilarity_measured(p: ProblemInstance, trials: int = 32, seed: int = 0) -> float:
-    """Largest observed ||grad f_i(x) - grad f(x)|| over sampled points.
-
-    For linear-offset instances this equals max_i ||b_i|| at every x.
-    """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    gen = derive_stream(seed, "dissimilarity")
-    g = grad_base(p, gen.uniform(-p.box_radius, p.box_radius, size=(trials, p.d)))[:, None]
-    gap = (g + p.offsets) - g  # grad f_i(x) - grad f(x): (trials, m, d)
-    return float(_row_norms(gap).max(initial=0.0))

@@ -25,7 +25,6 @@ PURPOSE_CODES = {
     "offsets": 4,
     "seed_fanout": 5,
     "smoothness": 6,
-    "dissimilarity": 7,
 }
 
 

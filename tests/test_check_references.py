@@ -148,7 +148,6 @@ def _traj(rng, big_t, n_seeds=3, m=3, **columns):
         tracker_drifts=np.zeros(shape),
         output_indices=output_indices,
         output_grad_norms=agent_norms[seeds, draws, agents],
-        box_exits=np.zeros(n_seeds, dtype=np.int64),
     )
 
 
@@ -162,7 +161,6 @@ def _one_seed(traj, s):
         tracker_drifts=traj.tracker_drifts[rows],
         output_indices=None if traj.output_indices is None else traj.output_indices[rows],
         output_grad_norms=traj.output_grad_norms[rows],
-        box_exits=traj.box_exits[rows],
     )
 
 

@@ -342,6 +342,7 @@ def test_usage_errors_exit_two(tmp_path, capsys, monkeypatch):
         ("problem", {"mode": "counterexample", "problem": problem}),
         ("trials", {"mode": "problem", "problem": problem, "trials": "9"}),
         ("rate", {"mode": "problem", "problem": problem, "rate": 1.0}),
+        ("box_radius", {"mode": "problem", "problem": {**problem, "box_radius": 5.0}}),
         ("problem", {"mode": "problem"}),
         ("mode", {"mode": 1}),
     ]:
@@ -398,6 +399,22 @@ def test_retired_snapshot_key_exits_two(tmp_path, capsys):
             f"config error: snapshot_every: state snapshots were removed; "
             f"only 0 is accepted, got {value!r}\n"
         )
+    assert not (tmp_path / "out").exists()
+
+
+def test_box_radius_is_an_unknown_problem_field(tmp_path, capsys):
+    # every family's constants hold on all of R^d, so a run has no box to leave
+    problem = json.loads(Path(_auto_quadratic(tmp_path)).read_text())["problem"]
+    cfg = _auto_quadratic(tmp_path, problem={**problem, "box_radius": 5.0})
+    sweep = {**json.loads(Path(cfg).read_text()), "m_list": [4], "target_epsilon": 0.5}
+    for argv in (
+        ["run", "--config", cfg, "--out-dir", str(tmp_path / "out")],
+        ["params", "--config", cfg],
+        ["sweep", "--config", _write(tmp_path / "sweep.json", sweep),
+         "--out-dir", str(tmp_path / "out")],
+    ):
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err == "config error: problem.box_radius: unknown field\n", argv
     assert not (tmp_path / "out").exists()
 
 

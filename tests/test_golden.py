@@ -111,12 +111,12 @@ RUN_DIGESTS = {
 # carries an explicit hyperparams block.
 RUN_OUTPUT_DIGESTS = {
     "checks.csv": "c702ca2bd27eccf6fce5e25cdd672a3f59c72cd0bb9f5a9b244192b62cee5358",
-    "config_echo.json": "1b4c5f1de6cb4096c9897626f1a2ac6f85bb70923a9278b2ce09e1048820506a",
+    "config_echo.json": "93f1d8c4c50c5d3387280097672cf86ee24dfc3ed31bbdb869da6cc772a3631c",
     "metrics_seed000.csv": "d117fddf3f58a463010c100859eb1d365ead4c31e25b08ea9c7d11c31575531a",
     "metrics_seed001.csv": "cad6c1888394064f05d8281540b10e439a6f414561bd1677846e633808df5970",
     "metrics_seed002.csv": "4c785fde0ebd6b6f6e21a396c14483417858610b79a858c2636250aa88f84b71",
     "metrics_seed003.csv": "60703923d64bc03ec73b53f5827d91564e1b3b8fe5fde0dc3c66489dbb9463a0",
-    "summary.txt": "abbb5bc2d195df2365f4d4a2fbf8b068cc2a2c140854589b92daccd78625be5a",
+    "summary.txt": "6e5fd31bdebc2499358ac5f5a088840814c7c8c2c3ecf042c71a7efbd8be5aab",
 }
 
 # A small calculator-driven sweep: per-m hyperparameters, delta_f estimated.
@@ -199,10 +199,15 @@ OUTPUT_CHECKS = {
 # stochastic run and from 70 to 16 in the deterministic one (k_init stayed 1),
 # and the sweep's from 24, 32, 65 to 5, 7, 15; the sweep's echo, batch sizes,
 # first hits and samples held.
+# The three run echoes and summaries pinned here and in RUN_OUTPUT_DIGESTS,
+# and the sweep's echo, were rebaselined once more when the box went: every
+# family's constants hold on all of R^d, so problem.box_radius left the echoed
+# problem block and the box-exit count left summary.txt. Every metrics CSV,
+# checks.csv, params report, speedup.csv and the sweep's summary.txt held.
 OUTPUT_DIGESTS = {
     "stochastic": {
         "checks.csv": "752fbc41663b553be2da6ce145cacf178fe02211e526b6b39814446d6617c00c",
-        "config_echo.json": "4cb037697e345f50f8f7763cb2d540af586639aaad751e295bb37d554f7a18f4",
+        "config_echo.json": "f7485fa1de7f9db7e2f811c47db8b8593f235685ffd0bb2deccf602403b9c94e",
         "metrics_seed000.csv": "b76261216ee4a1449e4e0b11ce778da5ddbd5b41649f521bd0cd1e028c1b0ac6",
         "metrics_seed001.csv": "d410e94d67af5f3a3e922a3e05b6966de9a871b0a4fb81cd5568543d3892bbe2",
         "metrics_seed002.csv": "dc04615cda25afec276324bfb6ab72a766a3517e138d2bdf9a58bcac5ab8fcef",
@@ -214,20 +219,20 @@ OUTPUT_DIGESTS = {
         "metrics_seed008.csv": "405062a05162338c84fcf168c3d4f53e0d9d2c5b3108ed3466974c7946dd75f0",
         "metrics_seed009.csv": "d49962ccd36e272a2ebf718d6e5569700f51e999c0a1ee194fad915d887ca804",
         "params_report.txt": "16c47a79aab900fcac16d8a102004311af5acf5bd8c1b0f8d56fc0bbb794a5bd",
-        "summary.txt": "ece74ba9210ac26bf7c2a676ccf87e688f1d481f06b9e0690829543af022a3ab",
+        "summary.txt": "9604cb5b55ec7248a791a3ce0d443483e857888af7d6dd0f7cc78ea09cdbed10",
     },
     "deterministic": {
         "checks.csv": "86fc6e78407d067fbaac20d37c4e7aeaaa108109cfa2cbf53a0b59d02effa924",
-        "config_echo.json": "6b64db0c0086a498abcca78b735af34d813d42d61565ab5333ddc1c4473d341e",
+        "config_echo.json": "6c41a20132a95f779fd3154842da81e967d17fe077c1979c95a36f181c01fe97",
         "metrics_seed000.csv": "6c88c83469a80b79314787271faad86a91c236d532e6424ee7332410669a9d81",
         "params_report.txt": "77def50ddb5f343eca09232f57d44e890b7857c50eb6d785ee6cbd815ba3dd89",
-        "summary.txt": "d8ab62fa51fa487446a554c638a77593d6b236ac01a1605bd72944dac2739ad6",
+        "summary.txt": "4d77f4ca8bbf44e3bc73541405ae1e77ebf3709548f4d60f95b65e0bd6ff05f6",
     },
 }
 
 # The other files of the pinned sweep; speedup.csv is SWEEP_DIGEST.
 SWEEP_OUTPUT_DIGESTS = {
-    "config_echo.json": "decec46dbf995575a3fa4cb32485fbdb94f592a11d8f1fba45060a5430d29175",
+    "config_echo.json": "758e37bd6a074dbc40432efecc6c16cfc06f591e6f58f3f18460678dbf2c9e1d",
     "summary.txt": "c4f1ceee02544d696ec4e531d5bdfd18889dc938c76da58c89f05e85e25100f9",
 }
 

@@ -154,7 +154,7 @@ def test_metrics_csvs_stream_a_chunk_at_a_time(tmp_path):
     traj = Trajectory(
         metrics=cols, samples_per_agent=np.arange(1, n + 1), comm_rounds=3 * np.arange(n),
         tracker_drifts=np.zeros((1, n)), output_indices=np.zeros((1, 4), dtype=np.int64),
-        output_grad_norms=np.zeros((1, 4)), box_exits=np.zeros(1, dtype=np.int64),
+        output_grad_norms=np.zeros((1, 4)),
     )
     tracemalloc.start()
     try:
@@ -317,7 +317,7 @@ def test_family_parameters_are_the_optional_problem_fields():
 
 # A value that keeps its rule, for each numeric field with one.
 VALID = {
-    "d": 2, "m": 2, "zeta": 0.5, "sigma": 0.5, "box_radius": 2.0,
+    "d": 2, "m": 2, "zeta": 0.5, "sigma": 0.5,
     "rate": 1.0, "power": 4, "scale": 1.0, "curvature": 1.0,
     "eta": 0.1, "b": 1, "big_t": 5, "k_inner": 1, "k_init": 1, "epsilon": 0.1,
 }
@@ -337,7 +337,7 @@ def test_each_rule_holds_at_parse_and_at_construction(block, name, bad):
     raw = _raw_run_dict()
     if block == "problem":
         family = next((f for f, spec in FAMILIES.items() if name in spec.params), "quadratic")
-        names = ("d", "m", "zeta", "sigma", "box_radius", *FAMILIES[family].params)
+        names = ("d", "m", "zeta", "sigma", *FAMILIES[family].params)
         fields = {**{key: VALID[key] for key in names}, name: bad}
         raw["problem"] = {"family": family, "seed": 0, **fields}
 
@@ -443,20 +443,6 @@ def test_resolve_x0_length_mismatch():
     assert resolve_x0((1.0, 2.0), 2).tolist() == [1.0, 2.0]
     with pytest.raises(ConfigError, match="x0"):
         resolve_x0((1.0, 2.0), 3)
-
-
-def test_box_exits_reported(tmp_path):
-    cfg = _quad_cfg(
-        problem=ProblemConfig(
-            family="quadratic", d=3, m=4, zeta=0.0, sigma=0.0, seed=2,
-            curvature=1.0, box_radius=0.5,
-        ),
-        hyperparams=HyperParams(eta=0.3, b=1, big_t=3, k_inner=3, k_init=1, epsilon=0.1),
-        num_seeds=1,
-    )
-    result = run_experiment(cfg, out_dir=tmp_path)
-    assert result.trajectory.box_exits.shape == (1,) and result.trajectory.box_exits[0] >= 1
-    assert "box exits" in (tmp_path / "summary.txt").read_text()
 
 
 def _quad_sweep(x0, auto, m_list, target_epsilon, num_seeds):

@@ -194,18 +194,6 @@ def test_counters_per_algorithm():
         assert traj.samples_per_agent.dtype == traj.comm_rounds.dtype == np.int64
 
 
-def test_box_exit_counting():
-    p = make_problem(
-        "quadratic", d=2, curvature=1.0, m=4, zeta=0.0, sigma=0.0, seed=2, box_radius=0.5
-    )
-    hp = _hp(eta=0.3, big_t=3)
-    traj = run("dnsgd", p, hp, RING4, np.full(2, 0.6), seeds=[1])
-    assert traj.box_exits.shape == (1,) and traj.box_exits[0] >= 1
-    # the start point is outside the box, so the initial state counts
-    start = run("dnsgd", p, _hp(eta=0.3, big_t=0), RING4, np.full(2, 0.6), seeds=[1])
-    assert start.box_exits.tolist() == [1]
-
-
 def test_run_argument_validation():
     p = make_problem("quadratic", d=2, curvature=1.0, m=4, zeta=0.3, sigma=0.0, seed=2)
     hp = _hp()
@@ -256,8 +244,6 @@ def reference_run(algorithm, p, hp, w, x0, master_seed):
     """run, with every state's metrics recorded one state at a time."""
     cols = {name: [] for name in COLUMNS}
     drifts, agent_norms = [], []
-    box_exits = 0
-    first_exit = None
     for s in stepped_states(algorithm, p, hp, w, x0, master_seed):
         f_mean, grad_norm, agent, cons_x, cons_v, phi = reference_state_metrics(
             s.x, s.v, p, hp.eta
@@ -273,16 +259,12 @@ def reference_run(algorithm, p, hp, w, x0, master_seed):
         gbar = s.g_prev.mean(axis=0)
         scale = max(1.0, float(np.linalg.norm(gbar, axis=-1)))
         drifts.append(float(np.linalg.norm(vbar - gbar, axis=-1)) / scale)
-        if np.abs(s.x).max() > p.box_radius:
-            box_exits += 1
-            if first_exit is None:
-                first_exit = s.t
     output_indices = (
         derive_stream(master_seed, "output_draw").integers(0, hp.big_t, size=p.m)
         if hp.big_t > 0 else None
     )
     return {name: np.array(col) for name, col in cols.items()}, np.array(agent_norms), \
-        np.array(drifts), output_indices, box_exits, first_exit
+        np.array(drifts), output_indices
 
 
 def recorded_columns(traj, s=0):
@@ -298,8 +280,8 @@ def recorded_columns(traj, s=0):
 
 
 def _assert_row_matches_reference(traj, s, algorithm, p, hp, w, x0, seed):
-    """Row s of traj equals the reference run of seed; returns its first box exit and count."""
-    cols, agent_norms, drifts, output_indices, box_exits, first_exit = reference_run(
+    """Row s of traj equals the reference run of seed."""
+    cols, agent_norms, drifts, output_indices = reference_run(
         algorithm, p, hp, w, x0, seed
     )
     for name, col in recorded_columns(traj, s).items():
@@ -318,16 +300,13 @@ def _assert_row_matches_reference(traj, s, algorithm, p, hp, w, x0, seed):
     # each agent's norm at its own output draw, the only per-agent norms a run keeps
     assert traj.output_grad_norms.shape == (traj.num_seeds, p.m)
     assert np.array_equal(traj.output_grad_norms[s], agent_norms[draws, np.arange(p.m)])
-    assert traj.box_exits.shape == (traj.num_seeds,)
-    assert traj.box_exits[s] == box_exits
-    return first_exit, box_exits
 
 
 def _assert_matches_reference(algorithm, p, hp, w, x0, seed):
-    """run on [seed] equals the reference; returns the reference's first box exit and count."""
+    """run on [seed] equals the reference."""
     traj = run(algorithm, p, hp, w, x0, [seed])
     assert traj.num_seeds == 1
-    return _assert_row_matches_reference(traj, 0, algorithm, p, hp, w, x0, seed)
+    _assert_row_matches_reference(traj, 0, algorithm, p, hp, w, x0, seed)
 
 
 D_WIDE = 256  # with m = 4, a metrics block holds 16 states
@@ -363,18 +342,6 @@ def test_run_matches_reference_at_block_edges(horizon):
     _assert_matches_reference("dnsgd", p, hp, RING4, np.full(D_WIDE, 0.5), 3)
 
 
-def test_run_matches_reference_with_first_box_exit_in_second_block():
-    # a near-flat quadratic with large noise: the iterates random-walk out of the box
-    p = make_problem(
-        "quadratic", d=D_WIDE, curvature=1e-3, m=4, zeta=0.0, sigma=16.0, seed=3, box_radius=0.6
-    )
-    block = _block_len(p)
-    hp = _hp(eta=0.1, big_t=2 * block + 3)
-    first_exit, box_exits = _assert_matches_reference("dsgd", p, hp, RING4, np.zeros(D_WIDE), 5)
-    assert block < first_exit < 2 * block
-    assert box_exits > 1
-
-
 @pytest.mark.parametrize("algorithm", ["dnsgd", "dsgd"])
 def test_run_matches_reference_on_large_ring(algorithm):
     p = make_problem("exp_pair", d=10, rate=1.0, m=256, zeta=0.2, sigma=0.5, seed=2)
@@ -394,7 +361,7 @@ def test_rows_do_not_depend_on_the_batching_of_seeds(algorithm):
     seeds = [11, 2**64 - 1, 0]
     batch = run(algorithm, p, hp, RING4, x0, seeds)
     assert batch.metrics.phi.shape == batch.tracker_drifts.shape == (3, hp.big_t + 1)
-    assert batch.output_indices.shape == (3, p.m) and batch.box_exits.shape == (3,)
+    assert batch.output_indices.shape == (3, p.m)
     for s, seed in enumerate(seeds):
         alone = run(algorithm, p, hp, RING4, x0, [seed])
         for name in alone.metrics._fields:
@@ -403,7 +370,6 @@ def test_rows_do_not_depend_on_the_batching_of_seeds(algorithm):
         assert batch.tracker_drifts[s].tobytes() == alone.tracker_drifts[0].tobytes()
         assert batch.output_indices[s].tobytes() == alone.output_indices[0].tobytes()
         assert batch.output_grad_norms[s].tobytes() == alone.output_grad_norms[0].tobytes()
-        assert batch.box_exits[s] == alone.box_exits[0]
         assert np.array_equal(batch.samples_per_agent, alone.samples_per_agent)
         assert np.array_equal(batch.comm_rounds, alone.comm_rounds)
 

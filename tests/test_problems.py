@@ -12,7 +12,6 @@ from dnsgd.problems import (
     RATIO_TOL,
     ExpRangeError,
     check_relaxed_smooth,
-    dissimilarity_measured,
     f_base,
     grad_base,
     lf_effective,
@@ -26,6 +25,9 @@ LOG2 = math.log(2.0)
 # Pairs per sampled check in the tests that repeat the sampled certificate
 # make_problem ran before its constants were proved.
 TRIALS = 1500
+# Half-width of the cube ||x||_inf <= REGION that those checks sample, as
+# check-smoothness's problem mode does.
+REGION = 5.0
 
 
 def exp_pair_l0(rate, d):
@@ -241,32 +243,6 @@ def test_offsets_read_only():
         p.offsets[0, 0] = 1.0
 
 
-def test_dissimilarity_equals_max_offset_norm():
-    for p in INSTANCES:
-        expect = float(np.linalg.norm(p.offsets, axis=1).max())
-        assert dissimilarity_measured(p, trials=16, seed=4) == pytest.approx(expect, rel=1e-12)
-        assert expect <= p.zeta
-
-
-def reference_dissimilarity_measured(p, trials=32, seed=0):
-    """The defining loop of dissimilarity_measured: one sampled point per step."""
-    gen = derive_stream(seed, "dissimilarity")
-    worst = 0.0
-    for _ in range(trials):
-        g = grad_base(p, gen.uniform(-p.box_radius, p.box_radius, size=p.d))
-        gap = (g + p.offsets) - g
-        worst = max(worst, float(np.linalg.norm(gap, axis=-1).max()))
-    return worst
-
-
-@pytest.mark.parametrize("seed", [0, 4, 9])
-def test_dissimilarity_matches_reference_loop(seed):
-    for p in INSTANCES:
-        for trials in (1, 32):
-            expect = reference_dissimilarity_measured(p, trials=trials, seed=seed)
-            assert dissimilarity_measured(p, trials=trials, seed=seed) == expect, p.family
-
-
 def test_global_objective_ignores_offsets():
     # offsets sum to zero, so the average objective equals the base objective
     p = make_problem("exp_pair", d=4, rate=1.0, m=5, zeta=0.6, sigma=0.0, seed=8)
@@ -305,13 +281,13 @@ def test_built_instances_pass_their_own_certificate():
     for p in INSTANCES:
         report = check_relaxed_smooth(
             lambda x: grad_base(p, x), p.d, p.l0, p.l1,
-            region=p.box_radius, trials=400, seed=5,
+            region=REGION, trials=400, seed=5,
         )
         assert report.passed, f"{p.family}: ratio {report.worst_ratio}"
         # the certificate also covers each offset objective
         report_local = check_relaxed_smooth(
             lambda x: grad_base(p, x) + p.offsets[0], p.d, p.l0, p.l1,
-            region=p.box_radius, trials=400, seed=6,
+            region=REGION, trials=400, seed=6,
         )
         assert report_local.passed, f"{p.family} local: ratio {report_local.worst_ratio}"
 
@@ -596,7 +572,7 @@ def test_certification_matches_reference_loop(family, d):
     grad = lambda x: grad_base(p, x)  # noqa: E731
     for l0 in (p.l0, 0.5 * p.l0):
         args = (grad, d, l0, p.l1)
-        kwargs = {"region": p.box_radius, "trials": TRIALS, "seed": 0}
+        kwargs = {"region": REGION, "trials": TRIALS, "seed": 0}
         report = check_relaxed_smooth(*args, **kwargs)
         _assert_same_report(report, reference_check_relaxed_smooth(*args, **kwargs))
 
@@ -612,7 +588,7 @@ def reference_certified_l0(stub, l0_start, seed):
     l0 = l0_start
     for _ in range(6):
         report = check_relaxed_smooth(
-            grad, stub.d, l0, stub.l1, region=stub.box_radius, trials=TRIALS, seed=seed,
+            grad, stub.d, l0, stub.l1, region=REGION, trials=TRIALS, seed=seed,
         )
         if report.passed:
             return l0
@@ -650,7 +626,7 @@ def test_poly_even_l0_is_its_start_value(power, d, seed):
     assert p.l0 == pytest.approx(poly_even_l0(power, 0.5), rel=1e-14)
     assert p.l0 / 0.5 == pytest.approx({4: 1.295, 6: 2.497, 8: 5.040}[power], abs=5e-4)
     report = check_relaxed_smooth(
-        lambda x: grad_base(p, x), d, p.l0, p.l1, region=p.box_radius, trials=TRIALS, seed=seed,
+        lambda x: grad_base(p, x), d, p.l0, p.l1, region=REGION, trials=TRIALS, seed=seed,
     )
     assert report.passed
     assert report.implied_l0 <= p.l0
@@ -672,7 +648,7 @@ def test_certification_overflow_is_a_value_error():
     assert p.l0 == pytest.approx(exp_pair_l0(71.0, 10), rel=1e-15)
     with pytest.raises(ValueError, match="overflow float64"):
         check_relaxed_smooth(
-            lambda x: grad_base(p, x), 10, p.l0, p.l1, region=p.box_radius, trials=TRIALS
+            lambda x: grad_base(p, x), 10, p.l0, p.l1, region=REGION, trials=TRIALS
         )
 
 
@@ -699,7 +675,7 @@ def test_proved_l0_is_tight_at_its_witness(family, params, d):
     x, y = np.zeros(d), np.zeros(d)
     x[-1], y[-1] = u, u + step
     grad = lambda rows: grad_base(p, rows)  # noqa: E731
-    kwargs = {"region": p.box_radius, "trials": 200, "seed": 3}
+    kwargs = {"region": REGION, "trials": 200, "seed": 3}
 
     def violations(l0, extra):
         report = check_relaxed_smooth(grad, d, l0, p.l1, extra_pairs=extra, **kwargs)
@@ -745,8 +721,7 @@ def test_proved_constants_hold_far_outside_the_box(family, params, d):
 
 
 def test_exp_overflow_guard():
-    # evaluation outside the certification box is allowed (box exits are the
-    # runner's concern) until the exponent would overflow a double
+    # evaluation is allowed anywhere until the exponent would overflow a double
     p = make_problem("exp_pair", d=2, rate=1.0, m=1, zeta=0.0, sigma=0.0, seed=0)
     assert math.isfinite(f_base(p, np.array([699.0, 0.0])))
     with pytest.raises(ValueError, match="safe range"):
@@ -771,10 +746,6 @@ def test_factory_validation():
         make_problem("poly_even", d=2, power=2, scale=1.0, m=1, zeta=0.0, sigma=0.0, seed=0)
     with pytest.raises(ValueError, match="curvature"):
         make_problem("quadratic", d=2, curvature=-1.0, m=1, zeta=0.0, sigma=0.0, seed=0)
-    with pytest.raises(ValueError, match="box_radius"):
-        make_problem(
-            "poly_even", d=2, power=4, scale=1.0, m=1, zeta=0.0, sigma=0.0, seed=0, box_radius=0.0
-        )
     with pytest.raises(ValueError, match="^d must be an integer >= 1, got 0$"):
         make_problem("quadratic", d=0, curvature=1.0, m=1, zeta=0.0, sigma=0.0, seed=0)
     # l_f must be finite and > 0, since the calculator divides by it: rate^2 / d
@@ -794,12 +765,17 @@ def test_factory_validation():
         make_problem("poly_even", d=2, power=4, m=1, zeta=0.0, sigma=0.0, seed=0)
     with pytest.raises(ValueError, match="takes parameters"):
         make_problem("quadratic", d=2, curvature=1.0, rate=1.0, m=1, zeta=0.0, sigma=0.0, seed=0)
+    # the constants hold on all of R^d, so a problem has no box
+    with pytest.raises(ValueError, match="takes parameters"):
+        make_problem(
+            "quadratic", d=2, curvature=1.0, m=1, zeta=0.0, sigma=0.0, seed=0, box_radius=5.0
+        )
 
 
-@pytest.mark.parametrize("name", ["zeta", "sigma", "box_radius"])
+@pytest.mark.parametrize("name", ["zeta", "sigma"])
 def test_factory_rejects_nan(name):
     # a NaN compares false against every bound, so each rule must be one that NaN fails
-    fields = dict(d=2, m=2, zeta=0.5, sigma=0.5, box_radius=5.0, curvature=1.0)
+    fields = dict(d=2, m=2, zeta=0.5, sigma=0.5, curvature=1.0)
     with pytest.raises(ValueError, match=f"^{name} must be a finite number"):
         make_problem("quadratic", seed=0, **{**fields, name: math.nan})
 

@@ -121,12 +121,7 @@ def test_every_public_function_has_a_caller():
                 referenced.add(node.attr)
             elif isinstance(node, ast.alias):
                 referenced.add(node.name)
-    exempt = (
-        _bench_named_functions()
-        | _script_entry_points()
-        # the measured-dissimilarity check of ROADMAP item 5 is built on it
-        | {"problems.dissimilarity_measured"}
-    )
+    exempt = _bench_named_functions() | _script_entry_points()
     uncalled = sorted(
         name for name in defined - exempt if name.rsplit(".", 1)[1] not in referenced
     )

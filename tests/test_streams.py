@@ -20,7 +20,6 @@ PINNED_DRAWS = {
     "offsets": [1.5848739615951508, -0.46594574856395504],
     "seed_fanout": [0.20344049806861064, 0.27026837731491343],
     "smoothness": [1.1684611615609917, 2.0004278894259286],
-    "dissimilarity": [-0.9122289983411419, 1.1577530217431558],
 }
 
 
