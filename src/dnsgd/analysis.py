@@ -13,12 +13,16 @@ trajectory's metric columns, one row per seed of the run, with each block's
 per-agent norms reduced to their agent maximum and to the norms at the
 seed's output draws. A Trajectory holds those columns and the run's
 counters, not the states; the potential of a given state (X, V) is
-state_metrics(X[None], V[None], p, eta).phi[0]. The
-checks reduce the columns over seeds and iterations at once: verify_descent
-checks the one-step decrease inequality implied by the theory, either per
-iteration on noiseless runs or in seed-averaged form; verify_consensus_bound
-checks the steady-state consensus radius rho * m * eta / (1 - rho) on every
-seed.
+state_metrics(X[None], V[None], p, eta).phi[0].
+
+Each built-in check is one verify_* function that reduces the columns over
+seeds and iterations at once and returns its checks.csv row, a CheckResult:
+verify_descent checks the one-step decrease inequality implied by the
+theory, either per iteration on noiseless runs or in seed-averaged form;
+verify_consensus_bound checks the steady-state consensus radius
+rho * m * eta / (1 - rho) on every seed; verify_tracker_identity checks that
+a tracked run's mean tracker stays its mean sampled gradient. Which checks a
+run gets is the harness's decision.
 """
 
 from __future__ import annotations
@@ -139,17 +143,29 @@ def stationarity_summary(traj: Trajectory) -> StationaritySummary:
     )
 
 
-class ConsensusBoundReport(NamedTuple):
-    """Steady-state consensus radius check for normalized-step runs, over all seeds."""
+TRACKER_DRIFT_TOL = 1e-8
 
+
+class CheckResult(NamedTuple):
+    """One built-in check of a run: its checks.csv row."""
+
+    name: str
     passed: bool
-    bound: float
-    worst_cons: float
-    worst_t: int
-    checked: int
+    observed: float
+    threshold: float
+    detail: str
 
 
-def verify_consensus_bound(traj: Trajectory, rho: float, m: int, eta: float) -> ConsensusBoundReport:
+def verify_tracker_identity(traj: Trajectory) -> CheckResult:
+    """Check every seed's mean tracker against its mean sampled gradient, to TRACKER_DRIFT_TOL."""
+    drift = float(traj.tracker_drifts.max())
+    return CheckResult(
+        "tracker_identity", drift <= TRACKER_DRIFT_TOL, drift, TRACKER_DRIFT_TOL,
+        "relative distance between mean tracker and mean sampled gradient",
+    )
+
+
+def verify_consensus_bound(traj: Trajectory, rho: float, m: int, eta: float) -> CheckResult:
     """Check cons_x <= rho * m * eta / (1 - rho) for every seed and every t >= 1.
 
     Requires rho < 1; the bound follows from the gossip contraction plus the
@@ -160,33 +176,23 @@ def verify_consensus_bound(traj: Trajectory, rho: float, m: int, eta: float) -> 
     eta 0.05, b 16, T 50, k_inner = k_init = 300, 2 seeds) a healthy run
     passes from x0 = 100 (9.9e-14 against a 4e-13 bound) and fails from
     x0 = 500 (4.6e-13) and x0 = 1000 (9.7e-13).
+
+    A NaN cons_x is the worst and fails; a run with no t >= 1 passes at 0.0.
     """
     if not 0.0 <= rho < 1.0:
         raise ValueError(f"the consensus bound needs rho in [0, 1), got {rho}")
     check_fields({"eta": FIELDS["eta"]}, {"eta": eta})
     bound = rho * m * eta / (1.0 - rho)
-    cons = traj.metrics.cons_x[:, 1:]
-    if cons.size == 0:
-        return ConsensusBoundReport(True, bound, 0.0, 0, 0)
-    # the first of tied maxima, in seed order
-    seed, worst = np.unravel_index(np.argmax(cons), cons.shape)
-    worst_cons = float(cons[seed, worst])
-    return ConsensusBoundReport(worst_cons <= bound, bound, worst_cons, int(worst) + 1, cons.size)
-
-
-class DescentReport(NamedTuple):
-    passed: bool
-    mode: str
-    bound: float
-    observed: float
-    worst_t: int
-    worst_seed: int
-    n_seeds: int
+    worst = float(traj.metrics.cons_x[:, 1:].max(initial=0.0))
+    return CheckResult(
+        "consensus_bound", worst <= bound, worst, bound,
+        f"cons_x vs rho*m*eta/(1-rho) over t >= 1, rho={rho:.6g}",
+    )
 
 
 def verify_descent(
     traj: Trajectory, p: ProblemInstance, eta: float, mode: str = "deterministic", tol: float = 1e-9
-) -> DescentReport:
+) -> CheckResult:
     """Check the one-step decrease property of the potential, with l_f = lf_effective(p).
 
     deterministic mode (noiseless runs): for every seed and every consecutive
@@ -194,8 +200,9 @@ def verify_descent(
 
         phi[t+1] <= phi[t] - (5 eta / 8) ||grad f(xbar^t)|| + (3/4) eta^2 l_f + tol.
 
-    observed reports the worst violation margin (positive means a violation
-    larger than tol), at its first seed and iteration.
+    observed is the worst violation margin (positive means a violation
+    larger than tol), and the detail names its iteration, the first in seed
+    order.
 
     stochastic mode: the seed average of the time-averaged gradient norm over
     t = 0..T-1 must not exceed 8 delta_phi / (5 eta T) + (6/5) eta l_f, where
@@ -208,20 +215,19 @@ def verify_descent(
     check_fields({"eta": FIELDS["eta"]}, {"eta": eta})
     phi, grad = traj.metrics.phi, traj.metrics.grad_norm_mean
     l_f = lf_effective(p)
-    n_seeds = traj.num_seeds
     if mode == "deterministic":
         allowed = phi[:, :-1] - (5.0 * eta / 8.0) * grad[:, :-1]
         allowed += 0.75 * eta * eta * l_f
         margin = phi[:, 1:] - allowed
         margin[np.isnan(margin)] = -math.inf  # skipped, as by a loop of > comparisons
-        worst, worst_seed, worst_t = 0.0, 0, 0
+        worst, worst_t = 0.0, 0
         if margin.size:
             seed, t = np.unravel_index(np.argmax(margin), margin.shape)
             if margin[seed, t] > -math.inf:
-                worst, worst_seed, worst_t = float(margin[seed, t]), int(seed), int(t)
-        return DescentReport(
-            passed=worst <= tol, mode=mode, bound=tol, observed=worst,
-            worst_t=worst_t, worst_seed=worst_seed, n_seeds=n_seeds,
+                worst, worst_t = float(margin[seed, t]), int(t)
+        return CheckResult(
+            "descent_deterministic", worst <= tol, worst, tol,
+            f"worst per-step potential decrease margin at t={worst_t}",
         )
     if mode == "stochastic":
         big_t = traj.big_t
@@ -230,8 +236,8 @@ def verify_descent(
         delta_phi = float(np.mean(phi[:, 0])) - p.f_star
         bound = 8.0 * delta_phi / (5.0 * eta * big_t) + 1.2 * eta * l_f
         observed = float(np.mean(np.mean(grad[:, :big_t], axis=1)))
-        return DescentReport(
-            passed=observed <= bound, mode=mode, bound=bound, observed=observed,
-            worst_t=-1, worst_seed=-1, n_seeds=n_seeds,
+        return CheckResult(
+            "descent_stochastic", observed <= bound, observed, bound,
+            f"seed-mean time-averaged gradient norm over {traj.num_seeds} seeds",
         )
     raise ValueError(f"mode must be 'deterministic' or 'stochastic', got {mode!r}")

@@ -3,7 +3,9 @@
 run_experiment is the one path from a RunConfig to a trajectory: set_up
 builds the problem, the mixing matrix, the start point and the
 hyperparameters (for dnsgd params too), and run_experiment runs all the
-seeds in one optimizers.run call and evaluates the checks. A sweep cell is a
+seeds in one optimizers.run call and evaluates the checks. Each built-in
+check is an analysis function that returns its checks.csv row; the harness
+only decides which checks a run gets. A sweep cell is a
 run: sweep_speedup sets problem.m of the sweep's run config and calls
 run_experiment.
 
@@ -27,11 +29,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .analysis import (
+    CheckResult,
     StationaritySummary,
     Trajectory,
     stationarity_summary,
     verify_consensus_bound,
     verify_descent,
+    verify_tracker_identity,
 )
 from .config import ConfigError, RunConfig, SweepConfig, build_mixing, build_problem, resolve_x0
 from .gossip import contraction
@@ -54,7 +58,6 @@ CSV_FIELDS = (
 CSV_HEADER = ",".join(CSV_FIELDS)
 CSV_CHUNK_ROWS = 512  # metrics CSV lines formatted and written at a time
 
-TRACKER_DRIFT_TOL = 1e-8
 MIN_SEEDS_FOR_STOCHASTIC_CHECK = 10
 
 
@@ -69,14 +72,6 @@ def _echo(value):
     if hasattr(value, "_asdict"):
         return {name: _echo(v) for name, v in value._asdict().items()}
     return value
-
-
-class CheckResult(NamedTuple):
-    name: str
-    passed: bool
-    observed: float
-    threshold: float
-    detail: str = ""
 
 
 class RunResult(NamedTuple):
@@ -131,49 +126,26 @@ def _run_checks(
     mixing: MixingMatrix,
     traj: Trajectory,
 ) -> list[CheckResult]:
+    """The built-in checks that apply to this run, each computed by its analysis function."""
     checks: list[CheckResult] = []
     if METHODS[cfg.algorithm].tracked:
-        drift = float(traj.tracker_drifts.max())
-        checks.append(
-            CheckResult(
-                "tracker_identity", drift <= TRACKER_DRIFT_TOL, drift, TRACKER_DRIFT_TOL,
-                "relative distance between mean tracker and mean sampled gradient",
-            )
-        )
+        checks.append(verify_tracker_identity(traj))
     if cfg.algorithm != "dnsgd":
         return checks
 
     rho = contraction(mixing, hp.k_inner)
     if rho < 1.0:
-        report = verify_consensus_bound(traj, rho, p.m, hp.eta)
-        checks.append(
-            CheckResult(
-                "consensus_bound", report.passed, report.worst_cons, report.bound,
-                f"cons_x vs rho*m*eta/(1-rho) over t >= 1, rho={rho:.6g}",
-            )
-        )
+        checks.append(verify_consensus_bound(traj, rho, p.m, hp.eta))
     guard = rho_guard(rho, p, hp.eta, hp.b)
     if guard.ok and p.sigma == 0.0:
-        report = verify_descent(traj, p, hp.eta, "deterministic")
-        checks.append(
-            CheckResult(
-                "descent_deterministic", report.passed, report.observed, report.bound,
-                f"worst per-step potential decrease margin at t={report.worst_t}",
-            )
-        )
+        checks.append(verify_descent(traj, p, hp.eta, "deterministic"))
     if (
         guard.ok
         and p.sigma > 0.0
         and traj.num_seeds >= MIN_SEEDS_FOR_STOCHASTIC_CHECK
         and hp.big_t >= 1
     ):
-        report = verify_descent(traj, p, hp.eta, "stochastic")
-        checks.append(
-            CheckResult(
-                "descent_stochastic", report.passed, report.observed, report.bound,
-                f"seed-mean time-averaged gradient norm over {report.n_seeds} seeds",
-            )
-        )
+        checks.append(verify_descent(traj, p, hp.eta, "stochastic"))
     return checks
 
 

@@ -4,7 +4,7 @@ verify_descent, verify_consensus_bound, stationarity_summary and the sweep's
 first-hit search reduce a trajectory's (S, big_t + 1) metric columns over
 seeds and states with numpy. The reference functions below are the same
 checks written as loops over the seeds and the states, one row at a time.
-Every report field must equal theirs exactly.
+Every check's CheckResult, its detail text included, must equal theirs exactly.
 """
 
 import math
@@ -15,8 +15,7 @@ import numpy as np
 import pytest
 
 from dnsgd.analysis import (
-    ConsensusBoundReport,
-    DescentReport,
+    CheckResult,
     MetricColumns,
     Trajectory,
     stationarity_summary,
@@ -58,18 +57,15 @@ def reference_stationarity_summary(traj):
 
 def reference_consensus_bound(traj, rho, m, eta):
     bound = rho * m * eta / (1.0 - rho)
-    worst_cons = -math.inf
-    worst_t = 0
-    checked = 0
+    worst_cons = 0.0
     for s in range(traj.num_seeds):
         for row in _rows(traj, s)[1:]:
-            checked += 1
             if row.cons_x > worst_cons:
                 worst_cons = row.cons_x
-                worst_t = row.t
-    if checked == 0:
-        return ConsensusBoundReport(True, bound, 0.0, 0, 0)
-    return ConsensusBoundReport(worst_cons <= bound, bound, worst_cons, worst_t, checked)
+    return CheckResult(
+        "consensus_bound", worst_cons <= bound, worst_cons, bound,
+        f"cons_x vs rho*m*eta/(1-rho) over t >= 1, rho={rho:.6g}",
+    )
 
 
 def reference_descent(traj, p, eta, l_f, mode, tol=1e-9):
@@ -77,7 +73,6 @@ def reference_descent(traj, p, eta, l_f, mode, tol=1e-9):
     if mode == "deterministic":
         worst = -math.inf
         worst_t = 0
-        worst_seed = 0
         for s in range(n_seeds):
             rows = _rows(traj, s)
             for row, nxt in zip(rows, rows[1:]):
@@ -87,12 +82,11 @@ def reference_descent(traj, p, eta, l_f, mode, tol=1e-9):
                 if margin > worst:
                     worst = margin
                     worst_t = row.t
-                    worst_seed = s
         if worst == -math.inf:
             worst = 0.0
-        return DescentReport(
-            passed=worst <= tol, mode=mode, bound=tol, observed=worst,
-            worst_t=worst_t, worst_seed=worst_seed, n_seeds=n_seeds,
+        return CheckResult(
+            "descent_deterministic", worst <= tol, worst, tol,
+            f"worst per-step potential decrease margin at t={worst_t}",
         )
     big_t = traj.big_t
     delta_phi = float(np.mean([_rows(traj, s)[0].phi for s in range(n_seeds)])) - p.f_star
@@ -100,9 +94,9 @@ def reference_descent(traj, p, eta, l_f, mode, tol=1e-9):
     observed = float(np.mean([
         np.mean([row.grad_norm_mean for row in _rows(traj, s)[:big_t]]) for s in range(n_seeds)
     ]))
-    return DescentReport(
-        passed=observed <= bound, mode=mode, bound=bound, observed=observed,
-        worst_t=-1, worst_seed=-1, n_seeds=n_seeds,
+    return CheckResult(
+        "descent_stochastic", observed <= bound, observed, bound,
+        f"seed-mean time-averaged gradient norm over {n_seeds} seeds",
     )
 
 
@@ -206,9 +200,9 @@ def test_tied_maxima_keep_the_first():
     traj = _traj(rng, n - 1, **tied)
     _assert_all_checks_match(traj)
     det = verify_descent(traj, PROBLEM, ETA, "deterministic")
-    assert (det.worst_seed, det.worst_t) == (0, 1)
+    assert det.detail == "worst per-step potential decrease margin at t=1"
     cons = verify_consensus_bound(traj, 0.5, 4, ETA)
-    assert (cons.worst_cons, cons.worst_t, cons.checked) == (3.0, 2, 18)
+    assert (cons.observed, cons.passed) == (3.0, False)
     hits = _first_hits(traj, 0.2)
     assert hits.tolist() == [2, 2, 2]
     assert (traj.samples_per_agent[hits[0]], traj.comm_rounds[hits[0]]) == (9, 12)
@@ -221,9 +215,9 @@ def test_worst_trajectory_is_a_later_one():
     traj.metrics.cons_x[3, 7] = 1.0
     _assert_all_checks_match(traj)
     det = verify_descent(traj, PROBLEM, ETA, "deterministic")
-    assert (det.worst_seed, det.worst_t, det.passed) == (2, 4, False)
+    assert (det.detail, det.passed) == ("worst per-step potential decrease margin at t=4", False)
     cons = verify_consensus_bound(traj, 0.5, 4, ETA)
-    assert (cons.worst_cons, cons.worst_t, cons.passed) == (1.0, 7, False)
+    assert (cons.observed, cons.passed) == (1.0, False)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
@@ -233,7 +227,18 @@ def test_nan_margins_are_skipped_like_the_loop():
     traj = _traj(rng, 3, n_seeds=1, phi=[1.0, math.inf, math.inf, 0.5])
     _assert_all_checks_match(traj)
     det = verify_descent(traj, PROBLEM, ETA, "deterministic")
-    assert (det.observed, det.worst_t, det.passed) == (math.inf, 0, False)
+    assert (det.observed, det.passed) == (math.inf, False)
+    assert det.detail == "worst per-step potential decrease margin at t=0"
+
+
+def test_nan_consensus_fails():
+    # unlike a loop of > comparisons, the maximum keeps a NaN, so the check fails on it
+    rng = np.random.default_rng(7)
+    traj = _traj(rng, 5)
+    traj.metrics.cons_x[1, 3] = math.nan
+    cons = verify_consensus_bound(traj, 0.5, 4, ETA)
+    assert math.isnan(cons.observed)
+    assert not cons.passed
 
 
 def test_unreached_target_gives_none():

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import dnsgd
-from dnsgd import harness, hyperparams
+from dnsgd import analysis, harness, hyperparams
 from dnsgd.cli import main
 from dnsgd.optimizers import NonFiniteStateError
 from dnsgd.problems import EXP_ARG_MAX
@@ -723,7 +723,7 @@ def test_sweep_exits_one_when_a_cell_check_fails(tmp_path, capsys, monkeypatch):
     assert main(["sweep", "--config", str(SWEEP_CONFIG), "--out-dir", str(passing)]) == 0
     assert capsys.readouterr().err == ""
     # every tracked cell now fails its tracker identity check
-    monkeypatch.setattr(harness, "TRACKER_DRIFT_TOL", -1.0)
+    monkeypatch.setattr(analysis, "TRACKER_DRIFT_TOL", -1.0)
     failing = tmp_path / "fail"
     assert main(["sweep", "--config", str(SWEEP_CONFIG), "--out-dir", str(failing)]) == 1
     lines = capsys.readouterr().err.splitlines()

@@ -25,10 +25,9 @@ from dnsgd.config import (
     parse_sweep_config,
     resolve_x0,
 )
-from dnsgd.analysis import MetricColumns, Trajectory
+from dnsgd.analysis import TRACKER_DRIFT_TOL, MetricColumns, Trajectory
 from dnsgd.harness import (
     CSV_HEADER,
-    TRACKER_DRIFT_TOL,
     _write_metrics_csvs,
     run_experiment,
     set_up,

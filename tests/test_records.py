@@ -24,6 +24,10 @@ have to check again.
 Every norm and sum of squares goes through problems._sum_squares, numpy's
 pairwise add.reduce, whose order no BLAS kernel picks; the sum guard fails on
 any call that would sum through BLAS instead.
+
+Each built-in check is one analysis function that returns its checks.csv
+row; the check guard fails on a CheckResult built in any other module, where
+a check's name, fields or detail would be written apart from its computation.
 """
 
 import ast
@@ -48,11 +52,10 @@ RECORDS = (
     hyperparams.RhoGuard, hyperparams.TheoreticalParams,
     optimizers.Method, optimizers.OptimizerState,
     analysis.MetricColumns, analysis.Trajectory, analysis.StateMetrics,
-    analysis.StationaritySummary,
-    analysis.ConsensusBoundReport, analysis.DescentReport,
+    analysis.StationaritySummary, analysis.CheckResult,
     config.ProblemConfig, config.TopologyConfig, config.AutoHyperConfig,
     config.RunConfig, config.SweepConfig,
-    harness.CheckResult, harness.RunResult, harness.SweepPoint, harness.SweepResult,
+    harness.RunResult, harness.SweepPoint, harness.SweepResult,
 )
 
 DATACLASSES = {"HyperParams", "MixingMatrix", "Graph"}
@@ -144,6 +147,17 @@ def _dotted(node) -> str:
     if isinstance(node, ast.Name):
         parts.append(node.id)
     return ".".join(reversed(parts))
+
+
+def test_only_analysis_builds_check_results():
+    found = [
+        (path.stem, node.lineno) for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and _dotted(node.func).rsplit(".", 1)[-1] == "CheckResult"
+        and path.stem != "analysis"
+    ]
+    assert found == []
 
 
 def test_sums_of_squares_take_one_rule():
