@@ -6,14 +6,15 @@ consensus penalties:
     phi = f(xbar) + (3 eta / sqrt(m)) (m0 + m1 ||grad f(xbar)||) ||X - 1 xbar||
         + (2 eta / sqrt(m)) ||V - 1 vbar||
 
-with (m0, m1) = lyapunov_constants(p). state_metrics computes it
-with the other recorded metrics for a stack of states (n, m, d); the runner
-calls it once per block of iterations and stores the stacked result as the
-trajectory's metric columns, one row per seed of the run, with each block's
-per-agent norms reduced to their agent maximum and to the norms at the
-seed's output draws. A Trajectory holds those columns and the run's
-counters, not the states; the potential of a given state (X, V) is
-state_metrics(X[None], V[None], p, eta).phi[0].
+with (m0, m1) = lyapunov_constants(p). state_metrics computes it with the
+other recorded metrics for a stack of states (n, m, d), as the MetricColumns
+of the stack and its (n, m) per-agent gradient norms. The runner calls it
+once per block of iterations and copies each column into the trajectory's
+metric columns, one row per seed of the run, keeping of the agent norms only
+those at the seed's output draws; tracker_drift gives the block's drift
+column beside them. A Trajectory holds those columns and the run's counters,
+not the states; the potential of a given state (X, V) is
+state_metrics(X[None], V[None], p, eta)[0].phi[0].
 
 Each built-in check is one verify_* function that reduces the columns over
 seeds and iterations at once and returns its checks.csv row, a CheckResult:
@@ -38,9 +39,12 @@ from .problems import ProblemInstance, _row_norms, check_fields, f_base, grad_ba
 
 
 class MetricColumns(NamedTuple):
-    """A run's recorded metrics, in metrics CSV order: each (S, big_t + 1), row s is seed s.
+    """A run's recorded metrics: each (S, big_t + 1), row s is seed s.
 
-    grad_norm_agent_max[s, t] is max_i ||grad f(x_i^t)||, with the global objective.
+    The field order is the metrics CSV schema: harness builds CSV_FIELDS and
+    its line template from it. state_metrics gives the same fields as (n,)
+    arrays for a stack of n states. grad_norm_agent_max[s, t] is
+    max_i ||grad f(x_i^t)||, with the global objective.
     """
 
     f_mean: np.ndarray
@@ -79,24 +83,16 @@ class Trajectory(NamedTuple):
         return self.metrics.phi.shape[1] - 1
 
 
-class StateMetrics(NamedTuple):
-    """Metrics of n states: (n,) arrays, agent norms (n, m)."""
-
-    f_mean: np.ndarray
-    grad_norm_mean: np.ndarray
-    agent_grad_norms: np.ndarray
-    cons_x: np.ndarray
-    cons_v: np.ndarray
-    phi: np.ndarray
-
-
-def state_metrics(x: np.ndarray, v: np.ndarray, p: ProblemInstance, eta: float) -> StateMetrics:
+def state_metrics(
+    x: np.ndarray, v: np.ndarray, p: ProblemInstance, eta: float
+) -> tuple[MetricColumns, np.ndarray]:
     """Metrics of a stack of states (n, m, d), one entry per state along the first axis.
 
-    Each metric is computed once for the whole stack; one state is a stack of
-    one. Norms are problems._row_norms over (flattened) rows, numpy's
-    pairwise sum, so a stacked call equals the per-state calls exactly.
-    eta is held to hyperparams.FIELDS["eta"].
+    Returns the stack's MetricColumns, (n,) arrays, and its (n, m) agent
+    gradient norms. Each metric is computed once for the whole stack; one
+    state is a stack of one. Norms are problems._row_norms over (flattened)
+    rows, numpy's pairwise sum, so a stacked call equals the per-state calls
+    exactly. eta is held to hyperparams.FIELDS["eta"].
     """
     check_fields({"eta": FIELDS["eta"]}, {"eta": eta})
     x = np.asarray(x, dtype=np.float64)
@@ -113,10 +109,10 @@ def state_metrics(x: np.ndarray, v: np.ndarray, p: ProblemInstance, eta: float) 
     cons_v = consensus_error(v)
     sqm = math.sqrt(p.m)
     phi = f_mean + (3.0 * eta / sqm) * (m0 + m1 * grad_norm) * cons_x + (2.0 * eta / sqm) * cons_v
-    return StateMetrics(
-        f_mean=f_mean, grad_norm_mean=grad_norm, agent_grad_norms=agent,
+    return MetricColumns(
+        f_mean=f_mean, grad_norm_mean=grad_norm, grad_norm_agent_max=agent.max(axis=1),
         cons_x=cons_x, cons_v=cons_v, phi=phi,
-    )
+    ), agent
 
 
 class StationaritySummary(NamedTuple):
@@ -144,6 +140,12 @@ def stationarity_summary(traj: Trajectory) -> StationaritySummary:
 
 
 TRACKER_DRIFT_TOL = 1e-8
+
+
+def tracker_drift(v: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """||mean v - mean g|| / max(1, ||mean g||) per state of (n, m, d) trackers v, gradients g."""
+    gbar = g.mean(axis=1)
+    return _row_norms(v.mean(axis=1) - gbar) / np.maximum(1.0, _row_norms(gbar))
 
 
 class CheckResult(NamedTuple):

@@ -30,6 +30,7 @@ import numpy as np
 
 from .analysis import (
     CheckResult,
+    MetricColumns,
     StationaritySummary,
     Trajectory,
     stationarity_summary,
@@ -51,11 +52,10 @@ from .streams import fanout_seed
 from .topology import MixingMatrix
 
 CSV_FIELDS = (
-    "run_id", "seed_index", "t", "f_mean", "grad_norm_mean",
-    "grad_norm_agent_max", "cons_x", "cons_v", "phi",
-    "samples_per_agent", "comm_rounds",
+    "run_id", "seed_index", "t", *MetricColumns._fields, "samples_per_agent", "comm_rounds"
 )
 CSV_HEADER = ",".join(CSV_FIELDS)
+CSV_LINE = "%s,%d,%d," + "%.17g," * len(MetricColumns._fields) + "%d,%d\n"  # one per CSV_FIELDS
 CSV_CHUNK_ROWS = 512  # metrics CSV lines formatted and written at a time
 
 MIN_SEEDS_FOR_STOCHASTIC_CHECK = 10
@@ -164,11 +164,7 @@ def _write_metrics_csvs(out: Path, run_id: str, traj: Trajectory) -> None:
                     range(traj.big_t + 1)[rows], *(col[s, rows].tolist() for col in traj.metrics),
                     traj.samples_per_agent[rows].tolist(), traj.comm_rounds[rows].tolist(),
                 )
-                csv.write("".join(
-                    f"{run_id},{s},{t},{f:.17g},{g:.17g},{g_max:.17g},{cx:.17g},{cv:.17g},"
-                    f"{phi:.17g},{samples},{comms}\n"
-                    for t, f, g, g_max, cx, cv, phi, samples, comms in zip(*columns)
-                ))
+                csv.write("".join(CSV_LINE % (run_id, s, *line) for line in zip(*columns)))
 
 
 @contextlib.contextmanager

@@ -37,12 +37,13 @@ run takes all the seeds of a run and records the metrics of every state in
 one Trajectory: columns of shape (S, big_t + 1), sized once. The seeds move
 together, one (S, m, d) state through one step call per iteration, and fill
 their rows a block of states at a time: run copies X, V and G into
-(n, S, m, d) blocks of at most METRICS_BLOCK_FLOATS floats each, makes one
-state_metrics call per block and writes the results into the block's slice of
-every seed's row. A block's (n S, m) agent norms live only as long as the
-block: run keeps their agent maximum per state and, drawing each seed's
-output indices before the first state, the norms at those draws. So a run's
-memory is its columns plus a few blocks, at any big_t.
+(n, S, m, d) blocks of at most METRICS_BLOCK_FLOATS floats each. record
+reshapes a block to (n S, m, d), makes one state_metrics and one
+tracker_drift call on it and copies each (n S,) result into the block's
+slice of its column. A block's (n S, m) agent norms live only as long as the
+block: drawing each seed's output indices before the first state, run keeps
+the norms at those draws. So a run's memory is its columns plus a few
+blocks, at any big_t.
 A state that turns non-finite, or whose iterates leave the exponential
 family's safe range, raises NonFiniteStateError with its iteration and agent,
 and with its seed's row when the run has several seeds.
@@ -62,7 +63,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .analysis import MetricColumns, Trajectory, state_metrics
+from .analysis import MetricColumns, Trajectory, state_metrics, tracker_drift
 from .gossip import _acc_mixers, _plain_mixer
 from .hyperparams import HyperParams
 from .problems import ExpRangeError, ProblemInstance, _noise_scale, _oracle, _row_norms
@@ -294,7 +295,7 @@ def run(
     init, step = update_rule(method, p, hp, w)
 
     n_seeds, n_states, m, d = len(seeds), hp.big_t + 1, p.m, p.d
-    cols = {name: np.empty((n_seeds, n_states)) for name in MetricColumns._fields}
+    cols = MetricColumns._make(np.empty((n_seeds, n_states)) for _ in MetricColumns._fields)
     samples, comms = method.cost(hp, np.arange(n_states, dtype=np.int64))
     drifts = np.empty((n_seeds, n_states))
     # States are copied into these (n, S, m, d) blocks. Each full block, and
@@ -317,23 +318,13 @@ def run(
     def record(t: int, n: int) -> None:
         """Metrics of the n states up to t, held in the first n slots of the blocks."""
         x, v, g = (a[:n].reshape(n * n_seeds, m, d) for a in (xs, vs, gs))
-        block = (slice(None), slice(t + 1 - n, t + 1))
-
-        def put(col: np.ndarray, values: np.ndarray) -> None:
-            col[block] = values.reshape(n, n_seeds, *values.shape[1:]).swapaxes(0, 1)
-
-        sm = state_metrics(x, v, p, hp.eta)
-        agent = sm.agent_grad_norms  # (n S, m), state-major like x
-        values = sm._asdict()
-        values["grad_norm_agent_max"] = agent.max(axis=1)
-        for name, col in cols.items():
-            put(col, values[name])
         first = t + 1 - n
+        columns, agent = state_metrics(x, v, p, hp.eta)  # agent: (n S, m), state-major like x
+        for col, values in zip((*cols, drifts), (*columns, tracker_drift(v, g))):
+            col[:, first:t + 1] = values.reshape(n, n_seeds).T
         held = (draws >= first) & (draws <= t)
         at = (draws[held] - first, *np.nonzero(held))  # (state in block, seed, agent)
         output_norms[held] = agent.reshape(n, n_seeds, m)[at]
-        gbar = g.mean(axis=1)
-        put(drifts, _row_norms(v.mean(axis=1) - gbar) / np.maximum(1.0, _row_norms(gbar)))
 
     # overflow on the way to a non-finite state is reported once, by the
     # finiteness test, not also as numpy warnings
@@ -355,7 +346,7 @@ def run(
                 record(t, i + 1)
 
     return Trajectory(
-        metrics=MetricColumns(**cols),
+        metrics=cols,
         samples_per_agent=samples,
         comm_rounds=comms,
         tracker_drifts=drifts,

@@ -8,8 +8,10 @@ import pytest
 from conftest import stepped_states
 
 from dnsgd.analysis import (
+    MetricColumns,
     state_metrics,
     stationarity_summary,
+    tracker_drift,
     verify_consensus_bound,
     verify_descent,
 )
@@ -37,7 +39,7 @@ def test_phi_of_consensus_state_is_objective_value():
     xbar = np.array([0.3, -0.2, 0.0, 1.0, -0.5])
     x = np.tile(xbar, (QUAD.m, 1))
     v = np.tile(np.ones(QUAD.d), (QUAD.m, 1))
-    phi = state_metrics(x[None], v[None], QUAD, eta=0.05).phi[0]
+    phi = state_metrics(x[None], v[None], QUAD, eta=0.05)[0].phi[0]
     assert phi == pytest.approx(f_base(QUAD, xbar), abs=1e-12)
 
 
@@ -54,7 +56,8 @@ def test_phi_matches_hand_formula():
         * consensus_error(x)
         + (2.0 * eta / 2.0) * consensus_error(v)
     )
-    assert state_metrics(x[None], v[None], QUAD, eta).phi[0] == pytest.approx(expected, rel=1e-14)
+    columns, _ = state_metrics(x[None], v[None], QUAD, eta)
+    assert columns.phi[0] == pytest.approx(expected, rel=1e-14)
 
 
 def test_phi_dominates_objective_infimum():
@@ -62,7 +65,7 @@ def test_phi_dominates_objective_infimum():
     for _ in range(20):
         x = rng.normal(size=(QUAD.m, QUAD.d))
         v = rng.normal(size=(QUAD.m, QUAD.d))
-        assert state_metrics(x[None], v[None], QUAD, 0.02).phi[0] >= QUAD.f_star
+        assert state_metrics(x[None], v[None], QUAD, 0.02)[0].phi[0] >= QUAD.f_star
 
 
 def test_phi_validation():
@@ -88,12 +91,18 @@ def test_stacked_state_metrics_equal_per_state_calls(p):
     rng = np.random.default_rng(21)
     x = rng.uniform(-1.5, 1.5, size=(7, p.m, p.d))
     v = rng.normal(size=(7, p.m, p.d))
-    stacked = state_metrics(x, v, p, 0.03)
+    g = rng.normal(size=(7, p.m, p.d))
+    columns, agent_norms = state_metrics(x, v, p, 0.03)
     singles = [state_metrics(x[i : i + 1], v[i : i + 1], p, 0.03) for i in range(len(x))]
-    for name in ("f_mean", "grad_norm_mean", "cons_x", "cons_v", "phi"):
-        assert getattr(stacked, name).shape == (7,)
-        assert getattr(stacked, name).tolist() == [getattr(sm, name)[0] for sm in singles], name
-    assert np.array_equal(stacked.agent_grad_norms, [sm.agent_grad_norms[0] for sm in singles])
+    assert type(columns) is MetricColumns
+    for name in MetricColumns._fields:
+        assert getattr(columns, name).shape == (7,)
+        assert getattr(columns, name).tolist() == [getattr(c, name)[0] for c, _ in singles], name
+    assert agent_norms.shape == (7, p.m)
+    assert np.array_equal(agent_norms, [a[0] for _, a in singles])
+    drifts = tracker_drift(v, g)
+    assert drifts.shape == (7,)
+    assert drifts.tolist() == [tracker_drift(v[i : i + 1], g[i : i + 1])[0] for i in range(7)]
     with pytest.raises(ValueError, match="shape"):
         state_metrics(x, v[:6], p, 0.03)
     with pytest.raises(ValueError, match="shape"):
@@ -104,19 +113,20 @@ def test_state_metrics_fields_consistent():
     rng = np.random.default_rng(9)
     x = rng.normal(size=(QUAD.m, QUAD.d))
     v = rng.normal(size=(QUAD.m, QUAD.d))
-    sm = state_metrics(x[None], v[None], QUAD, 0.05)
+    columns, agent_norms = state_metrics(x[None], v[None], QUAD, 0.05)
     xbar = x.mean(axis=0)
-    assert sm.f_mean[0] == pytest.approx(f_base(QUAD, xbar), rel=1e-14)
-    assert sm.grad_norm_mean[0] == pytest.approx(
+    assert columns.f_mean[0] == pytest.approx(f_base(QUAD, xbar), rel=1e-14)
+    assert columns.grad_norm_mean[0] == pytest.approx(
         np.linalg.norm(grad_base(QUAD, xbar)), rel=1e-14
     )
-    assert sm.cons_x[0] == pytest.approx(consensus_error(x), rel=1e-14)
-    assert sm.cons_v[0] == pytest.approx(consensus_error(v), rel=1e-14)
-    assert state_metrics(x[None], v[None], QUAD, 0.05).phi == sm.phi
-    assert sm.agent_grad_norms.shape == (1, QUAD.m)
+    assert columns.cons_x[0] == pytest.approx(consensus_error(x), rel=1e-14)
+    assert columns.cons_v[0] == pytest.approx(consensus_error(v), rel=1e-14)
+    assert state_metrics(x[None], v[None], QUAD, 0.05)[0].phi == columns.phi
+    assert agent_norms.shape == (1, QUAD.m)
     # the metrics CSV digests depend on these norms matching the per-row norm exactly
     per_row = [np.linalg.norm(grad_base(QUAD, x[i])) for i in range(QUAD.m)]
-    assert np.array_equal(sm.agent_grad_norms[0], per_row)
+    assert np.array_equal(agent_norms[0], per_row)
+    assert columns.grad_norm_agent_max[0] == max(per_row)
 
 
 def test_deterministic_descent_on_guarded_run():
@@ -230,7 +240,7 @@ def test_phi_recorded_rows_match_recomputation():
     assert [s.t for s in states] == list(range(hp.big_t + 1))
     for t, s in enumerate(states):
         assert traj.metrics.phi[0, t] == pytest.approx(
-            state_metrics(s.x[None], s.v[None], QUAD, hp.eta).phi[0], rel=1e-14
+            state_metrics(s.x[None], s.v[None], QUAD, hp.eta)[0].phi[0], rel=1e-14
         )
         assert traj.metrics.cons_x[0, t] == pytest.approx(consensus_error(s.x), rel=1e-14)
     assert math.isfinite(traj.metrics.phi[0, -1])

@@ -440,6 +440,28 @@ def test_module_entry_point(tmp_path):
     assert "overall: PASS" in proc.stdout, proc.stderr
 
 
+# the top-level packages a fresh interpreter gains by importing the command line
+IMPORTED_PACKAGES = """
+import sys
+before = set(sys.modules)
+import dnsgd.cli
+print(" ".join(sorted({name.partition(".")[0] for name in set(sys.modules) - before})))
+"""
+
+
+def test_cli_import_needs_nothing_beyond_numpy_and_the_stdlib(tmp_path):
+    # start-up is much of every short command: an optional package found
+    # installed (scipy, say) must not join it unnoticed
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORTED_PACKAGES],
+        capture_output=True, text=True, cwd=str(tmp_path), env=_child_env(), timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    added = set(proc.stdout.split())
+    assert {"dnsgd", "numpy"} <= added
+    assert added - sys.stdlib_module_names == {"dnsgd", "numpy"}
+
+
 # main in a fresh interpreter, as the console script and `python -m dnsgd.cli` run it
 FROZEN_MAIN = """
 import contextlib, gc, io, json, sys

@@ -27,7 +27,9 @@ from dnsgd.config import (
 )
 from dnsgd.analysis import TRACKER_DRIFT_TOL, MetricColumns, Trajectory
 from dnsgd.harness import (
+    CSV_FIELDS,
     CSV_HEADER,
+    CSV_LINE,
     _write_metrics_csvs,
     run_experiment,
     set_up,
@@ -78,6 +80,7 @@ def test_csv_header_golden():
         "run_id,seed_index,t,f_mean,grad_norm_mean,grad_norm_agent_max,"
         "cons_x,cons_v,phi,samples_per_agent,comm_rounds"
     )
+    assert CSV_LINE.count("%") == len(CSV_FIELDS)
 
 
 def test_run_outputs_layout(tmp_path):
@@ -558,18 +561,34 @@ def test_consensus_bound_passes_deep_runs(k):
     assert check.threshold == pytest.approx(gossip.RHO_FLOOR * 8 * 0.05, rel=1e-9)
 
 
-def test_consensus_bound_catches_a_shallow_mix(monkeypatch):
-    # a run that mixes at a quarter of the depths it reports: its consensus
-    # error is bounded by the contraction of the depth it claims, and exceeds it
-    def shallow(mix, *ks):
-        return gossip._acc_mixers(mix, *(k // 4 for k in ks))
+def _quarter_depth(real):
+    return lambda w, k_inner, k_init: real(w, k_inner // 4, k_init)
 
-    monkeypatch.setattr(optimizers, "_acc_mixers", shallow)
-    cfg = parse_run_config({**CRIT3, "num_seeds": 10, "auto": {"epsilon": 0.2, "t_cap": 50_000}})
-    res = run_experiment(cfg)
-    check = next(c for c in res.checks if c.name == "consensus_bound")
-    assert not check.passed
-    assert check.observed > 10.0 * check.threshold
+
+def _identity_mixes(real):
+    return lambda w, *ks: [np.copy] * len(ks)
+
+
+@pytest.mark.parametrize("mutant", [None, _quarter_depth, _identity_mixes],
+                         ids=["healthy", "quarter_depth", "identity_mixes"])
+def test_consensus_bound_catches_faulty_mixing(monkeypatch, mutant):
+    # criterion 3's run at one seed, its accelerated gossip cut to a quarter of
+    # the k_inner it reports or dropped: the check's bound comes from the depth
+    # the run reports, so each mutant's cons_x, read through the run's record,
+    # must exceed it
+    raw = {**load_json(CONFIGS / "run_exp_pair.json"), "num_seeds": 1}
+    if mutant is not None:
+        monkeypatch.setattr(optimizers, "_acc_mixers", mutant(optimizers._acc_mixers))
+    result = run_experiment(parse_run_config(raw))
+    checks = {c.name: c for c in result.checks}
+    assert set(checks) == {"tracker_identity", "consensus_bound"}
+    bound = checks["consensus_bound"]
+    if mutant is None:
+        assert result.all_checks_passed
+        assert bound.observed < bound.threshold / 10
+    else:
+        assert not bound.passed
+        assert bound.observed > 10 * bound.threshold
 
 
 def _count_decompositions(monkeypatch) -> collections.Counter:

@@ -51,8 +51,8 @@ RECORDS = (
     topology.ClauseResult, topology.ValidationReport,
     hyperparams.RhoGuard, hyperparams.TheoreticalParams,
     optimizers.Method, optimizers.OptimizerState,
-    analysis.MetricColumns, analysis.Trajectory, analysis.StateMetrics,
-    analysis.StationaritySummary, analysis.CheckResult,
+    analysis.MetricColumns, analysis.Trajectory, analysis.StationaritySummary,
+    analysis.CheckResult,
     config.ProblemConfig, config.TopologyConfig, config.AutoHyperConfig,
     config.RunConfig, config.SweepConfig,
     harness.RunResult, harness.SweepPoint, harness.SweepResult,
